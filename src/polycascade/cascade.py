@@ -9,6 +9,11 @@ value matrix independently.
 
 Multi-output models replicate the single-output cascade once per output
 with independent value matrices (shared architecture and hyperparameters).
+Every replica's first package has the same constellation and kernel, so the
+layer-1 distances, kernel values, cardinal basis and basis Gram product are
+computed once per batch (or scoring chunk) and shared by all replicas; only
+the layer-1 output product, the derivative Grams and the value updates are
+per replica.
 """
 
 from __future__ import annotations
@@ -20,7 +25,8 @@ import numpy as np
 
 from .constellation import build_octahedral, octahedral_points
 from .kernel import KernelParams
-from .linalg import ShapeMismatchError, as_matrix, hadamard, matmul, resolve_dtype, spd_solve
+from .linalg import (NotSPDError, ShapeMismatchError, as_matrix, hadamard, matmul, resolve_dtype,
+                     spd_solve)
 from .package import Package, PackageBatchState
 
 logger = logging.getLogger(__name__)
@@ -33,8 +39,7 @@ class CascadeBatchWorkspace:
     """Everything retained between a forward pass and the training step."""
 
     xs: list[np.ndarray]  # X0 .. Xq
-    states: list[PackageBatchState]
-    first_basis: np.ndarray | None = None  # precomputed layer-1 cardinal basis, if used
+    states: list[PackageBatchState]  # states[0] may be shared with other replicas
 
     @property
     def output(self) -> np.ndarray:
@@ -141,23 +146,25 @@ def forward_batch(cascade: Cascade, x0, first_basis: np.ndarray | None = None,
                   ) -> tuple[np.ndarray, CascadeBatchWorkspace]:
     """Run a batch through every package, retaining training intermediates.
 
-    ``first_basis`` short-circuits layer 1 with precomputed cardinal-basis
-    rows for this batch (the distance and kernel stages are skipped).
+    ``x0`` is the batch matrix, or a layer-1 state from the first package's
+    ``batch_state`` that several replicas share (see
+    ``MultiOutputCascade.forward_all``); layer 1 then only evaluates its
+    output product on that state.  With a batch matrix, ``first_basis``
+    short-circuits layer 1 with precomputed cardinal-basis rows for this
+    batch (the distance and kernel stages are skipped).
     """
-    x = as_matrix(x0, dtype=cascade.dtype, name="batch input")
-    if x.shape[1] != cascade.packages[0].n_in:
-        raise ShapeMismatchError(
-            f"batch width {x.shape[1]} != first package width {cascade.packages[0].n_in}")
-    xs = [x]
-    states = []
-    for i, pkg in enumerate(cascade.packages):
-        if i == 0 and first_basis is not None:
-            out, state = pkg.forward_from_basis(x, first_basis)
-        else:
-            out, state = pkg.forward(xs[-1])
+    first = cascade.packages[0]
+    if isinstance(x0, PackageBatchState):
+        layer1 = x0
+    else:
+        layer1 = first.batch_state(x0, basis=first_basis)
+    xs = [layer1.x_in, first.evaluate(layer1)]
+    states = [layer1]
+    for pkg in cascade.packages[1:]:
+        out, state = pkg.forward(xs[-1])
         xs.append(out)
         states.append(state)
-    return xs[-1], CascadeBatchWorkspace(xs=xs, states=states, first_basis=first_basis)
+    return xs[-1], CascadeBatchWorkspace(xs=xs, states=states)
 
 
 def backward_quantities(cascade: Cascade, ws: CascadeBatchWorkspace,
@@ -199,9 +206,15 @@ def train_step(cascade: Cascade, ws: CascadeBatchWorkspace, lstar,
     r = ws.batch_rows
 
     bases, grads = backward_quantities(cascade, ws)
+    # H1 H1^T is the same for every replica sharing this layer-1 state; only
+    # that state keeps its Gram, so the other packages' r x r products stay transient
+    layer1 = ws.states[0]
+    if layer1.gram is None:
+        layer1.gram = matmul(bases[0], bases[0].T)
     omega_sum = np.zeros((r, r), dtype=cascade.dtype)
-    for h, g in zip(bases, grads):
-        omega_sum += hadamard(matmul(h, h.T), matmul(g, g.T))
+    for i, (h, g) in enumerate(zip(bases, grads)):
+        hh = layer1.gram if i == 0 else matmul(h, h.T)
+        omega_sum += hadamard(hh, matmul(g, g.T))
     system = omega_sum
     if cascade.alpha:
         system = omega_sum + cascade.dtype.type(cascade.alpha) * np.eye(r, dtype=cascade.dtype)
@@ -220,7 +233,7 @@ def train_step(cascade: Cascade, ws: CascadeBatchWorkspace, lstar,
         solve_residual_inf=solve_residual,
     )
     if measure_after:
-        out_after, _ = forward_batch(cascade, ws.xs[0], first_basis=ws.first_basis)
+        out_after, _ = forward_batch(cascade, layer1)
         delta_after = lstar - out_after
         report.residual_after_inf = float(np.abs(delta_after).max())
         report.residual_after_rms = float(np.sqrt(np.mean(delta_after ** 2)))
@@ -233,10 +246,17 @@ class MultiOutputCascade:
     def __init__(self, replicas: list[Cascade]):
         if not replicas:
             raise ValueError("need at least one replica")
-        w0 = replicas[0].widths
+        ref = replicas[0]
+        c0 = ref.packages[0].constellation
         for c in replicas[1:]:
-            if c.widths != w0 or c.alpha != replicas[0].alpha or c.kernel != replicas[0].kernel:
-                raise ValueError("replicas must share widths, alpha, and kernel parameters")
+            ci = c.packages[0].constellation
+            # replicas share layer-1 intermediates, so their first packages must agree
+            same_layer1 = ((ci.kind, ci.sigma2) == (c0.kind, c0.sigma2)
+                           and (ci.points is None or np.array_equal(ci.points, c0.points)))
+            if (c.widths != ref.widths or c.alpha != ref.alpha or c.kernel != ref.kernel
+                    or c.dtype != ref.dtype or not same_layer1):
+                raise ValueError("replicas must share widths, alpha, kernel parameters, dtype, "
+                                 "and the first package's constellation")
         self.replicas = replicas
 
     @property
@@ -264,25 +284,38 @@ class MultiOutputCascade:
 
     def forward_all(self, x0, first_basis: np.ndarray | None = None,
                     ) -> tuple[np.ndarray, list[CascadeBatchWorkspace]]:
-        """Outputs of all replicas as columns of an r x d matrix."""
-        outs = []
-        workspaces = []
-        for c in self.replicas:
-            out, ws = forward_batch(c, x0, first_basis=first_basis)
-            outs.append(out)
-            workspaces.append(ws)
-        return np.hstack(outs), workspaces
+        """Outputs of all replicas as columns of an r x d matrix.
+
+        Layer 1 is prepared once and every replica's workspace shares that
+        state (and the basis and Gram that training caches on it).
+        """
+        layer1 = self.replicas[0].packages[0].batch_state(x0, basis=first_basis)
+        outs, workspaces = zip(*(forward_batch(c, layer1) for c in self.replicas))
+        return np.hstack(outs), list(workspaces)
 
     def scores(self, x0, first_basis=None, chunk_rows: int = 4096) -> np.ndarray:
         """Replica outputs without retaining workspaces; chunked to bound memory."""
         x0 = as_matrix(x0, dtype=self.dtype, name="batch input")
-        pieces = []
+        out = np.empty((x0.shape[0], self.d), dtype=self.dtype)
         for lo in range(0, x0.shape[0], chunk_rows):
-            hi = min(lo + chunk_rows, x0.shape[0])
-            fb = None if first_basis is None else first_basis[lo:hi]
-            cols = [forward_batch(c, x0[lo:hi], first_basis=fb)[0] for c in self.replicas]
-            pieces.append(np.hstack(cols))
-        return np.vstack(pieces)
+            rows = slice(lo, lo + chunk_rows)
+            out[rows] = self._score_chunk(x0[rows],
+                                          None if first_basis is None else first_basis[rows])
+        return out
+
+    def _score_chunk(self, x, basis) -> np.ndarray:
+        """One chunk: a shared layer-1 state, then each replica forward-only.
+
+        Each package's intermediates are dropped once the next output exists.
+        """
+        layer1 = self.replicas[0].packages[0].batch_state(x, basis=basis)
+        cols = []
+        for c in self.replicas:
+            y = c.packages[0].evaluate(layer1)
+            for pkg in c.packages[1:]:
+                y, _ = pkg.forward(y)
+            cols.append(y)
+        return np.hstack(cols)
 
     def predict(self, x0, first_basis=None) -> np.ndarray:
         """Per-row argmax over replica outputs; ties go to the lowest index."""
@@ -310,14 +343,22 @@ def init_multi(arch_widths, seed: int, mode: str = "random", alpha: float = 1.0,
 
 def train_multi(mc: MultiOutputCascade, workspaces: list[CascadeBatchWorkspace], targets,
                 measure_after: bool = True) -> list[TrainStepReport]:
-    """Independent training steps, one replica per target column."""
+    """Independent training steps, one replica per target column.
+
+    A non-SPD system is re-raised with the failing replica's index.
+    """
     targets = as_matrix(targets, dtype=mc.dtype, name="targets")
     if targets.shape[1] != mc.d:
         raise ShapeMismatchError(f"targets have {targets.shape[1]} columns, model has {mc.d}")
     if len(workspaces) != mc.d:
         raise ValueError(f"got {len(workspaces)} workspaces for {mc.d} replicas")
-    return [train_step(c, ws, targets[:, i:i + 1], measure_after=measure_after)
-            for i, (c, ws) in enumerate(zip(mc.replicas, workspaces))]
+    reports = []
+    for i, (c, ws) in enumerate(zip(mc.replicas, workspaces)):
+        try:
+            reports.append(train_step(c, ws, targets[:, i:i + 1], measure_after=measure_after))
+        except NotSPDError as exc:
+            raise NotSPDError(f"replica {i}: {exc}") from exc
+    return reports
 
 
 def one_hot_pm1(labels, num_classes: int, dtype=np.float64) -> np.ndarray:

@@ -50,7 +50,7 @@ def phi_matrix(m: np.ndarray, params: KernelParams) -> np.ndarray:
     """Elementwise kernel over a squared-distance matrix, shape preserved."""
     if np.any(m < 0):
         raise NegativeDistanceError("squared-distance matrix has negative entries")
-    dt = m.dtype if m.dtype.kind == "f" else np.float64
+    dt = m.dtype if m.dtype.kind == "f" else np.dtype(np.float64)
     c = dt.type(params.c)
     two_b = dt.type(2.0 * params.b)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -69,6 +69,6 @@ def theta_matrix(m: np.ndarray, params: KernelParams) -> np.ndarray:
     """Elementwise derivative factor over a squared-distance matrix."""
     if np.any(m < 0):
         raise NegativeDistanceError("squared-distance matrix has negative entries")
-    dt = m.dtype if m.dtype.kind == "f" else np.float64
+    dt = m.dtype if m.dtype.kind == "f" else np.dtype(np.float64)
     out = np.log(np.maximum(m, dt.type(EPS_M))) - dt.type(2.0 * params.b - 1.0)
     return ensure_finite(out.astype(dt, copy=False), "theta_matrix result")

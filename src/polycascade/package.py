@@ -14,6 +14,9 @@ Forward evaluation of a batch X (r x n_in):
     kernel_vals = elementwise kernel over sq_dists
     output    = kernel_vals @ coeffs
 
+The first two stages do not depend on the values (``batch_state``); only the
+last product does (``evaluate``).
+
 The backward route maps the derivative of the scalar cascade output with
 respect to this package's outputs to the derivative with respect to its
 inputs, through the kernel's derivative factor.
@@ -36,14 +39,19 @@ PATHS = ("auto", "fast", "naive")
 class PackageBatchState:
     """Per-batch intermediates retained between forward and training phases.
 
-    ``sq_dists`` and ``kernel_vals`` are absent when the caller supplied a
-    precomputed cardinal basis for this batch (first-layer cache).
+    Nothing here depends on the package's values, so one state stays valid
+    across value updates and serves every package with the same
+    constellation and kernel: the replicas of a multi-output model all read
+    one layer-1 state.  ``sq_dists`` and ``kernel_vals`` are absent when the
+    caller supplied a precomputed cardinal basis for this batch (first-layer
+    cache).
     """
 
     x_in: np.ndarray
     sq_dists: np.ndarray | None = None
     kernel_vals: np.ndarray | None = None
     basis: np.ndarray | None = None  # kernel_vals @ U, filled lazily
+    gram: np.ndarray | None = None  # basis @ basis.T, cached by train_step on layer 1 only
 
 
 class Package:
@@ -119,21 +127,38 @@ class Package:
         np.maximum(m, 0.0, out=m)
         return m
 
+    def batch_state(self, x, basis=None, path: str | None = None) -> PackageBatchState:
+        """Value-independent intermediates of a batch: distances and kernel values.
+
+        With ``basis`` (precomputed cardinal-basis rows for this batch) the
+        distance and kernel stages are skipped and the state holds the basis.
+        """
+        x = as_matrix(x, dtype=self.dtype, name="batch input")
+        if x.shape[1] != self.n_in:
+            raise ShapeMismatchError(f"batch has width {x.shape[1]}, package expects {self.n_in}")
+        if basis is not None:
+            basis = as_matrix(basis, dtype=self.dtype, name="cardinal basis")
+            if basis.shape != (x.shape[0], self.k):
+                raise ShapeMismatchError(
+                    f"basis has shape {basis.shape}, expected {(x.shape[0], self.k)}")
+            return PackageBatchState(x_in=x, basis=basis)
+        m = self.squared_distances(x, path=path)
+        return PackageBatchState(x_in=x, sq_dists=m, kernel_vals=phi_matrix(m, self.kernel))
+
+    def evaluate(self, state: PackageBatchState) -> np.ndarray:
+        """Package output for a prepared batch with the current values.
+
+        ``kernel_vals @ coeffs``, or ``basis @ values`` when the state holds
+        only a precomputed basis.
+        """
+        if state.kernel_vals is None:
+            return matmul(state.basis, self.values)
+        return matmul(state.kernel_vals, self.coeffs)
+
     def forward(self, x, path: str | None = None) -> tuple[np.ndarray, PackageBatchState]:
         """Evaluate the package on a batch; retains intermediates for training."""
-        x = as_matrix(x, dtype=self.dtype, name="batch input")
-        m = self.squared_distances(x, path=path)
-        kv = phi_matrix(m, self.kernel)
-        out = matmul(kv, self.coeffs)
-        return out, PackageBatchState(x_in=x, sq_dists=m, kernel_vals=kv)
-
-    def forward_from_basis(self, x_in, basis) -> tuple[np.ndarray, PackageBatchState]:
-        """Evaluate from a precomputed cardinal basis: output = basis @ values."""
-        basis = as_matrix(basis, dtype=self.dtype, name="cardinal basis")
-        if basis.shape[1] != self.k:
-            raise ShapeMismatchError(f"basis has {basis.shape[1]} columns, expected {self.k}")
-        out = matmul(basis, self.values)
-        return out, PackageBatchState(x_in=as_matrix(x_in, dtype=self.dtype), basis=basis)
+        state = self.batch_state(x, path=path)
+        return self.evaluate(state), state
 
     # -- coefficient recovery -------------------------------------------------
 

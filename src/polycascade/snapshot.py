@@ -28,8 +28,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .cascade import Cascade, MultiOutputCascade, init_cascade
+from .cascade import Cascade, MultiOutputCascade
+from .constellation import build_octahedral
 from .kernel import KernelParams
+from .package import Package
 
 MAGIC = b"PHC1"
 _DTYPE_CODES = {np.dtype(np.float64): 0, np.dtype(np.float32): 1}
@@ -101,6 +103,8 @@ def load_snapshot(path) -> tuple[MultiOutputCascade, dict | None]:
         if d < 1 or q < 1:
             raise SnapshotFormatError(f"invalid counts d={d}, q={q}")
         widths = list(_read_u64(f, q + 1, "widths"))
+        if min(widths) < 1 or widths[-1] != 1:
+            raise SnapshotFormatError(f"invalid widths {widths}: need positive widths ending in 1")
         alpha, b, c, sigma2 = _read_f64(f, 4, "hyperparameters")
         dtype_code = _read_u64(f, 1, "dtype code")
         if dtype_code not in _CODE_DTYPES:
@@ -115,19 +119,21 @@ def load_snapshot(path) -> tuple[MultiOutputCascade, dict | None]:
         kernel = KernelParams(b=b, c=c)
         replicas = []
         for ri in range(d):
-            cascade = init_cascade(widths, seed=0, mode="random", alpha=alpha,
-                                   kernel=kernel, sigma2=sigma2, dtype=model_dtype)
-            for pi, pkg in enumerate(cascade.packages):
+            packages = []
+            for pi, (n_in, n_out) in enumerate(zip(widths, widths[1:])):
+                constellation = build_octahedral(n_in, sigma2=sigma2)
+                shape = (constellation.k, n_out)
                 rows, cols = _read_u64(f, 2, f"shape of replica {ri} package {pi}")
-                if (rows, cols) != pkg.values.shape:
+                if (rows, cols) != shape:
                     raise SnapshotFormatError(
                         f"replica {ri} package {pi}: stored shape {(rows, cols)} does not match "
-                        f"widths-derived shape {pkg.values.shape}")
+                        f"widths-derived shape {shape}")
                 raw = _read_exact(f, rows * cols * store_dtype.itemsize,
                                   f"values of replica {ri} package {pi}")
                 values = np.frombuffer(raw, dtype=store_dtype).reshape(rows, cols)
-                pkg.set_values(values.astype(model_dtype, copy=False))
-            replicas.append(cascade)
+                packages.append(Package(constellation, kernel,
+                                        values.astype(model_dtype, copy=False), dtype=model_dtype))
+            replicas.append(Cascade(packages, alpha=alpha, kernel=kernel, dtype=model_dtype))
         trailing = f.read(1)
         if trailing:
             raise SnapshotFormatError("trailing bytes after model payload")

@@ -15,10 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .cascade import (MultiOutputCascade, forward_batch, init_multi, one_hot_pm1, train_multi)
+from .cascade import MultiOutputCascade, init_multi, one_hot_pm1, train_multi
 from .data import Dataset, batches
 from .kernel import KernelParams
-from .linalg import resolve_dtype
+from .linalg import NotSPDError, resolve_dtype
 from .metrics import accuracy, roc_auc
 
 CSV_HEADER = ["epoch", "train_metric", "test_metric", "residual", "seconds"]
@@ -73,9 +73,11 @@ def precompute_first_layer_basis(model: MultiOutputCascade, features: np.ndarray
     """Cardinal-basis rows of the first package for every example, by index.
 
     All replicas share the first package's constellation, so one table serves
-    the whole model.  During training, a batch's rows are looked up by example
-    index (shuffling is immaterial) and layer 1 reduces to ``basis @ values``:
-    the distance and kernel stages are skipped entirely.
+    the whole model.  Without the table, layer 1's distances, kernel values
+    and basis are already computed once per batch for all replicas; the table
+    moves that work to once per run.  During training, a batch's rows are
+    looked up by example index (shuffling is immaterial) and each replica's
+    layer 1 reduces to ``basis @ values``.
     """
     first = model.replicas[0].packages[0]
     if features.shape[1] != first.n_in:
@@ -85,8 +87,7 @@ def precompute_first_layer_basis(model: MultiOutputCascade, features: np.ndarray
     table = np.empty((n, first.k), dtype=model.dtype)
     for lo in range(0, n, chunk_rows):
         hi = min(lo + chunk_rows, n)
-        _, state = first.forward(features[lo:hi])
-        table[lo:hi] = first.cardinal_basis(state)
+        table[lo:hi] = first.cardinal_basis(first.batch_state(features[lo:hi]))
     return table
 
 
@@ -114,7 +115,9 @@ def run_training(cfg: TrainConfig, train: Dataset, test: Dataset,
 
     With ``epochs == 0`` the returned records hold a single row for the
     initialized model.  ``on_epoch`` (if given) is called with each record
-    and the live model as the record is produced.
+    and the live model as the record is produced.  A non-SPD training system
+    raises ``NotSPDError`` naming the epoch, the 1-based batch within it, and
+    the replica.
     """
     d = cfg.widths[-1]
     model = init_multi(cfg.widths, seed=cfg.seed, mode=cfg.init_mode, alpha=cfg.alpha,
@@ -156,17 +159,18 @@ def run_training(cfg: TrainConfig, train: Dataset, test: Dataset,
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
         residuals = []
-        for batch in batches(train, cfg.batch_rows, seed=cfg.seed + epoch, shuffle=cfg.shuffle):
+        batch_iter = batches(train, cfg.batch_rows, seed=cfg.seed + epoch, shuffle=cfg.shuffle)
+        for b, batch in enumerate(batch_iter, start=1):
             x0 = batch.features.astype(dtype, copy=False)
             targets = _targets_for(cfg, batch.labels, d, dtype)
             fb = None if basis_table is None else basis_table[batch.indices]
-            outs = []
-            workspaces = []
-            for c in model.replicas:
-                out, ws = forward_batch(c, x0, first_basis=fb)
-                outs.append(out)
-                workspaces.append(ws)
-            reports = train_multi(model, workspaces, targets, measure_after=False)
+            _, workspaces = model.forward_all(x0, first_basis=fb)
+            try:
+                reports = train_multi(model, workspaces, targets, measure_after=False)
+            except NotSPDError as exc:
+                raise NotSPDError(f"epoch {epoch}, batch {b}: {exc}") from exc
+            # drop this batch's layer-1 state before the next one is built
+            del workspaces
             residuals.append(np.mean([rep.residual_before_rms for rep in reports]))
         train_metric = _evaluate(cfg, model, train_eval, train_eval_basis)
         test_metric = _evaluate(cfg, model, test)

@@ -3,12 +3,14 @@ import logging
 import numpy as np
 import pytest
 
-from polycascade.cascade import (MultiOutputCascade, backward_quantities, forward_batch,
-                                 init_cascade, init_multi, one_hot_pm1, package_omegas,
-                                 train_multi, train_step)
-from polycascade.constellation import octahedral_points
+from polycascade.cascade import (Cascade, MultiOutputCascade, backward_quantities,
+                                 forward_batch, init_cascade, init_multi, one_hot_pm1,
+                                 package_omegas, train_multi, train_step)
+from polycascade.constellation import build_octahedral, octahedral_points
 from polycascade.kernel import KernelParams
 from polycascade.linalg import NotSPDError, ShapeMismatchError
+from polycascade.package import Package
+from polycascade.training import precompute_first_layer_basis
 
 KP = KernelParams()
 
@@ -302,3 +304,68 @@ def test_training_determinism_across_runs():
 
     for va, vb in zip(run(), run()):
         assert np.array_equal(va, vb)
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("precompute", [False, True])
+def test_shared_layer1_training_matches_replicas_trained_alone(dtype, precompute):
+    # forward_all shares one layer-1 state across replicas; training each
+    # replica on its own with forward_batch must give the same bits
+    rng = np.random.default_rng(40)
+    arch, core, seed = [6, 5, 4, 3], [6, 5, 4, 1], 40
+    features = rng.uniform(-1, 1, (36, 6))
+    targets = one_hot_pm1(rng.integers(0, 3, 36), 3)
+    mc = init_multi(arch, seed=seed, alpha=3.0, dtype=dtype)
+    alone = [init_cascade(core, seed=seed + i, alpha=3.0, dtype=dtype) for i in range(3)]
+    table = precompute_first_layer_basis(mc, features.astype(dtype)) if precompute else None
+    for idx in np.split(rng.permutation(36), 3):
+        x0 = features[idx].astype(dtype)
+        fb = None if table is None else table[idx]
+        outs, workspaces = mc.forward_all(x0, first_basis=fb)
+        assert all(ws.states[0] is workspaces[0].states[0] for ws in workspaces)
+        reports = train_multi(mc, workspaces, targets[idx], measure_after=True)
+        assert workspaces[0].states[0].gram is not None
+        for i, cascade in enumerate(alone):
+            out, ws = forward_batch(cascade, x0, first_basis=fb)
+            assert np.array_equal(out, outs[:, i:i + 1])
+            rep = train_step(cascade, ws, targets[idx, i:i + 1], measure_after=True)
+            assert rep == reports[i]
+    for shared, single in zip(mc.replicas, alone):
+        for pa, pb in zip(shared.packages, single.packages):
+            assert pa.values.dtype == np.dtype(dtype)
+            assert np.array_equal(pa.values, pb.values)
+
+
+@pytest.mark.parametrize("with_table", [False, True])
+def test_scores_equal_per_replica_forward_batch(with_table):
+    rng = np.random.default_rng(41)
+    mc = init_multi([5, 4, 3, 3], seed=41, alpha=2.0)
+    x = rng.uniform(-1, 1, (23, 5))
+    table = precompute_first_layer_basis(mc, x) if with_table else None
+    chunk = 7  # three full chunks and a partial one
+    got = mc.scores(x, first_basis=table, chunk_rows=chunk)
+    expected = []
+    for lo in range(0, 23, chunk):
+        fb = None if table is None else table[lo:lo + chunk]
+        expected.append(np.hstack([forward_batch(c, x[lo:lo + chunk], first_basis=fb)[0]
+                                   for c in mc.replicas]))
+    assert got.shape == (23, 3)
+    assert np.array_equal(got, np.vstack(expected))
+
+
+def test_replicas_must_share_first_constellation():
+    kp = KernelParams()
+    replicas = []
+    for sigma2 in (0.0, 0.5):
+        pkg = Package(build_octahedral(3, sigma2=sigma2), kp, np.zeros((7, 1)))
+        replicas.append(Cascade([pkg], alpha=1.0, kernel=kp))
+    with pytest.raises(ValueError, match="constellation"):
+        MultiOutputCascade(replicas)
+
+
+def test_not_spd_error_names_replica():
+    mc = init_multi([1, 3], seed=0, alpha=0.0)  # one package, rank-deficient system
+    x0 = np.random.default_rng(0).uniform(-1, 1, (10, 1))
+    _, workspaces = mc.forward_all(x0)
+    with pytest.raises(NotSPDError, match="replica 0"):
+        train_multi(mc, workspaces, np.ones((10, 3)))

@@ -130,3 +130,12 @@ def test_float32_paths():
     m = np.array([[0.0, 1.0, 2.0]], dtype=np.float32)
     assert phi_matrix(m, KP).dtype == np.float32
     assert theta_matrix(np.maximum(m, 1e-3), KP).dtype == np.float32
+
+
+@pytest.mark.parametrize("fn, scalar", [(phi_matrix, phi), (theta_matrix, theta)])
+def test_matrix_routes_accept_integer_input(fn, scalar):
+    m = np.array([[0, 1, 4]])
+    out = fn(m, KP)
+    assert out.dtype == np.float64
+    assert out.shape == (1, 3)
+    assert np.allclose(out[0], [scalar(float(v), KP) for v in m[0]], rtol=0, atol=1e-12)

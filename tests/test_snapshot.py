@@ -1,7 +1,10 @@
+import struct
+
 import numpy as np
 import pytest
 
 from polycascade.cascade import forward_batch, init_cascade, init_multi
+from polycascade.package import Package
 from polycascade.snapshot import MAGIC, SnapshotFormatError, load_snapshot, save_snapshot
 
 
@@ -73,4 +76,34 @@ def test_trailing_bytes_rejected(tmp_path):
     save_snapshot(p, cascade)
     p.write_bytes(p.read_bytes() + b"\x00")
     with pytest.raises(SnapshotFormatError, match="trailing"):
+        load_snapshot(p)
+
+
+def test_load_sets_each_package_values_once(tmp_path, monkeypatch):
+    mc = init_multi([6, 5, 4, 3], seed=3, alpha=2.0)
+    save_snapshot(tmp_path / "m.phc1", mc)
+    calls = []
+    set_values = Package.set_values
+
+    def counting_set_values(self, values):
+        calls.append(self)
+        set_values(self, values)
+
+    monkeypatch.setattr(Package, "set_values", counting_set_values)
+    loaded, _ = load_snapshot(tmp_path / "m.phc1")
+    assert len(calls) == 3 * 3  # d * q
+    for ca, cb in zip(mc.replicas, loaded.replicas):
+        for pa, pb in zip(ca.packages, cb.packages):
+            assert np.array_equal(pa.coeffs, pb.coeffs)
+
+
+def test_invalid_header_widths_rejected(tmp_path):
+    cascade = init_cascade([4, 3, 1], seed=0, alpha=1.0)
+    p = tmp_path / "w.phc1"
+    save_snapshot(p, cascade)
+    data = bytearray(p.read_bytes())
+    last_width = 4 + 8 + 8 + 2 * 8  # magic, d, q, then widths[0..1]
+    data[last_width:last_width + 8] = struct.pack("<Q", 2)
+    p.write_bytes(bytes(data))
+    with pytest.raises(SnapshotFormatError, match="invalid widths"):
         load_snapshot(p)

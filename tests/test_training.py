@@ -1,10 +1,14 @@
 import csv
+import itertools
 
 import numpy as np
 import pytest
 
+from polycascade import cascade as cascade_module
+from polycascade import training
 from polycascade.cascade import forward_batch, init_multi
 from polycascade.data import Dataset
+from polycascade.linalg import NotSPDError
 from polycascade.synthetic import make_shell_task
 from polycascade.training import (CSV_HEADER, EpochRecord, TrainConfig,
                                   precompute_first_layer_basis, run_training)
@@ -114,3 +118,39 @@ def test_epoch_record_rows_lossless():
     row = rec.as_row()
     assert row[0] == 3
     assert float(row[1]) == 1 / 3  # exact round trip
+
+
+def test_float32_shells_end_to_end(monkeypatch):
+    reports = []
+    train_multi = training.train_multi
+
+    def recording_train_multi(*args, **kwargs):
+        out = train_multi(*args, **kwargs)
+        reports.extend(out)
+        return out
+
+    monkeypatch.setattr(training, "train_multi", recording_train_multi)
+    train, test = make_shell_task(n_train=1500, n_test=400, dim=6, seed=17)
+    cfg = TrainConfig(widths=[6, 20, 20, 1], alpha=20.0, epochs=2, batch_rows=300, seed=18,
+                      init_mode="identity-fragments", task="binary-auc", precision="float32")
+    model, records = run_training(cfg, train, test)
+    assert model.dtype == np.float32
+    assert records[-1].test_metric >= 0.95
+    assert len(reports) == 2 * 5
+    # float32 Cholesky on a 300 x 300 system: about 2e-6 here, 1e-14 in float64
+    assert max(rep.solve_residual_inf for rep in reports) <= 1e-4
+
+
+def test_not_spd_error_names_epoch_batch_and_replica(monkeypatch):
+    # 3 replicas, 4 batches per epoch: solve call 20 is epoch 2, batch 3, replica 2
+    calls = itertools.count()
+    spd_solve = cascade_module.spd_solve
+
+    def failing_on_call_20(system, rhs):
+        return spd_solve(-system if next(calls) == 20 else system, rhs)
+
+    monkeypatch.setattr(cascade_module, "spd_solve", failing_on_call_20)
+    train, test = split_class_task(seed=19, n_train=240, n_test=60)
+    cfg = TrainConfig(widths=[6, 5, 3], alpha=4.0, epochs=3, batch_rows=60, seed=20)
+    with pytest.raises(NotSPDError, match="epoch 2, batch 3: replica 2: "):
+        run_training(cfg, train, test)
