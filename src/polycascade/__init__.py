@@ -2,25 +2,27 @@
 
 A cascade stacks "packages" (families of polyharmonic splines over a shared
 octahedral constellation) and trains them by solving one ridge-regularized
-linear system per batch instead of running gradient descent.
+linear system per batch instead of running gradient descent.  The
+general-constellation reference routes the closed forms are checked against
+live in ``polycascade.oracle``, which only ``verify``, ``bench`` and the tests
+import.
 """
 
 from .cascade import (Cascade, CascadeBatchWorkspace, MultiOutputCascade, TrainStepReport,
                       backward_quantities, forward_batch, init_cascade, init_multi,
-                      one_hot_pm1, package_omegas, train_multi, train_step)
+                      one_hot_pm1, train_multi, train_step)
 from .constellation import (Constellation, DegenerateKernelError, OctaCoefficients,
-                            SingularConstellationError, build_explicit, build_octahedral,
-                            derive_coefficients, explicit_u, octahedral_points, synthesize_u)
+                            build_octahedral, derive_coefficients, octahedral_points,
+                            synthesize_u)
 from .data import (Batch, DataFormatError, Dataset, TransformSpec, batches,
                    fit_apply_transforms, load_delimited, load_idx)
 from .kernel import EPS_M, KernelParams, NegativeDistanceError, phi, phi_matrix, theta, theta_matrix
-from .linalg import (NonFiniteError, NotSPDError, ShapeMismatchError, as_matrix, hadamard,
-                     matmul, spd_solve)
+from .linalg import NonFiniteError, NotSPDError, ShapeMismatchError, as_matrix, spd_solve
 from .metrics import accuracy, roc_auc
 from .package import Package, PackageBatchState
 from .snapshot import SnapshotFormatError, load_snapshot, save_snapshot
 from .synthetic import make_shell_task
-from .training import (EpochRecord, TrainConfig, precompute_first_layer_basis, run_training)
+from .training import EpochRecord, TrainConfig, run_training
 
 __version__ = "0.1.0"
 
@@ -29,12 +31,10 @@ __all__ = [
     "Dataset", "DegenerateKernelError", "EPS_M", "EpochRecord", "KernelParams",
     "MultiOutputCascade", "NegativeDistanceError", "NonFiniteError", "NotSPDError",
     "OctaCoefficients", "Package", "PackageBatchState", "ShapeMismatchError",
-    "SingularConstellationError", "SnapshotFormatError", "TrainConfig", "TrainStepReport",
-    "TransformSpec", "accuracy", "as_matrix", "backward_quantities", "batches",
-    "build_explicit", "build_octahedral", "derive_coefficients", "explicit_u",
-    "fit_apply_transforms", "forward_batch", "hadamard", "init_cascade", "init_multi",
-    "load_delimited", "load_idx", "load_snapshot", "make_shell_task", "matmul",
-    "octahedral_points", "one_hot_pm1", "package_omegas", "phi", "phi_matrix",
-    "precompute_first_layer_basis", "roc_auc", "run_training", "save_snapshot",
-    "spd_solve", "synthesize_u", "theta", "theta_matrix", "train_multi", "train_step",
+    "SnapshotFormatError", "TrainConfig", "TrainStepReport", "TransformSpec", "accuracy",
+    "as_matrix", "backward_quantities", "batches", "build_octahedral", "derive_coefficients",
+    "fit_apply_transforms", "forward_batch", "init_cascade", "init_multi", "load_delimited",
+    "load_idx", "load_snapshot", "make_shell_task", "octahedral_points", "one_hot_pm1", "phi",
+    "phi_matrix", "roc_auc", "run_training", "save_snapshot", "spd_solve", "synthesize_u",
+    "theta", "theta_matrix", "train_multi", "train_step",
 ]

@@ -1,9 +1,10 @@
-"""Fast-vs-naive timing sweep with built-in agreement checks.
+"""Closed-form vs oracle timing sweep with built-in agreement checks.
 
-For each package width in the sweep, times the four operations that have a
-closed-form octahedral route against their general-constellation versions,
-verifies the two routes agree on every trial, and reports the smallest width
-where the fast route's median time wins.  Whether that crossover exists at
+For each package width in the sweep, times the four ``Package`` operations
+that use the octahedral closed form ("fast") against their
+general-constellation versions in ``oracle`` ("naive"), verifies the two
+agree on every trial, and reports the smallest width where the fast route's
+median time wins.  Whether that crossover exists at
 small widths is host-dependent: generic matrix products are heavily
 optimized, so the structured route tends to win only past a few hundred
 inputs.
@@ -18,7 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .constellation import build_octahedral
+from . import oracle
+from .constellation import build_octahedral, octahedral_points
 from .kernel import KernelParams
 from .package import Package
 
@@ -53,7 +55,7 @@ def _rel_err(a: np.ndarray, b: np.ndarray) -> float:
 def run_bench(widths=(16, 32, 64, 128, 256, 512, 1024, 2048), batch_rows=(64, 256),
               n_out: int = 8, repeats: int = 5, seed: int = 0,
               max_elements: int = 200_000_000) -> list[BenchRow]:
-    """Time fast vs naive for every (op, n, r); verify agreement on each trial."""
+    """Time closed form vs oracle for every (op, n, r); verify agreement on each trial."""
     kp = KernelParams()
     rng = np.random.default_rng(seed)
     rows: list[BenchRow] = []
@@ -62,23 +64,25 @@ def run_bench(widths=(16, 32, 64, 128, 256, 512, 1024, 2048), batch_rows=(64, 25
         constellation = build_octahedral(n)
         values = rng.uniform(-1, 1, (k, n_out))
         pkg = Package(constellation, kp, values)
-        pkg.u_matrix()  # warm the naive route's cached Gram inverse
+        points = octahedral_points(n)
+        u = oracle.gram_inverse(points, kp)
         for r in batch_rows:
             if r * k > max_elements:
                 continue
             x = rng.uniform(-1, 1, (r, n))
-            out, state = pkg.forward(x)
+            _, state = pkg.forward(x)
             g_next = rng.standard_normal((r, n_out))
 
             pairs = {
-                "squared_distances": (lambda: pkg.squared_distances(x, path="fast"),
-                                      lambda: pkg.squared_distances(x, path="naive")),
-                "coeffs_from_values": (lambda: pkg.coeffs_from_values(values, path="fast"),
-                                       lambda: pkg.coeffs_from_values(values, path="naive")),
-                "cardinal_basis": (lambda: pkg.cardinal_basis(_fresh(state), path="fast"),
-                                   lambda: pkg.cardinal_basis(_fresh(state), path="naive")),
-                "backward": (lambda: pkg.backward(g_next, state, path="fast"),
-                             lambda: pkg.backward(g_next, state, path="naive")),
+                "squared_distances": (lambda: pkg.squared_distances(x),
+                                      lambda: oracle.squared_distances(x, points)),
+                "coeffs_from_values": (lambda: pkg.coeffs_from_values(values),
+                                       lambda: oracle.coefficients(u, values)),
+                "cardinal_basis": (lambda: pkg.cardinal_basis(_fresh(state)),
+                                   lambda: oracle.cardinal_basis(state.kernel_vals, u)),
+                "backward": (lambda: pkg.backward(g_next, state),
+                             lambda: oracle.backward(g_next, x, state.sq_dists, points,
+                                                     pkg.coeffs, kp)),
             }
             for op, (fast_fn, naive_fn) in pairs.items():
                 err = _rel_err(fast_fn(), naive_fn())

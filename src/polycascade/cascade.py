@@ -25,7 +25,7 @@ import numpy as np
 
 from .constellation import build_octahedral, octahedral_points
 from .kernel import KernelParams
-from .linalg import (NotSPDError, ShapeMismatchError, as_matrix, hadamard, matmul, resolve_dtype,
+from .linalg import (NonFiniteError, NotSPDError, ShapeMismatchError, as_matrix, resolve_dtype,
                      spd_solve)
 from .package import Package, PackageBatchState
 
@@ -142,22 +142,17 @@ def init_cascade(widths, seed: int, mode: str = "random", alpha: float = 1.0,
     return Cascade(packages, alpha=alpha, kernel=kernel, dtype=dt)
 
 
-def forward_batch(cascade: Cascade, x0, first_basis: np.ndarray | None = None,
-                  ) -> tuple[np.ndarray, CascadeBatchWorkspace]:
+def forward_batch(cascade: Cascade, x0) -> tuple[np.ndarray, CascadeBatchWorkspace]:
     """Run a batch through every package, retaining training intermediates.
 
     ``x0`` is the batch matrix, or a layer-1 state from the first package's
     ``batch_state`` that several replicas share (see
     ``MultiOutputCascade.forward_all``); layer 1 then only evaluates its
-    output product on that state.  With a batch matrix, ``first_basis``
-    short-circuits layer 1 with precomputed cardinal-basis rows for this
-    batch (the distance and kernel stages are skipped).
+    output product on that state.  Layer 1 keeps no squared distances:
+    training never runs ``backward`` on the first package.
     """
     first = cascade.packages[0]
-    if isinstance(x0, PackageBatchState):
-        layer1 = x0
-    else:
-        layer1 = first.batch_state(x0, basis=first_basis)
+    layer1 = x0 if isinstance(x0, PackageBatchState) else first.batch_state(x0)
     xs = [layer1.x_in, first.evaluate(layer1)]
     states = [layer1]
     for pkg in cascade.packages[1:]:
@@ -185,11 +180,6 @@ def backward_quantities(cascade: Cascade, ws: CascadeBatchWorkspace,
     return bases, grads
 
 
-def package_omegas(bases: list[np.ndarray], grads: list[np.ndarray]) -> list[np.ndarray]:
-    """Per-package r x r Schur products of the basis Gram and derivative Gram."""
-    return [hadamard(matmul(h, h.T), matmul(g, g.T)) for h, g in zip(bases, grads)]
-
-
 def train_step(cascade: Cascade, ws: CascadeBatchWorkspace, lstar,
                measure_after: bool = True) -> TrainStepReport:
     """One full training step on the batch held in the workspace.
@@ -197,7 +187,8 @@ def train_step(cascade: Cascade, ws: CascadeBatchWorkspace, lstar,
     Accumulates the per-package Gram products in package order, solves the
     alpha-regularized system for the batch vector, applies every package's
     value update from the pre-update intermediates, and rederives all
-    coefficient matrices.
+    coefficient matrices.  A NaN or Inf anywhere upstream reaches the system
+    or its right-hand side and raises ``NonFiniteError`` before any update.
     """
     lstar = as_matrix(lstar, dtype=cascade.dtype, name="targets")
     if lstar.shape != ws.output.shape:
@@ -210,20 +201,22 @@ def train_step(cascade: Cascade, ws: CascadeBatchWorkspace, lstar,
     # that state keeps its Gram, so the other packages' r x r products stay transient
     layer1 = ws.states[0]
     if layer1.gram is None:
-        layer1.gram = matmul(bases[0], bases[0].T)
+        layer1.gram = bases[0] @ bases[0].T
     omega_sum = np.zeros((r, r), dtype=cascade.dtype)
     for i, (h, g) in enumerate(zip(bases, grads)):
-        hh = layer1.gram if i == 0 else matmul(h, h.T)
-        omega_sum += hadamard(hh, matmul(g, g.T))
+        hh = layer1.gram if i == 0 else h @ h.T
+        omega_sum += hh * (g @ g.T)
     system = omega_sum
     if cascade.alpha:
         system = omega_sum + cascade.dtype.type(cascade.alpha) * np.eye(r, dtype=cascade.dtype)
+    if not (np.isfinite(system).all() and np.isfinite(delta_l).all()):
+        raise NonFiniteError("training system or output residual contains NaN or Inf")
     b_vec = spd_solve(system, delta_l)
-    solve_residual = float(np.abs(matmul(system, b_vec) - delta_l).max())
+    solve_residual = float(np.abs(system @ b_vec - delta_l).max())
 
     # all updates are computed against pre-update intermediates, then applied
     for pkg, h, g in zip(cascade.packages, bases, grads):
-        delta_y = matmul(h.T, g * b_vec)
+        delta_y = h.T @ (g * b_vec)
         pkg.set_values(pkg.values + delta_y)
 
     report = TrainStepReport(
@@ -247,14 +240,11 @@ class MultiOutputCascade:
         if not replicas:
             raise ValueError("need at least one replica")
         ref = replicas[0]
-        c0 = ref.packages[0].constellation
         for c in replicas[1:]:
-            ci = c.packages[0].constellation
             # replicas share layer-1 intermediates, so their first packages must agree
-            same_layer1 = ((ci.kind, ci.sigma2) == (c0.kind, c0.sigma2)
-                           and (ci.points is None or np.array_equal(ci.points, c0.points)))
             if (c.widths != ref.widths or c.alpha != ref.alpha or c.kernel != ref.kernel
-                    or c.dtype != ref.dtype or not same_layer1):
+                    or c.dtype != ref.dtype
+                    or c.packages[0].constellation != ref.packages[0].constellation):
                 raise ValueError("replicas must share widths, alpha, kernel parameters, dtype, "
                                  "and the first package's constellation")
         self.replicas = replicas
@@ -282,33 +272,31 @@ class MultiOutputCascade:
     def parameter_count(self) -> int:
         return sum(c.parameter_count() for c in self.replicas)
 
-    def forward_all(self, x0, first_basis: np.ndarray | None = None,
-                    ) -> tuple[np.ndarray, list[CascadeBatchWorkspace]]:
+    def forward_all(self, x0) -> tuple[np.ndarray, list[CascadeBatchWorkspace]]:
         """Outputs of all replicas as columns of an r x d matrix.
 
         Layer 1 is prepared once and every replica's workspace shares that
         state (and the basis and Gram that training caches on it).
         """
-        layer1 = self.replicas[0].packages[0].batch_state(x0, basis=first_basis)
+        layer1 = self.replicas[0].packages[0].batch_state(x0)
         outs, workspaces = zip(*(forward_batch(c, layer1) for c in self.replicas))
         return np.hstack(outs), list(workspaces)
 
-    def scores(self, x0, first_basis=None, chunk_rows: int = 4096) -> np.ndarray:
+    def scores(self, x0, chunk_rows: int = 4096) -> np.ndarray:
         """Replica outputs without retaining workspaces; chunked to bound memory."""
         x0 = as_matrix(x0, dtype=self.dtype, name="batch input")
         out = np.empty((x0.shape[0], self.d), dtype=self.dtype)
         for lo in range(0, x0.shape[0], chunk_rows):
             rows = slice(lo, lo + chunk_rows)
-            out[rows] = self._score_chunk(x0[rows],
-                                          None if first_basis is None else first_basis[rows])
+            out[rows] = self._score_chunk(x0[rows])
         return out
 
-    def _score_chunk(self, x, basis) -> np.ndarray:
+    def _score_chunk(self, x) -> np.ndarray:
         """One chunk: a shared layer-1 state, then each replica forward-only.
 
         Each package's intermediates are dropped once the next output exists.
         """
-        layer1 = self.replicas[0].packages[0].batch_state(x, basis=basis)
+        layer1 = self.replicas[0].packages[0].batch_state(x)
         cols = []
         for c in self.replicas:
             y = c.packages[0].evaluate(layer1)
@@ -317,9 +305,9 @@ class MultiOutputCascade:
             cols.append(y)
         return np.hstack(cols)
 
-    def predict(self, x0, first_basis=None) -> np.ndarray:
+    def predict(self, x0) -> np.ndarray:
         """Per-row argmax over replica outputs; ties go to the lowest index."""
-        return np.argmax(self.scores(x0, first_basis=first_basis), axis=1)
+        return np.argmax(self.scores(x0), axis=1)
 
 
 def init_multi(arch_widths, seed: int, mode: str = "random", alpha: float = 1.0,

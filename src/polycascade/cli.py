@@ -18,7 +18,7 @@ from . import verify as verify_mod
 from .config import (ConfigError, RunConfig, load_datasets, load_run_config,
                      missing_data_paths)
 from .data import DataFormatError, TransformSpec, fit_apply_transforms, load_delimited, load_idx
-from .linalg import NotSPDError
+from .linalg import NonFiniteError, NotSPDError
 from .metrics import accuracy, roc_auc
 from .snapshot import SnapshotFormatError, load_snapshot, save_snapshot
 from .training import run_training
@@ -26,18 +26,6 @@ from .training import run_training
 EXIT_OK = 0
 EXIT_NUMERIC = 1
 EXIT_CONFIG = 2
-
-
-def _thread_cap(threads: int):
-    """BLAS thread limit as a context manager; a no-op when uncapped."""
-    if threads and threads > 0:
-        try:
-            from threadpoolctl import threadpool_limits
-            return threadpool_limits(limits=threads)
-        except ImportError:
-            print("threadpoolctl not installed; 'threads' key ignored", file=sys.stderr)
-    import contextlib
-    return contextlib.nullcontext()
 
 
 def _print_architecture(cfg: RunConfig) -> None:
@@ -72,8 +60,7 @@ def _write_effective_config(cfg: RunConfig, out_dir: Path) -> None:
         f"precision = {cfg.precision}",
         "", "[train]",
         f"epochs = {cfg.epochs}", f"batch_rows = {cfg.batch_rows}", f"seed = {cfg.seed}",
-        f"shuffle = {cfg.shuffle}", f"precompute_first_layer = {cfg.precompute_first_layer}",
-        f"task = {cfg.task}", f"threads = {cfg.threads}",
+        f"shuffle = {cfg.shuffle}", f"task = {cfg.task}",
         "", "[output]",
         f"dir = {cfg.out_dir}", f"snapshot_every = {cfg.snapshot_every}",
     ]
@@ -105,8 +92,6 @@ def cmd_train(args) -> int:
     csv_path = out_dir / "metrics.csv"
     preprocessing = None if fitted_spec is None else fitted_spec.to_dict()
 
-    limiter = _thread_cap(cfg.threads)
-
     def on_epoch(record, live_model):
         print(f"epoch {record.epoch}: train={record.train_metric:.4f} "
               f"test={record.test_metric:.4f} residual={record.residual:.4e} "
@@ -116,12 +101,13 @@ def cmd_train(args) -> int:
                           preprocessing=preprocessing)
 
     try:
-        with limiter:
-            tc = cfg.train_config()
-            model, records = run_training(tc, train, test, csv_path=csv_path,
-                                          on_epoch=on_epoch)
+        model, _ = run_training(cfg.train_config(), train, test, csv_path=csv_path,
+                                on_epoch=on_epoch)
     except NotSPDError as exc:
         print(f"training system not positive definite (raise alpha): {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except NonFiniteError as exc:
+        print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -206,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--delimiter", default=",")
     p_eval.set_defaults(fn=cmd_eval)
 
-    p_bench = sub.add_parser("bench", help="time fast vs naive package operations")
+    p_bench = sub.add_parser("bench", help="time package operations against the oracle")
     p_bench.add_argument("--max-n", type=int, default=2048)
     p_bench.add_argument("--batch-rows", type=int, nargs="+", default=[64, 256])
     p_bench.add_argument("--repeats", type=int, default=5)

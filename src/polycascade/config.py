@@ -51,8 +51,7 @@ _ALLOWED = {
              "path", "label_column", "delimiter", "train_rows", "test_rows", "max_rows",
              "dim", "data_seed", "log_columns", "log1p_columns", "normalize", "clamp"},
     "model": {"widths", "alpha", "init", "sigma2", "kernel_b", "kernel_c", "precision"},
-    "train": {"epochs", "batch_rows", "seed", "shuffle", "precompute_first_layer", "task",
-              "threads"},
+    "train": {"epochs", "batch_rows", "seed", "shuffle", "task"},
     "output": {"dir", "snapshot_every"},
 }
 
@@ -93,9 +92,7 @@ class RunConfig:
     batch_rows: int = 1000
     seed: int = 0
     shuffle: bool = True
-    precompute_first_layer: bool = False
     task: str = "classify"
-    threads: int = 0
 
     out_dir: Path = Path("runs/out")
     snapshot_every: int = 0
@@ -104,8 +101,7 @@ class RunConfig:
         return TrainConfig(
             widths=self.widths, alpha=self.alpha, epochs=self.epochs,
             batch_rows=self.batch_rows, seed=self.seed, precision=self.precision,
-            init_mode=self.init, precompute_first_layer=self.precompute_first_layer,
-            shuffle=self.shuffle, sigma2=self.sigma2,
+            init_mode=self.init, shuffle=self.shuffle, sigma2=self.sigma2,
             kernel=KernelParams(b=self.kernel_b, c=self.kernel_c), task=self.task,
         )
 
@@ -203,9 +199,7 @@ def load_run_config(path, check_paths: bool = True) -> RunConfig:
         batch_rows=_get(parser, "train", "batch_rows", int, 1000),
         seed=_get(parser, "train", "seed", int, 0),
         shuffle=_get(parser, "train", "shuffle", _bool, True),
-        precompute_first_layer=_get(parser, "train", "precompute_first_layer", _bool, False),
         task=_get(parser, "train", "task", str, "classify"),
-        threads=_get(parser, "train", "threads", int, 0),
         out_dir=_get(parser, "output", "dir", Path, Path("runs/out")),
         snapshot_every=_get(parser, "output", "snapshot_every", int, 0),
     )

@@ -8,8 +8,8 @@ those points take only the values {0, 1, 2, 4}, which collapses the Gram
 matrix inverse U = (K + sigma^2 I)^-1 to ten scalars: four kernel values,
 three Schur-complement basis coefficients, their three inverses, and two
 border coefficients.  ``synthesize_u`` assembles U from the scalars without
-any matrix inversion; ``explicit_u`` computes it the slow way for arbitrary
-point sets and doubles as the cross-check oracle for the closed form.
+any matrix inversion; ``oracle.gram_inverse`` computes it the slow way from
+the point matrix and is the cross-check for the closed form.
 """
 
 from __future__ import annotations
@@ -18,36 +18,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import KernelParams, phi, phi_matrix
-from .linalg import as_matrix, ensure_finite
-
-# Pairwise squared distance at or below this counts as coincident points.
-COINCIDENT_SQ_DIST = 1e-12
+from .kernel import KernelParams, phi
 
 
 class DegenerateKernelError(ValueError):
     """Kernel parameters make the closed-form coefficient system singular."""
 
 
-class SingularConstellationError(ValueError):
-    """The constellation Gram matrix is not invertible (points too close?)."""
-
-
 @dataclass(frozen=True)
 class Constellation:
-    """Point set for one package: implicit octahedral or an explicit matrix."""
+    """The octahedral point set of one package, kept implicit (see octahedral_points)."""
 
     n: int
-    k: int
-    kind: str  # "octahedral" | "explicit"
     sigma2: float = 0.0
-    points: np.ndarray | None = None  # k x n, only for explicit kind
 
-    def materialize_points(self) -> np.ndarray:
-        """Return the k x n point matrix (built on demand for octahedral)."""
-        if self.kind == "explicit":
-            return self.points
-        return octahedral_points(self.n)
+    @property
+    def k(self) -> int:
+        return 2 * self.n + 1
 
 
 def octahedral_points(n: int, dtype=np.float64) -> np.ndarray:
@@ -65,31 +52,7 @@ def build_octahedral(n: int, sigma2: float = 0.0) -> Constellation:
         raise ValueError(f"dimension must be >= 1, got {n}")
     if sigma2 < 0:
         raise ValueError(f"sigma2 must be >= 0, got {sigma2}")
-    return Constellation(n=n, k=2 * n + 1, kind="octahedral", sigma2=sigma2)
-
-
-def build_explicit(points, sigma2: float = 0.0) -> Constellation:
-    """Constellation from an explicit k x n point matrix."""
-    c = as_matrix(points, dtype=np.float64, name="constellation points")
-    if sigma2 < 0:
-        raise ValueError(f"sigma2 must be >= 0, got {sigma2}")
-    if sigma2 == 0.0:
-        m = pairwise_sq_dists(c)
-        off = m[~np.eye(m.shape[0], dtype=bool)]
-        if off.size and off.min() <= COINCIDENT_SQ_DIST:
-            raise SingularConstellationError(
-                f"constellation has points closer than sq dist {COINCIDENT_SQ_DIST}; "
-                "use sigma2 > 0 or separate them"
-            )
-    return Constellation(n=c.shape[1], k=c.shape[0], kind="explicit", sigma2=sigma2, points=c)
-
-
-def pairwise_sq_dists(c: np.ndarray) -> np.ndarray:
-    """All pairwise squared distances between rows of c (clipped at 0)."""
-    sq = np.sum(c * c, axis=1, keepdims=True)
-    m = sq + sq.T - 2.0 * (c @ c.T)
-    # rounding can leave tiny negatives on (near-)coincident rows
-    return np.maximum(m, 0.0, out=m)
+    return Constellation(n=n, sigma2=sigma2)
 
 
 @dataclass(frozen=True)
@@ -126,8 +89,8 @@ def derive_coefficients(n: int, params: KernelParams, sigma2: float = 0.0) -> Oc
     k4 = phi(4.0, params)
 
     d0 = k0 + sigma2
-    if d0 == 0.0:
-        raise DegenerateKernelError("k0 + sigma2 is zero")
+    if d0 * d0 == 0.0:  # u1 divides by the square, which can underflow
+        raise DegenerateKernelError("k0 + sigma2 is zero or too small to square")
     a1 = k0 - k2 + sigma2
     a2 = k4 - k2
     a3 = k2 - k1 * k1 / d0
@@ -137,8 +100,8 @@ def derive_coefficients(n: int, params: KernelParams, sigma2: float = 0.0) -> Oc
     if a1 + a2 == 0.0:
         raise DegenerateKernelError("a1 + a2 is zero")
     ring = a1 + a2 + 2.0 * n * a3
-    if ring == 0.0:
-        raise DegenerateKernelError("a1 + a2 + 2n*a3 is zero")
+    if ring * (a1 + a2) == 0.0:  # b3's denominator; the product can underflow
+        raise DegenerateKernelError("a1 + a2 + 2n*a3 is zero or too small")
 
     denom = a1 * a1 - a2 * a2
     b1 = a1 / denom
@@ -169,31 +132,3 @@ def synthesize_u(coeffs: OctaCoefficients, n: int, dtype=np.float64) -> np.ndarr
     u[idx, swapped] += coeffs.b2
     return u
 
-
-def explicit_u(constellation: Constellation, params: KernelParams, dtype=np.float64) -> np.ndarray:
-    """Invert the kernel Gram matrix of the constellation directly.
-
-    General-purpose path: works for any point set, costs O(k^3), and serves
-    as the oracle the synthesized closed form is checked against.
-    """
-    c = constellation.materialize_points().astype(dtype, copy=False)
-    m = pairwise_sq_dists(c)
-    gram = phi_matrix(m, params)
-    if constellation.sigma2:
-        gram = gram + gram.dtype.type(constellation.sigma2) * np.eye(constellation.k, dtype=gram.dtype)
-    try:
-        u = np.linalg.inv(gram)
-    except np.linalg.LinAlgError as exc:
-        raise SingularConstellationError(
-            f"constellation Gram matrix is singular: {exc}; "
-            "points may be too close together (consider sigma2 > 0)"
-        ) from exc
-    return ensure_finite(u, "explicit_u result")
-
-
-def u_matrix(constellation: Constellation, params: KernelParams, dtype=np.float64) -> np.ndarray:
-    """Gram inverse by the cheapest valid route for this constellation kind."""
-    if constellation.kind == "octahedral":
-        coeffs = derive_coefficients(constellation.n, params, constellation.sigma2)
-        return synthesize_u(coeffs, constellation.n, dtype=dtype)
-    return explicit_u(constellation, params, dtype=dtype)

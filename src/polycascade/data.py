@@ -267,7 +267,7 @@ def invert_minmax(features: np.ndarray, spec: TransformSpec) -> np.ndarray:
 class Batch:
     features: np.ndarray
     labels: np.ndarray
-    indices: np.ndarray  # dataset row numbers, keys for per-example caches
+    indices: np.ndarray  # dataset row numbers of this batch
 
 
 def batches(dataset: Dataset, batch_rows: int, seed: int = 0, shuffle: bool = True):

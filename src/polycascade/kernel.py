@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ensure_finite
-
 # Squared distances below this are clamped before the logarithm in theta;
 # the gradient term they scale vanishes at the same rate, so the clamp only
 # guards ln(0) for inputs that coincide with a constellation point.
@@ -55,7 +53,7 @@ def phi_matrix(m: np.ndarray, params: KernelParams) -> np.ndarray:
     two_b = dt.type(2.0 * params.b)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(m > 0, 0.5 * m * (np.log(m) - two_b), dt.type(0)) + c
-    return ensure_finite(out.astype(dt, copy=False), "phi_matrix result")
+    return out.astype(dt, copy=False)
 
 
 def theta(m: float, params: KernelParams) -> float:
@@ -71,4 +69,4 @@ def theta_matrix(m: np.ndarray, params: KernelParams) -> np.ndarray:
         raise NegativeDistanceError("squared-distance matrix has negative entries")
     dt = m.dtype if m.dtype.kind == "f" else np.dtype(np.float64)
     out = np.log(np.maximum(m, dt.type(EPS_M))) - dt.type(2.0 * params.b - 1.0)
-    return ensure_finite(out.astype(dt, copy=False), "theta_matrix result")
+    return out.astype(dt, copy=False)

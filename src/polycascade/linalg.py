@@ -2,10 +2,15 @@
 
 Every array flowing through the library is a 2-D, C-contiguous ndarray in
 one of two precisions (float64 by default, float32 for performance runs).
-This module wraps the handful of operations everything else is written
-against: validation/coercion, matrix product, elementwise product, and a
-symmetric-positive-definite solve.  All public operations reject non-finite
-results so NaN/Inf cannot propagate silently.
+This module holds what the rest is written against besides plain numpy
+products: validation/coercion and a symmetric-positive-definite solve.
+
+Non-finite values are rejected where data enters and around the solve only:
+``as_matrix`` checks batches, targets and value matrices, the training step
+checks its regularized system and right-hand side before calling
+``spd_solve``, and ``spd_solve`` checks its solution.  Products in between
+are not re-scanned: a NaN or Inf produced there propagates into the system
+and is reported as ``NonFiniteError``.
 """
 
 from __future__ import annotations
@@ -61,28 +66,6 @@ def ensure_finite(a: np.ndarray, name: str = "result") -> np.ndarray:
     if not np.isfinite(a).all():
         raise NonFiniteError(f"{name} contains NaN or Inf")
     return a
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with shape validation and a finite-result check.
-
-    Summation order is BLAS-determined but fixed for identical inputs in the
-    same process, so repeated calls are bit-identical.
-    """
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeMismatchError(f"matmul needs 2-D operands, got {a.ndim}-D and {b.ndim}-D")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeMismatchError(f"matmul inner dimensions differ: {a.shape} x {b.shape}")
-    out = a @ b
-    return ensure_finite(out, "matmul result")
-
-
-def hadamard(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise product of two identically shaped matrices."""
-    if a.shape != b.shape:
-        raise ShapeMismatchError(f"hadamard needs identical shapes, got {a.shape} and {b.shape}")
-    out = a * b
-    return ensure_finite(out, "hadamard result")
 
 
 def spd_solve(s: np.ndarray, rhs: np.ndarray) -> np.ndarray:

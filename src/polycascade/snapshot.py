@@ -17,12 +17,17 @@ Layout (all integers little-endian unsigned 64-bit unless noted):
 
 Only value matrices are stored; coefficient matrices are rederived on load,
 so a snapshot is always internally consistent.  The embedded preprocessing
-spec lets inference reproduce training normalization bit-for-bit.
+spec lets inference reproduce training normalization bit-for-bit.  Every
+length read from the header is checked against the bytes left in the file
+before it is read, so a corrupt file fails with SnapshotFormatError instead
+of a huge allocation.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -31,6 +36,7 @@ import numpy as np
 from .cascade import Cascade, MultiOutputCascade
 from .constellation import build_octahedral
 from .kernel import KernelParams
+from .linalg import NonFiniteError
 from .package import Package
 
 MAGIC = b"PHC1"
@@ -50,21 +56,33 @@ def _write_f64(f, *vals):
     f.write(struct.pack("<" + "d" * len(vals), *vals))
 
 
-def _read_exact(f, n: int, what: str) -> bytes:
-    buf = f.read(n)
-    if len(buf) != n:
-        raise SnapshotFormatError(f"truncated snapshot: wanted {n} bytes for {what}, got {len(buf)}")
-    return buf
+class _Reader:
+    """Reads a snapshot, refusing any request larger than the bytes left in the file.
 
+    Every length in the header is checked against the file before anything is
+    allocated for it, so a corrupt header cannot force a huge allocation.
+    """
 
-def _read_u64(f, count: int, what: str):
-    vals = struct.unpack("<" + "Q" * count, _read_exact(f, 8 * count, what))
-    return vals[0] if count == 1 else vals
+    def __init__(self, f):
+        self._f = f
+        self.left = os.fstat(f.fileno()).st_size
 
+    def exact(self, n: int, what: str) -> bytes:
+        if n > self.left:
+            raise SnapshotFormatError(
+                f"truncated snapshot: wanted {n} bytes for {what}, {self.left} left")
+        buf = self._f.read(n)
+        if len(buf) != n:
+            raise SnapshotFormatError(
+                f"truncated snapshot: wanted {n} bytes for {what}, got {len(buf)}")
+        self.left -= n
+        return buf
 
-def _read_f64(f, count: int, what: str):
-    vals = struct.unpack("<" + "d" * count, _read_exact(f, 8 * count, what))
-    return vals[0] if count == 1 else vals
+    def u64(self, count: int, what: str) -> tuple[int, ...]:
+        return struct.unpack(f"<{count}Q", self.exact(8 * count, what))
+
+    def f64(self, count: int, what: str) -> tuple[float, ...]:
+        return struct.unpack(f"<{count}d", self.exact(8 * count, what))
 
 
 def save_snapshot(path, model: MultiOutputCascade | Cascade,
@@ -92,27 +110,39 @@ def save_snapshot(path, model: MultiOutputCascade | Cascade,
 
 
 def load_snapshot(path) -> tuple[MultiOutputCascade, dict | None]:
-    """Read a PHC1 file back into a model plus its preprocessing spec."""
+    """Read a PHC1 file back into a model plus its preprocessing spec.
+
+    Any malformed content, including non-finite or out-of-range numbers,
+    raises SnapshotFormatError.
+    """
     path = Path(path)
     with open(path, "rb") as f:
-        magic = _read_exact(f, 4, "magic")
+        reader = _Reader(f)
+        magic = reader.exact(4, "magic")
         if magic != MAGIC:
             raise SnapshotFormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
-        d = _read_u64(f, 1, "replica count")
-        q = _read_u64(f, 1, "package count")
+        d, q = reader.u64(2, "replica and package counts")
         if d < 1 or q < 1:
             raise SnapshotFormatError(f"invalid counts d={d}, q={q}")
-        widths = list(_read_u64(f, q + 1, "widths"))
+        widths = list(reader.u64(q + 1, "widths"))
         if min(widths) < 1 or widths[-1] != 1:
             raise SnapshotFormatError(f"invalid widths {widths}: need positive widths ending in 1")
-        alpha, b, c, sigma2 = _read_f64(f, 4, "hyperparameters")
-        dtype_code = _read_u64(f, 1, "dtype code")
+        alpha, b, c, sigma2 = reader.f64(4, "hyperparameters")
+        if not (all(map(math.isfinite, (alpha, b, c, sigma2))) and alpha >= 0 and sigma2 >= 0):
+            raise SnapshotFormatError(
+                f"invalid hyperparameters alpha={alpha}, b={b}, c={c}, sigma2={sigma2}")
+        dtype_code, blob_len = reader.u64(2, "dtype code and preprocessing length")
         if dtype_code not in _CODE_DTYPES:
             raise SnapshotFormatError(f"unknown dtype code {dtype_code}")
-        blob_len = _read_u64(f, 1, "preprocessing length")
         preprocessing = None
         if blob_len:
-            preprocessing = json.loads(_read_exact(f, blob_len, "preprocessing spec"))
+            blob = reader.exact(blob_len, "preprocessing spec")
+            try:
+                preprocessing = json.loads(blob)
+            except ValueError as exc:
+                raise SnapshotFormatError(f"preprocessing spec is not valid JSON: {exc}") from exc
+            if not isinstance(preprocessing, dict):
+                raise SnapshotFormatError("preprocessing spec is not a JSON object")
 
         store_dtype = _CODE_DTYPES[dtype_code]
         model_dtype = np.float64 if dtype_code == 0 else np.float32
@@ -121,20 +151,25 @@ def load_snapshot(path) -> tuple[MultiOutputCascade, dict | None]:
         for ri in range(d):
             packages = []
             for pi, (n_in, n_out) in enumerate(zip(widths, widths[1:])):
+                where = f"replica {ri} package {pi}"
                 constellation = build_octahedral(n_in, sigma2=sigma2)
                 shape = (constellation.k, n_out)
-                rows, cols = _read_u64(f, 2, f"shape of replica {ri} package {pi}")
+                rows, cols = reader.u64(2, f"shape of {where}")
                 if (rows, cols) != shape:
                     raise SnapshotFormatError(
-                        f"replica {ri} package {pi}: stored shape {(rows, cols)} does not match "
+                        f"{where}: stored shape {(rows, cols)} does not match "
                         f"widths-derived shape {shape}")
-                raw = _read_exact(f, rows * cols * store_dtype.itemsize,
-                                  f"values of replica {ri} package {pi}")
+                raw = reader.exact(rows * cols * store_dtype.itemsize, f"values of {where}")
                 values = np.frombuffer(raw, dtype=store_dtype).reshape(rows, cols)
-                packages.append(Package(constellation, kernel,
-                                        values.astype(model_dtype, copy=False), dtype=model_dtype))
+                try:
+                    pkg = Package(constellation, kernel, values.astype(model_dtype, copy=False),
+                                  dtype=model_dtype)
+                except (ValueError, NonFiniteError) as exc:
+                    raise SnapshotFormatError(f"{where}: {exc}") from exc
+                if not np.isfinite(pkg.coeffs).all():
+                    raise SnapshotFormatError(f"{where}: values overflow the coefficients")
+                packages.append(pkg)
             replicas.append(Cascade(packages, alpha=alpha, kernel=kernel, dtype=model_dtype))
-        trailing = f.read(1)
-        if trailing:
+        if reader.left:
             raise SnapshotFormatError("trailing bytes after model payload")
     return MultiOutputCascade(replicas), preprocessing

@@ -1,4 +1,4 @@
-"""Epoch loop, first-layer cardinal-basis precomputation, and per-epoch records.
+"""Epoch loop and per-epoch records.
 
 The training loop is deterministic in its seed: replica initialization,
 per-epoch shuffles, and the train-metric subsample all derive from it.
@@ -38,7 +38,6 @@ class TrainConfig:
     seed: int = 0
     precision: str = "float64"
     init_mode: str = "random"
-    precompute_first_layer: bool = False
     shuffle: bool = True
     sigma2: float = 0.0
     kernel: KernelParams = field(default_factory=KernelParams)
@@ -68,29 +67,6 @@ class EpochRecord:
                 repr(self.residual), repr(self.seconds)]
 
 
-def precompute_first_layer_basis(model: MultiOutputCascade, features: np.ndarray,
-                                 chunk_rows: int = 4096) -> np.ndarray:
-    """Cardinal-basis rows of the first package for every example, by index.
-
-    All replicas share the first package's constellation, so one table serves
-    the whole model.  Without the table, layer 1's distances, kernel values
-    and basis are already computed once per batch for all replicas; the table
-    moves that work to once per run.  During training, a batch's rows are
-    looked up by example index (shuffling is immaterial) and each replica's
-    layer 1 reduces to ``basis @ values``.
-    """
-    first = model.replicas[0].packages[0]
-    if features.shape[1] != first.n_in:
-        raise ValueError(f"features have width {features.shape[1]}, "
-                         f"first package expects {first.n_in}")
-    n = features.shape[0]
-    table = np.empty((n, first.k), dtype=model.dtype)
-    for lo in range(0, n, chunk_rows):
-        hi = min(lo + chunk_rows, n)
-        table[lo:hi] = first.cardinal_basis(first.batch_state(features[lo:hi]))
-    return table
-
-
 def _targets_for(cfg: TrainConfig, labels: np.ndarray, d: int, dtype) -> np.ndarray:
     if cfg.task == "classify":
         return one_hot_pm1(labels, d, dtype=dtype)
@@ -100,10 +76,8 @@ def _targets_for(cfg: TrainConfig, labels: np.ndarray, d: int, dtype) -> np.ndar
     return (2.0 * labels - 1.0).astype(dtype)
 
 
-def _evaluate(cfg: TrainConfig, model: MultiOutputCascade, data: Dataset,
-              basis_table: np.ndarray | None = None) -> float:
-    scores = model.scores(data.features, first_basis=basis_table,
-                          chunk_rows=cfg.eval_chunk_rows)
+def _evaluate(cfg: TrainConfig, model: MultiOutputCascade, data: Dataset) -> float:
+    scores = model.scores(data.features, chunk_rows=cfg.eval_chunk_rows)
     if cfg.task == "classify":
         return accuracy(np.argmax(scores, axis=1), data.labels)
     return roc_auc(scores[:, 0], data.labels)
@@ -124,18 +98,12 @@ def run_training(cfg: TrainConfig, train: Dataset, test: Dataset,
                        kernel=cfg.kernel, sigma2=cfg.sigma2, dtype=cfg.precision)
     dtype = resolve_dtype(cfg.precision)
 
-    train_features = train.features.astype(dtype, copy=False)
-    basis_table = None
-    if cfg.precompute_first_layer:
-        basis_table = precompute_first_layer_basis(model, train_features)
-
     eval_rng = np.random.default_rng(cfg.seed + 10_007)
     if train.n_rows > TRAIN_EVAL_CAP:
         eval_idx = np.sort(eval_rng.choice(train.n_rows, size=TRAIN_EVAL_CAP, replace=False))
     else:
         eval_idx = np.arange(train.n_rows)
     train_eval = Dataset(train.features[eval_idx], train.labels[eval_idx])
-    train_eval_basis = None if basis_table is None else basis_table[eval_idx]
 
     writer = _CsvSink(csv_path) if csv_path else None
     records: list[EpochRecord] = []
@@ -149,7 +117,7 @@ def run_training(cfg: TrainConfig, train: Dataset, test: Dataset,
 
     if cfg.epochs == 0:
         t0 = time.perf_counter()
-        emit(EpochRecord(0, _evaluate(cfg, model, train_eval, train_eval_basis),
+        emit(EpochRecord(0, _evaluate(cfg, model, train_eval),
                          _evaluate(cfg, model, test), float("nan"),
                          time.perf_counter() - t0))
         if writer:
@@ -163,8 +131,7 @@ def run_training(cfg: TrainConfig, train: Dataset, test: Dataset,
         for b, batch in enumerate(batch_iter, start=1):
             x0 = batch.features.astype(dtype, copy=False)
             targets = _targets_for(cfg, batch.labels, d, dtype)
-            fb = None if basis_table is None else basis_table[batch.indices]
-            _, workspaces = model.forward_all(x0, first_basis=fb)
+            _, workspaces = model.forward_all(x0)
             try:
                 reports = train_multi(model, workspaces, targets, measure_after=False)
             except NotSPDError as exc:
@@ -172,7 +139,7 @@ def run_training(cfg: TrainConfig, train: Dataset, test: Dataset,
             # drop this batch's layer-1 state before the next one is built
             del workspaces
             residuals.append(np.mean([rep.residual_before_rms for rep in reports]))
-        train_metric = _evaluate(cfg, model, train_eval, train_eval_basis)
+        train_metric = _evaluate(cfg, model, train_eval)
         test_metric = _evaluate(cfg, model, test)
         emit(EpochRecord(epoch, train_metric, test_metric,
                          float(np.mean(residuals)), time.perf_counter() - t0))

@@ -2,8 +2,9 @@
 
 Each check is a named callable returning None on success and raising
 AssertionError with a diagnostic on failure.  The battery covers the load
-bearing properties: closed-form Gram inverse vs explicit inversion, fast vs
-naive route agreement, interpolation exactness, derivative correctness by
+bearing properties: closed-form Gram inverse vs explicit inversion, agreement
+of the octahedral ``Package`` routes with the general-constellation
+``oracle``, interpolation exactness, derivative correctness by
 central differences, positive semidefiniteness of the training Gram
 products, the single-package one-step exact fit, and identity-fragment
 propagation.
@@ -15,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import oracle
 from .cascade import backward_quantities, forward_batch, init_cascade, train_step
-from .constellation import build_octahedral, derive_coefficients, explicit_u, synthesize_u
+from .constellation import build_octahedral, derive_coefficients, octahedral_points, synthesize_u
 from .kernel import KernelParams
 from .linalg import spd_solve
 from .package import Package
@@ -40,34 +42,35 @@ def check_u_equivalence(seed: int, coefficients=None) -> None:
     for n in (1, 2, 3, 7, 50):
         coeffs = coefficients or derive_coefficients(n, kp, 0.0)
         fast = synthesize_u(coeffs, n)
-        slow = explicit_u(build_octahedral(n), kp)
+        slow = oracle.gram_inverse(octahedral_points(n), kp)
         err = _rel_err(fast, slow)
         assert err <= 1e-8, f"n={n}: closed-form inverse off by {err:.3e}"
 
 
 def check_route_agreement(seed: int) -> None:
-    """Fast and naive routes agree for all four package operations."""
+    """Package's closed-form routes agree with the oracle for all four operations."""
     kp = KernelParams()
     rng = np.random.default_rng(seed)
     for n in (1, 2, 3, 7, 50):
         constellation = build_octahedral(n)
         pkg = Package(constellation, kp, rng.uniform(-1, 1, (constellation.k, 3)))
+        points = octahedral_points(n)
+        u = oracle.gram_inverse(points, kp)
         for r in (1, 5, 64):
             x = rng.uniform(-1, 1, (r, n))
-            m_f = pkg.squared_distances(x, path="fast")
-            m_n = pkg.squared_distances(x, path="naive")
+            m_f = pkg.squared_distances(x)
+            m_n = oracle.squared_distances(x, points)
             assert _rel_err(m_f, m_n) <= 1e-8, f"distances disagree at n={n} r={r}"
             _, state = pkg.forward(x)
-            h_f = pkg.cardinal_basis(state, path="fast")
-            state.basis = None
-            h_n = pkg.cardinal_basis(state, path="naive")
+            h_f = pkg.cardinal_basis(state)
+            h_n = oracle.cardinal_basis(state.kernel_vals, u)
             assert _rel_err(h_f, h_n) <= 1e-8, f"cardinal basis disagrees at n={n} r={r}"
             g = rng.standard_normal((r, 3))
-            g_f = pkg.backward(g, state, path="fast")
-            g_n = pkg.backward(g, state, path="naive")
+            g_f = pkg.backward(g, state)
+            g_n = oracle.backward(g, x, state.sq_dists, points, pkg.coeffs, kp)
             assert _rel_err(g_f, g_n) <= 1e-8, f"backward disagrees at n={n} r={r}"
-        lam_f = pkg.coeffs_from_values(pkg.values, path="fast")
-        lam_n = pkg.coeffs_from_values(pkg.values, path="naive")
+        lam_f = pkg.coeffs_from_values(pkg.values)
+        lam_n = oracle.coefficients(u, pkg.values)
         assert _rel_err(lam_f, lam_n) <= 1e-8, f"coefficients disagree at n={n}"
 
 
@@ -79,7 +82,7 @@ def check_interpolation(seed: int) -> None:
         constellation = build_octahedral(n)
         values = rng.uniform(-1, 1, (constellation.k, 2))
         pkg = Package(constellation, kp, values)
-        out, _ = pkg.forward(constellation.materialize_points())
+        out, _ = pkg.forward(octahedral_points(n))
         err = float(np.abs(out - values).max())
         assert err <= 1e-8, f"interpolation error {err:.3e} at n={n}"
 
@@ -118,13 +121,11 @@ def check_training_gram_psd(seed: int) -> None:
         x0 = rng.uniform(-1, 1, (12, 6))
         _, ws = forward_batch(cascade, x0)
         bases, grads = backward_quantities(cascade, ws)
-        total = np.zeros((12, 12))
-        for h, g in zip(bases, grads):
-            omega = (h @ h.T) * (g @ g.T)
+        omegas = oracle.package_omegas(bases, grads)
+        for omega in omegas:
             lo = float(np.linalg.eigvalsh(omega).min())
             assert lo >= -1e-8, f"trial {trial}: Gram product eigenvalue {lo:.3e}"
-            total += omega
-        spd_solve(total + np.eye(12), rng.standard_normal((12, 1)))
+        spd_solve(sum(omegas) + np.eye(12), rng.standard_normal((12, 1)))
 
 
 def check_exact_fit(seed: int) -> None:
@@ -147,7 +148,7 @@ def check_identity_fragment(seed: int) -> float:
     """
     width = 6
     cascade = init_cascade([width] * 11 + [1], seed=seed, mode="identity-fragments", alpha=1.0)
-    points = build_octahedral(width).materialize_points()
+    points = octahedral_points(width)
     _, ws = forward_batch(cascade, points)
     err = float(np.abs(ws.xs[10] - points).max())
     assert err <= 1e-8, f"constellation points drifted by {err:.3e}"

@@ -5,12 +5,12 @@ import pytest
 
 from polycascade.cascade import (Cascade, MultiOutputCascade, backward_quantities,
                                  forward_batch, init_cascade, init_multi, one_hot_pm1,
-                                 package_omegas, train_multi, train_step)
-from polycascade.constellation import build_octahedral, octahedral_points
+                                 train_multi, train_step)
+from polycascade.constellation import build_octahedral, octahedral_points, synthesize_u
 from polycascade.kernel import KernelParams
-from polycascade.linalg import NotSPDError, ShapeMismatchError
+from polycascade.linalg import NonFiniteError, NotSPDError, ShapeMismatchError
+from polycascade.oracle import package_omegas
 from polycascade.package import Package
-from polycascade.training import precompute_first_layer_basis
 
 KP = KernelParams()
 
@@ -178,7 +178,7 @@ def test_train_step_rederives_coefficients():
     _, ws = forward_batch(cascade, x0)
     train_step(cascade, ws, np.ones((9, 1)))
     for pkg in cascade.packages:
-        u = pkg.u_matrix()
+        u = synthesize_u(pkg.octa_coeffs, pkg.n_in)
         expected = u @ pkg.values
         err = np.abs(pkg.coeffs - expected).max() / max(np.abs(expected).max(), 1e-30)
         assert err <= 1e-8
@@ -265,7 +265,7 @@ def test_predict_argmax_and_ties():
             self._s = scores
             self.d = scores.shape[1]
 
-        def scores(self, x0, first_basis=None):
+        def scores(self, x0):
             return self._s
 
     scores = np.array([[0.9, -1.0], [0.5, 0.5]])
@@ -307,8 +307,7 @@ def test_training_determinism_across_runs():
 
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
-@pytest.mark.parametrize("precompute", [False, True])
-def test_shared_layer1_training_matches_replicas_trained_alone(dtype, precompute):
+def test_shared_layer1_training_matches_replicas_trained_alone(dtype):
     # forward_all shares one layer-1 state across replicas; training each
     # replica on its own with forward_batch must give the same bits
     rng = np.random.default_rng(40)
@@ -317,16 +316,14 @@ def test_shared_layer1_training_matches_replicas_trained_alone(dtype, precompute
     targets = one_hot_pm1(rng.integers(0, 3, 36), 3)
     mc = init_multi(arch, seed=seed, alpha=3.0, dtype=dtype)
     alone = [init_cascade(core, seed=seed + i, alpha=3.0, dtype=dtype) for i in range(3)]
-    table = precompute_first_layer_basis(mc, features.astype(dtype)) if precompute else None
     for idx in np.split(rng.permutation(36), 3):
         x0 = features[idx].astype(dtype)
-        fb = None if table is None else table[idx]
-        outs, workspaces = mc.forward_all(x0, first_basis=fb)
+        outs, workspaces = mc.forward_all(x0)
         assert all(ws.states[0] is workspaces[0].states[0] for ws in workspaces)
         reports = train_multi(mc, workspaces, targets[idx], measure_after=True)
         assert workspaces[0].states[0].gram is not None
         for i, cascade in enumerate(alone):
-            out, ws = forward_batch(cascade, x0, first_basis=fb)
+            out, ws = forward_batch(cascade, x0)
             assert np.array_equal(out, outs[:, i:i + 1])
             rep = train_step(cascade, ws, targets[idx, i:i + 1], measure_after=True)
             assert rep == reports[i]
@@ -336,18 +333,15 @@ def test_shared_layer1_training_matches_replicas_trained_alone(dtype, precompute
             assert np.array_equal(pa.values, pb.values)
 
 
-@pytest.mark.parametrize("with_table", [False, True])
-def test_scores_equal_per_replica_forward_batch(with_table):
+def test_scores_equal_per_replica_forward_batch():
     rng = np.random.default_rng(41)
     mc = init_multi([5, 4, 3, 3], seed=41, alpha=2.0)
     x = rng.uniform(-1, 1, (23, 5))
-    table = precompute_first_layer_basis(mc, x) if with_table else None
     chunk = 7  # three full chunks and a partial one
-    got = mc.scores(x, first_basis=table, chunk_rows=chunk)
+    got = mc.scores(x, chunk_rows=chunk)
     expected = []
     for lo in range(0, 23, chunk):
-        fb = None if table is None else table[lo:lo + chunk]
-        expected.append(np.hstack([forward_batch(c, x[lo:lo + chunk], first_basis=fb)[0]
+        expected.append(np.hstack([forward_batch(c, x[lo:lo + chunk])[0]
                                    for c in mc.replicas]))
     assert got.shape == (23, 3)
     assert np.array_equal(got, np.vstack(expected))
@@ -369,3 +363,37 @@ def test_not_spd_error_names_replica():
     _, workspaces = mc.forward_all(x0)
     with pytest.raises(NotSPDError, match="replica 0"):
         train_multi(mc, workspaces, np.ones((10, 3)))
+
+
+def test_shared_layer1_state_keeps_no_distances():
+    # training never runs backward on package 1, so its shared state drops sq_dists
+    mc = init_multi([5, 4, 3], seed=2, alpha=1.0)
+    _, workspaces = mc.forward_all(np.random.default_rng(2).uniform(-1, 1, (6, 5)))
+    assert workspaces[0].states[0].sq_dists is None
+    assert workspaces[0].states[1].sq_dists is not None  # package 2 still runs backward
+
+
+def test_nan_coefficient_raises_non_finite_before_any_update():
+    # intermediate products are not scanned; the NaN must reach the system check
+    cascade = init_cascade([4, 3, 2, 1], seed=12, alpha=1.0)
+    x0 = np.random.default_rng(12).uniform(-1, 1, (8, 4))
+    _, ws = forward_batch(cascade, x0)
+    cascade.packages[1].coeffs[0, 0] = np.nan
+    before = [p.values.copy() for p in cascade.packages]
+    with pytest.raises(NonFiniteError):
+        train_step(cascade, ws, np.ones((8, 1)))
+    for pkg, old in zip(cascade.packages, before):
+        assert np.array_equal(pkg.values, old)
+
+
+def test_non_finite_inputs_rejected_where_they_enter():
+    cascade = init_cascade([4, 3, 1], seed=0, alpha=1.0)
+    x0 = np.random.default_rng(0).uniform(-1, 1, (5, 4))
+    with pytest.raises(NonFiniteError, match="batch input"):
+        forward_batch(cascade, np.where(np.eye(5, 4) > 0, np.nan, x0))
+    _, ws = forward_batch(cascade, x0)
+    with pytest.raises(NonFiniteError, match="targets"):
+        train_step(cascade, ws, np.full((5, 1), np.inf))
+    pkg = cascade.packages[0]
+    with pytest.raises(NonFiniteError, match="values"):
+        pkg.set_values(np.full_like(pkg.values, np.nan))

@@ -1,10 +1,16 @@
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from polycascade.cli import EXIT_CONFIG, EXIT_OK, main
+from polycascade import cli
+from polycascade.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from polycascade.config import ConfigError, load_run_config
+from polycascade.linalg import NonFiniteError
+from polycascade.snapshot import MAGIC
+
+EXPERIMENTS = sorted((Path(__file__).resolve().parents[1] / "experiments").glob("*.ini"))
 
 
 def shells_config(tmp_path, **overrides):
@@ -106,6 +112,30 @@ def test_eval_bad_snapshot_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.phc1"
     bad.write_bytes(b"JUNKJUNK")
     assert main(["eval", str(bad), str(bad)]) == EXIT_CONFIG
+
+
+def test_eval_huge_header_length_exit_2(tmp_path, capsys):
+    # a package count of 2**40 must be refused before anything is allocated for it
+    bad = tmp_path / "huge.phc1"
+    bad.write_bytes(MAGIC + struct.pack("<2Q", 1, 2 ** 40))
+    assert main(["eval", str(bad), str(bad)]) == EXIT_CONFIG
+    assert "truncated snapshot" in capsys.readouterr().err
+
+
+def test_train_non_finite_failure_exit_1(tmp_path, monkeypatch, capsys):
+    def failing_run_training(*args, **kwargs):
+        raise NonFiniteError("training system or output residual contains NaN or Inf")
+
+    monkeypatch.setattr(cli, "run_training", failing_run_training)
+    assert main(["train", str(shells_config(tmp_path))]) == EXIT_NUMERIC
+    assert "numeric failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path", EXPERIMENTS, ids=lambda p: p.name)
+def test_shipped_experiment_configs_load(path):
+    # unknown keys are rejected, so a key removed from the program must leave these too
+    cfg = load_run_config(path, check_paths=False)
+    assert cfg.train_config().widths == cfg.widths
 
 
 def test_verify_command_exit_0(capsys):

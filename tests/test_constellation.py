@@ -3,11 +3,10 @@ import time
 import numpy as np
 import pytest
 
-from polycascade.constellation import (DegenerateKernelError, SingularConstellationError,
-                                       build_explicit, build_octahedral, derive_coefficients,
-                                       explicit_u, octahedral_points, pairwise_sq_dists,
-                                       synthesize_u)
+from polycascade.constellation import (DegenerateKernelError, build_octahedral,
+                                       derive_coefficients, octahedral_points, synthesize_u)
 from polycascade.kernel import KernelParams, phi
+from polycascade.oracle import SingularConstellationError, gram_inverse, pairwise_sq_dists
 
 KP = KernelParams()
 
@@ -77,7 +76,7 @@ def test_basis_inverse_system_residuals(n):
 def test_synthesized_matches_explicit(n):
     co = derive_coefficients(n, KP, 0.0)
     fast = synthesize_u(co, n)
-    slow = explicit_u(build_octahedral(n), KP)
+    slow = gram_inverse(octahedral_points(n), KP)
     assert rel_err(fast, slow) <= 1e-8
 
 
@@ -119,7 +118,7 @@ def test_sigma2_agreement():
     sigma2 = 0.35
     co = derive_coefficients(n, KP, sigma2)
     fast = synthesize_u(co, n)
-    slow = explicit_u(build_octahedral(n, sigma2=sigma2), KP)
+    slow = gram_inverse(octahedral_points(n), KP, sigma2=sigma2)
     assert rel_err(fast, slow) <= 1e-8
 
 
@@ -127,22 +126,23 @@ def test_degenerate_kernel_reported():
     # b = c = 0 collapses k0 + sigma2 to zero
     with pytest.raises(DegenerateKernelError):
         derive_coefficients(3, KernelParams(b=0.0, c=0.0), 0.0)
+    # a tiny c leaves k0 + sigma2 nonzero, but its square underflows to zero
+    with pytest.raises(DegenerateKernelError):
+        derive_coefficients(3, KernelParams(b=5.0, c=2.2250738585072014e-306), 0.0)
 
 
 def test_explicit_constellation_duplicate_points():
     with pytest.raises(SingularConstellationError):
-        build_explicit(np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]))
+        gram_inverse(np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]), KP)
     # the same points are allowed once regularized
-    c = build_explicit(np.array([[0.0, 0.0], [1e-9, 0.0], [1.0, 0.0]]), sigma2=1.0)
-    u = explicit_u(c, KP)
+    u = gram_inverse(np.array([[0.0, 0.0], [1e-9, 0.0], [1.0, 0.0]]), KP, sigma2=1.0)
     assert u.shape == (3, 3)
 
 
 def test_explicit_u_general_points():
     rng = np.random.default_rng(5)
     pts = rng.uniform(-1, 1, (6, 3))
-    c = build_explicit(pts)
-    u = explicit_u(c, KP)
+    u = gram_inverse(pts, KP)
     gram = np.array([[phi(v, KP) for v in row] for row in pairwise_sq_dists(pts)])
     assert np.abs(u @ gram - np.eye(6)).max() <= 1e-8
 

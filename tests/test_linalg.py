@@ -2,53 +2,7 @@ import numpy as np
 import pytest
 
 from polycascade.linalg import (NonFiniteError, NotSPDError, ShapeMismatchError, as_matrix,
-                                hadamard, matmul, resolve_dtype, spd_solve)
-
-
-def test_matmul_identity():
-    a = np.arange(9, dtype=np.float64).reshape(3, 3)
-    assert np.array_equal(matmul(np.eye(3), a), a)
-
-
-def test_matmul_annihilator():
-    a = np.random.default_rng(0).standard_normal((3, 4))
-    assert np.array_equal(matmul(a, np.zeros((4, 2))), np.zeros((3, 2)))
-
-
-def test_matmul_forced_2x2():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    v = np.array([[1.0], [1.0]])
-    assert np.array_equal(matmul(a, v), np.array([[3.0], [7.0]]))
-
-
-def test_matmul_dimension_mismatch():
-    with pytest.raises(ShapeMismatchError):
-        matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-
-def test_matmul_associative_within_tolerance():
-    rng = np.random.default_rng(42)
-    a, b, c = (rng.standard_normal((20, 20)) for _ in range(3))
-    left = matmul(matmul(a, b), c)
-    right = matmul(a, matmul(b, c))
-    scale = np.abs(left).max()
-    assert np.abs(left - right).max() <= 1e-9 * scale
-
-
-def test_hadamard_identity_and_zero():
-    a = np.random.default_rng(1).standard_normal((4, 5))
-    assert np.array_equal(hadamard(a, np.ones_like(a)), a)
-    assert np.array_equal(hadamard(a, np.zeros_like(a)), np.zeros_like(a))
-
-
-def test_hadamard_forced():
-    out = hadamard(np.array([[2.0, 3.0]]), np.array([[4.0, 5.0]]))
-    assert np.array_equal(out, np.array([[8.0, 15.0]]))
-
-
-def test_hadamard_shape_mismatch():
-    with pytest.raises(ShapeMismatchError):
-        hadamard(np.ones((2, 2)), np.ones((2, 3)))
+                                resolve_dtype, spd_solve)
 
 
 def test_spd_solve_identity_system():
@@ -90,7 +44,7 @@ def test_determinism_bit_identical():
     rng = np.random.default_rng(9)
     a = rng.standard_normal((30, 30))
     b = rng.standard_normal((30, 30))
-    assert np.array_equal(matmul(a, b), matmul(a, b))
+    assert np.array_equal(a @ b, a @ b)
     s = a.T @ a + np.eye(30)
     assert np.array_equal(spd_solve(s, b[:, :1]), spd_solve(s, b[:, :1]))
 

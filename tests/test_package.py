@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from polycascade.constellation import build_explicit, build_octahedral
+from polycascade import oracle
+from polycascade.constellation import build_octahedral, octahedral_points
 from polycascade.kernel import KernelParams, phi
 from polycascade.linalg import ShapeMismatchError
-from polycascade.package import Package
+from polycascade.package import Package, PackageBatchState
 
 KP = KernelParams()
 
@@ -36,8 +37,8 @@ def test_distances_hand_expanded():
 def test_distances_fast_vs_naive(n):
     pkg = make_package(n)
     x = np.random.default_rng(n).uniform(-2, 2, (9, n))
-    fast = pkg.squared_distances(x, path="fast")
-    naive = pkg.squared_distances(x, path="naive")
+    fast = pkg.squared_distances(x)
+    naive = oracle.squared_distances(x, octahedral_points(n))
     assert np.abs(fast - naive).max() <= 1e-10
 
 
@@ -47,17 +48,9 @@ def test_distances_width_mismatch():
         pkg.squared_distances(np.ones((2, 3)))
 
 
-def test_fast_path_rejected_for_explicit_constellation():
-    pts = np.random.default_rng(0).uniform(-1, 1, (5, 2))
-    pkg = Package(build_explicit(pts), KP, np.zeros((5, 1)))
-    with pytest.raises(ValueError):
-        pkg.squared_distances(np.ones((1, 2)), path="fast")
-
-
 def test_forward_interpolates_values_at_points():
     pkg = make_package(4, seed=3)
-    pts = pkg.constellation.materialize_points()
-    out, _ = pkg.forward(pts)
+    out, _ = pkg.forward(octahedral_points(4))
     assert np.abs(out - pkg.values).max() <= 1e-8
 
 
@@ -72,7 +65,7 @@ def test_forward_near_identity_oracle():
     # values = points makes the 1-d package approximately the identity map;
     # the expected number comes from evaluating the interpolant directly
     c = build_octahedral(1)
-    pkg = Package(c, KP, c.materialize_points())
+    pkg = Package(c, KP, octahedral_points(1))
     out, _ = pkg.forward(np.array([[0.3]]))
 
     pts = np.array([0.0, -1.0, 1.0])
@@ -95,8 +88,8 @@ def test_coeffs_zero_values():
 def test_coeffs_fast_vs_naive(n):
     pkg = make_package(n, n_out=4, seed=n)
     y = np.random.default_rng(n + 100).uniform(-1, 1, (pkg.k, 4))
-    fast = pkg.coeffs_from_values(y, path="fast")
-    naive = pkg.coeffs_from_values(y, path="naive")
+    fast = pkg.coeffs_from_values(y)
+    naive = oracle.coefficients(oracle.gram_inverse(octahedral_points(n), KP), y)
     assert rel_err(fast, naive) <= 1e-8
 
 
@@ -104,7 +97,7 @@ def test_coeffs_first_row_composition():
     # first output row is u1 * (first value row) + u2 * (column sums of the rest)
     pkg = make_package(5, n_out=2, seed=8)
     y = np.random.default_rng(9).uniform(-1, 1, (pkg.k, 2))
-    out = pkg.coeffs_from_values(y, path="fast")
+    out = pkg.coeffs_from_values(y)
     oc = pkg.octa_coeffs
     expected = oc.u1 * y[0] + oc.u2 * y[1:].sum(axis=0)
     assert np.allclose(out[0], expected, atol=1e-12)
@@ -112,7 +105,7 @@ def test_coeffs_first_row_composition():
 
 def test_values_coeffs_always_consistent():
     pkg = make_package(6, seed=2)
-    u = pkg.u_matrix()
+    u = oracle.gram_inverse(octahedral_points(6), KP)
     assert rel_err(pkg.coeffs, u @ pkg.values) <= 1e-8
     new_y = np.random.default_rng(3).uniform(-1, 1, pkg.values.shape)
     pkg.set_values(new_y)
@@ -121,7 +114,7 @@ def test_values_coeffs_always_consistent():
 
 def test_basis_identity_rows_at_points():
     pkg = make_package(4, seed=1)
-    _, state = pkg.forward(pkg.constellation.materialize_points())
+    _, state = pkg.forward(octahedral_points(4))
     basis = pkg.cardinal_basis(state)
     assert np.abs(basis - np.eye(pkg.k)).max() <= 1e-8
 
@@ -131,9 +124,8 @@ def test_basis_fast_vs_naive(n):
     pkg = make_package(n, seed=n)
     x = np.random.default_rng(n).uniform(-1, 1, (7, n))
     _, state = pkg.forward(x)
-    fast = pkg.cardinal_basis(state, path="fast")
-    state.basis = None
-    naive = pkg.cardinal_basis(state, path="naive")
+    fast = pkg.cardinal_basis(state)
+    naive = oracle.cardinal_basis(state.kernel_vals, oracle.gram_inverse(octahedral_points(n), KP))
     assert rel_err(fast, naive) <= 1e-8
 
 
@@ -141,7 +133,7 @@ def test_basis_first_column_composition():
     pkg = make_package(5, seed=4)
     x = np.random.default_rng(5).uniform(-1, 1, (6, 5))
     _, state = pkg.forward(x)
-    basis = pkg.cardinal_basis(state, path="fast")
+    basis = pkg.cardinal_basis(state)
     kv = state.kernel_vals
     oc = pkg.octa_coeffs
     expected = oc.u1 * kv[:, 0] + oc.u2 * kv[:, 1:].sum(axis=1)
@@ -150,7 +142,6 @@ def test_basis_first_column_composition():
 
 def test_basis_requires_kernel_values():
     pkg = make_package(2)
-    from polycascade.package import PackageBatchState
     empty = PackageBatchState(x_in=np.zeros((1, 2)))
     with pytest.raises(ValueError):
         pkg.cardinal_basis(empty)
@@ -171,8 +162,8 @@ def test_backward_fast_vs_naive(n):
     x = rng.uniform(-1, 1, (8, n))
     _, state = pkg.forward(x)
     g = rng.standard_normal((8, 2))
-    fast = pkg.backward(g, state, path="fast")
-    naive = pkg.backward(g, state, path="naive")
+    fast = pkg.backward(g, state)
+    naive = oracle.backward(g, x, state.sq_dists, octahedral_points(n), pkg.coeffs, KP)
     assert rel_err(fast, naive) <= 1e-8
 
 
@@ -193,29 +184,19 @@ def test_backward_finite_difference():
             assert abs(fd - g[i, j]) / max(abs(fd), 1e-12) <= 1e-4
 
 
-def test_backward_returns_psi_on_request():
-    pkg = make_package(2, seed=3)
-    x = np.random.default_rng(2).uniform(-1, 1, (4, 2))
-    _, state = pkg.forward(x)
-    g = np.ones((4, pkg.n_out))
-    g_prev, psi = pkg.backward(g, state, return_psi=True)
-    assert psi.shape == (4, pkg.k)
-    assert np.array_equal(g_prev, pkg.backward(g, state))
-
-
 def test_backward_requires_forward_state():
+    # batch_state keeps no distances (the shared layer-1 state); backward needs them
     pkg = make_package(2)
-    from polycascade.package import PackageBatchState
-    stale = PackageBatchState(x_in=np.zeros((3, 2)), basis=np.zeros((3, pkg.k)))
-    with pytest.raises(ValueError):
-        pkg.backward(np.ones((3, pkg.n_out)), stale)
+    state = pkg.batch_state(np.zeros((3, 2)))
+    assert state.sq_dists is None and state.kernel_vals is not None
+    with pytest.raises(ValueError, match="squared distances"):
+        pkg.backward(np.ones((3, pkg.n_out)), state)
 
 
 def test_backward_at_constellation_point_is_finite():
     # inputs sitting exactly on a point hit the log clamp, not -inf
     pkg = make_package(3, n_out=1, seed=1)
-    pts = pkg.constellation.materialize_points()
-    _, state = pkg.forward(pts[:2])
+    _, state = pkg.forward(octahedral_points(3)[:2])
     g = pkg.backward(np.ones((2, 1)), state)
     assert np.isfinite(g).all()
 

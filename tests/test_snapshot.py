@@ -1,9 +1,14 @@
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polycascade.cascade import forward_batch, init_cascade, init_multi
+from polycascade.constellation import synthesize_u
 from polycascade.package import Package
 from polycascade.snapshot import MAGIC, SnapshotFormatError, load_snapshot, save_snapshot
 
@@ -29,7 +34,7 @@ def test_coefficients_rederived_on_load(tmp_path):
     loaded, prep = load_snapshot(path)
     assert prep is None
     pkg = loaded.replicas[0].packages[0]
-    expected = pkg.u_matrix() @ pkg.values
+    expected = synthesize_u(pkg.octa_coeffs, pkg.n_in) @ pkg.values
     assert np.abs(pkg.coeffs - expected).max() / np.abs(expected).max() <= 1e-8
 
 
@@ -107,3 +112,69 @@ def test_invalid_header_widths_rejected(tmp_path):
     p.write_bytes(bytes(data))
     with pytest.raises(SnapshotFormatError, match="invalid widths"):
         load_snapshot(p)
+
+
+def _valid_snapshot_bytes(dtype: str) -> bytes:
+    mc = init_multi([3, 2, 2], seed=5, alpha=2.0, dtype=dtype)
+    prep = {"log_columns": [], "log1p_columns": [], "clamp": False,
+            "col_min": [0.0, -1.0, 2.0], "col_max": [1.0, 1.0, 3.0]}
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "m.phc1"
+        save_snapshot(path, mc, preprocessing=prep)
+        return path.read_bytes()
+
+
+VALID = {dtype: _valid_snapshot_bytes(dtype) for dtype in ("float64", "float32")}
+
+
+def _load_bytes(data: bytes):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "m.phc1"
+        path.write_bytes(data)
+        return load_snapshot(path)
+
+
+def crafted_headers() -> dict[str, bytes]:
+    """Headers under ~100 bytes whose lengths would each ask for terabytes."""
+    huge = 2 ** 40
+    hyper = struct.pack("<4d", 1.0, 5.0, 400.0, 0.0)
+    return {
+        "package count": MAGIC + struct.pack("<2Q", 1, huge),
+        "preprocessing length": (MAGIC + struct.pack("<4Q", 1, 1, 2, 1) + hyper
+                                 + struct.pack("<2Q", 0, huge)),
+        "width": (MAGIC + struct.pack("<4Q", 1, 1, huge, 1) + hyper
+                  + struct.pack("<4Q", 0, 0, 2 * huge + 1, 1)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(crafted_headers()))
+def test_crafted_header_lengths_rejected_without_allocation(name):
+    data = crafted_headers()[name]
+    assert len(data) <= 100
+    with pytest.raises(SnapshotFormatError, match="truncated"):
+        _load_bytes(data)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(dtype=st.sampled_from(sorted(VALID)), frac=st.floats(0.0, 1.0, exclude_max=True))
+def test_truncated_snapshot_is_format_error(dtype, frac):
+    data = VALID[dtype]
+    with pytest.raises(SnapshotFormatError):
+        _load_bytes(data[:int(frac * len(data))])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(dtype=st.sampled_from(sorted(VALID)), bits=st.lists(st.integers(0, 10 ** 6), min_size=1,
+                                                           max_size=3))
+def test_bit_flipped_snapshot_loads_finite_or_is_format_error(dtype, bits):
+    data = bytearray(VALID[dtype])
+    for bit in bits:
+        bit %= 8 * len(data)
+        data[bit // 8] ^= 1 << (bit % 8)
+    try:
+        model, _ = _load_bytes(bytes(data))
+    except SnapshotFormatError:
+        return
+    for cascade in model.replicas:
+        for pkg in cascade.packages:
+            assert np.isfinite(pkg.values).all() and np.isfinite(pkg.coeffs).all()

@@ -6,12 +6,10 @@ import pytest
 
 from polycascade import cascade as cascade_module
 from polycascade import training
-from polycascade.cascade import forward_batch, init_multi
 from polycascade.data import Dataset
 from polycascade.linalg import NotSPDError
 from polycascade.synthetic import make_shell_task
-from polycascade.training import (CSV_HEADER, EpochRecord, TrainConfig,
-                                  precompute_first_layer_basis, run_training)
+from polycascade.training import CSV_HEADER, EpochRecord, TrainConfig, run_training
 
 
 def small_class_task(seed=0, n=240, dim=6, classes=3):
@@ -26,38 +24,6 @@ def split_class_task(seed=0, n_train=240, n_test=80, **kw):
     full = small_class_task(seed=seed, n=n_train + n_test, **kw)
     return (Dataset(full.features[:n_train], full.labels[:n_train]),
             Dataset(full.features[n_train:], full.labels[n_train:]))
-
-
-def test_precompute_matches_standard_forward():
-    train = small_class_task()
-    model = init_multi([6, 5, 3], seed=1, alpha=5.0)
-    table = precompute_first_layer_basis(model, train.features)
-    assert table.shape == (train.n_rows, model.replicas[0].packages[0].k)
-    idx = np.array([3, 17, 42, 100])
-    for cascade in model.replicas:
-        direct, _ = forward_batch(cascade, train.features[idx])
-        via_cache, _ = forward_batch(cascade, train.features[idx], first_basis=table[idx])
-        assert np.abs(direct - via_cache).max() <= 1e-8
-
-
-def test_precompute_table_shape_arithmetic():
-    model = init_multi([6, 5, 2], seed=0, alpha=1.0)
-    table = precompute_first_layer_basis(model, np.zeros((100, 6)))
-    assert table.shape == (100, 13)  # N x (2*6 + 1)
-    with pytest.raises(ValueError):
-        precompute_first_layer_basis(model, np.zeros((10, 5)))
-
-
-def test_precompute_does_not_change_metrics():
-    train, test = split_class_task(seed=2, n_train=240, n_test=90)
-    base = dict(widths=[6, 5, 3], alpha=5.0, epochs=2, batch_rows=60, seed=4)
-    _, recs_plain = run_training(TrainConfig(**base), train, test)
-    _, recs_cached = run_training(TrainConfig(**base, precompute_first_layer=True),
-                                  train, test)
-    for a, b in zip(recs_plain, recs_cached):
-        assert abs(a.train_metric - b.train_metric) <= 1e-6
-        assert abs(a.test_metric - b.test_metric) <= 1e-6
-        assert abs(a.residual - b.residual) <= 1e-6
 
 
 def test_epochs_zero_smoke():
