@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -42,31 +41,6 @@ def _print_architecture(cfg: RunConfig) -> None:
           f"precision={cfg.precision} init={cfg.init} task={cfg.task}")
 
 
-def _write_effective_config(cfg: RunConfig, out_dir: Path) -> None:
-    lines = ["# resolved configuration", "[data]", f"format = {cfg.data_format}"]
-    for key in ("train_images", "train_labels", "test_images", "test_labels", "path"):
-        val = getattr(cfg, key)
-        if val is not None:
-            lines.append(f"{key} = {val}")
-    lines += [
-        f"label_column = {cfg.label_column}", f"delimiter = {cfg.delimiter}",
-        f"normalize = {cfg.normalize}", f"clamp = {cfg.clamp}",
-        f"log_columns = {','.join(map(str, cfg.log_columns))}",
-        f"log1p_columns = {','.join(map(str, cfg.log1p_columns))}",
-        "", "[model]",
-        f"widths = {','.join(map(str, cfg.widths))}", f"alpha = {cfg.alpha}",
-        f"init = {cfg.init}", f"sigma2 = {cfg.sigma2}",
-        f"kernel_b = {cfg.kernel_b}", f"kernel_c = {cfg.kernel_c}",
-        f"precision = {cfg.precision}",
-        "", "[train]",
-        f"epochs = {cfg.epochs}", f"batch_rows = {cfg.batch_rows}", f"seed = {cfg.seed}",
-        f"shuffle = {cfg.shuffle}", f"task = {cfg.task}",
-        "", "[output]",
-        f"dir = {cfg.out_dir}", f"snapshot_every = {cfg.snapshot_every}",
-    ]
-    (out_dir / "effective.ini").write_text("\n".join(lines) + "\n")
-
-
 def cmd_train(args) -> int:
     try:
         cfg = load_run_config(args.config, check_paths=not args.dry_run)
@@ -86,9 +60,9 @@ def cmd_train(args) -> int:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    out_dir = Path(cfg.out_dir)
+    out_dir = cfg.dir
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_effective_config(cfg, out_dir)
+    cfg.write_ini(out_dir / "effective.ini")
     csv_path = out_dir / "metrics.csv"
     preprocessing = None if fitted_spec is None else fitted_spec.to_dict()
 
@@ -130,13 +104,14 @@ def cmd_eval(args) -> int:
         else:
             data = load_delimited(args.dataset, label_column=args.label_column,
                                   delimiter=args.delimiter)
+        if data.n_features != model.widths[0]:
+            raise DataFormatError(f"{args.dataset}: {data.n_features} features, "
+                                  f"the model expects {model.widths[0]}")
+        if preprocessing is not None:
+            data, _ = fit_apply_transforms(data, TransformSpec.from_dict(preprocessing))
     except (DataFormatError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-
-    if preprocessing is not None:
-        spec = TransformSpec.from_dict(preprocessing)
-        data, _ = fit_apply_transforms(data, spec)
 
     scores = model.scores(data.features)
     if model.d > 1:

@@ -1,8 +1,10 @@
 """Declarative run configuration: a flat INI file with four sections.
 
 Experiments carry a dozen-plus knobs, so runs are driven by files rather
-than flag soup.  Unknown keys are rejected (typo safety) and all referenced
-paths are validated before any compute starts.
+than flag soup.  Each key is declared once, as a ``RunConfig`` field; loading
+rejects unknown keys (typo safety) and invalid values, and validates all
+referenced paths, before any data is read.  ``RunConfig.write_ini`` writes
+every key back, so the file it writes reruns the same job.
 
 Example::
 
@@ -31,7 +33,7 @@ Example::
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -46,74 +48,7 @@ class ConfigError(ValueError):
     """The run configuration is invalid; message names the offending key."""
 
 
-_ALLOWED = {
-    "data": {"format", "train_images", "train_labels", "test_images", "test_labels",
-             "path", "label_column", "delimiter", "train_rows", "test_rows", "max_rows",
-             "dim", "data_seed", "log_columns", "log1p_columns", "normalize", "clamp"},
-    "model": {"widths", "alpha", "init", "sigma2", "kernel_b", "kernel_c", "precision"},
-    "train": {"epochs", "batch_rows", "seed", "shuffle", "task"},
-    "output": {"dir", "snapshot_every"},
-}
-
 _FORMATS = ("idx", "delimited", "synthetic-shells")
-
-
-@dataclass
-class RunConfig:
-    """Fully resolved configuration for one training run."""
-
-    data_format: str
-    train_images: Path | None = None
-    train_labels: Path | None = None
-    test_images: Path | None = None
-    test_labels: Path | None = None
-    path: Path | None = None
-    label_column: int = 0
-    delimiter: str = ","
-    train_rows: int | None = None
-    test_rows: int | None = None
-    max_rows: int | None = None
-    dim: int = 10
-    data_seed: int = 0
-    log_columns: tuple[int, ...] = ()
-    log1p_columns: tuple[int, ...] = ()
-    normalize: bool = True
-    clamp: bool = False
-
-    widths: list[int] = field(default_factory=list)
-    alpha: float = 1.0
-    init: str = "random"
-    sigma2: float = 0.0
-    kernel_b: float = 5.0
-    kernel_c: float = 400.0
-    precision: str = "float64"
-
-    epochs: int = 1
-    batch_rows: int = 1000
-    seed: int = 0
-    shuffle: bool = True
-    task: str = "classify"
-
-    out_dir: Path = Path("runs/out")
-    snapshot_every: int = 0
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            widths=self.widths, alpha=self.alpha, epochs=self.epochs,
-            batch_rows=self.batch_rows, seed=self.seed, precision=self.precision,
-            init_mode=self.init, shuffle=self.shuffle, sigma2=self.sigma2,
-            kernel=KernelParams(b=self.kernel_b, c=self.kernel_c), task=self.task,
-        )
-
-
-def _get(parser, section, key, cast, default):
-    if not parser.has_option(section, key):
-        return default
-    raw = parser.get(section, key)
-    try:
-        return cast(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
 
 
 def _bool(raw: str) -> bool:
@@ -125,11 +60,11 @@ def _bool(raw: str) -> bool:
     raise ValueError(f"expected a boolean, got {raw!r}")
 
 
-def _int_list(raw: str) -> tuple[int, ...]:
+def _int_list(raw: str) -> list[int]:
     """Comma-separated ints; a ``VALUExCOUNT`` token repeats (deep cascades)."""
     raw = raw.strip()
     if not raw:
-        return ()
+        return []
     out: list[int] = []
     for tok in raw.replace(" ", "").split(","):
         if "x" in tok:
@@ -137,72 +72,120 @@ def _int_list(raw: str) -> tuple[int, ...]:
             out.extend([int(val)] * int(count))
         else:
             out.append(int(tok))
-    return tuple(out)
+    return out
+
+
+def _key(section: str, parse=str, **default):
+    """A RunConfig field read from ``[section]`` of the INI file through ``parse``."""
+    return field(metadata={"section": section, "parse": parse}, **default)
+
+
+@dataclass
+class RunConfig:
+    """Fully resolved configuration for one training run.
+
+    Each field is one INI key of the same name; its metadata names the
+    section and the parse function, and its default is the key's default.
+    """
+
+    format: str | None = _key("data", default=None)
+    train_images: Path | None = _key("data", Path, default=None)
+    train_labels: Path | None = _key("data", Path, default=None)
+    test_images: Path | None = _key("data", Path, default=None)
+    test_labels: Path | None = _key("data", Path, default=None)
+    path: Path | None = _key("data", Path, default=None)
+    label_column: int = _key("data", int, default=0)
+    delimiter: str = _key("data", default=",")
+    train_rows: int | None = _key("data", int, default=None)
+    test_rows: int | None = _key("data", int, default=None)
+    max_rows: int | None = _key("data", int, default=None)
+    dim: int = _key("data", int, default=10)
+    data_seed: int = _key("data", int, default=0)
+    log_columns: list[int] = _key("data", _int_list, default_factory=list)
+    log1p_columns: list[int] = _key("data", _int_list, default_factory=list)
+    normalize: bool = _key("data", _bool, default=True)
+    clamp: bool = _key("data", _bool, default=False)
+
+    widths: list[int] = _key("model", _int_list, default_factory=list)
+    alpha: float = _key("model", float, default=1.0)
+    init: str = _key("model", default="random")
+    sigma2: float = _key("model", float, default=0.0)
+    kernel_b: float = _key("model", float, default=5.0)
+    kernel_c: float = _key("model", float, default=400.0)
+    precision: str = _key("model", default="float64")
+
+    epochs: int = _key("train", int, default=1)
+    batch_rows: int = _key("train", int, default=1000)
+    seed: int = _key("train", int, default=0)
+    shuffle: bool = _key("train", _bool, default=True)
+    task: str = _key("train", default="classify")
+
+    dir: Path = _key("output", Path, default=Path("runs/out"))
+    snapshot_every: int = _key("output", int, default=0)
+
+    def train_config(self) -> TrainConfig:
+        return TrainConfig(
+            widths=self.widths, alpha=self.alpha, epochs=self.epochs,
+            batch_rows=self.batch_rows, seed=self.seed, precision=self.precision,
+            init_mode=self.init, shuffle=self.shuffle, sigma2=self.sigma2,
+            kernel=KernelParams(b=self.kernel_b, c=self.kernel_c), task=self.task,
+        )
+
+    def write_ini(self, path) -> None:
+        """Write every set key; loading the file gives back an equal config."""
+        lines, section = ["# resolved configuration"], None
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is None:
+                continue
+            if f.metadata["section"] != section:
+                section = f.metadata["section"]
+                lines += ["", f"[{section}]"]
+            text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+            # no space before the value: ";" or "#" after whitespace would start a comment
+            lines.append(f"{f.name}={text}")
+        Path(path).write_text("\n".join(lines) + "\n")
 
 
 def load_run_config(path, check_paths: bool = True) -> RunConfig:
     """Parse and validate a run file; raises ConfigError with key coordinates.
 
-    ``check_paths=False`` skips dataset-file existence (dry runs print the
-    architecture without requiring staged data).
+    Every value is checked here, before any data is read.  ``check_paths=False``
+    skips dataset-file existence (dry runs print the architecture without
+    requiring staged data).
     """
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         with open(path) as f:
             parser.read_file(f)
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
+    keys = {(f.metadata["section"], f.name): f.metadata["parse"] for f in fields(RunConfig)}
+    sections = {section for section, _ in keys}
+    values = {}
     for section in parser.sections():
-        if section not in _ALLOWED:
+        if section not in sections:
             raise ConfigError(f"{path}: unknown section [{section}]")
-        for key in parser.options(section):
-            if key not in _ALLOWED[section]:
+        for key, raw in parser.items(section):
+            parse = keys.get((section, key))
+            if parse is None:
                 raise ConfigError(f"{path}: unknown key {key!r} in section [{section}]")
+            try:
+                values[key] = parse(raw)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{path}: [{section}] {key} = {raw!r}: {exc}") from exc
+    cfg = RunConfig(**values)
 
-    fmt = _get(parser, "data", "format", str, None)
-    if fmt not in _FORMATS:
-        raise ConfigError(f"{path}: [data] format must be one of {_FORMATS}, got {fmt!r}")
-    widths_raw = _get(parser, "model", "widths", _int_list, ())
-    if len(widths_raw) < 2:
-        raise ConfigError(f"{path}: [model] widths needs at least two entries")
-
-    cfg = RunConfig(
-        data_format=fmt,
-        train_images=_get(parser, "data", "train_images", Path, None),
-        train_labels=_get(parser, "data", "train_labels", Path, None),
-        test_images=_get(parser, "data", "test_images", Path, None),
-        test_labels=_get(parser, "data", "test_labels", Path, None),
-        path=_get(parser, "data", "path", Path, None),
-        label_column=_get(parser, "data", "label_column", int, 0),
-        delimiter=_get(parser, "data", "delimiter", str, ","),
-        train_rows=_get(parser, "data", "train_rows", int, None),
-        test_rows=_get(parser, "data", "test_rows", int, None),
-        max_rows=_get(parser, "data", "max_rows", int, None),
-        dim=_get(parser, "data", "dim", int, 10),
-        data_seed=_get(parser, "data", "data_seed", int, 0),
-        log_columns=_get(parser, "data", "log_columns", _int_list, ()),
-        log1p_columns=_get(parser, "data", "log1p_columns", _int_list, ()),
-        normalize=_get(parser, "data", "normalize", _bool, True),
-        clamp=_get(parser, "data", "clamp", _bool, False),
-        widths=list(widths_raw),
-        alpha=_get(parser, "model", "alpha", float, 1.0),
-        init=_get(parser, "model", "init", str, "random"),
-        sigma2=_get(parser, "model", "sigma2", float, 0.0),
-        kernel_b=_get(parser, "model", "kernel_b", float, 5.0),
-        kernel_c=_get(parser, "model", "kernel_c", float, 400.0),
-        precision=_get(parser, "model", "precision", str, "float64"),
-        epochs=_get(parser, "train", "epochs", int, 1),
-        batch_rows=_get(parser, "train", "batch_rows", int, 1000),
-        seed=_get(parser, "train", "seed", int, 0),
-        shuffle=_get(parser, "train", "shuffle", _bool, True),
-        task=_get(parser, "train", "task", str, "classify"),
-        out_dir=_get(parser, "output", "dir", Path, Path("runs/out")),
-        snapshot_every=_get(parser, "output", "snapshot_every", int, 0),
-    )
+    if cfg.format not in _FORMATS:
+        raise ConfigError(f"{path}: [data] format must be one of {_FORMATS}, got {cfg.format!r}")
+    try:
+        cfg.train_config()
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     _validate_paths(cfg, path, check_exists=check_paths)
     return cfg
 
@@ -216,10 +199,10 @@ def missing_data_paths(cfg: RunConfig) -> list[tuple[str, Path]]:
 
 
 def _required_paths(cfg: RunConfig) -> list[tuple[str, Path | None]]:
-    if cfg.data_format == "idx":
+    if cfg.format == "idx":
         return [("train_images", cfg.train_images), ("train_labels", cfg.train_labels),
                 ("test_images", cfg.test_images), ("test_labels", cfg.test_labels)]
-    if cfg.data_format == "delimited":
+    if cfg.format == "delimited":
         return [("path", cfg.path)]
     return []
 
@@ -227,19 +210,19 @@ def _required_paths(cfg: RunConfig) -> list[tuple[str, Path | None]]:
 def _validate_paths(cfg: RunConfig, source: Path, check_exists: bool) -> None:
     for key, p in _required_paths(cfg):
         if p is None:
-            raise ConfigError(f"{source}: [data] {key} is required for format {cfg.data_format}")
+            raise ConfigError(f"{source}: [data] {key} is required for format {cfg.format}")
         if check_exists and not Path(p).exists():
             raise ConfigError(f"{source}: [data] {key} points to a missing file: {p}")
 
 
 def load_datasets(cfg: RunConfig) -> tuple[Dataset, Dataset, TransformSpec | None]:
     """Materialize train/test datasets, fitting normalization on the train split."""
-    if cfg.data_format == "idx":
+    if cfg.format == "idx":
         train = load_idx(cfg.train_images, cfg.train_labels)
         test = load_idx(cfg.test_images, cfg.test_labels)
         if cfg.max_rows is not None:
             train = Dataset(train.features[:cfg.max_rows], train.labels[:cfg.max_rows])
-    elif cfg.data_format == "delimited":
+    elif cfg.format == "delimited":
         full = load_delimited(cfg.path, label_column=cfg.label_column,
                               delimiter=cfg.delimiter, max_rows=cfg.max_rows)
         n_train = cfg.train_rows or int(full.n_rows * 0.8)
@@ -254,8 +237,8 @@ def load_datasets(cfg: RunConfig) -> tuple[Dataset, Dataset, TransformSpec | Non
 
     if not cfg.normalize:
         return train, test, None
-    spec = TransformSpec(log_columns=cfg.log_columns, log1p_columns=cfg.log1p_columns,
-                         clamp=cfg.clamp)
+    spec = TransformSpec(log_columns=tuple(cfg.log_columns),
+                         log1p_columns=tuple(cfg.log1p_columns), clamp=cfg.clamp)
     joined = Dataset(
         features=np.vstack([train.features, test.features]),
         labels=np.concatenate([train.labels, test.labels]),

@@ -11,6 +11,7 @@ models can reproduce their training preprocessing exactly.
 from __future__ import annotations
 
 import struct
+import sys
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -111,6 +112,8 @@ def load_delimited(path, label_column: int = 0, delimiter: str = ",",
     output.  Errors carry 1-based row and column coordinates.
     """
     path = Path(path)
+    if not delimiter:
+        raise DataFormatError(f"{path}: the delimiter is empty")
     features_chunks: list[np.ndarray] = []
     labels_chunks: list[np.ndarray] = []
     buf_feats: list[list[float]] = []
@@ -187,13 +190,32 @@ class TransformSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TransformSpec":
-        return cls(
-            log_columns=tuple(d.get("log_columns", ())),
-            log1p_columns=tuple(d.get("log1p_columns", ())),
-            clamp=bool(d.get("clamp", False)),
-            col_min=None if d.get("col_min") is None else tuple(d["col_min"]),
-            col_max=None if d.get("col_max") is None else tuple(d["col_max"]),
-        )
+        """Rebuild a spec from ``to_dict`` output; a mistyped entry raises DataFormatError."""
+        def numbers(key, ok, what):
+            value = d.get(key, [])
+            if not (isinstance(value, list) and all(type(v) in (int, float) and ok(v)
+                                                    for v in value)):
+                raise DataFormatError(f"preprocessing {key} is not a list of {what}: {value!r}")
+            return tuple(value)
+
+        def columns(key):
+            return numbers(key, lambda v: type(v) is int, "ints")
+
+        def bounds(key):
+            if d.get(key) is None:
+                return None
+            # False for NaN, infinities and ints beyond the float range
+            return numbers(key, lambda v: abs(v) <= sys.float_info.max, "finite numbers")
+
+        if not isinstance(d.get("clamp", False), bool):
+            raise DataFormatError(f"preprocessing clamp is not a boolean: {d['clamp']!r}")
+        col_min, col_max = bounds("col_min"), bounds("col_max")
+        if (col_min is None) != (col_max is None) or (
+                col_min is not None and len(col_min) != len(col_max)):
+            raise DataFormatError("preprocessing col_min and col_max must both be absent "
+                                  "or both present with equal lengths")
+        return cls(log_columns=columns("log_columns"), log1p_columns=columns("log1p_columns"),
+                   clamp=d.get("clamp", False), col_min=col_min, col_max=col_max)
 
 
 def _apply_logs(features: np.ndarray, spec: TransformSpec, path_hint: str) -> np.ndarray:

@@ -153,24 +153,12 @@ class Package:
         rows, so this is the batch expressed in the interpolation basis.
         The result is cached on the state.
         """
-        if state.basis is not None:
-            return state.basis
-        kv = state.kernel_vals
-        if kv is None:
-            raise ValueError("state holds no kernel values; was forward() run on this package?")
-        oc = self.octa_coeffs
-        n = self.n_in
-        dt = self.dtype.type
-        k1c = kv[:, :1]
-        ka, kb = kv[:, 1:n + 1], kv[:, n + 1:]
-        ks = kv[:, 1:].sum(axis=1, keepdims=True)
-        basis = np.empty_like(kv)
-        basis[:, :1] = dt(oc.u1) * k1c + dt(oc.u2) * ks
-        border = dt(oc.u2) * k1c + dt(oc.b3) * ks
-        basis[:, 1:n + 1] = dt(oc.b1) * ka + dt(oc.b2) * kb + border
-        basis[:, n + 1:] = dt(oc.b1) * kb + dt(oc.b2) * ka + border
-        state.basis = basis
-        return basis
+        if state.basis is None:
+            if state.kernel_vals is None:
+                raise ValueError("state holds no kernel values; was forward() run on this package?")
+            # U is symmetric, so kernel_vals @ U = (U @ kernel_vals.T).T
+            state.basis = self.coeffs_from_values(state.kernel_vals.T).T
+        return state.basis
 
     # -- backward ------------------------------------------------------------
 

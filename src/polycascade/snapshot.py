@@ -35,6 +35,7 @@ import numpy as np
 
 from .cascade import Cascade, MultiOutputCascade
 from .constellation import build_octahedral
+from .data import DataFormatError, TransformSpec
 from .kernel import KernelParams
 from .linalg import NonFiniteError
 from .package import Package
@@ -143,6 +144,10 @@ def load_snapshot(path) -> tuple[MultiOutputCascade, dict | None]:
                 raise SnapshotFormatError(f"preprocessing spec is not valid JSON: {exc}") from exc
             if not isinstance(preprocessing, dict):
                 raise SnapshotFormatError("preprocessing spec is not a JSON object")
+            try:
+                TransformSpec.from_dict(preprocessing)
+            except DataFormatError as exc:
+                raise SnapshotFormatError(f"invalid preprocessing spec: {exc}") from exc
 
         store_dtype = _CODE_DTYPES[dtype_code]
         model_dtype = np.float64 if dtype_code == 0 else np.float32

@@ -9,13 +9,14 @@ interruption (one flush per epoch).
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .cascade import MultiOutputCascade, init_multi, one_hot_pm1, train_multi
+from .cascade import INIT_MODES, MultiOutputCascade, init_multi, one_hot_pm1, train_multi
 from .data import Dataset, batches
 from .kernel import KernelParams
 from .linalg import NotSPDError, resolve_dtype
@@ -42,15 +43,28 @@ class TrainConfig:
     sigma2: float = 0.0
     kernel: KernelParams = field(default_factory=KernelParams)
     task: str = "classify"  # "classify" (accuracy) | "binary-auc" (ROC AUC)
-    eval_chunk_rows: int = 4096
 
     def __post_init__(self):
+        """Reject every invalid field here, so a config fails before any data is read."""
+        if len(self.widths) < 2 or min(self.widths) < 1:
+            raise ValueError(f"widths needs at least two positive entries, got {self.widths}")
+        if not 0 <= self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
+        if self.alpha == 0 and len(self.widths) > 2:
+            raise ValueError("alpha must be > 0 for multi-package cascades")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if self.batch_rows < 1:
+            raise ValueError(f"batch_rows must be >= 1, got {self.batch_rows}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        resolve_dtype(self.precision)
+        if self.init_mode not in INIT_MODES:
+            raise ValueError(f"init mode must be one of {INIT_MODES}, got {self.init_mode!r}")
+        if not 0 <= self.sigma2 < math.inf:
+            raise ValueError(f"sigma2 must be finite and >= 0, got {self.sigma2}")
         if self.task not in ("classify", "binary-auc"):
             raise ValueError(f"unknown task {self.task!r}")
-        if self.alpha <= 0 and len(self.widths) > 2:
-            raise ValueError("alpha must be > 0 for multi-package cascades")
 
 
 @dataclass
@@ -77,7 +91,7 @@ def _targets_for(cfg: TrainConfig, labels: np.ndarray, d: int, dtype) -> np.ndar
 
 
 def _evaluate(cfg: TrainConfig, model: MultiOutputCascade, data: Dataset) -> float:
-    scores = model.scores(data.features, chunk_rows=cfg.eval_chunk_rows)
+    scores = model.scores(data.features)
     if cfg.task == "classify":
         return accuracy(np.argmax(scores, axis=1), data.labels)
     return roc_auc(scores[:, 0], data.labels)

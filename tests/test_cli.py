@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from polycascade import cli
+from polycascade.cascade import init_cascade
 from polycascade.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from polycascade.config import ConfigError, load_run_config
 from polycascade.linalg import NonFiniteError
-from polycascade.snapshot import MAGIC
+from polycascade.snapshot import MAGIC, save_snapshot
 
 EXPERIMENTS = sorted((Path(__file__).resolve().parents[1] / "experiments").glob("*.ini"))
 
@@ -18,7 +19,8 @@ def shells_config(tmp_path, **overrides):
         "format": "synthetic-shells", "train_rows": 600, "test_rows": 200,
         "dim": 6, "data_seed": 1, "normalize": "false",
     }
-    model = {"widths": "6,20,1", "alpha": "20", "init": "identity-fragments"}
+    model = {"widths": "6,20,1", "alpha": "20", "init": "identity-fragments",
+             "precision": "float64", "sigma2": "0", "kernel_b": "5"}
     train = {"epochs": "1", "batch_rows": "200", "seed": "2", "task": "binary-auc"}
     out = {"dir": str(tmp_path / "run")}
     for section in (base, model, train, out):
@@ -59,6 +61,27 @@ def test_unknown_key_rejected(tmp_path, capsys):
     assert "typo_key" in capsys.readouterr().err
 
 
+INVALID_VALUES = [
+    ("init", "bogus", "init mode"), ("precision", "float16", "precision"),
+    ("task", "regress", "task"), ("epochs", "-1", "epochs"), ("alpha", "0", "alpha"),
+    ("batch_rows", "0", "batch_rows"), ("sigma2", "-1", "sigma2"),
+    ("kernel_b", "nan", "kernel coefficients"),
+]
+
+
+@pytest.mark.parametrize("key,value,message", INVALID_VALUES,
+                         ids=[f"{key}={value}" for key, value, _ in INVALID_VALUES])
+def test_invalid_values_rejected_before_data_is_read(tmp_path, monkeypatch, capsys, key, value,
+                                                       message):
+    path = shells_config(tmp_path, **{key: value})
+    assert main(["train", str(path), "--dry-run"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(path) in err and message in err
+    monkeypatch.setattr(cli, "load_datasets", lambda cfg: pytest.fail("data was read"))
+    assert main(["train", str(path)]) == EXIT_CONFIG
+    assert not (tmp_path / "run").exists()
+
+
 def test_unknown_section_rejected(tmp_path):
     path = shells_config(tmp_path)
     path.write_text(path.read_text() + "[mystery]\nx = 1\n")
@@ -90,7 +113,8 @@ def test_train_writes_artifacts(tmp_path, capsys):
     assert len(metrics) == 2  # one epoch
     assert (run_dir / "model.phc1").exists()
     assert (run_dir / "effective.ini").exists()
-    assert "widths = 6,20,1" in (run_dir / "effective.ini").read_text()
+    assert "widths=6,20,1" in (run_dir / "effective.ini").read_text()
+    assert load_run_config(run_dir / "effective.ini") == load_run_config(cfg)
 
 
 def test_eval_roundtrip(tmp_path, capsys):
@@ -106,6 +130,54 @@ def test_eval_roundtrip(tmp_path, capsys):
     snapshot = tmp_path / "run" / "model.phc1"
     assert main(["eval", str(snapshot), str(data_path), "--label-column", "0"]) == EXIT_OK
     assert "roc_auc" in capsys.readouterr().out
+
+
+def eval_inputs(tmp_path, n_features, preprocessing=None):
+    """A 3-input snapshot and a CSV with ``n_features`` feature columns after the label."""
+    snapshot = tmp_path / "m.phc1"
+    save_snapshot(snapshot, init_cascade([3, 4, 1], seed=0, alpha=1.0),
+                  preprocessing=preprocessing)
+    data = tmp_path / "d.csv"
+    rng = np.random.default_rng(0)
+    np.savetxt(data, np.hstack([rng.integers(0, 2, (20, 1)), rng.uniform(-1, 1, (20, n_features))]),
+               delimiter=",")
+    return str(snapshot), str(data)
+
+
+@pytest.mark.parametrize("n_features,preprocessing,extra,message", [
+    (5, None, [], "5 features, the model expects 3"),
+    (3, {"col_min": [0.0, 0.0], "col_max": [1.0, 1.0]}, [], "fitted spec has 2 columns"),
+    (3, {"col_min": 5}, [], "invalid preprocessing spec"),
+    (3, None, ["--delimiter", ""], "delimiter is empty"),
+], ids=["width-mismatch", "spec-width-mismatch", "mistyped-spec", "empty-delimiter"])
+def test_eval_bad_input_exit_2(tmp_path, capsys, n_features, preprocessing, extra, message):
+    snapshot, data = eval_inputs(tmp_path, n_features, preprocessing)
+    assert main(["eval", snapshot, data, *extra]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
+def delimited_config(tmp_path, delimiter_line):
+    _, data = eval_inputs(tmp_path, 3)
+    path = tmp_path / "delimited.ini"
+    path.write_text(f"[data]\nformat = delimited\npath = {data}\n{delimiter_line}\n"
+                    f"[model]\nwidths = 3,4,1\n[train]\ntask = binary-auc\n"
+                    f"[output]\ndir = {tmp_path / 'run'}\n")
+    return path
+
+
+def test_train_empty_delimiter_exit_2(tmp_path, capsys):
+    # ";" after whitespace starts an inline comment, so the delimiter parses as ""
+    path = delimited_config(tmp_path, "delimiter = ;")
+    assert load_run_config(path).delimiter == ""
+    assert main(["train", str(path)]) == EXIT_CONFIG
+    assert "delimiter is empty" in capsys.readouterr().err
+
+
+def test_semicolon_delimiter_reloads_from_written_config(tmp_path):
+    cfg = load_run_config(delimited_config(tmp_path, "delimiter=;"))
+    assert cfg.delimiter == ";"
+    cfg.write_ini(tmp_path / "effective.ini")
+    assert load_run_config(tmp_path / "effective.ini") == cfg
 
 
 def test_eval_bad_snapshot_exit_2(tmp_path, capsys):
@@ -132,10 +204,13 @@ def test_train_non_finite_failure_exit_1(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("path", EXPERIMENTS, ids=lambda p: p.name)
-def test_shipped_experiment_configs_load(path):
+def test_shipped_experiment_configs_load(path, tmp_path):
     # unknown keys are rejected, so a key removed from the program must leave these too
     cfg = load_run_config(path, check_paths=False)
     assert cfg.train_config().widths == cfg.widths
+    # the written config reruns the same job: every key, defaults included, reloads equal
+    cfg.write_ini(tmp_path / "effective.ini")
+    assert load_run_config(tmp_path / "effective.ini", check_paths=False) == cfg
 
 
 def test_verify_command_exit_0(capsys):

@@ -186,6 +186,24 @@ def test_transform_spec_json_roundtrip():
     assert TransformSpec.from_dict(spec.to_dict()) == spec
 
 
+@pytest.mark.parametrize("bad", [
+    {"log_columns": [1.5]}, {"log1p_columns": 3}, {"log_columns": [True]},
+    {"clamp": "yes"}, {"col_min": 5}, {"col_min": [0.0], "col_max": None},
+    {"col_min": [0.0, 1.0], "col_max": [1.0]}, {"col_min": [0.0], "col_max": ["1"]},
+    {"col_min": [float("nan")], "col_max": [1.0]}, {"col_min": [0.0], "col_max": [10 ** 400]},
+])
+def test_transform_spec_from_dict_rejects_wrong_types(bad):
+    with pytest.raises(DataFormatError, match="preprocessing"):
+        TransformSpec.from_dict(bad)
+
+
+def test_empty_delimiter_is_data_error(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("1,2\n3,4\n")
+    with pytest.raises(DataFormatError, match="delimiter"):
+        load_delimited(path, delimiter="")
+
+
 def test_batches_count_and_union():
     ds = Dataset(np.arange(20.0).reshape(10, 2), np.arange(10))
     got = list(batches(ds, 3, seed=5, shuffle=True))

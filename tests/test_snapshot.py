@@ -16,9 +16,10 @@ from polycascade.snapshot import MAGIC, SnapshotFormatError, load_snapshot, save
 def test_roundtrip_multi_output(tmp_path):
     mc = init_multi([6, 5, 3], seed=4, alpha=7.5)
     path = tmp_path / "model.phc1"
-    save_snapshot(path, mc, preprocessing={"clamp": False, "col_min": [0.0]})
+    spec = {"clamp": False, "col_min": [0.0], "col_max": [1.0]}
+    save_snapshot(path, mc, preprocessing=spec)
     loaded, prep = load_snapshot(path)
-    assert prep == {"clamp": False, "col_min": [0.0]}
+    assert prep == spec
     assert loaded.d == 3
     assert loaded.widths == [6, 5, 1]
     assert loaded.alpha == 7.5
@@ -112,6 +113,14 @@ def test_invalid_header_widths_rejected(tmp_path):
     p.write_bytes(bytes(data))
     with pytest.raises(SnapshotFormatError, match="invalid widths"):
         load_snapshot(p)
+
+
+def test_mistyped_preprocessing_spec_rejected(tmp_path):
+    path = tmp_path / "m.phc1"
+    save_snapshot(path, init_cascade([3, 2, 1], seed=0, alpha=1.0),
+                  preprocessing={"col_min": 5})
+    with pytest.raises(SnapshotFormatError, match="col_min"):
+        load_snapshot(path)
 
 
 def _valid_snapshot_bytes(dtype: str) -> bytes:

@@ -79,6 +79,15 @@ def test_alpha_zero_rejected_for_deep_cascades():
         TrainConfig(widths=[6, 5, 3], alpha=0.0, epochs=1, batch_rows=10)
 
 
+@pytest.mark.parametrize("override", [
+    {"widths": [6]}, {"widths": [6, 0, 3]}, {"alpha": float("nan")}, {"alpha": -1.0},
+    {"seed": -1}, {"sigma2": float("inf")},
+], ids=["one-width", "zero-width", "alpha-nan", "alpha-negative", "seed-negative", "sigma2-inf"])
+def test_train_config_rejects_invalid_fields(override):
+    with pytest.raises(ValueError):
+        TrainConfig(**{"widths": [6, 3], "alpha": 1.0, "epochs": 1, "batch_rows": 10, **override})
+
+
 def test_epoch_record_rows_lossless():
     rec = EpochRecord(3, 1 / 3, 0.25, 1.5e-3, 2.0)
     row = rec.as_row()
