@@ -5,15 +5,21 @@ width is 1 (one scalar output).  Training never uses gradient descent: after
 a forward pass, the derivative matrices are propagated backward, each package
 contributes an r x r Schur-product Gram matrix, their regularized sum is
 solved for a single batch vector, and that vector updates every package's
-value matrix independently.
+value matrix independently.  The system is built in three r x r buffers
+that every replica of a batch reuses: each Gram product is written into a
+buffer (numpy computes ``h @ h.T`` with BLAS ``syrk``) and combined in
+place.
 
 Multi-output models replicate the single-output cascade once per output
 with independent value matrices (shared architecture and hyperparameters).
 Every replica's first package has the same constellation and kernel, so the
-layer-1 distances, kernel values, cardinal basis and basis Gram product are
-computed once per batch (or scoring chunk) and shared by all replicas; only
-the layer-1 output product, the derivative Grams and the value updates are
-per replica.
+layer-1 distances, kernel values, cardinal basis, basis Gram product and
+system buffers are computed or allocated once per batch (or scoring chunk)
+and shared by all replicas.  Layer 1 then acts as one package with d * n1
+outputs: one product over the replicas' stacked coefficients gives every
+layer-1 output, and one product over their stacked derivative blocks gives
+every layer-1 value update.  The derivative Grams and the solve stay per
+replica.
 """
 
 from __future__ import annotations
@@ -145,21 +151,52 @@ def init_cascade(widths, seed: int, mode: str = "random", alpha: float = 1.0,
 def forward_batch(cascade: Cascade, x0) -> tuple[np.ndarray, CascadeBatchWorkspace]:
     """Run a batch through every package, retaining training intermediates.
 
-    ``x0`` is the batch matrix, or a layer-1 state from the first package's
-    ``batch_state`` that several replicas share (see
-    ``MultiOutputCascade.forward_all``); layer 1 then only evaluates its
-    output product on that state.  Layer 1 keeps no squared distances:
-    training never runs ``backward`` on the first package.
+    Layer 1 keeps no squared distances: training never runs ``backward`` on
+    the first package.
     """
     first = cascade.packages[0]
-    layer1 = x0 if isinstance(x0, PackageBatchState) else first.batch_state(x0)
-    xs = [layer1.x_in, first.evaluate(layer1)]
+    layer1 = first.batch_state(x0)
+    return _forward_from_layer1(cascade, layer1, first.evaluate(layer1))
+
+
+def _forward_from_layer1(cascade: Cascade, layer1: PackageBatchState, x1: np.ndarray,
+                         ) -> tuple[np.ndarray, CascadeBatchWorkspace]:
+    """Packages 2..q on the layer-1 output ``x1``, retaining training intermediates."""
+    xs = [layer1.x_in, x1]
     states = [layer1]
     for pkg in cascade.packages[1:]:
         out, state = pkg.forward(xs[-1])
         xs.append(out)
         states.append(state)
     return xs[-1], CascadeBatchWorkspace(xs=xs, states=states)
+
+
+def _layer1_outputs(replicas: list[Cascade], layer1: PackageBatchState) -> np.ndarray:
+    """Every replica's layer-1 output as one r x (d * n1) product over stacked coefficients."""
+    return layer1.kernel_vals @ np.hstack([c.packages[0].coeffs for c in replicas])
+
+
+def _tail_outputs(replicas: list[Cascade], x1: np.ndarray) -> np.ndarray:
+    """Forward-only r x d outputs of packages 2..q, replica j reading column block j of ``x1``.
+
+    Each package's intermediates are dropped once the next output exists.
+    """
+    cols = []
+    for c, y in zip(replicas, np.hsplit(x1, len(replicas))):
+        for pkg in c.packages[1:]:
+            y, _ = pkg.forward(y)
+        cols.append(y)
+    return np.hstack(cols)
+
+
+def _update_layer1(replicas: list[Cascade], basis: np.ndarray, scaled: np.ndarray) -> None:
+    """Apply the layer-1 value updates H1^T (G1 * b) of several replicas in one product.
+
+    ``scaled`` holds each replica's G1 * b as a column block, in replica order.
+    """
+    for c, delta in zip(replicas, np.hsplit(basis.T @ scaled, len(replicas))):
+        first = c.packages[0]
+        first.set_values(first.values + delta)
 
 
 def backward_quantities(cascade: Cascade, ws: CascadeBatchWorkspace,
@@ -180,44 +217,72 @@ def backward_quantities(cascade: Cascade, ws: CascadeBatchWorkspace,
     return bases, grads
 
 
+def assemble_system(cascade: Cascade, layer1: PackageBatchState, bases: list[np.ndarray],
+                    grads: list[np.ndarray]) -> np.ndarray:
+    """The regularized training system sum_i (H_i H_i^T) * (G_i G_i^T) + alpha I.
+
+    Built in three r x r buffers (system, H H^T, G G^T) that are allocated
+    on the first step that uses ``layer1`` and reused by every replica
+    sharing it: each Gram product is written into a buffer and combined in
+    place.  H_1 H_1^T is cached on ``layer1`` as ``gram``.  The last
+    package's G is a column of ones, so its H H^T is added alone.  Returns
+    the system buffer, which the next replica overwrites.
+    """
+    r = layer1.x_in.shape[0]
+    if layer1.system_buffers is None:
+        layer1.system_buffers = tuple(np.empty((r, r), dtype=cascade.dtype) for _ in range(3))
+    system, hh, gg = layer1.system_buffers
+    if layer1.gram is None:
+        layer1.gram = bases[0] @ bases[0].T
+    if len(bases) == 1:
+        np.copyto(system, layer1.gram)
+    else:
+        np.multiply(layer1.gram, np.matmul(grads[0], grads[0].T, out=gg), out=system)
+        for h, g in zip(bases[1:-1], grads[1:-1]):
+            system += np.multiply(np.matmul(h, h.T, out=hh), np.matmul(g, g.T, out=gg), out=hh)
+        system += np.matmul(bases[-1], bases[-1].T, out=hh)
+    system[np.diag_indices(r)] += cascade.dtype.type(cascade.alpha)
+    return system
+
+
 def train_step(cascade: Cascade, ws: CascadeBatchWorkspace, lstar,
-               measure_after: bool = True) -> TrainStepReport:
+               measure_after: bool = True, layer1_update: np.ndarray | None = None,
+               ) -> TrainStepReport:
     """One full training step on the batch held in the workspace.
 
-    Accumulates the per-package Gram products in package order, solves the
-    alpha-regularized system for the batch vector, applies every package's
-    value update from the pre-update intermediates, and rederives all
-    coefficient matrices.  A NaN or Inf anywhere upstream reaches the system
-    or its right-hand side and raises ``NonFiniteError`` before any update.
+    Builds the alpha-regularized system (``assemble_system``), solves it for
+    the batch vector b, applies every package's value update H^T (G * b)
+    from the pre-update intermediates, and rederives all coefficient
+    matrices.  A NaN or Inf anywhere upstream reaches the system or its
+    right-hand side and raises ``NonFiniteError`` before any update.
+
+    With ``layer1_update`` (an r x n1 array), G1 * b is written there and
+    the first package is left to the caller, which applies several
+    replicas' layer-1 updates in one product (``train_multi``); the step
+    then cannot measure the residual after the update.
     """
+    if layer1_update is not None and measure_after:
+        raise ValueError("measure_after needs the layer-1 update applied here")
     lstar = as_matrix(lstar, dtype=cascade.dtype, name="targets")
     if lstar.shape != ws.output.shape:
         raise ShapeMismatchError(f"targets shape {lstar.shape} != output shape {ws.output.shape}")
     delta_l = lstar - ws.output
-    r = ws.batch_rows
 
     bases, grads = backward_quantities(cascade, ws)
-    # H1 H1^T is the same for every replica sharing this layer-1 state; only
-    # that state keeps its Gram, so the other packages' r x r products stay transient
     layer1 = ws.states[0]
-    if layer1.gram is None:
-        layer1.gram = bases[0] @ bases[0].T
-    omega_sum = np.zeros((r, r), dtype=cascade.dtype)
-    for i, (h, g) in enumerate(zip(bases, grads)):
-        hh = layer1.gram if i == 0 else h @ h.T
-        omega_sum += hh * (g @ g.T)
-    system = omega_sum
-    if cascade.alpha:
-        system = omega_sum + cascade.dtype.type(cascade.alpha) * np.eye(r, dtype=cascade.dtype)
+    system = assemble_system(cascade, layer1, bases, grads)
     if not (np.isfinite(system).all() and np.isfinite(delta_l).all()):
         raise NonFiniteError("training system or output residual contains NaN or Inf")
     b_vec = spd_solve(system, delta_l)
     solve_residual = float(np.abs(system @ b_vec - delta_l).max())
 
     # all updates are computed against pre-update intermediates, then applied
-    for pkg, h, g in zip(cascade.packages, bases, grads):
-        delta_y = h.T @ (g * b_vec)
-        pkg.set_values(pkg.values + delta_y)
+    for pkg, h, g in zip(cascade.packages[1:], bases[1:], grads[1:]):
+        pkg.set_values(pkg.values + h.T @ (g * b_vec))
+    if layer1_update is None:
+        _update_layer1([cascade], bases[0], grads[0] * b_vec)
+    else:
+        np.multiply(grads[0], b_vec, out=layer1_update)
 
     report = TrainStepReport(
         residual_before_inf=float(np.abs(delta_l).max()),
@@ -226,11 +291,17 @@ def train_step(cascade: Cascade, ws: CascadeBatchWorkspace, lstar,
         solve_residual_inf=solve_residual,
     )
     if measure_after:
-        out_after, _ = forward_batch(cascade, layer1)
-        delta_after = lstar - out_after
-        report.residual_after_inf = float(np.abs(delta_after).max())
-        report.residual_after_rms = float(np.sqrt(np.mean(delta_after ** 2)))
+        outs = _tail_outputs([cascade], _layer1_outputs([cascade], layer1))
+        _measure_after([report], lstar, outs)
     return report
+
+
+def _measure_after(reports: list[TrainStepReport], targets: np.ndarray, outs: np.ndarray) -> None:
+    """Fill each report's after-update residual from its column of outputs and targets."""
+    delta = targets - outs
+    for rep, col in zip(reports, delta.T):
+        rep.residual_after_inf = float(np.abs(col).max())
+        rep.residual_after_rms = float(np.sqrt(np.mean(col ** 2)))
 
 
 class MultiOutputCascade:
@@ -276,10 +347,14 @@ class MultiOutputCascade:
         """Outputs of all replicas as columns of an r x d matrix.
 
         Layer 1 is prepared once and every replica's workspace shares that
-        state (and the basis and Gram that training caches on it).
+        state (and the basis, Gram and system buffers that training caches
+        on it); one product gives every replica's layer-1 output.
         """
         layer1 = self.replicas[0].packages[0].batch_state(x0)
-        outs, workspaces = zip(*(forward_batch(c, layer1) for c in self.replicas))
+        # each workspace keeps its own contiguous copy, so the stacked product is freed
+        x1 = np.hsplit(_layer1_outputs(self.replicas, layer1), self.d)
+        outs, workspaces = zip(*(_forward_from_layer1(c, layer1, np.ascontiguousarray(y))
+                                 for c, y in zip(self.replicas, x1)))
         return np.hstack(outs), list(workspaces)
 
     def scores(self, x0, chunk_rows: int = 4096) -> np.ndarray:
@@ -292,18 +367,14 @@ class MultiOutputCascade:
         return out
 
     def _score_chunk(self, x) -> np.ndarray:
-        """One chunk: a shared layer-1 state, then each replica forward-only.
+        """One chunk: a shared layer-1 state and product, then each replica forward-only.
 
-        Each package's intermediates are dropped once the next output exists.
+        The layer-1 kernel values are dropped once the layer-1 outputs exist.
         """
         layer1 = self.replicas[0].packages[0].batch_state(x)
-        cols = []
-        for c in self.replicas:
-            y = c.packages[0].evaluate(layer1)
-            for pkg in c.packages[1:]:
-                y, _ = pkg.forward(y)
-            cols.append(y)
-        return np.hstack(cols)
+        x1 = _layer1_outputs(self.replicas, layer1)
+        del layer1
+        return _tail_outputs(self.replicas, x1)
 
     def predict(self, x0) -> np.ndarray:
         """Per-row argmax over replica outputs; ties go to the lowest index."""
@@ -333,19 +404,42 @@ def train_multi(mc: MultiOutputCascade, workspaces: list[CascadeBatchWorkspace],
                 measure_after: bool = True) -> list[TrainStepReport]:
     """Independent training steps, one replica per target column.
 
-    A non-SPD system is re-raised with the failing replica's index.
+    The workspaces must come from one ``forward_all`` call.  Each replica's
+    ``train_step`` updates its packages 2..q and writes G1 * b into its
+    column block of one r x (d * n1) array; one product then applies every
+    layer-1 update.  The workspaces are consumed: once a replica's step is
+    done, its workspace keeps only the shared layer-1 state.  If replica j
+    fails, replicas before it are fully updated, layer 1 included, and
+    replica j is untouched.  A non-SPD system is re-raised with the failing
+    replica's index.
     """
     targets = as_matrix(targets, dtype=mc.dtype, name="targets")
     if targets.shape[1] != mc.d:
         raise ShapeMismatchError(f"targets have {targets.shape[1]} columns, model has {mc.d}")
     if len(workspaces) != mc.d:
         raise ValueError(f"got {len(workspaces)} workspaces for {mc.d} replicas")
+    layer1 = workspaces[0].states[0]
+    if any(ws.states[0] is not layer1 for ws in workspaces):
+        raise ValueError("workspaces must share one layer-1 state (use forward_all)")
+    n1 = mc.replicas[0].packages[0].n_out
+    scaled = np.empty((workspaces[0].batch_rows, mc.d * n1), dtype=mc.dtype)
     reports = []
-    for i, (c, ws) in enumerate(zip(mc.replicas, workspaces)):
-        try:
-            reports.append(train_step(c, ws, targets[:, i:i + 1], measure_after=measure_after))
-        except NotSPDError as exc:
-            raise NotSPDError(f"replica {i}: {exc}") from exc
+    try:
+        for i, (c, ws) in enumerate(zip(mc.replicas, workspaces)):
+            try:
+                reports.append(train_step(c, ws, targets[:, i:i + 1], measure_after=False,
+                                          layer1_update=scaled[:, i * n1:(i + 1) * n1]))
+            except NotSPDError as exc:
+                raise NotSPDError(f"replica {i}: {exc}") from exc
+            del ws.xs[1:], ws.states[1:]
+    finally:
+        layer1.system_buffers = None
+        done = len(reports)
+        if done:
+            _update_layer1(mc.replicas[:done], layer1.basis, scaled[:, :done * n1])
+    if measure_after:
+        outs = _tail_outputs(mc.replicas, _layer1_outputs(mc.replicas, layer1))
+        _measure_after(reports, targets, outs)
     return reports
 
 

@@ -75,9 +75,21 @@ def _int_list(raw: str) -> list[int]:
     return out
 
 
-def _key(section: str, parse=str, **default):
-    """A RunConfig field read from ``[section]`` of the INI file through ``parse``."""
-    return field(metadata={"section": section, "parse": parse}, **default)
+def _delimiter(raw: str) -> str:
+    """A delimiter value; ``\\t`` stands for a tab, which an INI value cannot hold."""
+    return "\t" if raw == "\\t" else raw
+
+
+def _delimiter_text(value: str) -> str:
+    return "\\t" if value == "\t" else value
+
+
+def _key(section: str, parse=str, text=str, **default):
+    """A RunConfig field read from ``[section]`` of the INI file through ``parse``.
+
+    ``text`` writes a value back in the form ``parse`` reads.
+    """
+    return field(metadata={"section": section, "parse": parse, "text": text}, **default)
 
 
 @dataclass
@@ -95,7 +107,7 @@ class RunConfig:
     test_labels: Path | None = _key("data", Path, default=None)
     path: Path | None = _key("data", Path, default=None)
     label_column: int = _key("data", int, default=0)
-    delimiter: str = _key("data", default=",")
+    delimiter: str = _key("data", _delimiter, _delimiter_text, default=",")
     train_rows: int | None = _key("data", int, default=None)
     test_rows: int | None = _key("data", int, default=None)
     max_rows: int | None = _key("data", int, default=None)
@@ -141,7 +153,8 @@ class RunConfig:
             if f.metadata["section"] != section:
                 section = f.metadata["section"]
                 lines += ["", f"[{section}]"]
-            text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+            text = (",".join(map(str, value)) if isinstance(value, list)
+                    else f.metadata["text"](value))
             # no space before the value: ";" or "#" after whitespace would start a comment
             lines.append(f"{f.name}={text}")
         Path(path).write_text("\n".join(lines) + "\n")
@@ -186,6 +199,7 @@ def load_run_config(path, check_paths: bool = True) -> RunConfig:
         cfg.train_config()
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    _validate_data_values(cfg, path)
     _validate_paths(cfg, path, check_exists=check_paths)
     return cfg
 
@@ -205,6 +219,20 @@ def _required_paths(cfg: RunConfig) -> list[tuple[str, Path | None]]:
     if cfg.format == "delimited":
         return [("path", cfg.path)]
     return []
+
+
+def _validate_data_values(cfg: RunConfig, source: Path) -> None:
+    for key in ("train_rows", "test_rows", "max_rows"):
+        value = getattr(cfg, key)
+        if value is not None and value < 1:
+            raise ConfigError(f"{source}: [data] {key} must be >= 1, got {value}")
+    if cfg.dim < 1:
+        raise ConfigError(f"{source}: [data] dim must be >= 1, got {cfg.dim}")
+    if cfg.format == "synthetic-shells" and cfg.dim != cfg.widths[0]:
+        raise ConfigError(f"{source}: [data] dim = {cfg.dim} must equal the input width "
+                          f"{cfg.widths[0]} for synthetic-shells")
+    if cfg.data_seed < 0:
+        raise ConfigError(f"{source}: [data] data_seed must be >= 0, got {cfg.data_seed}")
 
 
 def _validate_paths(cfg: RunConfig, source: Path, check_exists: bool) -> None:

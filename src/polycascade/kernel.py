@@ -45,15 +45,26 @@ def phi(m: float, params: KernelParams) -> float:
 
 
 def phi_matrix(m: np.ndarray, params: KernelParams) -> np.ndarray:
-    """Elementwise kernel over a squared-distance matrix, shape preserved."""
-    if np.any(m < 0):
+    """Elementwise kernel over a squared-distance matrix, shape preserved.
+
+    Computed in one output array by in-place ufuncs, with no temporaries of
+    the matrix's size.  ln 0 = -inf is clamped to the most negative finite
+    value, so that its product with m = 0 is a zero and the m = 0 limit
+    needs no mask.  Scaling by 0.5 is exact, so the result has the bits of
+    ``0.5 * m * (ln m - 2b) + c``.
+    """
+    if m.size and m.min() < 0:
         raise NegativeDistanceError("squared-distance matrix has negative entries")
     dt = m.dtype if m.dtype.kind == "f" else np.dtype(np.float64)
-    c = dt.type(params.c)
-    two_b = dt.type(2.0 * params.b)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(m > 0, 0.5 * m * (np.log(m) - two_b), dt.type(0)) + c
-    return out.astype(dt, copy=False)
+    out = np.empty(m.shape, dtype=dt)
+    with np.errstate(divide="ignore"):
+        np.log(m, out=out)
+    out -= dt.type(2.0 * params.b)
+    np.maximum(out, np.finfo(dt).min, out=out)
+    out *= dt.type(0.5)
+    out *= m
+    out += dt.type(params.c)
+    return out
 
 
 def theta(m: float, params: KernelParams) -> float:
@@ -64,9 +75,11 @@ def theta(m: float, params: KernelParams) -> float:
 
 
 def theta_matrix(m: np.ndarray, params: KernelParams) -> np.ndarray:
-    """Elementwise derivative factor over a squared-distance matrix."""
-    if np.any(m < 0):
+    """Elementwise derivative factor over a squared-distance matrix, in one output array."""
+    if m.size and m.min() < 0:
         raise NegativeDistanceError("squared-distance matrix has negative entries")
     dt = m.dtype if m.dtype.kind == "f" else np.dtype(np.float64)
-    out = np.log(np.maximum(m, dt.type(EPS_M))) - dt.type(2.0 * params.b - 1.0)
-    return out.astype(dt, copy=False)
+    out = np.maximum(m, dt.type(EPS_M), dtype=dt)
+    np.log(out, out=out)
+    out -= dt.type(2.0 * params.b - 1.0)
+    return out

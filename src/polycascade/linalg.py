@@ -71,8 +71,18 @@ def ensure_finite(a: np.ndarray, name: str = "result") -> np.ndarray:
 def spd_solve(s: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve s @ x = rhs for symmetric positive definite s via Cholesky.
 
+    ``np.linalg.cholesky`` factors ``s`` reading its lower triangle only, and
+    LAPACK ``potrs`` solves with the factor's transpose, which is already
+    in the column-major layout it reads, so the factor is not copied.
     Never forms the explicit inverse.  A non-positive pivot is reported as
     NotSPDError, distinct from shape errors.
+
+    The factorization runs in numpy's BLAS library, the one every matrix
+    product of the training step runs in.  scipy loads a second OpenBLAS
+    build; factoring there (``cho_factor``, ``potrf``) between numpy
+    products made each library's idle worker threads spin against the
+    other's work, and a training step took about 1.6 times as long on two
+    cores.  ``potrs`` is two triangular solves, too small to matter.
     """
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ShapeMismatchError(f"spd_solve needs a square matrix, got {s.shape}")
@@ -82,8 +92,9 @@ def spd_solve(s: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     if r.shape[0] != s.shape[0]:
         raise ShapeMismatchError(f"rhs has {r.shape[0]} rows, system has {s.shape[0]}")
     try:
-        factor = scipy.linalg.cho_factor(s, lower=True, check_finite=False)
+        lower = np.linalg.cholesky(s)
     except np.linalg.LinAlgError as exc:
         raise NotSPDError(f"matrix is not positive definite: {exc}") from exc
-    x = scipy.linalg.cho_solve(factor, r, check_finite=False)
+    potrs = scipy.linalg.get_lapack_funcs("potrs", (lower, r))
+    x, _ = potrs(lower.T, r, lower=False)
     return ensure_finite(x, "spd_solve result")

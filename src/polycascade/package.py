@@ -53,7 +53,10 @@ class PackageBatchState:
     sq_dists: np.ndarray | None = None
     kernel_vals: np.ndarray | None = None
     basis: np.ndarray | None = None  # kernel_vals @ U, filled lazily
-    gram: np.ndarray | None = None  # basis @ basis.T, cached by train_step on layer 1 only
+    # set by cascade.assemble_system on layer 1 only: basis @ basis.T and
+    # the r x r system buffers the replicas reuse
+    gram: np.ndarray | None = None
+    system_buffers: tuple[np.ndarray, ...] | None = None
 
 
 class Package:

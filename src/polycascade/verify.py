@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracle
-from .cascade import backward_quantities, forward_batch, init_cascade, train_step
+from .cascade import assemble_system, backward_quantities, forward_batch, init_cascade, train_step
 from .constellation import build_octahedral, derive_coefficients, octahedral_points, synthesize_u
 from .kernel import KernelParams
 from .linalg import spd_solve
@@ -114,7 +114,10 @@ def check_gradient(seed: int) -> None:
 
 
 def check_training_gram_psd(seed: int) -> None:
-    """Per-package Gram products are PSD; the regularized sum factors as SPD."""
+    """Per-package Gram products are PSD; the regularized sum factors as SPD.
+
+    The training step's own assembly of that sum must match the oracle's.
+    """
     rng = np.random.default_rng(seed)
     cascade = init_cascade([6, 5, 1], seed=seed, alpha=1.0)
     for trial in range(20):
@@ -125,7 +128,10 @@ def check_training_gram_psd(seed: int) -> None:
         for omega in omegas:
             lo = float(np.linalg.eigvalsh(omega).min())
             assert lo >= -1e-8, f"trial {trial}: Gram product eigenvalue {lo:.3e}"
-        spd_solve(sum(omegas) + np.eye(12), rng.standard_normal((12, 1)))
+        system = sum(omegas) + np.eye(12)
+        err = _rel_err(assemble_system(cascade, ws.states[0], bases, grads), system)
+        assert err <= 1e-10, f"trial {trial}: assembled system off by {err:.3e}"
+        spd_solve(system, rng.standard_normal((12, 1)))
 
 
 def check_exact_fit(seed: int) -> None:

@@ -3,9 +3,10 @@ import logging
 import numpy as np
 import pytest
 
-from polycascade.cascade import (Cascade, MultiOutputCascade, backward_quantities,
-                                 forward_batch, init_cascade, init_multi, one_hot_pm1,
-                                 train_multi, train_step)
+from polycascade import cascade as cascade_module
+from polycascade.cascade import (Cascade, MultiOutputCascade, assemble_system,
+                                 backward_quantities, forward_batch, init_cascade, init_multi,
+                                 one_hot_pm1, train_multi, train_step)
 from polycascade.constellation import build_octahedral, octahedral_points, synthesize_u
 from polycascade.kernel import KernelParams
 from polycascade.linalg import NonFiniteError, NotSPDError, ShapeMismatchError
@@ -397,3 +398,47 @@ def test_non_finite_inputs_rejected_where_they_enter():
     pkg = cascade.packages[0]
     with pytest.raises(NonFiniteError, match="values"):
         pkg.set_values(np.full_like(pkg.values, np.nan))
+
+
+@pytest.mark.parametrize("dtype,bound", [("float64", 1e-12), ("float32", 1e-5)])
+def test_assembled_system_equals_oracle_sum(dtype, bound):
+    # d = 3 replicas share the layer-1 Gram and buffers; package 2 has one output,
+    # so its derivative is a column that is not all ones
+    mc = init_multi([5, 4, 1, 3, 3], seed=42, alpha=2.5, dtype=dtype)
+    _, workspaces = mc.forward_all(np.random.default_rng(42).uniform(-1, 1, (17, 5)))
+    for c, ws in zip(mc.replicas, workspaces):
+        bases, grads = backward_quantities(c, ws)
+        expected = sum(package_omegas(bases, grads)) + 2.5 * np.eye(17, dtype=dtype)
+        system = assemble_system(c, ws.states[0], bases, grads)
+        assert system.dtype == np.dtype(dtype)
+        assert np.abs(system - expected).max() <= bound * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("failure", [NotSPDError, NonFiniteError])
+def test_failing_replica_leaves_earlier_replicas_updated_and_itself_untouched(monkeypatch,
+                                                                             failure):
+    rng = np.random.default_rng(43)
+    x0 = rng.uniform(-1, 1, (12, 5))
+    targets = one_hot_pm1(rng.integers(0, 4, 12), 4)
+    mc = init_multi([5, 4, 3, 4], seed=43, alpha=2.0)
+    alone = [init_cascade([5, 4, 3, 1], seed=43 + i, alpha=2.0) for i in range(2)]
+    for i, cascade in enumerate(alone):
+        _, ws = forward_batch(cascade, x0)
+        train_step(cascade, ws, targets[:, i:i + 1])
+    _, workspaces = mc.forward_all(x0)
+    before = [[p.values.copy() for p in c.packages] for c in mc.replicas]
+    if failure is NotSPDError:
+        solve = cascade_module.spd_solve
+        calls = iter(range(4))
+        monkeypatch.setattr(cascade_module, "spd_solve",
+                            lambda s, rhs: solve(-s if next(calls) == 2 else s, rhs))
+    else:
+        mc.replicas[2].packages[1].coeffs[0, 0] = np.nan
+    with pytest.raises(failure):
+        train_multi(mc, workspaces, targets)
+    for shared, single in zip(mc.replicas[:2], alone):
+        for pa, pb in zip(shared.packages, single.packages):
+            assert np.array_equal(pa.values, pb.values)
+    for c, old in zip(mc.replicas[2:], before[2:]):
+        for pkg, values in zip(c.packages, old):
+            assert np.array_equal(pkg.values, values)

@@ -16,7 +16,7 @@ EXPERIMENTS = sorted((Path(__file__).resolve().parents[1] / "experiments").glob(
 
 def shells_config(tmp_path, **overrides):
     base = {
-        "format": "synthetic-shells", "train_rows": 600, "test_rows": 200,
+        "format": "synthetic-shells", "train_rows": 600, "test_rows": 200, "max_rows": 800,
         "dim": 6, "data_seed": 1, "normalize": "false",
     }
     model = {"widths": "6,20,1", "alpha": "20", "init": "identity-fragments",
@@ -65,7 +65,9 @@ INVALID_VALUES = [
     ("init", "bogus", "init mode"), ("precision", "float16", "precision"),
     ("task", "regress", "task"), ("epochs", "-1", "epochs"), ("alpha", "0", "alpha"),
     ("batch_rows", "0", "batch_rows"), ("sigma2", "-1", "sigma2"),
-    ("kernel_b", "nan", "kernel coefficients"),
+    ("kernel_b", "nan", "kernel coefficients"), ("train_rows", "0", "train_rows"),
+    ("test_rows", "-5", "test_rows"), ("max_rows", "0", "max_rows"), ("dim", "0", "dim"),
+    ("dim", "7", "input width 6"), ("data_seed", "-1", "data_seed"),
 ]
 
 
@@ -178,6 +180,22 @@ def test_semicolon_delimiter_reloads_from_written_config(tmp_path):
     assert cfg.delimiter == ";"
     cfg.write_ini(tmp_path / "effective.ini")
     assert load_run_config(tmp_path / "effective.ini") == cfg
+
+
+def test_tab_delimiter_trains_and_reloads_from_written_config(tmp_path, capsys):
+    data = tmp_path / "d.tsv"
+    rng = np.random.default_rng(0)
+    np.savetxt(data, np.hstack([np.arange(40).reshape(-1, 1) % 2, rng.uniform(-1, 1, (40, 2))]),
+               delimiter="\t")
+    path = tmp_path / "tsv.ini"
+    path.write_text(f"[data]\nformat = delimited\npath = {data}\ndelimiter = \\t\n"
+                    f"[model]\nwidths = 2,4,1\n[train]\ntask = binary-auc\nbatch_rows = 16\n"
+                    f"[output]\ndir = {tmp_path / 'run'}\n")
+    cfg = load_run_config(path)
+    assert cfg.delimiter == "\t"
+    assert main(["train", str(path)]) == EXIT_OK
+    assert "delimiter=\\t\n" in (tmp_path / "run" / "effective.ini").read_text()
+    assert load_run_config(tmp_path / "run" / "effective.ini") == cfg
 
 
 def test_eval_bad_snapshot_exit_2(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -139,3 +140,35 @@ def test_matrix_routes_accept_integer_input(fn, scalar):
     assert out.dtype == np.float64
     assert out.shape == (1, 3)
     assert np.allclose(out[0], [scalar(float(v), KP) for v in m[0]], rtol=0, atol=1e-12)
+
+
+def _phi_where(m, params):
+    # the earlier formula, with a temporary of the matrix's size per operation
+    dt = m.dtype
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.where(m > 0, 0.5 * m * (np.log(m) - dt.type(2.0 * params.b)), dt.type(0))
+    return (out + dt.type(params.c)).astype(dt, copy=False)
+
+
+def _theta_where(m, params):
+    dt = m.dtype
+    return np.log(np.maximum(m, dt.type(EPS_M))) - dt.type(2.0 * params.b - 1.0)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("fn,reference", [(phi_matrix, _phi_where), (theta_matrix, _theta_where)],
+                         ids=["phi", "theta"])
+def test_matrix_routes_in_place_match_formula_bitwise(dtype, fn, reference):
+    m = np.random.default_rng(5).uniform(0, 1600, (300, 201)).astype(dtype)
+    m[::7, 3] = 0
+    m[4, :9] = 1e-30
+    expected = reference(m, KP)
+    tracemalloc.start()
+    try:
+        got = fn(m, KP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.dtype == np.dtype(dtype)
+    assert got.tobytes() == expected.tobytes()
+    assert peak <= 1.25 * got.nbytes

@@ -62,3 +62,12 @@ def test_as_matrix_dtype_selection():
     assert resolve_dtype("float64") == np.float64
     with pytest.raises(ValueError):
         resolve_dtype("float16")
+
+
+def test_spd_solve_same_bits_for_c_and_fortran_order():
+    rng = np.random.default_rng(10)
+    a = rng.standard_normal((60, 60))
+    s = a.T @ a + np.eye(60)
+    s = (s + s.T) / 2
+    rhs = rng.standard_normal((60, 1))
+    assert np.array_equal(spd_solve(s, rhs), spd_solve(np.asfortranarray(s), rhs))
