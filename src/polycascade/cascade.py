@@ -5,10 +5,11 @@ width is 1 (one scalar output).  Training never uses gradient descent: after
 a forward pass, the derivative matrices are propagated backward, each package
 contributes an r x r Schur-product Gram matrix, their regularized sum is
 solved for a single batch vector, and that vector updates every package's
-value matrix independently.  The system is built in three r x r buffers
-that every replica of a batch reuses: each Gram product is written into a
-buffer (numpy computes ``h @ h.T`` with BLAS ``syrk``) and combined in
-place.
+value matrix independently.  The system is built a panel of rows at a
+time: each package's Gram products for those rows are computed into two
+small panel buffers that stay in cache and combined into the lower
+triangle, which is then mirrored once.  The system and the solve's factor
+buffer are two r x r arrays that every replica of a batch reuses.
 
 Multi-output models replicate the single-output cascade once per output
 with independent value matrices (shared architecture and hyperparameters).
@@ -38,6 +39,10 @@ from .package import Package, PackageBatchState
 logger = logging.getLogger(__name__)
 
 INIT_MODES = ("random", "identity-fragments")
+
+# rows per assembly panel: two P x r products per package stay in cache
+PANEL_ROWS = 128
+_STRICT_UPPER = np.triu(np.ones((PANEL_ROWS, PANEL_ROWS), dtype=bool), 1)
 
 
 @dataclass
@@ -221,27 +226,47 @@ def assemble_system(cascade: Cascade, layer1: PackageBatchState, bases: list[np.
                     grads: list[np.ndarray]) -> np.ndarray:
     """The regularized training system sum_i (H_i H_i^T) * (G_i G_i^T) + alpha I.
 
-    Built in three r x r buffers (system, H H^T, G G^T) that are allocated
-    on the first step that uses ``layer1`` and reused by every replica
-    sharing it: each Gram product is written into a buffer and combined in
-    place.  H_1 H_1^T is cached on ``layer1`` as ``gram``.  The last
-    package's G is a column of ones, so its H H^T is added alone.  Returns
-    the system buffer, which the next replica overwrites.
+    Built in panels of ``PANEL_ROWS`` rows.  For rows I = i0:i1, every
+    package's term of the lower block ``system[I, :i1]`` is accumulated in
+    place from two panel products, ``H[I] @ H[:i1].T`` and
+    ``G[I] @ G[:i1].T``, whose P x r buffers stay in cache; the finished
+    panel is then mirrored once into the upper triangle, so the whole
+    symmetric matrix is returned.  H_1 H_1^T is cached on ``layer1`` as
+    ``gram``.  The last package's G is a column of ones, so its H H^T is
+    added alone.  The system buffer and the solve's factor buffer are
+    allocated on the first step that uses ``layer1`` and reused by every
+    replica sharing it; the returned system is overwritten by the next.
     """
     r = layer1.x_in.shape[0]
+    dt = cascade.dtype
     if layer1.system_buffers is None:
-        layer1.system_buffers = tuple(np.empty((r, r), dtype=cascade.dtype) for _ in range(3))
-    system, hh, gg = layer1.system_buffers
+        layer1.system_buffers = (np.empty((r, r), dtype=dt), np.empty((r, r), dtype=dt))
+    system = layer1.system_buffers[0]
     if layer1.gram is None:
         layer1.gram = bases[0] @ bases[0].T
-    if len(bases) == 1:
-        np.copyto(system, layer1.gram)
-    else:
-        np.multiply(layer1.gram, np.matmul(grads[0], grads[0].T, out=gg), out=system)
-        for h, g in zip(bases[1:-1], grads[1:-1]):
-            system += np.multiply(np.matmul(h, h.T, out=hh), np.matmul(g, g.T, out=gg), out=hh)
-        system += np.matmul(bases[-1], bases[-1].T, out=hh)
-    system[np.diag_indices(r)] += cascade.dtype.type(cascade.alpha)
+    h_buf = np.empty(min(PANEL_ROWS, r) * r, dtype=dt)
+    g_buf = np.empty_like(h_buf)
+    for i0 in range(0, r, PANEL_ROWS):
+        rows = slice(i0, min(i0 + PANEL_ROWS, r))
+        i1 = rows.stop
+        panel = system[rows, :i1]
+        hh = h_buf[:panel.size].reshape(panel.shape)
+        gg = g_buf[:panel.size].reshape(panel.shape)
+        if len(bases) == 1:
+            np.copyto(panel, layer1.gram[rows, :i1])
+        else:
+            g1 = grads[0]
+            np.multiply(layer1.gram[rows, :i1], np.matmul(g1[rows], g1[:i1].T, out=gg), out=panel)
+            for h, g in zip(bases[1:-1], grads[1:-1]):
+                panel += np.multiply(np.matmul(h[rows], h[:i1].T, out=hh),
+                                     np.matmul(g[rows], g[:i1].T, out=gg), out=hh)
+            last = bases[-1]
+            panel += np.matmul(last[rows], last[:i1].T, out=hh)
+        # mirror the finished rows; the diagonal block's upper half too, so s == s.T exactly
+        system[:i0, rows] = panel[:, :i0].T
+        block = system[rows, rows]
+        np.copyto(block, block.T, where=_STRICT_UPPER[:block.shape[0], :block.shape[0]])
+    system[np.diag_indices(r)] += dt.type(cascade.alpha)
     return system
 
 
@@ -273,7 +298,7 @@ def train_step(cascade: Cascade, ws: CascadeBatchWorkspace, lstar,
     system = assemble_system(cascade, layer1, bases, grads)
     if not (np.isfinite(system).all() and np.isfinite(delta_l).all()):
         raise NonFiniteError("training system or output residual contains NaN or Inf")
-    b_vec = spd_solve(system, delta_l)
+    b_vec = spd_solve(system, delta_l, factor_buf=layer1.system_buffers[1])
     solve_residual = float(np.abs(system @ b_vec - delta_l).max())
 
     # all updates are computed against pre-update intermediates, then applied

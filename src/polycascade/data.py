@@ -10,6 +10,7 @@ models can reproduce their training preprocessing exactly.
 
 from __future__ import annotations
 
+import os
 import struct
 import sys
 import warnings
@@ -65,6 +66,15 @@ class Dataset:
 
 
 def _read_exact(f, n: int, what: str, path) -> bytes:
+    """Read n bytes, refusing a request larger than what is left in the file.
+
+    Sizes come from file headers, so they are checked before anything is
+    allocated for them: a crafted header cannot force a huge allocation.
+    """
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if n > left:
+        raise DataFormatError(
+            f"{path}: truncated while reading {what}: wanted {n} bytes, {left} left")
     buf = f.read(n)
     if len(buf) != n:
         raise DataFormatError(

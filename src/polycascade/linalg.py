@@ -3,7 +3,10 @@
 Every array flowing through the library is a 2-D, C-contiguous ndarray in
 one of two precisions (float64 by default, float32 for performance runs).
 This module holds what the rest is written against besides plain numpy
-products: validation/coercion and a symmetric-positive-definite solve.
+products: validation/coercion and a symmetric-positive-definite solve.  The
+solve calls the Cholesky routines of numpy's own LAPACK through ``ctypes``,
+in place and in the array's precision, because ``np.linalg.cholesky`` copies
+its input and result and always factors in float64.
 
 Non-finite values are rejected where data enters and around the solve only:
 ``as_matrix`` checks batches, targets and value matrices, the training step
@@ -15,7 +18,10 @@ and is reported as ``NonFiniteError``.
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
+import numpy.linalg._umath_linalg as _umath_linalg
 import scipy.linalg
 
 DTYPES = {"float64": np.float64, "float32": np.float32}
@@ -68,21 +74,71 @@ def ensure_finite(a: np.ndarray, name: str = "result") -> np.ndarray:
     return a
 
 
-def spd_solve(s: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _numpy_lapack() -> dict | None:
+    """numpy's own ``?potrf`` and ``?potrs`` for each dtype, or None where its build exports none.
+
+    Loading numpy's linear-algebra extension by its path gives the library
+    it is already linked against, the one every numpy product runs in.
+    Builds against scipy-openblas export the routines as
+    ``scipy_dpotrf_64_``; others as ``dpotrf_64_`` or ``dpotrf_``.  The
+    integer width follows the build (``_ilp64``).
+    """
+    try:
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except OSError:
+        return None
+    ilp64 = bool(getattr(_umath_linalg, "_ilp64", False))
+    suffix = "_64_" if ilp64 else "_"
+    int_t = ctypes.c_int64 if ilp64 else ctypes.c_int32
+    int_p = ctypes.POINTER(int_t)
+    ptr, char, strlen = ctypes.c_void_p, ctypes.c_char_p, ctypes.c_size_t
+    argtypes = {"potrf": [char, int_p, ptr, int_p, int_p, strlen],
+                "potrs": [char, int_p, int_p, ptr, int_p, ptr, int_p, int_p, strlen]}
+    routines = {}
+    for dt, t in ((np.dtype(np.float64), "d"), (np.dtype(np.float32), "s")):
+        pair = []
+        for name, types in argtypes.items():
+            symbol = next((sym for sym in (f"scipy_{t}{name}{suffix}", f"{t}{name}{suffix}",
+                                           f"{t}{name}_") if hasattr(lib, sym)), None)
+            if symbol is None:
+                return None
+            fn = getattr(lib, symbol)
+            fn.argtypes, fn.restype = types, None
+            pair.append(fn)
+        routines[dt] = (int_t, *pair)
+    return routines
+
+
+# resolved once: the fallback route below runs only where the build exports no routine
+_LAPACK = _numpy_lapack()
+
+
+def _not_spd(order: int) -> NotSPDError:
+    return NotSPDError(f"matrix is not positive definite: the leading minor of order {order} "
+                       "is not positive")
+
+
+def spd_solve(s: np.ndarray, rhs: np.ndarray,
+              factor_buf: np.ndarray | None = None) -> np.ndarray:
     """Solve s @ x = rhs for symmetric positive definite s via Cholesky.
 
-    ``np.linalg.cholesky`` factors ``s`` reading its lower triangle only, and
-    LAPACK ``potrs`` solves with the factor's transpose, which is already
-    in the column-major layout it reads, so the factor is not copied.
-    Never forms the explicit inverse.  A non-positive pivot is reported as
-    NotSPDError, distinct from shape errors.
+    Only the lower triangle of ``s`` is read.  ``s`` is copied into a
+    C-order factor buffer (``factor_buf`` when given: C-contiguous, of ``s``'s
+    shape and the solve's dtype, so callers solving many systems allocate
+    it once), which LAPACK ``potrf`` factors in place: read as a
+    column-major matrix, its lower triangle is the upper one, so ``uplo='U'``.
+    ``potrs`` then solves with the same buffer.  The solve runs in float32
+    when ``s`` and ``rhs`` both are, otherwise in float64.  Never forms the
+    explicit inverse.  A non-positive pivot is reported as NotSPDError
+    naming the leading minor, distinct from shape errors.
 
-    The factorization runs in numpy's BLAS library, the one every matrix
-    product of the training step runs in.  scipy loads a second OpenBLAS
-    build; factoring there (``cho_factor``, ``potrf``) between numpy
-    products made each library's idle worker threads spin against the
-    other's work, and a training step took about 1.6 times as long on two
-    cores.  ``potrs`` is two triangular solves, too small to matter.
+    Both routines are numpy's own, the library every product of the
+    training step runs in.  scipy loads a second OpenBLAS build; factoring
+    there between numpy products made each library's idle worker threads
+    spin against the other's work, and a training step took about 1.6
+    times as long on two cores.  Where numpy's build exports no such
+    routine, ``np.linalg.cholesky`` (which always factors in float64) and
+    scipy's ``potrs`` are the route.
     """
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ShapeMismatchError(f"spd_solve needs a square matrix, got {s.shape}")
@@ -91,10 +147,39 @@ def spd_solve(s: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         r = r.reshape(-1, 1)
     if r.shape[0] != s.shape[0]:
         raise ShapeMismatchError(f"rhs has {r.shape[0]} rows, system has {s.shape[0]}")
+    if _LAPACK is None:
+        return _spd_solve_fallback(s, r)
+    dt = np.dtype(np.float32 if s.dtype == r.dtype == np.float32 else np.float64)
+    if factor_buf is None:
+        factor = np.array(s, dtype=dt, order="C")
+    elif (factor_buf.shape != s.shape or factor_buf.dtype != dt
+          or not factor_buf.flags.c_contiguous):
+        raise ValueError(f"factor_buf must be a C-contiguous {s.shape} {dt} array")
+    else:
+        factor = factor_buf
+        np.copyto(factor, s)
+    x = np.array(r, dtype=dt, order="F")  # potrs overwrites it with the solution
+    int_t, potrf, potrs = _LAPACK[dt]
+    n, nrhs, info = int_t(s.shape[0]), int_t(r.shape[1]), int_t(0)
+    lead = int_t(max(s.shape[0], 1))
+    potrf(b"U", n, factor.ctypes.data, lead, info, 1)
+    if info.value > 0:
+        raise _not_spd(info.value)
+    if info.value == 0:
+        potrs(b"U", n, nrhs, factor.ctypes.data, lead, x.ctypes.data, lead, info, 1)
+    if info.value < 0:
+        raise ValueError(f"LAPACK rejected argument {-info.value}")
+    return ensure_finite(np.ascontiguousarray(x), "spd_solve result")
+
+
+def _spd_solve_fallback(s: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """``spd_solve`` where numpy exports no LAPACK routine: numpy's factor, scipy's ``potrs``."""
     try:
         lower = np.linalg.cholesky(s)
     except np.linalg.LinAlgError as exc:
-        raise NotSPDError(f"matrix is not positive definite: {exc}") from exc
+        # only the failing path asks scipy's potrf for the order of the bad minor
+        _, info = scipy.linalg.get_lapack_funcs("potrf", (s,))(s, lower=True)
+        raise _not_spd(info) from exc
     potrs = scipy.linalg.get_lapack_funcs("potrs", (lower, r))
     x, _ = potrs(lower.T, r, lower=False)
-    return ensure_finite(x, "spd_solve result")
+    return ensure_finite(np.ascontiguousarray(x), "spd_solve result")

@@ -54,7 +54,7 @@ class PackageBatchState:
     kernel_vals: np.ndarray | None = None
     basis: np.ndarray | None = None  # kernel_vals @ U, filled lazily
     # set by cascade.assemble_system on layer 1 only: basis @ basis.T and
-    # the r x r system buffers the replicas reuse
+    # the r x r system and factor buffers the replicas reuse
     gram: np.ndarray | None = None
     system_buffers: tuple[np.ndarray, ...] | None = None
 
@@ -94,8 +94,10 @@ class Package:
         sq_norms = np.sum(x * x, axis=1, keepdims=True)  # r x 1
         m = np.empty((x.shape[0], self.k), dtype=self.dtype)
         m[:, :1] = sq_norms
-        m[:, 1:n + 1] = sq_norms + 1.0 + 2.0 * x
-        m[:, n + 1:] = sq_norms + 1.0 - 2.0 * x
+        # |x - (+-e_j)|^2 = |x|^2 + 1 +- 2 x_j, written in place without full-size temporaries
+        np.multiply(x, 2.0, out=m[:, 1:n + 1])
+        np.multiply(x, -2.0, out=m[:, n + 1:])
+        m[:, 1:] += sq_norms + 1.0
         # exact hits on constellation points can round to tiny negatives
         np.maximum(m, 0.0, out=m)
         return m

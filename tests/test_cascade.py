@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from polycascade import cascade as cascade_module
-from polycascade.cascade import (Cascade, MultiOutputCascade, assemble_system,
+from polycascade.cascade import (PANEL_ROWS, Cascade, MultiOutputCascade, assemble_system,
                                  backward_quantities, forward_batch, init_cascade, init_multi,
                                  one_hot_pm1, train_multi, train_step)
 from polycascade.constellation import build_octahedral, octahedral_points, synthesize_u
@@ -403,15 +403,18 @@ def test_non_finite_inputs_rejected_where_they_enter():
 @pytest.mark.parametrize("dtype,bound", [("float64", 1e-12), ("float32", 1e-5)])
 def test_assembled_system_equals_oracle_sum(dtype, bound):
     # d = 3 replicas share the layer-1 Gram and buffers; package 2 has one output,
-    # so its derivative is a column that is not all ones
-    mc = init_multi([5, 4, 1, 3, 3], seed=42, alpha=2.5, dtype=dtype)
-    _, workspaces = mc.forward_all(np.random.default_rng(42).uniform(-1, 1, (17, 5)))
-    for c, ws in zip(mc.replicas, workspaces):
-        bases, grads = backward_quantities(c, ws)
-        expected = sum(package_omegas(bases, grads)) + 2.5 * np.eye(17, dtype=dtype)
-        system = assemble_system(c, ws.states[0], bases, grads)
-        assert system.dtype == np.dtype(dtype)
-        assert np.abs(system - expected).max() <= bound * np.abs(expected).max()
+    # so its derivative is a column that is not all ones.  The batch sizes cover
+    # one partial panel, exactly one full panel, and several ending in a partial one.
+    for r in (17, PANEL_ROWS, 2 * PANEL_ROWS + 44):
+        mc = init_multi([5, 4, 1, 3, 3], seed=42, alpha=2.5, dtype=dtype)
+        _, workspaces = mc.forward_all(np.random.default_rng(42).uniform(-1, 1, (r, 5)))
+        for c, ws in zip(mc.replicas, workspaces):
+            bases, grads = backward_quantities(c, ws)
+            expected = sum(package_omegas(bases, grads)) + 2.5 * np.eye(r, dtype=dtype)
+            system = assemble_system(c, ws.states[0], bases, grads)
+            assert system.dtype == np.dtype(dtype)
+            assert np.array_equal(system, system.T)
+            assert np.abs(system - expected).max() <= bound * np.abs(expected).max()
 
 
 @pytest.mark.parametrize("failure", [NotSPDError, NonFiniteError])
@@ -431,7 +434,7 @@ def test_failing_replica_leaves_earlier_replicas_updated_and_itself_untouched(mo
         solve = cascade_module.spd_solve
         calls = iter(range(4))
         monkeypatch.setattr(cascade_module, "spd_solve",
-                            lambda s, rhs: solve(-s if next(calls) == 2 else s, rhs))
+                            lambda s, rhs, **kw: solve(-s if next(calls) == 2 else s, rhs, **kw))
     else:
         mc.replicas[2].packages[1].coeffs[0, 0] = np.nan
     with pytest.raises(failure):

@@ -1,8 +1,13 @@
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import polycascade
 from polycascade.data import (DataFormatError, Dataset, TransformSpec, batches,
                               fit_apply_transforms, invert_minmax, load_delimited, load_idx)
 
@@ -239,3 +244,31 @@ def test_batches_oversized_warns_single_batch():
 def test_batches_at_mnist_scale():
     ds = Dataset(np.zeros((60000, 1)), np.zeros(60000))
     assert sum(1 for _ in batches(ds, 2000, shuffle=False)) == 30
+
+
+# Run in a child process whose address space is capped at 2 GB, so a load that
+# trusted the header would fail with MemoryError or OverflowError, not pass.
+_CAPPED_LOAD = """
+import resource, sys
+_, hard = resource.getrlimit(resource.RLIMIT_AS)
+cap = 2 << 30 if hard == resource.RLIM_INFINITY else min(2 << 30, hard)
+resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+from polycascade.data import DataFormatError, load_idx
+try:
+    load_idx(sys.argv[1], sys.argv[2])
+except DataFormatError as exc:
+    print("DataFormatError:", exc)
+"""
+
+
+@pytest.mark.parametrize("count, rows, cols", [(60000, 28, 56000), (2**32 - 1,) * 3])
+def test_load_idx_refuses_header_larger_than_file_under_memory_cap(tmp_path, count, rows, cols):
+    img, lbl = write_idx_pair(tmp_path, np.zeros((3, 2, 2), np.uint8), [0, 1, 2])
+    img.write_bytes(struct.pack(">IIII", 0x803, count, rows, cols) + bytes(12))
+    src = Path(polycascade.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", _CAPPED_LOAD, str(img), str(lbl)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("DataFormatError:")
+    assert f"wanted {count * rows * cols} bytes, 12 left" in done.stdout

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from polycascade import linalg
 from polycascade.linalg import (NonFiniteError, NotSPDError, ShapeMismatchError, as_matrix,
                                 resolve_dtype, spd_solve)
 
@@ -71,3 +72,73 @@ def test_spd_solve_same_bits_for_c_and_fortran_order():
     s = (s + s.T) / 2
     rhs = rng.standard_normal((60, 1))
     assert np.array_equal(spd_solve(s, rhs), spd_solve(np.asfortranarray(s), rhs))
+
+
+@pytest.fixture(params=["numpy-lapack", "fallback"])
+def route(request, monkeypatch):
+    """Run a test on numpy's own LAPACK routines and on the route used where none resolve."""
+    if request.param == "fallback":
+        monkeypatch.setattr(linalg, "_LAPACK", None)
+    return request.param
+
+
+def _spd(size, seed, dtype=np.float64):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((size, size))
+    s = a @ a.T + size * np.eye(size)
+    return s.astype(dtype), rng.standard_normal((size, 2)).astype(dtype)
+
+
+def test_spd_solve_reads_only_the_lower_triangle(route):
+    s, rhs = _spd(40, 11)
+    junk = s.copy()
+    upper = np.triu_indices(40, 1)
+    junk[upper] = np.random.default_rng(12).uniform(-1e3, 1e3, upper[0].size)
+    assert np.array_equal(spd_solve(junk, rhs), spd_solve(s, rhs))
+
+
+def test_spd_solve_names_the_failing_leading_minor(route):
+    s, rhs = _spd(6, 13)
+    s[3, 3] = -1e3
+    with pytest.raises(NotSPDError, match="leading minor of order 4 "):
+        spd_solve(s, rhs)
+
+
+def test_float32_solve_stays_float32_and_agrees_with_float64(route):
+    s, rhs = _spd(120, 14)
+    x64 = spd_solve(s, rhs)
+    x32 = spd_solve(s.astype(np.float32), rhs.astype(np.float32))
+    assert x32.dtype == np.float32 and x32.flags.c_contiguous
+    assert np.abs(x32 - x64).max() <= 1e-4 * np.abs(x64).max()
+
+
+def test_fallback_route_passes_the_spd_solve_tests(monkeypatch):
+    monkeypatch.setattr(linalg, "_LAPACK", None)
+    test_spd_solve_identity_system()
+    test_spd_solve_diagonal()
+    for size in (5, 50, 200):
+        test_spd_solve_residual_oracle(size)
+    test_spd_solve_rejects_indefinite()
+    test_spd_solve_shape_errors_distinct_from_spd()
+    test_determinism_bit_identical()
+    test_spd_solve_same_bits_for_c_and_fortran_order()
+
+
+def test_spd_solve_factor_buffer_gives_the_same_bits():
+    s, rhs = _spd(50, 15)
+    buf = np.empty_like(s)
+    assert np.array_equal(spd_solve(s, rhs, factor_buf=buf), spd_solve(s, rhs))
+    with pytest.raises(ValueError, match="factor_buf"):
+        spd_solve(s, rhs, factor_buf=np.empty((50, 50), dtype=np.float32))
+
+
+def test_numpy_lapack_resolves_on_scipy_openblas_builds():
+    # the benchmark host's numpy links scipy-openblas; there the fallback must never run
+    try:
+        lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]["name"]
+    except (KeyError, TypeError):
+        pytest.skip("numpy reports no LAPACK build dependency")
+    if "scipy-openblas" not in lapack:
+        pytest.skip(f"numpy links {lapack}, not scipy-openblas")
+    assert linalg._LAPACK is not None
+    assert set(linalg._LAPACK) == {np.dtype(np.float64), np.dtype(np.float32)}

@@ -42,6 +42,22 @@ def test_distances_fast_vs_naive(n):
     assert np.abs(fast - naive).max() <= 1e-10
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("n", [3, 50, 784])
+def test_distances_bitwise_equal_to_the_expanded_formula(n, dtype):
+    # the in-place route must give exactly the bits of the full-size-temporary formula
+    c = build_octahedral(n)
+    pkg = Package(c, KP, np.zeros((c.k, 1)), dtype=dtype)
+    x = np.random.default_rng(n).uniform(-1, 1, (20, n)).astype(dtype)
+    x[0, 0] = 0.0  # +-2 * 0 gives signed zeros
+    sq_norms = np.sum(x * x, axis=1, keepdims=True)
+    expected = np.hstack([sq_norms, sq_norms + 1.0 + 2.0 * x, sq_norms + 1.0 - 2.0 * x])
+    np.maximum(expected, 0.0, out=expected)
+    got = pkg.squared_distances(x)
+    assert got.dtype == np.dtype(dtype)
+    assert np.array_equal(got, expected)
+
+
 def test_distances_width_mismatch():
     pkg = make_package(4)
     with pytest.raises(ShapeMismatchError):

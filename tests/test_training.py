@@ -121,8 +121,8 @@ def test_not_spd_error_names_epoch_batch_and_replica(monkeypatch):
     calls = itertools.count()
     spd_solve = cascade_module.spd_solve
 
-    def failing_on_call_20(system, rhs):
-        return spd_solve(-system if next(calls) == 20 else system, rhs)
+    def failing_on_call_20(system, rhs, **kwargs):
+        return spd_solve(-system if next(calls) == 20 else system, rhs, **kwargs)
 
     monkeypatch.setattr(cascade_module, "spd_solve", failing_on_call_20)
     train, test = split_class_task(seed=19, n_train=240, n_test=60)
