@@ -9,8 +9,7 @@ import.
 """
 
 from .cascade import (Cascade, CascadeBatchWorkspace, MultiOutputCascade, TrainStepReport,
-                      backward_quantities, forward_batch, init_cascade, init_multi,
-                      one_hot_pm1, train_multi, train_step)
+                      init_multi, one_hot_pm1, train_multi)
 from .constellation import (Constellation, DegenerateKernelError, OctaCoefficients,
                             build_octahedral, derive_coefficients, octahedral_points,
                             synthesize_u)
@@ -32,9 +31,8 @@ __all__ = [
     "MultiOutputCascade", "NegativeDistanceError", "NonFiniteError", "NotSPDError",
     "OctaCoefficients", "Package", "PackageBatchState", "ShapeMismatchError",
     "SnapshotFormatError", "TrainConfig", "TrainStepReport", "TransformSpec", "accuracy",
-    "as_matrix", "backward_quantities", "batches", "build_octahedral", "derive_coefficients",
-    "fit_apply_transforms", "forward_batch", "init_cascade", "init_multi", "load_delimited",
-    "load_idx", "load_snapshot", "make_shell_task", "octahedral_points", "one_hot_pm1", "phi",
-    "phi_matrix", "roc_auc", "run_training", "save_snapshot", "spd_solve", "synthesize_u",
-    "theta", "theta_matrix", "train_multi", "train_step",
+    "as_matrix", "batches", "build_octahedral", "derive_coefficients", "fit_apply_transforms",
+    "init_multi", "load_delimited", "load_idx", "load_snapshot", "make_shell_task",
+    "octahedral_points", "one_hot_pm1", "phi", "phi_matrix", "roc_auc", "run_training",
+    "save_snapshot", "spd_solve", "synthesize_u", "theta", "theta_matrix", "train_multi",
 ]

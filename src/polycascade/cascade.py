@@ -1,26 +1,31 @@
-"""Cascade assembly, initialization, batched forward, and the training step.
+"""Multi-output cascades: initialization, batched forward, and training.
 
-A cascade is a strict sequence of packages whose widths chain and whose last
-width is 1 (one scalar output).  Training never uses gradient descent: after
-a forward pass, the derivative matrices are propagated backward, each package
-contributes an r x r Schur-product Gram matrix, their regularized sum is
-solved for a single batch vector, and that vector updates every package's
-value matrix independently.  The system is built a panel of rows at a
-time: each package's Gram products for those rows are computed into two
-small panel buffers that stay in cache and combined into the lower
-triangle, which is then mirrored once.  The system and the solve's factor
-buffer are two r x r arrays that every replica of a batch reuses.
+A model is a ``MultiOutputCascade`` of d >= 1 replicas, built by
+``init_multi``.  Each batch runs through ``forward_all`` and then
+``train_multi``, which takes one training step per replica; ``scores``
+evaluates without keeping training intermediates.
 
-Multi-output models replicate the single-output cascade once per output
-with independent value matrices (shared architecture and hyperparameters).
-Every replica's first package has the same constellation and kernel, so the
-layer-1 distances, kernel values, cardinal basis, basis Gram product and
-system buffers are computed or allocated once per batch (or scoring chunk)
-and shared by all replicas.  Layer 1 then acts as one package with d * n1
-outputs: one product over the replicas' stacked coefficients gives every
-layer-1 output, and one product over their stacked derivative blocks gives
-every layer-1 value update.  The derivative Grams and the solve stay per
-replica.
+A replica (``Cascade``) is a strict sequence of packages whose widths chain
+and whose last width is 1 (one scalar output).  Training never uses
+gradient descent: after a forward pass, the derivative matrices are
+propagated backward, each package contributes an r x r Schur-product Gram
+matrix, their regularized sum is solved for a single batch vector, and that
+vector updates every package's value matrix independently.  The system is
+built a panel of rows at a time: each package's Gram products for those
+rows are computed into two small panel buffers that stay in cache and
+combined into the lower triangle, which is then mirrored once.  The system
+and the solve's factor buffer are two r x r arrays that every replica of a
+batch reuses.
+
+The replicas have independent value matrices and share the architecture and
+hyperparameters.  Every replica's first package has the same constellation
+and kernel, so the layer-1 distances, kernel values, cardinal basis, basis
+Gram product and system buffers are computed or allocated once per batch
+(or scoring chunk) and shared by all replicas.  Layer 1 then acts as one
+package with d * n1 outputs: one product over the replicas' stacked
+coefficients gives every layer-1 output, and one product over their stacked
+derivative blocks gives every layer-1 value update.  The derivative Grams
+and the solve stay per replica.
 """
 
 from __future__ import annotations
@@ -69,12 +74,10 @@ class TrainStepReport:
     residual_before_rms: float
     b_inf: float
     solve_residual_inf: float
-    residual_after_inf: float | None = None
-    residual_after_rms: float | None = None
 
 
 class Cascade:
-    """Ordered package sequence plus training hyperparameters."""
+    """One single-output replica: an ordered package sequence plus training hyperparameters."""
 
     def __init__(self, packages: list[Package], alpha: float, kernel: KernelParams,
                  dtype=np.float64):
@@ -112,96 +115,26 @@ def _random_values(rng: np.random.Generator, k: int, n_out: int, dtype) -> np.nd
     return y.astype(dtype, copy=False)
 
 
-def init_cascade(widths, seed: int, mode: str = "random", alpha: float = 1.0,
-                 kernel: KernelParams | None = None, sigma2: float = 0.0,
-                 dtype="float64") -> Cascade:
-    """Build an octahedral-constellation cascade with initialized values.
+def forward_batch(cascade: Cascade, layer1: PackageBatchState, x1: np.ndarray,
+                  ) -> CascadeBatchWorkspace:
+    """One replica's packages 2..q on its layer-1 output ``x1``, retaining training intermediates.
 
-    ``random`` fills each value matrix uniformly in [-1, 1] and normalizes
-    rows to unit length.  ``identity-fragments`` sets values equal to the
-    constellation points wherever a package has equal input and output
-    widths (so those layers start as near-identity maps) and falls back to
-    random initialization elsewhere.
+    ``layer1`` is the batch's shared layer-1 state (``forward_all``); it keeps
+    no squared distances, since training never runs ``backward`` on the
+    first package.
     """
-    widths = [int(w) for w in widths]
-    if len(widths) < 2:
-        raise ValueError(f"need at least two widths, got {widths}")
-    if any(w < 1 for w in widths):
-        raise ValueError(f"widths must be positive, got {widths}")
-    if widths[-1] != 1:
-        raise ValueError(f"single-output cascade must end in width 1, got {widths[-1]}")
-    if mode not in INIT_MODES:
-        raise ValueError(f"init mode must be one of {INIT_MODES}, got {mode!r}")
-    kernel = kernel or KernelParams()
-    dt = resolve_dtype(dtype)
-    rng = np.random.default_rng(seed)
-
-    packages = []
-    degraded = []
-    for i, (n_in, n_out) in enumerate(zip(widths, widths[1:])):
-        constellation = build_octahedral(n_in, sigma2=sigma2)
-        if mode == "identity-fragments" and n_in == n_out:
-            values = octahedral_points(n_in, dtype=dt)
-        else:
-            if mode == "identity-fragments":
-                degraded.append(i)
-            values = _random_values(rng, constellation.k, n_out, dt)
-        packages.append(Package(constellation, kernel, values, dtype=dt))
-    if degraded:
-        logger.info("identity-fragments: packages %s have unequal widths, used random init",
-                    degraded)
-    return Cascade(packages, alpha=alpha, kernel=kernel, dtype=dt)
-
-
-def forward_batch(cascade: Cascade, x0) -> tuple[np.ndarray, CascadeBatchWorkspace]:
-    """Run a batch through every package, retaining training intermediates.
-
-    Layer 1 keeps no squared distances: training never runs ``backward`` on
-    the first package.
-    """
-    first = cascade.packages[0]
-    layer1 = first.batch_state(x0)
-    return _forward_from_layer1(cascade, layer1, first.evaluate(layer1))
-
-
-def _forward_from_layer1(cascade: Cascade, layer1: PackageBatchState, x1: np.ndarray,
-                         ) -> tuple[np.ndarray, CascadeBatchWorkspace]:
-    """Packages 2..q on the layer-1 output ``x1``, retaining training intermediates."""
     xs = [layer1.x_in, x1]
     states = [layer1]
     for pkg in cascade.packages[1:]:
         out, state = pkg.forward(xs[-1])
         xs.append(out)
         states.append(state)
-    return xs[-1], CascadeBatchWorkspace(xs=xs, states=states)
+    return CascadeBatchWorkspace(xs=xs, states=states)
 
 
 def _layer1_outputs(replicas: list[Cascade], layer1: PackageBatchState) -> np.ndarray:
     """Every replica's layer-1 output as one r x (d * n1) product over stacked coefficients."""
     return layer1.kernel_vals @ np.hstack([c.packages[0].coeffs for c in replicas])
-
-
-def _tail_outputs(replicas: list[Cascade], x1: np.ndarray) -> np.ndarray:
-    """Forward-only r x d outputs of packages 2..q, replica j reading column block j of ``x1``.
-
-    Each package's intermediates are dropped once the next output exists.
-    """
-    cols = []
-    for c, y in zip(replicas, np.hsplit(x1, len(replicas))):
-        for pkg in c.packages[1:]:
-            y, _ = pkg.forward(y)
-        cols.append(y)
-    return np.hstack(cols)
-
-
-def _update_layer1(replicas: list[Cascade], basis: np.ndarray, scaled: np.ndarray) -> None:
-    """Apply the layer-1 value updates H1^T (G1 * b) of several replicas in one product.
-
-    ``scaled`` holds each replica's G1 * b as a column block, in replica order.
-    """
-    for c, delta in zip(replicas, np.hsplit(basis.T @ scaled, len(replicas))):
-        first = c.packages[0]
-        first.set_values(first.values + delta)
 
 
 def backward_quantities(cascade: Cascade, ws: CascadeBatchWorkspace,
@@ -270,29 +203,19 @@ def assemble_system(cascade: Cascade, layer1: PackageBatchState, bases: list[np.
     return system
 
 
-def train_step(cascade: Cascade, ws: CascadeBatchWorkspace, lstar,
-               measure_after: bool = True, layer1_update: np.ndarray | None = None,
-               ) -> TrainStepReport:
-    """One full training step on the batch held in the workspace.
+def train_step(cascade: Cascade, ws: CascadeBatchWorkspace, lstar: np.ndarray,
+               layer1_update: np.ndarray) -> TrainStepReport:
+    """One replica's training step on the batch held in its workspace.
 
     Builds the alpha-regularized system (``assemble_system``), solves it for
-    the batch vector b, applies every package's value update H^T (G * b)
-    from the pre-update intermediates, and rederives all coefficient
-    matrices.  A NaN or Inf anywhere upstream reaches the system or its
-    right-hand side and raises ``NonFiniteError`` before any update.
-
-    With ``layer1_update`` (an r x n1 array), G1 * b is written there and
-    the first package is left to the caller, which applies several
-    replicas' layer-1 updates in one product (``train_multi``); the step
-    then cannot measure the residual after the update.
+    the batch vector b against the r x 1 targets ``lstar``, applies the
+    value updates H^T (G * b) of packages 2..q from the pre-update
+    intermediates, and writes G1 * b into ``layer1_update`` (r x n1) for
+    ``train_multi`` to apply.  A NaN or Inf anywhere upstream reaches the
+    system or its right-hand side and raises ``NonFiniteError`` before any
+    update.
     """
-    if layer1_update is not None and measure_after:
-        raise ValueError("measure_after needs the layer-1 update applied here")
-    lstar = as_matrix(lstar, dtype=cascade.dtype, name="targets")
-    if lstar.shape != ws.output.shape:
-        raise ShapeMismatchError(f"targets shape {lstar.shape} != output shape {ws.output.shape}")
     delta_l = lstar - ws.output
-
     bases, grads = backward_quantities(cascade, ws)
     layer1 = ws.states[0]
     system = assemble_system(cascade, layer1, bases, grads)
@@ -304,29 +227,13 @@ def train_step(cascade: Cascade, ws: CascadeBatchWorkspace, lstar,
     # all updates are computed against pre-update intermediates, then applied
     for pkg, h, g in zip(cascade.packages[1:], bases[1:], grads[1:]):
         pkg.set_values(pkg.values + h.T @ (g * b_vec))
-    if layer1_update is None:
-        _update_layer1([cascade], bases[0], grads[0] * b_vec)
-    else:
-        np.multiply(grads[0], b_vec, out=layer1_update)
-
-    report = TrainStepReport(
+    np.multiply(grads[0], b_vec, out=layer1_update)
+    return TrainStepReport(
         residual_before_inf=float(np.abs(delta_l).max()),
         residual_before_rms=float(np.sqrt(np.mean(delta_l ** 2))),
         b_inf=float(np.abs(b_vec).max()),
         solve_residual_inf=solve_residual,
     )
-    if measure_after:
-        outs = _tail_outputs([cascade], _layer1_outputs([cascade], layer1))
-        _measure_after([report], lstar, outs)
-    return report
-
-
-def _measure_after(reports: list[TrainStepReport], targets: np.ndarray, outs: np.ndarray) -> None:
-    """Fill each report's after-update residual from its column of outputs and targets."""
-    delta = targets - outs
-    for rep, col in zip(reports, delta.T):
-        rep.residual_after_inf = float(np.abs(col).max())
-        rep.residual_after_rms = float(np.sqrt(np.mean(col ** 2)))
 
 
 class MultiOutputCascade:
@@ -369,18 +276,19 @@ class MultiOutputCascade:
         return sum(c.parameter_count() for c in self.replicas)
 
     def forward_all(self, x0) -> tuple[np.ndarray, list[CascadeBatchWorkspace]]:
-        """Outputs of all replicas as columns of an r x d matrix.
+        """Outputs of all replicas as columns of an r x d matrix, with their workspaces.
 
         Layer 1 is prepared once and every replica's workspace shares that
         state (and the basis, Gram and system buffers that training caches
-        on it); one product gives every replica's layer-1 output.
+        on it); one product gives every replica's layer-1 output, and
+        ``forward_batch`` runs each replica's packages 2..q.
         """
         layer1 = self.replicas[0].packages[0].batch_state(x0)
         # each workspace keeps its own contiguous copy, so the stacked product is freed
         x1 = np.hsplit(_layer1_outputs(self.replicas, layer1), self.d)
-        outs, workspaces = zip(*(_forward_from_layer1(c, layer1, np.ascontiguousarray(y))
-                                 for c, y in zip(self.replicas, x1)))
-        return np.hstack(outs), list(workspaces)
+        workspaces = [forward_batch(c, layer1, np.ascontiguousarray(y))
+                      for c, y in zip(self.replicas, x1)]
+        return np.hstack([ws.output for ws in workspaces]), workspaces
 
     def scores(self, x0, chunk_rows: int = 4096) -> np.ndarray:
         """Replica outputs without retaining workspaces; chunked to bound memory."""
@@ -394,12 +302,18 @@ class MultiOutputCascade:
     def _score_chunk(self, x) -> np.ndarray:
         """One chunk: a shared layer-1 state and product, then each replica forward-only.
 
-        The layer-1 kernel values are dropped once the layer-1 outputs exist.
+        The layer-1 kernel values are dropped once the layer-1 outputs exist,
+        and each package's intermediates once the next output exists.
         """
         layer1 = self.replicas[0].packages[0].batch_state(x)
         x1 = _layer1_outputs(self.replicas, layer1)
         del layer1
-        return _tail_outputs(self.replicas, x1)
+        cols = []
+        for c, y in zip(self.replicas, np.hsplit(x1, self.d)):
+            for pkg in c.packages[1:]:
+                y, _ = pkg.forward(y)
+            cols.append(y)
+        return np.hstack(cols)
 
     def predict(self, x0) -> np.ndarray:
         """Per-row argmax over replica outputs; ties go to the lowest index."""
@@ -409,62 +323,88 @@ class MultiOutputCascade:
 def init_multi(arch_widths, seed: int, mode: str = "random", alpha: float = 1.0,
                kernel: KernelParams | None = None, sigma2: float = 0.0,
                dtype="float64") -> MultiOutputCascade:
-    """Build a multi-output model from widths whose last entry is the output count.
+    """Build a model of single-output replicas from widths whose last entry is their count.
 
     ``arch_widths = [784, 100, 20, 20, 10]`` yields ten replicas of the
-    single-output core [784, 100, 20, 20, 1], seeded independently but
-    deterministically from ``seed``.
+    octahedral single-output core [784, 100, 20, 20, 1]; replica j draws its
+    values from ``seed + j``.  ``random`` fills each value matrix uniformly
+    in [-1, 1] and normalizes rows to unit length.  ``identity-fragments``
+    sets values equal to the constellation points wherever a package has
+    equal input and output widths (so those layers start as near-identity
+    maps) and falls back to random initialization elsewhere.
     """
-    arch_widths = [int(w) for w in arch_widths]
-    if len(arch_widths) < 2:
-        raise ValueError(f"need at least two widths, got {arch_widths}")
-    d = arch_widths[-1]
-    core = arch_widths[:-1] + [1]
-    replicas = [init_cascade(core, seed=seed + i, mode=mode, alpha=alpha, kernel=kernel,
-                             sigma2=sigma2, dtype=dtype) for i in range(d)]
+    widths = [int(w) for w in arch_widths]
+    if len(widths) < 2:
+        raise ValueError(f"need at least two widths, got {widths}")
+    if any(w < 1 for w in widths):
+        raise ValueError(f"widths must be positive, got {widths}")
+    if mode not in INIT_MODES:
+        raise ValueError(f"init mode must be one of {INIT_MODES}, got {mode!r}")
+    kernel = kernel or KernelParams()
+    dt = resolve_dtype(dtype)
+    core = widths[:-1] + [1]
+    pairs = list(zip(core, core[1:]))
+    identity = mode == "identity-fragments"
+    degraded = [i for i, (n_in, n_out) in enumerate(pairs) if n_in != n_out]
+    if identity and degraded:
+        logger.info("identity-fragments: packages %s have unequal widths, used random init",
+                    degraded)
+    replicas = []
+    for j in range(widths[-1]):
+        rng = np.random.default_rng(seed + j)
+        packages = []
+        for n_in, n_out in pairs:
+            constellation = build_octahedral(n_in, sigma2=sigma2)
+            if identity and n_in == n_out:
+                values = octahedral_points(n_in, dtype=dt)
+            else:
+                values = _random_values(rng, constellation.k, n_out, dt)
+            packages.append(Package(constellation, kernel, values, dtype=dt))
+        replicas.append(Cascade(packages, alpha=alpha, kernel=kernel, dtype=dt))
     return MultiOutputCascade(replicas)
 
 
-def train_multi(mc: MultiOutputCascade, workspaces: list[CascadeBatchWorkspace], targets,
-                measure_after: bool = True) -> list[TrainStepReport]:
-    """Independent training steps, one replica per target column.
+def train_multi(mc: MultiOutputCascade, workspaces: list[CascadeBatchWorkspace],
+                targets) -> list[TrainStepReport]:
+    """Train every replica on one batch, replica j against target column j.
 
-    The workspaces must come from one ``forward_all`` call.  Each replica's
-    ``train_step`` updates its packages 2..q and writes G1 * b into its
-    column block of one r x (d * n1) array; one product then applies every
-    layer-1 update.  The workspaces are consumed: once a replica's step is
-    done, its workspace keeps only the shared layer-1 state.  If replica j
-    fails, replicas before it are fully updated, layer 1 included, and
-    replica j is untouched.  A non-SPD system is re-raised with the failing
-    replica's index.
+    The workspaces must come from one ``forward_all`` call, and ``targets``
+    is r x d.  Each replica's ``train_step`` updates its packages 2..q and
+    writes G1 * b into its column block of one r x (d * n1) array; one
+    product then applies every layer-1 update.  The workspaces are consumed:
+    once a replica's step is done, its workspace keeps only the shared
+    layer-1 state.  If replica j fails, replicas before it are fully
+    updated, layer 1 included, and replica j is untouched.  A non-SPD system
+    is re-raised with the failing replica's index.
     """
-    targets = as_matrix(targets, dtype=mc.dtype, name="targets")
-    if targets.shape[1] != mc.d:
-        raise ShapeMismatchError(f"targets have {targets.shape[1]} columns, model has {mc.d}")
     if len(workspaces) != mc.d:
         raise ValueError(f"got {len(workspaces)} workspaces for {mc.d} replicas")
     layer1 = workspaces[0].states[0]
     if any(ws.states[0] is not layer1 for ws in workspaces):
         raise ValueError("workspaces must share one layer-1 state (use forward_all)")
+    targets = as_matrix(targets, dtype=mc.dtype, name="targets")
+    outputs_shape = (workspaces[0].batch_rows, mc.d)
+    if targets.shape != outputs_shape:
+        raise ShapeMismatchError(f"targets shape {targets.shape} != outputs shape {outputs_shape}")
     n1 = mc.replicas[0].packages[0].n_out
     scaled = np.empty((workspaces[0].batch_rows, mc.d * n1), dtype=mc.dtype)
     reports = []
     try:
         for i, (c, ws) in enumerate(zip(mc.replicas, workspaces)):
             try:
-                reports.append(train_step(c, ws, targets[:, i:i + 1], measure_after=False,
-                                          layer1_update=scaled[:, i * n1:(i + 1) * n1]))
+                reports.append(train_step(c, ws, targets[:, i:i + 1],
+                                          scaled[:, i * n1:(i + 1) * n1]))
             except NotSPDError as exc:
                 raise NotSPDError(f"replica {i}: {exc}") from exc
             del ws.xs[1:], ws.states[1:]
     finally:
         layer1.system_buffers = None
-        done = len(reports)
-        if done:
-            _update_layer1(mc.replicas[:done], layer1.basis, scaled[:, :done * n1])
-    if measure_after:
-        outs = _tail_outputs(mc.replicas, _layer1_outputs(mc.replicas, layer1))
-        _measure_after(reports, targets, outs)
+        if reports:
+            # H1^T (G1 * b) of every trained replica in one product
+            deltas = layer1.basis.T @ scaled[:, :len(reports) * n1]
+            for c, delta in zip(mc.replicas, np.hsplit(deltas, len(reports))):
+                first = c.packages[0]
+                first.set_values(first.values + delta)
     return reports
 
 

@@ -107,6 +107,9 @@ def cmd_eval(args) -> int:
         if data.n_features != model.widths[0]:
             raise DataFormatError(f"{args.dataset}: {data.n_features} features, "
                                   f"the model expects {model.widths[0]}")
+        if model.d == 1 and data.labels.min() == data.labels.max():
+            raise DataFormatError(f"{args.dataset}: every label is {data.labels[0]:g}; "
+                                  f"ROC AUC needs both classes")
         if preprocessing is not None:
             data, _ = fit_apply_transforms(data, TransformSpec.from_dict(preprocessing))
     except (DataFormatError, OSError) as exc:

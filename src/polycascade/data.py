@@ -114,20 +114,33 @@ def load_idx(images_path, labels_path) -> Dataset:
     return Dataset(features, labels.astype(np.int64))
 
 
+def _finite_chunk(path, rows: list[list[float]], row_nos: list[int]) -> np.ndarray:
+    """Parsed rows as one array; a NaN or Inf cell is named by its 1-based row and column."""
+    chunk = np.asarray(rows, dtype=np.float64)
+    finite = np.isfinite(chunk)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise DataFormatError(f"{path}: non-finite cell at row {row_nos[i]}, column {j + 1}: "
+                              f"{float(chunk[i, j])}")
+    return chunk
+
+
 def load_delimited(path, label_column: int = 0, delimiter: str = ",",
                    max_rows: int | None = None) -> Dataset:
     """Parse a rectangular numeric table, one label column, rest features.
 
     Streams the file line by line; memory is proportional to the parsed
-    output.  Errors carry 1-based row and column coordinates.
+    output.  Blank lines are skipped, and ``max_rows`` counts data rows.
+    Errors, including a NaN or Inf cell, carry 1-based row (file line) and
+    column coordinates.
     """
     path = Path(path)
     if not delimiter:
         raise DataFormatError(f"{path}: the delimiter is empty")
-    features_chunks: list[np.ndarray] = []
-    labels_chunks: list[np.ndarray] = []
-    buf_feats: list[list[float]] = []
-    buf_labels: list[float] = []
+    chunks: list[np.ndarray] = []
+    buf: list[list[float]] = []
+    buf_row_nos: list[int] = []
+    n_rows = 0
     width = None
     with open(path, "r", encoding="utf-8") as f:
         for row_no, line in enumerate(f, start=1):
@@ -144,7 +157,7 @@ def load_delimited(path, label_column: int = 0, delimiter: str = ",",
                 raise DataFormatError(
                     f"{path}: row {row_no} has {len(cells)} cells, expected {width}")
             try:
-                row = [float(c) for c in cells]
+                buf.append([float(c) for c in cells])
             except ValueError:
                 for col_no, c in enumerate(cells, start=1):
                     try:
@@ -154,20 +167,21 @@ def load_delimited(path, label_column: int = 0, delimiter: str = ",",
                             f"{path}: non-numeric cell at row {row_no}, column {col_no}: {c!r}"
                         ) from None
                 raise
-            buf_labels.append(row.pop(label_column if label_column >= 0 else label_column + width))
-            buf_feats.append(row)
-            if len(buf_feats) >= 65536:
-                features_chunks.append(np.asarray(buf_feats, dtype=np.float64))
-                labels_chunks.append(np.asarray(buf_labels, dtype=np.float64))
-                buf_feats, buf_labels = [], []
-            if max_rows is not None and row_no >= max_rows:
+            buf_row_nos.append(row_no)
+            n_rows += 1
+            if len(buf) >= 65536:
+                chunks.append(_finite_chunk(path, buf, buf_row_nos))
+                buf, buf_row_nos = [], []
+            if max_rows is not None and n_rows >= max_rows:
                 break
-    if buf_feats:
-        features_chunks.append(np.asarray(buf_feats, dtype=np.float64))
-        labels_chunks.append(np.asarray(buf_labels, dtype=np.float64))
-    if not features_chunks:
+    if buf:
+        chunks.append(_finite_chunk(path, buf, buf_row_nos))
+    if not chunks:
         raise DataFormatError(f"{path}: empty dataset")
-    return Dataset(np.vstack(features_chunks), np.concatenate(labels_chunks))
+    table = np.vstack(chunks)
+    del chunks
+    label = label_column % width
+    return Dataset(np.delete(table, label, axis=1), table[:, label].copy())
 
 
 @dataclass(frozen=True)

@@ -86,24 +86,22 @@ class _Reader:
         return struct.unpack(f"<{count}d", self.exact(8 * count, what))
 
 
-def save_snapshot(path, model: MultiOutputCascade | Cascade,
-                  preprocessing: dict | None = None) -> None:
+def save_snapshot(path, model: MultiOutputCascade, preprocessing: dict | None = None) -> None:
     """Write the model (and optional preprocessing spec) to a PHC1 file."""
-    mc = MultiOutputCascade([model]) if isinstance(model, Cascade) else model
-    widths = mc.widths
-    sigma2 = mc.replicas[0].packages[0].constellation.sigma2
-    dtype_code = _DTYPE_CODES[np.dtype(mc.dtype)]
+    widths = model.widths
+    sigma2 = model.replicas[0].packages[0].constellation.sigma2
+    dtype_code = _DTYPE_CODES[np.dtype(model.dtype)]
     blob = b"" if preprocessing is None else json.dumps(preprocessing).encode("utf-8")
 
     path = Path(path)
     with open(path, "wb") as f:
         f.write(MAGIC)
-        _write_u64(f, mc.d, len(widths) - 1, *widths)
-        _write_f64(f, mc.alpha, mc.kernel.b, mc.kernel.c, sigma2)
+        _write_u64(f, model.d, len(widths) - 1, *widths)
+        _write_f64(f, model.alpha, model.kernel.b, model.kernel.c, sigma2)
         _write_u64(f, dtype_code, len(blob))
         f.write(blob)
         store_dtype = _CODE_DTYPES[dtype_code]
-        for cascade in mc.replicas:
+        for cascade in model.replicas:
             for pkg in cascade.packages:
                 rows, cols = pkg.values.shape
                 _write_u64(f, rows, cols)

@@ -147,7 +147,7 @@ def run_training(cfg: TrainConfig, train: Dataset, test: Dataset,
             targets = _targets_for(cfg, batch.labels, d, dtype)
             _, workspaces = model.forward_all(x0)
             try:
-                reports = train_multi(model, workspaces, targets, measure_after=False)
+                reports = train_multi(model, workspaces, targets)
             except NotSPDError as exc:
                 raise NotSPDError(f"epoch {epoch}, batch {b}: {exc}") from exc
             # drop this batch's layer-1 state before the next one is built

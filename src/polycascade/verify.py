@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracle
-from .cascade import assemble_system, backward_quantities, forward_batch, init_cascade, train_step
+from .cascade import assemble_system, backward_quantities, init_multi, train_multi
 from .constellation import build_octahedral, derive_coefficients, octahedral_points, synthesize_u
 from .kernel import KernelParams
 from .linalg import spd_solve
@@ -90,9 +90,9 @@ def check_interpolation(seed: int) -> None:
 def check_gradient(seed: int) -> None:
     """Backward derivatives match central differences of the scalar output."""
     rng = np.random.default_rng(seed)
-    cascade = init_cascade([5, 4, 3, 1], seed=seed, alpha=1.0)
-    x0 = rng.uniform(-0.9, 0.9, (8, 5))
-    _, ws = forward_batch(cascade, x0)
+    mc = init_multi([5, 4, 3, 1], seed=seed, alpha=1.0)
+    cascade = mc.replicas[0]
+    _, (ws,) = mc.forward_all(rng.uniform(-0.9, 0.9, (8, 5)))
     _, grads = backward_quantities(cascade, ws)
     x1 = ws.xs[1]
 
@@ -119,10 +119,10 @@ def check_training_gram_psd(seed: int) -> None:
     The training step's own assembly of that sum must match the oracle's.
     """
     rng = np.random.default_rng(seed)
-    cascade = init_cascade([6, 5, 1], seed=seed, alpha=1.0)
+    mc = init_multi([6, 5, 1], seed=seed, alpha=1.0)
+    cascade = mc.replicas[0]
     for trial in range(20):
-        x0 = rng.uniform(-1, 1, (12, 6))
-        _, ws = forward_batch(cascade, x0)
+        _, (ws,) = mc.forward_all(rng.uniform(-1, 1, (12, 6)))
         bases, grads = backward_quantities(cascade, ws)
         omegas = oracle.package_omegas(bases, grads)
         for omega in omegas:
@@ -137,13 +137,13 @@ def check_training_gram_psd(seed: int) -> None:
 def check_exact_fit(seed: int) -> None:
     """One step with one package and no ridge term lands on the targets."""
     rng = np.random.default_rng(seed)
-    cascade = init_cascade([30, 1], seed=seed, alpha=0.0)
+    mc = init_multi([30, 1], seed=seed, alpha=0.0)
     x0 = rng.uniform(-1, 1, (50, 30))
     lstar = rng.uniform(-1, 1, (50, 1))
-    _, ws = forward_batch(cascade, x0)
-    report = train_step(cascade, ws, lstar)
-    assert report.residual_after_inf <= 1e-6, \
-        f"one-step residual {report.residual_after_inf:.3e}"
+    _, workspaces = mc.forward_all(x0)
+    train_multi(mc, workspaces, lstar)
+    residual = float(np.abs(mc.scores(x0) - lstar).max())
+    assert residual <= 1e-6, f"one-step residual {residual:.3e}"
 
 
 def check_identity_fragment(seed: int) -> float:
@@ -153,14 +153,14 @@ def check_identity_fragment(seed: int) -> float:
     asserted: interior inputs are only approximately preserved).
     """
     width = 6
-    cascade = init_cascade([width] * 11 + [1], seed=seed, mode="identity-fragments", alpha=1.0)
+    mc = init_multi([width] * 11 + [1], seed=seed, mode="identity-fragments", alpha=1.0)
     points = octahedral_points(width)
-    _, ws = forward_batch(cascade, points)
+    _, (ws,) = mc.forward_all(points)
     err = float(np.abs(ws.xs[10] - points).max())
     assert err <= 1e-8, f"constellation points drifted by {err:.3e}"
     rng = np.random.default_rng(seed)
     interior = rng.uniform(-0.7, 0.7, (32, width))
-    _, ws = forward_batch(cascade, interior)
+    _, (ws,) = mc.forward_all(interior)
     return float(np.abs(ws.xs[10] - interior).max())
 
 

@@ -5,8 +5,7 @@ import pytest
 
 from polycascade import cascade as cascade_module
 from polycascade.cascade import (PANEL_ROWS, Cascade, MultiOutputCascade, assemble_system,
-                                 backward_quantities, forward_batch, init_cascade, init_multi,
-                                 one_hot_pm1, train_multi, train_step)
+                                 backward_quantities, init_multi, one_hot_pm1, train_multi)
 from polycascade.constellation import build_octahedral, octahedral_points, synthesize_u
 from polycascade.kernel import KernelParams
 from polycascade.linalg import NonFiniteError, NotSPDError, ShapeMismatchError
@@ -16,26 +15,47 @@ from polycascade.package import Package
 KP = KernelParams()
 
 
+def single(widths, seed, **kwargs):
+    """A d = 1 model and its one replica."""
+    mc = init_multi(widths, seed=seed, **kwargs)
+    return mc, mc.replicas[0]
+
+
+def train_once(mc, x0, targets):
+    """One batch through the only training route: forward_all, then train_multi."""
+    _, workspaces = mc.forward_all(x0)
+    return train_multi(mc, workspaces, targets)
+
+
 def test_width_chain_validation():
     with pytest.raises(ValueError):
-        init_cascade([5], seed=0)
+        init_multi([5], seed=0)
     with pytest.raises(ValueError):
-        init_cascade([5, 4, 3], seed=0)  # must end in 1
+        init_multi([5, 0, 1], seed=0)
     with pytest.raises(ValueError):
-        init_cascade([5, 0, 1], seed=0)
+        init_multi([5, 4, 0], seed=0)  # no outputs
+    with pytest.raises(ValueError, match="init mode"):
+        init_multi([5, 4, 1], seed=0, mode="bogus")
+    pkgs = init_multi([5, 4, 3, 1], seed=0).replicas[0].packages
+    with pytest.raises(ShapeMismatchError):
+        Cascade([pkgs[0], pkgs[2]], alpha=1.0, kernel=KP)  # 4 outputs into 3 inputs
+    with pytest.raises(ValueError, match="one output"):
+        Cascade(pkgs[:2], alpha=1.0, kernel=KP)
 
 
 def test_architecture_shape():
-    cascade = init_cascade([784, 100, 20, 20, 1], seed=0)
+    mc = init_multi([784, 100, 20, 20, 10], seed=0)
+    cascade = mc.replicas[0]
+    assert mc.d == 10
     assert cascade.q == 4
-    assert cascade.widths == [784, 100, 20, 20, 1]
+    assert mc.widths == cascade.widths == [784, 100, 20, 20, 1]
     assert [p.k for p in cascade.packages] == [1569, 201, 41, 41]
-    # parameter count scales to the published 1.6M once replicated tenfold
-    assert cascade.parameter_count() * 10 == 1_617_810
+    # the published 1.6M parameters: ten replicas of the single-output core
+    assert mc.parameter_count() == cascade.parameter_count() * 10 == 1_617_810
 
 
 def test_random_init_row_norms_and_distinctness():
-    cascade = init_cascade([6, 5, 4, 1], seed=7, mode="random")
+    _, cascade = single([6, 5, 4, 1], seed=7, mode="random")
     for pkg in cascade.packages:
         norms = np.linalg.norm(pkg.values, axis=1)
         assert np.all(np.abs(norms - 1.0) <= 1e-6)
@@ -45,7 +65,7 @@ def test_random_init_row_norms_and_distinctness():
 
 def test_identity_fragment_init_sets_points(caplog):
     with caplog.at_level(logging.INFO, logger="polycascade.cascade"):
-        cascade = init_cascade([4, 6, 6, 6, 1], seed=0, mode="identity-fragments")
+        _, cascade = single([4, 6, 6, 6, 1], seed=0, mode="identity-fragments")
     assert np.array_equal(cascade.packages[1].values, octahedral_points(6))
     assert np.array_equal(cascade.packages[2].values, octahedral_points(6))
     # unequal-width packages degrade to random and the event is logged
@@ -54,19 +74,23 @@ def test_identity_fragment_init_sets_points(caplog):
 
 
 def test_init_deterministic_in_seed():
-    a = init_cascade([5, 4, 1], seed=3)
-    b = init_cascade([5, 4, 1], seed=3)
-    c = init_cascade([5, 4, 1], seed=4)
-    for pa, pb in zip(a.packages, b.packages):
-        assert np.array_equal(pa.values, pb.values)
-    assert not np.array_equal(a.packages[0].values, c.packages[0].values)
+    a = init_multi([5, 4, 3], seed=3).replicas
+    b = init_multi([5, 4, 3], seed=3).replicas
+    c = init_multi([5, 4, 1], seed=4).replicas
+    for ra, rb in zip(a, b):
+        for pa, pb in zip(ra.packages, rb.packages):
+            assert np.array_equal(pa.values, pb.values)
+    assert not np.array_equal(a[0].packages[0].values, c[0].packages[0].values)
+    # replica j is seeded seed + j
+    for pa, pc in zip(a[1].packages, c[0].packages):
+        assert np.array_equal(pa.values, pc.values)
 
 
 def test_forward_batch_composes_package_forwards():
     rng = np.random.default_rng(2)
-    cascade = init_cascade([5, 4, 3, 1], seed=2)
+    mc, cascade = single([5, 4, 3, 1], seed=2)
     x0 = rng.uniform(-1, 1, (6, 5))
-    out, ws = forward_batch(cascade, x0)
+    out, (ws,) = mc.forward_all(x0)
     x = x0
     for pkg in cascade.packages:
         x, _ = pkg.forward(x)
@@ -75,30 +99,31 @@ def test_forward_batch_composes_package_forwards():
 
 
 def test_forward_zero_values_single_package():
-    cascade = init_cascade([4, 1], seed=0)
+    mc, cascade = single([4, 1], seed=0)
     cascade.packages[0].set_values(np.zeros_like(cascade.packages[0].values))
-    out, _ = forward_batch(cascade, np.random.default_rng(0).uniform(-1, 1, (5, 4)))
+    out, _ = mc.forward_all(np.random.default_rng(0).uniform(-1, 1, (5, 4)))
     assert np.all(out == 0.0)
 
 
 def test_forward_width_mismatch():
-    cascade = init_cascade([4, 1], seed=0)
+    mc, _ = single([4, 1], seed=0)
     with pytest.raises(ShapeMismatchError):
-        forward_batch(cascade, np.ones((2, 3)))
+        mc.forward_all(np.ones((2, 3)))
+    with pytest.raises(ShapeMismatchError):
+        mc.scores(np.ones((2, 3)))
 
 
 def test_identity_fragment_passthrough_at_points():
     width = 5
-    cascade = init_cascade([width] * 11 + [1], seed=0, mode="identity-fragments")
+    mc, _ = single([width] * 11 + [1], seed=0, mode="identity-fragments")
     points = octahedral_points(width)
-    _, ws = forward_batch(cascade, points)
+    _, (ws,) = mc.forward_all(points)
     assert np.abs(ws.xs[10] - points).max() <= 1e-8
 
 
 def test_backward_quantities_shapes_and_final_ones():
-    cascade = init_cascade([5, 4, 3, 1], seed=1)
-    x0 = np.random.default_rng(1).uniform(-1, 1, (7, 5))
-    _, ws = forward_batch(cascade, x0)
+    mc, cascade = single([5, 4, 3, 1], seed=1)
+    _, (ws,) = mc.forward_all(np.random.default_rng(1).uniform(-1, 1, (7, 5)))
     bases, grads = backward_quantities(cascade, ws)
     assert [b.shape for b in bases] == [(7, 11), (7, 9), (7, 7)]
     assert [g.shape for g in grads] == [(7, 4), (7, 3), (7, 1)]
@@ -107,9 +132,8 @@ def test_backward_quantities_shapes_and_final_ones():
 
 def test_end_to_end_gradient_check():
     rng = np.random.default_rng(5)
-    cascade = init_cascade([5, 4, 3, 1], seed=5)
-    x0 = rng.uniform(-0.9, 0.9, (6, 5))
-    _, ws = forward_batch(cascade, x0)
+    mc, cascade = single([5, 4, 3, 1], seed=5)
+    _, (ws,) = mc.forward_all(rng.uniform(-0.9, 0.9, (6, 5)))
     _, grads = backward_quantities(cascade, ws)
     x1 = ws.xs[1]
 
@@ -131,9 +155,8 @@ def test_end_to_end_gradient_check():
 
 def test_omegas_are_psd():
     rng = np.random.default_rng(11)
-    cascade = init_cascade([6, 5, 1], seed=11)
-    x0 = rng.uniform(-1, 1, (15, 6))
-    _, ws = forward_batch(cascade, x0)
+    mc, cascade = single([6, 5, 1], seed=11)
+    _, (ws,) = mc.forward_all(rng.uniform(-1, 1, (15, 6)))
     bases, grads = backward_quantities(cascade, ws)
     for omega in package_omegas(bases, grads):
         assert np.array_equal(omega, omega.T) or np.abs(omega - omega.T).max() < 1e-12
@@ -141,43 +164,40 @@ def test_omegas_are_psd():
 
 
 def test_train_step_zero_residual_fixed_point():
-    cascade = init_cascade([4, 3, 1], seed=3, alpha=5.0)
+    mc, cascade = single([4, 3, 1], seed=3, alpha=5.0)
     x0 = np.random.default_rng(3).uniform(-1, 1, (8, 4))
-    out, ws = forward_batch(cascade, x0)
+    out, workspaces = mc.forward_all(x0)
     before = [p.values.copy() for p in cascade.packages]
-    report = train_step(cascade, ws, out.copy())
+    (report,) = train_multi(mc, workspaces, out.copy())
     for pkg, old in zip(cascade.packages, before):
         assert np.abs(pkg.values - old).max() <= 1e-12
     assert report.residual_before_inf == 0.0
-    assert report.residual_after_inf <= 1e-10
+    assert np.abs(mc.scores(x0) - out).max() <= 1e-10
 
 
 def test_train_step_huge_alpha_freezes_updates():
     alpha = 1e12
-    cascade = init_cascade([4, 3, 1], seed=4, alpha=alpha)
+    mc, _ = single([4, 3, 1], seed=4, alpha=alpha)
     x0 = np.random.default_rng(4).uniform(-1, 1, (10, 4))
-    out, ws = forward_batch(cascade, x0)
+    out, workspaces = mc.forward_all(x0)
     lstar = out + 1.0
-    report = train_step(cascade, ws, lstar)
+    (report,) = train_multi(mc, workspaces, lstar)
     assert report.b_inf <= (1.0 / alpha) * (1 + 1e-6)
-    assert report.residual_after_inf >= 0.99  # essentially unchanged
+    assert np.abs(lstar - mc.scores(x0)).max() >= 0.99  # essentially unchanged
 
 
 def test_single_package_exact_fit():
     rng = np.random.default_rng(17)
-    cascade = init_cascade([30, 1], seed=17, alpha=0.0)
+    mc, _ = single([30, 1], seed=17, alpha=0.0)
     x0 = rng.uniform(-1, 1, (50, 30))
     lstar = rng.uniform(-1, 1, (50, 1))
-    _, ws = forward_batch(cascade, x0)
-    report = train_step(cascade, ws, lstar)
-    assert report.residual_after_inf <= 1e-6
+    train_once(mc, x0, lstar)
+    assert np.abs(mc.scores(x0) - lstar).max() <= 1e-6
 
 
 def test_train_step_rederives_coefficients():
-    cascade = init_cascade([5, 4, 1], seed=6, alpha=2.0)
-    x0 = np.random.default_rng(6).uniform(-1, 1, (9, 5))
-    _, ws = forward_batch(cascade, x0)
-    train_step(cascade, ws, np.ones((9, 1)))
+    mc, cascade = single([5, 4, 1], seed=6, alpha=2.0)
+    train_once(mc, np.random.default_rng(6).uniform(-1, 1, (9, 5)), np.ones((9, 1)))
     for pkg in cascade.packages:
         u = synthesize_u(pkg.octa_coeffs, pkg.n_in)
         expected = u @ pkg.values
@@ -185,20 +205,26 @@ def test_train_step_rederives_coefficients():
         assert err <= 1e-8
 
 
-def test_train_step_target_shape_checked():
-    cascade = init_cascade([4, 1], seed=0, alpha=1.0)
-    _, ws = forward_batch(cascade, np.ones((3, 4)) * 0.1)
-    with pytest.raises(ShapeMismatchError):
-        train_step(cascade, ws, np.ones((4, 1)))
+def test_train_multi_rejects_wrong_target_rows_before_any_update():
+    mc = init_multi([4, 3, 2], seed=0, alpha=1.0)
+    x0 = np.random.default_rng(0).uniform(-1, 1, (6, 4))
+    _, workspaces = mc.forward_all(x0)
+    before = [[p.values.copy() for p in c.packages] for c in mc.replicas]
+    for rows in (5, 7):
+        with pytest.raises(ShapeMismatchError, match="targets shape"):
+            train_multi(mc, workspaces, np.ones((rows, 2)))
+    for c, old in zip(mc.replicas, before):
+        for pkg, values in zip(c.packages, old):
+            assert np.array_equal(pkg.values, values)
+    # the workspaces were not consumed
+    assert len(train_multi(mc, workspaces, np.ones((6, 2)))) == 2
 
 
 def test_alpha_zero_spd_failure_is_reported():
     # rank-deficient system: more batch rows than basis columns available
-    cascade = init_cascade([1, 1], seed=0, alpha=0.0)
-    x0 = np.random.default_rng(0).uniform(-1, 1, (10, 1))
-    _, ws = forward_batch(cascade, x0)
+    mc, _ = single([1, 1], seed=0, alpha=0.0)
     with pytest.raises(NotSPDError):
-        train_step(cascade, ws, np.ones((10, 1)))
+        train_once(mc, np.random.default_rng(0).uniform(-1, 1, (10, 1)), np.ones((10, 1)))
 
 
 def test_multi_replicas_share_architecture():
@@ -208,34 +234,14 @@ def test_multi_replicas_share_architecture():
     assert len({c.packages[0].values.tobytes() for c in mc.replicas}) == 3
 
 
-def test_multi_d1_reduces_to_train_step():
-    rng = np.random.default_rng(8)
-    x0 = rng.uniform(-1, 1, (12, 5))
-    target = rng.uniform(-1, 1, (12, 1))
-
-    mc = init_multi([5, 4, 1], seed=8, alpha=2.0)
-    assert mc.d == 1
-    _, workspaces = mc.forward_all(x0)
-    reports = train_multi(mc, workspaces, target)
-
-    single = init_cascade([5, 4, 1], seed=8, alpha=2.0)
-    _, ws = forward_batch(single, x0)
-    rep = train_step(single, ws, target)
-
-    assert reports[0].residual_after_inf == rep.residual_after_inf
-    for pa, pb in zip(mc.replicas[0].packages, single.packages):
-        assert np.array_equal(pa.values, pb.values)
-
-
 def test_replicas_identical_seeds_identical_updates():
     rng = np.random.default_rng(9)
     x0 = rng.uniform(-1, 1, (10, 4))
     target = rng.uniform(-1, 1, (10, 1))
     outcomes = []
     for _ in range(2):
-        cascade = init_cascade([4, 3, 1], seed=21, alpha=3.0)
-        _, ws = forward_batch(cascade, x0)
-        train_step(cascade, ws, target)
+        mc, cascade = single([4, 3, 1], seed=21, alpha=3.0)
+        train_once(mc, x0, target)
         outcomes.append([p.values.copy() for p in cascade.packages])
     for va, vb in zip(*outcomes):
         assert np.array_equal(va, vb)
@@ -246,11 +252,11 @@ def test_ten_replicas_all_residuals_decrease():
     mc = init_multi([8, 6, 10], seed=10, alpha=5.0)
     x0 = rng.uniform(-1, 1, (40, 8))
     targets = one_hot_pm1(rng.integers(0, 10, 40), 10)
-    _, workspaces = mc.forward_all(x0)
-    reports = train_multi(mc, workspaces, targets)
+    reports = train_once(mc, x0, targets)
     assert len(reports) == 10
-    for rep in reports:
-        assert rep.residual_after_rms < rep.residual_before_rms
+    after = np.sqrt(np.mean((targets - mc.scores(x0)) ** 2, axis=0))
+    for rep, rms in zip(reports, after):
+        assert rms < rep.residual_before_rms
 
 
 def test_train_multi_validates_target_width():
@@ -294,13 +300,11 @@ def test_zero_error_model_is_100_percent_accurate():
 
 def test_training_determinism_across_runs():
     def run():
-        cascade = init_cascade([5, 4, 1], seed=13, alpha=2.0, dtype="float64")
+        mc, cascade = single([5, 4, 1], seed=13, alpha=2.0, dtype="float64")
         rng = np.random.default_rng(13)
         for _ in range(3):
             x0 = rng.uniform(-1, 1, (10, 5))
-            lstar = rng.uniform(-1, 1, (10, 1))
-            _, ws = forward_batch(cascade, x0)
-            train_step(cascade, ws, lstar)
+            train_once(mc, x0, rng.uniform(-1, 1, (10, 1)))
         return [p.values.copy() for p in cascade.packages]
 
     for va, vb in zip(run(), run()):
@@ -309,41 +313,40 @@ def test_training_determinism_across_runs():
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 def test_shared_layer1_training_matches_replicas_trained_alone(dtype):
-    # forward_all shares one layer-1 state across replicas; training each
-    # replica on its own with forward_batch must give the same bits
+    # forward_all shares one layer-1 state across replicas; training replica i
+    # as a d = 1 model seeded seed + i must give the same bits
     rng = np.random.default_rng(40)
     arch, core, seed = [6, 5, 4, 3], [6, 5, 4, 1], 40
     features = rng.uniform(-1, 1, (36, 6))
     targets = one_hot_pm1(rng.integers(0, 3, 36), 3)
     mc = init_multi(arch, seed=seed, alpha=3.0, dtype=dtype)
-    alone = [init_cascade(core, seed=seed + i, alpha=3.0, dtype=dtype) for i in range(3)]
+    alone = [init_multi(core, seed=seed + i, alpha=3.0, dtype=dtype) for i in range(3)]
     for idx in np.split(rng.permutation(36), 3):
         x0 = features[idx].astype(dtype)
         outs, workspaces = mc.forward_all(x0)
         assert all(ws.states[0] is workspaces[0].states[0] for ws in workspaces)
-        reports = train_multi(mc, workspaces, targets[idx], measure_after=True)
+        reports = train_multi(mc, workspaces, targets[idx])
         assert workspaces[0].states[0].gram is not None
-        for i, cascade in enumerate(alone):
-            out, ws = forward_batch(cascade, x0)
+        scores = mc.scores(x0)
+        for i, model in enumerate(alone):
+            out, ws = model.forward_all(x0)
             assert np.array_equal(out, outs[:, i:i + 1])
-            rep = train_step(cascade, ws, targets[idx, i:i + 1], measure_after=True)
-            assert rep == reports[i]
-    for shared, single in zip(mc.replicas, alone):
-        for pa, pb in zip(shared.packages, single.packages):
+            assert train_multi(model, ws, targets[idx, i:i + 1]) == [reports[i]]
+            assert np.array_equal(model.scores(x0), scores[:, i:i + 1])
+    for shared, model in zip(mc.replicas, alone):
+        for pa, pb in zip(shared.packages, model.replicas[0].packages):
             assert pa.values.dtype == np.dtype(dtype)
             assert np.array_equal(pa.values, pb.values)
 
 
 def test_scores_equal_per_replica_forward_batch():
+    # scores drops the intermediates forward_all keeps; the outputs are the same bits
     rng = np.random.default_rng(41)
     mc = init_multi([5, 4, 3, 3], seed=41, alpha=2.0)
     x = rng.uniform(-1, 1, (23, 5))
     chunk = 7  # three full chunks and a partial one
     got = mc.scores(x, chunk_rows=chunk)
-    expected = []
-    for lo in range(0, 23, chunk):
-        expected.append(np.hstack([forward_batch(c, x[lo:lo + chunk])[0]
-                                   for c in mc.replicas]))
+    expected = [mc.forward_all(x[lo:lo + chunk])[0] for lo in range(0, 23, chunk)]
     assert got.shape == (23, 3)
     assert np.array_equal(got, np.vstack(expected))
 
@@ -376,25 +379,24 @@ def test_shared_layer1_state_keeps_no_distances():
 
 def test_nan_coefficient_raises_non_finite_before_any_update():
     # intermediate products are not scanned; the NaN must reach the system check
-    cascade = init_cascade([4, 3, 2, 1], seed=12, alpha=1.0)
-    x0 = np.random.default_rng(12).uniform(-1, 1, (8, 4))
-    _, ws = forward_batch(cascade, x0)
+    mc, cascade = single([4, 3, 2, 1], seed=12, alpha=1.0)
+    _, workspaces = mc.forward_all(np.random.default_rng(12).uniform(-1, 1, (8, 4)))
     cascade.packages[1].coeffs[0, 0] = np.nan
     before = [p.values.copy() for p in cascade.packages]
     with pytest.raises(NonFiniteError):
-        train_step(cascade, ws, np.ones((8, 1)))
+        train_multi(mc, workspaces, np.ones((8, 1)))
     for pkg, old in zip(cascade.packages, before):
         assert np.array_equal(pkg.values, old)
 
 
 def test_non_finite_inputs_rejected_where_they_enter():
-    cascade = init_cascade([4, 3, 1], seed=0, alpha=1.0)
+    mc, cascade = single([4, 3, 1], seed=0, alpha=1.0)
     x0 = np.random.default_rng(0).uniform(-1, 1, (5, 4))
     with pytest.raises(NonFiniteError, match="batch input"):
-        forward_batch(cascade, np.where(np.eye(5, 4) > 0, np.nan, x0))
-    _, ws = forward_batch(cascade, x0)
+        mc.forward_all(np.where(np.eye(5, 4) > 0, np.nan, x0))
+    _, workspaces = mc.forward_all(x0)
     with pytest.raises(NonFiniteError, match="targets"):
-        train_step(cascade, ws, np.full((5, 1), np.inf))
+        train_multi(mc, workspaces, np.full((5, 1), np.inf))
     pkg = cascade.packages[0]
     with pytest.raises(NonFiniteError, match="values"):
         pkg.set_values(np.full_like(pkg.values, np.nan))
@@ -424,10 +426,9 @@ def test_failing_replica_leaves_earlier_replicas_updated_and_itself_untouched(mo
     x0 = rng.uniform(-1, 1, (12, 5))
     targets = one_hot_pm1(rng.integers(0, 4, 12), 4)
     mc = init_multi([5, 4, 3, 4], seed=43, alpha=2.0)
-    alone = [init_cascade([5, 4, 3, 1], seed=43 + i, alpha=2.0) for i in range(2)]
-    for i, cascade in enumerate(alone):
-        _, ws = forward_batch(cascade, x0)
-        train_step(cascade, ws, targets[:, i:i + 1])
+    alone = [init_multi([5, 4, 3, 1], seed=43 + i, alpha=2.0) for i in range(2)]
+    for i, model in enumerate(alone):
+        train_once(model, x0, targets[:, i:i + 1])
     _, workspaces = mc.forward_all(x0)
     before = [[p.values.copy() for p in c.packages] for c in mc.replicas]
     if failure is NotSPDError:
@@ -439,8 +440,8 @@ def test_failing_replica_leaves_earlier_replicas_updated_and_itself_untouched(mo
         mc.replicas[2].packages[1].coeffs[0, 0] = np.nan
     with pytest.raises(failure):
         train_multi(mc, workspaces, targets)
-    for shared, single in zip(mc.replicas[:2], alone):
-        for pa, pb in zip(shared.packages, single.packages):
+    for shared, model in zip(mc.replicas[:2], alone):
+        for pa, pb in zip(shared.packages, model.replicas[0].packages):
             assert np.array_equal(pa.values, pb.values)
     for c, old in zip(mc.replicas[2:], before[2:]):
         for pkg, values in zip(c.packages, old):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from polycascade import cli
-from polycascade.cascade import init_cascade
+from polycascade.cascade import init_multi
 from polycascade.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from polycascade.config import ConfigError, load_run_config
 from polycascade.linalg import NonFiniteError
@@ -137,7 +137,7 @@ def test_eval_roundtrip(tmp_path, capsys):
 def eval_inputs(tmp_path, n_features, preprocessing=None):
     """A 3-input snapshot and a CSV with ``n_features`` feature columns after the label."""
     snapshot = tmp_path / "m.phc1"
-    save_snapshot(snapshot, init_cascade([3, 4, 1], seed=0, alpha=1.0),
+    save_snapshot(snapshot, init_multi([3, 4, 1], seed=0, alpha=1.0),
                   preprocessing=preprocessing)
     data = tmp_path / "d.csv"
     rng = np.random.default_rng(0)
@@ -210,6 +210,29 @@ def test_eval_huge_header_length_exit_2(tmp_path, capsys):
     bad.write_bytes(MAGIC + struct.pack("<2Q", 1, 2 ** 40))
     assert main(["eval", str(bad), str(bad)]) == EXIT_CONFIG
     assert "truncated snapshot" in capsys.readouterr().err
+
+
+def test_non_finite_cell_exits_2_before_any_output(tmp_path, capsys):
+    path = delimited_config(tmp_path, "delimiter = ,")
+    data = tmp_path / "d.csv"
+    lines = data.read_text().splitlines()
+    lines[1] = lines[1].rsplit(",", 1)[0] + ",nan"
+    data.write_text("\n".join(lines) + "\n")
+    assert main(["train", str(path)]) == EXIT_CONFIG
+    assert "data error" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+    assert main(["eval", str(tmp_path / "m.phc1"), str(data)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "data error" in err and "non-finite cell at row 2, column 4" in err
+
+
+def test_eval_single_class_labels_exit_2(tmp_path, capsys):
+    snapshot, data = eval_inputs(tmp_path, 3)
+    table = np.loadtxt(data, delimiter=",")
+    table[:, 0] = 1.0
+    np.savetxt(data, table, delimiter=",")
+    assert main(["eval", snapshot, data]) == EXIT_CONFIG
+    assert "data error:" in capsys.readouterr().err
 
 
 def test_train_non_finite_failure_exit_1(tmp_path, monkeypatch, capsys):

@@ -92,6 +92,25 @@ def test_load_delimited_non_numeric_coordinates(tmp_path):
         load_delimited(p)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+def test_load_delimited_rejects_non_finite_cells(tmp_path, cell):
+    p = tmp_path / "bad.csv"
+    p.write_text(f"1,2,3\n\n0,5,{cell}\n")  # the blank line still counts as a file row
+    with pytest.raises(DataFormatError, match="non-finite cell at row 3, column 3"):
+        load_delimited(p)
+    p.write_text(f"{cell},2,3\n")  # a label cell too
+    with pytest.raises(DataFormatError, match="row 1, column 1"):
+        load_delimited(p)
+
+
+def test_load_delimited_max_rows_counts_data_rows(tmp_path):
+    p = tmp_path / "gaps.csv"
+    p.write_text("1,0.5\n\n\n0,1.5\n1,2.5\n0,3.5\n")
+    ds = load_delimited(p, max_rows=3)
+    assert np.array_equal(ds.features[:, 0], [0.5, 1.5, 2.5])
+    assert np.array_equal(ds.labels, [1.0, 0.0, 1.0])
+
+
 def test_load_delimited_empty(tmp_path):
     p = tmp_path / "empty.csv"
     p.write_text("")

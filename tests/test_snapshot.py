@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polycascade.cascade import forward_batch, init_cascade, init_multi
+from polycascade.cascade import init_multi
 from polycascade.constellation import synthesize_u
 from polycascade.package import Package
 from polycascade.snapshot import MAGIC, SnapshotFormatError, load_snapshot, save_snapshot
@@ -29,9 +29,8 @@ def test_roundtrip_multi_output(tmp_path):
 
 
 def test_coefficients_rederived_on_load(tmp_path):
-    cascade = init_cascade([5, 4, 1], seed=1, alpha=2.0)
     path = tmp_path / "single.phc1"
-    save_snapshot(path, cascade)
+    save_snapshot(path, init_multi([5, 4, 1], seed=1, alpha=2.0))
     loaded, prep = load_snapshot(path)
     assert prep is None
     pkg = loaded.replicas[0].packages[0]
@@ -40,22 +39,20 @@ def test_coefficients_rederived_on_load(tmp_path):
 
 
 def test_loaded_model_predicts_identically(tmp_path):
-    cascade = init_cascade([4, 3, 1], seed=9, alpha=1.0)
+    mc = init_multi([4, 3, 1], seed=9, alpha=1.0)
     x = np.random.default_rng(0).uniform(-1, 1, (7, 4))
-    out_before, _ = forward_batch(cascade, x)
-    save_snapshot(tmp_path / "m.phc1", cascade)
+    save_snapshot(tmp_path / "m.phc1", mc)
     loaded, _ = load_snapshot(tmp_path / "m.phc1")
-    out_after, _ = forward_batch(loaded.replicas[0], x)
-    assert np.array_equal(out_before, out_after)
+    assert np.array_equal(mc.scores(x), loaded.scores(x))
 
 
 def test_float32_snapshot(tmp_path):
-    cascade = init_cascade([4, 1], seed=2, alpha=1.0, dtype="float32")
-    save_snapshot(tmp_path / "m32.phc1", cascade)
+    mc = init_multi([4, 1], seed=2, alpha=1.0, dtype="float32")
+    save_snapshot(tmp_path / "m32.phc1", mc)
     loaded, _ = load_snapshot(tmp_path / "m32.phc1")
     assert loaded.dtype == np.float32
     assert np.array_equal(loaded.replicas[0].packages[0].values,
-                          cascade.packages[0].values)
+                          mc.replicas[0].packages[0].values)
 
 
 def test_bad_magic(tmp_path):
@@ -66,9 +63,8 @@ def test_bad_magic(tmp_path):
 
 
 def test_truncated_payload(tmp_path):
-    cascade = init_cascade([4, 1], seed=0, alpha=1.0)
     p = tmp_path / "t.phc1"
-    save_snapshot(p, cascade)
+    save_snapshot(p, init_multi([4, 1], seed=0, alpha=1.0))
     data = p.read_bytes()
     assert data.startswith(MAGIC)
     p.write_bytes(data[:-16])
@@ -77,9 +73,8 @@ def test_truncated_payload(tmp_path):
 
 
 def test_trailing_bytes_rejected(tmp_path):
-    cascade = init_cascade([4, 1], seed=0, alpha=1.0)
     p = tmp_path / "t.phc1"
-    save_snapshot(p, cascade)
+    save_snapshot(p, init_multi([4, 1], seed=0, alpha=1.0))
     p.write_bytes(p.read_bytes() + b"\x00")
     with pytest.raises(SnapshotFormatError, match="trailing"):
         load_snapshot(p)
@@ -104,9 +99,8 @@ def test_load_sets_each_package_values_once(tmp_path, monkeypatch):
 
 
 def test_invalid_header_widths_rejected(tmp_path):
-    cascade = init_cascade([4, 3, 1], seed=0, alpha=1.0)
     p = tmp_path / "w.phc1"
-    save_snapshot(p, cascade)
+    save_snapshot(p, init_multi([4, 3, 1], seed=0, alpha=1.0))
     data = bytearray(p.read_bytes())
     last_width = 4 + 8 + 8 + 2 * 8  # magic, d, q, then widths[0..1]
     data[last_width:last_width + 8] = struct.pack("<Q", 2)
@@ -117,7 +111,7 @@ def test_invalid_header_widths_rejected(tmp_path):
 
 def test_mistyped_preprocessing_spec_rejected(tmp_path):
     path = tmp_path / "m.phc1"
-    save_snapshot(path, init_cascade([3, 2, 1], seed=0, alpha=1.0),
+    save_snapshot(path, init_multi([3, 2, 1], seed=0, alpha=1.0),
                   preprocessing={"col_min": 5})
     with pytest.raises(SnapshotFormatError, match="col_min"):
         load_snapshot(path)
