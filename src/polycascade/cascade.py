@@ -1,21 +1,21 @@
-"""Multi-output cascades: initialization, batched forward, and training.
+"""Multi-output cascades: construction, initialization, batched forward, and training.
 
-A model is a ``MultiOutputCascade`` of d >= 1 replicas, built by
-``init_multi``.  Each batch runs through ``forward_all`` and then
-``train_multi``, which takes one training step per replica; ``scores``
-evaluates without keeping training intermediates.
+A model is a ``MultiOutputCascade`` of d >= 1 single-output replicas, built
+from its widths, hyperparameters and value matrices; ``init_multi`` draws
+the values and ``snapshot.load_snapshot`` reads them.  Each batch runs
+through ``forward_all`` and then ``train_multi``, which takes one training
+step per replica; ``scores`` evaluates without keeping training
+intermediates.
 
-A replica (``Cascade``) is a strict sequence of packages whose widths chain
-and whose last width is 1 (one scalar output).  Training never uses
-gradient descent: after a forward pass, the derivative matrices are
-propagated backward, each package contributes an r x r Schur-product Gram
-matrix, their regularized sum is solved for a single batch vector, and that
-vector updates every package's value matrix independently.  The system is
-built a panel of rows at a time: each package's Gram products for those
-rows are computed into two small panel buffers that stay in cache and
-combined into the lower triangle, which is then mirrored once.  The system
-and the solve's factor buffer are two r x r arrays that every replica of a
-batch reuses.
+Training never uses gradient descent: after a forward pass, the
+derivative matrices are propagated backward, each package contributes an
+r x r Schur-product Gram matrix, their regularized sum is solved for a single
+batch vector, and that vector updates every package's value matrix
+independently.  The system is built a panel of rows at a time: each
+package's Gram products for those rows are computed into two small panel
+buffers that stay in cache and combined into the lower triangle, which is
+then mirrored once.  The system and the solve's factor buffer are two r x r
+arrays that every replica of a batch reuses.
 
 The replicas have independent value matrices and share the architecture and
 hyperparameters.  Every replica's first package has the same constellation
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constellation import build_octahedral, octahedral_points
+from .constellation import Constellation, build_octahedral, octahedral_points
 from .kernel import KernelParams
 from .linalg import (NonFiniteError, NotSPDError, ShapeMismatchError, as_matrix, resolve_dtype,
                      spd_solve)
@@ -76,36 +76,15 @@ class TrainStepReport:
     solve_residual_inf: float
 
 
+@dataclass
 class Cascade:
-    """One single-output replica: an ordered package sequence plus training hyperparameters."""
+    """One single-output replica: its packages in order, built by ``MultiOutputCascade``."""
 
-    def __init__(self, packages: list[Package], alpha: float, kernel: KernelParams,
-                 dtype=np.float64):
-        if not packages:
-            raise ValueError("cascade needs at least one package")
-        for prev, nxt in zip(packages, packages[1:]):
-            if prev.n_out != nxt.n_in:
-                raise ShapeMismatchError(
-                    f"package widths do not chain: {prev.n_out} out vs {nxt.n_in} in")
-        if packages[-1].n_out != 1:
-            raise ValueError(f"last package must have one output, got {packages[-1].n_out}")
-        if alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {alpha}")
-        self.packages = packages
-        self.alpha = float(alpha)
-        self.kernel = kernel
-        self.dtype = np.dtype(dtype)
-
-    @property
-    def widths(self) -> list[int]:
-        return [self.packages[0].n_in] + [p.n_out for p in self.packages]
+    packages: list[Package]
 
     @property
     def q(self) -> int:
         return len(self.packages)
-
-    def parameter_count(self) -> int:
-        return sum(p.values.size for p in self.packages)
 
 
 def _random_values(rng: np.random.Generator, k: int, n_out: int, dtype) -> np.ndarray:
@@ -145,18 +124,17 @@ def backward_quantities(cascade: Cascade, ws: CascadeBatchWorkspace,
     and never descends below the first package (its input derivative is
     unused by training).
     """
-    r = ws.batch_rows
     q = cascade.q
     bases = [pkg.cardinal_basis(state) for pkg, state in zip(cascade.packages, ws.states)]
     grads: list[np.ndarray | None] = [None] * q
-    grads[q - 1] = np.ones((r, 1), dtype=cascade.dtype)
+    grads[q - 1] = np.ones((ws.batch_rows, 1), dtype=ws.output.dtype)
     for i in range(q - 1, 0, -1):
         grads[i - 1] = cascade.packages[i].backward(grads[i], ws.states[i])
     return bases, grads
 
 
-def assemble_system(cascade: Cascade, layer1: PackageBatchState, bases: list[np.ndarray],
-                    grads: list[np.ndarray]) -> np.ndarray:
+def assemble_system(layer1: PackageBatchState, bases: list[np.ndarray], grads: list[np.ndarray],
+                    alpha: float) -> np.ndarray:
     """The regularized training system sum_i (H_i H_i^T) * (G_i G_i^T) + alpha I.
 
     Built in panels of ``PANEL_ROWS`` rows.  For rows I = i0:i1, every
@@ -171,7 +149,7 @@ def assemble_system(cascade: Cascade, layer1: PackageBatchState, bases: list[np.
     replica sharing it; the returned system is overwritten by the next.
     """
     r = layer1.x_in.shape[0]
-    dt = cascade.dtype
+    dt = layer1.x_in.dtype
     if layer1.system_buffers is None:
         layer1.system_buffers = (np.empty((r, r), dtype=dt), np.empty((r, r), dtype=dt))
     system = layer1.system_buffers[0]
@@ -199,15 +177,15 @@ def assemble_system(cascade: Cascade, layer1: PackageBatchState, bases: list[np.
         system[:i0, rows] = panel[:, :i0].T
         block = system[rows, rows]
         np.copyto(block, block.T, where=_STRICT_UPPER[:block.shape[0], :block.shape[0]])
-    system[np.diag_indices(r)] += dt.type(cascade.alpha)
+    system[np.diag_indices(r)] += dt.type(alpha)
     return system
 
 
 def train_step(cascade: Cascade, ws: CascadeBatchWorkspace, lstar: np.ndarray,
-               layer1_update: np.ndarray) -> TrainStepReport:
+               layer1_update: np.ndarray, alpha: float) -> TrainStepReport:
     """One replica's training step on the batch held in its workspace.
 
-    Builds the alpha-regularized system (``assemble_system``), solves it for
+    Builds the model's alpha-regularized system (``assemble_system``), solves it for
     the batch vector b against the r x 1 targets ``lstar``, applies the
     value updates H^T (G * b) of packages 2..q from the pre-update
     intermediates, and writes G1 * b into ``layer1_update`` (r x n1) for
@@ -218,7 +196,7 @@ def train_step(cascade: Cascade, ws: CascadeBatchWorkspace, lstar: np.ndarray,
     delta_l = lstar - ws.output
     bases, grads = backward_quantities(cascade, ws)
     layer1 = ws.states[0]
-    system = assemble_system(cascade, layer1, bases, grads)
+    system = assemble_system(layer1, bases, grads, alpha)
     if not (np.isfinite(system).all() and np.isfinite(delta_l).all()):
         raise NonFiniteError("training system or output residual contains NaN or Inf")
     b_vec = spd_solve(system, delta_l, factor_buf=layer1.system_buffers[1])
@@ -237,43 +215,46 @@ def train_step(cascade: Cascade, ws: CascadeBatchWorkspace, lstar: np.ndarray,
 
 
 class MultiOutputCascade:
-    """One single-output cascade replica per output dimension."""
+    """One single-output cascade replica per output dimension.
 
-    def __init__(self, replicas: list[Cascade]):
-        if not replicas:
+    ``widths`` is the single-output core, ending in 1, and ``values[j][i]``
+    is replica j's value matrix for package i, of shape
+    (2 * widths[i] + 1, widths[i + 1]).  One constellation per depth serves
+    every replica, so the replicas share widths, kernel, ``sigma2``, alpha
+    and precision by construction.
+    """
+
+    def __init__(self, widths, values, alpha: float, kernel: KernelParams, sigma2: float = 0.0,
+                 dtype="float64"):
+        self.widths = [int(w) for w in widths]
+        if len(self.widths) < 2 or min(self.widths) < 1 or self.widths[-1] != 1:
+            raise ValueError(f"need at least two positive widths ending in 1, got {self.widths}")
+        if not values:
             raise ValueError("need at least one replica")
-        ref = replicas[0]
-        for c in replicas[1:]:
-            # replicas share layer-1 intermediates, so their first packages must agree
-            if (c.widths != ref.widths or c.alpha != ref.alpha or c.kernel != ref.kernel
-                    or c.dtype != ref.dtype
-                    or c.packages[0].constellation != ref.packages[0].constellation):
-                raise ValueError("replicas must share widths, alpha, kernel parameters, dtype, "
-                                 "and the first package's constellation")
-        self.replicas = replicas
+        if not alpha >= 0:
+            raise ValueError(f"alpha must be >= 0, got {alpha}")
+        self.alpha, self.kernel, self.sigma2 = float(alpha), kernel, float(sigma2)
+        self.dtype = resolve_dtype(dtype)
+        constellations = [build_octahedral(n, sigma2=self.sigma2) for n in self.widths[:-1]]
+        self.replicas = []
+        for j, matrices in enumerate(values):
+            if len(matrices) != len(constellations):
+                raise ValueError(f"replica {j}: {len(matrices)} value matrices for "
+                                 f"{len(constellations)} packages")
+            packages = []
+            for i, (c, n_out, y) in enumerate(zip(constellations, self.widths[1:], matrices)):
+                if np.shape(y) != (c.k, n_out):
+                    raise ShapeMismatchError(f"replica {j} package {i}: values shape "
+                                             f"{np.shape(y)} != {(c.k, n_out)}")
+                packages.append(Package(c, kernel, y, dtype=self.dtype))
+            self.replicas.append(Cascade(packages))
 
     @property
     def d(self) -> int:
         return len(self.replicas)
 
-    @property
-    def widths(self) -> list[int]:
-        return self.replicas[0].widths
-
-    @property
-    def alpha(self) -> float:
-        return self.replicas[0].alpha
-
-    @property
-    def kernel(self) -> KernelParams:
-        return self.replicas[0].kernel
-
-    @property
-    def dtype(self) -> np.dtype:
-        return self.replicas[0].dtype
-
     def parameter_count(self) -> int:
-        return sum(c.parameter_count() for c in self.replicas)
+        return sum(p.values.size for c in self.replicas for p in c.packages)
 
     def forward_all(self, x0) -> tuple[np.ndarray, list[CascadeBatchWorkspace]]:
         """Outputs of all replicas as columns of an r x d matrix, with their workspaces.
@@ -333,15 +314,9 @@ def init_multi(arch_widths, seed: int, mode: str = "random", alpha: float = 1.0,
     equal input and output widths (so those layers start as near-identity
     maps) and falls back to random initialization elsewhere.
     """
-    widths = [int(w) for w in arch_widths]
-    if len(widths) < 2:
-        raise ValueError(f"need at least two widths, got {widths}")
-    if any(w < 1 for w in widths):
-        raise ValueError(f"widths must be positive, got {widths}")
     if mode not in INIT_MODES:
         raise ValueError(f"init mode must be one of {INIT_MODES}, got {mode!r}")
-    kernel = kernel or KernelParams()
-    dt = resolve_dtype(dtype)
+    widths = [int(w) for w in arch_widths]
     core = widths[:-1] + [1]
     pairs = list(zip(core, core[1:]))
     identity = mode == "identity-fragments"
@@ -349,19 +324,14 @@ def init_multi(arch_widths, seed: int, mode: str = "random", alpha: float = 1.0,
     if identity and degraded:
         logger.info("identity-fragments: packages %s have unequal widths, used random init",
                     degraded)
-    replicas = []
+    dt = resolve_dtype(dtype)
+    values = []
     for j in range(widths[-1]):
         rng = np.random.default_rng(seed + j)
-        packages = []
-        for n_in, n_out in pairs:
-            constellation = build_octahedral(n_in, sigma2=sigma2)
-            if identity and n_in == n_out:
-                values = octahedral_points(n_in, dtype=dt)
-            else:
-                values = _random_values(rng, constellation.k, n_out, dt)
-            packages.append(Package(constellation, kernel, values, dtype=dt))
-        replicas.append(Cascade(packages, alpha=alpha, kernel=kernel, dtype=dt))
-    return MultiOutputCascade(replicas)
+        values.append([octahedral_points(n_in, dtype=dt) if identity and n_in == n_out
+                       else _random_values(rng, Constellation(n_in).k, n_out, dt)
+                       for n_in, n_out in pairs])
+    return MultiOutputCascade(core, values, alpha, kernel or KernelParams(), sigma2, dt)
 
 
 def train_multi(mc: MultiOutputCascade, workspaces: list[CascadeBatchWorkspace],
@@ -393,7 +363,7 @@ def train_multi(mc: MultiOutputCascade, workspaces: list[CascadeBatchWorkspace],
         for i, (c, ws) in enumerate(zip(mc.replicas, workspaces)):
             try:
                 reports.append(train_step(c, ws, targets[:, i:i + 1],
-                                          scaled[:, i * n1:(i + 1) * n1]))
+                                          scaled[:, i * n1:(i + 1) * n1], mc.alpha))
             except NotSPDError as exc:
                 raise NotSPDError(f"replica {i}: {exc}") from exc
             del ws.xs[1:], ws.states[1:]

@@ -20,7 +20,7 @@ from .data import DataFormatError, TransformSpec, fit_apply_transforms, load_del
 from .linalg import NonFiniteError, NotSPDError
 from .metrics import accuracy, roc_auc
 from .snapshot import SnapshotFormatError, load_snapshot, save_snapshot
-from .training import run_training
+from .training import check_labels, run_training
 
 EXIT_OK = 0
 EXIT_NUMERIC = 1
@@ -56,6 +56,7 @@ def cmd_train(args) -> int:
 
     try:
         train, test, fitted_spec = load_datasets(cfg)
+        check_labels(cfg.train_config(), train, test)
     except (DataFormatError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

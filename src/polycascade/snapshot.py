@@ -33,12 +33,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .cascade import Cascade, MultiOutputCascade
-from .constellation import build_octahedral
+from .cascade import MultiOutputCascade
 from .data import DataFormatError, TransformSpec
 from .kernel import KernelParams
 from .linalg import NonFiniteError
-from .package import Package
 
 MAGIC = b"PHC1"
 _DTYPE_CODES = {np.dtype(np.float64): 0, np.dtype(np.float32): 1}
@@ -85,19 +83,27 @@ class _Reader:
     def f64(self, count: int, what: str) -> tuple[float, ...]:
         return struct.unpack(f"<{count}d", self.exact(8 * count, what))
 
+    def matrix(self, dtype: np.dtype, what: str) -> np.ndarray:
+        """A stored (rows, cols) header and the values it announces."""
+        rows, cols = self.u64(2, f"shape of {what}")
+        raw = self.exact(rows * cols * dtype.itemsize, f"values of {what}")
+        try:
+            return np.frombuffer(raw, dtype=dtype).reshape(rows, cols)
+        except ValueError as exc:  # an empty shape with a dimension numpy cannot hold
+            raise SnapshotFormatError(f"{what}: stored shape {(rows, cols)}: {exc}") from exc
+
 
 def save_snapshot(path, model: MultiOutputCascade, preprocessing: dict | None = None) -> None:
     """Write the model (and optional preprocessing spec) to a PHC1 file."""
     widths = model.widths
-    sigma2 = model.replicas[0].packages[0].constellation.sigma2
-    dtype_code = _DTYPE_CODES[np.dtype(model.dtype)]
+    dtype_code = _DTYPE_CODES[model.dtype]
     blob = b"" if preprocessing is None else json.dumps(preprocessing).encode("utf-8")
 
     path = Path(path)
     with open(path, "wb") as f:
         f.write(MAGIC)
         _write_u64(f, model.d, len(widths) - 1, *widths)
-        _write_f64(f, model.alpha, model.kernel.b, model.kernel.c, sigma2)
+        _write_f64(f, model.alpha, model.kernel.b, model.kernel.c, model.sigma2)
         _write_u64(f, dtype_code, len(blob))
         f.write(blob)
         store_dtype = _CODE_DTYPES[dtype_code]
@@ -148,31 +154,18 @@ def load_snapshot(path) -> tuple[MultiOutputCascade, dict | None]:
                 raise SnapshotFormatError(f"invalid preprocessing spec: {exc}") from exc
 
         store_dtype = _CODE_DTYPES[dtype_code]
-        model_dtype = np.float64 if dtype_code == 0 else np.float32
-        kernel = KernelParams(b=b, c=c)
-        replicas = []
-        for ri in range(d):
-            packages = []
-            for pi, (n_in, n_out) in enumerate(zip(widths, widths[1:])):
-                where = f"replica {ri} package {pi}"
-                constellation = build_octahedral(n_in, sigma2=sigma2)
-                shape = (constellation.k, n_out)
-                rows, cols = reader.u64(2, f"shape of {where}")
-                if (rows, cols) != shape:
-                    raise SnapshotFormatError(
-                        f"{where}: stored shape {(rows, cols)} does not match "
-                        f"widths-derived shape {shape}")
-                raw = reader.exact(rows * cols * store_dtype.itemsize, f"values of {where}")
-                values = np.frombuffer(raw, dtype=store_dtype).reshape(rows, cols)
-                try:
-                    pkg = Package(constellation, kernel, values.astype(model_dtype, copy=False),
-                                  dtype=model_dtype)
-                except (ValueError, NonFiniteError) as exc:
-                    raise SnapshotFormatError(f"{where}: {exc}") from exc
-                if not np.isfinite(pkg.coeffs).all():
-                    raise SnapshotFormatError(f"{where}: values overflow the coefficients")
-                packages.append(pkg)
-            replicas.append(Cascade(packages, alpha=alpha, kernel=kernel, dtype=model_dtype))
+        values = [[reader.matrix(store_dtype, f"replica {j} package {i}") for i in range(q)]
+                  for j in range(d)]
         if reader.left:
             raise SnapshotFormatError("trailing bytes after model payload")
-    return MultiOutputCascade(replicas), preprocessing
+    try:
+        model = MultiOutputCascade(widths, values, alpha, KernelParams(b=b, c=c), sigma2,
+                                   store_dtype)
+    except (ValueError, NonFiniteError) as exc:
+        raise SnapshotFormatError(str(exc)) from exc
+    for j, cascade in enumerate(model.replicas):
+        for i, pkg in enumerate(cascade.packages):
+            if not np.isfinite(pkg.coeffs).all():
+                raise SnapshotFormatError(f"replica {j} package {i}: values overflow the "
+                                          f"coefficients")
+    return model, preprocessing

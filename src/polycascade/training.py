@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .cascade import INIT_MODES, MultiOutputCascade, init_multi, one_hot_pm1, train_multi
-from .data import Dataset, batches
+from .data import DataFormatError, Dataset, batches
 from .kernel import KernelParams
 from .linalg import NotSPDError, resolve_dtype
 from .metrics import accuracy, roc_auc
@@ -65,6 +65,9 @@ class TrainConfig:
             raise ValueError(f"sigma2 must be finite and >= 0, got {self.sigma2}")
         if self.task not in ("classify", "binary-auc"):
             raise ValueError(f"unknown task {self.task!r}")
+        if self.task == "binary-auc" and self.widths[-1] != 1:
+            raise ValueError(f"task binary-auc scores one output, but widths end in "
+                             f"{self.widths[-1]}")
 
 
 @dataclass
@@ -81,13 +84,29 @@ class EpochRecord:
                 repr(self.residual), repr(self.seconds)]
 
 
+def check_labels(cfg: TrainConfig, train: Dataset, test: Dataset) -> None:
+    """Reject labels the task cannot train on or score, before any output or batch.
+
+    ``binary-auc`` needs labels 0 and 1, both present in each split;
+    ``classify`` needs integer labels in [0, d).
+    """
+    d = cfg.widths[-1]
+    for split, labels in (("train", train.labels), ("test", test.labels)):
+        if cfg.task == "binary-auc":
+            if not np.isin(labels, (0, 1)).all():
+                raise DataFormatError(f"{split} labels must be 0 or 1 for task binary-auc")
+            if np.unique(labels).size < 2:
+                raise DataFormatError(f"{split} labels hold one class; task binary-auc "
+                                      f"needs both 0 and 1")
+        elif not np.all((labels == np.floor(labels)) & (labels >= 0) & (labels < d)):
+            raise DataFormatError(f"{split} labels must be integers in [0, {d}) for task "
+                                  f"classify")
+
+
 def _targets_for(cfg: TrainConfig, labels: np.ndarray, d: int, dtype) -> np.ndarray:
     if cfg.task == "classify":
         return one_hot_pm1(labels, d, dtype=dtype)
-    labels = np.asarray(labels, dtype=np.float64).reshape(-1, 1)
-    if not np.isin(labels, (0.0, 1.0)).all():
-        raise ValueError("binary-auc task expects 0/1 labels")
-    return (2.0 * labels - 1.0).astype(dtype)
+    return (2.0 * np.asarray(labels, dtype=np.float64).reshape(-1, 1) - 1.0).astype(dtype)
 
 
 def _evaluate(cfg: TrainConfig, model: MultiOutputCascade, data: Dataset) -> float:
@@ -105,8 +124,10 @@ def run_training(cfg: TrainConfig, train: Dataset, test: Dataset,
     initialized model.  ``on_epoch`` (if given) is called with each record
     and the live model as the record is produced.  A non-SPD training system
     raises ``NotSPDError`` naming the epoch, the 1-based batch within it, and
-    the replica.
+    the replica.  Labels the task cannot use raise ``DataFormatError``
+    (``check_labels``) before the first batch.
     """
+    check_labels(cfg, train, test)
     d = cfg.widths[-1]
     model = init_multi(cfg.widths, seed=cfg.seed, mode=cfg.init_mode, alpha=cfg.alpha,
                        kernel=cfg.kernel, sigma2=cfg.sigma2, dtype=cfg.precision)

@@ -129,7 +129,7 @@ def check_training_gram_psd(seed: int) -> None:
             lo = float(np.linalg.eigvalsh(omega).min())
             assert lo >= -1e-8, f"trial {trial}: Gram product eigenvalue {lo:.3e}"
         system = sum(omegas) + np.eye(12)
-        err = _rel_err(assemble_system(cascade, ws.states[0], bases, grads), system)
+        err = _rel_err(assemble_system(ws.states[0], bases, grads, mc.alpha), system)
         assert err <= 1e-10, f"trial {trial}: assembled system off by {err:.3e}"
         spd_solve(system, rng.standard_normal((12, 1)))
 

@@ -1,9 +1,10 @@
 """Acceptance criteria, one test per criterion, each printing a PASS line.
 
-Criterion 8 drives the real MNIST IDX files and is marked slow; it is
+Criterion 8 drives the real MNIST IDX files and is marked slow, as is the
+500-package stability test after criterion 10.  Criterion 8 is
 skipped (not failed) when the files are absent, since the package never
 downloads datasets.  Point MNIST_DIR (or ./data/mnist) at a directory with
-the four standard files to run them:
+the four standard files to run it:
 
     train-images-idx3-ubyte   train-labels-idx1-ubyte
     t10k-images-idx3-ubyte    t10k-labels-idx1-ubyte
@@ -274,3 +275,21 @@ def test_criterion_10_hundred_package_depth():
     announce(10, f"100-package cascade reaches AUC {records[-1].test_metric:.4f}, residual "
                  f"{records[0].residual:.3f} -> {records[-1].residual:.3f}, max |values| "
                  f"{max_value:.3f} ({elapsed:.1f}s)")
+
+
+@pytest.mark.slow
+def test_five_hundred_package_depth_stays_stable():
+    # the paper's 500-layer regime: identity-fragment init keeps a cascade of 500
+    # packages finite and bounded while its residual falls.  Seeds 0-7 of this setup
+    # (14-16 s each): residual 1.10-1.13 -> 0.96-0.99, max |values| 1.014-1.032.
+    # Not asserted: the test AUC is only 0.51-0.67 after three epochs.
+    train, test = make_shell_task(n_train=4000, n_test=2000, dim=10, seed=0)
+    cfg = TrainConfig(widths=[10] * 500 + [1], alpha=50.0, epochs=3, batch_rows=1000, seed=0,
+                      precision="float32", init_mode="identity-fragments", task="binary-auc")
+    model, records = run_training(cfg, train, test)
+    values = [pkg.values for pkg in model.replicas[0].packages]
+    assert all(np.isfinite(v).all() for v in values)
+    max_value = max(float(np.abs(v).max()) for v in values)
+    assert max_value <= 1.2, f"max |values| {max_value:.3f}"
+    assert records[-1].residual < records[0].residual
+    assert records[-1].residual <= 1.05, f"final residual {records[-1].residual:.3f}"

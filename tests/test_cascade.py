@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from polycascade import cascade as cascade_module
-from polycascade.cascade import (PANEL_ROWS, Cascade, MultiOutputCascade, assemble_system,
+from polycascade.cascade import (PANEL_ROWS, MultiOutputCascade, assemble_system,
                                  backward_quantities, init_multi, one_hot_pm1, train_multi)
-from polycascade.constellation import build_octahedral, octahedral_points, synthesize_u
+from polycascade.constellation import octahedral_points, synthesize_u
 from polycascade.kernel import KernelParams
 from polycascade.linalg import NonFiniteError, NotSPDError, ShapeMismatchError
 from polycascade.oracle import package_omegas
-from polycascade.package import Package
 
 KP = KernelParams()
 
@@ -36,11 +35,26 @@ def test_width_chain_validation():
         init_multi([5, 4, 0], seed=0)  # no outputs
     with pytest.raises(ValueError, match="init mode"):
         init_multi([5, 4, 1], seed=0, mode="bogus")
-    pkgs = init_multi([5, 4, 3, 1], seed=0).replicas[0].packages
-    with pytest.raises(ShapeMismatchError):
-        Cascade([pkgs[0], pkgs[2]], alpha=1.0, kernel=KP)  # 4 outputs into 3 inputs
-    with pytest.raises(ValueError, match="one output"):
-        Cascade(pkgs[:2], alpha=1.0, kernel=KP)
+
+
+def test_constructor_validation():
+    # core [5, 4, 1]: package 0 holds 11 x 4 values, package 1 holds 9 x 1
+    good = [np.zeros((11, 4)), np.zeros((9, 1))]
+    model = MultiOutputCascade([5, 4, 1], [good, good], alpha=1.0, kernel=KP)
+    assert (model.d, model.widths, model.alpha, model.kernel) == (2, [5, 4, 1], 1.0, KP)
+    # one constellation per depth serves every replica, so layer 1 can be shared
+    for pa, pb in zip(*(c.packages for c in model.replicas)):
+        assert pa.constellation is pb.constellation
+    with pytest.raises(ShapeMismatchError, match=r"replica 1 package 1: values shape \(9, 2\)"):
+        MultiOutputCascade([5, 4, 1], [good, [good[0], np.zeros((9, 2))]], alpha=1.0, kernel=KP)
+    with pytest.raises(ValueError, match="replica 0: 1 value matrices for 2 packages"):
+        MultiOutputCascade([5, 4, 1], [good[:1]], alpha=1.0, kernel=KP)
+    with pytest.raises(ValueError, match="ending in 1"):
+        MultiOutputCascade([5, 4, 2], [good], alpha=1.0, kernel=KP)
+    with pytest.raises(ValueError, match="at least one replica"):
+        MultiOutputCascade([5, 4, 1], [], alpha=1.0, kernel=KP)
+    with pytest.raises(ValueError, match="alpha"):
+        MultiOutputCascade([5, 4, 1], [good], alpha=-1.0, kernel=KP)
 
 
 def test_architecture_shape():
@@ -48,10 +62,13 @@ def test_architecture_shape():
     cascade = mc.replicas[0]
     assert mc.d == 10
     assert cascade.q == 4
-    assert mc.widths == cascade.widths == [784, 100, 20, 20, 1]
+    assert mc.widths == [784, 100, 20, 20, 1]
+    assert [(p.n_in, p.n_out) for p in cascade.packages] == [(784, 100), (100, 20), (20, 20),
+                                                             (20, 1)]
     assert [p.k for p in cascade.packages] == [1569, 201, 41, 41]
     # the published 1.6M parameters: ten replicas of the single-output core
-    assert mc.parameter_count() == cascade.parameter_count() * 10 == 1_617_810
+    per_replica = sum(p.values.size for p in cascade.packages)
+    assert mc.parameter_count() == per_replica * 10 == 1_617_810
 
 
 def test_random_init_row_norms_and_distinctness():
@@ -351,16 +368,6 @@ def test_scores_equal_per_replica_forward_batch():
     assert np.array_equal(got, np.vstack(expected))
 
 
-def test_replicas_must_share_first_constellation():
-    kp = KernelParams()
-    replicas = []
-    for sigma2 in (0.0, 0.5):
-        pkg = Package(build_octahedral(3, sigma2=sigma2), kp, np.zeros((7, 1)))
-        replicas.append(Cascade([pkg], alpha=1.0, kernel=kp))
-    with pytest.raises(ValueError, match="constellation"):
-        MultiOutputCascade(replicas)
-
-
 def test_not_spd_error_names_replica():
     mc = init_multi([1, 3], seed=0, alpha=0.0)  # one package, rank-deficient system
     x0 = np.random.default_rng(0).uniform(-1, 1, (10, 1))
@@ -413,7 +420,7 @@ def test_assembled_system_equals_oracle_sum(dtype, bound):
         for c, ws in zip(mc.replicas, workspaces):
             bases, grads = backward_quantities(c, ws)
             expected = sum(package_omegas(bases, grads)) + 2.5 * np.eye(r, dtype=dtype)
-            system = assemble_system(c, ws.states[0], bases, grads)
+            system = assemble_system(ws.states[0], bases, grads, mc.alpha)
             assert system.dtype == np.dtype(dtype)
             assert np.array_equal(system, system.T)
             assert np.abs(system - expected).max() <= bound * np.abs(expected).max()

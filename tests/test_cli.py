@@ -68,6 +68,7 @@ INVALID_VALUES = [
     ("kernel_b", "nan", "kernel coefficients"), ("train_rows", "0", "train_rows"),
     ("test_rows", "-5", "test_rows"), ("max_rows", "0", "max_rows"), ("dim", "0", "dim"),
     ("dim", "7", "input width 6"), ("data_seed", "-1", "data_seed"),
+    ("widths", "6,20,3", "binary-auc"),
 ]
 
 
@@ -224,6 +225,26 @@ def test_non_finite_cell_exits_2_before_any_output(tmp_path, capsys):
     assert main(["eval", str(tmp_path / "m.phc1"), str(data)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "data error" in err and "non-finite cell at row 2, column 4" in err
+
+
+@pytest.mark.parametrize("task,widths,labels,message", [
+    ("binary-auc", "2,4,1", np.ones(40), "one class"),
+    ("classify", "2,4,3", np.arange(40) % 4, "labels must be integers in [0, 3)"),
+], ids=["auc-single-class", "classify-label-3"])
+def test_unusable_labels_exit_2_before_any_output(tmp_path, monkeypatch, capsys, task, widths,
+                                                  labels, message):
+    data = tmp_path / "d.csv"
+    np.savetxt(data, np.column_stack([labels, np.random.default_rng(0).uniform(-1, 1, (40, 2))]),
+               delimiter=",")
+    path = tmp_path / "labels.ini"
+    path.write_text(f"[data]\nformat = delimited\npath = {data}\n"
+                    f"[model]\nwidths = {widths}\n[train]\ntask = {task}\nbatch_rows = 16\n"
+                    f"[output]\ndir = {tmp_path / 'run'}\n")
+    monkeypatch.setattr(cli, "run_training", lambda *a, **k: pytest.fail("training started"))
+    assert main(["train", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "data error:" in err and message in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_eval_single_class_labels_exit_2(tmp_path, capsys):

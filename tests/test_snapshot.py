@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from polycascade.cascade import init_multi
 from polycascade.constellation import synthesize_u
+from polycascade.kernel import KernelParams
 from polycascade.package import Package
 from polycascade.snapshot import MAGIC, SnapshotFormatError, load_snapshot, save_snapshot
 
@@ -26,6 +27,24 @@ def test_roundtrip_multi_output(tmp_path):
     for ca, cb in zip(mc.replicas, loaded.replicas):
         for pa, pb in zip(ca.packages, cb.packages):
             assert np.array_equal(pa.values, pb.values)
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_save_load_save_is_byte_identical(tmp_path, dtype):
+    kernel = KernelParams(b=4.0, c=300.0)
+    mc = init_multi([5, 4, 4, 3], seed=8, mode="identity-fragments", alpha=2.5, kernel=kernel,
+                    sigma2=0.35, dtype=dtype)
+    first, second = tmp_path / "a.phc1", tmp_path / "b.phc1"
+    save_snapshot(first, mc)
+    loaded, _ = load_snapshot(first)
+    assert (loaded.d, loaded.widths, loaded.alpha, loaded.kernel, loaded.sigma2, loaded.dtype) \
+        == (3, [5, 4, 4, 1], 2.5, kernel, 0.35, np.dtype(dtype))
+    for c in loaded.replicas:
+        assert [p.constellation.sigma2 for p in c.packages] == [0.35, 0.35, 0.35]
+    save_snapshot(second, loaded)
+    assert second.read_bytes() == first.read_bytes()
+    x = np.random.default_rng(8).uniform(-1, 1, (9, 5)).astype(dtype)
+    assert np.array_equal(loaded.scores(x), mc.scores(x))
 
 
 def test_coefficients_rederived_on_load(tmp_path):
@@ -106,6 +125,24 @@ def test_invalid_header_widths_rejected(tmp_path):
     data[last_width:last_width + 8] = struct.pack("<Q", 2)
     p.write_bytes(bytes(data))
     with pytest.raises(SnapshotFormatError, match="invalid widths"):
+        load_snapshot(p)
+
+
+@pytest.mark.parametrize("shape,message", [
+    ((4, 11), r"replica 1 package 0: values shape \(4, 11\) != \(11, 4\)"),
+    ((2 ** 63 + 11, 0), "replica 1 package 0: stored shape"),
+], ids=["transposed", "empty-huge"])
+def test_stored_shape_mismatch_names_replica(tmp_path, shape, message):
+    p = tmp_path / "s.phc1"
+    save_snapshot(p, init_multi([5, 4, 2], seed=0, alpha=1.0))
+    data = bytearray(p.read_bytes())
+    # magic, d, q, three widths, four hyperparameters, dtype code, spec length; replica 0
+    offset = 4 + 2 * 8 + 3 * 8 + 4 * 8 + 2 * 8 + (16 + 11 * 4 * 8) + (16 + 9 * 8)
+    data[offset:offset + 16] = struct.pack("<2Q", *shape)
+    if shape[1] == 0:
+        del data[offset + 16:offset + 16 + 11 * 4 * 8]
+    p.write_bytes(bytes(data))
+    with pytest.raises(SnapshotFormatError, match=message):
         load_snapshot(p)
 
 

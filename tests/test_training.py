@@ -6,7 +6,7 @@ import pytest
 
 from polycascade import cascade as cascade_module
 from polycascade import training
-from polycascade.data import Dataset
+from polycascade.data import DataFormatError, Dataset
 from polycascade.linalg import NotSPDError
 from polycascade.synthetic import make_shell_task
 from polycascade.training import CSV_HEADER, EpochRecord, TrainConfig, run_training
@@ -81,8 +81,9 @@ def test_alpha_zero_rejected_for_deep_cascades():
 
 @pytest.mark.parametrize("override", [
     {"widths": [6]}, {"widths": [6, 0, 3]}, {"alpha": float("nan")}, {"alpha": -1.0},
-    {"seed": -1}, {"sigma2": float("inf")},
-], ids=["one-width", "zero-width", "alpha-nan", "alpha-negative", "seed-negative", "sigma2-inf"])
+    {"seed": -1}, {"sigma2": float("inf")}, {"task": "binary-auc"},
+], ids=["one-width", "zero-width", "alpha-nan", "alpha-negative", "seed-negative", "sigma2-inf",
+        "binary-auc-three-outputs"])
 def test_train_config_rejects_invalid_fields(override):
     with pytest.raises(ValueError):
         TrainConfig(**{"widths": [6, 3], "alpha": 1.0, "epochs": 1, "batch_rows": 10, **override})
@@ -129,3 +130,23 @@ def test_not_spd_error_names_epoch_batch_and_replica(monkeypatch):
     cfg = TrainConfig(widths=[6, 5, 3], alpha=4.0, epochs=3, batch_rows=60, seed=20)
     with pytest.raises(NotSPDError, match="epoch 2, batch 3: replica 2: "):
         run_training(cfg, train, test)
+
+
+@pytest.mark.parametrize("task,widths,train_labels,message", [
+    ("binary-auc", [6, 4, 1], np.ones(40), "train labels hold one class"),
+    ("binary-auc", [6, 4, 1], np.arange(40) % 3, "train labels must be 0 or 1"),
+    ("classify", [6, 4, 3], np.arange(40) % 4, r"train labels must be integers in \[0, 3\)"),
+    ("classify", [6, 4, 3], np.arange(40) % 3 + 0.5, "integers"),
+], ids=["auc-one-class", "auc-label-2", "classify-label-3", "classify-fraction"])
+def test_unusable_labels_rejected_before_the_first_batch(monkeypatch, task, widths, train_labels,
+                                                         message):
+    monkeypatch.setattr(training, "init_multi", lambda *a, **k: pytest.fail("model was built"))
+    rng = np.random.default_rng(0)
+    train = Dataset(rng.uniform(-1, 1, (40, 6)), train_labels)
+    test = Dataset(rng.uniform(-1, 1, (10, 6)), np.arange(10) % 2)
+    cfg = TrainConfig(widths=widths, alpha=1.0, epochs=1, batch_rows=20, task=task)
+    with pytest.raises(DataFormatError, match=message):
+        run_training(cfg, train, test)
+    # the test split is checked too
+    with pytest.raises(DataFormatError, match="test labels"):
+        run_training(cfg, test, train)
