@@ -8,8 +8,8 @@ live in ``polycascade.oracle``, which only ``verify``, ``bench`` and the tests
 import.
 """
 
-from .cascade import (Cascade, CascadeBatchWorkspace, MultiOutputCascade, TrainStepReport,
-                      init_multi, one_hot_pm1, train_multi)
+from .cascade import (Cascade, CascadeBatchWorkspace, MultiOutputCascade, TrainingBuffers,
+                      TrainStepReport, init_multi, one_hot_pm1, train_multi)
 from .constellation import (Constellation, DegenerateKernelError, OctaCoefficients,
                             build_octahedral, derive_coefficients, octahedral_points,
                             synthesize_u)
@@ -30,9 +30,10 @@ __all__ = [
     "Dataset", "DegenerateKernelError", "EPS_M", "EpochRecord", "KernelParams",
     "MultiOutputCascade", "NegativeDistanceError", "NonFiniteError", "NotSPDError",
     "OctaCoefficients", "Package", "PackageBatchState", "ShapeMismatchError",
-    "SnapshotFormatError", "TrainConfig", "TrainStepReport", "TransformSpec", "accuracy",
-    "as_matrix", "batches", "build_octahedral", "derive_coefficients", "fit_apply_transforms",
-    "init_multi", "load_delimited", "load_idx", "load_snapshot", "make_shell_task",
-    "octahedral_points", "one_hot_pm1", "phi", "phi_matrix", "roc_auc", "run_training",
-    "save_snapshot", "spd_solve", "synthesize_u", "theta", "theta_matrix", "train_multi",
+    "SnapshotFormatError", "TrainConfig", "TrainStepReport", "TrainingBuffers", "TransformSpec",
+    "accuracy", "as_matrix", "batches", "build_octahedral", "derive_coefficients",
+    "fit_apply_transforms", "init_multi", "load_delimited", "load_idx", "load_snapshot",
+    "make_shell_task", "octahedral_points", "one_hot_pm1", "phi", "phi_matrix", "roc_auc",
+    "run_training", "save_snapshot", "spd_solve", "synthesize_u", "theta", "theta_matrix",
+    "train_multi",
 ]

@@ -13,19 +13,21 @@ r x r Schur-product Gram matrix, their regularized sum is solved for a single
 batch vector, and that vector updates every package's value matrix
 independently.  The system is built a panel of rows at a time: each
 package's Gram products for those rows are computed into two small panel
-buffers that stay in cache and combined into the lower triangle, which is
-then mirrored once.  The system and the solve's factor buffer are two r x r
-arrays that every replica of a batch reuses.
+buffers that stay in cache and summed into a contiguous panel accumulator,
+which is written into the lower triangle and mirrored once.  The system,
+the solve's factor, the layer-1 basis Gram and the panel buffers form one
+``TrainingBuffers`` set that every replica of a batch reuses; ``run_training``
+keeps one set for a whole epoch, so a steady-state batch writes into memory
+it has already touched.
 
 The replicas have independent value matrices and share the architecture and
 hyperparameters.  Every replica's first package has the same constellation
-and kernel, so the layer-1 distances, kernel values, cardinal basis, basis
-Gram product and system buffers are computed or allocated once per batch
-(or scoring chunk) and shared by all replicas.  Layer 1 then acts as one
-package with d * n1 outputs: one product over the replicas' stacked
-coefficients gives every layer-1 output, and one product over their stacked
-derivative blocks gives every layer-1 value update.  The derivative Grams
-and the solve stay per replica.
+and kernel, so the layer-1 distances, kernel values, cardinal basis and basis
+Gram product are computed once per batch (or scoring chunk) and shared by
+all replicas.  Layer 1 then acts as one package with d * n1 outputs: one
+product over the replicas' stacked coefficients gives every layer-1 output,
+and one product over their stacked derivative blocks gives every layer-1
+value update.  The derivative Grams and the solve stay per replica.
 """
 
 from __future__ import annotations
@@ -48,6 +50,8 @@ INIT_MODES = ("random", "identity-fragments")
 # rows per assembly panel: two P x r products per package stay in cache
 PANEL_ROWS = 128
 _STRICT_UPPER = np.triu(np.ones((PANEL_ROWS, PANEL_ROWS), dtype=bool), 1)
+# rows per scoring chunk: 1024 scored faster than 4096 and 512 at the benchmark shapes
+SCORE_CHUNK_ROWS = 1024
 
 
 @dataclass
@@ -133,48 +137,77 @@ def backward_quantities(cascade: Cascade, ws: CascadeBatchWorkspace,
     return bases, grads
 
 
+class TrainingBuffers:
+    """The training step's working memory for batches of at most ``rows`` rows.
+
+    Three r x r arrays (the system, its Cholesky factor and the layer-1
+    basis Gram) and three P x r panel arrays (two Gram-product panels and
+    the panel accumulator), each held flat, so that a shorter batch uses
+    C-contiguous leading views of them.  A set serves one batch at a time:
+    each step overwrites what the previous one left there.
+    """
+
+    def __init__(self, rows: int, dtype):
+        self.rows = int(rows)
+        self.dtype = resolve_dtype(dtype)
+        square, panel = self.rows * self.rows, min(PANEL_ROWS, self.rows) * self.rows
+        self.system, self.factor, self.gram = (np.empty(square, self.dtype) for _ in range(3))
+        self.hh, self.gg, self.acc = (np.empty(panel, self.dtype) for _ in range(3))
+
+    @classmethod
+    def fitting(cls, buffers: TrainingBuffers | None, x: np.ndarray) -> TrainingBuffers:
+        """``buffers`` if it can hold a step on batch ``x``; a set for that one step if None."""
+        if buffers is None:
+            return cls(x.shape[0], x.dtype)
+        if buffers.rows < x.shape[0] or buffers.dtype != x.dtype:
+            raise ValueError(f"training buffers for {buffers.rows} {buffers.dtype} rows cannot "
+                             f"hold a batch of {x.shape[0]} {x.dtype} rows")
+        return buffers
+
+
+def _leading(flat: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """A C-contiguous rows x cols view of the start of a flat buffer."""
+    return flat[:rows * cols].reshape(rows, cols)
+
+
 def assemble_system(layer1: PackageBatchState, bases: list[np.ndarray], grads: list[np.ndarray],
-                    alpha: float) -> np.ndarray:
+                    alpha: float, buffers: TrainingBuffers | None = None) -> np.ndarray:
     """The regularized training system sum_i (H_i H_i^T) * (G_i G_i^T) + alpha I.
 
     Built in panels of ``PANEL_ROWS`` rows.  For rows I = i0:i1, every
-    package's term of the lower block ``system[I, :i1]`` is accumulated in
-    place from two panel products, ``H[I] @ H[:i1].T`` and
-    ``G[I] @ G[:i1].T``, whose P x r buffers stay in cache; the finished
-    panel is then mirrored once into the upper triangle, so the whole
-    symmetric matrix is returned.  H_1 H_1^T is cached on ``layer1`` as
-    ``gram``.  The last package's G is a column of ones, so its H H^T is
-    added alone.  The system buffer and the solve's factor buffer are
-    allocated on the first step that uses ``layer1`` and reused by every
-    replica sharing it; the returned system is overwritten by the next.
+    package's term of the lower block ``system[I, :i1]`` is summed into a
+    contiguous P x i1 accumulator from two panel products, ``H[I] @ H[:i1].T``
+    and ``G[I] @ G[:i1].T``, whose buffers stay in cache; the accumulator is
+    written into the system rows once and mirrored once into the upper
+    triangle, so the whole symmetric matrix is returned.  H_1 H_1^T is
+    cached on ``layer1`` as ``gram``.  The last package's G is a column of
+    ones, so its H H^T is added alone.  Every array is a view of
+    ``buffers`` (a set made for this call when None), so the returned
+    system is overwritten by the next step that uses the same set.
     """
     r = layer1.x_in.shape[0]
     dt = layer1.x_in.dtype
-    if layer1.system_buffers is None:
-        layer1.system_buffers = (np.empty((r, r), dtype=dt), np.empty((r, r), dtype=dt))
-    system = layer1.system_buffers[0]
+    buffers = TrainingBuffers.fitting(buffers, layer1.x_in)
+    system = _leading(buffers.system, r, r)
     if layer1.gram is None:
-        layer1.gram = bases[0] @ bases[0].T
-    h_buf = np.empty(min(PANEL_ROWS, r) * r, dtype=dt)
-    g_buf = np.empty_like(h_buf)
+        layer1.gram = np.matmul(bases[0], bases[0].T, out=_leading(buffers.gram, r, r))
     for i0 in range(0, r, PANEL_ROWS):
         rows = slice(i0, min(i0 + PANEL_ROWS, r))
         i1 = rows.stop
-        panel = system[rows, :i1]
-        hh = h_buf[:panel.size].reshape(panel.shape)
-        gg = g_buf[:panel.size].reshape(panel.shape)
         if len(bases) == 1:
-            np.copyto(panel, layer1.gram[rows, :i1])
+            acc = layer1.gram[rows, :i1]
         else:
+            acc, hh, gg = (_leading(b, i1 - i0, i1) for b in (buffers.acc, buffers.hh, buffers.gg))
             g1 = grads[0]
-            np.multiply(layer1.gram[rows, :i1], np.matmul(g1[rows], g1[:i1].T, out=gg), out=panel)
+            np.multiply(layer1.gram[rows, :i1], np.matmul(g1[rows], g1[:i1].T, out=gg), out=acc)
             for h, g in zip(bases[1:-1], grads[1:-1]):
-                panel += np.multiply(np.matmul(h[rows], h[:i1].T, out=hh),
-                                     np.matmul(g[rows], g[:i1].T, out=gg), out=hh)
+                acc += np.multiply(np.matmul(h[rows], h[:i1].T, out=hh),
+                                   np.matmul(g[rows], g[:i1].T, out=gg), out=hh)
             last = bases[-1]
-            panel += np.matmul(last[rows], last[:i1].T, out=hh)
+            acc += np.matmul(last[rows], last[:i1].T, out=hh)
+        system[rows, :i1] = acc
         # mirror the finished rows; the diagonal block's upper half too, so s == s.T exactly
-        system[:i0, rows] = panel[:, :i0].T
+        system[:i0, rows] = acc[:, :i0].T
         block = system[rows, rows]
         np.copyto(block, block.T, where=_STRICT_UPPER[:block.shape[0], :block.shape[0]])
     system[np.diag_indices(r)] += dt.type(alpha)
@@ -182,10 +215,12 @@ def assemble_system(layer1: PackageBatchState, bases: list[np.ndarray], grads: l
 
 
 def train_step(cascade: Cascade, ws: CascadeBatchWorkspace, lstar: np.ndarray,
-               layer1_update: np.ndarray, alpha: float) -> TrainStepReport:
+               layer1_update: np.ndarray, alpha: float,
+               buffers: TrainingBuffers) -> TrainStepReport:
     """One replica's training step on the batch held in its workspace.
 
-    Builds the model's alpha-regularized system (``assemble_system``), solves it for
+    Builds the model's alpha-regularized system (``assemble_system``) in
+    ``buffers``, factors it in their factor buffer and solves it for
     the batch vector b against the r x 1 targets ``lstar``, applies the
     value updates H^T (G * b) of packages 2..q from the pre-update
     intermediates, and writes G1 * b into ``layer1_update`` (r x n1) for
@@ -196,10 +231,10 @@ def train_step(cascade: Cascade, ws: CascadeBatchWorkspace, lstar: np.ndarray,
     delta_l = lstar - ws.output
     bases, grads = backward_quantities(cascade, ws)
     layer1 = ws.states[0]
-    system = assemble_system(layer1, bases, grads, alpha)
+    system = assemble_system(layer1, bases, grads, alpha, buffers)
     if not (np.isfinite(system).all() and np.isfinite(delta_l).all()):
         raise NonFiniteError("training system or output residual contains NaN or Inf")
-    b_vec = spd_solve(system, delta_l, factor_buf=layer1.system_buffers[1])
+    b_vec = spd_solve(system, delta_l, factor_buf=_leading(buffers.factor, *system.shape))
     solve_residual = float(np.abs(system @ b_vec - delta_l).max())
 
     # all updates are computed against pre-update intermediates, then applied
@@ -260,8 +295,8 @@ class MultiOutputCascade:
         """Outputs of all replicas as columns of an r x d matrix, with their workspaces.
 
         Layer 1 is prepared once and every replica's workspace shares that
-        state (and the basis, Gram and system buffers that training caches
-        on it); one product gives every replica's layer-1 output, and
+        state (and the basis and Gram that training caches on it); one
+        product gives every replica's layer-1 output, and
         ``forward_batch`` runs each replica's packages 2..q.
         """
         layer1 = self.replicas[0].packages[0].batch_state(x0)
@@ -271,8 +306,14 @@ class MultiOutputCascade:
                       for c, y in zip(self.replicas, x1)]
         return np.hstack([ws.output for ws in workspaces]), workspaces
 
-    def scores(self, x0, chunk_rows: int = 4096) -> np.ndarray:
-        """Replica outputs without retaining workspaces; chunked to bound memory."""
+    def scores(self, x0, chunk_rows: int = SCORE_CHUNK_ROWS) -> np.ndarray:
+        """Replica outputs without retaining workspaces, ``chunk_rows`` rows at a time.
+
+        Each package's distances and kernel values exist for one chunk at a
+        time, so the chunk size bounds the memory a call holds.
+        """
+        if chunk_rows < 1:
+            raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
         x0 = as_matrix(x0, dtype=self.dtype, name="batch input")
         out = np.empty((x0.shape[0], self.d), dtype=self.dtype)
         for lo in range(0, x0.shape[0], chunk_rows):
@@ -335,17 +376,20 @@ def init_multi(arch_widths, seed: int, mode: str = "random", alpha: float = 1.0,
 
 
 def train_multi(mc: MultiOutputCascade, workspaces: list[CascadeBatchWorkspace],
-                targets) -> list[TrainStepReport]:
+                targets, buffers: TrainingBuffers | None = None) -> list[TrainStepReport]:
     """Train every replica on one batch, replica j against target column j.
 
     The workspaces must come from one ``forward_all`` call, and ``targets``
     is r x d.  Each replica's ``train_step`` updates its packages 2..q and
     writes G1 * b into its column block of one r x (d * n1) array; one
-    product then applies every layer-1 update.  The workspaces are consumed:
-    once a replica's step is done, its workspace keeps only the shared
-    layer-1 state.  If replica j fails, replicas before it are fully
-    updated, layer 1 included, and replica j is untouched.  A non-SPD system
-    is re-raised with the failing replica's index.
+    product then applies every layer-1 update.  Every replica's system,
+    factor and panels live in ``buffers``, which must hold at least r rows
+    of the model's dtype; without it, a set is made for this one call.  The
+    workspaces are consumed: once a replica's step is done, its workspace
+    keeps only the shared layer-1 state.  If replica j fails, replicas
+    before it are fully updated, layer 1 included, and replica j is
+    untouched.  A non-SPD system is re-raised with the failing replica's
+    index.
     """
     if len(workspaces) != mc.d:
         raise ValueError(f"got {len(workspaces)} workspaces for {mc.d} replicas")
@@ -356,6 +400,7 @@ def train_multi(mc: MultiOutputCascade, workspaces: list[CascadeBatchWorkspace],
     outputs_shape = (workspaces[0].batch_rows, mc.d)
     if targets.shape != outputs_shape:
         raise ShapeMismatchError(f"targets shape {targets.shape} != outputs shape {outputs_shape}")
+    buffers = TrainingBuffers.fitting(buffers, layer1.x_in)
     n1 = mc.replicas[0].packages[0].n_out
     scaled = np.empty((workspaces[0].batch_rows, mc.d * n1), dtype=mc.dtype)
     reports = []
@@ -363,12 +408,11 @@ def train_multi(mc: MultiOutputCascade, workspaces: list[CascadeBatchWorkspace],
         for i, (c, ws) in enumerate(zip(mc.replicas, workspaces)):
             try:
                 reports.append(train_step(c, ws, targets[:, i:i + 1],
-                                          scaled[:, i * n1:(i + 1) * n1], mc.alpha))
+                                          scaled[:, i * n1:(i + 1) * n1], mc.alpha, buffers))
             except NotSPDError as exc:
                 raise NotSPDError(f"replica {i}: {exc}") from exc
             del ws.xs[1:], ws.states[1:]
     finally:
-        layer1.system_buffers = None
         if reports:
             # H1^T (G1 * b) of every trained replica in one product
             deltas = layer1.basis.T @ scaled[:, :len(reports) * n1]

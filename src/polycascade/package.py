@@ -53,10 +53,9 @@ class PackageBatchState:
     sq_dists: np.ndarray | None = None
     kernel_vals: np.ndarray | None = None
     basis: np.ndarray | None = None  # kernel_vals @ U, filled lazily
-    # set by cascade.assemble_system on layer 1 only: basis @ basis.T and
-    # the r x r system and factor buffers the replicas reuse
+    # set by cascade.assemble_system on layer 1 only: basis @ basis.T, a view
+    # of the caller's training buffers that every replica of the batch reads
     gram: np.ndarray | None = None
-    system_buffers: tuple[np.ndarray, ...] | None = None
 
 
 class Package:

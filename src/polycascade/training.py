@@ -16,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .cascade import INIT_MODES, MultiOutputCascade, init_multi, one_hot_pm1, train_multi
+from .cascade import (INIT_MODES, MultiOutputCascade, TrainingBuffers, init_multi, one_hot_pm1,
+                      train_multi)
 from .data import DataFormatError, Dataset, batches
 from .kernel import KernelParams
 from .linalg import NotSPDError, resolve_dtype
@@ -122,10 +123,12 @@ def run_training(cfg: TrainConfig, train: Dataset, test: Dataset,
 
     With ``epochs == 0`` the returned records hold a single row for the
     initialized model.  ``on_epoch`` (if given) is called with each record
-    and the live model as the record is produced.  A non-SPD training system
-    raises ``NotSPDError`` naming the epoch, the 1-based batch within it, and
-    the replica.  Labels the task cannot use raise ``DataFormatError``
-    (``check_labels``) before the first batch.
+    and the live model as the record is produced.  Each epoch's batches share
+    one ``TrainingBuffers`` set, which is released before the epoch's
+    evaluation.  A non-SPD training system raises ``NotSPDError`` naming the
+    epoch, the 1-based batch within it, and the replica.  Labels the task
+    cannot use raise ``DataFormatError`` (``check_labels``) before the first
+    batch.
     """
     check_labels(cfg, train, test)
     d = cfg.widths[-1]
@@ -162,18 +165,26 @@ def run_training(cfg: TrainConfig, train: Dataset, test: Dataset,
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
         residuals = []
+        buffers = None
         batch_iter = batches(train, cfg.batch_rows, seed=cfg.seed + epoch, shuffle=cfg.shuffle)
         for b, batch in enumerate(batch_iter, start=1):
             x0 = batch.features.astype(dtype, copy=False)
             targets = _targets_for(cfg, batch.labels, d, dtype)
             _, workspaces = model.forward_all(x0)
+            if buffers is None:
+                # one set for the epoch, sized by its first and largest batch; made after that
+                # batch's forward arrays, so the allocator keeps the memory they free for the
+                # next batch instead of returning it to the system
+                buffers = TrainingBuffers(x0.shape[0], dtype)
             try:
-                reports = train_multi(model, workspaces, targets)
+                reports = train_multi(model, workspaces, targets, buffers)
             except NotSPDError as exc:
                 raise NotSPDError(f"epoch {epoch}, batch {b}: {exc}") from exc
-            # drop this batch's layer-1 state before the next one is built
+            # drop this batch's layer-1 state, and its view of the Gram buffer, before the next
             del workspaces
             residuals.append(np.mean([rep.residual_before_rms for rep in reports]))
+        # the buffers are released before scoring allocates its own arrays
+        del buffers
         train_metric = _evaluate(cfg, model, train_eval)
         test_metric = _evaluate(cfg, model, test)
         emit(EpochRecord(epoch, train_metric, test_metric,

@@ -1,11 +1,13 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from polycascade import cascade as cascade_module
-from polycascade.cascade import (PANEL_ROWS, MultiOutputCascade, assemble_system,
-                                 backward_quantities, init_multi, one_hot_pm1, train_multi)
+from polycascade.cascade import (PANEL_ROWS, SCORE_CHUNK_ROWS, MultiOutputCascade,
+                                 TrainingBuffers, assemble_system, backward_quantities, init_multi,
+                                 one_hot_pm1, train_multi)
 from polycascade.constellation import octahedral_points, synthesize_u
 from polycascade.kernel import KernelParams
 from polycascade.linalg import NonFiniteError, NotSPDError, ShapeMismatchError
@@ -357,15 +359,49 @@ def test_shared_layer1_training_matches_replicas_trained_alone(dtype):
 
 
 def test_scores_equal_per_replica_forward_batch():
-    # scores drops the intermediates forward_all keeps; the outputs are the same bits
+    # scores drops the intermediates forward_all keeps; the outputs are the same bits.
+    # Both cases end in a partial chunk after several full ones; None is the default chunk.
     rng = np.random.default_rng(41)
     mc = init_multi([5, 4, 3, 3], seed=41, alpha=2.0)
-    x = rng.uniform(-1, 1, (23, 5))
-    chunk = 7  # three full chunks and a partial one
-    got = mc.scores(x, chunk_rows=chunk)
-    expected = [mc.forward_all(x[lo:lo + chunk])[0] for lo in range(0, 23, chunk)]
-    assert got.shape == (23, 3)
-    assert np.array_equal(got, np.vstack(expected))
+    for rows, chunk in ((23, 7), (2 * SCORE_CHUNK_ROWS + 300, None)):
+        x = rng.uniform(-1, 1, (rows, 5))
+        got = mc.scores(x) if chunk is None else mc.scores(x, chunk_rows=chunk)
+        step = chunk or SCORE_CHUNK_ROWS
+        expected = [mc.forward_all(x[lo:lo + step])[0] for lo in range(0, rows, step)]
+        assert got.shape == (rows, 3)
+        assert np.array_equal(got, np.vstack(expected))
+
+
+@pytest.mark.parametrize("chunk", [0, -1])
+def test_scores_rejects_chunks_below_one_row(chunk):
+    mc = init_multi([3, 4, 1], seed=0)
+    with pytest.raises(ValueError, match="chunk_rows"):
+        mc.scores(np.random.default_rng(0).uniform(-1, 1, (5, 3)), chunk_rows=chunk)
+
+
+def test_scoring_memory_peak_is_bounded():
+    # 5000 rows of the shells-deep shape held 19.8 MB at a 4096-row chunk; the
+    # default chunk keeps each package's distances and kernel values near 0.8 MB
+    mc = init_multi([10] + [50] * 9 + [1], seed=0, mode="identity-fragments", alpha=50.0)
+    x = np.random.default_rng(0).uniform(-1, 1, (5000, 10))
+    tracemalloc.start()
+    try:
+        mc.scores(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2 ** 20
+
+
+@pytest.mark.parametrize("rows,dtype", [(5, "float64"), (6, "float32")], ids=["rows", "dtype"])
+def test_train_multi_rejects_buffers_that_cannot_hold_the_batch(rows, dtype):
+    mc, cascade = single([4, 3, 1], seed=3, alpha=1.0)
+    _, workspaces = mc.forward_all(np.random.default_rng(3).uniform(-1, 1, (6, 4)))
+    before = [p.values.copy() for p in cascade.packages]
+    with pytest.raises(ValueError, match="training buffers"):
+        train_multi(mc, workspaces, np.ones((6, 1)), TrainingBuffers(rows, dtype))
+    for pkg, old in zip(cascade.packages, before):
+        assert np.array_equal(pkg.values, old)
 
 
 def test_not_spd_error_names_replica():

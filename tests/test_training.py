@@ -1,5 +1,7 @@
 import csv
 import itertools
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -115,6 +117,48 @@ def test_float32_shells_end_to_end(monkeypatch):
     assert len(reports) == 2 * 5
     # float32 Cholesky on a 300 x 300 system: about 2e-6 here, 1e-14 in float64
     assert max(rep.solve_residual_inf for rep in reports) <= 1e-4
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_training_buffers_live_for_one_epoch(monkeypatch, dtype):
+    # 400 rows in batches of 160: two full batches of two panels each, then a short one
+    train, test = make_shell_task(n_train=400, n_test=100, dim=4, seed=23)
+    cfg = TrainConfig(widths=[4, 5, 5, 1], alpha=5.0, epochs=2, batch_rows=160, seed=24,
+                      init_mode="identity-fragments", task="binary-auc", precision=dtype)
+    r = cfg.batch_rows
+    square_bytes = r * r * np.dtype(dtype).itemsize
+    train_multi = training.train_multi
+    sets, reused, peaks = [], [], []
+
+    def watched_train_multi(model, workspaces, targets, buffers):
+        reused.append(bool(sets) and sets[-1]() is buffers)
+        sets.append(weakref.ref(buffers))
+        if len(sets) == 2:
+            tracemalloc.start()
+            try:
+                out = train_multi(model, workspaces, targets, buffers)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            return out
+        return train_multi(model, workspaces, targets, buffers)
+
+    monkeypatch.setattr(training, "train_multi", watched_train_multi)
+    model, records = run_training(cfg, train, test)
+    # one set per epoch, released before the next epoch's, and nothing r x r outlives the run
+    assert reused == [False, True, True, False, True, True]
+    assert all(ref() is None for ref in sets)
+    assert peaks[0] < square_bytes  # the second batch allocates no r x r array
+
+    monkeypatch.setattr(training, "train_multi",
+                        lambda model, workspaces, targets, buffers: train_multi(
+                            model, workspaces, targets))
+    alone, alone_records = run_training(cfg, train, test)
+    for rec, other in zip(records, alone_records):
+        assert (rec.epoch, rec.train_metric, rec.test_metric, rec.residual) == (
+            other.epoch, other.train_metric, other.test_metric, other.residual)
+    for pa, pb in zip(model.replicas[0].packages, alone.replicas[0].packages):
+        assert np.array_equal(pa.values, pb.values)
 
 
 def test_not_spd_error_names_epoch_batch_and_replica(monkeypatch):
