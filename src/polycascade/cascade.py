@@ -2,10 +2,11 @@
 
 A model is a ``MultiOutputCascade`` of d >= 1 single-output replicas, built
 from its widths, hyperparameters and value matrices; ``init_multi`` draws
-the values and ``snapshot.load_snapshot`` reads them.  Each batch runs
-through ``forward_all`` and then ``train_multi``, which takes one training
-step per replica; ``scores`` evaluates without keeping training
-intermediates.
+the values and ``snapshot.load_snapshot`` reads them.  Each batch is one
+``train_multi`` call, which runs each replica's forward pass right before
+that replica's training step, so one replica's intermediates are alive at a
+time; ``forward_all`` keeps every replica's intermediates for inspection,
+and ``scores`` evaluates without keeping them.
 
 Training never uses gradient descent: after a forward pass, the
 derivative matrices are propagated backward, each package contributes an
@@ -18,7 +19,8 @@ which is written into the lower triangle and mirrored once.  The system,
 the solve's factor, the layer-1 basis Gram and the panel buffers form one
 ``TrainingBuffers`` set that every replica of a batch reuses; ``run_training``
 keeps one set for a whole epoch, so a steady-state batch writes into memory
-it has already touched.
+it has already touched.  Each array of the set is allocated at its first
+use, inside the first step, after that batch's forward arrays.
 
 The replicas have independent value matrices and share the architecture and
 hyperparameters.  Every replica's first package has the same constellation
@@ -52,22 +54,15 @@ PANEL_ROWS = 128
 _STRICT_UPPER = np.triu(np.ones((PANEL_ROWS, PANEL_ROWS), dtype=bool), 1)
 # rows per scoring chunk: 1024 scored faster than 4096 and 512 at the benchmark shapes
 SCORE_CHUNK_ROWS = 1024
+_SQUARE_BUFFERS = ("system", "factor", "gram")
 
 
 @dataclass
 class CascadeBatchWorkspace:
-    """Everything retained between a forward pass and the training step."""
+    """One replica's forward pass on a batch: what its training step reads."""
 
-    xs: list[np.ndarray]  # X0 .. Xq
-    states: list[PackageBatchState]  # states[0] may be shared with other replicas
-
-    @property
-    def output(self) -> np.ndarray:
-        return self.xs[-1]
-
-    @property
-    def batch_rows(self) -> int:
-        return self.xs[0].shape[0]
+    states: list[PackageBatchState]  # states[i].x_in is X_i; states[0] is shared by every replica
+    output: np.ndarray  # X_q
 
 
 @dataclass
@@ -102,22 +97,14 @@ def forward_batch(cascade: Cascade, layer1: PackageBatchState, x1: np.ndarray,
                   ) -> CascadeBatchWorkspace:
     """One replica's packages 2..q on its layer-1 output ``x1``, retaining training intermediates.
 
-    ``layer1`` is the batch's shared layer-1 state (``forward_all``); it keeps
-    no squared distances, since training never runs ``backward`` on the
-    first package.
+    ``layer1`` is the batch's shared layer-1 state; it keeps no squared
+    distances, since training never runs ``backward`` on the first package.
     """
-    xs = [layer1.x_in, x1]
     states = [layer1]
     for pkg in cascade.packages[1:]:
-        out, state = pkg.forward(xs[-1])
-        xs.append(out)
+        x1, state = pkg.forward(x1)
         states.append(state)
-    return CascadeBatchWorkspace(xs=xs, states=states)
-
-
-def _layer1_outputs(replicas: list[Cascade], layer1: PackageBatchState) -> np.ndarray:
-    """Every replica's layer-1 output as one r x (d * n1) product over stacked coefficients."""
-    return layer1.kernel_vals @ np.hstack([c.packages[0].coeffs for c in replicas])
+    return CascadeBatchWorkspace(states=states, output=x1)
 
 
 def backward_quantities(cascade: Cascade, ws: CascadeBatchWorkspace,
@@ -131,7 +118,7 @@ def backward_quantities(cascade: Cascade, ws: CascadeBatchWorkspace,
     q = cascade.q
     bases = [pkg.cardinal_basis(state) for pkg, state in zip(cascade.packages, ws.states)]
     grads: list[np.ndarray | None] = [None] * q
-    grads[q - 1] = np.ones((ws.batch_rows, 1), dtype=ws.output.dtype)
+    grads[q - 1] = np.ones((ws.output.shape[0], 1), dtype=ws.output.dtype)
     for i in range(q - 1, 0, -1):
         grads[i - 1] = cascade.packages[i].backward(grads[i], ws.states[i])
     return bases, grads
@@ -140,19 +127,26 @@ def backward_quantities(cascade: Cascade, ws: CascadeBatchWorkspace,
 class TrainingBuffers:
     """The training step's working memory for batches of at most ``rows`` rows.
 
-    Three r x r arrays (the system, its Cholesky factor and the layer-1
-    basis Gram) and three P x r panel arrays (two Gram-product panels and
-    the panel accumulator), each held flat, so that a shorter batch uses
-    C-contiguous leading views of them.  A set serves one batch at a time:
+    Three r x r arrays (``system``, its Cholesky ``factor`` and the layer-1
+    basis ``gram``) and three P x r panel arrays (Gram-product panels ``hh``
+    and ``gg`` and the panel accumulator ``acc``), each held flat, so that a
+    shorter batch uses C-contiguous leading views of them.  Each array is
+    allocated at its first use, so a set made before a batch gets its memory
+    after that batch's forward arrays.  A set serves one batch at a time:
     each step overwrites what the previous one left there.
     """
 
     def __init__(self, rows: int, dtype):
         self.rows = int(rows)
         self.dtype = resolve_dtype(dtype)
-        square, panel = self.rows * self.rows, min(PANEL_ROWS, self.rows) * self.rows
-        self.system, self.factor, self.gram = (np.empty(square, self.dtype) for _ in range(3))
-        self.hh, self.gg, self.acc = (np.empty(panel, self.dtype) for _ in range(3))
+        self._flat: dict[str, np.ndarray] = {}
+
+    def view(self, name: str, rows: int, cols: int) -> np.ndarray:
+        """A C-contiguous rows x cols view of the start of array ``name``."""
+        if name not in self._flat:
+            height = self.rows if name in _SQUARE_BUFFERS else min(PANEL_ROWS, self.rows)
+            self._flat[name] = np.empty(height * self.rows, self.dtype)
+        return self._flat[name][:rows * cols].reshape(rows, cols)
 
     @classmethod
     def fitting(cls, buffers: TrainingBuffers | None, x: np.ndarray) -> TrainingBuffers:
@@ -163,11 +157,6 @@ class TrainingBuffers:
             raise ValueError(f"training buffers for {buffers.rows} {buffers.dtype} rows cannot "
                              f"hold a batch of {x.shape[0]} {x.dtype} rows")
         return buffers
-
-
-def _leading(flat: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """A C-contiguous rows x cols view of the start of a flat buffer."""
-    return flat[:rows * cols].reshape(rows, cols)
 
 
 def assemble_system(layer1: PackageBatchState, bases: list[np.ndarray], grads: list[np.ndarray],
@@ -188,16 +177,16 @@ def assemble_system(layer1: PackageBatchState, bases: list[np.ndarray], grads: l
     r = layer1.x_in.shape[0]
     dt = layer1.x_in.dtype
     buffers = TrainingBuffers.fitting(buffers, layer1.x_in)
-    system = _leading(buffers.system, r, r)
+    system = buffers.view("system", r, r)
     if layer1.gram is None:
-        layer1.gram = np.matmul(bases[0], bases[0].T, out=_leading(buffers.gram, r, r))
+        layer1.gram = np.matmul(bases[0], bases[0].T, out=buffers.view("gram", r, r))
     for i0 in range(0, r, PANEL_ROWS):
         rows = slice(i0, min(i0 + PANEL_ROWS, r))
         i1 = rows.stop
         if len(bases) == 1:
             acc = layer1.gram[rows, :i1]
         else:
-            acc, hh, gg = (_leading(b, i1 - i0, i1) for b in (buffers.acc, buffers.hh, buffers.gg))
+            acc, hh, gg = (buffers.view(name, i1 - i0, i1) for name in ("acc", "hh", "gg"))
             g1 = grads[0]
             np.multiply(layer1.gram[rows, :i1], np.matmul(g1[rows], g1[:i1].T, out=gg), out=acc)
             for h, g in zip(bases[1:-1], grads[1:-1]):
@@ -234,7 +223,7 @@ def train_step(cascade: Cascade, ws: CascadeBatchWorkspace, lstar: np.ndarray,
     system = assemble_system(layer1, bases, grads, alpha, buffers)
     if not (np.isfinite(system).all() and np.isfinite(delta_l).all()):
         raise NonFiniteError("training system or output residual contains NaN or Inf")
-    b_vec = spd_solve(system, delta_l, factor_buf=_leading(buffers.factor, *system.shape))
+    b_vec = spd_solve(system, delta_l, factor_buf=buffers.view("factor", *system.shape))
     solve_residual = float(np.abs(system @ b_vec - delta_l).max())
 
     # all updates are computed against pre-update intermediates, then applied
@@ -291,19 +280,21 @@ class MultiOutputCascade:
     def parameter_count(self) -> int:
         return sum(p.values.size for c in self.replicas for p in c.packages)
 
+    def _layer1(self, x0) -> tuple[PackageBatchState, list[np.ndarray]]:
+        """The shared layer-1 state and each replica's layer-1 output (one stacked product)."""
+        layer1 = self.replicas[0].packages[0].batch_state(x0)
+        x1 = layer1.kernel_vals @ np.hstack([c.packages[0].coeffs for c in self.replicas])
+        return layer1, np.hsplit(x1, self.d)
+
     def forward_all(self, x0) -> tuple[np.ndarray, list[CascadeBatchWorkspace]]:
         """Outputs of all replicas as columns of an r x d matrix, with their workspaces.
 
-        Layer 1 is prepared once and every replica's workspace shares that
-        state (and the basis and Gram that training caches on it); one
-        product gives every replica's layer-1 output, and
-        ``forward_batch`` runs each replica's packages 2..q.
+        The inspection route: every replica's intermediates are kept at
+        once, and every workspace shares one layer-1 state.  Training does
+        not use it (``train_multi`` holds one replica's at a time).
         """
-        layer1 = self.replicas[0].packages[0].batch_state(x0)
-        # each workspace keeps its own contiguous copy, so the stacked product is freed
-        x1 = np.hsplit(_layer1_outputs(self.replicas, layer1), self.d)
-        workspaces = [forward_batch(c, layer1, np.ascontiguousarray(y))
-                      for c, y in zip(self.replicas, x1)]
+        layer1, x1 = self._layer1(x0)
+        workspaces = [forward_batch(c, layer1, y) for c, y in zip(self.replicas, x1)]
         return np.hstack([ws.output for ws in workspaces]), workspaces
 
     def scores(self, x0, chunk_rows: int = SCORE_CHUNK_ROWS) -> np.ndarray:
@@ -327,11 +318,8 @@ class MultiOutputCascade:
         The layer-1 kernel values are dropped once the layer-1 outputs exist,
         and each package's intermediates once the next output exists.
         """
-        layer1 = self.replicas[0].packages[0].batch_state(x)
-        x1 = _layer1_outputs(self.replicas, layer1)
-        del layer1
         cols = []
-        for c, y in zip(self.replicas, np.hsplit(x1, self.d)):
+        for c, y in zip(self.replicas, self._layer1(x)[1]):
             for pkg in c.packages[1:]:
                 y, _ = pkg.forward(y)
             cols.append(y)
@@ -375,43 +363,40 @@ def init_multi(arch_widths, seed: int, mode: str = "random", alpha: float = 1.0,
     return MultiOutputCascade(core, values, alpha, kernel or KernelParams(), sigma2, dt)
 
 
-def train_multi(mc: MultiOutputCascade, workspaces: list[CascadeBatchWorkspace],
-                targets, buffers: TrainingBuffers | None = None) -> list[TrainStepReport]:
-    """Train every replica on one batch, replica j against target column j.
+def train_multi(mc: MultiOutputCascade, x0, targets,
+                buffers: TrainingBuffers | None = None) -> list[TrainStepReport]:
+    """Train every replica on batch ``x0``, replica j against column j of the r x d ``targets``.
 
-    The workspaces must come from one ``forward_all`` call, and ``targets``
-    is r x d.  Each replica's ``train_step`` updates its packages 2..q and
-    writes G1 * b into its column block of one r x (d * n1) array; one
-    product then applies every layer-1 update.  Every replica's system,
-    factor and panels live in ``buffers``, which must hold at least r rows
-    of the model's dtype; without it, a set is made for this one call.  The
-    workspaces are consumed: once a replica's step is done, its workspace
-    keeps only the shared layer-1 state.  If replica j fails, replicas
+    The layer-1 state and the stacked layer-1 product are built once.  Then
+    each replica's ``forward_batch`` runs right before its ``train_step``,
+    so its intermediates are dropped before the next replica's forward
+    pass.  Each step updates packages 2..q and writes G1 * b into the
+    replica's column block of one r x (d * n1) array; one product then
+    applies every layer-1 update.  Every replica's system, factor and
+    panels live in ``buffers``, which must hold at least r rows of the
+    model's dtype; without it, a set is made for this one call.  Targets of
+    the wrong shape raise before any update.  If replica j fails, replicas
     before it are fully updated, layer 1 included, and replica j is
     untouched.  A non-SPD system is re-raised with the failing replica's
     index.
     """
-    if len(workspaces) != mc.d:
-        raise ValueError(f"got {len(workspaces)} workspaces for {mc.d} replicas")
-    layer1 = workspaces[0].states[0]
-    if any(ws.states[0] is not layer1 for ws in workspaces):
-        raise ValueError("workspaces must share one layer-1 state (use forward_all)")
+    layer1, x1 = mc._layer1(x0)
+    r = layer1.x_in.shape[0]
     targets = as_matrix(targets, dtype=mc.dtype, name="targets")
-    outputs_shape = (workspaces[0].batch_rows, mc.d)
-    if targets.shape != outputs_shape:
-        raise ShapeMismatchError(f"targets shape {targets.shape} != outputs shape {outputs_shape}")
+    if targets.shape != (r, mc.d):
+        raise ShapeMismatchError(f"targets shape {targets.shape} != outputs shape {(r, mc.d)}")
     buffers = TrainingBuffers.fitting(buffers, layer1.x_in)
     n1 = mc.replicas[0].packages[0].n_out
-    scaled = np.empty((workspaces[0].batch_rows, mc.d * n1), dtype=mc.dtype)
+    scaled = np.empty((r, mc.d * n1), dtype=mc.dtype)
     reports = []
     try:
-        for i, (c, ws) in enumerate(zip(mc.replicas, workspaces)):
+        for i, (c, y) in enumerate(zip(mc.replicas, x1)):
             try:
-                reports.append(train_step(c, ws, targets[:, i:i + 1],
+                # the workspace is an argument only, so it is freed when the step returns
+                reports.append(train_step(c, forward_batch(c, layer1, y), targets[:, i:i + 1],
                                           scaled[:, i * n1:(i + 1) * n1], mc.alpha, buffers))
             except NotSPDError as exc:
                 raise NotSPDError(f"replica {i}: {exc}") from exc
-            del ws.xs[1:], ws.states[1:]
     finally:
         if reports:
             # H1^T (G1 * b) of every trained replica in one product

@@ -57,6 +57,9 @@ def cmd_train(args) -> int:
     try:
         train, test, fitted_spec = load_datasets(cfg)
         check_labels(cfg.train_config(), train, test)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except (DataFormatError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

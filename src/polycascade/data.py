@@ -132,7 +132,7 @@ def load_delimited(path, label_column: int = 0, delimiter: str = ",",
     Streams the file line by line; memory is proportional to the parsed
     output.  Blank lines are skipped, and ``max_rows`` counts data rows.
     Errors, including a NaN or Inf cell, carry 1-based row (file line) and
-    column coordinates.
+    column coordinates; a row that is not UTF-8 text is named by its row.
     """
     path = Path(path)
     if not delimiter:
@@ -142,7 +142,8 @@ def load_delimited(path, label_column: int = 0, delimiter: str = ",",
     buf_row_nos: list[int] = []
     n_rows = 0
     width = None
-    with open(path, "r", encoding="utf-8") as f:
+    # undecodable bytes become lone surrogates, which no cell parses as a number
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
         for row_no, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
@@ -159,6 +160,10 @@ def load_delimited(path, label_column: int = 0, delimiter: str = ",",
             try:
                 buf.append([float(c) for c in cells])
             except ValueError:
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise DataFormatError(f"{path}: row {row_no} is not UTF-8 text") from None
                 for col_no, c in enumerate(cells, start=1):
                     try:
                         float(c)
@@ -268,13 +273,15 @@ def fit_apply_transforms(dataset: Dataset, spec: TransformSpec,
     Log transforms run first, then each column maps affinely so the training
     min/max land on -1/+1.  Zero-range columns map to 0 everywhere.  Rows
     outside the training bounds (test split) pass through unclamped unless
-    the spec asks for clamping.
+    the spec asks for clamping.  A value that does not normalise to a
+    finite number raises ``DataFormatError`` naming its 1-based data row and
+    its 0-based feature index, the index ``log_columns`` uses.
     """
-    transformed = _apply_logs(dataset.features, spec, "features")
-    ncols = transformed.shape[1]
+    ncols = dataset.n_features
     bad_cols = [c for c in (*spec.log_columns, *spec.log1p_columns) if not 0 <= c < ncols]
     if bad_cols:
         raise DataFormatError(f"transform columns {bad_cols} out of range for {ncols} features")
+    transformed = _apply_logs(dataset.features, spec, "features")
 
     if spec.fitted:
         lo = np.asarray(spec.col_min, dtype=np.float64)
@@ -288,12 +295,18 @@ def fit_apply_transforms(dataset: Dataset, spec: TransformSpec,
         hi = train_rows.max(axis=0)
         fitted = replace(spec, col_min=tuple(lo.tolist()), col_max=tuple(hi.tolist()))
 
-    span = hi - lo
-    safe_span = np.where(span > 0, span, 1.0)
-    scaled = 2.0 * (transformed - lo) / safe_span - 1.0
+    # an overflow here is reported below, with its row and feature
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = hi - lo
+        safe_span = np.where(span > 0, span, 1.0)
+        scaled = 2.0 * (transformed - lo) / safe_span - 1.0
     scaled[:, span == 0] = 0.0
     if spec.clamp:
         np.clip(scaled, -1.0, 1.0, out=scaled)
+    if not np.isfinite(scaled).all():
+        i, j = np.argwhere(~np.isfinite(scaled))[0]
+        raise DataFormatError(f"feature {j} of data row {i + 1} normalises to {scaled[i, j]}: "
+                              f"value {transformed[i, j]}, training bounds [{lo[j]}, {hi[j]}]")
     return Dataset(scaled, dataset.labels, n_train=dataset.n_train), fitted
 
 

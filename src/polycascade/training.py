@@ -2,8 +2,10 @@
 
 The training loop is deterministic in its seed: replica initialization,
 per-epoch shuffles, and the train-metric subsample all derive from it.
-Records are appended per epoch and can be streamed to a CSV that survives
-interruption (one flush per epoch).
+Each batch is one ``train_multi`` call, and each epoch's batches share one
+``TrainingBuffers`` set.  Records are appended per epoch and can be streamed
+to a CSV that survives interruption (one flush per epoch, closed on every
+exit).
 """
 
 from __future__ import annotations
@@ -124,11 +126,12 @@ def run_training(cfg: TrainConfig, train: Dataset, test: Dataset,
     With ``epochs == 0`` the returned records hold a single row for the
     initialized model.  ``on_epoch`` (if given) is called with each record
     and the live model as the record is produced.  Each epoch's batches share
-    one ``TrainingBuffers`` set, which is released before the epoch's
-    evaluation.  A non-SPD training system raises ``NotSPDError`` naming the
-    epoch, the 1-based batch within it, and the replica.  Labels the task
-    cannot use raise ``DataFormatError`` (``check_labels``) before the first
-    batch.
+    one ``TrainingBuffers`` set, made at the epoch's start and sized by its
+    first and largest batch, and released before the epoch's evaluation.
+    The CSV is closed however the run ends.  A non-SPD training system
+    raises ``NotSPDError`` naming the epoch, the 1-based batch within it,
+    and the replica.  Labels the task cannot use raise ``DataFormatError``
+    (``check_labels``) before the first batch.
     """
     check_labels(cfg, train, test)
     d = cfg.widths[-1]
@@ -153,44 +156,35 @@ def run_training(cfg: TrainConfig, train: Dataset, test: Dataset,
         if on_epoch:
             on_epoch(record, model)
 
-    if cfg.epochs == 0:
-        t0 = time.perf_counter()
-        emit(EpochRecord(0, _evaluate(cfg, model, train_eval),
-                         _evaluate(cfg, model, test), float("nan"),
-                         time.perf_counter() - t0))
+    try:
+        if cfg.epochs == 0:
+            t0 = time.perf_counter()
+            emit(EpochRecord(0, _evaluate(cfg, model, train_eval),
+                             _evaluate(cfg, model, test), float("nan"),
+                             time.perf_counter() - t0))
+        for epoch in range(1, cfg.epochs + 1):
+            t0 = time.perf_counter()
+            residuals = []
+            buffers = TrainingBuffers(min(cfg.batch_rows, train.n_rows), dtype)
+            batch_iter = batches(train, cfg.batch_rows, seed=cfg.seed + epoch,
+                                 shuffle=cfg.shuffle)
+            for b, batch in enumerate(batch_iter, start=1):
+                x0 = batch.features.astype(dtype, copy=False)
+                targets = _targets_for(cfg, batch.labels, d, dtype)
+                try:
+                    reports = train_multi(model, x0, targets, buffers)
+                except NotSPDError as exc:
+                    raise NotSPDError(f"epoch {epoch}, batch {b}: {exc}") from exc
+                residuals.append(np.mean([rep.residual_before_rms for rep in reports]))
+            # the buffers are released before scoring allocates its own arrays
+            del buffers
+            train_metric = _evaluate(cfg, model, train_eval)
+            test_metric = _evaluate(cfg, model, test)
+            emit(EpochRecord(epoch, train_metric, test_metric,
+                             float(np.mean(residuals)), time.perf_counter() - t0))
+    finally:
         if writer:
             writer.close()
-        return model, records
-
-    for epoch in range(1, cfg.epochs + 1):
-        t0 = time.perf_counter()
-        residuals = []
-        buffers = None
-        batch_iter = batches(train, cfg.batch_rows, seed=cfg.seed + epoch, shuffle=cfg.shuffle)
-        for b, batch in enumerate(batch_iter, start=1):
-            x0 = batch.features.astype(dtype, copy=False)
-            targets = _targets_for(cfg, batch.labels, d, dtype)
-            _, workspaces = model.forward_all(x0)
-            if buffers is None:
-                # one set for the epoch, sized by its first and largest batch; made after that
-                # batch's forward arrays, so the allocator keeps the memory they free for the
-                # next batch instead of returning it to the system
-                buffers = TrainingBuffers(x0.shape[0], dtype)
-            try:
-                reports = train_multi(model, workspaces, targets, buffers)
-            except NotSPDError as exc:
-                raise NotSPDError(f"epoch {epoch}, batch {b}: {exc}") from exc
-            # drop this batch's layer-1 state, and its view of the Gram buffer, before the next
-            del workspaces
-            residuals.append(np.mean([rep.residual_before_rms for rep in reports]))
-        # the buffers are released before scoring allocates its own arrays
-        del buffers
-        train_metric = _evaluate(cfg, model, train_eval)
-        test_metric = _evaluate(cfg, model, test)
-        emit(EpochRecord(epoch, train_metric, test_metric,
-                         float(np.mean(residuals)), time.perf_counter() - t0))
-    if writer:
-        writer.close()
     return model, records
 
 

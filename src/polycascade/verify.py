@@ -94,7 +94,7 @@ def check_gradient(seed: int) -> None:
     cascade = mc.replicas[0]
     _, (ws,) = mc.forward_all(rng.uniform(-0.9, 0.9, (8, 5)))
     _, grads = backward_quantities(cascade, ws)
-    x1 = ws.xs[1]
+    x1 = ws.states[1].x_in
 
     def tail(x1v):
         out, _ = cascade.packages[1].forward(x1v)
@@ -140,8 +140,7 @@ def check_exact_fit(seed: int) -> None:
     mc = init_multi([30, 1], seed=seed, alpha=0.0)
     x0 = rng.uniform(-1, 1, (50, 30))
     lstar = rng.uniform(-1, 1, (50, 1))
-    _, workspaces = mc.forward_all(x0)
-    train_multi(mc, workspaces, lstar)
+    train_multi(mc, x0, lstar)
     residual = float(np.abs(mc.scores(x0) - lstar).max())
     assert residual <= 1e-6, f"one-step residual {residual:.3e}"
 
@@ -156,12 +155,12 @@ def check_identity_fragment(seed: int) -> float:
     mc = init_multi([width] * 11 + [1], seed=seed, mode="identity-fragments", alpha=1.0)
     points = octahedral_points(width)
     _, (ws,) = mc.forward_all(points)
-    err = float(np.abs(ws.xs[10] - points).max())
+    err = float(np.abs(ws.states[10].x_in - points).max())
     assert err <= 1e-8, f"constellation points drifted by {err:.3e}"
     rng = np.random.default_rng(seed)
     interior = rng.uniform(-0.7, 0.7, (32, width))
     _, (ws,) = mc.forward_all(interior)
-    return float(np.abs(ws.xs[10] - interior).max())
+    return float(np.abs(ws.states[10].x_in - interior).max())
 
 
 CHECKS = [

@@ -115,7 +115,7 @@ def test_criterion_3_gradient_correctness():
     while probes < 100:
         _, (ws,) = mc.forward_all(rng.uniform(-0.9, 0.9, (5, 5)))
         _, grads = backward_quantities(cascade, ws)
-        x1 = ws.xs[1]
+        x1 = ws.states[1].x_in
         for i in range(x1.shape[0]):
             for j in range(x1.shape[1]):
                 xp, xm = x1.copy(), x1.copy()
@@ -153,8 +153,7 @@ def test_criterion_5_single_package_exact_fit():
     mc = init_multi([30, 1], seed=55, alpha=0.0)
     x0 = rng.uniform(-1, 1, (50, 30))
     lstar = rng.uniform(-1, 1, (50, 1))
-    _, workspaces = mc.forward_all(x0)
-    train_multi(mc, workspaces, lstar)
+    train_multi(mc, x0, lstar)
     residual = float(np.abs(mc.scores(x0) - lstar).max())
     assert residual <= 1e-6
     announce(5, f"one unregularized step fits 50 targets exactly (residual {residual:.2e})")
@@ -192,13 +191,13 @@ def test_criterion_7_identity_fragment_propagation():
     mc = init_multi([width] * 11 + [1], seed=7, mode="identity-fragments", alpha=1.0)
     points = octahedral_points(width)
     _, (ws,) = mc.forward_all(points)
-    exact_err = float(np.abs(ws.xs[10] - points).max())
+    exact_err = float(np.abs(ws.states[10].x_in - points).max())
     assert exact_err <= 1e-8
 
     rng = np.random.default_rng(7)
     interior = rng.uniform(-0.7, 0.7, (64, width))
     _, (ws,) = mc.forward_all(interior)
-    drift = float(np.abs(ws.xs[10] - interior).max())  # reported, not asserted
+    drift = float(np.abs(ws.states[10].x_in - interior).max())  # reported, not asserted
     announce(7, f"constellation points pass 10 identity layers exactly "
                 f"({exact_err:.2e}); interior drift {drift:.4f} (reported only)")
 

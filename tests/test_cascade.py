@@ -22,12 +22,6 @@ def single(widths, seed, **kwargs):
     return mc, mc.replicas[0]
 
 
-def train_once(mc, x0, targets):
-    """One batch through the only training route: forward_all, then train_multi."""
-    _, workspaces = mc.forward_all(x0)
-    return train_multi(mc, workspaces, targets)
-
-
 def test_width_chain_validation():
     with pytest.raises(ValueError):
         init_multi([5], seed=0)
@@ -114,7 +108,7 @@ def test_forward_batch_composes_package_forwards():
     for pkg in cascade.packages:
         x, _ = pkg.forward(x)
     assert np.array_equal(out, x)
-    assert [xi.shape[1] for xi in ws.xs] == [5, 4, 3, 1]
+    assert [s.x_in.shape[1] for s in ws.states] + [ws.output.shape[1]] == [5, 4, 3, 1]
 
 
 def test_forward_zero_values_single_package():
@@ -137,7 +131,7 @@ def test_identity_fragment_passthrough_at_points():
     mc, _ = single([width] * 11 + [1], seed=0, mode="identity-fragments")
     points = octahedral_points(width)
     _, (ws,) = mc.forward_all(points)
-    assert np.abs(ws.xs[10] - points).max() <= 1e-8
+    assert np.abs(ws.states[10].x_in - points).max() <= 1e-8
 
 
 def test_backward_quantities_shapes_and_final_ones():
@@ -154,7 +148,7 @@ def test_end_to_end_gradient_check():
     mc, cascade = single([5, 4, 3, 1], seed=5)
     _, (ws,) = mc.forward_all(rng.uniform(-0.9, 0.9, (6, 5)))
     _, grads = backward_quantities(cascade, ws)
-    x1 = ws.xs[1]
+    x1 = ws.states[1].x_in
 
     def tail(x1v):
         out = x1v
@@ -185,9 +179,9 @@ def test_omegas_are_psd():
 def test_train_step_zero_residual_fixed_point():
     mc, cascade = single([4, 3, 1], seed=3, alpha=5.0)
     x0 = np.random.default_rng(3).uniform(-1, 1, (8, 4))
-    out, workspaces = mc.forward_all(x0)
+    out, _ = mc.forward_all(x0)
     before = [p.values.copy() for p in cascade.packages]
-    (report,) = train_multi(mc, workspaces, out.copy())
+    (report,) = train_multi(mc, x0, out.copy())
     for pkg, old in zip(cascade.packages, before):
         assert np.abs(pkg.values - old).max() <= 1e-12
     assert report.residual_before_inf == 0.0
@@ -198,9 +192,8 @@ def test_train_step_huge_alpha_freezes_updates():
     alpha = 1e12
     mc, _ = single([4, 3, 1], seed=4, alpha=alpha)
     x0 = np.random.default_rng(4).uniform(-1, 1, (10, 4))
-    out, workspaces = mc.forward_all(x0)
-    lstar = out + 1.0
-    (report,) = train_multi(mc, workspaces, lstar)
+    lstar = mc.scores(x0) + 1.0
+    (report,) = train_multi(mc, x0, lstar)
     assert report.b_inf <= (1.0 / alpha) * (1 + 1e-6)
     assert np.abs(lstar - mc.scores(x0)).max() >= 0.99  # essentially unchanged
 
@@ -210,13 +203,13 @@ def test_single_package_exact_fit():
     mc, _ = single([30, 1], seed=17, alpha=0.0)
     x0 = rng.uniform(-1, 1, (50, 30))
     lstar = rng.uniform(-1, 1, (50, 1))
-    train_once(mc, x0, lstar)
+    train_multi(mc, x0, lstar)
     assert np.abs(mc.scores(x0) - lstar).max() <= 1e-6
 
 
 def test_train_step_rederives_coefficients():
     mc, cascade = single([5, 4, 1], seed=6, alpha=2.0)
-    train_once(mc, np.random.default_rng(6).uniform(-1, 1, (9, 5)), np.ones((9, 1)))
+    train_multi(mc, np.random.default_rng(6).uniform(-1, 1, (9, 5)), np.ones((9, 1)))
     for pkg in cascade.packages:
         u = synthesize_u(pkg.octa_coeffs, pkg.n_in)
         expected = u @ pkg.values
@@ -227,23 +220,21 @@ def test_train_step_rederives_coefficients():
 def test_train_multi_rejects_wrong_target_rows_before_any_update():
     mc = init_multi([4, 3, 2], seed=0, alpha=1.0)
     x0 = np.random.default_rng(0).uniform(-1, 1, (6, 4))
-    _, workspaces = mc.forward_all(x0)
     before = [[p.values.copy() for p in c.packages] for c in mc.replicas]
     for rows in (5, 7):
         with pytest.raises(ShapeMismatchError, match="targets shape"):
-            train_multi(mc, workspaces, np.ones((rows, 2)))
+            train_multi(mc, x0, np.ones((rows, 2)))
     for c, old in zip(mc.replicas, before):
         for pkg, values in zip(c.packages, old):
             assert np.array_equal(pkg.values, values)
-    # the workspaces were not consumed
-    assert len(train_multi(mc, workspaces, np.ones((6, 2)))) == 2
+    assert len(train_multi(mc, x0, np.ones((6, 2)))) == 2
 
 
 def test_alpha_zero_spd_failure_is_reported():
     # rank-deficient system: more batch rows than basis columns available
     mc, _ = single([1, 1], seed=0, alpha=0.0)
     with pytest.raises(NotSPDError):
-        train_once(mc, np.random.default_rng(0).uniform(-1, 1, (10, 1)), np.ones((10, 1)))
+        train_multi(mc, np.random.default_rng(0).uniform(-1, 1, (10, 1)), np.ones((10, 1)))
 
 
 def test_multi_replicas_share_architecture():
@@ -260,7 +251,7 @@ def test_replicas_identical_seeds_identical_updates():
     outcomes = []
     for _ in range(2):
         mc, cascade = single([4, 3, 1], seed=21, alpha=3.0)
-        train_once(mc, x0, target)
+        train_multi(mc, x0, target)
         outcomes.append([p.values.copy() for p in cascade.packages])
     for va, vb in zip(*outcomes):
         assert np.array_equal(va, vb)
@@ -271,7 +262,7 @@ def test_ten_replicas_all_residuals_decrease():
     mc = init_multi([8, 6, 10], seed=10, alpha=5.0)
     x0 = rng.uniform(-1, 1, (40, 8))
     targets = one_hot_pm1(rng.integers(0, 10, 40), 10)
-    reports = train_once(mc, x0, targets)
+    reports = train_multi(mc, x0, targets)
     assert len(reports) == 10
     after = np.sqrt(np.mean((targets - mc.scores(x0)) ** 2, axis=0))
     for rep, rms in zip(reports, after):
@@ -280,9 +271,8 @@ def test_ten_replicas_all_residuals_decrease():
 
 def test_train_multi_validates_target_width():
     mc = init_multi([4, 3, 2], seed=0, alpha=1.0)
-    _, workspaces = mc.forward_all(np.zeros((3, 4)))
     with pytest.raises(ShapeMismatchError):
-        train_multi(mc, workspaces, np.ones((3, 3)))
+        train_multi(mc, np.zeros((3, 4)), np.ones((3, 3)))
 
 
 def test_predict_argmax_and_ties():
@@ -323,7 +313,7 @@ def test_training_determinism_across_runs():
         rng = np.random.default_rng(13)
         for _ in range(3):
             x0 = rng.uniform(-1, 1, (10, 5))
-            train_once(mc, x0, rng.uniform(-1, 1, (10, 1)))
+            train_multi(mc, x0, rng.uniform(-1, 1, (10, 1)))
         return [p.values.copy() for p in cascade.packages]
 
     for va, vb in zip(run(), run()):
@@ -332,8 +322,8 @@ def test_training_determinism_across_runs():
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 def test_shared_layer1_training_matches_replicas_trained_alone(dtype):
-    # forward_all shares one layer-1 state across replicas; training replica i
-    # as a d = 1 model seeded seed + i must give the same bits
+    # the replicas share one layer-1 state and product; running and training
+    # replica i as a d = 1 model seeded seed + i must give the same bits
     rng = np.random.default_rng(40)
     arch, core, seed = [6, 5, 4, 3], [6, 5, 4, 1], 40
     features = rng.uniform(-1, 1, (36, 6))
@@ -344,13 +334,12 @@ def test_shared_layer1_training_matches_replicas_trained_alone(dtype):
         x0 = features[idx].astype(dtype)
         outs, workspaces = mc.forward_all(x0)
         assert all(ws.states[0] is workspaces[0].states[0] for ws in workspaces)
-        reports = train_multi(mc, workspaces, targets[idx])
-        assert workspaces[0].states[0].gram is not None
+        reports = train_multi(mc, x0, targets[idx])
         scores = mc.scores(x0)
         for i, model in enumerate(alone):
-            out, ws = model.forward_all(x0)
+            out, _ = model.forward_all(x0)
             assert np.array_equal(out, outs[:, i:i + 1])
-            assert train_multi(model, ws, targets[idx, i:i + 1]) == [reports[i]]
+            assert train_multi(model, x0, targets[idx, i:i + 1]) == [reports[i]]
             assert np.array_equal(model.scores(x0), scores[:, i:i + 1])
     for shared, model in zip(mc.replicas, alone):
         for pa, pb in zip(shared.packages, model.replicas[0].packages):
@@ -396,10 +385,10 @@ def test_scoring_memory_peak_is_bounded():
 @pytest.mark.parametrize("rows,dtype", [(5, "float64"), (6, "float32")], ids=["rows", "dtype"])
 def test_train_multi_rejects_buffers_that_cannot_hold_the_batch(rows, dtype):
     mc, cascade = single([4, 3, 1], seed=3, alpha=1.0)
-    _, workspaces = mc.forward_all(np.random.default_rng(3).uniform(-1, 1, (6, 4)))
+    x0 = np.random.default_rng(3).uniform(-1, 1, (6, 4))
     before = [p.values.copy() for p in cascade.packages]
     with pytest.raises(ValueError, match="training buffers"):
-        train_multi(mc, workspaces, np.ones((6, 1)), TrainingBuffers(rows, dtype))
+        train_multi(mc, x0, np.ones((6, 1)), TrainingBuffers(rows, dtype))
     for pkg, old in zip(cascade.packages, before):
         assert np.array_equal(pkg.values, old)
 
@@ -407,9 +396,8 @@ def test_train_multi_rejects_buffers_that_cannot_hold_the_batch(rows, dtype):
 def test_not_spd_error_names_replica():
     mc = init_multi([1, 3], seed=0, alpha=0.0)  # one package, rank-deficient system
     x0 = np.random.default_rng(0).uniform(-1, 1, (10, 1))
-    _, workspaces = mc.forward_all(x0)
     with pytest.raises(NotSPDError, match="replica 0"):
-        train_multi(mc, workspaces, np.ones((10, 3)))
+        train_multi(mc, x0, np.ones((10, 3)))
 
 
 def test_shared_layer1_state_keeps_no_distances():
@@ -423,11 +411,11 @@ def test_shared_layer1_state_keeps_no_distances():
 def test_nan_coefficient_raises_non_finite_before_any_update():
     # intermediate products are not scanned; the NaN must reach the system check
     mc, cascade = single([4, 3, 2, 1], seed=12, alpha=1.0)
-    _, workspaces = mc.forward_all(np.random.default_rng(12).uniform(-1, 1, (8, 4)))
-    cascade.packages[1].coeffs[0, 0] = np.nan
+    x0 = np.random.default_rng(12).uniform(-1, 1, (8, 4))
+    cascade.packages[-1].coeffs[0, 0] = np.nan
     before = [p.values.copy() for p in cascade.packages]
-    with pytest.raises(NonFiniteError):
-        train_multi(mc, workspaces, np.ones((8, 1)))
+    with pytest.raises(NonFiniteError, match="training system"):
+        train_multi(mc, x0, np.ones((8, 1)))
     for pkg, old in zip(cascade.packages, before):
         assert np.array_equal(pkg.values, old)
 
@@ -437,9 +425,8 @@ def test_non_finite_inputs_rejected_where_they_enter():
     x0 = np.random.default_rng(0).uniform(-1, 1, (5, 4))
     with pytest.raises(NonFiniteError, match="batch input"):
         mc.forward_all(np.where(np.eye(5, 4) > 0, np.nan, x0))
-    _, workspaces = mc.forward_all(x0)
     with pytest.raises(NonFiniteError, match="targets"):
-        train_multi(mc, workspaces, np.full((5, 1), np.inf))
+        train_multi(mc, x0, np.full((5, 1), np.inf))
     pkg = cascade.packages[0]
     with pytest.raises(NonFiniteError, match="values"):
         pkg.set_values(np.full_like(pkg.values, np.nan))
@@ -471,8 +458,7 @@ def test_failing_replica_leaves_earlier_replicas_updated_and_itself_untouched(mo
     mc = init_multi([5, 4, 3, 4], seed=43, alpha=2.0)
     alone = [init_multi([5, 4, 3, 1], seed=43 + i, alpha=2.0) for i in range(2)]
     for i, model in enumerate(alone):
-        train_once(model, x0, targets[:, i:i + 1])
-    _, workspaces = mc.forward_all(x0)
+        train_multi(model, x0, targets[:, i:i + 1])
     before = [[p.values.copy() for p in c.packages] for c in mc.replicas]
     if failure is NotSPDError:
         solve = cascade_module.spd_solve
@@ -482,10 +468,31 @@ def test_failing_replica_leaves_earlier_replicas_updated_and_itself_untouched(mo
     else:
         mc.replicas[2].packages[1].coeffs[0, 0] = np.nan
     with pytest.raises(failure):
-        train_multi(mc, workspaces, targets)
+        train_multi(mc, x0, targets)
     for shared, model in zip(mc.replicas[:2], alone):
         for pa, pb in zip(shared.packages, model.replicas[0].packages):
             assert np.array_equal(pa.values, pb.values)
     for c, old in zip(mc.replicas[2:], before[2:]):
         for pkg, values in zip(c.packages, old):
             assert np.array_equal(pkg.values, values)
+
+
+def test_train_multi_holds_one_replica_intermediates_at_a_time():
+    # each replica's forward pass runs right before its step and is dropped after it, so
+    # eight replicas of a deep narrow cascade train in about the memory of one
+    # (the peak rose 5x from d = 1 to d = 8 when every workspace was built first)
+    rng = np.random.default_rng(44)
+    x0 = rng.uniform(-1, 1, (200, 6))
+    targets = rng.uniform(-1, 1, (200, 8))
+    peaks = {}
+    for d in (1, 8):
+        mc = init_multi([6] + [8] * 20 + [d], seed=44, mode="identity-fragments", alpha=5.0)
+        buffers = TrainingBuffers(200, mc.dtype)
+        train_multi(mc, x0, targets[:, :d], buffers)  # the set's arrays are not counted
+        tracemalloc.start()
+        try:
+            train_multi(mc, x0, targets[:, :d], buffers)
+            peaks[d] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[8] <= 1.5 * peaks[1]

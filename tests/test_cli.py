@@ -227,6 +227,62 @@ def test_non_finite_cell_exits_2_before_any_output(tmp_path, capsys):
     assert "data error" in err and "non-finite cell at row 2, column 4" in err
 
 
+def test_train_rows_leaving_no_test_rows_exit_2(tmp_path, capsys):
+    path = delimited_config(tmp_path, "train_rows = 20")  # the file holds 20 rows
+    assert main(["train", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error:" in err and "train_rows=20 leaves no test rows of 20" in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_out_of_range_log_columns_exit_2(tmp_path, capsys):
+    # features are columns 0..2; the range is checked before any column is logged
+    path = delimited_config(tmp_path, "log_columns = 3")
+    assert main(["train", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "data error:" in err and "transform columns [3] out of range for 3 features" in err
+    snapshot, data = eval_inputs(tmp_path, 3, {"log1p_columns": [7]})
+    assert main(["eval", snapshot, data]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "data error:" in err and "transform columns [7] out of range for 3 features" in err
+
+
+def set_last_cell(data, row, text):
+    """Replace the last cell of 0-based line ``row`` of a delimited file."""
+    lines = data.read_text().splitlines()
+    lines[row] = lines[row].rsplit(",", 1)[0] + "," + text
+    data.write_text("\n".join(lines) + "\n")
+
+
+def test_value_normalising_beyond_float_range_exits_2(tmp_path, capsys):
+    # 1e308 is finite, but twice its distance from the column minimum is not
+    path = delimited_config(tmp_path, "delimiter = ,")
+    data = tmp_path / "d.csv"
+    set_last_cell(data, 1, "1e308")
+    assert main(["train", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "data error:" in err and "feature 2 of data row 2 normalises to inf" in err
+    assert not (tmp_path / "run").exists()
+    snapshot, data = eval_inputs(tmp_path, 3, {"col_min": [-1.0] * 3, "col_max": [1.0] * 3})
+    set_last_cell(Path(data), 4, "-1e308")
+    assert main(["eval", snapshot, data]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "data error:" in err and "feature 2 of data row 5 normalises to -inf" in err
+
+
+def test_non_utf8_bytes_exit_2(tmp_path, capsys):
+    path = delimited_config(tmp_path, "delimiter = ,")
+    data = tmp_path / "d.csv"
+    lines = data.read_bytes().splitlines(keepends=True)
+    lines[2] = lines[2].replace(b"e", b"\xff", 1)
+    data.write_bytes(b"".join(lines))
+    assert main(["train", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "data error:" in err and "row 3 is not UTF-8 text" in err
+    assert main(["eval", str(tmp_path / "m.phc1"), str(data)]) == EXIT_CONFIG
+    assert "row 3 is not UTF-8 text" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("task,widths,labels,message", [
     ("binary-auc", "2,4,1", np.ones(40), "one class"),
     ("classify", "2,4,3", np.arange(40) % 4, "labels must be integers in [0, 3)"),

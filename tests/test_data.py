@@ -2,6 +2,7 @@ import os
 import struct
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +104,13 @@ def test_load_delimited_rejects_non_finite_cells(tmp_path, cell):
         load_delimited(p)
 
 
+def test_load_delimited_names_the_row_with_bytes_that_are_not_utf8(tmp_path):
+    p = tmp_path / "bad.csv"
+    p.write_bytes(b"1,2,3\n4,5,6\n7,8\xe9,9\n")
+    with pytest.raises(DataFormatError, match="row 3 is not UTF-8 text"):
+        load_delimited(p)
+
+
 def test_load_delimited_max_rows_counts_data_rows(tmp_path):
     p = tmp_path / "gaps.csv"
     p.write_text("1,0.5\n\n\n0,1.5\n1,2.5\n0,3.5\n")
@@ -156,6 +164,26 @@ def test_log_rejects_non_positive():
     spec1p = TransformSpec(log1p_columns=(0,))
     with pytest.raises(DataFormatError, match="log1p column 0"):
         fit_apply_transforms(Dataset(np.array([[-1.0], [1.0]]), np.zeros(2)), spec1p)
+
+
+def test_transform_columns_checked_before_any_log():
+    features = np.array([[1.0, 2.0], [3.0, 4.0]])
+    for spec in (TransformSpec(log_columns=(2,)), TransformSpec(log1p_columns=(0, -1))):
+        with pytest.raises(DataFormatError, match="out of range for 2 features"):
+            fit_apply_transforms(Dataset(features, np.zeros(2)), spec)
+
+
+def test_value_normalising_beyond_float_range_names_row_and_feature():
+    train = Dataset(np.array([[0.0, -1e308], [1.0, 1e308]]), np.zeros(2))
+    with pytest.raises(DataFormatError, match="feature 1 of data row 2 normalises to nan"):
+        fit_apply_transforms(train, TransformSpec())
+    spec = TransformSpec(col_min=(0.0, 0.0), col_max=(1.0, 1.0))
+    test = Dataset(np.array([[0.5, 0.5], [1e308, 0.5]]), np.zeros(2))
+    with pytest.raises(DataFormatError, match="feature 0 of data row 2 normalises to inf"):
+        fit_apply_transforms(test, spec)
+    # clamping keeps an out-of-range test value finite
+    out, _ = fit_apply_transforms(test, replace(spec, clamp=True))
+    assert out.features[1, 0] == 1.0
 
 
 def test_bounds_fitted_on_training_split_only():

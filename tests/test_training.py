@@ -127,32 +127,36 @@ def test_training_buffers_live_for_one_epoch(monkeypatch, dtype):
                       init_mode="identity-fragments", task="binary-auc", precision=dtype)
     r = cfg.batch_rows
     square_bytes = r * r * np.dtype(dtype).itemsize
-    train_multi = training.train_multi
+    train_multi, train_step = training.train_multi, cascade_module.train_step
     sets, reused, peaks = [], [], []
 
-    def watched_train_multi(model, workspaces, targets, buffers):
+    def watched_train_multi(model, x0, targets, buffers):
         reused.append(bool(sets) and sets[-1]() is buffers)
         sets.append(weakref.ref(buffers))
-        if len(sets) == 2:
-            tracemalloc.start()
-            try:
-                out = train_multi(model, workspaces, targets, buffers)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-            return out
-        return train_multi(model, workspaces, targets, buffers)
+        return train_multi(model, x0, targets, buffers)
+
+    def watched_train_step(*args):
+        # the forward pass runs inside train_multi, so only the second batch's steps are traced
+        if len(sets) != 2:
+            return train_step(*args)
+        tracemalloc.start()
+        try:
+            out = train_step(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        return out
 
     monkeypatch.setattr(training, "train_multi", watched_train_multi)
+    monkeypatch.setattr(cascade_module, "train_step", watched_train_step)
     model, records = run_training(cfg, train, test)
     # one set per epoch, released before the next epoch's, and nothing r x r outlives the run
     assert reused == [False, True, True, False, True, True]
     assert all(ref() is None for ref in sets)
-    assert peaks[0] < square_bytes  # the second batch allocates no r x r array
+    assert len(peaks) == 1 and peaks[0] < square_bytes  # a steady-state step makes no r x r array
 
     monkeypatch.setattr(training, "train_multi",
-                        lambda model, workspaces, targets, buffers: train_multi(
-                            model, workspaces, targets))
+                        lambda model, x0, targets, buffers: train_multi(model, x0, targets))
     alone, alone_records = run_training(cfg, train, test)
     for rec, other in zip(records, alone_records):
         assert (rec.epoch, rec.train_metric, rec.test_metric, rec.residual) == (
@@ -174,6 +178,29 @@ def test_not_spd_error_names_epoch_batch_and_replica(monkeypatch):
     cfg = TrainConfig(widths=[6, 5, 3], alpha=4.0, epochs=3, batch_rows=60, seed=20)
     with pytest.raises(NotSPDError, match="epoch 2, batch 3: replica 2: "):
         run_training(cfg, train, test)
+
+
+def test_metrics_csv_is_closed_when_a_batch_raises(monkeypatch, tmp_path):
+    sinks = []
+
+    class WatchedSink(training._CsvSink):
+        def __init__(self, path):
+            super().__init__(path)
+            sinks.append(self)
+
+    def failing_spd_solve(system, rhs, **kwargs):
+        raise NotSPDError("leading minor 1 is not positive")
+
+    monkeypatch.setattr(training, "_CsvSink", WatchedSink)
+    monkeypatch.setattr(cascade_module, "spd_solve", failing_spd_solve)
+    train, test = split_class_task(seed=21, n_train=120, n_test=40)
+    cfg = TrainConfig(widths=[6, 5, 3], alpha=4.0, epochs=2, batch_rows=60, seed=22)
+    path = tmp_path / "metrics.csv"
+    with pytest.raises(NotSPDError, match="epoch 1, batch 1: replica 0"):
+        run_training(cfg, train, test, csv_path=path)
+    assert len(sinks) == 1 and sinks[0]._fh.closed
+    with open(path, newline="") as f:
+        assert list(csv.reader(f)) == [CSV_HEADER]
 
 
 @pytest.mark.parametrize("task,widths,train_labels,message", [
