@@ -19,8 +19,8 @@ which is written into the lower triangle and mirrored once.  The system,
 the solve's factor, the layer-1 basis Gram and the panel buffers form one
 ``TrainingBuffers`` set that every replica of a batch reuses; ``run_training``
 keeps one set for a whole epoch, so a steady-state batch writes into memory
-it has already touched.  Each array of the set is allocated at its first
-use, inside the first step, after that batch's forward arrays.
+it has already touched.  The set's arrays are allocated together after the
+epoch's first forward pass.
 
 The replicas have independent value matrices and share the architecture and
 hyperparameters.  Every replica's first package has the same constellation
@@ -54,7 +54,6 @@ PANEL_ROWS = 128
 _STRICT_UPPER = np.triu(np.ones((PANEL_ROWS, PANEL_ROWS), dtype=bool), 1)
 # rows per scoring chunk: 1024 scored faster than 4096 and 512 at the benchmark shapes
 SCORE_CHUNK_ROWS = 1024
-_SQUARE_BUFFERS = ("system", "factor", "gram")
 
 
 @dataclass
@@ -127,36 +126,40 @@ def backward_quantities(cascade: Cascade, ws: CascadeBatchWorkspace,
 class TrainingBuffers:
     """The training step's working memory for batches of at most ``rows`` rows.
 
-    Three r x r arrays (``system``, its Cholesky ``factor`` and the layer-1
-    basis ``gram``) and three P x r panel arrays (Gram-product panels ``hh``
-    and ``gg`` and the panel accumulator ``acc``), each held flat, so that a
-    shorter batch uses C-contiguous leading views of them.  Each array is
-    allocated at its first use, so a set made before a batch gets its memory
-    after that batch's forward arrays.  A set serves one batch at a time:
-    each step overwrites what the previous one left there.
+    Three r x r arrays (the system, its Cholesky factor and the layer-1
+    basis Gram) and three P x r panel arrays (two Gram-product panels and
+    the panel accumulator), each held flat, so that a shorter batch uses
+    C-contiguous leading views of them.  The arrays are allocated together
+    by the first ``fitting`` call on the set, which ``train_multi`` makes
+    after its first forward pass, so a set made before a batch gets its
+    memory after that batch's forward arrays.  A set serves one batch at a
+    time: each step overwrites what the previous one left there.
     """
 
     def __init__(self, rows: int, dtype):
         self.rows = int(rows)
         self.dtype = resolve_dtype(dtype)
-        self._flat: dict[str, np.ndarray] = {}
-
-    def view(self, name: str, rows: int, cols: int) -> np.ndarray:
-        """A C-contiguous rows x cols view of the start of array ``name``."""
-        if name not in self._flat:
-            height = self.rows if name in _SQUARE_BUFFERS else min(PANEL_ROWS, self.rows)
-            self._flat[name] = np.empty(height * self.rows, self.dtype)
-        return self._flat[name][:rows * cols].reshape(rows, cols)
+        self.system = self.factor = self.gram = self.hh = self.gg = self.acc = None
 
     @classmethod
     def fitting(cls, buffers: TrainingBuffers | None, x: np.ndarray) -> TrainingBuffers:
-        """``buffers`` if it can hold a step on batch ``x``; a set for that one step if None."""
+        """``buffers``, allocated, if it can hold a step on batch ``x``; a new set if None."""
         if buffers is None:
-            return cls(x.shape[0], x.dtype)
-        if buffers.rows < x.shape[0] or buffers.dtype != x.dtype:
+            buffers = cls(x.shape[0], x.dtype)
+        elif buffers.rows < x.shape[0] or buffers.dtype != x.dtype:
             raise ValueError(f"training buffers for {buffers.rows} {buffers.dtype} rows cannot "
                              f"hold a batch of {x.shape[0]} {x.dtype} rows")
+        if buffers.system is None:
+            n, dt = buffers.rows, buffers.dtype
+            buffers.system, buffers.factor, buffers.gram = (np.empty(n * n, dt) for _ in range(3))
+            panel = min(PANEL_ROWS, n) * n
+            buffers.hh, buffers.gg, buffers.acc = (np.empty(panel, dt) for _ in range(3))
         return buffers
+
+
+def _leading(flat: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """A C-contiguous rows x cols view of the start of a flat buffer."""
+    return flat[:rows * cols].reshape(rows, cols)
 
 
 def assemble_system(layer1: PackageBatchState, bases: list[np.ndarray], grads: list[np.ndarray],
@@ -177,16 +180,16 @@ def assemble_system(layer1: PackageBatchState, bases: list[np.ndarray], grads: l
     r = layer1.x_in.shape[0]
     dt = layer1.x_in.dtype
     buffers = TrainingBuffers.fitting(buffers, layer1.x_in)
-    system = buffers.view("system", r, r)
+    system = _leading(buffers.system, r, r)
     if layer1.gram is None:
-        layer1.gram = np.matmul(bases[0], bases[0].T, out=buffers.view("gram", r, r))
+        layer1.gram = np.matmul(bases[0], bases[0].T, out=_leading(buffers.gram, r, r))
     for i0 in range(0, r, PANEL_ROWS):
         rows = slice(i0, min(i0 + PANEL_ROWS, r))
         i1 = rows.stop
         if len(bases) == 1:
             acc = layer1.gram[rows, :i1]
         else:
-            acc, hh, gg = (buffers.view(name, i1 - i0, i1) for name in ("acc", "hh", "gg"))
+            acc, hh, gg = (_leading(b, i1 - i0, i1) for b in (buffers.acc, buffers.hh, buffers.gg))
             g1 = grads[0]
             np.multiply(layer1.gram[rows, :i1], np.matmul(g1[rows], g1[:i1].T, out=gg), out=acc)
             for h, g in zip(bases[1:-1], grads[1:-1]):
@@ -223,7 +226,7 @@ def train_step(cascade: Cascade, ws: CascadeBatchWorkspace, lstar: np.ndarray,
     system = assemble_system(layer1, bases, grads, alpha, buffers)
     if not (np.isfinite(system).all() and np.isfinite(delta_l).all()):
         raise NonFiniteError("training system or output residual contains NaN or Inf")
-    b_vec = spd_solve(system, delta_l, factor_buf=buffers.view("factor", *system.shape))
+    b_vec = spd_solve(system, delta_l, factor_buf=_leading(buffers.factor, *system.shape))
     solve_residual = float(np.abs(system @ b_vec - delta_l).max())
 
     # all updates are computed against pre-update intermediates, then applied
@@ -300,8 +303,10 @@ class MultiOutputCascade:
     def scores(self, x0, chunk_rows: int = SCORE_CHUNK_ROWS) -> np.ndarray:
         """Replica outputs without retaining workspaces, ``chunk_rows`` rows at a time.
 
-        Each package's distances and kernel values exist for one chunk at a
-        time, so the chunk size bounds the memory a call holds.
+        Each chunk shares one layer-1 state and product, whose kernel values
+        are dropped once the layer-1 outputs exist; each package's
+        intermediates are dropped once the next output exists.  So the chunk
+        size bounds the memory a call holds.
         """
         if chunk_rows < 1:
             raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
@@ -309,21 +314,11 @@ class MultiOutputCascade:
         out = np.empty((x0.shape[0], self.d), dtype=self.dtype)
         for lo in range(0, x0.shape[0], chunk_rows):
             rows = slice(lo, lo + chunk_rows)
-            out[rows] = self._score_chunk(x0[rows])
+            for j, (c, y) in enumerate(zip(self.replicas, self._layer1(x0[rows])[1])):
+                for pkg in c.packages[1:]:
+                    y, _ = pkg.forward(y)
+                out[rows, j:j + 1] = y
         return out
-
-    def _score_chunk(self, x) -> np.ndarray:
-        """One chunk: a shared layer-1 state and product, then each replica forward-only.
-
-        The layer-1 kernel values are dropped once the layer-1 outputs exist,
-        and each package's intermediates once the next output exists.
-        """
-        cols = []
-        for c, y in zip(self.replicas, self._layer1(x)[1]):
-            for pkg in c.packages[1:]:
-                y, _ = pkg.forward(y)
-            cols.append(y)
-        return np.hstack(cols)
 
     def predict(self, x0) -> np.ndarray:
         """Per-row argmax over replica outputs; ties go to the lowest index."""
@@ -375,26 +370,30 @@ def train_multi(mc: MultiOutputCascade, x0, targets,
     applies every layer-1 update.  Every replica's system, factor and
     panels live in ``buffers``, which must hold at least r rows of the
     model's dtype; without it, a set is made for this one call.  Targets of
-    the wrong shape raise before any update.  If replica j fails, replicas
-    before it are fully updated, layer 1 included, and replica j is
-    untouched.  A non-SPD system is re-raised with the failing replica's
-    index.
+    the wrong shape raise before any update.  If replica j fails, in its
+    forward pass or in its step, replicas before it are fully updated,
+    layer 1 included, and replica j and those after it are untouched.  A
+    non-SPD system is re-raised with the failing replica's index.
     """
     layer1, x1 = mc._layer1(x0)
     r = layer1.x_in.shape[0]
     targets = as_matrix(targets, dtype=mc.dtype, name="targets")
     if targets.shape != (r, mc.d):
         raise ShapeMismatchError(f"targets shape {targets.shape} != outputs shape {(r, mc.d)}")
-    buffers = TrainingBuffers.fitting(buffers, layer1.x_in)
     n1 = mc.replicas[0].packages[0].n_out
-    scaled = np.empty((r, mc.d * n1), dtype=mc.dtype)
     reports = []
     try:
         for i, (c, y) in enumerate(zip(mc.replicas, x1)):
             try:
-                # the workspace is an argument only, so it is freed when the step returns
-                reports.append(train_step(c, forward_batch(c, layer1, y), targets[:, i:i + 1],
+                ws = forward_batch(c, layer1, y)
+                if i == 0:
+                    # after the forward arrays, so the allocator keeps the memory they free
+                    # for the next batch instead of returning it to the system
+                    buffers = TrainingBuffers.fitting(buffers, layer1.x_in)
+                    scaled = np.empty((r, mc.d * n1), dtype=mc.dtype)
+                reports.append(train_step(c, ws, targets[:, i:i + 1],
                                           scaled[:, i * n1:(i + 1) * n1], mc.alpha, buffers))
+                del ws  # before the next replica's forward pass
             except NotSPDError as exc:
                 raise NotSPDError(f"replica {i}: {exc}") from exc
     finally:

@@ -274,8 +274,10 @@ def fit_apply_transforms(dataset: Dataset, spec: TransformSpec,
     min/max land on -1/+1.  Zero-range columns map to 0 everywhere.  Rows
     outside the training bounds (test split) pass through unclamped unless
     the spec asks for clamping.  A value that does not normalise to a
-    finite number raises ``DataFormatError`` naming its 1-based data row and
-    its 0-based feature index, the index ``log_columns`` uses.
+    finite number raises ``DataFormatError`` naming its 0-based feature
+    index, the index ``log_columns`` uses, and its 1-based data row, which
+    counts rows of ``dataset`` (blank lines of a delimited file are not
+    rows; ``load_delimited``'s own errors name file lines).
     """
     ncols = dataset.n_features
     bad_cols = [c for c in (*spec.log_columns, *spec.log1p_columns) if not 0 <= c < ncols]
@@ -305,8 +307,9 @@ def fit_apply_transforms(dataset: Dataset, spec: TransformSpec,
         np.clip(scaled, -1.0, 1.0, out=scaled)
     if not np.isfinite(scaled).all():
         i, j = np.argwhere(~np.isfinite(scaled))[0]
-        raise DataFormatError(f"feature {j} of data row {i + 1} normalises to {scaled[i, j]}: "
-                              f"value {transformed[i, j]}, training bounds [{lo[j]}, {hi[j]}]")
+        raise DataFormatError(f"feature {j} of data row {i + 1} (blank lines not counted) "
+                              f"normalises to {scaled[i, j]}: value {transformed[i, j]}, "
+                              f"training bounds [{lo[j]}, {hi[j]}]")
     return Dataset(scaled, dataset.labels, n_train=dataset.n_train), fitted
 
 

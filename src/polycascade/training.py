@@ -149,7 +149,10 @@ def run_training(cfg: TrainConfig, train: Dataset, test: Dataset,
     writer = _CsvSink(csv_path) if csv_path else None
     records: list[EpochRecord] = []
 
-    def emit(record: EpochRecord):
+    def emit(epoch: int, residual: float, t0: float):
+        """Evaluate the model on both splits and record the epoch, timed from ``t0``."""
+        record = EpochRecord(epoch, _evaluate(cfg, model, train_eval), _evaluate(cfg, model, test),
+                             residual, time.perf_counter() - t0)
         records.append(record)
         if writer:
             writer.write(record)
@@ -158,10 +161,7 @@ def run_training(cfg: TrainConfig, train: Dataset, test: Dataset,
 
     try:
         if cfg.epochs == 0:
-            t0 = time.perf_counter()
-            emit(EpochRecord(0, _evaluate(cfg, model, train_eval),
-                             _evaluate(cfg, model, test), float("nan"),
-                             time.perf_counter() - t0))
+            emit(0, float("nan"), time.perf_counter())
         for epoch in range(1, cfg.epochs + 1):
             t0 = time.perf_counter()
             residuals = []
@@ -178,10 +178,7 @@ def run_training(cfg: TrainConfig, train: Dataset, test: Dataset,
                 residuals.append(np.mean([rep.residual_before_rms for rep in reports]))
             # the buffers are released before scoring allocates its own arrays
             del buffers
-            train_metric = _evaluate(cfg, model, train_eval)
-            test_metric = _evaluate(cfg, model, test)
-            emit(EpochRecord(epoch, train_metric, test_metric,
-                             float(np.mean(residuals)), time.perf_counter() - t0))
+            emit(epoch, float(np.mean(residuals)), t0)
     finally:
         if writer:
             writer.close()

@@ -408,11 +408,27 @@ def test_shared_layer1_state_keeps_no_distances():
     assert workspaces[0].states[1].sq_dists is not None  # package 2 still runs backward
 
 
-def test_nan_coefficient_raises_non_finite_before_any_update():
+def nan_coefficient_after_forward(monkeypatch, cascade, package):
+    """Put a NaN in ``cascade``'s package coefficients right after its forward pass.
+
+    The output residual stays finite, and the NaN reaches the training
+    system only through ``backward``, so only the system check can see it.
+    """
+    forward = cascade_module.forward_batch
+
+    def forward_then_nan(c, layer1, x1):
+        ws = forward(c, layer1, x1)
+        if c is cascade:
+            c.packages[package].coeffs[0, 0] = np.nan
+        return ws
+    monkeypatch.setattr(cascade_module, "forward_batch", forward_then_nan)
+
+
+def test_nan_coefficient_raises_non_finite_before_any_update(monkeypatch):
     # intermediate products are not scanned; the NaN must reach the system check
     mc, cascade = single([4, 3, 2, 1], seed=12, alpha=1.0)
     x0 = np.random.default_rng(12).uniform(-1, 1, (8, 4))
-    cascade.packages[-1].coeffs[0, 0] = np.nan
+    nan_coefficient_after_forward(monkeypatch, cascade, 1)
     before = [p.values.copy() for p in cascade.packages]
     with pytest.raises(NonFiniteError, match="training system"):
         train_multi(mc, x0, np.ones((8, 1)))
@@ -466,8 +482,8 @@ def test_failing_replica_leaves_earlier_replicas_updated_and_itself_untouched(mo
         monkeypatch.setattr(cascade_module, "spd_solve",
                             lambda s, rhs, **kw: solve(-s if next(calls) == 2 else s, rhs, **kw))
     else:
-        mc.replicas[2].packages[1].coeffs[0, 0] = np.nan
-    with pytest.raises(failure):
+        nan_coefficient_after_forward(monkeypatch, mc.replicas[2], 1)
+    with pytest.raises(failure, match="replica 2" if failure is NotSPDError else "training system"):
         train_multi(mc, x0, targets)
     for shared, model in zip(mc.replicas[:2], alone):
         for pa, pb in zip(shared.packages, model.replicas[0].packages):

@@ -261,13 +261,16 @@ def test_value_normalising_beyond_float_range_exits_2(tmp_path, capsys):
     set_last_cell(data, 1, "1e308")
     assert main(["train", str(path)]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert "data error:" in err and "feature 2 of data row 2 normalises to inf" in err
+    assert "data error:" in err and "feature 2 of data row 2 (blank lines not counted) " \
+        "normalises to inf" in err
     assert not (tmp_path / "run").exists()
     snapshot, data = eval_inputs(tmp_path, 3, {"col_min": [-1.0] * 3, "col_max": [1.0] * 3})
     set_last_cell(Path(data), 4, "-1e308")
+    Path(data).write_text("\n" + Path(data).read_text())  # the bad row is now file line 6
     assert main(["eval", snapshot, data]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert "data error:" in err and "feature 2 of data row 5 normalises to -inf" in err
+    assert "data error:" in err and "feature 2 of data row 5 (blank lines not counted) " \
+        "normalises to -inf" in err
 
 
 def test_non_utf8_bytes_exit_2(tmp_path, capsys):

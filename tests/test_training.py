@@ -128,7 +128,7 @@ def test_training_buffers_live_for_one_epoch(monkeypatch, dtype):
     r = cfg.batch_rows
     square_bytes = r * r * np.dtype(dtype).itemsize
     train_multi, train_step = training.train_multi, cascade_module.train_step
-    sets, reused, peaks = [], [], []
+    sets, reused, peaks, systems, kept = [], [], [], [], []
 
     def watched_train_multi(model, x0, targets, buffers):
         reused.append(bool(sets) and sets[-1]() is buffers)
@@ -136,6 +136,11 @@ def test_training_buffers_live_for_one_epoch(monkeypatch, dtype):
         return train_multi(model, x0, targets, buffers)
 
     def watched_train_step(*args):
+        # each step works in the set its batch was given, in the arrays of the epoch's first step
+        buffers = args[-1]
+        if not reused[-1]:
+            systems.append(weakref.ref(buffers.system))
+        kept.append(buffers is sets[-1]() and systems[-1]() is buffers.system)
         # the forward pass runs inside train_multi, so only the second batch's steps are traced
         if len(sets) != 2:
             return train_step(*args)
@@ -152,6 +157,7 @@ def test_training_buffers_live_for_one_epoch(monkeypatch, dtype):
     model, records = run_training(cfg, train, test)
     # one set per epoch, released before the next epoch's, and nothing r x r outlives the run
     assert reused == [False, True, True, False, True, True]
+    assert len(kept) == 6 and all(kept)
     assert all(ref() is None for ref in sets)
     assert len(peaks) == 1 and peaks[0] < square_bytes  # a steady-state step makes no r x r array
 
