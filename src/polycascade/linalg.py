@@ -6,7 +6,10 @@ This module holds what the rest is written against besides plain numpy
 products: validation/coercion and a symmetric-positive-definite solve.  The
 solve calls the Cholesky routines of numpy's own LAPACK through ``ctypes``,
 in place and in the array's precision, because ``np.linalg.cholesky`` copies
-its input and result and always factors in float64.
+its input and result and always factors in float64.  Where numpy's build
+exports no such routine, ``np.linalg.cholesky`` and two numpy solves stand
+in.  numpy is the only linear-algebra library loaded, so every product and
+every solve runs in one BLAS and its one pool of threads.
 
 Non-finite values are rejected where data enters and around the solve only:
 ``as_matrix`` checks batches, targets and value matrices, the training step
@@ -22,7 +25,6 @@ import ctypes
 
 import numpy as np
 import numpy.linalg._umath_linalg as _umath_linalg
-import scipy.linalg
 
 DTYPES = {"float64": np.float64, "float32": np.float32}
 DEFAULT_DTYPE = np.float64
@@ -133,12 +135,10 @@ def spd_solve(s: np.ndarray, rhs: np.ndarray,
     naming the leading minor, distinct from shape errors.
 
     Both routines are numpy's own, the library every product of the
-    training step runs in.  scipy loads a second OpenBLAS build; factoring
-    there between numpy products made each library's idle worker threads
-    spin against the other's work, and a training step took about 1.6
-    times as long on two cores.  Where numpy's build exports no such
-    routine, ``np.linalg.cholesky`` (which always factors in float64) and
-    scipy's ``potrs`` are the route.
+    training step runs in, so no second BLAS library is loaded beside it.
+    Where numpy's build exports no such routine, ``np.linalg.cholesky``
+    (which always factors in float64) and two numpy solves with the factor
+    are the route.
     """
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ShapeMismatchError(f"spd_solve needs a square matrix, got {s.shape}")
@@ -173,13 +173,33 @@ def spd_solve(s: np.ndarray, rhs: np.ndarray,
 
 
 def _spd_solve_fallback(s: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """``spd_solve`` where numpy exports no LAPACK routine: numpy's factor, scipy's ``potrs``."""
+    """``spd_solve`` where numpy exports no LAPACK routine: numpy's factor, then two solves.
+
+    numpy has no triangular solver, so ``np.linalg.solve`` takes the factor
+    and then its transpose.  Both factor and solves run in float64; the
+    result is float32 when ``s`` and ``r`` both are, as on the main route.
+    """
     try:
         lower = np.linalg.cholesky(s)
     except np.linalg.LinAlgError as exc:
-        # only the failing path asks scipy's potrf for the order of the bad minor
-        _, info = scipy.linalg.get_lapack_funcs("potrf", (s,))(s, lower=True)
-        raise _not_spd(info) from exc
-    potrs = scipy.linalg.get_lapack_funcs("potrs", (lower, r))
-    x, _ = potrs(lower.T, r, lower=False)
+        raise _not_spd(_failing_minor(s)) from exc
+    x = np.linalg.solve(lower.T, np.linalg.solve(lower, r))
     return ensure_finite(np.ascontiguousarray(x), "spd_solve result")
+
+
+def _failing_minor(s: np.ndarray) -> int:
+    """Order of the first leading minor of ``s`` that a column-by-column Cholesky finds not positive.
+
+    Reads the lower triangle in float64.  Only the failing path runs this
+    O(n) Python loop; where rounding lets it pass a matrix the blocked
+    factor rejected, it names the whole matrix.
+    """
+    lower = np.tril(s).astype(np.float64)
+    for j in range(lower.shape[0]):
+        row = lower[j, :j]
+        pivot = lower[j, j] - row @ row
+        if not pivot > 0:  # also NaN
+            return j + 1
+        lower[j, j] = np.sqrt(pivot)
+        lower[j + 1:, j] = (lower[j + 1:, j] - lower[j + 1:, :j] @ row) / lower[j, j]
+    return lower.shape[0]

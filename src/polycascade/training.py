@@ -22,7 +22,7 @@ from .cascade import (INIT_MODES, MultiOutputCascade, TrainingBuffers, init_mult
                       train_multi)
 from .data import DataFormatError, Dataset, batches
 from .kernel import KernelParams
-from .linalg import NotSPDError, resolve_dtype
+from .linalg import NotSPDError, ensure_finite, resolve_dtype
 from .metrics import accuracy, roc_auc
 
 CSV_HEADER = ["epoch", "train_metric", "test_metric", "residual", "seconds"]
@@ -112,8 +112,8 @@ def _targets_for(cfg: TrainConfig, labels: np.ndarray, d: int, dtype) -> np.ndar
     return (2.0 * np.asarray(labels, dtype=np.float64).reshape(-1, 1) - 1.0).astype(dtype)
 
 
-def _evaluate(cfg: TrainConfig, model: MultiOutputCascade, data: Dataset) -> float:
-    scores = model.scores(data.features)
+def _evaluate(cfg: TrainConfig, model: MultiOutputCascade, data: Dataset, split: str) -> float:
+    scores = ensure_finite(model.scores(data.features), f"{split} split scores")
     if cfg.task == "classify":
         return accuracy(np.argmax(scores, axis=1), data.labels)
     return roc_auc(scores[:, 0], data.labels)
@@ -131,7 +131,8 @@ def run_training(cfg: TrainConfig, train: Dataset, test: Dataset,
     The CSV is closed however the run ends.  A non-SPD training system
     raises ``NotSPDError`` naming the epoch, the 1-based batch within it,
     and the replica.  Labels the task cannot use raise ``DataFormatError``
-    (``check_labels``) before the first batch.
+    (``check_labels``) before the first batch.  A NaN or Inf score in an
+    epoch's evaluation raises ``NonFiniteError`` naming the split.
     """
     check_labels(cfg, train, test)
     d = cfg.widths[-1]
@@ -151,8 +152,9 @@ def run_training(cfg: TrainConfig, train: Dataset, test: Dataset,
 
     def emit(epoch: int, residual: float, t0: float):
         """Evaluate the model on both splits and record the epoch, timed from ``t0``."""
-        record = EpochRecord(epoch, _evaluate(cfg, model, train_eval), _evaluate(cfg, model, test),
-                             residual, time.perf_counter() - t0)
+        record = EpochRecord(epoch, _evaluate(cfg, model, train_eval, "train"),
+                             _evaluate(cfg, model, test, "test"), residual,
+                             time.perf_counter() - t0)
         records.append(record)
         if writer:
             writer.write(record)

@@ -1,4 +1,5 @@
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -271,6 +272,34 @@ def test_value_normalising_beyond_float_range_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "data error:" in err and "feature 2 of data row 5 (blank lines not counted) " \
         "normalises to -inf" in err
+
+
+@pytest.mark.parametrize("value", ["1e308", "1e150"])
+def test_eval_of_values_too_large_for_the_model_exits_2(tmp_path, monkeypatch, capsys, value):
+    # no preprocessing, as a model trained with normalize = false is saved: 1e308 overflows
+    # into a NonFiniteError inside scores, 1e150 into a NaN score
+    monkeypatch.setattr(cli, "SCORE_CHUNK_ROWS", 4)  # the bad row is not its chunk's first
+    snapshot, data = eval_inputs(tmp_path, 3)
+    set_last_cell(Path(data), 6, value)
+    Path(data).write_text("\n" + Path(data).read_text())  # the bad row is now file line 8
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # overflow warnings would reach the user's terminal
+        assert main(["eval", snapshot, data]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "data error:" in captured.err and "data row 7 (blank lines not counted) has no " \
+        "finite score" in captured.err
+    assert captured.out == ""
+
+
+def test_train_of_test_rows_too_large_for_the_model_exits_1(tmp_path, capsys):
+    # with normalize = false a 1e150 test row scores NaN, which the epoch's evaluation rejects
+    path = delimited_config(tmp_path, "normalize = false\ntrain_rows = 6")
+    set_last_cell(tmp_path / "d.csv", 18, "1e150")  # a test row
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # overflow, and a batch larger than the 6 train rows
+        assert main(["train", str(path)]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "numeric failure: test split scores contains NaN or Inf" in err
 
 
 def test_non_utf8_bytes_exit_2(tmp_path, capsys):

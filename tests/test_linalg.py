@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import polycascade
 from polycascade import linalg
 from polycascade.linalg import (NonFiniteError, NotSPDError, ShapeMismatchError, as_matrix,
                                 resolve_dtype, spd_solve)
@@ -112,6 +118,17 @@ def test_float32_solve_stays_float32_and_agrees_with_float64(route):
     assert np.abs(x32 - x64).max() <= 1e-4 * np.abs(x64).max()
 
 
+def test_fallback_float32_solves_in_float32_and_names_the_failing_leading_minor(monkeypatch):
+    monkeypatch.setattr(linalg, "_LAPACK", None)
+    s, rhs = _spd(6, 13, np.float32)
+    x = spd_solve(s, rhs)
+    assert x.dtype == np.float32
+    assert np.abs(s @ x - rhs).max() <= 1e-5 * np.abs(rhs).max()
+    s[3, 3] = -1e3
+    with pytest.raises(NotSPDError, match="leading minor of order 4 "):
+        spd_solve(s, rhs)
+
+
 def test_fallback_route_passes_the_spd_solve_tests(monkeypatch):
     monkeypatch.setattr(linalg, "_LAPACK", None)
     test_spd_solve_identity_system()
@@ -142,3 +159,15 @@ def test_numpy_lapack_resolves_on_scipy_openblas_builds():
         pytest.skip(f"numpy links {lapack}, not scipy-openblas")
     assert linalg._LAPACK is not None
     assert set(linalg._LAPACK) == {np.dtype(np.float64), np.dtype(np.float32)}
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only linear-algebra library: scipy would map a second BLAS beside it
+    code = ("import sys, polycascade; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    src = Path(polycascade.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

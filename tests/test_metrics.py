@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polycascade.metrics import accuracy, roc_auc
+from polycascade.metrics import accuracy, average_ranks, roc_auc
 
 
 def test_accuracy_all_correct():
@@ -71,3 +71,21 @@ def test_auc_invariant_under_monotone_transforms(seed, power):
     warped = np.sign(scores) * np.abs(scores) ** power + 3.0
     assert roc_auc(warped, labels) == pytest.approx(base, abs=1e-12)
     assert roc_auc(np.exp(scores / 2.0), labels) == pytest.approx(base, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_auc_rejects_non_finite_scores_naming_the_first(bad):
+    # a sort puts NaN last, so unchecked it would count as the top score
+    with pytest.raises(ValueError, match=f"score 1 is {bad}"):
+        roc_auc([0.1, bad, 0.3, bad], [0, 1, 1, 0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([-2.5, -0.0, 0.0, 1.0, 3.25]), min_size=0, max_size=40))
+def test_average_ranks_equal_the_counting_definition(values):
+    x = np.array(values, dtype=np.float64)
+    # rank = count of smaller values + (count of equal values + 1) / 2
+    expected = np.array([(x < v).sum() + ((x == v).sum() + 1) / 2 for v in x])
+    ranks = average_ranks(x)
+    assert ranks.dtype == np.float64
+    assert np.array_equal(ranks, expected)
