@@ -22,7 +22,7 @@ import numpy as np
 from . import oracle
 from .constellation import build_octahedral, octahedral_points
 from .kernel import KernelParams
-from .package import Package
+from .package import Package, PackageBatchState
 
 AGREEMENT_TOL = 1e-8
 OPS = ("squared_distances", "coeffs_from_values", "cardinal_basis", "backward")
@@ -38,11 +38,13 @@ class BenchRow:
     max_rel_err: float
 
 
-def _median_time(fn, repeats: int) -> float:
+def _median_time(fn, repeats: int, *make_args) -> float:
+    """Median seconds of ``fn(*args)``, each call's ``args`` made untimed by ``make_args``."""
     times = []
     for _ in range(repeats):
+        args = [make() for make in make_args]
         t0 = time.perf_counter()
-        fn()
+        fn(*args)
         times.append(time.perf_counter() - t0)
     return float(np.median(times))
 
@@ -71,31 +73,31 @@ def run_bench(widths=(16, 32, 64, 128, 256, 512, 1024, 2048), batch_rows=(64, 25
                 continue
             x = rng.uniform(-1, 1, (r, n))
             _, state = pkg.forward(x)
+            m, kv = state.sq_dists, state.kernel_vals
             g_next = rng.standard_normal((r, n_out))
 
+            def fresh():
+                """A forward state of the batch: cardinal_basis and backward consume theirs."""
+                return PackageBatchState(x_in=x, sq_dists=m.copy(), kernel_vals=kv.copy())
+
+            # each fast route takes a fresh state, made outside its timing
             pairs = {
-                "squared_distances": (lambda: pkg.squared_distances(x),
+                "squared_distances": (lambda _: pkg.squared_distances(x),
                                       lambda: oracle.squared_distances(x, points)),
-                "coeffs_from_values": (lambda: pkg.coeffs_from_values(values),
+                "coeffs_from_values": (lambda _: pkg.coeffs_from_values(values),
                                        lambda: oracle.coefficients(u, values)),
-                "cardinal_basis": (lambda: pkg.cardinal_basis(_fresh(state)),
-                                   lambda: oracle.cardinal_basis(state.kernel_vals, u)),
-                "backward": (lambda: pkg.backward(g_next, state),
-                             lambda: oracle.backward(g_next, x, state.sq_dists, points,
-                                                     pkg.coeffs, kp)),
+                "cardinal_basis": (pkg.cardinal_basis,
+                                   lambda: oracle.cardinal_basis(kv, u)),
+                "backward": (lambda s: pkg.backward(g_next, s),
+                             lambda: oracle.backward(g_next, x, m, points, pkg.coeffs, kp)),
             }
             for op, (fast_fn, naive_fn) in pairs.items():
-                err = _rel_err(fast_fn(), naive_fn())
+                err = _rel_err(fast_fn(fresh()), naive_fn())
                 if err > AGREEMENT_TOL:
                     raise AssertionError(f"{op} n={n} r={r}: routes disagree, rel err {err:.3e}")
-                rows.append(BenchRow(op, n, r, _median_time(fast_fn, repeats),
+                rows.append(BenchRow(op, n, r, _median_time(fast_fn, repeats, fresh),
                                      _median_time(naive_fn, repeats), err))
     return rows
-
-
-def _fresh(state):
-    state.basis = None  # force recomputation instead of returning the cache
-    return state
 
 
 def crossover_widths(rows: list[BenchRow]) -> dict[str, int | None]:

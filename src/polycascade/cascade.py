@@ -15,12 +15,20 @@ batch vector, and that vector updates every package's value matrix
 independently.  The system is built a panel of rows at a time: each
 package's Gram products for those rows are computed into two small panel
 buffers that stay in cache and summed into a contiguous panel accumulator,
-which is written into the lower triangle and mirrored once.  The system,
-the solve's factor, the layer-1 basis Gram and the panel buffers form one
+which is written into the lower triangle and mirrored once.  The Cholesky
+factor is then written over the system's lower triangle, and the solve
+residual is taken from the diagonal and upper triangle that the factor
+leaves holding the system, so a step keeps one r x r array.  The system,
+the panel buffers and, for d > 1 replicas, the layer-1 basis Gram form one
 ``TrainingBuffers`` set that every replica of a batch reuses; ``run_training``
 keeps one set for a whole epoch, so a steady-state batch writes into memory
 it has already touched.  The set's arrays are allocated together after the
 epoch's first forward pass.
+
+Each package's state is consumed as the step reads it: the cardinal basis
+is written over the kernel values and the backward sweep's derivative
+factors over the squared distances (see ``package``), so one replica's
+intermediates come to about two r x k arrays per package.
 
 The replicas have independent value matrices and share the architecture and
 hyperparameters.  Every replica's first package has the same constellation
@@ -29,7 +37,9 @@ Gram product are computed once per batch (or scoring chunk) and shared by
 all replicas.  Layer 1 then acts as one package with d * n1 outputs: one
 product over the replicas' stacked coefficients gives every layer-1 output,
 and one product over their stacked derivative blocks gives every layer-1
-value update.  The derivative Grams and the solve stay per replica.
+value update.  The derivative Grams and the solve stay per replica.  A
+one-replica model keeps no layer-1 Gram: its layer-1 term is built in
+panels like any other package's.
 """
 
 from __future__ import annotations
@@ -42,7 +52,7 @@ import numpy as np
 from .constellation import Constellation, build_octahedral, octahedral_points
 from .kernel import KernelParams
 from .linalg import (NonFiniteError, NotSPDError, ShapeMismatchError, as_matrix, resolve_dtype,
-                     spd_solve)
+                     spd_solve, symmetric_product)
 from .package import Package, PackageBatchState
 
 logger = logging.getLogger(__name__)
@@ -112,23 +122,25 @@ def backward_quantities(cascade: Cascade, ws: CascadeBatchWorkspace,
 
     The derivative chain starts from a column of ones at the cascade output
     and never descends below the first package (its input derivative is
-    unused by training).
+    unused by training).  It runs first: each ``backward`` frees the
+    distances it consumes, so the bases are then built beside fewer arrays.
     """
     q = cascade.q
-    bases = [pkg.cardinal_basis(state) for pkg, state in zip(cascade.packages, ws.states)]
     grads: list[np.ndarray | None] = [None] * q
     grads[q - 1] = np.ones((ws.output.shape[0], 1), dtype=ws.output.dtype)
     for i in range(q - 1, 0, -1):
         grads[i - 1] = cascade.packages[i].backward(grads[i], ws.states[i])
+    bases = [pkg.cardinal_basis(state) for pkg, state in zip(cascade.packages, ws.states)]
     return bases, grads
 
 
 class TrainingBuffers:
     """The training step's working memory for batches of at most ``rows`` rows.
 
-    Three r x r arrays (the system, its Cholesky factor and the layer-1
-    basis Gram) and three P x r panel arrays (two Gram-product panels and
-    the panel accumulator), each held flat, so that a shorter batch uses
+    One r x r system, which the solve factors in place, three P x r panel
+    arrays (two Gram-product panels and the panel accumulator) and, for a
+    model of d > 1 replicas only, a second r x r array for the layer-1 basis
+    Gram they share.  Each is held flat, so that a shorter batch uses
     C-contiguous leading views of them.  The arrays are allocated together
     by the first ``fitting`` call on the set, which ``train_multi`` makes
     after its first forward pass, so a set made before a batch gets its
@@ -139,21 +151,27 @@ class TrainingBuffers:
     def __init__(self, rows: int, dtype):
         self.rows = int(rows)
         self.dtype = resolve_dtype(dtype)
-        self.system = self.factor = self.gram = self.hh = self.gg = self.acc = None
+        self.system = self.gram = self.hh = self.gg = self.acc = None
 
     @classmethod
-    def fitting(cls, buffers: TrainingBuffers | None, x: np.ndarray) -> TrainingBuffers:
-        """``buffers``, allocated, if it can hold a step on batch ``x``; a new set if None."""
+    def fitting(cls, buffers: TrainingBuffers | None, x: np.ndarray,
+                gram: bool = False) -> TrainingBuffers:
+        """``buffers``, allocated, if it can hold a step on batch ``x``; a new set if None.
+
+        With ``gram``, the set also holds the layer-1 Gram.
+        """
         if buffers is None:
             buffers = cls(x.shape[0], x.dtype)
         elif buffers.rows < x.shape[0] or buffers.dtype != x.dtype:
             raise ValueError(f"training buffers for {buffers.rows} {buffers.dtype} rows cannot "
                              f"hold a batch of {x.shape[0]} {x.dtype} rows")
+        n, dt = buffers.rows, buffers.dtype
         if buffers.system is None:
-            n, dt = buffers.rows, buffers.dtype
-            buffers.system, buffers.factor, buffers.gram = (np.empty(n * n, dt) for _ in range(3))
+            buffers.system = np.empty(n * n, dt)
             panel = min(PANEL_ROWS, n) * n
             buffers.hh, buffers.gg, buffers.acc = (np.empty(panel, dt) for _ in range(3))
+        if gram and buffers.gram is None:
+            buffers.gram = np.empty(n * n, dt)
         return buffers
 
 
@@ -171,27 +189,29 @@ def assemble_system(layer1: PackageBatchState, bases: list[np.ndarray], grads: l
     contiguous P x i1 accumulator from two panel products, ``H[I] @ H[:i1].T``
     and ``G[I] @ G[:i1].T``, whose buffers stay in cache; the accumulator is
     written into the system rows once and mirrored once into the upper
-    triangle, so the whole symmetric matrix is returned.  H_1 H_1^T is
-    cached on ``layer1`` as ``gram``.  The last package's G is a column of
-    ones, so its H H^T is added alone.  Every array is a view of
-    ``buffers`` (a set made for this call when None), so the returned
-    system is overwritten by the next step that uses the same set.
+    triangle, so the whole symmetric matrix is returned.  H_1 H_1^T is read
+    from ``layer1.gram`` where ``train_multi`` has cached it for d > 1
+    replicas, and is otherwise built in panels like any other package's.
+    The last package's G is a column of ones, so its H H^T is added alone.
+    Every array is a view of ``buffers`` (a set made for this call when
+    None), so the returned system is overwritten by the next step that uses
+    the same set.
     """
     r = layer1.x_in.shape[0]
     dt = layer1.x_in.dtype
     buffers = TrainingBuffers.fitting(buffers, layer1.x_in)
     system = _leading(buffers.system, r, r)
-    if layer1.gram is None:
-        layer1.gram = np.matmul(bases[0], bases[0].T, out=_leading(buffers.gram, r, r))
+    h1, g1 = bases[0], grads[0]
     for i0 in range(0, r, PANEL_ROWS):
         rows = slice(i0, min(i0 + PANEL_ROWS, r))
         i1 = rows.stop
+        acc, hh, gg = (_leading(b, i1 - i0, i1) for b in (buffers.acc, buffers.hh, buffers.gg))
+        h1h1 = (np.matmul(h1[rows], h1[:i1].T, out=acc) if layer1.gram is None
+                else layer1.gram[rows, :i1])
         if len(bases) == 1:
-            acc = layer1.gram[rows, :i1]
+            acc = h1h1
         else:
-            acc, hh, gg = (_leading(b, i1 - i0, i1) for b in (buffers.acc, buffers.hh, buffers.gg))
-            g1 = grads[0]
-            np.multiply(layer1.gram[rows, :i1], np.matmul(g1[rows], g1[:i1].T, out=gg), out=acc)
+            np.multiply(h1h1, np.matmul(g1[rows], g1[:i1].T, out=gg), out=acc)
             for h, g in zip(bases[1:-1], grads[1:-1]):
                 acc += np.multiply(np.matmul(h[rows], h[:i1].T, out=hh),
                                    np.matmul(g[rows], g[:i1].T, out=gg), out=hh)
@@ -212,8 +232,10 @@ def train_step(cascade: Cascade, ws: CascadeBatchWorkspace, lstar: np.ndarray,
     """One replica's training step on the batch held in its workspace.
 
     Builds the model's alpha-regularized system (``assemble_system``) in
-    ``buffers``, factors it in their factor buffer and solves it for
-    the batch vector b against the r x 1 targets ``lstar``, applies the
+    ``buffers``, factors it in place and solves it for the batch vector b
+    against the r x 1 targets ``lstar``, takes the solve residual from the
+    diagonal and upper triangle that the factor leaves holding the system
+    (``symmetric_product``), applies the
     value updates H^T (G * b) of packages 2..q from the pre-update
     intermediates, and writes G1 * b into ``layer1_update`` (r x n1) for
     ``train_multi`` to apply.  A NaN or Inf anywhere upstream reaches the
@@ -226,8 +248,8 @@ def train_step(cascade: Cascade, ws: CascadeBatchWorkspace, lstar: np.ndarray,
     system = assemble_system(layer1, bases, grads, alpha, buffers)
     if not (np.isfinite(system).all() and np.isfinite(delta_l).all()):
         raise NonFiniteError("training system or output residual contains NaN or Inf")
-    b_vec = spd_solve(system, delta_l, factor_buf=_leading(buffers.factor, *system.shape))
-    solve_residual = float(np.abs(system @ b_vec - delta_l).max())
+    b_vec = spd_solve(system, delta_l, factor_buf=system)
+    solve_residual = float(np.abs(symmetric_product(system, b_vec) - delta_l).max())
 
     # all updates are computed against pre-update intermediates, then applied
     for pkg, h, g in zip(cascade.packages[1:], bases[1:], grads[1:]):
@@ -367,9 +389,11 @@ def train_multi(mc: MultiOutputCascade, x0, targets,
     so its intermediates are dropped before the next replica's forward
     pass.  Each step updates packages 2..q and writes G1 * b into the
     replica's column block of one r x (d * n1) array; one product then
-    applies every layer-1 update.  Every replica's system, factor and
-    panels live in ``buffers``, which must hold at least r rows of the
-    model's dtype; without it, a set is made for this one call.  Targets of
+    applies every layer-1 update.  With d > 1 replicas, the layer-1 basis
+    Gram is computed once, before the first step, and every replica's
+    system reads it.  Every replica's system, panels and the shared Gram
+    live in ``buffers``, which must hold at least r rows of the model's
+    dtype; without it, a set is made for this one call.  Targets of
     the wrong shape raise before any update.  If replica j fails, in its
     forward pass or in its step, replicas before it are fully updated,
     layer 1 included, and replica j and those after it are untouched.  A
@@ -389,8 +413,11 @@ def train_multi(mc: MultiOutputCascade, x0, targets,
                 if i == 0:
                     # after the forward arrays, so the allocator keeps the memory they free
                     # for the next batch instead of returning it to the system
-                    buffers = TrainingBuffers.fitting(buffers, layer1.x_in)
+                    buffers = TrainingBuffers.fitting(buffers, layer1.x_in, gram=mc.d > 1)
                     scaled = np.empty((r, mc.d * n1), dtype=mc.dtype)
+                    if mc.d > 1:  # every replica's system reads H1 H1^T: one product per batch
+                        h1 = c.packages[0].cardinal_basis(layer1)
+                        layer1.gram = np.matmul(h1, h1.T, out=_leading(buffers.gram, r, r))
                 reports.append(train_step(c, ws, targets[:, i:i + 1],
                                           scaled[:, i * n1:(i + 1) * n1], mc.alpha, buffers))
                 del ws  # before the next replica's forward pass

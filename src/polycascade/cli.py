@@ -14,14 +14,13 @@ import numpy as np
 
 from . import bench as bench_mod
 from . import verify as verify_mod
-from .cascade import SCORE_CHUNK_ROWS
 from .config import (ConfigError, RunConfig, load_datasets, load_run_config,
                      missing_data_paths)
 from .data import DataFormatError, TransformSpec, fit_apply_transforms, load_delimited, load_idx
 from .linalg import NonFiniteError, NotSPDError
 from .metrics import accuracy, roc_auc
 from .snapshot import SnapshotFormatError, load_snapshot, save_snapshot
-from .training import check_labels, run_training
+from .training import check_labels, finite_scores, first_unscorable_row, run_training
 
 EXIT_OK = 0
 EXIT_NUMERIC = 1
@@ -122,10 +121,10 @@ def cmd_eval(args) -> int:
         return EXIT_CONFIG
 
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite scores are named below
-        scores = _finite_scores(model, data.features)
+        scores = finite_scores(model, data.features)
         if scores is None:
             print(f"data error: {args.dataset}: data row "
-                  f"{_first_unscorable_row(model, data.features)} (blank lines not counted) "
+                  f"{first_unscorable_row(model, data.features)} (blank lines not counted) "
                   f"has no finite score; its values are too large for the model", file=sys.stderr)
             return EXIT_CONFIG
     if model.d > 1:
@@ -135,29 +134,6 @@ def cmd_eval(args) -> int:
         metric = roc_auc(scores[:, 0], data.labels)
         print(f"roc_auc: {metric:.4f}")
     return EXIT_OK
-
-
-def _finite_scores(model, features: np.ndarray) -> np.ndarray | None:
-    """``model.scores(features)``, or None where a score or an intermediate is NaN or Inf."""
-    try:
-        scores = model.scores(features)
-    except NonFiniteError:
-        return None
-    return scores if np.isfinite(scores).all() else None
-
-
-def _first_unscorable_row(model, features: np.ndarray) -> int:
-    """1-based number of the first row ``_finite_scores`` rejects: chunk by chunk, then row by row.
-
-    Rows score independently, and ``scores`` itself works in chunks of
-    SCORE_CHUNK_ROWS, so the first failing chunk holds the row.  Should
-    rounding let every row of it pass alone, the chunk's first row is named.
-    """
-    lo = 0
-    for size in (SCORE_CHUNK_ROWS, 1):
-        lo = next((i for i in range(lo, features.shape[0], size)
-                   if _finite_scores(model, features[i:i + size]) is None), lo)
-    return lo + 1
 
 
 def cmd_bench(args) -> int:

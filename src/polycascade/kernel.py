@@ -74,12 +74,18 @@ def theta(m: float, params: KernelParams) -> float:
     return math.log(max(m, EPS_M)) - 2.0 * params.b + 1.0
 
 
-def theta_matrix(m: np.ndarray, params: KernelParams) -> np.ndarray:
-    """Elementwise derivative factor over a squared-distance matrix, in one output array."""
+def theta_matrix(m: np.ndarray, params: KernelParams, out: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise derivative factor over a squared-distance matrix, in one output array.
+
+    ``out`` (``m`` itself, for the backward pass) receives the result when
+    given; otherwise a new array of ``m``'s float dtype does.
+    """
     if m.size and m.min() < 0:
         raise NegativeDistanceError("squared-distance matrix has negative entries")
-    dt = m.dtype if m.dtype.kind == "f" else np.dtype(np.float64)
-    out = np.maximum(m, dt.type(EPS_M), dtype=dt)
+    if out is None:
+        out = np.empty(m.shape, dtype=m.dtype if m.dtype.kind == "f" else np.float64)
+    dt = out.dtype
+    np.maximum(m, dt.type(EPS_M), out=out)
     np.log(out, out=out)
     out -= dt.type(2.0 * params.b - 1.0)
     return out

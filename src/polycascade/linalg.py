@@ -3,13 +3,15 @@
 Every array flowing through the library is a 2-D, C-contiguous ndarray in
 one of two precisions (float64 by default, float32 for performance runs).
 This module holds what the rest is written against besides plain numpy
-products: validation/coercion and a symmetric-positive-definite solve.  The
-solve calls the Cholesky routines of numpy's own LAPACK through ``ctypes``,
-in place and in the array's precision, because ``np.linalg.cholesky`` copies
-its input and result and always factors in float64.  Where numpy's build
-exports no such routine, ``np.linalg.cholesky`` and two numpy solves stand
-in.  numpy is the only linear-algebra library loaded, so every product and
-every solve runs in one BLAS and its one pool of threads.
+products: validation/coercion, a symmetric-positive-definite solve and a
+symmetric matrix-vector product.  The solve calls the Cholesky routines of
+numpy's own LAPACK through ``ctypes``, in place and in the array's precision,
+because ``np.linalg.cholesky`` copies its input and result and always factors
+in float64; the product calls numpy's own ``?symv`` the same way, so that it
+reads only the triangle an in-place factor leaves.  Where numpy's build
+exports no such routine, ``np.linalg.cholesky``, two numpy solves and a plain
+product stand in.  numpy is the only linear-algebra library loaded, so every
+product and every solve runs in one BLAS and its one pool of threads.
 
 Non-finite values are rejected where data enters and around the solve only:
 ``as_matrix`` checks batches, targets and value matrices, the training step
@@ -77,7 +79,7 @@ def ensure_finite(a: np.ndarray, name: str = "result") -> np.ndarray:
 
 
 def _numpy_lapack() -> dict | None:
-    """numpy's own ``?potrf`` and ``?potrs`` for each dtype, or None where its build exports none.
+    """numpy's own ``?potrf``, ``?potrs`` and ``?symv`` for each dtype, or None where any is missing.
 
     Loading numpy's linear-algebra extension by its path gives the library
     it is already linked against, the one every numpy product runs in.
@@ -95,10 +97,11 @@ def _numpy_lapack() -> dict | None:
     int_p = ctypes.POINTER(int_t)
     ptr, char, strlen = ctypes.c_void_p, ctypes.c_char_p, ctypes.c_size_t
     argtypes = {"potrf": [char, int_p, ptr, int_p, int_p, strlen],
-                "potrs": [char, int_p, int_p, ptr, int_p, ptr, int_p, int_p, strlen]}
+                "potrs": [char, int_p, int_p, ptr, int_p, ptr, int_p, int_p, strlen],
+                "symv": [char, int_p, ptr, ptr, int_p, ptr, int_p, ptr, ptr, int_p, strlen]}
     routines = {}
     for dt, t in ((np.dtype(np.float64), "d"), (np.dtype(np.float32), "s")):
-        pair = []
+        found = []
         for name, types in argtypes.items():
             symbol = next((sym for sym in (f"scipy_{t}{name}{suffix}", f"{t}{name}{suffix}",
                                            f"{t}{name}_") if hasattr(lib, sym)), None)
@@ -106,8 +109,8 @@ def _numpy_lapack() -> dict | None:
                 return None
             fn = getattr(lib, symbol)
             fn.argtypes, fn.restype = types, None
-            pair.append(fn)
-        routines[dt] = (int_t, *pair)
+            found.append(fn)
+        routines[dt] = (int_t, *found)
     return routines
 
 
@@ -124,21 +127,26 @@ def spd_solve(s: np.ndarray, rhs: np.ndarray,
               factor_buf: np.ndarray | None = None) -> np.ndarray:
     """Solve s @ x = rhs for symmetric positive definite s via Cholesky.
 
-    Only the lower triangle of ``s`` is read.  ``s`` is copied into a
-    C-order factor buffer (``factor_buf`` when given: C-contiguous, of ``s``'s
-    shape and the solve's dtype, so callers solving many systems allocate
-    it once), which LAPACK ``potrf`` factors in place: read as a
-    column-major matrix, its lower triangle is the upper one, so ``uplo='U'``.
-    ``potrs`` then solves with the same buffer.  The solve runs in float32
-    when ``s`` and ``rhs`` both are, otherwise in float64.  Never forms the
-    explicit inverse.  A non-positive pivot is reported as NotSPDError
-    naming the leading minor, distinct from shape errors.
+    Only the lower triangle of ``s`` is read.  LAPACK ``potrf`` factors a
+    C-order factor buffer in place: read as a column-major matrix, its lower
+    triangle is the upper one, so ``uplo='U'``.  ``potrs`` then solves with
+    the same buffer.  The buffer is ``factor_buf`` when given (C-contiguous,
+    of ``s``'s shape and the solve's dtype), into which ``s`` is copied, or a
+    fresh copy of ``s`` when not.  With ``factor_buf=s`` the copy is skipped
+    and ``s`` is factored in place: its strict lower triangle then holds the
+    factor, while its diagonal, saved before the factor and put back after
+    the solve, and its strict upper triangle, which ``potrf`` never touches,
+    still hold ``s``, so ``symmetric_product`` can still multiply by it.
+    After a failed factor, ``s``'s lower triangle is undefined.  The solve
+    runs in float32 when ``s`` and ``rhs`` both are, otherwise in float64.
+    Never forms the explicit inverse.  A non-positive pivot is reported as
+    NotSPDError naming the leading minor, distinct from shape errors.
 
     Both routines are numpy's own, the library every product of the
     training step runs in, so no second BLAS library is loaded beside it.
     Where numpy's build exports no such routine, ``np.linalg.cholesky``
-    (which always factors in float64) and two numpy solves with the factor
-    are the route.
+    (which always factors in float64, in a copy, so ``s`` is never written)
+    and two numpy solves with the factor are the route.
     """
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ShapeMismatchError(f"spd_solve needs a square matrix, got {s.shape}")
@@ -157,9 +165,11 @@ def spd_solve(s: np.ndarray, rhs: np.ndarray,
         raise ValueError(f"factor_buf must be a C-contiguous {s.shape} {dt} array")
     else:
         factor = factor_buf
-        np.copyto(factor, s)
+        if factor is not s:
+            np.copyto(factor, s)
+    diagonal = s.diagonal().copy() if factor is s else None
     x = np.array(r, dtype=dt, order="F")  # potrs overwrites it with the solution
-    int_t, potrf, potrs = _LAPACK[dt]
+    int_t, potrf, potrs, _ = _LAPACK[dt]
     n, nrhs, info = int_t(s.shape[0]), int_t(r.shape[1]), int_t(0)
     lead = int_t(max(s.shape[0], 1))
     potrf(b"U", n, factor.ctypes.data, lead, info, 1)
@@ -169,7 +179,35 @@ def spd_solve(s: np.ndarray, rhs: np.ndarray,
         potrs(b"U", n, nrhs, factor.ctypes.data, lead, x.ctypes.data, lead, info, 1)
     if info.value < 0:
         raise ValueError(f"LAPACK rejected argument {-info.value}")
+    if diagonal is not None:
+        np.fill_diagonal(s, diagonal)
     return ensure_finite(np.ascontiguousarray(x), "spd_solve result")
+
+
+def symmetric_product(s: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``s @ x`` for symmetric ``s``, from its diagonal and strict upper triangle, in ``s``'s dtype.
+
+    numpy's own ``?symv`` reads a C-order upper triangle as a column-major
+    lower one (``uplo='L'``), one column of ``x`` at a time, so the product
+    is right after ``spd_solve(s, rhs, factor_buf=s)`` has written its factor
+    below the diagonal.  Where numpy's build exports no routine, that solve
+    never writes ``s``, and this is ``s @ x``.
+    """
+    if s.ndim != 2 or s.shape[0] != s.shape[1]:
+        raise ShapeMismatchError(f"symmetric_product needs a square matrix, got {s.shape}")
+    xt = np.asarray(x, dtype=s.dtype).reshape(s.shape[0], -1).T.copy()  # one column per row
+    if _LAPACK is None:
+        return s @ xt.T
+    s = np.ascontiguousarray(s)
+    int_t, _, _, symv = _LAPACK[s.dtype]
+    n, inc = int_t(s.shape[0]), int_t(1)
+    lead = int_t(max(s.shape[0], 1))
+    alpha, beta = np.ones(1, s.dtype), np.zeros(1, s.dtype)
+    yt = np.empty_like(xt)
+    for xj, yj in zip(xt, yt):
+        symv(b"L", n, alpha.ctypes.data, s.ctypes.data, lead, xj.ctypes.data, inc,
+             beta.ctypes.data, yj.ctypes.data, inc, 1)
+    return yt.T
 
 
 def _spd_solve_fallback(s: np.ndarray, r: np.ndarray) -> np.ndarray:

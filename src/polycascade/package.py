@@ -21,6 +21,11 @@ The backward route maps the derivative of the scalar cascade output with
 respect to this package's outputs to the derivative with respect to its
 inputs, through the kernel's derivative factor.
 
+The training intermediates are written in place: ``cardinal_basis`` writes
+the basis over the kernel values and ``backward`` writes its derivative
+factors over the squared distances, and each drops the array it consumed
+from the state, so a state holds about half the arrays it would otherwise.
+
 Inputs are validated (shape, and NaN/Inf via ``as_matrix``) where they enter:
 the batch in ``batch_state``/``forward`` and the values in ``set_values``.
 Intermediate products are not re-scanned; a non-finite value propagates into
@@ -47,14 +52,20 @@ class PackageBatchState:
     constellation and kernel: the replicas of a multi-output model all read
     one layer-1 state.  ``sq_dists`` is kept only by ``forward``, for
     ``backward``; ``batch_state`` drops it.
+
+    Two fields are consumed.  ``cardinal_basis`` writes ``basis`` over
+    ``kernel_vals`` and sets ``kernel_vals`` to None, so the state can no
+    longer be evaluated; ``backward`` writes its derivative factors over
+    ``sq_dists`` and sets it to None, so it runs once per state.  Either
+    raises ValueError on a state whose array is gone.
     """
 
     x_in: np.ndarray
     sq_dists: np.ndarray | None = None
     kernel_vals: np.ndarray | None = None
-    basis: np.ndarray | None = None  # kernel_vals @ U, filled lazily
-    # set by cascade.assemble_system on layer 1 only: basis @ basis.T, a view
-    # of the caller's training buffers that every replica of the batch reads
+    basis: np.ndarray | None = None  # kernel_vals @ U, in kernel_vals' memory, filled lazily
+    # set by cascade.train_multi on a shared layer-1 state only (d > 1): basis @ basis.T,
+    # a view of the caller's training buffers that every replica of the batch reads
     gram: np.ndarray | None = None
 
 
@@ -114,6 +125,9 @@ class Package:
 
     def evaluate(self, state: PackageBatchState) -> np.ndarray:
         """Package output for a prepared batch with the current values."""
+        if state.kernel_vals is None:
+            raise ValueError("state holds no kernel values; cardinal_basis() consumed them, "
+                             "or it was never prepared")
         return state.kernel_vals @ self.coeffs
 
     def forward(self, x) -> tuple[np.ndarray, PackageBatchState]:
@@ -125,8 +139,14 @@ class Package:
 
     # -- coefficient recovery -------------------------------------------------
 
-    def coeffs_from_values(self, y: np.ndarray) -> np.ndarray:
-        """Coefficient matrix from values at constellation points (U @ values)."""
+    def coeffs_from_values(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Coefficient matrix from values at constellation points (U @ values).
+
+        ``out`` receives the result when given, and may be ``y`` itself:
+        each block of ``y`` is read before its rows are written.  The last
+        n rows are built in ``out`` itself, so that at most two n-row
+        temporaries are alive at once.
+        """
         if y.shape[0] != self.k:
             raise ShapeMismatchError(f"values have {y.shape[0]} rows, constellation has {self.k}")
         oc = self.octa_coeffs
@@ -135,11 +155,16 @@ class Package:
         y1 = y[:1, :]
         ya, yb = y[1:n + 1, :], y[n + 1:, :]
         ys = y[1:, :].sum(axis=0, keepdims=True)
-        out = np.empty_like(y)
-        out[:1, :] = dt(oc.u1) * y1 + dt(oc.u2) * ys
+        first = dt(oc.u1) * y1 + dt(oc.u2) * ys
         border = dt(oc.u2) * y1 + dt(oc.b3) * ys
-        out[1:n + 1, :] = dt(oc.b1) * ya + dt(oc.b2) * yb + border
-        out[n + 1:, :] = dt(oc.b1) * yb + dt(oc.b2) * ya + border
+        upper = dt(oc.b1) * ya + dt(oc.b2) * yb + border
+        if out is None:
+            out = np.empty_like(y)
+        lower = np.multiply(yb, dt(oc.b1), out=out[n + 1:, :])
+        lower += dt(oc.b2) * ya
+        lower += border
+        out[1:n + 1, :] = upper
+        out[:1, :] = first
         return out
 
     def set_values(self, values) -> None:
@@ -155,13 +180,16 @@ class Package:
 
         Rows evaluated exactly at constellation points come out as identity
         rows, so this is the batch expressed in the interpolation basis.
-        The result is cached on the state.
+        The result is written over the state's kernel values, which the
+        state then drops, and is cached on the state.
         """
         if state.basis is None:
             if state.kernel_vals is None:
                 raise ValueError("state holds no kernel values; was forward() run on this package?")
             # U is symmetric, so kernel_vals @ U = (U @ kernel_vals.T).T
-            state.basis = self.coeffs_from_values(state.kernel_vals.T).T
+            kt = state.kernel_vals.T
+            state.basis = self.coeffs_from_values(kt, out=kt).T
+            state.kernel_vals = None
         return state.basis
 
     # -- backward ------------------------------------------------------------
@@ -170,13 +198,18 @@ class Package:
         """Propagate output derivatives g_next (r x n_out) to input derivatives.
 
         Uses the kernel derivative factor over the stored squared distances;
-        needs the state produced by forward() on the same batch.
+        needs the state produced by forward() on the same batch.  The factor
+        theta and then psi are written over the distances, which the state
+        then drops, so backward runs once per state.
         """
         if state.sq_dists is None:
-            raise ValueError("state holds no squared distances; backward needs a forward() state")
+            raise ValueError("state holds no squared distances; backward needs a forward() "
+                             "state, once")
         if g_next.shape != (state.x_in.shape[0], self.n_out):
             raise ShapeMismatchError(
                 f"g_next shape {g_next.shape} != ({state.x_in.shape[0]}, {self.n_out})")
         n = self.n_in
-        psi = theta_matrix(state.sq_dists, self.kernel) * (g_next @ self.coeffs.T)  # r x k
+        psi = theta_matrix(state.sq_dists, self.kernel, out=state.sq_dists)
+        state.sq_dists = None
+        psi *= g_next @ self.coeffs.T  # r x k
         return state.x_in * psi.sum(axis=1, keepdims=True) + (psi[:, 1:n + 1] - psi[:, n + 1:])

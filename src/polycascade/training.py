@@ -18,11 +18,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .cascade import (INIT_MODES, MultiOutputCascade, TrainingBuffers, init_multi, one_hot_pm1,
-                      train_multi)
+from .cascade import (INIT_MODES, SCORE_CHUNK_ROWS, MultiOutputCascade, TrainingBuffers,
+                      init_multi, one_hot_pm1, train_multi)
 from .data import DataFormatError, Dataset, batches
 from .kernel import KernelParams
-from .linalg import NotSPDError, ensure_finite, resolve_dtype
+from .linalg import NonFiniteError, NotSPDError, resolve_dtype
 from .metrics import accuracy, roc_auc
 
 CSV_HEADER = ["epoch", "train_metric", "test_metric", "residual", "seconds"]
@@ -112,8 +112,44 @@ def _targets_for(cfg: TrainConfig, labels: np.ndarray, d: int, dtype) -> np.ndar
     return (2.0 * np.asarray(labels, dtype=np.float64).reshape(-1, 1) - 1.0).astype(dtype)
 
 
-def _evaluate(cfg: TrainConfig, model: MultiOutputCascade, data: Dataset, split: str) -> float:
-    scores = ensure_finite(model.scores(data.features), f"{split} split scores")
+def finite_scores(model: MultiOutputCascade, features: np.ndarray) -> np.ndarray | None:
+    """``model.scores(features)``, or None where a score or an intermediate is NaN or Inf."""
+    try:
+        scores = model.scores(features)
+    except NonFiniteError:
+        return None
+    return scores if np.isfinite(scores).all() else None
+
+
+def first_unscorable_row(model: MultiOutputCascade, features: np.ndarray) -> int:
+    """1-based number of the first row ``finite_scores`` rejects: chunk by chunk, then row by row.
+
+    Rows score independently, and ``scores`` itself works in chunks of
+    SCORE_CHUNK_ROWS, so the first failing chunk holds the row.  Should
+    rounding let every row of it pass alone, the chunk's first row is named.
+    """
+    lo = 0
+    for size in (SCORE_CHUNK_ROWS, 1):
+        lo = next((i for i in range(lo, features.shape[0], size)
+                   if finite_scores(model, features[i:i + size]) is None), lo)
+    return lo + 1
+
+
+def _evaluate(cfg: TrainConfig, model: MultiOutputCascade, data: Dataset, split: str,
+              split_rows: np.ndarray | None = None) -> float:
+    """The split's metric.  ``split_rows`` gives the split's 0-based row of each of ``data``'s.
+
+    A row without a finite score raises ``NonFiniteError`` naming the split
+    and its 1-based row there, with numpy's overflow warnings silenced.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = finite_scores(model, data.features)
+        if scores is None:
+            row = first_unscorable_row(model, data.features)
+            if split_rows is not None:
+                row = int(split_rows[row - 1]) + 1
+            raise NonFiniteError(f"{split} split row {row} has no finite score; its values are "
+                                 f"too large for the model")
     if cfg.task == "classify":
         return accuracy(np.argmax(scores, axis=1), data.labels)
     return roc_auc(scores[:, 0], data.labels)
@@ -132,7 +168,8 @@ def run_training(cfg: TrainConfig, train: Dataset, test: Dataset,
     raises ``NotSPDError`` naming the epoch, the 1-based batch within it,
     and the replica.  Labels the task cannot use raise ``DataFormatError``
     (``check_labels``) before the first batch.  A NaN or Inf score in an
-    epoch's evaluation raises ``NonFiniteError`` naming the split.
+    epoch's evaluation raises ``NonFiniteError`` naming the split and the
+    first such 1-based row in it.
     """
     check_labels(cfg, train, test)
     d = cfg.widths[-1]
@@ -152,7 +189,7 @@ def run_training(cfg: TrainConfig, train: Dataset, test: Dataset,
 
     def emit(epoch: int, residual: float, t0: float):
         """Evaluate the model on both splits and record the epoch, timed from ``t0``."""
-        record = EpochRecord(epoch, _evaluate(cfg, model, train_eval, "train"),
+        record = EpochRecord(epoch, _evaluate(cfg, model, train_eval, "train", eval_idx),
                              _evaluate(cfg, model, test, "test"), residual,
                              time.perf_counter() - t0)
         records.append(record)

@@ -62,12 +62,13 @@ def check_route_agreement(seed: int) -> None:
             m_n = oracle.squared_distances(x, points)
             assert _rel_err(m_f, m_n) <= 1e-8, f"distances disagree at n={n} r={r}"
             _, state = pkg.forward(x)
-            h_f = pkg.cardinal_basis(state)
+            # the oracle reads first: the package's routes write over the arrays they consume
             h_n = oracle.cardinal_basis(state.kernel_vals, u)
+            h_f = pkg.cardinal_basis(state)
             assert _rel_err(h_f, h_n) <= 1e-8, f"cardinal basis disagrees at n={n} r={r}"
             g = rng.standard_normal((r, 3))
-            g_f = pkg.backward(g, state)
             g_n = oracle.backward(g, x, state.sq_dists, points, pkg.coeffs, kp)
+            g_f = pkg.backward(g, state)
             assert _rel_err(g_f, g_n) <= 1e-8, f"backward disagrees at n={n} r={r}"
         lam_f = pkg.coeffs_from_values(pkg.values)
         lam_n = oracle.coefficients(u, pkg.values)

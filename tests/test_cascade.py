@@ -1,3 +1,4 @@
+import itertools
 import logging
 import tracemalloc
 
@@ -450,12 +451,18 @@ def test_non_finite_inputs_rejected_where_they_enter():
 
 @pytest.mark.parametrize("dtype,bound", [("float64", 1e-12), ("float32", 1e-5)])
 def test_assembled_system_equals_oracle_sum(dtype, bound):
-    # d = 3 replicas share the layer-1 Gram and buffers; package 2 has one output,
-    # so its derivative is a column that is not all ones.  The batch sizes cover
-    # one partial panel, exactly one full panel, and several ending in a partial one.
-    for r in (17, PANEL_ROWS, 2 * PANEL_ROWS + 44):
+    # d = 3 replicas share one layer-1 state, with its Gram built in panels per replica
+    # (as a one-replica model does) and then read from the cached H1 H1^T that train_multi
+    # keeps for d > 1; package 2 has one output, so its derivative is a column that is not
+    # all ones.  The batch sizes cover one partial panel, exactly one full panel, and
+    # several ending in a partial one.
+    for r, cached in itertools.product((17, PANEL_ROWS, 2 * PANEL_ROWS + 44), (False, True)):
         mc = init_multi([5, 4, 1, 3, 3], seed=42, alpha=2.5, dtype=dtype)
         _, workspaces = mc.forward_all(np.random.default_rng(42).uniform(-1, 1, (r, 5)))
+        if cached:
+            layer1 = workspaces[0].states[0]
+            h1 = mc.replicas[0].packages[0].cardinal_basis(layer1)
+            layer1.gram = h1 @ h1.T
         for c, ws in zip(mc.replicas, workspaces):
             bases, grads = backward_quantities(c, ws)
             expected = sum(package_omegas(bases, grads)) + 2.5 * np.eye(r, dtype=dtype)
@@ -491,6 +498,37 @@ def test_failing_replica_leaves_earlier_replicas_updated_and_itself_untouched(mo
     for c, old in zip(mc.replicas[2:], before[2:]):
         for pkg, values in zip(c.packages, old):
             assert np.array_equal(pkg.values, values)
+
+
+def test_train_step_holds_one_square_array_and_consumed_intermediates():
+    # the shells-deep shape: the system is factored in place, a one-replica model keeps
+    # no layer-1 Gram, and each package's basis and derivative factors are written over
+    # its kernel values and distances (the set held three r x r arrays and the step
+    # peaked at 4.2x the intermediates' size when each was a new array)
+    rng = np.random.default_rng(45)
+    r = 1000
+    x0 = rng.uniform(-1, 1, (r, 10))
+    targets = rng.choice([-1.0, 1.0], (r, 1))
+    mc = init_multi([10] + [50] * 9 + [1], seed=45, mode="identity-fragments", alpha=50.0)
+    buffers = TrainingBuffers(r, mc.dtype)
+    train_multi(mc, x0, targets, buffers)  # the set's arrays are not counted
+    squares = [a for a in vars(buffers).values() if isinstance(a, np.ndarray) and a.size >= r * r]
+    assert len(squares) == 1 and buffers.gram is None
+    tracemalloc.start()
+    try:
+        train_multi(mc, x0, targets, buffers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    intermediates = sum(r * p.k for p in mc.replicas[0].packages) * mc.dtype.itemsize
+    assert peak <= 2.7 * intermediates
+    # d > 1 replicas share one layer-1 Gram, the set's second r x r array
+    mc = init_multi([6, 5, 4, 3], seed=45, alpha=2.0)
+    buffers = TrainingBuffers(200, mc.dtype)
+    train_multi(mc, x0[:200, :6], rng.uniform(-1, 1, (200, 3)), buffers)
+    squares = [a for a in vars(buffers).values()
+               if isinstance(a, np.ndarray) and a.size >= 200 * 200]
+    assert len(squares) == 2 and buffers.gram is not None
 
 
 def test_train_multi_holds_one_replica_intermediates_at_a_time():

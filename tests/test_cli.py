@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polycascade import cli
+from polycascade import cli, training
 from polycascade.cascade import init_multi
 from polycascade.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from polycascade.config import ConfigError, load_run_config
@@ -278,7 +278,7 @@ def test_value_normalising_beyond_float_range_exits_2(tmp_path, capsys):
 def test_eval_of_values_too_large_for_the_model_exits_2(tmp_path, monkeypatch, capsys, value):
     # no preprocessing, as a model trained with normalize = false is saved: 1e308 overflows
     # into a NonFiniteError inside scores, 1e150 into a NaN score
-    monkeypatch.setattr(cli, "SCORE_CHUNK_ROWS", 4)  # the bad row is not its chunk's first
+    monkeypatch.setattr(training, "SCORE_CHUNK_ROWS", 4)  # the bad row is not its chunk's first
     snapshot, data = eval_inputs(tmp_path, 3)
     set_last_cell(Path(data), 6, value)
     Path(data).write_text("\n" + Path(data).read_text())  # the bad row is now file line 8
@@ -291,15 +291,24 @@ def test_eval_of_values_too_large_for_the_model_exits_2(tmp_path, monkeypatch, c
     assert captured.out == ""
 
 
-def test_train_of_test_rows_too_large_for_the_model_exits_1(tmp_path, capsys):
-    # with normalize = false a 1e150 test row scores NaN, which the epoch's evaluation rejects
-    path = delimited_config(tmp_path, "normalize = false\ntrain_rows = 6")
-    set_last_cell(tmp_path / "d.csv", 18, "1e150")  # a test row
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # overflow, and a batch larger than the 6 train rows
-        assert main(["train", str(path)]) == EXIT_NUMERIC
-    err = capsys.readouterr().err
-    assert "numeric failure: test split scores contains NaN or Inf" in err
+def test_train_of_test_rows_too_large_for_the_model_exits_1(tmp_path, monkeypatch, capsys):
+    # with normalize = false a 1e150 test row scores NaN and a 1e308 one overflows inside
+    # scores; the epoch's evaluation names the row, and no overflow warning reaches the user
+    monkeypatch.setattr(training, "SCORE_CHUNK_ROWS", 4)  # the bad row is not its chunk's first
+    for value in ("1e308", "1e150"):
+        run = tmp_path / value
+        run.mkdir()
+        _, data = eval_inputs(run, 3)
+        set_last_cell(Path(data), 12, value)  # test row 7 of the 14 after 6 train rows
+        path = run / "overflow.ini"
+        path.write_text(f"[data]\nformat = delimited\npath = {data}\nnormalize = false\n"
+                        f"train_rows = 6\n[model]\nwidths = 3,4,1\n[train]\n"
+                        f"task = binary-auc\nbatch_rows = 6\n[output]\ndir = {run / 'run'}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["train", str(path)]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "numeric failure: test split row 7 has no finite score" in err
 
 
 def test_non_utf8_bytes_exit_2(tmp_path, capsys):

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 import polycascade
-from polycascade import linalg
+from polycascade import cascade, linalg
+from polycascade.cascade import init_multi, train_multi
 from polycascade.linalg import (NonFiniteError, NotSPDError, ShapeMismatchError, as_matrix,
-                                resolve_dtype, spd_solve)
+                                resolve_dtype, spd_solve, symmetric_product)
 
 
 def test_spd_solve_identity_system():
@@ -147,6 +148,44 @@ def test_spd_solve_factor_buffer_gives_the_same_bits():
     assert np.array_equal(spd_solve(s, rhs, factor_buf=buf), spd_solve(s, rhs))
     with pytest.raises(ValueError, match="factor_buf"):
         spd_solve(s, rhs, factor_buf=np.empty((50, 50), dtype=np.float32))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_in_place_solve_leaves_the_system_above_its_factor(route, dtype):
+    # factor_buf=s skips the copy: the factor takes the strict lower triangle, and the
+    # diagonal and upper triangle still hold s, so symmetric_product multiplies by s
+    s, rhs = _spd(60, 16, dtype)
+    x = spd_solve(s.copy(), rhs)
+    work = s.copy()
+    assert np.array_equal(spd_solve(work, rhs, factor_buf=work), x)
+    assert np.array_equal(np.triu(work), np.triu(s))
+    eps = np.finfo(dtype).eps
+    bound = 60 * eps * (np.abs(s) @ np.abs(x)).max()
+    assert np.abs(symmetric_product(work, x) - s @ x).max() <= bound
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_solve_residual_is_that_of_the_system_before_its_factor(route, monkeypatch, dtype):
+    # the step factors its system in place and takes solve_residual_inf from what the
+    # factor leaves: it must equal the residual against an untouched copy, to rounding
+    solve, seen = cascade.spd_solve, []
+
+    def copying_solve(s, rhs, **kwargs):
+        seen.append((s.copy(), rhs.copy()))
+        x = solve(s, rhs, **kwargs)
+        seen[-1] += (x,)
+        return x
+
+    monkeypatch.setattr(cascade, "spd_solve", copying_solve)
+    rng = np.random.default_rng(17)
+    mc = init_multi([5, 6, 4, 2], seed=17, alpha=0.5, dtype=dtype)
+    reports = train_multi(mc, rng.uniform(-1, 1, (150, 5)), rng.uniform(-1, 1, (150, 2)))
+    assert len(reports) == len(seen) == 2
+    eps = np.finfo(dtype).eps
+    for report, (s, rhs, x) in zip(reports, seen):
+        expected = np.abs(s @ x - rhs).max()
+        bound = 150 * eps * (np.abs(s) @ np.abs(x)).max()
+        assert abs(report.solve_residual_inf - expected) <= bound
 
 
 def test_numpy_lapack_resolves_on_scipy_openblas_builds():

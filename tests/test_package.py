@@ -140,8 +140,9 @@ def test_basis_fast_vs_naive(n):
     pkg = make_package(n, seed=n)
     x = np.random.default_rng(n).uniform(-1, 1, (7, n))
     _, state = pkg.forward(x)
-    fast = pkg.cardinal_basis(state)
+    # the oracle reads the kernel values before cardinal_basis writes the basis over them
     naive = oracle.cardinal_basis(state.kernel_vals, oracle.gram_inverse(octahedral_points(n), KP))
+    fast = pkg.cardinal_basis(state)
     assert rel_err(fast, naive) <= 1e-8
 
 
@@ -149,8 +150,8 @@ def test_basis_first_column_composition():
     pkg = make_package(5, seed=4)
     x = np.random.default_rng(5).uniform(-1, 1, (6, 5))
     _, state = pkg.forward(x)
+    kv = state.kernel_vals.copy()  # cardinal_basis writes the basis over them
     basis = pkg.cardinal_basis(state)
-    kv = state.kernel_vals
     oc = pkg.octa_coeffs
     expected = oc.u1 * kv[:, 0] + oc.u2 * kv[:, 1:].sum(axis=1)
     assert np.allclose(basis[:, 0], expected, atol=1e-10)
@@ -178,8 +179,9 @@ def test_backward_fast_vs_naive(n):
     x = rng.uniform(-1, 1, (8, n))
     _, state = pkg.forward(x)
     g = rng.standard_normal((8, 2))
-    fast = pkg.backward(g, state)
+    # the oracle reads the distances before backward writes its derivative factors over them
     naive = oracle.backward(g, x, state.sq_dists, octahedral_points(n), pkg.coeffs, KP)
+    fast = pkg.backward(g, state)
     assert rel_err(fast, naive) <= 1e-8
 
 
@@ -207,6 +209,26 @@ def test_backward_requires_forward_state():
     assert state.sq_dists is None and state.kernel_vals is not None
     with pytest.raises(ValueError, match="squared distances"):
         pkg.backward(np.ones((3, pkg.n_out)), state)
+
+
+def test_consumed_state_fails_loudly():
+    # cardinal_basis writes the basis over the kernel values and backward its derivative
+    # factors over the distances; neither array may be read again as what it was
+    pkg = make_package(3, n_out=2, seed=8)
+    rng = np.random.default_rng(8)
+    _, state = pkg.forward(rng.uniform(-1, 1, (6, 3)))
+    g = rng.standard_normal((6, 2))
+    kv = state.kernel_vals
+    pkg.backward(g, state)
+    assert state.sq_dists is None
+    with pytest.raises(ValueError, match="holds no squared distances"):
+        pkg.backward(g, state)
+    assert np.shares_memory(pkg.cardinal_basis(state), kv)
+    assert state.kernel_vals is None and state.basis is not None
+    with pytest.raises(ValueError, match="holds no kernel values"):
+        pkg.evaluate(state)
+    # the basis stays cached, in place, for every replica that shares the state
+    assert pkg.cardinal_basis(state) is state.basis
 
 
 def test_backward_at_constellation_point_is_finite():
