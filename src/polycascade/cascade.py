@@ -6,7 +6,9 @@ the values and ``snapshot.load_snapshot`` reads them.  Each batch is one
 ``train_multi`` call, which runs each replica's forward pass right before
 that replica's training step, so one replica's intermediates are alive at a
 time; ``forward_all`` keeps every replica's intermediates for inspection,
-and ``scores`` evaluates without keeping them.
+and ``scores`` evaluates without keeping them, with its rows split over the
+cores of the process affinity (``linalg.run_parallel``, which holds numpy's
+BLAS at one thread and its pool of threads parked while the parts run).
 
 Training never uses gradient descent: after a forward pass, the
 derivative matrices are propagated backward, each package contributes an
@@ -44,6 +46,7 @@ panels like any other package's.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 
@@ -52,7 +55,7 @@ import numpy as np
 from .constellation import Constellation, build_octahedral, octahedral_points
 from .kernel import KernelParams
 from .linalg import (NonFiniteError, NotSPDError, ShapeMismatchError, as_matrix, resolve_dtype,
-                     spd_solve, symmetric_product)
+                     run_parallel, spd_solve, symmetric_product, worker_count)
 from .package import Package, PackageBatchState
 
 logger = logging.getLogger(__name__)
@@ -62,7 +65,8 @@ INIT_MODES = ("random", "identity-fragments")
 # rows per assembly panel: two P x r products per package stay in cache
 PANEL_ROWS = 128
 _STRICT_UPPER = np.triu(np.ones((PANEL_ROWS, PANEL_ROWS), dtype=bool), 1)
-# rows per scoring chunk: 1024 scored faster than 4096 and 512 at the benchmark shapes
+# rows in flight in one scoring call, over all its workers' chunks: one thread scored
+# 1024-row chunks faster than 4096 and 512 at the benchmark shapes
 SCORE_CHUNK_ROWS = 1024
 
 
@@ -323,24 +327,70 @@ class MultiOutputCascade:
         return np.hstack([ws.output for ws in workspaces]), workspaces
 
     def scores(self, x0, chunk_rows: int = SCORE_CHUNK_ROWS) -> np.ndarray:
-        """Replica outputs without retaining workspaces, ``chunk_rows`` rows at a time.
+        """Replica outputs without retaining workspaces, on the cores of the process affinity.
 
-        Each chunk shares one layer-1 state and product, whose kernel values
-        are dropped once the layer-1 outputs exist; each package's
-        intermediates are dropped once the next output exists.  So the chunk
-        size bounds the memory a call holds.
+        The rows are split into W = ``worker_count()`` contiguous parts: the
+        calling thread scores the first and a pool of threads the others
+        (``run_parallel``, which holds numpy's BLAS at one thread and its
+        pool parked meanwhile).  Each part is scored ``chunk_rows // W``
+        rows at a time, so about ``chunk_rows`` rows are in flight; a call
+        of at most that many rows is one part, scored in the calling thread
+        alone.  Rows score independently, so the scores are those of a
+        one-thread call with chunks of ``chunk_rows // W`` rows, where BLAS
+        runs on one thread too: a product that BLAS splits over its threads
+        can differ in its last bits with their number.
+
+        Each chunk shares one layer-1 state, and one product with the
+        replicas' stacked layer-1 coefficients, stacked once per call, gives
+        every layer-1 output.  Each part works in its own working set, which
+        the calling thread allocates, sized by the chunk and the widest
+        package: distances, kernel values, the layer-1 outputs and two
+        package outputs that alternate along a replica.  So the chunk size
+        bounds the memory a call holds.
         """
         if chunk_rows < 1:
             raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
         x0 = as_matrix(x0, dtype=self.dtype, name="batch input")
-        out = np.empty((x0.shape[0], self.d), dtype=self.dtype)
-        for lo in range(0, x0.shape[0], chunk_rows):
-            rows = slice(lo, lo + chunk_rows)
-            for j, (c, y) in enumerate(zip(self.replicas, self._layer1(x0[rows])[1])):
-                for pkg in c.packages[1:]:
-                    y, _ = pkg.forward(y)
-                out[rows, j:j + 1] = y
+        r = x0.shape[0]
+        out = np.empty((r, self.d), dtype=self.dtype)
+        workers = worker_count()
+        step = max(chunk_rows // workers, 1)
+        starts = range(0, r, step)
+        parts = min(workers, len(starts))
+        coeffs1 = np.hstack([c.packages[0].coeffs for c in self.replicas])
+        packages = self.replicas[0].packages
+        k = max(pkg.k for pkg in packages)
+        n_out = max((pkg.n_out for pkg in packages[1:]), default=1)
+        rows = min(step, r)
+        sizes = (rows * k, rows * k, rows * coeffs1.shape[1], rows * n_out, rows * n_out)
+        # allocated here, not in the workers, so that no worker thread grows a heap of its own
+        work_sets = [[np.empty(size, dtype=self.dtype) for size in sizes] for _ in range(parts)]
+        bounds = [starts[len(starts) * p // parts] for p in range(parts)] + [r]
+        run_parallel([functools.partial(self._score_rows, x0[lo:hi], out[lo:hi], step, coeffs1,
+                                        work)
+                      for lo, hi, work in zip(bounds, bounds[1:], work_sets)])
         return out
+
+    def _score_rows(self, x0: np.ndarray, out: np.ndarray, step: int, coeffs1: np.ndarray,
+                    work: list[np.ndarray]) -> None:
+        """Score ``x0`` into ``out``, ``step`` rows at a time, in one working set of ``scores``."""
+        dists, kernel_vals, x1_buf, *outputs = work
+        first = self.replicas[0].packages[0]
+        n1 = first.n_out
+        for lo in range(0, x0.shape[0], step):
+            rows = slice(lo, lo + step)
+            chunk = x0[rows]
+            n = chunk.shape[0]
+            layer1 = first.batch_state(chunk, sq_dists=_leading(dists, n, first.k),
+                                       kernel_vals=_leading(kernel_vals, n, first.k))
+            x1 = np.matmul(layer1.kernel_vals, coeffs1, out=_leading(x1_buf, n, coeffs1.shape[1]))
+            for j, c in enumerate(self.replicas):
+                y = x1[:, j * n1:(j + 1) * n1]
+                for i, pkg in enumerate(c.packages[1:]):
+                    y, _ = pkg.forward(y, out=_leading(outputs[i % 2], n, pkg.n_out),
+                                       sq_dists=_leading(dists, n, pkg.k),
+                                       kernel_vals=_leading(kernel_vals, n, pkg.k))
+                out[rows, j:j + 1] = y
 
     def predict(self, x0) -> np.ndarray:
         """Per-row argmax over replica outputs; ties go to the lowest index."""

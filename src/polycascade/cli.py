@@ -20,7 +20,8 @@ from .data import DataFormatError, TransformSpec, fit_apply_transforms, load_del
 from .linalg import NonFiniteError, NotSPDError
 from .metrics import accuracy, roc_auc
 from .snapshot import SnapshotFormatError, load_snapshot, save_snapshot
-from .training import check_labels, finite_scores, first_unscorable_row, run_training
+from .training import (check_labels, check_split_labels, finite_scores, first_unscorable_row,
+                       run_training)
 
 EXIT_OK = 0
 EXIT_NUMERIC = 1
@@ -111,9 +112,9 @@ def cmd_eval(args) -> int:
         if data.n_features != model.widths[0]:
             raise DataFormatError(f"{args.dataset}: {data.n_features} features, "
                                   f"the model expects {model.widths[0]}")
-        if model.d == 1 and data.labels.min() == data.labels.max():
-            raise DataFormatError(f"{args.dataset}: every label is {data.labels[0]:g}; "
-                                  f"ROC AUC needs both classes")
+        # the metric below is ROC AUC for one output and accuracy for several, as in training
+        check_split_labels(data.labels, "binary-auc" if model.d == 1 else "classify", model.d,
+                           args.dataset)
         if preprocessing is not None:
             data, _ = fit_apply_transforms(data, TransformSpec.from_dict(preprocessing))
     except (DataFormatError, OSError) as exc:

@@ -44,19 +44,22 @@ def phi(m: float, params: KernelParams) -> float:
     return 0.5 * m * (math.log(m) - 2.0 * params.b) + params.c
 
 
-def phi_matrix(m: np.ndarray, params: KernelParams) -> np.ndarray:
+def phi_matrix(m: np.ndarray, params: KernelParams, out: np.ndarray | None = None) -> np.ndarray:
     """Elementwise kernel over a squared-distance matrix, shape preserved.
 
     Computed in one output array by in-place ufuncs, with no temporaries of
     the matrix's size.  ln 0 = -inf is clamped to the most negative finite
     value, so that its product with m = 0 is a zero and the m = 0 limit
     needs no mask.  Scaling by 0.5 is exact, so the result has the bits of
-    ``0.5 * m * (ln m - 2b) + c``.
+    ``0.5 * m * (ln m - 2b) + c``.  ``out`` (not ``m``, which is read after
+    the logarithm) receives the result when given; otherwise a new array of
+    ``m``'s float dtype does.
     """
     if m.size and m.min() < 0:
         raise NegativeDistanceError("squared-distance matrix has negative entries")
-    dt = m.dtype if m.dtype.kind == "f" else np.dtype(np.float64)
-    out = np.empty(m.shape, dtype=dt)
+    if out is None:
+        out = np.empty(m.shape, dtype=m.dtype if m.dtype.kind == "f" else np.float64)
+    dt = out.dtype
     with np.errstate(divide="ignore"):
         np.log(m, out=out)
     out -= dt.type(2.0 * params.b)

@@ -13,6 +13,14 @@ exports no such routine, ``np.linalg.cholesky``, two numpy solves and a plain
 product stand in.  numpy is the only linear-algebra library loaded, so every
 product and every solve runs in one BLAS and its one pool of threads.
 
+``run_parallel`` runs a parallel region on the cores of the process affinity
+(``worker_count``): the calling thread and a pool of threads made on first
+use.  Inside it, numpy's BLAS runs on one thread, set through the same
+library handle, and its idle pool of threads is shut down, so that it holds
+no core the region's threads need; the count is restored on every exit.
+Where that BLAS exports no thread-count routine, a region runs in the
+calling thread alone.
+
 Non-finite values are rejected where data enters and around the solve only:
 ``as_matrix`` checks batches, targets and value matrices, the training step
 checks its regularized system and right-hand side before calling
@@ -23,7 +31,11 @@ and is reported as ``NonFiniteError``.
 
 from __future__ import annotations
 
+import contextvars
 import ctypes
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 import numpy.linalg._umath_linalg as _umath_linalg
@@ -78,6 +90,14 @@ def ensure_finite(a: np.ndarray, name: str = "result") -> np.ndarray:
     return a
 
 
+def _numpy_library() -> ctypes.CDLL | None:
+    """The BLAS/LAPACK library numpy is linked against, through its linear-algebra extension."""
+    try:
+        return ctypes.CDLL(_umath_linalg.__file__)
+    except OSError:
+        return None
+
+
 def _numpy_lapack() -> dict | None:
     """numpy's own ``?potrf``, ``?potrs`` and ``?symv`` for each dtype, or None where any is missing.
 
@@ -87,9 +107,8 @@ def _numpy_lapack() -> dict | None:
     ``scipy_dpotrf_64_``; others as ``dpotrf_64_`` or ``dpotrf_``.  The
     integer width follows the build (``_ilp64``).
     """
-    try:
-        lib = ctypes.CDLL(_umath_linalg.__file__)
-    except OSError:
+    lib = _numpy_library()
+    if lib is None:
         return None
     ilp64 = bool(getattr(_umath_linalg, "_ilp64", False))
     suffix = "_64_" if ilp64 else "_"
@@ -241,3 +260,103 @@ def _failing_minor(s: np.ndarray) -> int:
         lower[j, j] = np.sqrt(pivot)
         lower[j + 1:, j] = (lower[j + 1:, j] - lower[j + 1:, :j] @ row) / lower[j, j]
     return lower.shape[0]
+
+
+def _blas_thread_routines() -> tuple | None:
+    """numpy's OpenBLAS thread-count getter and setter and its pool shutdown, or None where any is missing.
+
+    scipy-openblas builds export the first two as
+    ``scipy_openblas_get_num_threads64_`` and ``..._set_...``; plain
+    OpenBLAS as ``openblas_get_num_threads``.  Setting the count starts the
+    pool of BLAS threads again after a shutdown.
+    """
+    lib = _numpy_library()
+    if lib is None:
+        return None
+
+    def named(name):
+        return [f"{prefix}_{name}{suffix}" for prefix in ("scipy_openblas", "openblas")
+                for suffix in ("64_", "")]
+
+    found = []
+    for candidates, argtypes, restype in ((named("get_num_threads"), [], ctypes.c_int),
+                                          (named("set_num_threads"), [ctypes.c_int], None),
+                                          (["blas_thread_shutdown_"], [], ctypes.c_int)):
+        symbol = next((sym for sym in candidates if hasattr(lib, sym)), None)
+        if symbol is None:
+            return None
+        fn = getattr(lib, symbol)
+        fn.argtypes, fn.restype = argtypes, restype
+        found.append(fn)
+    return tuple(found)
+
+
+# resolved once: without them, every parallel region runs in the calling thread
+_BLAS_THREADS = _blas_thread_routines()
+# the BLAS thread count is process-global, so one parallel region runs at a time
+_PARALLEL_LOCK = threading.Lock()
+_pool: ThreadPoolExecutor | None = None
+
+
+def _forget_pool() -> None:
+    """In a forked child, which has none of the pool's threads and no holder of the lock."""
+    global _pool, _PARALLEL_LOCK
+    _pool, _PARALLEL_LOCK = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def worker_count() -> int:
+    """Threads a parallel region runs on: the cores of the process affinity.
+
+    One where numpy's BLAS exports no thread-count routine, since its own
+    threads would then contend with the region's.
+    """
+    if _BLAS_THREADS is None:
+        return 1
+    if not hasattr(os, "sched_getaffinity"):
+        return os.cpu_count() or 1
+    return len(os.sched_getaffinity(0))
+
+
+def run_parallel(tasks: list) -> None:
+    """Run ``tasks[0]`` in the calling thread and the others on a pool of threads, and wait for all.
+
+    One task, or any number where ``worker_count()`` is 1, runs in the
+    calling thread alone, with BLAS as it is.  Otherwise numpy's BLAS runs
+    on one thread while the tasks do, so that their products do not contend
+    for the cores with BLAS's own threads, and its idle pool is shut down
+    first, since those threads spin on a core for a while after each
+    threaded call.  The count is restored however the region ends, which
+    starts the pool again.  The count is process-global, so a module lock
+    lets one region run at a time.  Each task runs in a copy of the
+    caller's ``contextvars`` context, so ``np.errstate`` holds in it.  The
+    pool is made on first use, with ``worker_count() - 1`` threads; tasks
+    beyond that wait for one.  Once every task has ended, the calling
+    thread's exception, or else the first worker's, is raised.
+    """
+    global _pool
+    if len(tasks) <= 1 or _BLAS_THREADS is None:
+        for task in tasks:
+            task()
+        return
+    get_threads, set_threads, shutdown = _BLAS_THREADS
+    with _PARALLEL_LOCK:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max(worker_count() - 1, 1),
+                                       thread_name_prefix="polycascade")
+        saved = get_threads()
+        try:
+            set_threads(1)  # before the shutdown: setting the count starts the pool
+            shutdown()
+            futures = [_pool.submit(contextvars.copy_context().run, task) for task in tasks[1:]]
+            try:
+                tasks[0]()
+            finally:
+                wait(futures)
+            for future in futures:
+                future.result()
+        finally:
+            set_threads(saved)

@@ -96,13 +96,13 @@ class Package:
 
     # -- forward ------------------------------------------------------------
 
-    def squared_distances(self, x: np.ndarray) -> np.ndarray:
-        """r x k matrix of squared distances from batch rows to the points."""
+    def squared_distances(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """r x k matrix of squared distances from batch rows to the points, in ``out`` when given."""
         if x.shape[1] != self.n_in:
             raise ShapeMismatchError(f"batch has width {x.shape[1]}, package expects {self.n_in}")
         n = self.n_in
         sq_norms = np.sum(x * x, axis=1, keepdims=True)  # r x 1
-        m = np.empty((x.shape[0], self.k), dtype=self.dtype)
+        m = np.empty((x.shape[0], self.k), dtype=self.dtype) if out is None else out
         m[:, :1] = sq_norms
         # |x - (+-e_j)|^2 = |x|^2 + 1 +- 2 x_j, written in place without full-size temporaries
         np.multiply(x, 2.0, out=m[:, 1:n + 1])
@@ -112,30 +112,39 @@ class Package:
         np.maximum(m, 0.0, out=m)
         return m
 
-    def batch_state(self, x) -> PackageBatchState:
+    def batch_state(self, x, sq_dists: np.ndarray | None = None,
+                    kernel_vals: np.ndarray | None = None) -> PackageBatchState:
         """Value-independent intermediates of a batch, without the distances.
 
         Enough to evaluate the package and build its cardinal basis; the
         layer-1 state every replica shares is built here, since training
-        never runs ``backward`` on the first package.
+        never runs ``backward`` on the first package.  The distances and
+        kernel values are written into ``sq_dists`` and ``kernel_vals``
+        (r x k each) when given.
         """
         x = as_matrix(x, dtype=self.dtype, name="batch input")
-        m = self.squared_distances(x)
-        return PackageBatchState(x_in=x, kernel_vals=phi_matrix(m, self.kernel))
+        m = self.squared_distances(x, out=sq_dists)
+        return PackageBatchState(x_in=x, kernel_vals=phi_matrix(m, self.kernel, out=kernel_vals))
 
-    def evaluate(self, state: PackageBatchState) -> np.ndarray:
-        """Package output for a prepared batch with the current values."""
+    def evaluate(self, state: PackageBatchState, out: np.ndarray | None = None) -> np.ndarray:
+        """Package output for a prepared batch with the current values, in ``out`` when given."""
         if state.kernel_vals is None:
             raise ValueError("state holds no kernel values; cardinal_basis() consumed them, "
                              "or it was never prepared")
-        return state.kernel_vals @ self.coeffs
+        return np.matmul(state.kernel_vals, self.coeffs, out=out)
 
-    def forward(self, x) -> tuple[np.ndarray, PackageBatchState]:
-        """Evaluate the package on a batch; the state keeps what backward needs."""
+    def forward(self, x, out: np.ndarray | None = None, sq_dists: np.ndarray | None = None,
+                kernel_vals: np.ndarray | None = None) -> tuple[np.ndarray, PackageBatchState]:
+        """Evaluate the package on a batch; the state keeps what backward needs.
+
+        The output (r x n_out), distances and kernel values (r x k each) are
+        written into ``out``, ``sq_dists`` and ``kernel_vals`` when given.
+        """
         x = as_matrix(x, dtype=self.dtype, name="batch input")
-        m = self.squared_distances(x)
-        state = PackageBatchState(x_in=x, sq_dists=m, kernel_vals=phi_matrix(m, self.kernel))
-        return self.evaluate(state), state
+        m = self.squared_distances(x, out=sq_dists)
+        state = PackageBatchState(x_in=x, sq_dists=m,
+                                  kernel_vals=phi_matrix(m, self.kernel, out=kernel_vals))
+        return self.evaluate(state, out=out), state
 
     # -- coefficient recovery -------------------------------------------------
 

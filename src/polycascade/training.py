@@ -88,22 +88,25 @@ class EpochRecord:
 
 
 def check_labels(cfg: TrainConfig, train: Dataset, test: Dataset) -> None:
-    """Reject labels the task cannot train on or score, before any output or batch.
+    """Reject labels the task cannot train on or score, before any output or batch."""
+    for split, data in (("train", train), ("test", test)):
+        check_split_labels(data.labels, cfg.task, cfg.widths[-1], split)
 
-    ``binary-auc`` needs labels 0 and 1, both present in each split;
-    ``classify`` needs integer labels in [0, d).
+
+def check_split_labels(labels: np.ndarray, task: str, d: int, split: str) -> None:
+    """Reject one split's labels that ``task`` cannot score on a model of ``d`` outputs.
+
+    ``binary-auc`` needs labels 0 and 1, both present; ``classify`` needs
+    integer labels in [0, d).  ``split`` names the split in the error.
     """
-    d = cfg.widths[-1]
-    for split, labels in (("train", train.labels), ("test", test.labels)):
-        if cfg.task == "binary-auc":
-            if not np.isin(labels, (0, 1)).all():
-                raise DataFormatError(f"{split} labels must be 0 or 1 for task binary-auc")
-            if np.unique(labels).size < 2:
-                raise DataFormatError(f"{split} labels hold one class; task binary-auc "
-                                      f"needs both 0 and 1")
-        elif not np.all((labels == np.floor(labels)) & (labels >= 0) & (labels < d)):
-            raise DataFormatError(f"{split} labels must be integers in [0, {d}) for task "
-                                  f"classify")
+    if task == "binary-auc":
+        if not np.isin(labels, (0, 1)).all():
+            raise DataFormatError(f"{split} labels must be 0 or 1 for task binary-auc")
+        if np.unique(labels).size < 2:
+            raise DataFormatError(f"{split} labels hold one class; task binary-auc "
+                                  f"needs both 0 and 1")
+    elif not np.all((labels == np.floor(labels)) & (labels >= 0) & (labels < d)):
+        raise DataFormatError(f"{split} labels must be integers in [0, {d}) for task classify")
 
 
 def _targets_for(cfg: TrainConfig, labels: np.ndarray, d: int, dtype) -> np.ndarray:
@@ -124,9 +127,9 @@ def finite_scores(model: MultiOutputCascade, features: np.ndarray) -> np.ndarray
 def first_unscorable_row(model: MultiOutputCascade, features: np.ndarray) -> int:
     """1-based number of the first row ``finite_scores`` rejects: chunk by chunk, then row by row.
 
-    Rows score independently, and ``scores`` itself works in chunks of
-    SCORE_CHUNK_ROWS, so the first failing chunk holds the row.  Should
-    rounding let every row of it pass alone, the chunk's first row is named.
+    Rows score independently, so the first failing slice of
+    SCORE_CHUNK_ROWS rows holds the row.  Should rounding let every row of
+    it pass alone, the slice's first row is named.
     """
     lo = 0
     for size in (SCORE_CHUNK_ROWS, 1):

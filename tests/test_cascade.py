@@ -1,11 +1,14 @@
 import itertools
 import logging
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from polycascade import cascade as cascade_module
+from polycascade import linalg
 from polycascade.cascade import (PANEL_ROWS, SCORE_CHUNK_ROWS, MultiOutputCascade,
                                  TrainingBuffers, assemble_system, backward_quantities, init_multi,
                                  one_hot_pm1, train_multi)
@@ -360,6 +363,117 @@ def test_scores_equal_per_replica_forward_batch():
         expected = [mc.forward_all(x[lo:lo + step])[0] for lo in range(0, rows, step)]
         assert got.shape == (rows, 3)
         assert np.array_equal(got, np.vstack(expected))
+
+
+@pytest.fixture
+def blas_threads():
+    """numpy's BLAS thread count, set to 3 for the test and restored after; None where unsettable."""
+    if linalg._BLAS_THREADS is None:
+        yield None
+        return
+    get_threads, set_threads, _ = linalg._BLAS_THREADS
+    saved = get_threads()
+    set_threads(3)  # a count no parallel region sets, so a missed restore shows
+    try:
+        yield get_threads
+    finally:
+        set_threads(saved)
+
+
+def narrow_model(d, dtype):
+    # narrow products, which BLAS runs on one thread whatever its count, so any bits that
+    # differ come from the split over workers
+    return init_multi([5, 6, 4, d], seed=7, alpha=2.0, dtype=dtype)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_threaded_scores_equal_one_thread_scores_in_the_same_chunks(monkeypatch, blas_threads,
+                                                                   workers, d, dtype):
+    # parts beyond the pool's threads (cores - 1) wait for one, so three workers fit any host
+    mc = narrow_model(d, dtype)
+    step = SCORE_CHUNK_ROWS // workers
+    x = np.random.default_rng(d).uniform(-1.2, 1.2, (5000, 5))
+    for rows in (0, 1, step - 1, step, step + 1, 2 * step + 3, 5000):
+        monkeypatch.setattr(cascade_module, "worker_count", lambda: workers)
+        got = mc.scores(x[:rows])
+        monkeypatch.setattr(cascade_module, "worker_count", lambda: 1)
+        expected = mc.scores(x[:rows], chunk_rows=step)
+        assert got.shape == (rows, d) and got.dtype == np.dtype(dtype)
+        assert np.array_equal(got, expected), rows
+        if blas_threads is not None:
+            assert blas_threads() == 3
+
+
+def test_errstate_holds_in_scoring_workers(monkeypatch, blas_threads):
+    monkeypatch.setattr(cascade_module, "worker_count", lambda: 2)
+    mc = init_multi([3, 4, 1], seed=0, alpha=1.0)
+    x = np.random.default_rng(0).uniform(-1, 1, (5000, 3))
+    x[-1, 0] = 1e308  # finite, so it passes the input check; in the last part, a worker's
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError, match="overflow encountered"):
+            mc.scores(x)
+    if blas_threads is not None:
+        assert blas_threads() == 3
+    x[-1, 0] = 0.5
+    assert np.isfinite(mc.scores(x)).all()
+
+
+def test_concurrent_scores_calls_are_correct(blas_threads):
+    # more calling threads than cores, switching often: each region holds the module lock
+    mc = narrow_model(3, "float64")
+    inputs = [np.random.default_rng(i).uniform(-1, 1, (2000, 5)) for i in range(4)]
+    expected = [mc.scores(x) for x in inputs]
+    failures = []
+
+    def score(x, want):
+        for _ in range(10):
+            if not np.array_equal(mc.scores(x), want):
+                failures.append(threading.get_ident())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=score, args=pair) for pair in zip(inputs, expected)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
+    if blas_threads is not None:
+        assert blas_threads() == 3
+
+
+def test_scoring_region_waits_while_another_region_runs(monkeypatch):
+    # the BLAS thread count is process-global: a second region would save the first's count of 1
+    monkeypatch.setattr(cascade_module, "worker_count", lambda: 2)
+    mc = narrow_model(1, "float64")
+    x = np.random.default_rng(0).uniform(-1, 1, (2000, 5))
+    got = []
+    with linalg._PARALLEL_LOCK:
+        caller = threading.Thread(target=lambda: got.append(mc.scores(x)))
+        caller.start()
+        caller.join(timeout=0.5)
+        blocked = caller.is_alive() or linalg._BLAS_THREADS is None
+    caller.join(timeout=60)
+    assert blocked and not caller.is_alive()
+    assert np.array_equal(got[0], mc.scores(x))
+
+
+def test_scores_without_blas_thread_routines_run_in_the_calling_thread(monkeypatch):
+    mc = narrow_model(3, "float64")
+    x = np.random.default_rng(5).uniform(-1, 1, (2 * SCORE_CHUNK_ROWS + 300, 5))
+    threaded = mc.scores(x, chunk_rows=SCORE_CHUNK_ROWS * linalg.worker_count())
+    monkeypatch.setattr(linalg, "_BLAS_THREADS", None)
+    assert linalg.worker_count() == 1
+    assert np.array_equal(mc.scores(x), threaded)
+    idents = []
+    linalg.run_parallel([lambda: idents.append(threading.get_ident())] * 3)
+    assert idents == [threading.get_ident()] * 3
 
 
 @pytest.mark.parametrize("chunk", [0, -1])

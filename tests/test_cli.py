@@ -353,6 +353,24 @@ def test_eval_single_class_labels_exit_2(tmp_path, capsys):
     assert "data error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("widths,labels,message", [
+    ([3, 4, 1], [0.0, 2.0], "labels must be 0 or 1 for task binary-auc"),
+    ([3, 4, 3], [0.0, 7.0, 1.5], "labels must be integers in [0, 3) for task classify"),
+], ids=["auc-label-2", "classify-labels-7-and-1.5"])
+def test_eval_labels_training_rejects_exit_2(tmp_path, capsys, widths, labels, message):
+    # the label rule of training: one output scores ROC AUC, several score accuracy
+    snapshot = tmp_path / "m.phc1"
+    save_snapshot(snapshot, init_multi(widths, seed=0, alpha=1.0))
+    data = tmp_path / "d.csv"
+    np.savetxt(data, np.column_stack([np.resize(labels, 20),
+                                      np.random.default_rng(0).uniform(-1, 1, (20, 3))]),
+               delimiter=",")
+    assert main(["eval", str(snapshot), str(data)]) == EXIT_CONFIG
+    out = capsys.readouterr()
+    assert "data error:" in out.err and message in out.err
+    assert out.out == ""
+
+
 def test_train_non_finite_failure_exit_1(tmp_path, monkeypatch, capsys):
     def failing_run_training(*args, **kwargs):
         raise NonFiniteError("training system or output residual contains NaN or Inf")

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -210,3 +211,39 @@ def test_import_loads_no_scipy():
                           timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_import_starts_no_thread():
+    # the scoring pool is made by the first parallel region, not by the import
+    code = ("import threading; before = threading.active_count(); import polycascade; "
+            "print(threading.active_count() - before)")
+    src = Path(polycascade.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "0"
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the platform has no fork")
+def test_forked_child_scores_with_a_pool_of_its_own():
+    # the parent's pool threads do not exist in a fork; work queued for them would never run
+    code = textwrap.dedent("""
+        import os, signal, numpy as np, polycascade
+        from polycascade import cascade
+        cascade.worker_count = lambda: 2
+        model = polycascade.init_multi([3, 4, 1], seed=0)
+        x = np.random.default_rng(0).uniform(-1, 1, (3000, 3))
+        want = model.scores(x)
+        pid = os.fork()
+        if pid == 0:
+            signal.alarm(30)
+            os._exit(0 if np.array_equal(model.scores(x), want) else 3)
+        print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    """)
+    src = Path(polycascade.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "0"
