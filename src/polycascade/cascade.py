@@ -9,6 +9,14 @@ time; ``forward_all`` keeps every replica's intermediates for inspection,
 and ``scores`` evaluates without keeping them, with its rows split over the
 cores of the process affinity (``linalg.run_parallel``, which holds numpy's
 BLAS at one thread and its pool of threads parked while the parts run).
+A training step uses those cores too, up to its solve: the forward pass
+and the backward sweep split the batch into contiguous row parts, each run
+through the whole package chain, where the packages are wide enough for a
+part to pay for its thread (``SWEEP_PART_BYTES``), and the assembly's
+panels are shared out over the workers.  The factor and solve run outside
+these regions, on BLAS's own threads.  Every array a part writes is
+allocated for the whole batch before the region, so the parts write
+disjoint rows of it and need no lock.
 
 Training never uses gradient descent: after a forward pass, the
 derivative matrices are propagated backward, each package contributes an
@@ -17,7 +25,8 @@ batch vector, and that vector updates every package's value matrix
 independently.  The system is built a panel of rows at a time: each
 package's Gram products for those rows are computed into two small panel
 buffers that stay in cache and summed into a contiguous panel accumulator,
-which is written into the lower triangle and mirrored once.  The Cholesky
+which is written into the lower triangle and mirrored once; each worker
+builds its panels in a panel set of its own.  The Cholesky
 factor is then written over the system's lower triangle, and the solve
 residual is taken from the diagonal and upper triangle that the factor
 leaves holding the system, so a step keeps one r x r array.  The system,
@@ -28,9 +37,10 @@ it has already touched.  The set's arrays are allocated together after the
 epoch's first forward pass.
 
 Each package's state is consumed as the step reads it: the cardinal basis
-is written over the kernel values and the backward sweep's derivative
-factors over the squared distances (see ``package``), so one replica's
-intermediates come to about two r x k arrays per package.
+is written over the kernel values, the backward sweep's derivative factors
+over the squared distances (see ``package``) and each package's input
+derivative over its input, so one replica's intermediates come to about two
+r x k arrays per package.
 
 The replicas have independent value matrices and share the architecture and
 hyperparameters.  Every replica's first package has the same constellation
@@ -46,7 +56,9 @@ panels like any other package's.
 
 from __future__ import annotations
 
+import collections
 import functools
+import itertools
 import logging
 from dataclasses import dataclass
 
@@ -68,6 +80,15 @@ _STRICT_UPPER = np.triu(np.ones((PANEL_ROWS, PANEL_ROWS), dtype=bool), 1)
 # rows in flight in one scoring call, over all its workers' chunks: one thread scored
 # 1024-row chunks faster than 4096 and 512 at the benchmark shapes
 SCORE_CHUNK_ROWS = 1024
+# the least bytes of an r x k array, at the packages' mean k, in one row part of the forward
+# or backward sweep: below it, the GIL hand-offs between a part's many small numpy calls
+# cost more than a second core saves (a width sweep on two cores crossed over near 300 kB
+# for the whole batch, in float32 and float64 alike, at 500 to 2000 rows)
+SWEEP_PART_BYTES = 150_000
+# the rows of a sweep part, but the last, are a multiple of this: OpenBLAS computes a
+# product's last rows below its row unroll (4 here) by another route, whose bits can differ
+# from those of the same rows inside a longer product
+PART_ROW_MULTIPLE = 16
 
 
 @dataclass
@@ -106,18 +127,60 @@ def _random_values(rng: np.random.Generator, k: int, n_out: int, dtype) -> np.nd
     return y.astype(dtype, copy=False)
 
 
+def _row_parts(r: int, packages: list[Package]) -> list[slice]:
+    """Contiguous row parts of a sweep over ``packages`` on an r-row batch.
+
+    One part per worker of a parallel region, but each part's r x k array
+    at the packages' mean k must hold at least ``SWEEP_PART_BYTES``, so a
+    batch of narrow packages runs in fewer parts, or in one.  Every part
+    but the last has a multiple of ``PART_ROW_MULTIPLE`` rows.
+    """
+    if not packages:
+        return [slice(0, r)]
+    size = r * sum(pkg.k for pkg in packages) * packages[0].dtype.itemsize // len(packages)
+    parts = max(1, min(worker_count(), r // PART_ROW_MULTIPLE, size // SWEEP_PART_BYTES))
+    step = PART_ROW_MULTIPLE
+    bounds = [step * (r * p // (parts * step)) for p in range(parts)] + [r]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _rows_of(state: PackageBatchState, rows: slice) -> PackageBatchState:
+    """A state of ``rows`` of ``state``'s batch, whose arrays are views of ``state``'s."""
+    return PackageBatchState(*(None if a is None else a[rows]
+                               for a in (state.x_in, state.sq_dists, state.kernel_vals)))
+
+
 def forward_batch(cascade: Cascade, layer1: PackageBatchState, x1: np.ndarray,
                   ) -> CascadeBatchWorkspace:
     """One replica's packages 2..q on its layer-1 output ``x1``, retaining training intermediates.
 
     ``layer1`` is the batch's shared layer-1 state; it keeps no squared
     distances, since training never runs ``backward`` on the first package.
+    The calling thread allocates every package's output, distances and
+    kernel values for the whole batch; then each row part (``_row_parts``)
+    runs through the whole package chain in a ``run_parallel`` region and
+    writes its rows of them.  Rows are independent, so the states are those
+    of one pass over the batch.
     """
-    states = [layer1]
-    for pkg in cascade.packages[1:]:
-        x1, state = pkg.forward(x1)
-        states.append(state)
-    return CascadeBatchWorkspace(states=states, output=x1)
+    packages = cascade.packages[1:]
+    x = np.ascontiguousarray(x1, dtype=layer1.x_in.dtype)
+    r, dt = x.shape[0], x.dtype
+    outputs = [np.empty((r, pkg.n_out), dt) for pkg in packages]
+    states = [PackageBatchState(x_in=x_in, sq_dists=np.empty((r, pkg.k), dt),
+                                kernel_vals=np.empty((r, pkg.k), dt))
+              for pkg, x_in in zip(packages, [x] + outputs[:-1])]
+    run_parallel([functools.partial(_forward_rows, packages, states, outputs, rows)
+                  for rows in _row_parts(r, packages)])
+    return CascadeBatchWorkspace(states=[layer1] + states, output=outputs[-1] if packages else x)
+
+
+def _forward_rows(packages: list[Package], states: list[PackageBatchState],
+                  outputs: list[np.ndarray], rows: slice) -> None:
+    """``rows`` of ``forward_batch``: each package's forward pass, into the batch's arrays."""
+    for pkg, state, out in zip(packages, states, outputs):
+        # a package's input is the output whose rows the previous iteration wrote
+        pkg.forward(state.x_in[rows], out=out[rows], sq_dists=state.sq_dists[rows],
+                    kernel_vals=state.kernel_vals[rows])
 
 
 def backward_quantities(cascade: Cascade, ws: CascadeBatchWorkspace,
@@ -126,36 +189,71 @@ def backward_quantities(cascade: Cascade, ws: CascadeBatchWorkspace,
 
     The derivative chain starts from a column of ones at the cascade output
     and never descends below the first package (its input derivative is
-    unused by training).  It runs first: each ``backward`` frees the
+    unused by training).  It runs first: each ``backward`` writes over the
     distances it consumes, so the bases are then built beside fewer arrays.
+    Each package's input derivative is written over its input where
+    ``forward_batch`` made that input (packages 3..q), so the sweep
+    allocates one derivative matrix, package 2's; those states' ``x_in``
+    are then None.  As in ``forward_batch``, each row part runs the whole
+    sweep in a ``run_parallel`` region, on views of the batch's states, and
+    writes its rows of the whole-batch matrices.  Afterwards each state has
+    been consumed as one ``backward`` and one ``cardinal_basis`` consume
+    it.  A basis the state already holds (the shared layer-1 one of d > 1
+    replicas) is kept.
     """
-    q = cascade.q
-    grads: list[np.ndarray | None] = [None] * q
-    grads[q - 1] = np.ones((ws.output.shape[0], 1), dtype=ws.output.dtype)
-    for i in range(q - 1, 0, -1):
-        grads[i - 1] = cascade.packages[i].backward(grads[i], ws.states[i])
-    bases = [pkg.cardinal_basis(state) for pkg, state in zip(cascade.packages, ws.states)]
-    return bases, grads
+    packages, states = cascade.packages, ws.states
+    r, dt = ws.output.shape[0], ws.output.dtype
+    grads = [state.x_in for state in states[2:]] + [np.ones((r, 1), dt)]
+    if len(packages) > 1:
+        grads.insert(0, np.empty((r, packages[0].n_out), dt))
+    pending = [state.basis is None for state in states]
+    parts = [(rows, [_rows_of(state, rows) for state in states])
+             for rows in _row_parts(r, packages[1:])]
+    for state in states:
+        # the parts' views hold the distances now, so each package's are freed once every
+        # part's backward has consumed them
+        state.sq_dists = None
+    run_parallel([functools.partial(_backward_rows, packages, part_states, grads, pending, rows)
+                  for rows, part_states in parts])
+    for state, built in zip(states, pending):
+        if built:  # the basis was written over the kernel values
+            state.basis, state.kernel_vals = state.kernel_vals, None
+    for state in states[2:]:
+        state.x_in = None  # it holds the package's input derivative now
+    return [state.basis for state in states], grads
+
+
+def _backward_rows(packages: list[Package], part_states: list[PackageBatchState],
+                   grads: list[np.ndarray], pending: list[bool], rows: slice) -> None:
+    """``rows`` of ``backward_quantities``: the backward sweep, then the pending bases."""
+    for i in range(len(packages) - 1, 0, -1):
+        packages[i].backward(grads[i][rows], part_states[i], out=grads[i - 1][rows])
+    for pkg, state, todo in zip(packages, part_states, pending):
+        if todo:
+            pkg.cardinal_basis(state)
 
 
 class TrainingBuffers:
     """The training step's working memory for batches of at most ``rows`` rows.
 
-    One r x r system, which the solve factors in place, three P x r panel
-    arrays (two Gram-product panels and the panel accumulator) and, for a
-    model of d > 1 replicas only, a second r x r array for the layer-1 basis
-    Gram they share.  Each is held flat, so that a shorter batch uses
-    C-contiguous leading views of them.  The arrays are allocated together
-    by the first ``fitting`` call on the set, which ``train_multi`` makes
-    after its first forward pass, so a set made before a batch gets its
-    memory after that batch's forward arrays.  A set serves one batch at a
-    time: each step overwrites what the previous one left there.
+    One r x r system, which the solve factors in place, one panel set per
+    worker of the assembly (three P x r arrays each: the panel accumulator
+    and two Gram-product panels) and, for a model of d > 1 replicas only, a
+    second r x r array for the layer-1 basis Gram they share.  Each is held
+    flat, so that a shorter batch uses C-contiguous leading views of them.
+    The arrays are allocated together by the first ``fitting`` call on the
+    set, which ``train_multi`` makes after its first forward pass, so a set
+    made before a batch gets its memory after that batch's forward arrays;
+    the number of panel sets is fixed then, by ``worker_count()`` and the
+    panels a batch of ``rows`` rows has.  A set serves one batch at a time:
+    each step overwrites what the previous one left there.
     """
 
     def __init__(self, rows: int, dtype):
         self.rows = int(rows)
         self.dtype = resolve_dtype(dtype)
-        self.system = self.gram = self.hh = self.gg = self.acc = None
+        self.system = self.gram = None
+        self.panel_sets: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
     @classmethod
     def fitting(cls, buffers: TrainingBuffers | None, x: np.ndarray,
@@ -173,7 +271,9 @@ class TrainingBuffers:
         if buffers.system is None:
             buffers.system = np.empty(n * n, dt)
             panel = min(PANEL_ROWS, n) * n
-            buffers.hh, buffers.gg, buffers.acc = (np.empty(panel, dt) for _ in range(3))
+            sets = max(1, min(worker_count(), -(-n // PANEL_ROWS)))
+            buffers.panel_sets = [tuple(np.empty(panel, dt) for _ in range(3))
+                                  for _ in range(sets)]
         if gram and buffers.gram is None:
             buffers.gram = np.empty(n * n, dt)
         return buffers
@@ -197,21 +297,47 @@ def assemble_system(layer1: PackageBatchState, bases: list[np.ndarray], grads: l
     from ``layer1.gram`` where ``train_multi`` has cached it for d > 1
     replicas, and is otherwise built in panels like any other package's.
     The last package's G is a column of ones, so its H H^T is added alone.
-    Every array is a view of ``buffers`` (a set made for this call when
-    None), so the returned system is overwritten by the next step that uses
-    the same set.
+
+    The panels run in a ``run_parallel`` region, one task per panel set of
+    ``buffers`` (at most one per panel).  Each task takes panels
+    alternately from the large and the small end of the lower triangle
+    until none is left, and works in its own panel set; panels write
+    disjoint rows and their mirrored columns, so the system is the same
+    whichever task builds a panel.  Every array is a view of ``buffers`` (a
+    set made for this call when None), so the returned system is
+    overwritten by the next step that uses the same set.
     """
     r = layer1.x_in.shape[0]
     dt = layer1.x_in.dtype
     buffers = TrainingBuffers.fitting(buffers, layer1.x_in)
     system = _leading(buffers.system, r, r)
+    starts = collections.deque(range(0, r, PANEL_ROWS))
+    run_parallel([functools.partial(_assemble_panels, system, layer1.gram, bases, grads, starts,
+                                    panel_set)
+                  for panel_set in buffers.panel_sets[:len(starts)]])
+    system[np.diag_indices(r)] += dt.type(alpha)
+    return system
+
+
+def _assemble_panels(system: np.ndarray, gram: np.ndarray | None, bases: list[np.ndarray],
+                     grads: list[np.ndarray], starts: collections.deque,
+                     panel_set: tuple[np.ndarray, np.ndarray, np.ndarray]) -> None:
+    """Build panels of ``assemble_system`` in ``panel_set`` until ``starts`` is empty.
+
+    A deque's ``pop`` and ``popleft`` are atomic, so tasks sharing
+    ``starts`` never take the same panel.
+    """
+    r = system.shape[0]
     h1, g1 = bases[0], grads[0]
-    for i0 in range(0, r, PANEL_ROWS):
+    for take in itertools.cycle((starts.pop, starts.popleft)):
+        try:
+            i0 = take()
+        except IndexError:
+            return
         rows = slice(i0, min(i0 + PANEL_ROWS, r))
         i1 = rows.stop
-        acc, hh, gg = (_leading(b, i1 - i0, i1) for b in (buffers.acc, buffers.hh, buffers.gg))
-        h1h1 = (np.matmul(h1[rows], h1[:i1].T, out=acc) if layer1.gram is None
-                else layer1.gram[rows, :i1])
+        acc, hh, gg = (_leading(b, i1 - i0, i1) for b in panel_set)
+        h1h1 = np.matmul(h1[rows], h1[:i1].T, out=acc) if gram is None else gram[rows, :i1]
         if len(bases) == 1:
             acc = h1h1
         else:
@@ -226,8 +352,6 @@ def assemble_system(layer1: PackageBatchState, bases: list[np.ndarray], grads: l
         system[:i0, rows] = acc[:, :i0].T
         block = system[rows, rows]
         np.copyto(block, block.T, where=_STRICT_UPPER[:block.shape[0], :block.shape[0]])
-    system[np.diag_indices(r)] += dt.type(alpha)
-    return system
 
 
 def train_step(cascade: Cascade, ws: CascadeBatchWorkspace, lstar: np.ndarray,

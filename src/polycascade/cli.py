@@ -138,7 +138,14 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    widths = [n for n in (16, 32, 64, 128, 256, 512, 1024, 2048) if n <= args.max_n]
+    sweep = (16, 32, 64, 128, 256, 512, 1024, 2048)
+    for flag, value, least in (("--max-n", args.max_n, sweep[0]), ("--repeats", args.repeats, 1),
+                               ("--batch-rows", min(args.batch_rows), 1)):
+        if value < least:
+            print(f"argument error: {flag} must be at least {least}, got {value}",
+                  file=sys.stderr)
+            return EXIT_CONFIG
+    widths = [n for n in sweep if n <= args.max_n]
     try:
         rows = bench_mod.run_bench(widths=widths, batch_rows=tuple(args.batch_rows),
                                    repeats=args.repeats, seed=args.seed)

@@ -19,7 +19,10 @@ use.  Inside it, numpy's BLAS runs on one thread, set through the same
 library handle, and its idle pool of threads is shut down, so that it holds
 no core the region's threads need; the count is restored on every exit.
 Where that BLAS exports no thread-count routine, a region runs in the
-calling thread alone.
+calling thread alone.  Scoring runs its row parts in one region per call;
+a training step runs up to three per replica (its forward pass, its backward
+sweep and its system's assembly) and then factors and solves the system
+outside them, with BLAS on its own threads again.
 
 Non-finite values are rejected where data enters and around the solve only:
 ``as_matrix`` checks batches, targets and value matrices, the training step

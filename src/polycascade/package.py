@@ -57,10 +57,12 @@ class PackageBatchState:
     ``kernel_vals`` and sets ``kernel_vals`` to None, so the state can no
     longer be evaluated; ``backward`` writes its derivative factors over
     ``sq_dists`` and sets it to None, so it runs once per state.  Either
-    raises ValueError on a state whose array is gone.
+    raises ValueError on a state whose array is gone.  A cascade's
+    training sweep also writes input derivatives over the ``x_in`` of its
+    own states (see ``cascade.backward_quantities``) and sets it to None.
     """
 
-    x_in: np.ndarray
+    x_in: np.ndarray | None
     sq_dists: np.ndarray | None = None
     kernel_vals: np.ndarray | None = None
     basis: np.ndarray | None = None  # kernel_vals @ U, in kernel_vals' memory, filled lazily
@@ -203,13 +205,15 @@ class Package:
 
     # -- backward ------------------------------------------------------------
 
-    def backward(self, g_next: np.ndarray, state: PackageBatchState) -> np.ndarray:
-        """Propagate output derivatives g_next (r x n_out) to input derivatives.
+    def backward(self, g_next: np.ndarray, state: PackageBatchState,
+                 out: np.ndarray | None = None) -> np.ndarray:
+        """Propagate output derivatives g_next (r x n_out) to input derivatives (r x n_in).
 
         Uses the kernel derivative factor over the stored squared distances;
         needs the state produced by forward() on the same batch.  The factor
         theta and then psi are written over the distances, which the state
-        then drops, so backward runs once per state.
+        then drops, so backward runs once per state.  The result is written
+        into ``out`` when given.
         """
         if state.sq_dists is None:
             raise ValueError("state holds no squared distances; backward needs a forward() "
@@ -221,4 +225,6 @@ class Package:
         psi = theta_matrix(state.sq_dists, self.kernel, out=state.sq_dists)
         state.sq_dists = None
         psi *= g_next @ self.coeffs.T  # r x k
-        return state.x_in * psi.sum(axis=1, keepdims=True) + (psi[:, 1:n + 1] - psi[:, n + 1:])
+        out = np.multiply(state.x_in, psi.sum(axis=1, keepdims=True), out=out)
+        out += psi[:, 1:n + 1] - psi[:, n + 1:]
+        return out

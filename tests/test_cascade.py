@@ -1,8 +1,12 @@
 import itertools
 import logging
+import os
+import subprocess
 import sys
+import textwrap
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -380,6 +384,15 @@ def blas_threads():
         set_threads(saved)
 
 
+@pytest.fixture
+def one_blas_thread(blas_threads):
+    """numpy's BLAS on one thread for the test, so that a threaded and a one-thread run differ
+    only in how their rows and panels are shared out; the count getter, or None."""
+    if blas_threads is not None:
+        linalg._BLAS_THREADS[1](1)
+    return blas_threads
+
+
 def narrow_model(d, dtype):
     # narrow products, which BLAS runs on one thread whatever its count, so any bits that
     # differ come from the split over workers
@@ -664,3 +677,176 @@ def test_train_multi_holds_one_replica_intermediates_at_a_time():
         finally:
             tracemalloc.stop()
     assert peaks[8] <= 1.5 * peaks[1]
+
+
+def shells_deep_model(depth=9):
+    # the shells-deep benchmark's replica: packages of k = 101, whose sweep splits over
+    # workers at a few hundred rows
+    return init_multi([10] + [50] * depth + [1], seed=46, mode="identity-fragments",
+                      alpha=50.0)
+
+
+def train_twice(mc, x0, targets):
+    """Two train_multi calls on one buffer set: their reports as an array, the values and the
+    model's outputs on the batch afterwards."""
+    buffers = TrainingBuffers(x0.shape[0], mc.dtype)
+    reports = [vars(rep) for _ in range(2) for rep in train_multi(mc, x0, targets, buffers)]
+    values = [p.values for c in mc.replicas for p in c.packages]
+    return np.array([list(rep.values()) for rep in reports]), values, mc.forward_all(x0)[0]
+
+
+def assert_same_training(got, expected):
+    (reports, values, outputs), (reports_1, values_1, outputs_1) = got, expected
+    assert np.array_equal(reports, reports_1)
+    assert all(np.array_equal(a, b) for a, b in zip(values, values_1))
+    assert np.array_equal(outputs, outputs_1)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("shape", ["shells-deep-float64", "10x100,1-float32"])
+def test_threaded_training_equals_one_thread_training(monkeypatch, one_blas_thread, shape,
+                                                      workers):
+    # the sweep splits into row parts on the shells-deep shape and runs in one part on the
+    # narrow one; the assembly's panels are spread over the workers on both
+    def make():
+        if shape == "shells-deep-float64":
+            return shells_deep_model()
+        return init_multi([10] * 100 + [1], seed=46, mode="identity-fragments", alpha=50.0,
+                          dtype="float32")
+
+    rng = np.random.default_rng(46)
+    x0 = rng.uniform(-1, 1, (1000, 10))
+    targets = rng.choice([-1.0, 1.0], (1000, 1))
+    monkeypatch.setattr(cascade_module, "worker_count", lambda: workers)
+    threaded = train_twice(make(), x0, targets)
+    monkeypatch.undo()
+    monkeypatch.setattr(linalg, "_BLAS_THREADS", None)
+    assert cascade_module.worker_count() == 1
+    assert_same_training(threaded, train_twice(make(), x0, targets))
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_threaded_training_on_uneven_and_short_batches(monkeypatch, one_blas_thread, workers):
+    # one row; fewer rows than one sweep part (100 x 101 float64 values < SWEEP_PART_BYTES);
+    # one whole panel; three panels, the last partial; and row parts of unequal size
+    rng = np.random.default_rng(47)
+    for rows in (1, 100, PANEL_ROWS, 2 * PANEL_ROWS + 45, 1001):
+        x0 = rng.uniform(-1, 1, (rows, 10))
+        targets = rng.choice([-1.0, 1.0], (rows, 1))
+        monkeypatch.setattr(cascade_module, "worker_count", lambda: workers)
+        parts = cascade_module._row_parts(rows, shells_deep_model().replicas[0].packages[1:])
+        assert [p.stop - p.start for p in parts] in ([rows], [496, 505], [320, 336, 345])
+        threaded = train_twice(shells_deep_model(depth=3), x0, targets)
+        monkeypatch.setattr(cascade_module, "worker_count", lambda: 1)
+        assert_same_training(threaded, train_twice(shells_deep_model(depth=3), x0, targets))
+        if one_blas_thread is not None:
+            assert one_blas_thread() == 1
+
+
+def test_panel_sets_are_counted_when_the_buffers_are_allocated(monkeypatch, one_blas_thread):
+    # an affinity change between batches must not index past the sets a buffer set holds;
+    # the packages are narrow, so the sweep runs in one part and only the panels are shared
+    def model():
+        return init_multi([10] * 4 + [1], seed=48, mode="identity-fragments", alpha=50.0)
+
+    rng = np.random.default_rng(48)
+    x0 = rng.uniform(-1, 1, (3 * PANEL_ROWS, 10))
+    targets = rng.choice([-1.0, 1.0], (3 * PANEL_ROWS, 1))
+    monkeypatch.setattr(cascade_module, "worker_count", lambda: 1)
+    expected = train_twice(model(), x0, targets)
+    for first, then in ((1, 3), (3, 1)):
+        mc = model()
+        buffers = TrainingBuffers(3 * PANEL_ROWS, mc.dtype)
+        monkeypatch.setattr(cascade_module, "worker_count", lambda: first)
+        train_multi(mc, x0, targets, buffers)
+        assert len(buffers.panel_sets) == first
+        monkeypatch.setattr(cascade_module, "worker_count", lambda: then)
+        train_multi(mc, x0, targets, buffers)
+        assert len(buffers.panel_sets) == first
+        assert all(np.array_equal(p.values, v)
+                   for p, v in zip(mc.replicas[0].packages, expected[1]))
+    # never more sets than a batch of the set's rows has panels
+    monkeypatch.setattr(cascade_module, "worker_count", lambda: 8)
+    buffers = TrainingBuffers.fitting(None, x0[:PANEL_ROWS + 1])
+    assert len(buffers.panel_sets) == 2
+
+
+def test_assembly_panels_are_each_built_once_under_contention(monkeypatch):
+    # more tasks than cores take panels from one shared deque, switching often: a panel
+    # that no task built would leave rows of the uninitialised system in the result
+    mc, cascade = single([10, 50, 50, 1], seed=49, mode="identity-fragments", alpha=50.0)
+    _, (ws,) = mc.forward_all(np.random.default_rng(49).uniform(-1, 1, (1000, 10)))
+    bases, grads = backward_quantities(cascade, ws)
+    monkeypatch.setattr(cascade_module, "worker_count", lambda: 1)
+    expected = assemble_system(ws.states[0], bases, grads, mc.alpha).copy()
+    monkeypatch.setattr(cascade_module, "worker_count", lambda: 5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(5):
+            buffers = TrainingBuffers.fitting(None, ws.states[0].x_in)
+            buffers.system.fill(np.nan)
+            system = assemble_system(ws.states[0], bases, grads, mc.alpha, buffers)
+            assert len(buffers.panel_sets) == 5 and np.array_equal(system, expected)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("failure", [NotSPDError, NonFiniteError])
+def test_blas_thread_count_is_restored_after_a_failing_step(monkeypatch, blas_threads,
+                                                            failure):
+    # NotSPDError comes from the solve, after the regions; NonFiniteError from a NaN
+    # coefficient whose NaN outputs the next package rejects inside every sweep part
+    monkeypatch.setattr(cascade_module, "worker_count", lambda: 2)
+    mc = shells_deep_model(depth=3)
+    rng = np.random.default_rng(50)
+    x0 = rng.uniform(-1, 1, (400, 10))
+    targets = rng.choice([-1.0, 1.0], (400, 1))
+    assert len(cascade_module._row_parts(400, mc.replicas[0].packages[1:])) == 2
+    train_multi(shells_deep_model(depth=3), x0, targets)
+    if blas_threads is not None:
+        assert blas_threads() == 3
+    if failure is NotSPDError:
+        solve = cascade_module.spd_solve
+        monkeypatch.setattr(cascade_module, "spd_solve",
+                            lambda s, rhs, **kw: solve(-s, rhs, **kw))
+        match = "replica 0"
+    else:
+        mc.replicas[0].packages[1].coeffs[0, 0] = np.nan
+        match = "batch input contains NaN"
+    with pytest.raises(failure, match=match):
+        train_multi(mc, x0, targets)
+    if blas_threads is not None:
+        assert blas_threads() == 3
+
+
+def test_forked_child_trains_with_a_pool_of_its_own():
+    # the parent's pool threads do not exist in a fork; a sweep part or panel queued for
+    # them would never run
+    code = textwrap.dedent("""
+        import os, signal, numpy as np, polycascade
+        from polycascade import cascade
+        cascade.worker_count = lambda: 2
+        rng = np.random.default_rng(0)
+        x, t = rng.uniform(-1, 1, (600, 10)), rng.choice([-1.0, 1.0], (600, 1))
+        def model():
+            return polycascade.init_multi([10, 50, 50, 1], seed=0, mode="identity-fragments",
+                                          alpha=50.0)
+        trained, fresh = model(), model()
+        polycascade.train_multi(trained, x, t)
+        assert len(cascade._row_parts(600, trained.replicas[0].packages[1:])) == 2
+        pid = os.fork()
+        if pid == 0:
+            signal.alarm(30)
+            polycascade.train_multi(fresh, x, t)
+            same = all(np.array_equal(a.values, b.values) for a, b in
+                       zip(trained.replicas[0].packages, fresh.replicas[0].packages))
+            os._exit(0 if same else 3)
+        print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    """)
+    src = Path(cascade_module.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "0"

@@ -406,6 +406,21 @@ def test_bench_command_small(tmp_path, capsys):
     assert "crossover width for backward" in printed
 
 
+@pytest.mark.parametrize("args,message", [
+    (["--repeats", "0"], "--repeats must be at least 1, got 0"),
+    (["--batch-rows", "4", "0"], "--batch-rows must be at least 1, got 0"),
+    (["--batch-rows", "-5"], "--batch-rows must be at least 1, got -5"),
+    (["--max-n", "15"], "--max-n must be at least 16, got 15"),
+], ids=["repeats-0", "batch-rows-0", "batch-rows-negative", "max-n-below-sweep"])
+def test_bench_arguments_out_of_range_exit_2(tmp_path, capsys, args, message):
+    # each used to write NaN timings, end in a traceback or run an empty sweep
+    out_csv = tmp_path / "bench.csv"
+    assert main(["bench", *args, "--out", str(out_csv)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"argument error: {message}" in captured.err and captured.out == ""
+    assert not out_csv.exists()
+
+
 def test_idx_config_end_to_end(tmp_path):
     # tiny synthetic IDX pair exercised through the full CLI train path
     rng = np.random.default_rng(0)

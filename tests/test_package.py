@@ -231,6 +231,25 @@ def test_consumed_state_fails_loudly():
     assert pkg.cardinal_basis(state) is state.basis
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_backward_into_a_row_slice_equals_the_allocating_call(dtype):
+    # the cascade's row parts write their rows of a whole-batch derivative matrix
+    c = build_octahedral(5)
+    rng = np.random.default_rng(9)
+    pkg = Package(c, KP, rng.uniform(-1, 1, (c.k, 3)), dtype=dtype)
+    x = rng.uniform(-1, 1, (7, 5)).astype(dtype)
+    g = rng.standard_normal((7, 3)).astype(dtype)
+    _, state = pkg.forward(x)
+    twin = PackageBatchState(x_in=state.x_in, sq_dists=state.sq_dists.copy())
+    expected = pkg.backward(g, state)
+    big = np.full((12, 5), 7.0, dtype=dtype)
+    got = pkg.backward(g, twin, out=big[3:10])
+    assert np.shares_memory(got, big) and got.dtype == np.dtype(dtype)
+    assert np.array_equal(big[3:10], expected)
+    assert np.all(big[:3] == 7.0) and np.all(big[10:] == 7.0)
+    assert twin.sq_dists is None
+
+
 def test_backward_at_constellation_point_is_finite():
     # inputs sitting exactly on a point hit the log clamp, not -inf
     pkg = make_package(3, n_out=1, seed=1)
