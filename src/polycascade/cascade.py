@@ -6,17 +6,16 @@ the values and ``snapshot.load_snapshot`` reads them.  Each batch is one
 ``train_multi`` call, which runs each replica's forward pass right before
 that replica's training step, so one replica's intermediates are alive at a
 time; ``forward_all`` keeps every replica's intermediates for inspection,
-and ``scores`` evaluates without keeping them, with its rows split over the
-cores of the process affinity (``linalg.run_parallel``, which holds numpy's
-BLAS at one thread and its pool of threads parked while the parts run).
-A training step uses those cores too, up to its solve: the forward pass
-and the backward sweep split the batch into contiguous row parts, each run
-through the whole package chain, where the packages are wide enough for a
-part to pay for its thread (``SWEEP_PART_BYTES``), and the assembly's
-panels are shared out over the workers.  The factor and solve run outside
-these regions, on BLAS's own threads.  Every array a part writes is
-allocated for the whole batch before the region, so the parts write
-disjoint rows of it and need no lock.
+and ``scores`` evaluates without keeping them.  Scoring, and a training
+step up to its solve, run on the cores of the process affinity
+(``linalg.run_parallel``, which holds numpy's BLAS at one thread and its
+pool parked meanwhile).  One rule (``_row_parts``) splits scoring's rows and
+the training forward pass and backward sweep into contiguous row parts,
+each run through the whole package chain, where the packages are wide
+enough for a part to pay for its thread; the assembly's panels are shared
+out over the workers.  The factor and solve run on BLAS's own threads.
+Every array a part writes is allocated for the whole batch before the
+region, so the parts write disjoint rows of it and need no lock.
 
 Training never uses gradient descent: after a forward pass, the
 derivative matrices are propagated backward, each package contributes an
@@ -77,13 +76,14 @@ INIT_MODES = ("random", "identity-fragments")
 # rows per assembly panel: two P x r products per package stay in cache
 PANEL_ROWS = 128
 _STRICT_UPPER = np.triu(np.ones((PANEL_ROWS, PANEL_ROWS), dtype=bool), 1)
-# rows in flight in one scoring call, over all its workers' chunks: one thread scored
+# rows in flight in one scoring call, over all its parts' chunks: one thread scored
 # 1024-row chunks faster than 4096 and 512 at the benchmark shapes
 SCORE_CHUNK_ROWS = 1024
 # the least bytes of an r x k array, at the packages' mean k, in one row part of the forward
-# or backward sweep: below it, the GIL hand-offs between a part's many small numpy calls
-# cost more than a second core saves (a width sweep on two cores crossed over near 300 kB
-# for the whole batch, in float32 and float64 alike, at 500 to 2000 rows)
+# or backward sweep, or of one scoring chunk: below it, the GIL hand-offs between a part's
+# many small numpy calls cost more than a second core saves (a width sweep of the training
+# step on two cores crossed over near 300 kB for the whole batch, in float32 and float64
+# alike, at 500 to 2000 rows)
 SWEEP_PART_BYTES = 150_000
 # the rows of a sweep part, but the last, are a multiple of this: OpenBLAS computes a
 # product's last rows below its row unroll (4 here) by another route, whose bits can differ
@@ -128,7 +128,7 @@ def _random_values(rng: np.random.Generator, k: int, n_out: int, dtype) -> np.nd
 
 
 def _row_parts(r: int, packages: list[Package]) -> list[slice]:
-    """Contiguous row parts of a sweep over ``packages`` on an r-row batch.
+    """Contiguous row parts of a sweep over ``packages`` on r rows: a batch or a scoring chunk.
 
     One part per worker of a parallel region, but each part's r x k array
     at the packages' mean k must hold at least ``SWEEP_PART_BYTES``, so a
@@ -450,19 +450,20 @@ class MultiOutputCascade:
         workspaces = [forward_batch(c, layer1, y) for c, y in zip(self.replicas, x1)]
         return np.hstack([ws.output for ws in workspaces]), workspaces
 
-    def scores(self, x0, chunk_rows: int = SCORE_CHUNK_ROWS) -> np.ndarray:
+    def scores(self, x0) -> np.ndarray:
         """Replica outputs without retaining workspaces, on the cores of the process affinity.
 
-        The rows are split into W = ``worker_count()`` contiguous parts: the
-        calling thread scores the first and a pool of threads the others
+        About ``SCORE_CHUNK_ROWS`` rows are in flight, in P parts, where P is
+        the count of ``_row_parts`` on one such chunk of all the packages
+        (layer 1 too, since a part runs it).  The rows are split into P
+        contiguous parts on whole chunks of ``SCORE_CHUNK_ROWS // P`` rows:
+        the calling thread scores the first and a pool of threads the others
         (``run_parallel``, which holds numpy's BLAS at one thread and its
-        pool parked meanwhile).  Each part is scored ``chunk_rows // W``
-        rows at a time, so about ``chunk_rows`` rows are in flight; a call
-        of at most that many rows is one part, scored in the calling thread
-        alone.  Rows score independently, so the scores are those of a
-        one-thread call with chunks of ``chunk_rows // W`` rows, where BLAS
-        runs on one thread too: a product that BLAS splits over its threads
-        can differ in its last bits with their number.
+        pool parked meanwhile).  Narrow packages, or a call of at most one
+        chunk, score in one part, in the calling thread alone.  Rows score
+        independently, so with P > 1 the scores are those of a one-part call
+        in the same chunks with BLAS on one thread too: a product that BLAS
+        splits over its threads can differ in its last bits with their number.
 
         Each chunk shares one layer-1 state, and one product with the
         replicas' stacked layer-1 coefficients, stacked once per call, gives
@@ -472,17 +473,15 @@ class MultiOutputCascade:
         package outputs that alternate along a replica.  So the chunk size
         bounds the memory a call holds.
         """
-        if chunk_rows < 1:
-            raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
         x0 = as_matrix(x0, dtype=self.dtype, name="batch input")
         r = x0.shape[0]
         out = np.empty((r, self.d), dtype=self.dtype)
-        workers = worker_count()
-        step = max(chunk_rows // workers, 1)
-        starts = range(0, r, step)
-        parts = min(workers, len(starts))
-        coeffs1 = np.hstack([c.packages[0].coeffs for c in self.replicas])
         packages = self.replicas[0].packages
+        parts = len(_row_parts(min(r, SCORE_CHUNK_ROWS), packages))
+        step = SCORE_CHUNK_ROWS // parts
+        starts = range(0, r, step)
+        parts = min(parts, len(starts))
+        coeffs1 = np.hstack([c.packages[0].coeffs for c in self.replicas])
         k = max(pkg.k for pkg in packages)
         n_out = max((pkg.n_out for pkg in packages[1:]), default=1)
         rows = min(step, r)

@@ -137,14 +137,20 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def _arguments_in_range(*checks) -> bool:
+    """Whether every (flag, value, least) check holds; the first that fails is told on stderr."""
+    for flag, value, least in checks:
+        if value < least:
+            print(f"argument error: {flag} must be at least {least}, got {value}", file=sys.stderr)
+            return False
+    return True
+
+
 def cmd_bench(args) -> int:
     sweep = (16, 32, 64, 128, 256, 512, 1024, 2048)
-    for flag, value, least in (("--max-n", args.max_n, sweep[0]), ("--repeats", args.repeats, 1),
-                               ("--batch-rows", min(args.batch_rows), 1)):
-        if value < least:
-            print(f"argument error: {flag} must be at least {least}, got {value}",
-                  file=sys.stderr)
-            return EXIT_CONFIG
+    if not _arguments_in_range(("--max-n", args.max_n, sweep[0]), ("--repeats", args.repeats, 1),
+                               ("--batch-rows", min(args.batch_rows), 1), ("--seed", args.seed, 0)):
+        return EXIT_CONFIG
     widths = [n for n in sweep if n <= args.max_n]
     try:
         rows = bench_mod.run_bench(widths=widths, batch_rows=tuple(args.batch_rows),
@@ -165,7 +171,9 @@ def cmd_bench(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = verify_mod.run_all(seed=args.seed)
+    if not _arguments_in_range(("--seed", args.seed, 0)):
+        return EXIT_CONFIG
+    results = verify_mod.run_all(seed=args.seed, report=print)
     return EXIT_OK if all(r.passed for r in results) else EXIT_NUMERIC
 
 

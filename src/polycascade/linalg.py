@@ -94,25 +94,34 @@ def ensure_finite(a: np.ndarray, name: str = "result") -> np.ndarray:
 
 
 def _numpy_library() -> ctypes.CDLL | None:
-    """The BLAS/LAPACK library numpy is linked against, through its linear-algebra extension."""
+    """The BLAS/LAPACK library numpy is linked against, through its linear-algebra extension.
+
+    Loading the extension by its path gives the library it is already linked
+    against, the one every numpy product runs in.
+    """
     try:
         return ctypes.CDLL(_umath_linalg.__file__)
     except OSError:
         return None
 
 
-def _numpy_lapack() -> dict | None:
+def _bind(lib: ctypes.CDLL, candidates: list[str], argtypes: list, restype):
+    """The first of ``candidates`` that ``lib`` exports, typed, or None where it exports none."""
+    symbol = next((sym for sym in candidates if hasattr(lib, sym)), None)
+    if symbol is None:
+        return None
+    fn = getattr(lib, symbol)
+    fn.argtypes, fn.restype = argtypes, restype
+    return fn
+
+
+def _numpy_lapack(lib: ctypes.CDLL) -> dict | None:
     """numpy's own ``?potrf``, ``?potrs`` and ``?symv`` for each dtype, or None where any is missing.
 
-    Loading numpy's linear-algebra extension by its path gives the library
-    it is already linked against, the one every numpy product runs in.
     Builds against scipy-openblas export the routines as
     ``scipy_dpotrf_64_``; others as ``dpotrf_64_`` or ``dpotrf_``.  The
     integer width follows the build (``_ilp64``).
     """
-    lib = _numpy_library()
-    if lib is None:
-        return None
     ilp64 = bool(getattr(_umath_linalg, "_ilp64", False))
     suffix = "_64_" if ilp64 else "_"
     int_t = ctypes.c_int64 if ilp64 else ctypes.c_int32
@@ -123,21 +132,17 @@ def _numpy_lapack() -> dict | None:
                 "symv": [char, int_p, ptr, ptr, int_p, ptr, int_p, ptr, ptr, int_p, strlen]}
     routines = {}
     for dt, t in ((np.dtype(np.float64), "d"), (np.dtype(np.float32), "s")):
-        found = []
-        for name, types in argtypes.items():
-            symbol = next((sym for sym in (f"scipy_{t}{name}{suffix}", f"{t}{name}{suffix}",
-                                           f"{t}{name}_") if hasattr(lib, sym)), None)
-            if symbol is None:
-                return None
-            fn = getattr(lib, symbol)
-            fn.argtypes, fn.restype = types, None
-            found.append(fn)
+        found = [_bind(lib, [f"scipy_{t}{name}{suffix}", f"{t}{name}{suffix}", f"{t}{name}_"],
+                       types, None) for name, types in argtypes.items()]
+        if None in found:
+            return None
         routines[dt] = (int_t, *found)
     return routines
 
 
-# resolved once: the fallback route below runs only where the build exports no routine
-_LAPACK = _numpy_lapack()
+# numpy's library, opened once: the fallback route below runs only where it exports no routine
+_LIB = _numpy_library()
+_LAPACK = None if _LIB is None else _numpy_lapack(_LIB)
 
 
 def _not_spd(order: int) -> NotSPDError:
@@ -265,7 +270,7 @@ def _failing_minor(s: np.ndarray) -> int:
     return lower.shape[0]
 
 
-def _blas_thread_routines() -> tuple | None:
+def _blas_thread_routines(lib: ctypes.CDLL) -> tuple | None:
     """numpy's OpenBLAS thread-count getter and setter and its pool shutdown, or None where any is missing.
 
     scipy-openblas builds export the first two as
@@ -273,29 +278,18 @@ def _blas_thread_routines() -> tuple | None:
     OpenBLAS as ``openblas_get_num_threads``.  Setting the count starts the
     pool of BLAS threads again after a shutdown.
     """
-    lib = _numpy_library()
-    if lib is None:
-        return None
-
     def named(name):
         return [f"{prefix}_{name}{suffix}" for prefix in ("scipy_openblas", "openblas")
                 for suffix in ("64_", "")]
 
-    found = []
-    for candidates, argtypes, restype in ((named("get_num_threads"), [], ctypes.c_int),
-                                          (named("set_num_threads"), [ctypes.c_int], None),
-                                          (["blas_thread_shutdown_"], [], ctypes.c_int)):
-        symbol = next((sym for sym in candidates if hasattr(lib, sym)), None)
-        if symbol is None:
-            return None
-        fn = getattr(lib, symbol)
-        fn.argtypes, fn.restype = argtypes, restype
-        found.append(fn)
-    return tuple(found)
+    found = (_bind(lib, named("get_num_threads"), [], ctypes.c_int),
+             _bind(lib, named("set_num_threads"), [ctypes.c_int], None),
+             _bind(lib, ["blas_thread_shutdown_"], [], ctypes.c_int))
+    return None if None in found else found
 
 
 # resolved once: without them, every parallel region runs in the calling thread
-_BLAS_THREADS = _blas_thread_routines()
+_BLAS_THREADS = None if _LIB is None else _blas_thread_routines(_LIB)
 # the BLAS thread count is process-global, so one parallel region runs at a time
 _PARALLEL_LOCK = threading.Lock()
 _pool: ThreadPoolExecutor | None = None

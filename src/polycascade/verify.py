@@ -12,6 +12,7 @@ propagation.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,8 @@ from .constellation import build_octahedral, derive_coefficients, octahedral_poi
 from .kernel import KernelParams
 from .linalg import spd_solve
 from .package import Package
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -175,7 +178,8 @@ CHECKS = [
 ]
 
 
-def run_all(seed: int = 0, report=print) -> list[CheckResult]:
+def run_all(seed: int = 0, report=logger.info) -> list[CheckResult]:
+    """Run every check with ``seed``; ``report`` gets one line per check and a summary."""
     results = []
     for name, fn in CHECKS:
         try:

@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 
 import pytest
 
@@ -28,10 +29,15 @@ def test_crossover_reporting():
     assert xo["squared_distances"] is None  # none in range
 
 
-def test_verify_battery_passes():
-    results = verify.run_all(seed=0, report=lambda *_: None)
+def test_verify_battery_passes(capsys, caplog):
+    # library code logs its report by default; the verify command passes print
+    with caplog.at_level(logging.INFO, logger="polycascade.verify"):
+        results = verify.run_all(seed=0)
     assert all(r.passed for r in results)
     assert len(results) == len(verify.CHECKS)
+    assert capsys.readouterr().out == ""
+    assert caplog.messages[-1] == f"{len(results)}/{len(results)} invariants passed"
+    assert len(caplog.messages) == len(results) + 1
 
 
 def test_verify_fault_injection_names_failing_invariant():

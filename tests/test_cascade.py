@@ -355,16 +355,17 @@ def test_shared_layer1_training_matches_replicas_trained_alone(dtype):
             assert np.array_equal(pa.values, pb.values)
 
 
-def test_scores_equal_per_replica_forward_batch():
+def test_scores_equal_per_replica_forward_batch(monkeypatch):
     # scores drops the intermediates forward_all keeps; the outputs are the same bits.
-    # Both cases end in a partial chunk after several full ones; None is the default chunk.
+    # Both cases end in a partial chunk after several full ones; the second is the default
+    # chunk.  The packages are narrow, so each call scores in one part.
     rng = np.random.default_rng(41)
     mc = init_multi([5, 4, 3, 3], seed=41, alpha=2.0)
-    for rows, chunk in ((23, 7), (2 * SCORE_CHUNK_ROWS + 300, None)):
+    for rows, chunk in ((23, 7), (2 * SCORE_CHUNK_ROWS + 300, SCORE_CHUNK_ROWS)):
+        monkeypatch.setattr(cascade_module, "SCORE_CHUNK_ROWS", chunk)
         x = rng.uniform(-1, 1, (rows, 5))
-        got = mc.scores(x) if chunk is None else mc.scores(x, chunk_rows=chunk)
-        step = chunk or SCORE_CHUNK_ROWS
-        expected = [mc.forward_all(x[lo:lo + step])[0] for lo in range(0, rows, step)]
+        got = mc.scores(x)
+        expected = [mc.forward_all(x[lo:lo + chunk])[0] for lo in range(0, rows, chunk)]
         assert got.shape == (rows, 3)
         assert np.array_equal(got, np.vstack(expected))
 
@@ -399,42 +400,89 @@ def narrow_model(d, dtype):
     return init_multi([5, 6, 4, d], seed=7, alpha=2.0, dtype=dtype)
 
 
+@pytest.fixture
+def scoring_tasks(monkeypatch):
+    """The task count of every ``run_parallel`` region that ``cascade`` enters, in order."""
+    counts = []
+
+    def counting(tasks):
+        counts.append(len(tasks))
+        run_parallel(tasks)
+
+    run_parallel = cascade_module.run_parallel
+    monkeypatch.setattr(cascade_module, "run_parallel", counting)
+    return counts
+
+
+def split_narrow_scoring(monkeypatch):
+    # a narrow model's chunk is far below SWEEP_PART_BYTES, so it would score in one part
+    monkeypatch.setattr(cascade_module, "SWEEP_PART_BYTES", 1)
+
+
 @pytest.mark.parametrize("workers", [2, 3])
 @pytest.mark.parametrize("d", [1, 3])
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 def test_threaded_scores_equal_one_thread_scores_in_the_same_chunks(monkeypatch, blas_threads,
-                                                                   workers, d, dtype):
+                                                                   scoring_tasks, workers, d,
+                                                                   dtype):
     # parts beyond the pool's threads (cores - 1) wait for one, so three workers fit any host
+    split_narrow_scoring(monkeypatch)
     mc = narrow_model(d, dtype)
     step = SCORE_CHUNK_ROWS // workers
     x = np.random.default_rng(d).uniform(-1.2, 1.2, (5000, 5))
     for rows in (0, 1, step - 1, step, step + 1, 2 * step + 3, 5000):
         monkeypatch.setattr(cascade_module, "worker_count", lambda: workers)
+        scoring_tasks.clear()
         got = mc.scores(x[:rows])
+        assert scoring_tasks == [min(workers, -(-rows // step))], rows
         monkeypatch.setattr(cascade_module, "worker_count", lambda: 1)
-        expected = mc.scores(x[:rows], chunk_rows=step)
+        monkeypatch.setattr(cascade_module, "SCORE_CHUNK_ROWS", step)
+        expected = mc.scores(x[:rows])
+        monkeypatch.setattr(cascade_module, "SCORE_CHUNK_ROWS", SCORE_CHUNK_ROWS)
         assert got.shape == (rows, d) and got.dtype == np.dtype(dtype)
         assert np.array_equal(got, expected), rows
         if blas_threads is not None:
             assert blas_threads() == 3
 
 
-def test_errstate_holds_in_scoring_workers(monkeypatch, blas_threads):
+def test_narrow_packages_score_in_one_part_and_wide_ones_split(monkeypatch, blas_threads,
+                                                               scoring_tasks):
+    # the sweeps' rule, on one 1024-row chunk of all the packages: 20 float32 packages of
+    # k = 21 hold 86 kB, under the 300 kB that two parts need; one package of k = 801
+    # (3.3 MB in float64) and the shells-deep replica (mean k 93, 762 kB) split
     monkeypatch.setattr(cascade_module, "worker_count", lambda: 2)
+    x = np.random.default_rng(51).uniform(-1, 1, (5000, 400))
+    for model, cols in ((init_multi([400, 1], seed=51), 400), (shells_deep_model(), 10)):
+        model.scores(x[:, :cols])
+    narrow = init_multi([10] * 20 + [1], seed=51, mode="identity-fragments", alpha=50.0,
+                        dtype="float32")
+    got = narrow.scores(x[:, :10])
+    assert scoring_tasks == [2, 2, 1]
+    if blas_threads is not None:
+        assert blas_threads() == 3  # one task runs with BLAS as it is
+    monkeypatch.setattr(linalg, "_BLAS_THREADS", None)
+    assert np.array_equal(got, narrow.scores(x[:, :10]))
+
+
+def test_errstate_holds_in_scoring_workers(monkeypatch, blas_threads, scoring_tasks):
+    monkeypatch.setattr(cascade_module, "worker_count", lambda: 2)
+    split_narrow_scoring(monkeypatch)
     mc = init_multi([3, 4, 1], seed=0, alpha=1.0)
     x = np.random.default_rng(0).uniform(-1, 1, (5000, 3))
     x[-1, 0] = 1e308  # finite, so it passes the input check; in the last part, a worker's
     with np.errstate(over="raise"):
         with pytest.raises(FloatingPointError, match="overflow encountered"):
             mc.scores(x)
+    assert scoring_tasks == [2]
     if blas_threads is not None:
         assert blas_threads() == 3
     x[-1, 0] = 0.5
     assert np.isfinite(mc.scores(x)).all()
 
 
-def test_concurrent_scores_calls_are_correct(blas_threads):
+def test_concurrent_scores_calls_are_correct(monkeypatch, blas_threads, scoring_tasks):
     # more calling threads than cores, switching often: each region holds the module lock
+    split_narrow_scoring(monkeypatch)
     mc = narrow_model(3, "float64")
     inputs = [np.random.default_rng(i).uniform(-1, 1, (2000, 5)) for i in range(4)]
     expected = [mc.scores(x) for x in inputs]
@@ -457,13 +505,15 @@ def test_concurrent_scores_calls_are_correct(blas_threads):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert failures == []
+    assert set(scoring_tasks) == {cascade_module.worker_count()}
     if blas_threads is not None:
         assert blas_threads() == 3
 
 
-def test_scoring_region_waits_while_another_region_runs(monkeypatch):
+def test_scoring_region_waits_while_another_region_runs(monkeypatch, scoring_tasks):
     # the BLAS thread count is process-global: a second region would save the first's count of 1
     monkeypatch.setattr(cascade_module, "worker_count", lambda: 2)
+    split_narrow_scoring(monkeypatch)
     mc = narrow_model(1, "float64")
     x = np.random.default_rng(0).uniform(-1, 1, (2000, 5))
     got = []
@@ -475,25 +525,26 @@ def test_scoring_region_waits_while_another_region_runs(monkeypatch):
     caller.join(timeout=60)
     assert blocked and not caller.is_alive()
     assert np.array_equal(got[0], mc.scores(x))
+    assert scoring_tasks == [2, 2]
 
 
-def test_scores_without_blas_thread_routines_run_in_the_calling_thread(monkeypatch):
+def test_scores_without_blas_thread_routines_run_in_the_calling_thread(monkeypatch,
+                                                                         scoring_tasks):
+    # the threaded call scores in chunks of SCORE_CHUNK_ROWS, as the one-thread call does
+    workers = linalg.worker_count()
+    split_narrow_scoring(monkeypatch)
     mc = narrow_model(3, "float64")
     x = np.random.default_rng(5).uniform(-1, 1, (2 * SCORE_CHUNK_ROWS + 300, 5))
-    threaded = mc.scores(x, chunk_rows=SCORE_CHUNK_ROWS * linalg.worker_count())
+    monkeypatch.setattr(cascade_module, "SCORE_CHUNK_ROWS", SCORE_CHUNK_ROWS * workers)
+    threaded = mc.scores(x)
+    monkeypatch.setattr(cascade_module, "SCORE_CHUNK_ROWS", SCORE_CHUNK_ROWS)
     monkeypatch.setattr(linalg, "_BLAS_THREADS", None)
     assert linalg.worker_count() == 1
     assert np.array_equal(mc.scores(x), threaded)
+    assert scoring_tasks == [min(workers, 3), 1]
     idents = []
     linalg.run_parallel([lambda: idents.append(threading.get_ident())] * 3)
     assert idents == [threading.get_ident()] * 3
-
-
-@pytest.mark.parametrize("chunk", [0, -1])
-def test_scores_rejects_chunks_below_one_row(chunk):
-    mc = init_multi([3, 4, 1], seed=0)
-    with pytest.raises(ValueError, match="chunk_rows"):
-        mc.scores(np.random.default_rng(0).uniform(-1, 1, (5, 3)), chunk_rows=chunk)
 
 
 def test_scoring_memory_peak_is_bounded():

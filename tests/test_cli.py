@@ -396,6 +396,14 @@ def test_verify_command_exit_0(capsys):
     assert "7/7 invariants passed" in out
 
 
+def test_verify_negative_seed_exits_2(capsys):
+    # it used to end in numpy's "expected non-negative integer" traceback
+    assert main(["verify", "--seed", "-1"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "argument error: --seed must be at least 0, got -1" in captured.err
+    assert captured.out == ""
+
+
 def test_bench_command_small(tmp_path, capsys):
     out_csv = tmp_path / "bench.csv"
     code = main(["bench", "--max-n", "16", "--batch-rows", "4", "--repeats", "1",
@@ -411,9 +419,11 @@ def test_bench_command_small(tmp_path, capsys):
     (["--batch-rows", "4", "0"], "--batch-rows must be at least 1, got 0"),
     (["--batch-rows", "-5"], "--batch-rows must be at least 1, got -5"),
     (["--max-n", "15"], "--max-n must be at least 16, got 15"),
-], ids=["repeats-0", "batch-rows-0", "batch-rows-negative", "max-n-below-sweep"])
+    (["--seed", "-1"], "--seed must be at least 0, got -1"),
+], ids=["repeats-0", "batch-rows-0", "batch-rows-negative", "max-n-below-sweep", "seed-negative"])
 def test_bench_arguments_out_of_range_exit_2(tmp_path, capsys, args, message):
-    # each used to write NaN timings, end in a traceback or run an empty sweep
+    # each used to write NaN timings, end in a traceback (numpy's, for a negative seed) or run
+    # an empty sweep
     out_csv = tmp_path / "bench.csv"
     assert main(["bench", *args, "--out", str(out_csv)]) == EXIT_CONFIG
     captured = capsys.readouterr()

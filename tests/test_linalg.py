@@ -201,6 +201,25 @@ def test_numpy_lapack_resolves_on_scipy_openblas_builds():
     assert set(linalg._LAPACK) == {np.dtype(np.float64), np.dtype(np.float32)}
 
 
+@pytest.mark.parametrize("missing,table", [("spotrs", "lapack"), ("dsymv", "lapack"),
+                                           ("set_num_threads", "threads"),
+                                           ("blas_thread_shutdown", "threads")])
+def test_symbol_tables_are_none_where_a_symbol_is_missing(missing, table):
+    if linalg._LAPACK is None or linalg._BLAS_THREADS is None:
+        pytest.skip("numpy's library does not export both tables")
+
+    class Without:
+        """numpy's library, less every symbol whose name holds ``missing``."""
+
+        def __getattr__(self, name):
+            if missing in name:
+                raise AttributeError(name)
+            return getattr(linalg._LIB, name)
+
+    lapack, threads = linalg._numpy_lapack(Without()), linalg._blas_thread_routines(Without())
+    assert (lapack is None, threads is None) == (table == "lapack", table == "threads")
+
+
 def test_import_loads_no_scipy():
     # numpy is the only linear-algebra library: scipy would map a second BLAS beside it
     code = ("import sys, polycascade; "
@@ -232,7 +251,9 @@ def test_forked_child_scores_with_a_pool_of_its_own():
         import os, signal, numpy as np, polycascade
         from polycascade import cascade
         cascade.worker_count = lambda: 2
+        cascade.SWEEP_PART_BYTES = 1  # the narrow model would score in one part
         model = polycascade.init_multi([3, 4, 1], seed=0)
+        assert len(cascade._row_parts(cascade.SCORE_CHUNK_ROWS, model.replicas[0].packages)) == 2
         x = np.random.default_rng(0).uniform(-1, 1, (3000, 3))
         want = model.scores(x)
         pid = os.fork()
