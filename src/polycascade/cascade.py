@@ -9,13 +9,13 @@ time; ``forward_all`` keeps every replica's intermediates for inspection,
 and ``scores`` evaluates without keeping them.  Scoring, and a training
 step up to its solve, run on the cores of the process affinity
 (``linalg.run_parallel``, which holds numpy's BLAS at one thread and its
-pool parked meanwhile).  One rule (``_row_parts``) splits scoring's rows and
-the training forward pass and backward sweep into contiguous row parts,
-each run through the whole package chain, where the packages are wide
-enough for a part to pay for its thread; the assembly's panels are shared
-out over the workers.  The factor and solve run on BLAS's own threads.
-Every array a part writes is allocated for the whole batch before the
-region, so the parts write disjoint rows of it and need no lock.
+pool parked meanwhile).  ``_row_parts`` splits the training forward pass and
+backward sweep into contiguous row parts, each run through the whole chain,
+where the packages are wide enough for a part to pay for its thread.  Scoring
+chunks have a size the model alone sets, and its workers, like the assembly's,
+take work from one shared deque.  The factor and solve run on BLAS's own
+threads.  Every array a task writes is allocated for the whole batch before
+the region, so tasks write disjoint rows of it and need no lock.
 
 Training never uses gradient descent: after a forward pass, the
 derivative matrices are propagated backward, each package contributes an
@@ -76,14 +76,14 @@ INIT_MODES = ("random", "identity-fragments")
 # rows per assembly panel: two P x r products per package stay in cache
 PANEL_ROWS = 128
 _STRICT_UPPER = np.triu(np.ones((PANEL_ROWS, PANEL_ROWS), dtype=bool), 1)
-# rows in flight in one scoring call, over all its parts' chunks: one thread scored
-# 1024-row chunks faster than 4096 and 512 at the benchmark shapes
-SCORE_CHUNK_ROWS = 1024
+# bytes of one scoring chunk's r x k array at the packages' mean k, within 512 to 2048 rows
+# (``MultiOutputCascade.chunk_rows``): a chunk long enough that its numpy calls outlast the
+# GIL hand-offs between them, and short enough that its arrays stay near the cache
+SCORE_CHUNK_BYTES = 768_000
 # the least bytes of an r x k array, at the packages' mean k, in one row part of the forward
-# or backward sweep, or of one scoring chunk: below it, the GIL hand-offs between a part's
-# many small numpy calls cost more than a second core saves (a width sweep of the training
-# step on two cores crossed over near 300 kB for the whole batch, in float32 and float64
-# alike, at 500 to 2000 rows)
+# or backward sweep: below it, the GIL hand-offs between a part's many small numpy calls cost
+# more than a second core saves (a width sweep of the training step on two cores crossed
+# over near 300 kB for the whole batch, in float32 and float64 alike, at 500 to 2000 rows)
 SWEEP_PART_BYTES = 150_000
 # the rows of a sweep part, but the last, are a multiple of this: OpenBLAS computes a
 # product's last rows below its row unroll (4 here) by another route, whose bits can differ
@@ -115,10 +115,6 @@ class Cascade:
 
     packages: list[Package]
 
-    @property
-    def q(self) -> int:
-        return len(self.packages)
-
 
 def _random_values(rng: np.random.Generator, k: int, n_out: int, dtype) -> np.ndarray:
     y = rng.uniform(-1.0, 1.0, size=(k, n_out))
@@ -128,7 +124,7 @@ def _random_values(rng: np.random.Generator, k: int, n_out: int, dtype) -> np.nd
 
 
 def _row_parts(r: int, packages: list[Package]) -> list[slice]:
-    """Contiguous row parts of a sweep over ``packages`` on r rows: a batch or a scoring chunk.
+    """Contiguous row parts of a training sweep over ``packages`` on a batch of r rows.
 
     One part per worker of a parallel region, but each part's r x k array
     at the packages' mean k must hold at least ``SWEEP_PART_BYTES``, so a
@@ -319,21 +315,25 @@ def assemble_system(layer1: PackageBatchState, bases: list[np.ndarray], grads: l
     return system
 
 
+def _drain(*takes):
+    """Items taken by ``takes`` in turn, each a deque's ``pop`` or ``popleft``, until it is empty.
+
+    Both are atomic, so tasks that drain one deque never take the same item.
+    """
+    for take in itertools.cycle(takes):
+        try:
+            yield take()
+        except IndexError:
+            return
+
+
 def _assemble_panels(system: np.ndarray, gram: np.ndarray | None, bases: list[np.ndarray],
                      grads: list[np.ndarray], starts: collections.deque,
                      panel_set: tuple[np.ndarray, np.ndarray, np.ndarray]) -> None:
-    """Build panels of ``assemble_system`` in ``panel_set`` until ``starts`` is empty.
-
-    A deque's ``pop`` and ``popleft`` are atomic, so tasks sharing
-    ``starts`` never take the same panel.
-    """
+    """Build panels of ``assemble_system`` in ``panel_set`` until ``starts`` is empty."""
     r = system.shape[0]
     h1, g1 = bases[0], grads[0]
-    for take in itertools.cycle((starts.pop, starts.popleft)):
-        try:
-            i0 = take()
-        except IndexError:
-            return
+    for i0 in _drain(starts.pop, starts.popleft):
         rows = slice(i0, min(i0 + PANEL_ROWS, r))
         i1 = rows.stop
         acc, hh, gg = (_leading(b, i1 - i0, i1) for b in panel_set)
@@ -430,11 +430,21 @@ class MultiOutputCascade:
     def d(self) -> int:
         return len(self.replicas)
 
-    def parameter_count(self) -> int:
-        return sum(p.values.size for c in self.replicas for p in c.packages)
+    @property
+    def chunk_rows(self) -> int:
+        """Rows of a scoring chunk: ``SCORE_CHUNK_BYTES`` of an r x k array at the packages' mean k.
+
+        Layer 1 counts, since a chunk runs it; the rows are rounded down to a
+        multiple of ``PART_ROW_MULTIPLE`` and kept within 512 to 2048.
+        """
+        packages = self.replicas[0].packages
+        rows = SCORE_CHUNK_BYTES * len(packages) // (sum(pkg.k for pkg in packages)
+                                                     * self.dtype.itemsize)
+        return min(max(rows - rows % PART_ROW_MULTIPLE, 512), 2048)
 
     def _layer1(self, x0) -> tuple[PackageBatchState, list[np.ndarray]]:
-        """The shared layer-1 state and each replica's layer-1 output (one stacked product)."""
+        """The shared layer-1 state and each replica's layer-1 output, of a batch checked here."""
+        x0 = as_matrix(x0, dtype=self.dtype, name="batch input")
         layer1 = self.replicas[0].packages[0].batch_state(x0)
         x1 = layer1.kernel_vals @ np.hstack([c.packages[0].coeffs for c in self.replicas])
         return layer1, np.hsplit(x1, self.d)
@@ -453,21 +463,18 @@ class MultiOutputCascade:
     def scores(self, x0) -> np.ndarray:
         """Replica outputs without retaining workspaces, on the cores of the process affinity.
 
-        About ``SCORE_CHUNK_ROWS`` rows are in flight, in P parts, where P is
-        the count of ``_row_parts`` on one such chunk of all the packages
-        (layer 1 too, since a part runs it).  The rows are split into P
-        contiguous parts on whole chunks of ``SCORE_CHUNK_ROWS // P`` rows:
-        the calling thread scores the first and a pool of threads the others
-        (``run_parallel``, which holds numpy's BLAS at one thread and its
-        pool parked meanwhile).  Narrow packages, or a call of at most one
-        chunk, score in one part, in the calling thread alone.  Rows score
-        independently, so with P > 1 the scores are those of a one-part call
-        in the same chunks with BLAS on one thread too: a product that BLAS
-        splits over its threads can differ in its last bits with their number.
+        The batch is checked once, here, and scored in chunks of
+        ``chunk_rows`` rows.  min(workers, chunks) tasks take whole chunks
+        from one deque until none is left: the calling thread runs one and a
+        pool of threads the others (``run_parallel``, which holds numpy's
+        BLAS at one thread and its pool parked meanwhile); one task runs
+        with BLAS on its own threads.  A chunk is scored the same way by
+        any task, so the scores do not depend on the worker count; a product
+        that BLAS splits over its own threads can differ in its last bits.
 
         Each chunk shares one layer-1 state, and one product with the
         replicas' stacked layer-1 coefficients, stacked once per call, gives
-        every layer-1 output.  Each part works in its own working set, which
+        every layer-1 output.  Each task works in its own working set, which
         the calling thread allocates, sized by the chunk and the widest
         package: distances, kernel values, the layer-1 outputs and two
         package outputs that alternate along a replica.  So the chunk size
@@ -476,31 +483,28 @@ class MultiOutputCascade:
         x0 = as_matrix(x0, dtype=self.dtype, name="batch input")
         r = x0.shape[0]
         out = np.empty((r, self.d), dtype=self.dtype)
+        step = self.chunk_rows
+        starts = collections.deque(range(0, r, step))
         packages = self.replicas[0].packages
-        parts = len(_row_parts(min(r, SCORE_CHUNK_ROWS), packages))
-        step = SCORE_CHUNK_ROWS // parts
-        starts = range(0, r, step)
-        parts = min(parts, len(starts))
         coeffs1 = np.hstack([c.packages[0].coeffs for c in self.replicas])
         k = max(pkg.k for pkg in packages)
         n_out = max((pkg.n_out for pkg in packages[1:]), default=1)
         rows = min(step, r)
         sizes = (rows * k, rows * k, rows * coeffs1.shape[1], rows * n_out, rows * n_out)
         # allocated here, not in the workers, so that no worker thread grows a heap of its own
-        work_sets = [[np.empty(size, dtype=self.dtype) for size in sizes] for _ in range(parts)]
-        bounds = [starts[len(starts) * p // parts] for p in range(parts)] + [r]
-        run_parallel([functools.partial(self._score_rows, x0[lo:hi], out[lo:hi], step, coeffs1,
-                                        work)
-                      for lo, hi, work in zip(bounds, bounds[1:], work_sets)])
+        work_sets = [[np.empty(size, dtype=self.dtype) for size in sizes]
+                     for _ in range(min(worker_count(), len(starts)))]
+        run_parallel([functools.partial(self._score_chunks, x0, out, starts, step, coeffs1, work)
+                      for work in work_sets])
         return out
 
-    def _score_rows(self, x0: np.ndarray, out: np.ndarray, step: int, coeffs1: np.ndarray,
-                    work: list[np.ndarray]) -> None:
-        """Score ``x0`` into ``out``, ``step`` rows at a time, in one working set of ``scores``."""
+    def _score_chunks(self, x0: np.ndarray, out: np.ndarray, starts: collections.deque,
+                      step: int, coeffs1: np.ndarray, work: list[np.ndarray]) -> None:
+        """Score chunks of ``x0`` into ``out`` in one working set until ``starts`` is empty."""
         dists, kernel_vals, x1_buf, *outputs = work
         first = self.replicas[0].packages[0]
         n1 = first.n_out
-        for lo in range(0, x0.shape[0], step):
+        for lo in _drain(starts.popleft):
             rows = slice(lo, lo + step)
             chunk = x0[rows]
             n = chunk.shape[0]
@@ -514,10 +518,6 @@ class MultiOutputCascade:
                                        sq_dists=_leading(dists, n, pkg.k),
                                        kernel_vals=_leading(kernel_vals, n, pkg.k))
                 out[rows, j:j + 1] = y
-
-    def predict(self, x0) -> np.ndarray:
-        """Per-row argmax over replica outputs; ties go to the lowest index."""
-        return np.argmax(self.scores(x0), axis=1)
 
 
 def init_multi(arch_widths, seed: int, mode: str = "random", alpha: float = 1.0,

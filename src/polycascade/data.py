@@ -313,18 +313,6 @@ def fit_apply_transforms(dataset: Dataset, spec: TransformSpec,
     return Dataset(scaled, dataset.labels, n_train=dataset.n_train), fitted
 
 
-def invert_minmax(features: np.ndarray, spec: TransformSpec) -> np.ndarray:
-    """Undo the affine map (log transforms are not inverted); zero-range columns stay 0."""
-    if not spec.fitted:
-        raise ValueError("spec is not fitted")
-    lo = np.asarray(spec.col_min)
-    hi = np.asarray(spec.col_max)
-    span = hi - lo
-    out = (features + 1.0) / 2.0 * np.where(span > 0, span, 1.0) + lo
-    out[:, span == 0] = lo[span == 0]
-    return out
-
-
 @dataclass(frozen=True)
 class Batch:
     features: np.ndarray

@@ -53,10 +53,9 @@ def phi_matrix(m: np.ndarray, params: KernelParams, out: np.ndarray | None = Non
     needs no mask.  Scaling by 0.5 is exact, so the result has the bits of
     ``0.5 * m * (ln m - 2b) + c``.  ``out`` (not ``m``, which is read after
     the logarithm) receives the result when given; otherwise a new array of
-    ``m``'s float dtype does.
+    ``m``'s float dtype does.  ``m`` is not scanned: its distances must be
+    clamped at 0, as ``Package`` and ``oracle`` clamp theirs.
     """
-    if m.size and m.min() < 0:
-        raise NegativeDistanceError("squared-distance matrix has negative entries")
     if out is None:
         out = np.empty(m.shape, dtype=m.dtype if m.dtype.kind == "f" else np.float64)
     dt = out.dtype
@@ -81,10 +80,9 @@ def theta_matrix(m: np.ndarray, params: KernelParams, out: np.ndarray | None = N
     """Elementwise derivative factor over a squared-distance matrix, in one output array.
 
     ``out`` (``m`` itself, for the backward pass) receives the result when
-    given; otherwise a new array of ``m``'s float dtype does.
+    given; otherwise a new array of ``m``'s float dtype does.  ``m`` is not
+    scanned for negative entries, as in ``phi_matrix``.
     """
-    if m.size and m.min() < 0:
-        raise NegativeDistanceError("squared-distance matrix has negative entries")
     if out is None:
         out = np.empty(m.shape, dtype=m.dtype if m.dtype.kind == "f" else np.float64)
     dt = out.dtype

@@ -19,7 +19,7 @@ use.  Inside it, numpy's BLAS runs on one thread, set through the same
 library handle, and its idle pool of threads is shut down, so that it holds
 no core the region's threads need; the count is restored on every exit.
 Where that BLAS exports no thread-count routine, a region runs in the
-calling thread alone.  Scoring runs its row parts in one region per call;
+calling thread alone.  Scoring runs its chunks in one region per call;
 a training step runs up to three per replica (its forward pass, its backward
 sweep and its system's assembly) and then factors and solves the system
 outside them, with BLAS on its own threads again.
@@ -212,29 +212,32 @@ def spd_solve(s: np.ndarray, rhs: np.ndarray,
 
 
 def symmetric_product(s: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``s @ x`` for symmetric ``s``, from its diagonal and strict upper triangle, in ``s``'s dtype.
+    """``s @ x`` for symmetric ``s`` and one column ``x``, as an n x 1 array in ``s``'s dtype.
 
+    Reads ``s``'s diagonal and strict upper triangle only: one call of
     numpy's own ``?symv`` reads a C-order upper triangle as a column-major
-    lower one (``uplo='L'``), one column of ``x`` at a time, so the product
-    is right after ``spd_solve(s, rhs, factor_buf=s)`` has written its factor
-    below the diagonal.  Where numpy's build exports no routine, that solve
-    never writes ``s``, and this is ``s @ x``.
+    lower one (``uplo='L'``), so the product is right after
+    ``spd_solve(s, rhs, factor_buf=s)`` has written its factor below the
+    diagonal.  Where numpy's build exports no routine, that solve never
+    writes ``s``, and this is ``s @ x``.
     """
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ShapeMismatchError(f"symmetric_product needs a square matrix, got {s.shape}")
-    xt = np.asarray(x, dtype=s.dtype).reshape(s.shape[0], -1).T.copy()  # one column per row
+    if np.size(x) != s.shape[0]:
+        raise ShapeMismatchError(f"symmetric_product multiplies one column of {s.shape[0]} "
+                                 f"rows, got shape {np.shape(x)}")
+    x = np.array(x, dtype=s.dtype).reshape(-1, 1)
     if _LAPACK is None:
-        return s @ xt.T
+        return s @ x
     s = np.ascontiguousarray(s)
     int_t, _, _, symv = _LAPACK[s.dtype]
     n, inc = int_t(s.shape[0]), int_t(1)
     lead = int_t(max(s.shape[0], 1))
     alpha, beta = np.ones(1, s.dtype), np.zeros(1, s.dtype)
-    yt = np.empty_like(xt)
-    for xj, yj in zip(xt, yt):
-        symv(b"L", n, alpha.ctypes.data, s.ctypes.data, lead, xj.ctypes.data, inc,
-             beta.ctypes.data, yj.ctypes.data, inc, 1)
-    return yt.T
+    y = np.empty_like(x)
+    symv(b"L", n, alpha.ctypes.data, s.ctypes.data, lead, x.ctypes.data, inc,
+         beta.ctypes.data, y.ctypes.data, inc, 1)
+    return y
 
 
 def _spd_solve_fallback(s: np.ndarray, r: np.ndarray) -> np.ndarray:

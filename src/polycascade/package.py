@@ -26,10 +26,11 @@ the basis over the kernel values and ``backward`` writes its derivative
 factors over the squared distances, and each drops the array it consumed
 from the state, so a state holds about half the arrays it would otherwise.
 
-Inputs are validated (shape, and NaN/Inf via ``as_matrix``) where they enter:
-the batch in ``batch_state``/``forward`` and the values in ``set_values``.
-Intermediate products are not re-scanned; a non-finite value propagates into
-the training system, which ``cascade.train_step`` checks before solving.
+Values are validated (shape, and NaN/Inf via ``as_matrix``) in
+``set_values``; a batch's width is checked, but the cascade scans a batch
+for NaN/Inf once, where it enters.  A non-finite value made in the chain
+propagates into the scores or the training system, which
+``training.finite_scores`` and ``cascade.train_step`` check.
 """
 
 from __future__ import annotations
@@ -100,8 +101,9 @@ class Package:
 
     def squared_distances(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """r x k matrix of squared distances from batch rows to the points, in ``out`` when given."""
-        if x.shape[1] != self.n_in:
-            raise ShapeMismatchError(f"batch has width {x.shape[1]}, package expects {self.n_in}")
+        if x.ndim != 2 or x.shape[1] != self.n_in:
+            raise ShapeMismatchError(f"batch has shape {x.shape}, package expects width "
+                                     f"{self.n_in}")
         n = self.n_in
         sq_norms = np.sum(x * x, axis=1, keepdims=True)  # r x 1
         m = np.empty((x.shape[0], self.k), dtype=self.dtype) if out is None else out
@@ -124,7 +126,7 @@ class Package:
         kernel values are written into ``sq_dists`` and ``kernel_vals``
         (r x k each) when given.
         """
-        x = as_matrix(x, dtype=self.dtype, name="batch input")
+        x = np.asarray(x, dtype=self.dtype)
         m = self.squared_distances(x, out=sq_dists)
         return PackageBatchState(x_in=x, kernel_vals=phi_matrix(m, self.kernel, out=kernel_vals))
 
@@ -142,7 +144,7 @@ class Package:
         The output (r x n_out), distances and kernel values (r x k each) are
         written into ``out``, ``sq_dists`` and ``kernel_vals`` when given.
         """
-        x = as_matrix(x, dtype=self.dtype, name="batch input")
+        x = np.asarray(x, dtype=self.dtype)
         m = self.squared_distances(x, out=sq_dists)
         state = PackageBatchState(x_in=x, sq_dists=m,
                                   kernel_vals=phi_matrix(m, self.kernel, out=kernel_vals))

@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .cascade import (INIT_MODES, SCORE_CHUNK_ROWS, MultiOutputCascade, TrainingBuffers,
-                      init_multi, one_hot_pm1, train_multi)
+from .cascade import (INIT_MODES, MultiOutputCascade, TrainingBuffers, init_multi, one_hot_pm1,
+                      train_multi)
 from .data import DataFormatError, Dataset, batches
 from .kernel import KernelParams
 from .linalg import NonFiniteError, NotSPDError, resolve_dtype
@@ -127,12 +127,12 @@ def finite_scores(model: MultiOutputCascade, features: np.ndarray) -> np.ndarray
 def first_unscorable_row(model: MultiOutputCascade, features: np.ndarray) -> int:
     """1-based number of the first row ``finite_scores`` rejects: chunk by chunk, then row by row.
 
-    Rows score independently, so the first failing slice of
-    SCORE_CHUNK_ROWS rows holds the row.  Should rounding let every row of
-    it pass alone, the slice's first row is named.
+    Rows score independently, so the first failing slice of one scoring
+    chunk (``model.chunk_rows`` rows) holds the row.  Should rounding let
+    every row of it pass alone, the slice's first row is named.
     """
     lo = 0
-    for size in (SCORE_CHUNK_ROWS, 1):
+    for size in (model.chunk_rows, 1):
         lo = next((i for i in range(lo, features.shape[0], size)
                    if finite_scores(model, features[i:i + size]) is None), lo)
     return lo + 1
@@ -180,12 +180,12 @@ def run_training(cfg: TrainConfig, train: Dataset, test: Dataset,
                        kernel=cfg.kernel, sigma2=cfg.sigma2, dtype=cfg.precision)
     dtype = resolve_dtype(cfg.precision)
 
-    eval_rng = np.random.default_rng(cfg.seed + 10_007)
+    # the train metric's rows: a subsample of a large split, else the split itself, uncopied
+    eval_idx, train_eval = None, train
     if train.n_rows > TRAIN_EVAL_CAP:
+        eval_rng = np.random.default_rng(cfg.seed + 10_007)
         eval_idx = np.sort(eval_rng.choice(train.n_rows, size=TRAIN_EVAL_CAP, replace=False))
-    else:
-        eval_idx = np.arange(train.n_rows)
-    train_eval = Dataset(train.features[eval_idx], train.labels[eval_idx])
+        train_eval = Dataset(train.features[eval_idx], train.labels[eval_idx])
 
     writer = _CsvSink(csv_path) if csv_path else None
     records: list[EpochRecord] = []

@@ -6,6 +6,7 @@ import sys
 import textwrap
 import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +14,9 @@ import pytest
 
 from polycascade import cascade as cascade_module
 from polycascade import linalg
-from polycascade.cascade import (PANEL_ROWS, SCORE_CHUNK_ROWS, MultiOutputCascade,
-                                 TrainingBuffers, assemble_system, backward_quantities, init_multi,
-                                 one_hot_pm1, train_multi)
+from polycascade.cascade import (PANEL_ROWS, MultiOutputCascade, TrainingBuffers,
+                                 assemble_system, backward_quantities, init_multi, one_hot_pm1,
+                                 train_multi)
 from polycascade.constellation import octahedral_points, synthesize_u
 from polycascade.kernel import KernelParams
 from polycascade.linalg import NonFiniteError, NotSPDError, ShapeMismatchError
@@ -65,14 +66,15 @@ def test_architecture_shape():
     mc = init_multi([784, 100, 20, 20, 10], seed=0)
     cascade = mc.replicas[0]
     assert mc.d == 10
-    assert cascade.q == 4
+    assert len(cascade.packages) == 4
     assert mc.widths == [784, 100, 20, 20, 1]
     assert [(p.n_in, p.n_out) for p in cascade.packages] == [(784, 100), (100, 20), (20, 20),
                                                              (20, 1)]
     assert [p.k for p in cascade.packages] == [1569, 201, 41, 41]
     # the published 1.6M parameters: ten replicas of the single-output core
     per_replica = sum(p.values.size for p in cascade.packages)
-    assert mc.parameter_count() == per_replica * 10 == 1_617_810
+    assert sum(p.values.size for c in mc.replicas for p in c.packages) == per_replica * 10 \
+        == 1_617_810
 
 
 def test_random_init_row_norms_and_distinctness():
@@ -283,21 +285,6 @@ def test_train_multi_validates_target_width():
         train_multi(mc, np.zeros((3, 4)), np.ones((3, 3)))
 
 
-def test_predict_argmax_and_ties():
-    class Fixed:
-        def __init__(self, scores):
-            self._s = scores
-            self.d = scores.shape[1]
-
-        def scores(self, x0):
-            return self._s
-
-    scores = np.array([[0.9, -1.0], [0.5, 0.5]])
-    assert np.array_equal(np.argmax(scores, axis=1), [0, 0])  # ties -> lowest index
-    got = MultiOutputCascade.predict(Fixed(scores), None)
-    assert np.array_equal(got, [0, 0])
-
-
 def test_one_hot_encoding_consistency():
     labels = np.array([0, 2, 1])
     t = one_hot_pm1(labels, 3)
@@ -357,12 +344,12 @@ def test_shared_layer1_training_matches_replicas_trained_alone(dtype):
 
 def test_scores_equal_per_replica_forward_batch(monkeypatch):
     # scores drops the intermediates forward_all keeps; the outputs are the same bits.
-    # Both cases end in a partial chunk after several full ones; the second is the default
-    # chunk.  The packages are narrow, so each call scores in one part.
+    # Both cases end in a partial chunk after several full ones; the second is the model's
+    # own chunk.
     rng = np.random.default_rng(41)
     mc = init_multi([5, 4, 3, 3], seed=41, alpha=2.0)
-    for rows, chunk in ((23, 7), (2 * SCORE_CHUNK_ROWS + 300, SCORE_CHUNK_ROWS)):
-        monkeypatch.setattr(cascade_module, "SCORE_CHUNK_ROWS", chunk)
+    for rows, chunk in ((23, 7), (2 * mc.chunk_rows + 300, mc.chunk_rows)):
+        monkeypatch.setattr(MultiOutputCascade, "chunk_rows", chunk)
         x = rng.uniform(-1, 1, (rows, 5))
         got = mc.scores(x)
         expected = [mc.forward_all(x[lo:lo + chunk])[0] for lo in range(0, rows, chunk)]
@@ -414,50 +401,71 @@ def scoring_tasks(monkeypatch):
     return counts
 
 
-def split_narrow_scoring(monkeypatch):
-    # a narrow model's chunk is far below SWEEP_PART_BYTES, so it would score in one part
-    monkeypatch.setattr(cascade_module, "SWEEP_PART_BYTES", 1)
-
-
 @pytest.mark.parametrize("workers", [2, 3])
 @pytest.mark.parametrize("d", [1, 3])
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 def test_threaded_scores_equal_one_thread_scores_in_the_same_chunks(monkeypatch, blas_threads,
                                                                    scoring_tasks, workers, d,
                                                                    dtype):
-    # parts beyond the pool's threads (cores - 1) wait for one, so three workers fit any host
-    split_narrow_scoring(monkeypatch)
+    # tasks beyond the pool's threads (cores - 1) wait for one, so three workers fit any host;
+    # a call runs one task per worker, but never more tasks than it has chunks
     mc = narrow_model(d, dtype)
-    step = SCORE_CHUNK_ROWS // workers
-    x = np.random.default_rng(d).uniform(-1.2, 1.2, (5000, 5))
-    for rows in (0, 1, step - 1, step, step + 1, 2 * step + 3, 5000):
+    step = mc.chunk_rows
+    x = np.random.default_rng(d).uniform(-1.2, 1.2, (3 * step + 5, 5))
+    for rows in (0, 1, step - 1, step, step + 1, 2 * step + 3, 3 * step + 5):
         monkeypatch.setattr(cascade_module, "worker_count", lambda: workers)
         scoring_tasks.clear()
         got = mc.scores(x[:rows])
         assert scoring_tasks == [min(workers, -(-rows // step))], rows
         monkeypatch.setattr(cascade_module, "worker_count", lambda: 1)
-        monkeypatch.setattr(cascade_module, "SCORE_CHUNK_ROWS", step)
         expected = mc.scores(x[:rows])
-        monkeypatch.setattr(cascade_module, "SCORE_CHUNK_ROWS", SCORE_CHUNK_ROWS)
         assert got.shape == (rows, d) and got.dtype == np.dtype(dtype)
         assert np.array_equal(got, expected), rows
         if blas_threads is not None:
             assert blas_threads() == 3
 
 
+def scoring_model(shape, dtype):
+    widths = {"10,50x9,1": [10] + [50] * 9 + [1], "10x100,1": [10] * 100 + [1],
+              "28,200x19,1": [28] + [200] * 19 + [1]}[shape]
+    return init_multi(widths, seed=52, mode="identity-fragments", alpha=50.0, dtype=dtype)
+
+
+@pytest.mark.parametrize("shape,dtype", [("10,50x9,1", "float64"), ("10,50x9,1", "float32"),
+                                         ("10x100,1", "float32"), ("10x100,1", "float64"),
+                                         ("28,200x19,1", "float32")])
+def test_scores_do_not_depend_on_the_worker_count(monkeypatch, shape, dtype):
+    # every call scores in the model's own chunks, whichever task takes each one: a call
+    # shorter than one chunk, exactly one chunk, and several ending in a partial one
+    mc = scoring_model(shape, dtype)
+    step = mc.chunk_rows
+    x = np.random.default_rng(52).uniform(-1, 1, (3 * step + step // 3, mc.widths[0]))
+    for rows in (step // 2, step, x.shape[0]):
+        got = []
+        for workers in (1, 2, 3, 4):
+            monkeypatch.setattr(cascade_module, "worker_count", lambda: workers)
+            got.append(mc.scores(x[:rows]))
+        assert all(np.array_equal(g, got[0]) for g in got[1:]), rows
+
+
 def test_narrow_packages_score_in_one_part_and_wide_ones_split(monkeypatch, blas_threads,
                                                                scoring_tasks):
-    # the sweeps' rule, on one 1024-row chunk of all the packages: 20 float32 packages of
-    # k = 21 hold 86 kB, under the 300 kB that two parts need; one package of k = 801
-    # (3.3 MB in float64) and the shells-deep replica (mean k 93, 762 kB) split
+    # 768 kB of an r x k array at the packages' mean k, in multiples of 16 rows within 512
+    # to 2048: the wide one-package model (k = 801), the higgs-eval and mnist-shape shapes
+    # stay at 512 rows, the shells-deep replica (mean k 93) takes 1024, and 20 float32
+    # packages of k = 21 take 2048, so a 2000-row call of them runs in one task
     monkeypatch.setattr(cascade_module, "worker_count", lambda: 2)
-    x = np.random.default_rng(51).uniform(-1, 1, (5000, 400))
-    for model, cols in ((init_multi([400, 1], seed=51), 400), (shells_deep_model(), 10)):
-        model.scores(x[:, :cols])
     narrow = init_multi([10] * 20 + [1], seed=51, mode="identity-fragments", alpha=50.0,
                         dtype="float32")
+    models = [init_multi([400, 1], seed=51), scoring_model("28,200x19,1", "float32"),
+              init_multi([784, 100, 20, 20, 1], seed=51), shells_deep_model(), narrow]
+    assert [m.chunk_rows for m in models] == [512, 512, 512, 1024, 2048]
+    assert init_multi([784, 100, 20, 20, 10], seed=51).chunk_rows == 512  # not set by d
+    x = np.random.default_rng(51).uniform(-1, 1, (2000, 784))
+    for model in models:
+        model.scores(x[:, :model.widths[0]])
+    assert scoring_tasks == [2, 2, 2, 2, 1]
     got = narrow.scores(x[:, :10])
-    assert scoring_tasks == [2, 2, 1]
     if blas_threads is not None:
         assert blas_threads() == 3  # one task runs with BLAS as it is
     monkeypatch.setattr(linalg, "_BLAS_THREADS", None)
@@ -465,26 +473,46 @@ def test_narrow_packages_score_in_one_part_and_wide_ones_split(monkeypatch, blas
 
 
 def test_errstate_holds_in_scoring_workers(monkeypatch, blas_threads, scoring_tasks):
+    # an overflow in every chunk: a thread that scored one without the caller's errstate
+    # would warn, which is an error here, instead of calling back
     monkeypatch.setattr(cascade_module, "worker_count", lambda: 2)
-    split_narrow_scoring(monkeypatch)
     mc = init_multi([3, 4, 1], seed=0, alpha=1.0)
-    x = np.random.default_rng(0).uniform(-1, 1, (5000, 3))
-    x[-1, 0] = 1e308  # finite, so it passes the input check; in the last part, a worker's
-    with np.errstate(over="raise"):
-        with pytest.raises(FloatingPointError, match="overflow encountered"):
+    step = mc.chunk_rows
+    x = np.random.default_rng(0).uniform(-1, 1, (64 * step, 3))
+    x[::step, 0] = 1e308  # finite, so it passes the input check
+    threads = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="call", invalid="ignore",
+                         call=lambda *_: threads.add(threading.get_ident())):
             mc.scores(x)
     assert scoring_tasks == [2]
+    assert len(threads) == 2
     if blas_threads is not None:
         assert blas_threads() == 3
-    x[-1, 0] = 0.5
+    x[::step, 0] = 0.5
     assert np.isfinite(mc.scores(x)).all()
+
+
+def test_a_row_on_a_constellation_point_scores_and_trains_without_warnings():
+    # m = 0 reaches the kernel's logarithm, in layer 1 and, through the identity fragments,
+    # in package 2; no scan guards it, and no log warning may escape
+    mc = init_multi([3, 3, 3, 1], seed=53, mode="identity-fragments", alpha=5.0)
+    rng = np.random.default_rng(53)
+    x = np.vstack([octahedral_points(3), rng.uniform(-1, 1, (9, 3))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(mc.scores(x)).all()
+        reports = train_multi(mc, x, rng.choice([-1.0, 1.0], (16, 1)))
+    assert np.isfinite(reports[0].solve_residual_inf)
+    assert all(np.isfinite(p.values).all() for p in mc.replicas[0].packages)
 
 
 def test_concurrent_scores_calls_are_correct(monkeypatch, blas_threads, scoring_tasks):
     # more calling threads than cores, switching often: each region holds the module lock
-    split_narrow_scoring(monkeypatch)
     mc = narrow_model(3, "float64")
-    inputs = [np.random.default_rng(i).uniform(-1, 1, (2000, 5)) for i in range(4)]
+    rows = 2 * mc.chunk_rows + 100
+    inputs = [np.random.default_rng(i).uniform(-1, 1, (rows, 5)) for i in range(4)]
     expected = [mc.scores(x) for x in inputs]
     failures = []
 
@@ -505,7 +533,7 @@ def test_concurrent_scores_calls_are_correct(monkeypatch, blas_threads, scoring_
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert failures == []
-    assert set(scoring_tasks) == {cascade_module.worker_count()}
+    assert set(scoring_tasks) == {min(cascade_module.worker_count(), 3)}
     if blas_threads is not None:
         assert blas_threads() == 3
 
@@ -513,9 +541,8 @@ def test_concurrent_scores_calls_are_correct(monkeypatch, blas_threads, scoring_
 def test_scoring_region_waits_while_another_region_runs(monkeypatch, scoring_tasks):
     # the BLAS thread count is process-global: a second region would save the first's count of 1
     monkeypatch.setattr(cascade_module, "worker_count", lambda: 2)
-    split_narrow_scoring(monkeypatch)
     mc = narrow_model(1, "float64")
-    x = np.random.default_rng(0).uniform(-1, 1, (2000, 5))
+    x = np.random.default_rng(0).uniform(-1, 1, (2 * mc.chunk_rows + 100, 5))
     got = []
     with linalg._PARALLEL_LOCK:
         caller = threading.Thread(target=lambda: got.append(mc.scores(x)))
@@ -530,14 +557,10 @@ def test_scoring_region_waits_while_another_region_runs(monkeypatch, scoring_tas
 
 def test_scores_without_blas_thread_routines_run_in_the_calling_thread(monkeypatch,
                                                                          scoring_tasks):
-    # the threaded call scores in chunks of SCORE_CHUNK_ROWS, as the one-thread call does
     workers = linalg.worker_count()
-    split_narrow_scoring(monkeypatch)
     mc = narrow_model(3, "float64")
-    x = np.random.default_rng(5).uniform(-1, 1, (2 * SCORE_CHUNK_ROWS + 300, 5))
-    monkeypatch.setattr(cascade_module, "SCORE_CHUNK_ROWS", SCORE_CHUNK_ROWS * workers)
+    x = np.random.default_rng(5).uniform(-1, 1, (2 * mc.chunk_rows + 300, 5))
     threaded = mc.scores(x)
-    monkeypatch.setattr(cascade_module, "SCORE_CHUNK_ROWS", SCORE_CHUNK_ROWS)
     monkeypatch.setattr(linalg, "_BLAS_THREADS", None)
     assert linalg.worker_count() == 1
     assert np.array_equal(mc.scores(x), threaded)
@@ -846,8 +869,8 @@ def test_assembly_panels_are_each_built_once_under_contention(monkeypatch):
 @pytest.mark.parametrize("failure", [NotSPDError, NonFiniteError])
 def test_blas_thread_count_is_restored_after_a_failing_step(monkeypatch, blas_threads,
                                                             failure):
-    # NotSPDError comes from the solve, after the regions; NonFiniteError from a NaN
-    # coefficient whose NaN outputs the next package rejects inside every sweep part
+    # NotSPDError comes from the solve, after the regions; NonFiniteError is raised by a
+    # package's forward pass inside every sweep part
     monkeypatch.setattr(cascade_module, "worker_count", lambda: 2)
     mc = shells_deep_model(depth=3)
     rng = np.random.default_rng(50)
@@ -863,8 +886,10 @@ def test_blas_thread_count_is_restored_after_a_failing_step(monkeypatch, blas_th
                             lambda s, rhs, **kw: solve(-s, rhs, **kw))
         match = "replica 0"
     else:
-        mc.replicas[0].packages[1].coeffs[0, 0] = np.nan
-        match = "batch input contains NaN"
+        def failing_forward(*args, **kwargs):
+            raise NonFiniteError("raised in a sweep part")
+        monkeypatch.setattr(mc.replicas[0].packages[2], "forward", failing_forward)
+        match = "raised in a sweep part"
     with pytest.raises(failure, match=match):
         train_multi(mc, x0, targets)
     if blas_threads is not None:

@@ -5,8 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polycascade import cli, training
-from polycascade.cascade import init_multi
+from polycascade import cli
+from polycascade.cascade import MultiOutputCascade, init_multi
 from polycascade.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from polycascade.config import ConfigError, load_run_config
 from polycascade.linalg import NonFiniteError
@@ -277,8 +277,9 @@ def test_value_normalising_beyond_float_range_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("value", ["1e308", "1e150"])
 def test_eval_of_values_too_large_for_the_model_exits_2(tmp_path, monkeypatch, capsys, value):
     # no preprocessing, as a model trained with normalize = false is saved: 1e308 overflows
-    # into a NonFiniteError inside scores, 1e150 into a NaN score
-    monkeypatch.setattr(training, "SCORE_CHUNK_ROWS", 4)  # the bad row is not its chunk's first
+    # and 1e150 turns into a NaN score inside scores
+    # the bad row is not its chunk's first
+    monkeypatch.setattr(MultiOutputCascade, "chunk_rows", 4)
     snapshot, data = eval_inputs(tmp_path, 3)
     set_last_cell(Path(data), 6, value)
     Path(data).write_text("\n" + Path(data).read_text())  # the bad row is now file line 8
@@ -294,7 +295,8 @@ def test_eval_of_values_too_large_for_the_model_exits_2(tmp_path, monkeypatch, c
 def test_train_of_test_rows_too_large_for_the_model_exits_1(tmp_path, monkeypatch, capsys):
     # with normalize = false a 1e150 test row scores NaN and a 1e308 one overflows inside
     # scores; the epoch's evaluation names the row, and no overflow warning reaches the user
-    monkeypatch.setattr(training, "SCORE_CHUNK_ROWS", 4)  # the bad row is not its chunk's first
+    # the bad row is not its chunk's first
+    monkeypatch.setattr(MultiOutputCascade, "chunk_rows", 4)
     for value in ("1e308", "1e150"):
         run = tmp_path / value
         run.mkdir()

@@ -139,6 +139,16 @@ def test_explicit_constellation_duplicate_points():
     assert u.shape == (3, 3)
 
 
+def test_gram_inverse_reads_distances_clamped_at_zero():
+    # phi_matrix does not scan for negative distances; on these general points the expanded
+    # formula rounds some to about -1e-15, which the oracle clamps before the kernel
+    pts = np.random.default_rng(1).uniform(-1, 1, (21, 10))
+    assert pairwise_sq_dists(pts).min() >= 0.0
+    u = gram_inverse(pts, KP)
+    gram = np.array([[phi(v, KP) for v in row] for row in pairwise_sq_dists(pts)])
+    assert np.abs(u @ gram - np.eye(21)).max() <= 1e-8
+
+
 def test_explicit_u_general_points():
     rng = np.random.default_rng(5)
     pts = rng.uniform(-1, 1, (6, 3))

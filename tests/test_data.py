@@ -10,7 +10,7 @@ import pytest
 
 import polycascade
 from polycascade.data import (DataFormatError, Dataset, TransformSpec, batches,
-                              fit_apply_transforms, invert_minmax, load_delimited, load_idx)
+                              fit_apply_transforms, load_delimited, load_idx)
 
 
 def write_idx_pair(tmp_path, images, labels, image_magic=0x803, label_magic=0x801,
@@ -227,9 +227,12 @@ def test_normalization_roundtrip():
     features[:, 2] = 3.0  # zero-range column
     ds = Dataset(features, np.zeros(40))
     out, spec = fit_apply_transforms(ds, TransformSpec())
-    back = invert_minmax(out.features, spec)
+    lo, hi = features.min(axis=0), features.max(axis=0)
+    assert spec.col_min == tuple(lo) and spec.col_max == tuple(hi)
     keep = [0, 1, 3]
-    assert np.abs(back[:, keep] - features[:, keep]).max() <= 1e-9
+    expected = 2.0 * (features[:, keep] - lo[keep]) / (hi[keep] - lo[keep]) - 1.0
+    assert np.array_equal(out.features[:, keep], expected)
+    assert np.all(out.features[:, 2] == 0.0)
 
 
 def test_transform_spec_json_roundtrip():

@@ -68,11 +68,6 @@ def test_phi_matrix_shape_preserved_and_matches_scalar():
     assert np.array_equal(out, scalar) or np.allclose(out, scalar, rtol=0, atol=0)
 
 
-def test_phi_matrix_rejects_negative_entry():
-    with pytest.raises(NegativeDistanceError):
-        phi_matrix(np.array([[1.0, -0.5]]), KP)
-
-
 def test_theta_zero_crossing():
     m = math.exp(2 * KP.b - 1)  # e^9
     assert abs(theta(m, KP)) <= 1e-12
@@ -89,8 +84,6 @@ def test_theta_matrix_matches_scalar_and_clamps():
     assert out[0, 1] == pytest.approx(0.0, abs=1e-12)
     # m = 0 is clamped to EPS_M before the log instead of producing -inf
     assert out[1, 0] == pytest.approx(math.log(EPS_M) - 9.0)
-    with pytest.raises(NegativeDistanceError):
-        theta_matrix(np.array([[-1.0]]), KP)
 
 
 def central_difference(m: float, h: float) -> float:

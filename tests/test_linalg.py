@@ -162,7 +162,13 @@ def test_in_place_solve_leaves_the_system_above_its_factor(route, dtype):
     assert np.array_equal(np.triu(work), np.triu(s))
     eps = np.finfo(dtype).eps
     bound = 60 * eps * (np.abs(s) @ np.abs(x)).max()
-    assert np.abs(symmetric_product(work, x) - s @ x).max() <= bound
+    for column in x.T:  # one column per product, as r or r x 1
+        for shape in ((60,), (60, 1)):
+            got = symmetric_product(work, column.reshape(shape))
+            assert got.shape == (60, 1) and got.dtype == np.dtype(dtype)
+            assert np.abs(got[:, 0] - s @ column).max() <= bound
+    with pytest.raises(ShapeMismatchError, match="one column"):
+        symmetric_product(work, x)
 
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
@@ -251,10 +257,8 @@ def test_forked_child_scores_with_a_pool_of_its_own():
         import os, signal, numpy as np, polycascade
         from polycascade import cascade
         cascade.worker_count = lambda: 2
-        cascade.SWEEP_PART_BYTES = 1  # the narrow model would score in one part
         model = polycascade.init_multi([3, 4, 1], seed=0)
-        assert len(cascade._row_parts(cascade.SCORE_CHUNK_ROWS, model.replicas[0].packages)) == 2
-        x = np.random.default_rng(0).uniform(-1, 1, (3000, 3))
+        x = np.random.default_rng(0).uniform(-1, 1, (2 * model.chunk_rows + 100, 3))
         want = model.scores(x)
         pid = os.fork()
         if pid == 0:

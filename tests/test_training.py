@@ -119,6 +119,29 @@ def test_float32_shells_end_to_end(monkeypatch):
     assert max(rep.solve_residual_inf for rep in reports) <= 1e-4
 
 
+def test_train_metric_reads_the_split_itself_below_the_cap(monkeypatch):
+    # at most TRAIN_EVAL_CAP rows: the per-epoch train metric scores the split's own rows,
+    # not a copy of them, and records what a copy of every row gave
+    train, test = split_class_task(seed=4)
+    cfg = TrainConfig(widths=[6, 8, 3], alpha=1.0, epochs=2, batch_rows=80, seed=4)
+    seen = []
+    evaluate = training._evaluate
+
+    def watched_evaluate(cfg, model, data, split, split_rows=None):
+        seen.append((split, data, split_rows))
+        return evaluate(cfg, model, data, split, split_rows)
+
+    monkeypatch.setattr(training, "_evaluate", watched_evaluate)
+    model, records = run_training(cfg, train, test)
+    metric_rows = [(data, rows) for split, data, rows in seen if split == "train"]
+    assert len(metric_rows) == 2
+    for data, rows in metric_rows:
+        assert np.shares_memory(data.features, train.features) and rows is None
+    every_row = np.arange(train.n_rows)
+    copy = Dataset(train.features[every_row], train.labels[every_row])
+    assert records[-1].train_metric == evaluate(cfg, model, copy, "train", every_row)
+
+
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 def test_training_buffers_live_for_one_epoch(monkeypatch, dtype):
     # 400 rows in batches of 160: two full batches of two panels each, then a short one
