@@ -376,7 +376,7 @@ def train_step(cascade: Cascade, ws: CascadeBatchWorkspace, lstar: np.ndarray,
     system = assemble_system(layer1, bases, grads, alpha, buffers)
     if not (np.isfinite(system).all() and np.isfinite(delta_l).all()):
         raise NonFiniteError("training system or output residual contains NaN or Inf")
-    b_vec = spd_solve(system, delta_l, factor_buf=system)
+    b_vec = spd_solve(system, delta_l, overwrite=True)
     solve_residual = float(np.abs(symmetric_product(system, b_vec) - delta_l).max())
 
     # all updates are computed against pre-update intermediates, then applied
@@ -570,7 +570,8 @@ def train_multi(mc: MultiOutputCascade, x0, targets,
     the wrong shape raise before any update.  If replica j fails, in its
     forward pass or in its step, replicas before it are fully updated,
     layer 1 included, and replica j and those after it are untouched.  A
-    non-SPD system is re-raised with the failing replica's index.
+    non-SPD or non-finite system is re-raised with the failing replica's
+    index.
     """
     layer1, x1 = mc._layer1(x0)
     r = layer1.x_in.shape[0]
@@ -594,8 +595,8 @@ def train_multi(mc: MultiOutputCascade, x0, targets,
                 reports.append(train_step(c, ws, targets[:, i:i + 1],
                                           scaled[:, i * n1:(i + 1) * n1], mc.alpha, buffers))
                 del ws  # before the next replica's forward pass
-            except NotSPDError as exc:
-                raise NotSPDError(f"replica {i}: {exc}") from exc
+            except (NotSPDError, NonFiniteError) as exc:
+                raise type(exc)(f"replica {i}: {exc}") from exc
     finally:
         if reports:
             # H1^T (G1 * b) of every trained replica in one product

@@ -10,18 +10,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from . import bench as bench_mod
 from . import verify as verify_mod
 from .config import (ConfigError, RunConfig, load_datasets, load_run_config,
                      missing_data_paths)
 from .data import DataFormatError, TransformSpec, fit_apply_transforms, load_delimited, load_idx
 from .linalg import NonFiniteError, NotSPDError
-from .metrics import accuracy, roc_auc
 from .snapshot import SnapshotFormatError, load_snapshot, save_snapshot
-from .training import (check_labels, check_split_labels, finite_scores, first_unscorable_row,
-                       run_training)
+from .training import check_labels, check_split_labels, evaluate, run_training
 
 EXIT_OK = 0
 EXIT_NUMERIC = 1
@@ -112,28 +108,17 @@ def cmd_eval(args) -> int:
         if data.n_features != model.widths[0]:
             raise DataFormatError(f"{args.dataset}: {data.n_features} features, "
                                   f"the model expects {model.widths[0]}")
-        # the metric below is ROC AUC for one output and accuracy for several, as in training
-        check_split_labels(data.labels, "binary-auc" if model.d == 1 else "classify", model.d,
-                           args.dataset)
+        # one output is scored as task binary-auc and several as classify, as in training
+        task = "binary-auc" if model.d == 1 else "classify"
+        check_split_labels(data.labels, task, model.d, args.dataset)
         if preprocessing is not None:
             data, _ = fit_apply_transforms(data, TransformSpec.from_dict(preprocessing))
-    except (DataFormatError, OSError) as exc:
+        metric = evaluate(model, data, task,
+                          lambda i: f"{args.dataset}: data row {i + 1} (blank lines not counted)")
+    except (DataFormatError, NonFiniteError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite scores are named below
-        scores = finite_scores(model, data.features)
-        if scores is None:
-            print(f"data error: {args.dataset}: data row "
-                  f"{first_unscorable_row(model, data.features)} (blank lines not counted) "
-                  f"has no finite score; its values are too large for the model", file=sys.stderr)
-            return EXIT_CONFIG
-    if model.d > 1:
-        metric = accuracy(np.argmax(scores, axis=1), data.labels)
-        print(f"accuracy: {metric:.4f}")
-    else:
-        metric = roc_auc(scores[:, 0], data.labels)
-        print(f"roc_auc: {metric:.4f}")
+    print(f"{'roc_auc' if task == 'binary-auc' else 'accuracy'}: {metric:.4f}")
     return EXIT_OK
 
 

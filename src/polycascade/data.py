@@ -86,7 +86,8 @@ def load_idx(images_path, labels_path) -> Dataset:
     """Load an IDX image/label file pair into rows of raw byte values.
 
     Image pixels arrive as floats in [0, 255]; apply a transform spec to map
-    them into the cascade's working range.
+    them into the cascade's working range.  A pair of 0 images is rejected
+    as an empty dataset, as ``load_delimited`` rejects a file of no rows.
     """
     images_path, labels_path = Path(images_path), Path(labels_path)
     with open(images_path, "rb") as f:
@@ -94,6 +95,8 @@ def load_idx(images_path, labels_path) -> Dataset:
         if magic != IDX_IMAGES_MAGIC:
             raise DataFormatError(
                 f"{images_path}: bad magic 0x{magic:08x}, expected 0x{IDX_IMAGES_MAGIC:08x}")
+        if count == 0:
+            raise DataFormatError(f"{images_path}: empty dataset")
         payload = _read_exact(f, count * rows * cols, f"{count} images of {rows}x{cols}",
                               images_path)
         if f.read(1):

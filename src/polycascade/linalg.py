@@ -150,24 +150,23 @@ def _not_spd(order: int) -> NotSPDError:
                        "is not positive")
 
 
-def spd_solve(s: np.ndarray, rhs: np.ndarray,
-              factor_buf: np.ndarray | None = None) -> np.ndarray:
+def spd_solve(s: np.ndarray, rhs: np.ndarray, overwrite: bool = False) -> np.ndarray:
     """Solve s @ x = rhs for symmetric positive definite s via Cholesky.
 
     Only the lower triangle of ``s`` is read.  LAPACK ``potrf`` factors a
     C-order factor buffer in place: read as a column-major matrix, its lower
     triangle is the upper one, so ``uplo='U'``.  ``potrs`` then solves with
-    the same buffer.  The buffer is ``factor_buf`` when given (C-contiguous,
-    of ``s``'s shape and the solve's dtype), into which ``s`` is copied, or a
-    fresh copy of ``s`` when not.  With ``factor_buf=s`` the copy is skipped
-    and ``s`` is factored in place: its strict lower triangle then holds the
-    factor, while its diagonal, saved before the factor and put back after
-    the solve, and its strict upper triangle, which ``potrf`` never touches,
-    still hold ``s``, so ``symmetric_product`` can still multiply by it.
-    After a failed factor, ``s``'s lower triangle is undefined.  The solve
-    runs in float32 when ``s`` and ``rhs`` both are, otherwise in float64.
-    Never forms the explicit inverse.  A non-positive pivot is reported as
-    NotSPDError naming the leading minor, distinct from shape errors.
+    the same buffer, a fresh copy of ``s``.  With ``overwrite`` the copy is
+    skipped and ``s`` itself, which must then be C-contiguous and of the
+    solve's dtype, is factored in place: its strict lower triangle then
+    holds the factor, while its diagonal, saved before the factor and put
+    back after the solve, and its strict upper triangle, which ``potrf``
+    never touches, still hold ``s``, so ``symmetric_product`` can still
+    multiply by it.  After a failed factor, ``s``'s lower triangle is
+    undefined.  The solve runs in float32 when ``s`` and ``rhs`` both are,
+    otherwise in float64.  Never forms the explicit inverse.  A non-positive
+    pivot is reported as NotSPDError naming the leading minor, distinct
+    from shape errors.
 
     Both routines are numpy's own, the library every product of the
     training step runs in, so no second BLAS library is loaded beside it.
@@ -185,16 +184,10 @@ def spd_solve(s: np.ndarray, rhs: np.ndarray,
     if _LAPACK is None:
         return _spd_solve_fallback(s, r)
     dt = np.dtype(np.float32 if s.dtype == r.dtype == np.float32 else np.float64)
-    if factor_buf is None:
-        factor = np.array(s, dtype=dt, order="C")
-    elif (factor_buf.shape != s.shape or factor_buf.dtype != dt
-          or not factor_buf.flags.c_contiguous):
-        raise ValueError(f"factor_buf must be a C-contiguous {s.shape} {dt} array")
-    else:
-        factor = factor_buf
-        if factor is not s:
-            np.copyto(factor, s)
-    diagonal = s.diagonal().copy() if factor is s else None
+    if overwrite and (s.dtype != dt or not s.flags.c_contiguous):
+        raise ValueError(f"overwrite needs a C-contiguous {s.shape} {dt} system")
+    factor = s if overwrite else np.array(s, dtype=dt, order="C")
+    diagonal = s.diagonal().copy() if overwrite else None
     x = np.array(r, dtype=dt, order="F")  # potrs overwrites it with the solution
     int_t, potrf, potrs, _ = _LAPACK[dt]
     n, nrhs, info = int_t(s.shape[0]), int_t(r.shape[1]), int_t(0)
@@ -217,7 +210,7 @@ def symmetric_product(s: np.ndarray, x: np.ndarray) -> np.ndarray:
     Reads ``s``'s diagonal and strict upper triangle only: one call of
     numpy's own ``?symv`` reads a C-order upper triangle as a column-major
     lower one (``uplo='L'``), so the product is right after
-    ``spd_solve(s, rhs, factor_buf=s)`` has written its factor below the
+    ``spd_solve(s, rhs, overwrite=True)`` has written its factor below the
     diagonal.  Where numpy's build exports no routine, that solve never
     writes ``s``, and this is ``s @ x``.
     """

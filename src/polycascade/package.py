@@ -30,7 +30,7 @@ Values are validated (shape, and NaN/Inf via ``as_matrix``) in
 ``set_values``; a batch's width is checked, but the cascade scans a batch
 for NaN/Inf once, where it enters.  A non-finite value made in the chain
 propagates into the scores or the training system, which
-``training.finite_scores`` and ``cascade.train_step`` check.
+``training.evaluate`` and ``cascade.train_step`` check.
 """
 
 from __future__ import annotations

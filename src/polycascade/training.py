@@ -5,7 +5,9 @@ per-epoch shuffles, and the train-metric subsample all derive from it.
 Each batch is one ``train_multi`` call, and each epoch's batches share one
 ``TrainingBuffers`` set.  Records are appended per epoch and can be streamed
 to a CSV that survives interruption (one flush per epoch, closed on every
-exit).
+exit).  Every metric, each epoch's and ``polycascade eval``'s, comes from
+``evaluate``: one ``scores`` call, the task's metric, and the first row
+without a finite score named when there is one.
 """
 
 from __future__ import annotations
@@ -115,45 +117,26 @@ def _targets_for(cfg: TrainConfig, labels: np.ndarray, d: int, dtype) -> np.ndar
     return (2.0 * np.asarray(labels, dtype=np.float64).reshape(-1, 1) - 1.0).astype(dtype)
 
 
-def finite_scores(model: MultiOutputCascade, features: np.ndarray) -> np.ndarray | None:
-    """``model.scores(features)``, or None where a score or an intermediate is NaN or Inf."""
-    try:
-        scores = model.scores(features)
-    except NonFiniteError:
-        return None
-    return scores if np.isfinite(scores).all() else None
+def evaluate(model: MultiOutputCascade, data: Dataset, task: str, row_name) -> float:
+    """``task``'s metric of ``model`` on ``data``: accuracy for classify, ROC AUC for binary-auc.
 
-
-def first_unscorable_row(model: MultiOutputCascade, features: np.ndarray) -> int:
-    """1-based number of the first row ``finite_scores`` rejects: chunk by chunk, then row by row.
-
-    Rows score independently, so the first failing slice of one scoring
-    chunk (``model.chunk_rows`` rows) holds the row.  Should rounding let
-    every row of it pass alone, the slice's first row is named.
-    """
-    lo = 0
-    for size in (model.chunk_rows, 1):
-        lo = next((i for i in range(lo, features.shape[0], size)
-                   if finite_scores(model, features[i:i + size]) is None), lo)
-    return lo + 1
-
-
-def _evaluate(cfg: TrainConfig, model: MultiOutputCascade, data: Dataset, split: str,
-              split_rows: np.ndarray | None = None) -> float:
-    """The split's metric.  ``split_rows`` gives the split's 0-based row of each of ``data``'s.
-
-    A row without a finite score raises ``NonFiniteError`` naming the split
-    and its 1-based row there, with numpy's overflow warnings silenced.
+    ``data`` is scored in one ``scores`` call, with numpy's overflow
+    warnings silenced.  Rows score independently, so a row that overflows
+    gives a NaN or Inf score in its own row alone; the first row without a
+    finite score raises ``NonFiniteError`` naming it as ``row_name(i)`` of
+    its 0-based index ``i``.  A NaN or Inf feature, which ``scores`` rejects
+    where the batch enters, is named the same way.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        scores = finite_scores(model, data.features)
-        if scores is None:
-            row = first_unscorable_row(model, data.features)
-            if split_rows is not None:
-                row = int(split_rows[row - 1]) + 1
-            raise NonFiniteError(f"{split} split row {row} has no finite score; its values are "
-                                 f"too large for the model")
-    if cfg.task == "classify":
+        try:
+            scores = model.scores(data.features)
+        except NonFiniteError:  # a NaN or Inf feature, in the batch as scores cast it
+            scores = np.asarray(data.features, dtype=model.dtype)
+        unscorable = ~np.isfinite(scores).all(axis=1)
+    if unscorable.any():
+        raise NonFiniteError(f"{row_name(int(unscorable.argmax()))} has no finite score; its "
+                             f"values are too large for the model")
+    if task == "classify":
         return accuracy(np.argmax(scores, axis=1), data.labels)
     return roc_auc(scores[:, 0], data.labels)
 
@@ -170,9 +153,12 @@ def run_training(cfg: TrainConfig, train: Dataset, test: Dataset,
     The CSV is closed however the run ends.  A non-SPD training system
     raises ``NotSPDError`` naming the epoch, the 1-based batch within it,
     and the replica.  Labels the task cannot use raise ``DataFormatError``
-    (``check_labels``) before the first batch.  A NaN or Inf score in an
-    epoch's evaluation raises ``NonFiniteError`` naming the split and the
-    first such 1-based row in it.
+    (``check_labels``) before the first batch.  A NaN or Inf in a training
+    system raises ``NonFiniteError`` naming the epoch, batch and replica, as
+    a non-SPD one does; the batches train with numpy's overflow warnings
+    silenced.  A row of either split without a finite score in an epoch's
+    evaluation (``evaluate``) raises ``NonFiniteError`` naming the split
+    and the row's 1-based number in it.
     """
     check_labels(cfg, train, test)
     d = cfg.widths[-1]
@@ -180,21 +166,24 @@ def run_training(cfg: TrainConfig, train: Dataset, test: Dataset,
                        kernel=cfg.kernel, sigma2=cfg.sigma2, dtype=cfg.precision)
     dtype = resolve_dtype(cfg.precision)
 
-    # the train metric's rows: a subsample of a large split, else the split itself, uncopied
-    eval_idx, train_eval = None, train
+    # the train metric's rows: a subsample of a large split, else the split itself, uncopied;
+    # train_rows gives the split's 0-based row of each of train_eval's
+    train_rows, train_eval = range(train.n_rows), train
     if train.n_rows > TRAIN_EVAL_CAP:
         eval_rng = np.random.default_rng(cfg.seed + 10_007)
-        eval_idx = np.sort(eval_rng.choice(train.n_rows, size=TRAIN_EVAL_CAP, replace=False))
-        train_eval = Dataset(train.features[eval_idx], train.labels[eval_idx])
+        train_rows = np.sort(eval_rng.choice(train.n_rows, size=TRAIN_EVAL_CAP, replace=False))
+        train_eval = Dataset(train.features[train_rows], train.labels[train_rows])
 
     writer = _CsvSink(csv_path) if csv_path else None
     records: list[EpochRecord] = []
 
     def emit(epoch: int, residual: float, t0: float):
         """Evaluate the model on both splits and record the epoch, timed from ``t0``."""
-        record = EpochRecord(epoch, _evaluate(cfg, model, train_eval, "train", eval_idx),
-                             _evaluate(cfg, model, test, "test"), residual,
-                             time.perf_counter() - t0)
+        record = EpochRecord(
+            epoch, evaluate(model, train_eval, cfg.task,
+                            lambda i: f"train split row {train_rows[i] + 1}"),
+            evaluate(model, test, cfg.task, lambda i: f"test split row {i + 1}"), residual,
+            time.perf_counter() - t0)
         records.append(record)
         if writer:
             writer.write(record)
@@ -210,14 +199,16 @@ def run_training(cfg: TrainConfig, train: Dataset, test: Dataset,
             buffers = TrainingBuffers(min(cfg.batch_rows, train.n_rows), dtype)
             batch_iter = batches(train, cfg.batch_rows, seed=cfg.seed + epoch,
                                  shuffle=cfg.shuffle)
-            for b, batch in enumerate(batch_iter, start=1):
-                x0 = batch.features.astype(dtype, copy=False)
-                targets = _targets_for(cfg, batch.labels, d, dtype)
-                try:
-                    reports = train_multi(model, x0, targets, buffers)
-                except NotSPDError as exc:
-                    raise NotSPDError(f"epoch {epoch}, batch {b}: {exc}") from exc
-                residuals.append(np.mean([rep.residual_before_rms for rep in reports]))
+            # an overflow is raised as NonFiniteError where the batch enters or by train_step
+            with np.errstate(over="ignore", invalid="ignore"):
+                for b, batch in enumerate(batch_iter, start=1):
+                    x0 = batch.features.astype(dtype, copy=False)
+                    targets = _targets_for(cfg, batch.labels, d, dtype)
+                    try:
+                        reports = train_multi(model, x0, targets, buffers)
+                    except (NotSPDError, NonFiniteError) as exc:
+                        raise type(exc)(f"epoch {epoch}, batch {b}: {exc}") from exc
+                    residuals.append(np.mean([rep.residual_before_rms for rep in reports]))
             # the buffers are released before scoring allocates its own arrays
             del buffers
             emit(epoch, float(np.mean(residuals)), t0)

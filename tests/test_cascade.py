@@ -691,7 +691,8 @@ def test_failing_replica_leaves_earlier_replicas_updated_and_itself_untouched(mo
                             lambda s, rhs, **kw: solve(-s if next(calls) == 2 else s, rhs, **kw))
     else:
         nan_coefficient_after_forward(monkeypatch, mc.replicas[2], 1)
-    with pytest.raises(failure, match="replica 2" if failure is NotSPDError else "training system"):
+    with pytest.raises(failure, match="^replica 2: " if failure is NotSPDError
+                       else "^replica 2: training system"):
         train_multi(mc, x0, targets)
     for shared, model in zip(mc.replicas[:2], alone):
         for pa, pb in zip(shared.packages, model.replicas[0].packages):

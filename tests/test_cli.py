@@ -1,3 +1,4 @@
+import re
 import struct
 import warnings
 from pathlib import Path
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from polycascade import cli
-from polycascade.cascade import MultiOutputCascade, init_multi
+from polycascade.cascade import init_multi
 from polycascade.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from polycascade.config import ConfigError, load_run_config
 from polycascade.linalg import NonFiniteError
@@ -275,11 +276,9 @@ def test_value_normalising_beyond_float_range_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("value", ["1e308", "1e150"])
-def test_eval_of_values_too_large_for_the_model_exits_2(tmp_path, monkeypatch, capsys, value):
+def test_eval_of_values_too_large_for_the_model_exits_2(tmp_path, capsys, value):
     # no preprocessing, as a model trained with normalize = false is saved: 1e308 overflows
     # and 1e150 turns into a NaN score inside scores
-    # the bad row is not its chunk's first
-    monkeypatch.setattr(MultiOutputCascade, "chunk_rows", 4)
     snapshot, data = eval_inputs(tmp_path, 3)
     set_last_cell(Path(data), 6, value)
     Path(data).write_text("\n" + Path(data).read_text())  # the bad row is now file line 8
@@ -292,11 +291,9 @@ def test_eval_of_values_too_large_for_the_model_exits_2(tmp_path, monkeypatch, c
     assert captured.out == ""
 
 
-def test_train_of_test_rows_too_large_for_the_model_exits_1(tmp_path, monkeypatch, capsys):
+def test_train_of_test_rows_too_large_for_the_model_exits_1(tmp_path, capsys):
     # with normalize = false a 1e150 test row scores NaN and a 1e308 one overflows inside
     # scores; the epoch's evaluation names the row, and no overflow warning reaches the user
-    # the bad row is not its chunk's first
-    monkeypatch.setattr(MultiOutputCascade, "chunk_rows", 4)
     for value in ("1e308", "1e150"):
         run = tmp_path / value
         run.mkdir()
@@ -311,6 +308,46 @@ def test_train_of_test_rows_too_large_for_the_model_exits_1(tmp_path, monkeypatc
             assert main(["train", str(path)]) == EXIT_NUMERIC
         err = capsys.readouterr().err
         assert "numeric failure: test split row 7 has no finite score" in err
+
+
+def test_train_of_a_training_row_too_large_for_the_model_exits_1(tmp_path, capsys):
+    # with normalize = false a 1e308 training row overflows in the batch's system; the
+    # failure names where it happened, and no overflow warning reaches the user
+    data = tmp_path / "d.csv"
+    rng = np.random.default_rng(3)
+    table = np.column_stack([np.arange(40) % 2, rng.uniform(-1, 1, (40, 3))])
+    table[12, 2] = 1e308
+    np.savetxt(data, table, delimiter=",")
+    path = tmp_path / "overflow.ini"
+    path.write_text(f"[data]\nformat = delimited\npath = {data}\nnormalize = false\n"
+                    f"train_rows = 30\n[model]\nwidths = 3,4,1\n[train]\n"
+                    f"task = binary-auc\nbatch_rows = 10\n[output]\ndir = {tmp_path / 'run'}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["train", str(path)]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert re.search(r"^numeric failure: epoch 1, batch [1-3]: replica 0: training system or "
+                     r"output residual contains NaN or Inf$", err, re.M)
+
+
+def test_empty_idx_pair_exits_2(tmp_path, capsys):
+    images, labels = tmp_path / "empty-images", tmp_path / "empty-labels"
+    images.write_bytes(struct.pack(">IIII", 0x803, 0, 2, 3))
+    labels.write_bytes(struct.pack(">II", 0x801, 0))
+    snapshot = tmp_path / "m.phc1"
+    save_snapshot(snapshot, init_multi([6, 4, 3], seed=0, alpha=1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["eval", str(snapshot), str(images), "--labels", str(labels)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == f"data error: {images}: empty dataset\n" and captured.out == ""
+    path = tmp_path / "idx.ini"
+    path.write_text(f"[data]\nformat = idx\ntrain_images = {images}\ntrain_labels = {labels}\n"
+                    f"test_images = {images}\ntest_labels = {labels}\n[model]\nwidths = 6,4,3\n"
+                    f"[output]\ndir = {tmp_path / 'run'}\n")
+    assert main(["train", str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"data error: {images}: empty dataset\n"
+    assert not (tmp_path / "run").exists()
 
 
 def test_non_utf8_bytes_exit_2(tmp_path, capsys):

@@ -143,22 +143,24 @@ def test_fallback_route_passes_the_spd_solve_tests(monkeypatch):
     test_spd_solve_same_bits_for_c_and_fortran_order()
 
 
-def test_spd_solve_factor_buffer_gives_the_same_bits():
+def test_in_place_solve_rejects_a_system_of_another_dtype_or_order():
+    # a float32 system solved against float64 rhs runs in float64, so it cannot be the factor
     s, rhs = _spd(50, 15)
-    buf = np.empty_like(s)
-    assert np.array_equal(spd_solve(s, rhs, factor_buf=buf), spd_solve(s, rhs))
-    with pytest.raises(ValueError, match="factor_buf"):
-        spd_solve(s, rhs, factor_buf=np.empty((50, 50), dtype=np.float32))
+    for system in (s.astype(np.float32), np.asfortranarray(s)):
+        kept = system.copy()
+        with pytest.raises(ValueError, match="overwrite needs a C-contiguous"):
+            spd_solve(system, rhs, overwrite=True)
+        assert np.array_equal(system, kept)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_in_place_solve_leaves_the_system_above_its_factor(route, dtype):
-    # factor_buf=s skips the copy: the factor takes the strict lower triangle, and the
+    # overwrite skips the copy: the factor takes the strict lower triangle, and the
     # diagonal and upper triangle still hold s, so symmetric_product multiplies by s
     s, rhs = _spd(60, 16, dtype)
     x = spd_solve(s.copy(), rhs)
     work = s.copy()
-    assert np.array_equal(spd_solve(work, rhs, factor_buf=work), x)
+    assert np.array_equal(spd_solve(work, rhs, overwrite=True), x)
     assert np.array_equal(np.triu(work), np.triu(s))
     eps = np.finfo(dtype).eps
     bound = 60 * eps * (np.abs(s) @ np.abs(x)).max()

@@ -8,8 +8,10 @@ import pytest
 
 from polycascade import cascade as cascade_module
 from polycascade import training
+from polycascade.cascade import init_multi
 from polycascade.data import DataFormatError, Dataset
-from polycascade.linalg import NotSPDError
+from polycascade.linalg import NonFiniteError, NotSPDError
+from polycascade.metrics import accuracy, roc_auc
 from polycascade.synthetic import make_shell_task
 from polycascade.training import CSV_HEADER, EpochRecord, TrainConfig, run_training
 
@@ -121,25 +123,84 @@ def test_float32_shells_end_to_end(monkeypatch):
 
 def test_train_metric_reads_the_split_itself_below_the_cap(monkeypatch):
     # at most TRAIN_EVAL_CAP rows: the per-epoch train metric scores the split's own rows,
-    # not a copy of them, and records what a copy of every row gave
+    # not a copy of them, names them by their own numbers, and records what a copy of every
+    # row gave
     train, test = split_class_task(seed=4)
     cfg = TrainConfig(widths=[6, 8, 3], alpha=1.0, epochs=2, batch_rows=80, seed=4)
     seen = []
-    evaluate = training._evaluate
+    evaluate = training.evaluate
 
-    def watched_evaluate(cfg, model, data, split, split_rows=None):
-        seen.append((split, data, split_rows))
-        return evaluate(cfg, model, data, split, split_rows)
+    def watched_evaluate(model, data, task, row_name):
+        seen.append((data, row_name))
+        return evaluate(model, data, task, row_name)
 
-    monkeypatch.setattr(training, "_evaluate", watched_evaluate)
+    monkeypatch.setattr(training, "evaluate", watched_evaluate)
     model, records = run_training(cfg, train, test)
-    metric_rows = [(data, rows) for split, data, rows in seen if split == "train"]
+    metric_rows = [(data, name) for data, name in seen if name(0).startswith("train")]
     assert len(metric_rows) == 2
-    for data, rows in metric_rows:
-        assert np.shares_memory(data.features, train.features) and rows is None
+    for data, name in metric_rows:
+        assert np.shares_memory(data.features, train.features)
+        assert name(7) == "train split row 8"
     every_row = np.arange(train.n_rows)
     copy = Dataset(train.features[every_row], train.labels[every_row])
-    assert records[-1].train_metric == evaluate(cfg, model, copy, "train", every_row)
+    assert records[-1].train_metric == evaluate(model, copy, cfg.task, str)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("dtype,too_large", [("float64", 1e308), ("float32", 3e38)])
+def test_evaluate_names_the_first_of_two_unscorable_rows_in_different_chunks(dtype, too_large,
+                                                                             d):
+    # at the model's own chunk size: each bad row overflows in its own row of the one call,
+    # and neither is its chunk's first; 3e38 is finite in float32 until it is squared
+    model = init_multi([3, 4, d], seed=30, alpha=1.0, dtype=dtype)
+    step = model.chunk_rows
+    rows = 2 * step + 300
+    rng = np.random.default_rng(30)
+    features = rng.uniform(-1, 1, (rows, 3))
+    first, second = step + 7, 2 * step + 11
+    features[first, 1] = too_large
+    features[second, 0] = -too_large
+    data = Dataset(features, np.arange(rows) % 2)
+    task = "binary-auc" if d == 1 else "classify"
+    with pytest.raises(NonFiniteError, match=f"^row {first + 1} has no finite score; its "
+                                             f"values are too large for the model$"):
+        training.evaluate(model, data, task, lambda i: f"row {i + 1}")
+    data.features[[first, second]] = 0.0
+    scores = model.scores(data.features)
+    metric = training.evaluate(model, data, task, str)
+    assert metric == (accuracy(np.argmax(scores, axis=1), data.labels) if d > 1
+                      else roc_auc(scores[:, 0], data.labels))
+
+
+@pytest.mark.parametrize("epochs", [0, 1])
+def test_nan_feature_is_named_by_its_split_row(monkeypatch, epochs):
+    # scores rejects a NaN feature where the batch enters; the row is named all the same,
+    # a train row by its number in the split, not in the train metric's subsample
+    train, test = split_class_task(seed=31)
+    cfg = TrainConfig(widths=[6, 5, 3], alpha=2.0, epochs=epochs, batch_rows=80, seed=32)
+    test.features[57, 2] = np.nan
+    with pytest.raises(NonFiniteError, match="^test split row 58 has no finite score"):
+        run_training(cfg, train, test)
+    if epochs:
+        return
+    monkeypatch.setattr(training, "TRAIN_EVAL_CAP", 100)
+    subsample = np.sort(np.random.default_rng(cfg.seed + 10_007).choice(
+        train.n_rows, size=100, replace=False))
+    bad = int(subsample[60])
+    assert bad != 60
+    train.features[bad, 0] = np.nan
+    with pytest.raises(NonFiniteError, match=f"^train split row {bad + 1} has no finite score"):
+        run_training(cfg, train, test)
+
+
+def test_overflowing_training_row_names_epoch_batch_and_replica():
+    # a finite feature too large for the model: its system turns NaN, raised without warnings
+    train, test = split_class_task(seed=33, n_train=120, n_test=40)
+    train.features[70, 1] = 1e308
+    cfg = TrainConfig(widths=[6, 5, 3], alpha=2.0, epochs=2, batch_rows=40, seed=34,
+                      shuffle=False)
+    with pytest.raises(NonFiniteError, match="^epoch 1, batch 2: replica 0: training system"):
+        run_training(cfg, train, test)
 
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
