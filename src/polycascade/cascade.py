@@ -3,19 +3,19 @@
 A model is a ``MultiOutputCascade`` of d >= 1 single-output replicas, built
 from its widths, hyperparameters and value matrices; ``init_multi`` draws
 the values and ``snapshot.load_snapshot`` reads them.  Each batch is one
-``train_multi`` call, which runs each replica's forward pass right before
-that replica's training step, so one replica's intermediates are alive at a
-time; ``forward_all`` keeps every replica's intermediates for inspection,
-and ``scores`` evaluates without keeping them.  Scoring, and a training
-step up to its solve, run on the cores of the process affinity
-(``linalg.run_parallel``, which holds numpy's BLAS at one thread and its
-pool parked meanwhile).  ``_row_parts`` splits the training forward pass and
-backward sweep into contiguous row parts, each run through the whole chain,
-where the packages are wide enough for a part to pay for its thread.  Scoring
-chunks have a size the model alone sets, and its workers, like the assembly's,
-take work from one shared deque.  The factor and solve run on BLAS's own
-threads.  Every array a task writes is allocated for the whole batch before
-the region, so tasks write disjoint rows of it and need no lock.
+``train_multi`` call, which trains the replicas side by side in one
+parallel region (``linalg.run_parallel``, which holds numpy's BLAS at one
+thread and its pool parked meanwhile): each task takes whole replicas from
+one deque and runs each one's forward pass right before its training step,
+solve included, so a task holds one replica's intermediates at a time.  A
+lone task, as for d = 1, runs in the calling thread, where ``_row_parts``
+splits the forward pass and backward sweep into row parts, each run through
+the whole chain, where the packages are wide enough for a part to pay for
+its thread, and the assembly's workers take panels from one shared deque.
+``forward_all`` keeps every replica's intermediates for inspection, and
+``scores`` evaluates without keeping them, in chunks of a size the model
+alone sets that its workers take from one deque.  Every array a task writes
+is allocated before the region, so tasks write disjoint parts and need no lock.
 
 Training never uses gradient descent: after a forward pass, the
 derivative matrices are propagated backward, each package contributes an
@@ -28,9 +28,9 @@ which is written into the lower triangle and mirrored once; each worker
 builds its panels in a panel set of its own.  The Cholesky
 factor is then written over the system's lower triangle, and the solve
 residual is taken from the diagonal and upper triangle that the factor
-leaves holding the system, so a step keeps one r x r array.  The system,
-the panel buffers and, for d > 1 replicas, the layer-1 basis Gram form one
-``TrainingBuffers`` set that every replica of a batch reuses; ``run_training``
+leaves holding the system, so a step keeps one r x r array.  A system per
+task, the panel buffers and, for d > 1 replicas, the layer-1 basis Gram form
+one ``TrainingBuffers`` set that every replica of a batch reuses; ``run_training``
 keeps one set for a whole epoch, so a steady-state batch writes into memory
 it has already touched.  The set's arrays are allocated together after the
 epoch's first forward pass.
@@ -56,6 +56,7 @@ panels like any other package's.
 from __future__ import annotations
 
 import collections
+import copy
 import functools
 import itertools
 import logging
@@ -65,8 +66,8 @@ import numpy as np
 
 from .constellation import Constellation, build_octahedral, octahedral_points
 from .kernel import KernelParams
-from .linalg import (NonFiniteError, NotSPDError, ShapeMismatchError, as_matrix, resolve_dtype,
-                     run_parallel, spd_solve, symmetric_product, worker_count)
+from .linalg import (NonFiniteError, NotSPDError, ShapeMismatchError, as_matrix, ensure_finite,
+                     resolve_dtype, run_parallel, spd_solve, symmetric_product, worker_count)
 from .package import Package, PackageBatchState
 
 logger = logging.getLogger(__name__)
@@ -89,6 +90,9 @@ SWEEP_PART_BYTES = 150_000
 # product's last rows below its row unroll (4 here) by another route, whose bits can differ
 # from those of the same rows inside a longer product
 PART_ROW_MULTIPLE = 16
+# OpenBLAS runs a product of at most this many multiply-adds by its small-matrix kernel, whose
+# bits differ from a larger product's (seen on rows x 101 @ 101 x 50 and rows x 201 @ 201 x 20)
+SMALL_PRODUCT = 1_000_000
 
 
 @dataclass
@@ -129,12 +133,15 @@ def _row_parts(r: int, packages: list[Package]) -> list[slice]:
     One part per worker of a parallel region, but each part's r x k array
     at the packages' mean k must hold at least ``SWEEP_PART_BYTES``, so a
     batch of narrow packages runs in fewer parts, or in one.  Every part
-    but the last has a multiple of ``PART_ROW_MULTIPLE`` rows.
+    but the last has a multiple of ``PART_ROW_MULTIPLE`` rows, and no part
+    of a package product above ``SMALL_PRODUCT`` falls below it.
     """
     if not packages:
         return [slice(0, r)]
     size = r * sum(pkg.k for pkg in packages) * packages[0].dtype.itemsize // len(packages)
-    parts = max(1, min(worker_count(), r // PART_ROW_MULTIPLE, size // SWEEP_PART_BYTES))
+    least = max([SMALL_PRODUCT // (pkg.k * pkg.n_out) + 1 + PART_ROW_MULTIPLE for pkg in packages
+                 if r * pkg.k * pkg.n_out > SMALL_PRODUCT], default=PART_ROW_MULTIPLE)
+    parts = max(1, min(worker_count(), r // least, size // SWEEP_PART_BYTES))
     step = PART_ROW_MULTIPLE
     bounds = [step * (r * p // (parts * step)) for p in range(parts)] + [r]
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
@@ -232,47 +239,52 @@ def _backward_rows(packages: list[Package], part_states: list[PackageBatchState]
 class TrainingBuffers:
     """The training step's working memory for batches of at most ``rows`` rows.
 
-    One r x r system, which the solve factors in place, one panel set per
-    worker of the assembly (three P x r arrays each: the panel accumulator
-    and two Gram-product panels) and, for a model of d > 1 replicas only, a
-    second r x r array for the layer-1 basis Gram they share.  Each is held
-    flat, so that a shorter batch uses C-contiguous leading views of them.
-    The arrays are allocated together by the first ``fitting`` call on the
-    set, which ``train_multi`` makes after its first forward pass, so a set
-    made before a batch gets its memory after that batch's forward arrays;
-    the number of panel sets is fixed then, by ``worker_count()`` and the
-    panels a batch of ``rows`` rows has.  A set serves one batch at a time:
-    each step overwrites what the previous one left there.
+    One r x r system per replica task of ``train_multi``, factored in place
+    by the solve; one panel set per worker of the assembly (three P x r
+    arrays: the panel accumulator and two Gram-product panels); and, for
+    d > 1 replicas only, their shared layer-1 basis Gram (r x r).  Each is
+    held flat, so a shorter batch uses C-contiguous leading views of them.
+    The first ``fitting`` call, which ``train_multi`` makes after replica
+    0's forward pass, allocates them together and fixes their counts, so a
+    set made before a batch gets its memory after that batch's forward
+    arrays.  A set serves one batch at a time.
     """
 
     def __init__(self, rows: int, dtype):
         self.rows = int(rows)
         self.dtype = resolve_dtype(dtype)
-        self.system = self.gram = None
+        self.gram = None
+        self.systems: list[np.ndarray] = []
         self.panel_sets: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
     @classmethod
     def fitting(cls, buffers: TrainingBuffers | None, x: np.ndarray,
-                gram: bool = False) -> TrainingBuffers:
-        """``buffers``, allocated, if it can hold a step on batch ``x``; a new set if None.
-
-        With ``gram``, the set also holds the layer-1 Gram.
-        """
+                replicas: int = 1) -> TrainingBuffers:
+        """``buffers`` (a new set if None), allocated for d = ``replicas``, if it can hold ``x``."""
         if buffers is None:
             buffers = cls(x.shape[0], x.dtype)
         elif buffers.rows < x.shape[0] or buffers.dtype != x.dtype:
             raise ValueError(f"training buffers for {buffers.rows} {buffers.dtype} rows cannot "
                              f"hold a batch of {x.shape[0]} {x.dtype} rows")
         n, dt = buffers.rows, buffers.dtype
-        if buffers.system is None:
-            buffers.system = np.empty(n * n, dt)
+        if not buffers.systems:
             panel = min(PANEL_ROWS, n) * n
-            sets = max(1, min(worker_count(), -(-n // PANEL_ROWS)))
+            sets = max(1, min(worker_count(), max(-(-n // PANEL_ROWS), replicas)))
             buffers.panel_sets = [tuple(np.empty(panel, dt) for _ in range(3))
                                   for _ in range(sets)]
-        if gram and buffers.gram is None:
+            buffers.systems = [np.empty(n * n, dt) for _ in range(min(sets, replicas))]
+        if replicas > 1 and buffers.gram is None:
             buffers.gram = np.empty(n * n, dt)
         return buffers
+
+    def split(self, tasks: int) -> list[TrainingBuffers]:
+        """Sets for ``tasks`` tasks side by side: task i's has system i and every tasks-th panel set."""
+        if tasks == 1:
+            return [self]
+        views = [copy.copy(self) for _ in range(tasks)]
+        for i, view in enumerate(views):
+            view.systems, view.panel_sets = [self.systems[i]], self.panel_sets[i::tasks]
+        return views
 
 
 def _leading(flat: np.ndarray, rows: int, cols: int) -> np.ndarray:
@@ -306,7 +318,7 @@ def assemble_system(layer1: PackageBatchState, bases: list[np.ndarray], grads: l
     r = layer1.x_in.shape[0]
     dt = layer1.x_in.dtype
     buffers = TrainingBuffers.fitting(buffers, layer1.x_in)
-    system = _leading(buffers.system, r, r)
+    system = _leading(buffers.systems[0], r, r)
     starts = collections.deque(range(0, r, PANEL_ROWS))
     run_parallel([functools.partial(_assemble_panels, system, layer1.gram, bases, grads, starts,
                                     panel_set)
@@ -356,19 +368,18 @@ def _assemble_panels(system: np.ndarray, gram: np.ndarray | None, bases: list[np
 
 def train_step(cascade: Cascade, ws: CascadeBatchWorkspace, lstar: np.ndarray,
                layer1_update: np.ndarray, alpha: float,
-               buffers: TrainingBuffers) -> TrainStepReport:
-    """One replica's training step on the batch held in its workspace.
+               buffers: TrainingBuffers) -> tuple[TrainStepReport, list[np.ndarray]]:
+    """One replica's training step on the batch held in its workspace: its report and new values.
 
     Builds the model's alpha-regularized system (``assemble_system``) in
     ``buffers``, factors it in place and solves it for the batch vector b
     against the r x 1 targets ``lstar``, takes the solve residual from the
     diagonal and upper triangle that the factor leaves holding the system
-    (``symmetric_product``), applies the
-    value updates H^T (G * b) of packages 2..q from the pre-update
-    intermediates, and writes G1 * b into ``layer1_update`` (r x n1) for
-    ``train_multi`` to apply.  A NaN or Inf anywhere upstream reaches the
-    system or its right-hand side and raises ``NonFiniteError`` before any
-    update.
+    (``symmetric_product``), computes the new values H^T (G * b) + values
+    of packages 2..q from the pre-update intermediates, for ``train_multi``
+    to apply, and writes G1 * b into ``layer1_update`` (r x n1).  A NaN or
+    Inf anywhere upstream reaches the system or its right-hand side and
+    raises ``NonFiniteError``.
     """
     delta_l = lstar - ws.output
     bases, grads = backward_quantities(cascade, ws)
@@ -378,17 +389,15 @@ def train_step(cascade: Cascade, ws: CascadeBatchWorkspace, lstar: np.ndarray,
         raise NonFiniteError("training system or output residual contains NaN or Inf")
     b_vec = spd_solve(system, delta_l, overwrite=True)
     solve_residual = float(np.abs(symmetric_product(system, b_vec) - delta_l).max())
-
-    # all updates are computed against pre-update intermediates, then applied
-    for pkg, h, g in zip(cascade.packages[1:], bases[1:], grads[1:]):
-        pkg.set_values(pkg.values + h.T @ (g * b_vec))
+    values = [ensure_finite(pkg.values + h.T @ (g * b_vec), "values")
+              for pkg, h, g in zip(cascade.packages[1:], bases[1:], grads[1:])]
     np.multiply(grads[0], b_vec, out=layer1_update)
     return TrainStepReport(
         residual_before_inf=float(np.abs(delta_l).max()),
         residual_before_rms=float(np.sqrt(np.mean(delta_l ** 2))),
         b_inf=float(np.abs(b_vec).max()),
         solve_residual_inf=solve_residual,
-    )
+    ), values
 
 
 class MultiOutputCascade:
@@ -454,7 +463,7 @@ class MultiOutputCascade:
 
         The inspection route: every replica's intermediates are kept at
         once, and every workspace shares one layer-1 state.  Training does
-        not use it (``train_multi`` holds one replica's at a time).
+        not use it (``train_multi`` holds one replica's per task).
         """
         layer1, x1 = self._layer1(x0)
         workspaces = [forward_batch(c, layer1, y) for c, y in zip(self.replicas, x1)]
@@ -557,21 +566,21 @@ def train_multi(mc: MultiOutputCascade, x0, targets,
                 buffers: TrainingBuffers | None = None) -> list[TrainStepReport]:
     """Train every replica on batch ``x0``, replica j against column j of the r x d ``targets``.
 
-    The layer-1 state and the stacked layer-1 product are built once.  Then
-    each replica's ``forward_batch`` runs right before its ``train_step``,
-    so its intermediates are dropped before the next replica's forward
-    pass.  Each step updates packages 2..q and writes G1 * b into the
-    replica's column block of one r x (d * n1) array; one product then
-    applies every layer-1 update.  With d > 1 replicas, the layer-1 basis
-    Gram is computed once, before the first step, and every replica's
-    system reads it.  Every replica's system, panels and the shared Gram
-    live in ``buffers``, which must hold at least r rows of the model's
-    dtype; without it, a set is made for this one call.  Targets of
-    the wrong shape raise before any update.  If replica j fails, in its
-    forward pass or in its step, replicas before it are fully updated,
-    layer 1 included, and replica j and those after it are untouched.  A
-    non-SPD or non-finite system is re-raised with the failing replica's
-    index.
+    The layer-1 state and the stacked layer-1 product are built once, then
+    replica 0's forward pass in the calling thread and, for d > 1, the
+    layer-1 basis Gram every system reads.  One ``run_parallel`` region then
+    trains the replicas side by side: min(workers, d) tasks take whole
+    replicas from one deque, each in a system and panel set of its own
+    (``TrainingBuffers.split``), and run a replica's forward pass right
+    before its ``train_step``, so a task holds one replica's intermediates
+    at a time.  A lone task (d = 1, or one core) runs in the calling thread
+    and splits its sweeps and assembly over the cores.  After the region,
+    one product gives the layer-1 updates, and the replicas before the
+    lowest failing one (all, if none failed) take their new values in
+    replica order; the others are untouched, and the failing one's error is
+    raised, naming it if non-SPD or non-finite.  ``buffers`` (a new set if
+    None) must hold r rows of the model's dtype.  Targets of the wrong
+    shape raise before any update.
     """
     layer1, x1 = mc._layer1(x0)
     r = layer1.x_in.shape[0]
@@ -579,32 +588,43 @@ def train_multi(mc: MultiOutputCascade, x0, targets,
     if targets.shape != (r, mc.d):
         raise ShapeMismatchError(f"targets shape {targets.shape} != outputs shape {(r, mc.d)}")
     n1 = mc.replicas[0].packages[0].n_out
-    reports = []
-    try:
-        for i, (c, y) in enumerate(zip(mc.replicas, x1)):
+    results = [None] * mc.d  # replica j's report and new values, or its exception
+    done = {0: forward_batch(mc.replicas[0], layer1, x1[0])}
+    # after the forward arrays, so the allocator keeps the memory they free for the next batch
+    # instead of returning it to the system
+    buffers = TrainingBuffers.fitting(buffers, layer1.x_in, replicas=mc.d)
+    scaled = np.empty((r, mc.d * n1), dtype=mc.dtype)
+    if mc.d > 1:  # every replica's system reads H1 H1^T: one product per batch
+        h1 = mc.replicas[0].packages[0].cardinal_basis(layer1)
+        layer1.gram = np.matmul(h1, h1.T, out=_leading(buffers.gram, r, r))
+    replicas = collections.deque(range(mc.d))
+
+    def train_replicas(task_buffers: TrainingBuffers) -> None:
+        for j in _drain(replicas.popleft):
+            c = mc.replicas[j]
             try:
-                ws = forward_batch(c, layer1, y)
-                if i == 0:
-                    # after the forward arrays, so the allocator keeps the memory they free
-                    # for the next batch instead of returning it to the system
-                    buffers = TrainingBuffers.fitting(buffers, layer1.x_in, gram=mc.d > 1)
-                    scaled = np.empty((r, mc.d * n1), dtype=mc.dtype)
-                    if mc.d > 1:  # every replica's system reads H1 H1^T: one product per batch
-                        h1 = c.packages[0].cardinal_basis(layer1)
-                        layer1.gram = np.matmul(h1, h1.T, out=_leading(buffers.gram, r, r))
-                reports.append(train_step(c, ws, targets[:, i:i + 1],
-                                          scaled[:, i * n1:(i + 1) * n1], mc.alpha, buffers))
-                del ws  # before the next replica's forward pass
-            except (NotSPDError, NonFiniteError) as exc:
-                raise type(exc)(f"replica {i}: {exc}") from exc
-    finally:
-        if reports:
-            # H1^T (G1 * b) of every trained replica in one product
-            deltas = layer1.basis.T @ scaled[:, :len(reports) * n1]
-            for c, delta in zip(mc.replicas, np.hsplit(deltas, len(reports))):
-                first = c.packages[0]
-                first.set_values(first.values + delta)
-    return reports
+                results[j] = train_step(c, done.pop(j, None) or forward_batch(c, layer1, x1[j]),
+                                        targets[:, j:j + 1], scaled[:, j * n1:(j + 1) * n1],
+                                        mc.alpha, task_buffers)
+            except Exception as exc:
+                results[j] = exc
+                replicas.clear()  # no replica after the lowest failing one is applied
+
+    run_parallel([functools.partial(train_replicas, task_buffers)
+                  for task_buffers in buffers.split(min(len(buffers.systems), mc.d))])
+    trained = list(itertools.takewhile(lambda res: isinstance(res, tuple), results))
+    if trained:
+        # H1^T (G1 * b) of every trained replica in one product
+        deltas = np.hsplit(layer1.basis.T @ scaled[:, :len(trained) * n1], len(trained))
+        for c, (_, values), delta in zip(mc.replicas, trained, deltas):
+            for pkg, y in zip(c.packages, [c.packages[0].values + delta] + values):
+                pkg.set_values(y)
+    if len(trained) < mc.d:
+        exc = results[len(trained)]
+        if isinstance(exc, (NotSPDError, NonFiniteError)):
+            raise type(exc)(f"replica {len(trained)}: {exc}") from exc
+        raise exc
+    return [report for report, _ in trained]
 
 
 def one_hot_pm1(labels, num_classes: int, dtype=np.float64) -> np.ndarray:

@@ -62,8 +62,6 @@ def cmd_train(args) -> int:
         return EXIT_CONFIG
 
     out_dir = cfg.dir
-    out_dir.mkdir(parents=True, exist_ok=True)
-    cfg.write_ini(out_dir / "effective.ini")
     csv_path = out_dir / "metrics.csv"
     preprocessing = None if fitted_spec is None else fitted_spec.to_dict()
 
@@ -76,8 +74,11 @@ def cmd_train(args) -> int:
                           preprocessing=preprocessing)
 
     try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        cfg.write_ini(out_dir / "effective.ini")
         model, _ = run_training(cfg.train_config(), train, test, csv_path=csv_path,
                                 on_epoch=on_epoch)
+        save_snapshot(out_dir / "model.phc1", model, preprocessing=preprocessing)
     except NotSPDError as exc:
         print(f"training system not positive definite (raise alpha): {exc}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -87,8 +88,9 @@ def cmd_train(args) -> int:
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-
-    save_snapshot(out_dir / "model.phc1", model, preprocessing=preprocessing)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     print(f"wrote {csv_path} and {out_dir / 'model.phc1'}")
     return EXIT_OK
 
@@ -144,7 +146,11 @@ def cmd_bench(args) -> int:
         print(f"agreement failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     if args.out:
-        bench_mod.write_csv(rows, args.out)
+        try:
+            bench_mod.write_csv(rows, args.out)
+        except OSError as exc:
+            print(f"output error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
         print(f"wrote {args.out}")
     for row in rows:
         print(f"{row.op:20s} n={row.n:5d} r={row.r:4d} fast={row.fast_seconds:.2e}s "

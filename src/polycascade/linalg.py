@@ -19,10 +19,10 @@ use.  Inside it, numpy's BLAS runs on one thread, set through the same
 library handle, and its idle pool of threads is shut down, so that it holds
 no core the region's threads need; the count is restored on every exit.
 Where that BLAS exports no thread-count routine, a region runs in the
-calling thread alone.  Scoring runs its chunks in one region per call;
-a training step runs up to three per replica (its forward pass, its backward
-sweep and its system's assembly) and then factors and solves the system
-outside them, with BLAS on its own threads again.
+calling thread alone, and so does a region entered from a task, inside
+which ``worker_count`` reads 1.  Scoring runs one region per call.  A batch
+of d > 1 replicas trains in two, the second training whole replicas side by
+side; a one-replica batch trains in three and factors and solves outside.
 
 Non-finite values are rejected where data enters and around the solve only:
 ``as_matrix`` checks batches, targets and value matrices, the training step
@@ -288,6 +288,8 @@ def _blas_thread_routines(lib: ctypes.CDLL) -> tuple | None:
 _BLAS_THREADS = None if _LIB is None else _blas_thread_routines(_LIB)
 # the BLAS thread count is process-global, so one parallel region runs at a time
 _PARALLEL_LOCK = threading.Lock()
+# set while a task of a region runs, in the calling thread and in copies of its context
+_IN_TASK = contextvars.ContextVar("polycascade_in_task", default=False)
 _pool: ThreadPoolExecutor | None = None
 
 
@@ -304,10 +306,10 @@ if hasattr(os, "register_at_fork"):
 def worker_count() -> int:
     """Threads a parallel region runs on: the cores of the process affinity.
 
-    One where numpy's BLAS exports no thread-count routine, since its own
-    threads would then contend with the region's.
+    One inside a task of a region, and where numpy's BLAS exports no
+    thread-count routine, since its own threads would contend with the region's.
     """
-    if _BLAS_THREADS is None:
+    if _BLAS_THREADS is None or _IN_TASK.get():
         return 1
     if not hasattr(os, "sched_getaffinity"):
         return os.cpu_count() or 1
@@ -318,20 +320,21 @@ def run_parallel(tasks: list) -> None:
     """Run ``tasks[0]`` in the calling thread and the others on a pool of threads, and wait for all.
 
     One task, or any number where ``worker_count()`` is 1, runs in the
-    calling thread alone, with BLAS as it is.  Otherwise numpy's BLAS runs
-    on one thread while the tasks do, so that their products do not contend
-    for the cores with BLAS's own threads, and its idle pool is shut down
-    first, since those threads spin on a core for a while after each
-    threaded call.  The count is restored however the region ends, which
-    starts the pool again.  The count is process-global, so a module lock
-    lets one region run at a time.  Each task runs in a copy of the
-    caller's ``contextvars`` context, so ``np.errstate`` holds in it.  The
-    pool is made on first use, with ``worker_count() - 1`` threads; tasks
-    beyond that wait for one.  Once every task has ended, the calling
+    calling thread alone, with BLAS as it is; so does a region entered from
+    a task, which would otherwise wait on the lock its caller holds.
+    Otherwise numpy's BLAS runs on one thread while the tasks do, so that
+    their products do not contend for the cores with BLAS's own threads, and
+    its idle pool is shut down first, since those threads spin on a core for
+    a while after each threaded call.  The count is restored however the
+    region ends, which starts the pool again.  The count is process-global,
+    so a module lock lets one region run at a time.  Each task runs in a copy
+    of the caller's ``contextvars`` context, so ``np.errstate`` holds in it.
+    The pool is made on first use, with ``worker_count() - 1`` threads;
+    tasks beyond that wait for one.  Once every task has ended, the calling
     thread's exception, or else the first worker's, is raised.
     """
     global _pool
-    if len(tasks) <= 1 or _BLAS_THREADS is None:
+    if len(tasks) <= 1 or _BLAS_THREADS is None or _IN_TASK.get():
         for task in tasks:
             task()
         return
@@ -340,7 +343,7 @@ def run_parallel(tasks: list) -> None:
         if _pool is None:
             _pool = ThreadPoolExecutor(max(worker_count() - 1, 1),
                                        thread_name_prefix="polycascade")
-        saved = get_threads()
+        saved, token = get_threads(), _IN_TASK.set(True)
         try:
             set_threads(1)  # before the shutdown: setting the count starts the pool
             shutdown()
@@ -352,4 +355,5 @@ def run_parallel(tasks: list) -> None:
             for future in futures:
                 future.result()
         finally:
+            _IN_TASK.reset(token)
             set_threads(saved)

@@ -18,9 +18,11 @@ from polycascade.cascade import (PANEL_ROWS, MultiOutputCascade, TrainingBuffers
                                  assemble_system, backward_quantities, init_multi, one_hot_pm1,
                                  train_multi)
 from polycascade.constellation import octahedral_points, synthesize_u
+from polycascade.data import Dataset
 from polycascade.kernel import KernelParams
 from polycascade.linalg import NonFiniteError, NotSPDError, ShapeMismatchError
 from polycascade.oracle import package_omegas
+from polycascade.training import TrainConfig, run_training
 
 KP = KernelParams()
 
@@ -381,6 +383,12 @@ def one_blas_thread(blas_threads):
     return blas_threads
 
 
+def patch_workers(monkeypatch, workers):
+    """``cascade.worker_count`` reads ``workers``, and one inside a task, as ``linalg``'s does."""
+    monkeypatch.setattr(cascade_module, "worker_count",
+                        lambda: 1 if linalg._IN_TASK.get() else workers)
+
+
 def narrow_model(d, dtype):
     # narrow products, which BLAS runs on one thread whatever its count, so any bits that
     # differ come from the split over workers
@@ -685,10 +693,13 @@ def test_failing_replica_leaves_earlier_replicas_updated_and_itself_untouched(mo
         train_multi(model, x0, targets[:, i:i + 1])
     before = [[p.values.copy() for p in c.packages] for c in mc.replicas]
     if failure is NotSPDError:
-        solve = cascade_module.spd_solve
-        calls = iter(range(4))
-        monkeypatch.setattr(cascade_module, "spd_solve",
-                            lambda s, rhs, **kw: solve(-s if next(calls) == 2 else s, rhs, **kw))
+        # replicas train side by side, so the failing solve is picked by its replica: a
+        # negative alpha makes a system that the solve finds not positive definite
+        step = cascade_module.train_step
+        monkeypatch.setattr(cascade_module, "train_step",
+                            lambda c, ws, lstar, update, alpha, buffers: step(
+                                c, ws, lstar, update, -1e6 if c is mc.replicas[2] else alpha,
+                                buffers))
     else:
         nan_coefficient_after_forward(monkeypatch, mc.replicas[2], 1)
     with pytest.raises(failure, match="^replica 2: " if failure is NotSPDError
@@ -702,7 +713,7 @@ def test_failing_replica_leaves_earlier_replicas_updated_and_itself_untouched(mo
             assert np.array_equal(pkg.values, values)
 
 
-def test_train_step_holds_one_square_array_and_consumed_intermediates():
+def test_train_step_holds_one_square_array_and_consumed_intermediates(monkeypatch):
     # the shells-deep shape: the system is factored in place, a one-replica model keeps
     # no layer-1 Gram, and each package's basis and derivative factors are written over
     # its kernel values and distances (the set held three r x r arrays and the step
@@ -714,8 +725,7 @@ def test_train_step_holds_one_square_array_and_consumed_intermediates():
     mc = init_multi([10] + [50] * 9 + [1], seed=45, mode="identity-fragments", alpha=50.0)
     buffers = TrainingBuffers(r, mc.dtype)
     train_multi(mc, x0, targets, buffers)  # the set's arrays are not counted
-    squares = [a for a in vars(buffers).values() if isinstance(a, np.ndarray) and a.size >= r * r]
-    assert len(squares) == 1 and buffers.gram is None
+    assert [a.size for a in buffers.systems] == [r * r] and buffers.gram is None
     tracemalloc.start()
     try:
         train_multi(mc, x0, targets, buffers)
@@ -724,22 +734,25 @@ def test_train_step_holds_one_square_array_and_consumed_intermediates():
         tracemalloc.stop()
     intermediates = sum(r * p.k for p in mc.replicas[0].packages) * mc.dtype.itemsize
     assert peak <= 2.7 * intermediates
-    # d > 1 replicas share one layer-1 Gram, the set's second r x r array
-    mc = init_multi([6, 5, 4, 3], seed=45, alpha=2.0)
-    buffers = TrainingBuffers(200, mc.dtype)
-    train_multi(mc, x0[:200, :6], rng.uniform(-1, 1, (200, 3)), buffers)
-    squares = [a for a in vars(buffers).values()
-               if isinstance(a, np.ndarray) and a.size >= 200 * 200]
-    assert len(squares) == 2 and buffers.gram is not None
+    # d > 1 replicas share one layer-1 Gram, and each replica task has a system of its own
+    for workers in (1, 2, 3):
+        patch_workers(monkeypatch, workers)
+        mc = init_multi([6, 5, 4, 3], seed=45, alpha=2.0)
+        buffers = TrainingBuffers(200, mc.dtype)
+        train_multi(mc, x0[:200, :6], rng.uniform(-1, 1, (200, 3)), buffers)
+        assert [a.size for a in buffers.systems] == [200 * 200] * min(workers, 3)
+        assert buffers.gram.size == 200 * 200
 
 
-def test_train_multi_holds_one_replica_intermediates_at_a_time():
-    # each replica's forward pass runs right before its step and is dropped after it, so
-    # eight replicas of a deep narrow cascade train in about the memory of one
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_train_multi_holds_one_replica_intermediates_per_task(monkeypatch, workers):
+    # each task runs a replica's forward pass right before its step and drops it after, so
+    # eight replicas of a deep narrow cascade train in about the memory of one per task
     # (the peak rose 5x from d = 1 to d = 8 when every workspace was built first)
     rng = np.random.default_rng(44)
     x0 = rng.uniform(-1, 1, (200, 6))
     targets = rng.uniform(-1, 1, (200, 8))
+    patch_workers(monkeypatch, workers)
     peaks = {}
     for d in (1, 8):
         mc = init_multi([6] + [8] * 20 + [d], seed=44, mode="identity-fragments", alpha=5.0)
@@ -751,7 +764,7 @@ def test_train_multi_holds_one_replica_intermediates_at_a_time():
             peaks[d] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peaks[8] <= 1.5 * peaks[1]
+    assert peaks[8] <= 1.5 * min(workers, 8) * peaks[1]
 
 
 def shells_deep_model(depth=9):
@@ -860,7 +873,7 @@ def test_assembly_panels_are_each_built_once_under_contention(monkeypatch):
     try:
         for _ in range(5):
             buffers = TrainingBuffers.fitting(None, ws.states[0].x_in)
-            buffers.system.fill(np.nan)
+            buffers.systems[0].fill(np.nan)
             system = assemble_system(ws.states[0], bases, grads, mc.alpha, buffers)
             assert len(buffers.panel_sets) == 5 and np.array_equal(system, expected)
     finally:
@@ -870,31 +883,149 @@ def test_assembly_panels_are_each_built_once_under_contention(monkeypatch):
 @pytest.mark.parametrize("failure", [NotSPDError, NonFiniteError])
 def test_blas_thread_count_is_restored_after_a_failing_step(monkeypatch, blas_threads,
                                                             failure):
-    # NotSPDError comes from the solve, after the regions; NonFiniteError is raised by a
-    # package's forward pass inside every sweep part
-    monkeypatch.setattr(cascade_module, "worker_count", lambda: 2)
-    mc = shells_deep_model(depth=3)
+    # NotSPDError comes from the solve: after the sweep regions at d = 1, and inside the
+    # replicas' region at d = 3.  NonFiniteError is raised by a package's forward pass: at
+    # d = 1 inside every sweep part, at d = 3 in the task that trains the last replica
+    patch_workers(monkeypatch, 2)
+    solve = cascade_module.spd_solve
     rng = np.random.default_rng(50)
-    x0 = rng.uniform(-1, 1, (400, 10))
-    targets = rng.choice([-1.0, 1.0], (400, 1))
-    assert len(cascade_module._row_parts(400, mc.replicas[0].packages[1:])) == 2
-    train_multi(shells_deep_model(depth=3), x0, targets)
-    if blas_threads is not None:
-        assert blas_threads() == 3
-    if failure is NotSPDError:
-        solve = cascade_module.spd_solve
-        monkeypatch.setattr(cascade_module, "spd_solve",
-                            lambda s, rhs, **kw: solve(-s, rhs, **kw))
-        match = "replica 0"
-    else:
-        def failing_forward(*args, **kwargs):
-            raise NonFiniteError("raised in a sweep part")
-        monkeypatch.setattr(mc.replicas[0].packages[2], "forward", failing_forward)
-        match = "raised in a sweep part"
-    with pytest.raises(failure, match=match):
+    # 448 rows split in two parts of 224, each above the small-matrix size of a 101 x 50
+    # product (400 rows split into 192 + 208 before that size bounded a part)
+    x0 = rng.uniform(-1, 1, (448, 10))
+    for d in (1, 3):
+        def model():
+            return init_multi([10] + [50] * 3 + [d], seed=46, mode="identity-fragments",
+                              alpha=50.0)
+
+        mc = model()
+        targets = rng.choice([-1.0, 1.0], (448, d))
+        assert len(cascade_module._row_parts(448, mc.replicas[0].packages[1:])) == 2
+        monkeypatch.setattr(cascade_module, "spd_solve", solve)
+        train_multi(model(), x0, targets)
+        if blas_threads is not None:
+            assert blas_threads() == 3
+        if failure is NotSPDError:
+            monkeypatch.setattr(cascade_module, "spd_solve",
+                                lambda s, rhs, **kw: solve(-s, rhs, **kw))
+            match = "^replica 0: "
+        else:
+            def failing_forward(*args, **kwargs):
+                raise NonFiniteError("raised in a sweep part")
+            monkeypatch.setattr(mc.replicas[-1].packages[2], "forward", failing_forward)
+            match = f"^replica {d - 1}: raised" if d > 1 else "^raised in a sweep part"
+        with pytest.raises(failure, match=match):
+            train_multi(mc, x0, targets)
+        if blas_threads is not None:
+            assert blas_threads() == 3
+
+
+# a test whose tasks wait for each other needs two threads; without BLAS thread routines a
+# region runs its tasks one after the other in the calling thread
+needs_threads = pytest.mark.skipif(linalg._BLAS_THREADS is None,
+                                   reason="regions run in the calling thread")
+
+
+@needs_threads
+@pytest.mark.parametrize("order", [(1, 2), (2, 1)], ids=["1-fails-while-2-trains",
+                                                         "2-fails-then-1-fails"])
+def test_replicas_failing_side_by_side_apply_those_below_the_lowest_and_name_it(monkeypatch,
+                                                                               order):
+    # replicas 1 and 2 train side by side on two workers, each waiting until the other has
+    # started; order[0] ends its step first, failing, and order[1] ends after it, failing
+    # too when replica 2 failed first.  Replica 0 is fully updated, layer 1 included, the
+    # others are untouched, and replica 3, still in the deque, is never trained
+    rng = np.random.default_rng(51)
+    x0 = rng.uniform(-1, 1, (60, 5))
+    targets = one_hot_pm1(rng.integers(0, 4, 60), 4)
+    patch_workers(monkeypatch, 2)
+    expected = init_multi([5, 4, 3, 4], seed=51, alpha=2.0)
+    train_multi(expected, x0, targets)
+    mc = init_multi([5, 4, 3, 4], seed=51, alpha=2.0)
+    before = [[p.values.copy() for p in c.packages] for c in mc.replicas]
+    started, ended, others = {1: threading.Event(), 2: threading.Event()}, threading.Event(), []
+    train_step = cascade_module.train_step
+
+    def side_by_side_step(c, ws, lstar, update, alpha, buffers):
+        j = next(i for i, replica in enumerate(mc.replicas) if replica is c)
+        if j not in started:
+            others.append(j)
+            return train_step(c, ws, lstar, update, alpha, buffers)
+        started[j].set()
+        assert started[3 - j].wait(30)
+        if j == order[1]:
+            assert ended.wait(30)
+        fails = j == order[0] or j == 1
+        try:
+            # a negative alpha makes a system that the solve finds not positive definite
+            return train_step(c, ws, lstar, update, -1e6 if fails else alpha, buffers)
+        finally:
+            ended.set()
+
+    monkeypatch.setattr(cascade_module, "train_step", side_by_side_step)
+    with pytest.raises(NotSPDError, match="^replica 1: matrix is not positive definite"):
         train_multi(mc, x0, targets)
-    if blas_threads is not None:
-        assert blas_threads() == 3
+    assert others == [0]
+    for pa, pb in zip(mc.replicas[0].packages, expected.replicas[0].packages):
+        assert np.array_equal(pa.values, pb.values)
+    for c, old in zip(mc.replicas[1:], before[1:]):
+        for pkg, values in zip(c.packages, old):
+            assert np.array_equal(pkg.values, values)
+
+
+def test_replicas_are_each_trained_once_under_contention(monkeypatch):
+    # more tasks than cores take replicas from one shared deque, switching often: a replica
+    # that no task trained would keep its values, and one trained twice would get others
+    rng = np.random.default_rng(53)
+    x0 = rng.uniform(-1, 1, (150, 6))
+    targets = rng.uniform(-1, 1, (150, 8))
+
+    def trained(workers):
+        patch_workers(monkeypatch, workers)
+        mc = init_multi([6, 7, 5, 8], seed=53, alpha=2.0)
+        reports = train_multi(mc, x0, targets)
+        return reports, [p.values for c in mc.replicas for p in c.packages]
+
+    expected_reports, expected = trained(2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(5):
+            reports, values = trained(5)
+            assert [vars(rep) for rep in reports] == [vars(rep) for rep in expected_reports]
+            assert all(np.array_equal(a, b) for a, b in zip(values, expected))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("shape", ["10,50x9,4", "784,100,20,20,10", "shells-deep",
+                                   "10x100,1-float32"])
+def test_trained_values_do_not_depend_on_the_worker_count(monkeypatch, shape):
+    # each of d > 1 replicas trains whole in one task at one BLAS thread, so two, three and
+    # four tasks give the same bits (with one worker, its factor runs on BLAS's own threads);
+    # a one-replica batch splits its sweeps and panels over one to four workers
+    widths, dtype, init = {
+        "10,50x9,4": ([10] + [50] * 9 + [4], "float64", "identity-fragments"),
+        "784,100,20,20,10": ([784, 100, 20, 20, 10], "float64", "random"),
+        "shells-deep": ([10] + [50] * 9 + [1], "float64", "identity-fragments"),
+        "10x100,1-float32": ([10] * 100 + [1], "float32", "identity-fragments")}[shape]
+    d = widths[-1]
+    rng = np.random.default_rng(52)
+    rows = 1200 if d > 1 else 2000
+    features = rng.uniform(-1, 1, (rows + 200, widths[0]))
+    labels = rng.integers(0, max(d, 2), rows + 200)
+    train, test = (Dataset(features[:rows], labels[:rows]),
+                   Dataset(features[rows:], labels[rows:]))
+    # 600 rows have five panels, so d > 1 batches run as many tasks as there are workers
+    cfg = TrainConfig(widths=widths, alpha=200.0 if init == "random" else 50.0, epochs=1,
+                      batch_rows=600 if d > 1 else 1000, seed=52, precision=dtype,
+                      init_mode=init, task="classify" if d > 1 else "binary-auc")
+    trained = []
+    for workers in (2, 3, 4) if d > 1 else (1, 2, 3, 4):
+        patch_workers(monkeypatch, workers)
+        model, _ = run_training(cfg, train, test)
+        trained.append([p.values for c in model.replicas for p in c.packages])
+    for values in trained[1:]:
+        assert all(np.array_equal(a, b) for a, b in zip(trained[0], values))
 
 
 def test_forked_child_trains_with_a_pool_of_its_own():

@@ -453,6 +453,33 @@ def test_bench_command_small(tmp_path, capsys):
     assert "crossover width for backward" in printed
 
 
+def test_bench_out_naming_a_directory_exits_2(tmp_path, capsys):
+    # writing the CSV over a directory ended in an IsADirectoryError traceback and exit 1
+    code = main(["bench", "--max-n", "16", "--batch-rows", "4", "--repeats", "1",
+                 "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert "output error: " in capsys.readouterr().err
+    assert tmp_path.is_dir()
+
+
+def test_train_output_dir_naming_a_file_exits_2(tmp_path, capsys):
+    # making the output directory over an existing file ended in a FileExistsError traceback
+    # and exit 1
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    assert main(["train", str(shells_config(tmp_path, dir=taken))]) == EXIT_CONFIG
+    assert "output error: " in capsys.readouterr().err
+    assert taken.read_text() == "not a directory\n"
+
+
+def test_train_output_files_that_cannot_be_written_exit_2(tmp_path, capsys):
+    # the output directory exists, but effective.ini is a directory in it
+    (tmp_path / "run" / "effective.ini").mkdir(parents=True)
+    assert main(["train", str(shells_config(tmp_path))]) == EXIT_CONFIG
+    assert "output error: " in capsys.readouterr().err
+    assert not (tmp_path / "run" / "model.phc1").exists()
+
+
 @pytest.mark.parametrize("args,message", [
     (["--repeats", "0"], "--repeats must be at least 1, got 0"),
     (["--batch-rows", "4", "0"], "--batch-rows must be at least 1, got 0"),

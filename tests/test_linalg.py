@@ -1,7 +1,9 @@
+import functools
 import os
 import subprocess
 import sys
 import textwrap
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -176,13 +178,15 @@ def test_in_place_solve_leaves_the_system_above_its_factor(route, dtype):
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 def test_solve_residual_is_that_of_the_system_before_its_factor(route, monkeypatch, dtype):
     # the step factors its system in place and takes solve_residual_inf from what the
-    # factor leaves: it must equal the residual against an untouched copy, to rounding
+    # factor leaves: it must equal the residual against an untouched copy, to rounding.
+    # Replicas solve side by side, so each call records one whole tuple, and a report is
+    # paired with its solve by b_inf, the largest |x| of that solve
     solve, seen = cascade.spd_solve, []
 
     def copying_solve(s, rhs, **kwargs):
-        seen.append((s.copy(), rhs.copy()))
+        system = s.copy()
         x = solve(s, rhs, **kwargs)
-        seen[-1] += (x,)
+        seen.append((system, rhs.copy(), x))
         return x
 
     monkeypatch.setattr(cascade, "spd_solve", copying_solve)
@@ -191,7 +195,8 @@ def test_solve_residual_is_that_of_the_system_before_its_factor(route, monkeypat
     reports = train_multi(mc, rng.uniform(-1, 1, (150, 5)), rng.uniform(-1, 1, (150, 2)))
     assert len(reports) == len(seen) == 2
     eps = np.finfo(dtype).eps
-    for report, (s, rhs, x) in zip(reports, seen):
+    for report in reports:
+        ((s, rhs, x),) = [call for call in seen if np.abs(call[2]).max() == report.b_inf]
         expected = np.abs(s @ x - rhs).max()
         bound = 150 * eps * (np.abs(s) @ np.abs(x)).max()
         assert abs(report.solve_residual_inf - expected) <= bound
@@ -274,3 +279,42 @@ def test_forked_child_scores_with_a_pool_of_its_own():
                           timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "0"
+
+
+@pytest.mark.skipif(linalg._BLAS_THREADS is None, reason="regions run in the calling thread")
+def test_a_region_entered_from_a_task_runs_its_tasks_in_the_task_thread():
+    # two outer tasks each enter a region of two tasks: those run in the outer task's thread,
+    # without waiting on the lock the outer region holds, each seeing one worker and BLAS at
+    # one thread; the count is restored once the outer region exits
+    get_threads, set_threads, _ = linalg._BLAS_THREADS
+    saved = get_threads()
+    set_threads(3)  # a count no region sets, so a missed restore shows
+    seen, errors = [], []
+
+    def inner(outer_tag, tag):
+        seen.append((outer_tag, tag, threading.get_ident(), linalg.worker_count(), get_threads()))
+
+    def outer(tag):
+        seen.append((tag, None, threading.get_ident(), linalg.worker_count(), get_threads()))
+        linalg.run_parallel([functools.partial(inner, tag, 0), functools.partial(inner, tag, 1)])
+
+    def region():
+        try:
+            linalg.run_parallel([functools.partial(outer, 0), functools.partial(outer, 1)])
+        except Exception as exc:
+            errors.append(exc)
+
+    try:
+        runner = threading.Thread(target=region, daemon=True)
+        runner.start()
+        runner.join(timeout=30)
+        assert not runner.is_alive(), "a nested region did not return"
+        assert errors == []
+        assert get_threads() == 3
+    finally:
+        set_threads(saved)
+    assert sorted((o, t) for o, t, *_ in seen if t is not None) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    threads = {o: ident for o, t, ident, *_ in seen if t is None}
+    assert threads[0] != threads[1]  # the outer tasks ran side by side
+    for outer_tag, _, ident, workers, blas in seen:
+        assert (ident, workers, blas) == (threads[outer_tag], 1, 1)

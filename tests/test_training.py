@@ -223,8 +223,8 @@ def test_training_buffers_live_for_one_epoch(monkeypatch, dtype):
         # each step works in the set its batch was given, in the arrays of the epoch's first step
         buffers = args[-1]
         if not reused[-1]:
-            systems.append(weakref.ref(buffers.system))
-        kept.append(buffers is sets[-1]() and systems[-1]() is buffers.system)
+            systems.append(weakref.ref(buffers.systems[0]))
+        kept.append(buffers is sets[-1]() and systems[-1]() is buffers.systems[0])
         # the forward pass runs inside train_multi, so only the second batch's steps are traced
         if len(sets) != 2:
             return train_step(*args)
@@ -256,17 +256,25 @@ def test_training_buffers_live_for_one_epoch(monkeypatch, dtype):
 
 
 def test_not_spd_error_names_epoch_batch_and_replica(monkeypatch):
-    # 3 replicas, 4 batches per epoch: solve call 20 is epoch 2, batch 3, replica 2
-    calls = itertools.count()
-    spd_solve = cascade_module.spd_solve
+    # 3 replicas, 4 batches per epoch: replica 2's 7th step is epoch 2, batch 3; replicas train
+    # side by side, so the failing step is picked by its replica, not by the order of calls
+    models, steps = [], itertools.count(1)
+    make_model, train_step = training.init_multi, cascade_module.train_step
 
-    def failing_on_call_20(system, rhs, **kwargs):
-        return spd_solve(-system if next(calls) == 20 else system, rhs, **kwargs)
+    def kept_init_multi(*args, **kwargs):
+        models.append(make_model(*args, **kwargs))
+        return models[-1]
 
-    monkeypatch.setattr(cascade_module, "spd_solve", failing_on_call_20)
+    def failing_on_replica_2_step_7(c, ws, lstar, update, alpha, buffers):
+        if c is models[0].replicas[2] and next(steps) == 7:
+            alpha = -1e6  # a system that is not positive definite, for the solve to reject
+        return train_step(c, ws, lstar, update, alpha, buffers)
+
+    monkeypatch.setattr(training, "init_multi", kept_init_multi)
+    monkeypatch.setattr(cascade_module, "train_step", failing_on_replica_2_step_7)
     train, test = split_class_task(seed=19, n_train=240, n_test=60)
     cfg = TrainConfig(widths=[6, 5, 3], alpha=4.0, epochs=3, batch_rows=60, seed=20)
-    with pytest.raises(NotSPDError, match="epoch 2, batch 3: replica 2: "):
+    with pytest.raises(NotSPDError, match="^epoch 2, batch 3: replica 2: matrix is not "):
         run_training(cfg, train, test)
 
 
