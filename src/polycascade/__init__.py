@@ -11,8 +11,7 @@ import.
 from .cascade import (Cascade, CascadeBatchWorkspace, MultiOutputCascade, TrainingBuffers,
                       TrainStepReport, init_multi, one_hot_pm1, train_multi)
 from .constellation import (Constellation, DegenerateKernelError, OctaCoefficients,
-                            build_octahedral, derive_coefficients, octahedral_points,
-                            synthesize_u)
+                            build_octahedral, derive_coefficients, octahedral_points)
 from .data import (Batch, DataFormatError, Dataset, TransformSpec, batches,
                    fit_apply_transforms, load_delimited, load_idx)
 from .kernel import EPS_M, KernelParams, NegativeDistanceError, phi, phi_matrix, theta, theta_matrix
@@ -34,6 +33,5 @@ __all__ = [
     "accuracy", "as_matrix", "batches", "build_octahedral", "derive_coefficients",
     "fit_apply_transforms", "init_multi", "load_delimited", "load_idx", "load_snapshot",
     "make_shell_task", "octahedral_points", "one_hot_pm1", "phi", "phi_matrix", "roc_auc",
-    "run_training", "save_snapshot", "spd_solve", "synthesize_u", "theta", "theta_matrix",
-    "train_multi",
+    "run_training", "save_snapshot", "spd_solve", "theta", "theta_matrix", "train_multi",
 ]

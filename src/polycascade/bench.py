@@ -26,6 +26,8 @@ from .package import Package, PackageBatchState
 
 AGREEMENT_TOL = 1e-8
 OPS = ("squared_distances", "coeffs_from_values", "cardinal_basis", "backward")
+N_OUT = 8  # output columns of each benchmarked package
+MAX_ELEMENTS = 200_000_000  # (n, r) pairs whose r x k arrays exceed this are skipped
 
 
 @dataclass
@@ -55,8 +57,7 @@ def _rel_err(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def run_bench(widths=(16, 32, 64, 128, 256, 512, 1024, 2048), batch_rows=(64, 256),
-              n_out: int = 8, repeats: int = 5, seed: int = 0,
-              max_elements: int = 200_000_000) -> list[BenchRow]:
+              repeats: int = 5, seed: int = 0) -> list[BenchRow]:
     """Time closed form vs oracle for every (op, n, r); verify agreement on each trial."""
     kp = KernelParams()
     rng = np.random.default_rng(seed)
@@ -64,17 +65,17 @@ def run_bench(widths=(16, 32, 64, 128, 256, 512, 1024, 2048), batch_rows=(64, 25
     for n in widths:
         k = 2 * n + 1
         constellation = build_octahedral(n)
-        values = rng.uniform(-1, 1, (k, n_out))
+        values = rng.uniform(-1, 1, (k, N_OUT))
         pkg = Package(constellation, kp, values)
         points = octahedral_points(n)
         u = oracle.gram_inverse(points, kp)
         for r in batch_rows:
-            if r * k > max_elements:
+            if r * k > MAX_ELEMENTS:
                 continue
             x = rng.uniform(-1, 1, (r, n))
             _, state = pkg.forward(x)
             m, kv = state.sq_dists, state.kernel_vals
-            g_next = rng.standard_normal((r, n_out))
+            g_next = rng.standard_normal((r, N_OUT))
 
             def fresh():
                 """A forward state of the batch: cardinal_basis and backward consume theirs."""

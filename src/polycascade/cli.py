@@ -53,6 +53,10 @@ def cmd_train(args) -> int:
 
     try:
         train, test, fitted_spec = load_datasets(cfg)
+        for split, data in (("train", train), ("test", test)):
+            if data.n_features != cfg.widths[0]:
+                raise DataFormatError(f"{split} data has {data.n_features} features, "
+                                      f"the model's input width is {cfg.widths[0]}")
         check_labels(cfg.train_config(), train, test)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -69,6 +69,8 @@ def _int_list(raw: str) -> list[int]:
     for tok in raw.replace(" ", "").split(","):
         if "x" in tok:
             val, count = tok.split("x", 1)
+            if int(count) < 1:
+                raise ValueError(f"repeat count in {tok!r} must be >= 1")
             out.extend([int(val)] * int(count))
         else:
             out.append(int(tok))
@@ -199,6 +201,8 @@ def load_run_config(path, check_paths: bool = True) -> RunConfig:
         cfg.train_config()
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    if cfg.snapshot_every < 0:
+        raise ConfigError(f"{path}: [output] snapshot_every must be >= 0, got {cfg.snapshot_every}")
     _validate_data_values(cfg, path)
     _validate_paths(cfg, path, check_exists=check_paths)
     return cfg
@@ -233,6 +237,10 @@ def _validate_data_values(cfg: RunConfig, source: Path) -> None:
                           f"{cfg.widths[0]} for synthetic-shells")
     if cfg.data_seed < 0:
         raise ConfigError(f"{source}: [data] data_seed must be >= 0, got {cfg.data_seed}")
+    # load_datasets applies the transforms only when it normalizes
+    for key in ("log_columns", "log1p_columns", "clamp"):
+        if getattr(cfg, key) and not cfg.normalize:
+            raise ConfigError(f"{source}: [data] {key} has no effect with normalize = false")
 
 
 def _validate_paths(cfg: RunConfig, source: Path, check_exists: bool) -> None:

@@ -7,9 +7,9 @@ ordered [origin, -e_1..-e_n, +e_1..+e_n].  Pairwise squared distances between
 those points take only the values {0, 1, 2, 4}, which collapses the Gram
 matrix inverse U = (K + sigma^2 I)^-1 to ten scalars: four kernel values,
 three Schur-complement basis coefficients, their three inverses, and two
-border coefficients.  ``synthesize_u`` assembles U from the scalars without
-any matrix inversion; ``oracle.gram_inverse`` computes it the slow way from
-the point matrix and is the cross-check for the closed form.
+border coefficients.  ``Package.coeffs_from_values`` applies U from the
+scalars without forming it; ``oracle.gram_inverse`` computes U the slow way
+from the point matrix and is the cross-check for the closed form.
 """
 
 from __future__ import annotations
@@ -112,23 +112,3 @@ def derive_coefficients(n: int, params: KernelParams, sigma2: float = 0.0) -> Oc
     u1 = 1.0 / d0 + (k1 * k1) / (d0 * d0) * 2.0 * n * row_sum
     u2 = -(k1 / d0) * row_sum
     return OctaCoefficients(k0, k1, k2, k4, a1, a2, a3, b1, b2, b3, u1, u2)
-
-
-def synthesize_u(coeffs: OctaCoefficients, n: int, dtype=np.float64) -> np.ndarray:
-    """Assemble the (2n+1) x (2n+1) Gram inverse from the ten scalars.
-
-    Layout: u1 corner, u2 borders, and an interior b1*I + b2*P + b3*J where
-    P swaps the two n-wide halves (realized by index placement, not a stored
-    permutation matrix).
-    """
-    k = 2 * n + 1
-    u = np.full((k, k), coeffs.b3, dtype=dtype)
-    u[0, 0] = coeffs.u1
-    u[0, 1:] = coeffs.u2
-    u[1:, 0] = coeffs.u2
-    idx = np.arange(1, k)
-    u[idx, idx] += coeffs.b1
-    swapped = np.concatenate([idx[n:], idx[:n]])  # half-block swap
-    u[idx, swapped] += coeffs.b2
-    return u
-

@@ -1,13 +1,12 @@
 """Self-contained invariant battery behind the ``verify`` command.
 
 Each check is a named callable returning None on success and raising
-AssertionError with a diagnostic on failure.  The battery covers the load
-bearing properties: closed-form Gram inverse vs explicit inversion, agreement
-of the octahedral ``Package`` routes with the general-constellation
-``oracle``, interpolation exactness, derivative correctness by
-central differences, positive semidefiniteness of the training Gram
-products, the single-package one-step exact fit, and identity-fragment
-propagation.
+AssertionError with a diagnostic on failure.  Each runs the production
+routes against the ``oracle`` or an exact property: ``Package``'s closed-form
+Gram inverse vs explicit inversion, ``bench``'s fast/naive agreement table,
+interpolation exactness, derivative correctness by central differences,
+positive semidefiniteness of the training Gram products, the single-package
+one-step exact fit, and identity-fragment propagation.
 """
 
 from __future__ import annotations
@@ -18,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracle
-from .cascade import assemble_system, backward_quantities, init_multi, train_multi
-from .constellation import build_octahedral, derive_coefficients, octahedral_points, synthesize_u
+from .bench import _rel_err, run_bench
+from .cascade import assemble_system, backward_quantities, forward_batch, init_multi, train_multi
+from .constellation import build_octahedral, octahedral_points
 from .kernel import KernelParams
 from .linalg import spd_solve
 from .package import Package
@@ -34,48 +34,20 @@ class CheckResult:
     detail: str = ""
 
 
-def _rel_err(a, b) -> float:
-    scale = max(float(np.abs(b).max()), 1e-30)
-    return float(np.abs(a - b).max()) / scale
-
-
-def check_u_equivalence(seed: int, coefficients=None) -> None:
-    """Synthesized Gram inverse equals the explicit inversion for several widths."""
+def check_u_equivalence(seed: int) -> None:
+    """The production closed form of the Gram inverse equals its explicit inversion."""
     kp = KernelParams()
     for n in (1, 2, 3, 7, 50):
-        coeffs = coefficients or derive_coefficients(n, kp, 0.0)
-        fast = synthesize_u(coeffs, n)
+        k = 2 * n + 1
+        fast = Package(build_octahedral(n), kp, np.zeros((k, 1))).coeffs_from_values(np.eye(k))
         slow = oracle.gram_inverse(octahedral_points(n), kp)
         err = _rel_err(fast, slow)
         assert err <= 1e-8, f"n={n}: closed-form inverse off by {err:.3e}"
 
 
 def check_route_agreement(seed: int) -> None:
-    """Package's closed-form routes agree with the oracle for all four operations."""
-    kp = KernelParams()
-    rng = np.random.default_rng(seed)
-    for n in (1, 2, 3, 7, 50):
-        constellation = build_octahedral(n)
-        pkg = Package(constellation, kp, rng.uniform(-1, 1, (constellation.k, 3)))
-        points = octahedral_points(n)
-        u = oracle.gram_inverse(points, kp)
-        for r in (1, 5, 64):
-            x = rng.uniform(-1, 1, (r, n))
-            m_f = pkg.squared_distances(x)
-            m_n = oracle.squared_distances(x, points)
-            assert _rel_err(m_f, m_n) <= 1e-8, f"distances disagree at n={n} r={r}"
-            _, state = pkg.forward(x)
-            # the oracle reads first: the package's routes write over the arrays they consume
-            h_n = oracle.cardinal_basis(state.kernel_vals, u)
-            h_f = pkg.cardinal_basis(state)
-            assert _rel_err(h_f, h_n) <= 1e-8, f"cardinal basis disagrees at n={n} r={r}"
-            g = rng.standard_normal((r, 3))
-            g_n = oracle.backward(g, x, state.sq_dists, points, pkg.coeffs, kp)
-            g_f = pkg.backward(g, state)
-            assert _rel_err(g_f, g_n) <= 1e-8, f"backward disagrees at n={n} r={r}"
-        lam_f = pkg.coeffs_from_values(pkg.values)
-        lam_n = oracle.coefficients(u, pkg.values)
-        assert _rel_err(lam_f, lam_n) <= 1e-8, f"coefficients disagree at n={n}"
+    """Package's closed-form routes agree with the oracle: bench's table, timed once."""
+    run_bench(widths=(1, 2, 3, 7, 50), batch_rows=(1, 5, 64), repeats=1, seed=seed)
 
 
 def check_interpolation(seed: int) -> None:
@@ -101,9 +73,7 @@ def check_gradient(seed: int) -> None:
     x1 = ws.states[1].x_in
 
     def tail(x1v):
-        out, _ = cascade.packages[1].forward(x1v)
-        out, _ = cascade.packages[2].forward(out)
-        return out
+        return forward_batch(cascade, ws.states[0], x1v).output
 
     h = 1e-5
     worst = 0.0

@@ -19,8 +19,7 @@ import pytest
 
 from polycascade import oracle
 from polycascade.cascade import backward_quantities, init_multi, train_multi
-from polycascade.constellation import (build_octahedral, derive_coefficients, octahedral_points,
-                                       synthesize_u)
+from polycascade.constellation import build_octahedral, octahedral_points
 from polycascade.data import Dataset, TransformSpec, fit_apply_transforms, load_idx
 from polycascade.kernel import KernelParams
 from polycascade.linalg import spd_solve
@@ -52,7 +51,9 @@ def test_criterion_1_closed_form_gram_inverse():
     t0 = time.perf_counter()
     worst = 0.0
     for n in (1, 2, 3, 7, 50, 200):
-        fast = synthesize_u(derive_coefficients(n, KP, 0.0), n)
+        k = 2 * n + 1
+        # U @ I through the production closed form
+        fast = Package(build_octahedral(n), KP, np.zeros((k, 1))).coeffs_from_values(np.eye(k))
         slow = oracle.gram_inverse(octahedral_points(n), KP)
         worst = max(worst, rel_err(fast, slow))
         assert rel_err(fast, slow) <= 1e-8, f"n={n}"

@@ -3,9 +3,8 @@ import logging
 
 import pytest
 
-from polycascade import bench, verify
+from polycascade import bench, package, verify
 from polycascade.constellation import derive_coefficients
-from polycascade.kernel import KernelParams
 
 
 def test_bench_rows_cover_grid_and_agree(tmp_path):
@@ -40,22 +39,34 @@ def test_verify_battery_passes(capsys, caplog):
     assert len(caplog.messages) == len(results) + 1
 
 
-def test_verify_fault_injection_names_failing_invariant():
-    # corrupt one closed-form coefficient: the Gram-inverse equivalence
-    # check must fail while carrying its name
-    good = derive_coefficients(1, KernelParams(), 0.0)
-    bad = dataclasses.replace(good, b3=good.b3 + 1e-3)
+def skewed_coefficients(n, params, sigma2=0.0):
+    good = derive_coefficients(n, params, sigma2)
+    return dataclasses.replace(good, b3=good.b3 + 1e-3)
+
+
+def test_u_equivalence_reads_the_production_closed_form(monkeypatch):
+    # corrupt one closed-form coefficient where Package reads it: the check must see it
+    monkeypatch.setattr(package, "derive_coefficients", skewed_coefficients)
     with pytest.raises(AssertionError, match="closed-form inverse off"):
-        verify.check_u_equivalence(0, coefficients=bad)
+        verify.check_u_equivalence(0)
+
+
+def test_verify_fault_injection_names_failing_invariant():
+    # the same corruption during the Gram-inverse check only: that check, and no other,
+    # fails while carrying its name
+    name, original = verify.CHECKS[0]
+
+    def skewed_check(seed):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(package, "derive_coefficients", skewed_coefficients)
+            original(seed)
 
     reports = []
-    original = verify.check_u_equivalence
     try:
-        verify.CHECKS[0] = (verify.CHECKS[0][0],
-                            lambda seed: original(seed, coefficients=bad))
+        verify.CHECKS[0] = (name, skewed_check)
         results = verify.run_all(seed=0, report=reports.append)
     finally:
-        verify.CHECKS[0] = (verify.CHECKS[0][0], original)
+        verify.CHECKS[0] = (name, original)
     failed = [r for r in results if not r.passed]
     assert [r.name for r in failed] == ["closed-form-gram-inverse"]
     assert any("FAIL closed-form-gram-inverse" in line for line in reports)

@@ -17,11 +17,11 @@ from polycascade import linalg
 from polycascade.cascade import (PANEL_ROWS, MultiOutputCascade, TrainingBuffers,
                                  assemble_system, backward_quantities, init_multi, one_hot_pm1,
                                  train_multi)
-from polycascade.constellation import octahedral_points, synthesize_u
+from polycascade.constellation import octahedral_points
 from polycascade.data import Dataset
 from polycascade.kernel import KernelParams
 from polycascade.linalg import NonFiniteError, NotSPDError, ShapeMismatchError
-from polycascade.oracle import package_omegas
+from polycascade.oracle import gram_inverse, package_omegas
 from polycascade.training import TrainConfig, run_training
 
 KP = KernelParams()
@@ -223,7 +223,7 @@ def test_train_step_rederives_coefficients():
     mc, cascade = single([5, 4, 1], seed=6, alpha=2.0)
     train_multi(mc, np.random.default_rng(6).uniform(-1, 1, (9, 5)), np.ones((9, 1)))
     for pkg in cascade.packages:
-        u = synthesize_u(pkg.octa_coeffs, pkg.n_in)
+        u = gram_inverse(octahedral_points(pkg.n_in), pkg.kernel)
         expected = u @ pkg.values
         err = np.abs(pkg.coeffs - expected).max() / max(np.abs(expected).max(), 1e-30)
         assert err <= 1e-8

@@ -19,12 +19,13 @@ EXPERIMENTS = sorted((Path(__file__).resolve().parents[1] / "experiments").glob(
 def shells_config(tmp_path, **overrides):
     base = {
         "format": "synthetic-shells", "train_rows": 600, "test_rows": 200, "max_rows": 800,
-        "dim": 6, "data_seed": 1, "normalize": "false",
+        "dim": 6, "data_seed": 1, "normalize": "false", "log_columns": "", "log1p_columns": "",
+        "clamp": "false",
     }
     model = {"widths": "6,20,1", "alpha": "20", "init": "identity-fragments",
              "precision": "float64", "sigma2": "0", "kernel_b": "5"}
     train = {"epochs": "1", "batch_rows": "200", "seed": "2", "task": "binary-auc"}
-    out = {"dir": str(tmp_path / "run")}
+    out = {"dir": str(tmp_path / "run"), "snapshot_every": "0"}
     for section in (base, model, train, out):
         section.update({k: str(v) for k, v in overrides.items() if k in section})
     text = "[data]\n" + "\n".join(f"{k} = {v}" for k, v in base.items())
@@ -71,6 +72,14 @@ INVALID_VALUES = [
     ("test_rows", "-5", "test_rows"), ("max_rows", "0", "max_rows"), ("dim", "0", "dim"),
     ("dim", "7", "input width 6"), ("data_seed", "-1", "data_seed"),
     ("widths", "6,20,3", "binary-auc"),
+    # a repeat count below 1 would drop the token's entries
+    ("widths", "6,20x0,1", "[model] widths = '6,20x0,1': repeat count in '20x0' must be >= 1"),
+    ("log_columns", "0,1x-3", "[data] log_columns = '0,1x-3': repeat count in '1x-3'"),
+    ("snapshot_every", "-1", "snapshot_every must be >= 0"),
+    # the transforms run only with normalization, which shells_config turns off
+    ("log_columns", "1", "[data] log_columns has no effect with normalize = false"),
+    ("log1p_columns", "1", "[data] log1p_columns has no effect with normalize = false"),
+    ("clamp", "true", "[data] clamp has no effect with normalize = false"),
 ]
 
 
@@ -234,6 +243,16 @@ def test_train_rows_leaving_no_test_rows_exit_2(tmp_path, capsys):
     assert main(["train", str(path)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "config error:" in err and "train_rows=20 leaves no test rows of 20" in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_data_narrower_than_the_model_exits_2_before_any_output(tmp_path, monkeypatch, capsys):
+    path = delimited_config(tmp_path, "delimiter = ,")
+    path.write_text(path.read_text().replace("widths = 3,4,1", "widths = 5,4,1"))
+    monkeypatch.setattr(cli, "run_training", lambda *a, **k: pytest.fail("training started"))
+    assert main(["train", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "data error: train data has 3 features, the model's input width is 5" in err
     assert not (tmp_path / "run").exists()
 
 

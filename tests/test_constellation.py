@@ -4,15 +4,23 @@ import numpy as np
 import pytest
 
 from polycascade.constellation import (DegenerateKernelError, build_octahedral,
-                                       derive_coefficients, octahedral_points, synthesize_u)
+                                       derive_coefficients, octahedral_points)
 from polycascade.kernel import KernelParams, phi
 from polycascade.oracle import SingularConstellationError, gram_inverse, pairwise_sq_dists
+from polycascade.package import Package
 
 KP = KernelParams()
 
 
 def rel_err(a, b):
     return np.abs(a - b).max() / np.abs(b).max()
+
+
+def closed_form_u(n, sigma2=0.0):
+    """U @ I by the production closed form, the route training and scoring run."""
+    k = 2 * n + 1
+    pkg = Package(build_octahedral(n, sigma2), KP, np.zeros((k, 1)))
+    return pkg.coeffs_from_values(np.eye(k))
 
 
 def test_points_n1():
@@ -74,8 +82,7 @@ def test_basis_inverse_system_residuals(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 50])
 def test_synthesized_matches_explicit(n):
-    co = derive_coefficients(n, KP, 0.0)
-    fast = synthesize_u(co, n)
+    fast = closed_form_u(n)
     slow = gram_inverse(octahedral_points(n), KP)
     assert rel_err(fast, slow) <= 1e-8
 
@@ -83,7 +90,7 @@ def test_synthesized_matches_explicit(n):
 def test_synthesized_u_structure():
     n = 3
     co = derive_coefficients(n, KP, 0.0)
-    u = synthesize_u(co, n)
+    u = closed_form_u(n)
     assert np.array_equal(u, u.T)
     assert u[0, 0] == co.u1
     assert np.all(u[0, 1:] == co.u2)
@@ -95,8 +102,7 @@ def test_synthesized_u_structure():
 
 def test_u_solves_gram_system():
     n = 1
-    co = derive_coefficients(n, KP, 0.0)
-    u = synthesize_u(co, n)
+    u = closed_form_u(n)
     c = octahedral_points(n)
     gram = np.array([[phi(v, KP) for v in row] for row in pairwise_sq_dists(c)])
     assert np.abs(u @ gram - np.eye(2 * n + 1)).max() <= 1e-8
@@ -106,7 +112,7 @@ def test_interior_row_sums():
     # every row/column of the interior inverse sums to b1 + b2 + 2n*b3
     n = 5
     co = derive_coefficients(n, KP, 0.0)
-    u = synthesize_u(co, n)
+    u = closed_form_u(n)
     interior = u[1:, 1:]
     expected = co.b1 + co.b2 + 2 * n * co.b3
     assert np.allclose(interior.sum(axis=1), expected, atol=1e-12)
@@ -116,8 +122,7 @@ def test_interior_row_sums():
 def test_sigma2_agreement():
     n = 4
     sigma2 = 0.35
-    co = derive_coefficients(n, KP, sigma2)
-    fast = synthesize_u(co, n)
+    fast = closed_form_u(n, sigma2)
     slow = gram_inverse(octahedral_points(n), KP, sigma2=sigma2)
     assert rel_err(fast, slow) <= 1e-8
 

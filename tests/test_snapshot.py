@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polycascade.cascade import init_multi
-from polycascade.constellation import synthesize_u
+from polycascade.constellation import octahedral_points
 from polycascade.kernel import KernelParams
+from polycascade.oracle import gram_inverse
 from polycascade.package import Package
 from polycascade.snapshot import MAGIC, SnapshotFormatError, load_snapshot, save_snapshot
 
@@ -53,7 +54,7 @@ def test_coefficients_rederived_on_load(tmp_path):
     loaded, prep = load_snapshot(path)
     assert prep is None
     pkg = loaded.replicas[0].packages[0]
-    expected = synthesize_u(pkg.octa_coeffs, pkg.n_in) @ pkg.values
+    expected = gram_inverse(octahedral_points(pkg.n_in), pkg.kernel) @ pkg.values
     assert np.abs(pkg.coeffs - expected).max() / np.abs(expected).max() <= 1e-8
 
 
