@@ -8,8 +8,8 @@ live in ``polycascade.oracle``, which only ``verify``, ``bench`` and the tests
 import.
 """
 
-from .cascade import (Cascade, CascadeBatchWorkspace, MultiOutputCascade, TrainingBuffers,
-                      TrainStepReport, init_multi, one_hot_pm1, train_multi)
+from .cascade import (Cascade, MultiOutputCascade, TrainingBuffers, TrainStepReport, init_multi,
+                      one_hot_pm1, train_multi)
 from .constellation import (Constellation, DegenerateKernelError, OctaCoefficients,
                             build_octahedral, derive_coefficients, octahedral_points)
 from .data import (Batch, DataFormatError, Dataset, TransformSpec, batches,
@@ -25,8 +25,8 @@ from .training import EpochRecord, TrainConfig, run_training
 __version__ = "0.1.0"
 
 __all__ = [
-    "Batch", "Cascade", "CascadeBatchWorkspace", "Constellation", "DataFormatError",
-    "Dataset", "DegenerateKernelError", "EPS_M", "EpochRecord", "KernelParams",
+    "Batch", "Cascade", "Constellation", "DataFormatError", "Dataset", "DegenerateKernelError",
+    "EPS_M", "EpochRecord", "KernelParams",
     "MultiOutputCascade", "NegativeDistanceError", "NonFiniteError", "NotSPDError",
     "OctaCoefficients", "Package", "PackageBatchState", "ShapeMismatchError",
     "SnapshotFormatError", "TrainConfig", "TrainStepReport", "TrainingBuffers", "TransformSpec",

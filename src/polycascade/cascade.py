@@ -96,14 +96,6 @@ SMALL_PRODUCT = 1_000_000
 
 
 @dataclass
-class CascadeBatchWorkspace:
-    """One replica's forward pass on a batch: what its training step reads."""
-
-    states: list[PackageBatchState]  # states[i].x_in is X_i; states[0] is shared by every replica
-    output: np.ndarray  # X_q
-
-
-@dataclass
 class TrainStepReport:
     """Residual and solve diagnostics for one training step."""
 
@@ -154,11 +146,12 @@ def _rows_of(state: PackageBatchState, rows: slice) -> PackageBatchState:
 
 
 def forward_batch(cascade: Cascade, layer1: PackageBatchState, x1: np.ndarray,
-                  ) -> CascadeBatchWorkspace:
-    """One replica's packages 2..q on its layer-1 output ``x1``, retaining training intermediates.
+                  ) -> tuple[list[PackageBatchState], np.ndarray]:
+    """One replica's packages 2..q on its layer-1 output ``x1``: its states and its output X_q.
 
-    ``layer1`` is the batch's shared layer-1 state; it keeps no squared
-    distances, since training never runs ``backward`` on the first package.
+    ``states[i].x_in`` is X_i, and ``states[0]`` is ``layer1``, the batch's
+    layer-1 state shared by every replica; it keeps no squared distances,
+    since training never runs ``backward`` on the first package.
     The calling thread allocates every package's output, distances and
     kernel values for the whole batch; then each row part (``_row_parts``)
     runs through the whole package chain in a ``run_parallel`` region and
@@ -174,7 +167,7 @@ def forward_batch(cascade: Cascade, layer1: PackageBatchState, x1: np.ndarray,
               for pkg, x_in in zip(packages, [x] + outputs[:-1])]
     run_parallel([functools.partial(_forward_rows, packages, states, outputs, rows)
                   for rows in _row_parts(r, packages)])
-    return CascadeBatchWorkspace(states=[layer1] + states, output=outputs[-1] if packages else x)
+    return [layer1] + states, outputs[-1] if packages else x
 
 
 def _forward_rows(packages: list[Package], states: list[PackageBatchState],
@@ -186,9 +179,9 @@ def _forward_rows(packages: list[Package], states: list[PackageBatchState],
                     kernel_vals=state.kernel_vals[rows])
 
 
-def backward_quantities(cascade: Cascade, ws: CascadeBatchWorkspace,
+def backward_quantities(cascade: Cascade, states: list[PackageBatchState],
                         ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Cardinal bases and output-derivative matrices for every package.
+    """Cardinal bases and output-derivative matrices of every package, from its forward states.
 
     The derivative chain starts from a column of ones at the cascade output
     and never descends below the first package (its input derivative is
@@ -204,8 +197,8 @@ def backward_quantities(cascade: Cascade, ws: CascadeBatchWorkspace,
     it.  A basis the state already holds (the shared layer-1 one of d > 1
     replicas) is kept.
     """
-    packages, states = cascade.packages, ws.states
-    r, dt = ws.output.shape[0], ws.output.dtype
+    packages = cascade.packages
+    r, dt = states[0].x_in.shape[0], states[0].x_in.dtype
     grads = [state.x_in for state in states[2:]] + [np.ones((r, 1), dt)]
     if len(packages) > 1:
         grads.insert(0, np.empty((r, packages[0].n_out), dt))
@@ -307,9 +300,8 @@ def assemble_system(layer1: PackageBatchState, bases: list[np.ndarray], grads: l
     The last package's G is a column of ones, so its H H^T is added alone.
 
     The panels run in a ``run_parallel`` region, one task per panel set of
-    ``buffers`` (at most one per panel).  Each task takes panels
-    alternately from the large and the small end of the lower triangle
-    until none is left, and works in its own panel set; panels write
+    ``buffers`` (at most one per panel).  Each task takes panels, largest
+    first, until none is left, and works in its own panel set; panels write
     disjoint rows and their mirrored columns, so the system is the same
     whichever task builds a panel.  Every array is a view of ``buffers`` (a
     set made for this call when None), so the returned system is
@@ -319,7 +311,7 @@ def assemble_system(layer1: PackageBatchState, bases: list[np.ndarray], grads: l
     dt = layer1.x_in.dtype
     buffers = TrainingBuffers.fitting(buffers, layer1.x_in)
     system = _leading(buffers.systems[0], r, r)
-    starts = collections.deque(range(0, r, PANEL_ROWS))
+    starts = collections.deque(reversed(range(0, r, PANEL_ROWS)))
     run_parallel([functools.partial(_assemble_panels, system, layer1.gram, bases, grads, starts,
                                     panel_set)
                   for panel_set in buffers.panel_sets[:len(starts)]])
@@ -327,14 +319,14 @@ def assemble_system(layer1: PackageBatchState, bases: list[np.ndarray], grads: l
     return system
 
 
-def _drain(*takes):
-    """Items taken by ``takes`` in turn, each a deque's ``pop`` or ``popleft``, until it is empty.
+def _drain(items: collections.deque):
+    """Items popped from the left of ``items`` until it is empty.
 
-    Both are atomic, so tasks that drain one deque never take the same item.
+    ``popleft`` is atomic, so tasks that drain one deque never take the same item.
     """
-    for take in itertools.cycle(takes):
+    while True:
         try:
-            yield take()
+            yield items.popleft()
         except IndexError:
             return
 
@@ -345,7 +337,7 @@ def _assemble_panels(system: np.ndarray, gram: np.ndarray | None, bases: list[np
     """Build panels of ``assemble_system`` in ``panel_set`` until ``starts`` is empty."""
     r = system.shape[0]
     h1, g1 = bases[0], grads[0]
-    for i0 in _drain(starts.pop, starts.popleft):
+    for i0 in _drain(starts):
         rows = slice(i0, min(i0 + PANEL_ROWS, r))
         i1 = rows.stop
         acc, hh, gg = (_leading(b, i1 - i0, i1) for b in panel_set)
@@ -366,10 +358,10 @@ def _assemble_panels(system: np.ndarray, gram: np.ndarray | None, bases: list[np
         np.copyto(block, block.T, where=_STRICT_UPPER[:block.shape[0], :block.shape[0]])
 
 
-def train_step(cascade: Cascade, ws: CascadeBatchWorkspace, lstar: np.ndarray,
-               layer1_update: np.ndarray, alpha: float,
+def train_step(cascade: Cascade, states: list[PackageBatchState], output: np.ndarray,
+               lstar: np.ndarray, layer1_update: np.ndarray, alpha: float,
                buffers: TrainingBuffers) -> tuple[TrainStepReport, list[np.ndarray]]:
-    """One replica's training step on the batch held in its workspace: its report and new values.
+    """One replica's training step on its ``forward_batch`` states: its report and new values.
 
     Builds the model's alpha-regularized system (``assemble_system``) in
     ``buffers``, factors it in place and solves it for the batch vector b
@@ -381,10 +373,9 @@ def train_step(cascade: Cascade, ws: CascadeBatchWorkspace, lstar: np.ndarray,
     Inf anywhere upstream reaches the system or its right-hand side and
     raises ``NonFiniteError``.
     """
-    delta_l = lstar - ws.output
-    bases, grads = backward_quantities(cascade, ws)
-    layer1 = ws.states[0]
-    system = assemble_system(layer1, bases, grads, alpha, buffers)
+    delta_l = lstar - output
+    bases, grads = backward_quantities(cascade, states)
+    system = assemble_system(states[0], bases, grads, alpha, buffers)
     if not (np.isfinite(system).all() and np.isfinite(delta_l).all()):
         raise NonFiniteError("training system or output residual contains NaN or Inf")
     b_vec = spd_solve(system, delta_l, overwrite=True)
@@ -458,19 +449,19 @@ class MultiOutputCascade:
         x1 = layer1.kernel_vals @ np.hstack([c.packages[0].coeffs for c in self.replicas])
         return layer1, np.hsplit(x1, self.d)
 
-    def forward_all(self, x0) -> tuple[np.ndarray, list[CascadeBatchWorkspace]]:
-        """Outputs of all replicas as columns of an r x d matrix, with their workspaces.
+    def forward_all(self, x0) -> tuple[np.ndarray, list[list[PackageBatchState]]]:
+        """Outputs of all replicas as columns of an r x d matrix, with each replica's states.
 
         The inspection route: every replica's intermediates are kept at
-        once, and every workspace shares one layer-1 state.  Training does
-        not use it (``train_multi`` holds one replica's per task).
+        once, and every replica's states share one layer-1 state.  Training
+        does not use it (``train_multi`` holds one replica's per task).
         """
         layer1, x1 = self._layer1(x0)
-        workspaces = [forward_batch(c, layer1, y) for c, y in zip(self.replicas, x1)]
-        return np.hstack([ws.output for ws in workspaces]), workspaces
+        passes = [forward_batch(c, layer1, y) for c, y in zip(self.replicas, x1)]
+        return np.hstack([output for _, output in passes]), [states for states, _ in passes]
 
     def scores(self, x0) -> np.ndarray:
-        """Replica outputs without retaining workspaces, on the cores of the process affinity.
+        """Replica outputs without retaining their states, on the cores of the process affinity.
 
         The batch is checked once, here, and scored in chunks of
         ``chunk_rows`` rows.  min(workers, chunks) tasks take whole chunks
@@ -513,7 +504,7 @@ class MultiOutputCascade:
         dists, kernel_vals, x1_buf, *outputs = work
         first = self.replicas[0].packages[0]
         n1 = first.n_out
-        for lo in _drain(starts.popleft):
+        for lo in _drain(starts):
             rows = slice(lo, lo + step)
             chunk = x0[rows]
             n = chunk.shape[0]
@@ -600,10 +591,10 @@ def train_multi(mc: MultiOutputCascade, x0, targets,
     replicas = collections.deque(range(mc.d))
 
     def train_replicas(task_buffers: TrainingBuffers) -> None:
-        for j in _drain(replicas.popleft):
+        for j in _drain(replicas):
             c = mc.replicas[j]
             try:
-                results[j] = train_step(c, done.pop(j, None) or forward_batch(c, layer1, x1[j]),
+                results[j] = train_step(c, *(done.pop(j, None) or forward_batch(c, layer1, x1[j])),
                                         targets[:, j:j + 1], scaled[:, j * n1:(j + 1) * n1],
                                         mc.alpha, task_buffers)
             except Exception as exc:

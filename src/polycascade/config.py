@@ -145,6 +145,10 @@ class RunConfig:
             kernel=KernelParams(b=self.kernel_b, c=self.kernel_c), task=self.task,
         )
 
+    def transform_spec(self) -> TransformSpec:
+        return TransformSpec(log_columns=tuple(self.log_columns),
+                             log1p_columns=tuple(self.log1p_columns), clamp=self.clamp)
+
     def write_ini(self, path) -> None:
         """Write every set key; loading the file gives back an equal config."""
         lines, section = ["# resolved configuration"], None
@@ -199,6 +203,7 @@ def load_run_config(path, check_paths: bool = True) -> RunConfig:
         raise ConfigError(f"{path}: [data] format must be one of {_FORMATS}, got {cfg.format!r}")
     try:
         cfg.train_config()
+        cfg.transform_spec()
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     if cfg.snapshot_every < 0:
@@ -273,8 +278,7 @@ def load_datasets(cfg: RunConfig) -> tuple[Dataset, Dataset, TransformSpec | Non
 
     if not cfg.normalize:
         return train, test, None
-    spec = TransformSpec(log_columns=tuple(cfg.log_columns),
-                         log1p_columns=tuple(cfg.log1p_columns), clamp=cfg.clamp)
+    spec = cfg.transform_spec()
     joined = Dataset(
         features=np.vstack([train.features, test.features]),
         labels=np.concatenate([train.labels, test.labels]),

@@ -65,21 +65,27 @@ class Dataset:
         return Dataset(self.features[self.n_train:], self.labels[self.n_train:])
 
 
-def _read_exact(f, n: int, what: str, path) -> bytes:
-    """Read n bytes, refusing a request larger than what is left in the file.
+class BoundedReader:
+    """Reads a file, refusing any request larger than the bytes left in it.
 
-    Sizes come from file headers, so they are checked before anything is
-    allocated for them: a crafted header cannot force a huge allocation.
+    Sizes come from file headers, so each is checked before anything is
+    allocated for it: a crafted header cannot force a huge allocation.
+    ``left`` counts the bytes not yet read; errors are ``error``, naming the file.
     """
-    left = os.fstat(f.fileno()).st_size - f.tell()
-    if n > left:
-        raise DataFormatError(
-            f"{path}: truncated while reading {what}: wanted {n} bytes, {left} left")
-    buf = f.read(n)
-    if len(buf) != n:
-        raise DataFormatError(
-            f"{path}: truncated while reading {what}: wanted {n} bytes, got {len(buf)}")
-    return buf
+
+    def __init__(self, f, name, error=DataFormatError):
+        self._f, self.name, self._error = f, name, error
+        self.left = os.fstat(f.fileno()).st_size - f.tell()
+
+    def exact(self, n: int, what: str) -> bytes:
+        if n <= self.left:
+            buf = self._f.read(n)
+            if len(buf) == n:
+                self.left -= n
+                return buf
+            self.left = len(buf)  # the file shrank since it was opened
+        raise self._error(f"{self.name}: truncated while reading {what}: "
+                          f"wanted {n} bytes, {self.left} left")
 
 
 def load_idx(images_path, labels_path) -> Dataset:
@@ -91,28 +97,29 @@ def load_idx(images_path, labels_path) -> Dataset:
     """
     images_path, labels_path = Path(images_path), Path(labels_path)
     with open(images_path, "rb") as f:
-        magic, count, rows, cols = struct.unpack(">IIII", _read_exact(f, 16, "header", images_path))
+        reader = BoundedReader(f, images_path)
+        magic, count, rows, cols = struct.unpack(">IIII", reader.exact(16, "header"))
         if magic != IDX_IMAGES_MAGIC:
             raise DataFormatError(
                 f"{images_path}: bad magic 0x{magic:08x}, expected 0x{IDX_IMAGES_MAGIC:08x}")
         if count == 0:
             raise DataFormatError(f"{images_path}: empty dataset")
-        payload = _read_exact(f, count * rows * cols, f"{count} images of {rows}x{cols}",
-                              images_path)
-        if f.read(1):
+        payload = reader.exact(count * rows * cols, f"{count} images of {rows}x{cols}")
+        if reader.left:
             raise DataFormatError(f"{images_path}: trailing bytes after image payload")
     features = np.frombuffer(payload, dtype=np.uint8).reshape(count, rows * cols).astype(np.float64)
 
     with open(labels_path, "rb") as f:
-        magic, label_count = struct.unpack(">II", _read_exact(f, 8, "header", labels_path))
+        reader = BoundedReader(f, labels_path)
+        magic, label_count = struct.unpack(">II", reader.exact(8, "header"))
         if magic != IDX_LABELS_MAGIC:
             raise DataFormatError(
                 f"{labels_path}: bad magic 0x{magic:08x}, expected 0x{IDX_LABELS_MAGIC:08x}")
         if label_count != count:
             raise DataFormatError(
                 f"{labels_path}: {label_count} labels for {count} images in {images_path}")
-        labels = np.frombuffer(_read_exact(f, label_count, "labels", labels_path), dtype=np.uint8)
-        if f.read(1):
+        labels = np.frombuffer(reader.exact(label_count, "labels"), dtype=np.uint8)
+        if reader.left:
             raise DataFormatError(f"{labels_path}: trailing bytes after label payload")
     return Dataset(features, labels.astype(np.int64))
 
@@ -207,6 +214,12 @@ class TransformSpec:
     col_min: tuple[float, ...] | None = None
     col_max: tuple[float, ...] | None = None
 
+    def __post_init__(self):
+        named = [*self.log_columns, *self.log1p_columns]
+        if len(set(named)) < len(named):
+            raise DataFormatError(f"log_columns {list(self.log_columns)} and log1p_columns "
+                                  f"{list(self.log1p_columns)} name a column twice")
+
     @property
     def fitted(self) -> bool:
         return self.col_min is not None
@@ -246,6 +259,9 @@ class TransformSpec:
                 col_min is not None and len(col_min) != len(col_max)):
             raise DataFormatError("preprocessing col_min and col_max must both be absent "
                                   "or both present with equal lengths")
+        crossed = [j for j, (lo, hi) in enumerate(zip(col_min or (), col_max or ())) if lo > hi]
+        if crossed:
+            raise DataFormatError(f"preprocessing col_min exceeds col_max at columns {crossed}")
         return cls(log_columns=columns("log_columns"), log1p_columns=columns("log1p_columns"),
                    clamp=d.get("clamp", False), col_min=col_min, col_max=col_max)
 
@@ -257,14 +273,16 @@ def _apply_logs(features: np.ndarray, spec: TransformSpec, path_hint: str) -> np
         if np.any(column <= 0):
             bad = int(np.argmax(column <= 0))
             raise DataFormatError(
-                f"{path_hint}: log column {col} has non-positive value {column[bad]} at row {bad}")
+                f"{path_hint}: log column {col} has non-positive value {column[bad]} "
+                f"at data row {bad + 1} (blank lines not counted)")
         out[:, col] = np.log(column)
     for col in spec.log1p_columns:
         column = out[:, col]
         if np.any(column <= -1):
             bad = int(np.argmax(column <= -1))
             raise DataFormatError(
-                f"{path_hint}: log1p column {col} has value {column[bad]} <= -1 at row {bad}")
+                f"{path_hint}: log1p column {col} has value {column[bad]} <= -1 "
+                f"at data row {bad + 1} (blank lines not counted)")
         out[:, col] = np.log1p(column)
     return out
 

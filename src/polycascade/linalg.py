@@ -44,7 +44,6 @@ import numpy as np
 import numpy.linalg._umath_linalg as _umath_linalg
 
 DTYPES = {"float64": np.float64, "float32": np.float32}
-DEFAULT_DTYPE = np.float64
 
 
 class ShapeMismatchError(ValueError):
@@ -72,17 +71,14 @@ def resolve_dtype(dtype) -> np.dtype:
     return dt
 
 
-def as_matrix(a, dtype=None, name: str = "matrix") -> np.ndarray:
-    """Coerce to a finite 2-D C-order array, casting only when needed."""
+def as_matrix(a, dtype, name: str = "matrix") -> np.ndarray:
+    """Coerce to a finite 2-D C-order array of ``dtype``, casting only when needed."""
     arr = np.asarray(a)
     if arr.ndim == 1:
         arr = arr.reshape(-1, 1)
     if arr.ndim != 2:
         raise ShapeMismatchError(f"{name} must be 2-D, got ndim={arr.ndim}")
-    if dtype is not None:
-        arr = np.ascontiguousarray(arr, dtype=resolve_dtype(dtype))
-    else:
-        arr = np.ascontiguousarray(arr, dtype=DEFAULT_DTYPE if arr.dtype.kind != "f" else arr.dtype)
+    arr = np.ascontiguousarray(arr, dtype=resolve_dtype(dtype))
     ensure_finite(arr, name)
     return arr
 

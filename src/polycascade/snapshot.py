@@ -19,22 +19,21 @@ Only value matrices are stored; coefficient matrices are rederived on load,
 so a snapshot is always internally consistent.  The embedded preprocessing
 spec lets inference reproduce training normalization bit-for-bit.  Every
 length read from the header is checked against the bytes left in the file
-before it is read, so a corrupt file fails with SnapshotFormatError instead
-of a huge allocation.
+before it is read (``data.BoundedReader``), so a corrupt file fails with
+SnapshotFormatError instead of a huge allocation.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import struct
 from pathlib import Path
 
 import numpy as np
 
 from .cascade import MultiOutputCascade
-from .data import DataFormatError, TransformSpec
+from .data import BoundedReader, DataFormatError, TransformSpec
 from .kernel import KernelParams
 from .linalg import NonFiniteError
 
@@ -55,42 +54,14 @@ def _write_f64(f, *vals):
     f.write(struct.pack("<" + "d" * len(vals), *vals))
 
 
-class _Reader:
-    """Reads a snapshot, refusing any request larger than the bytes left in the file.
-
-    Every length in the header is checked against the file before anything is
-    allocated for it, so a corrupt header cannot force a huge allocation.
-    """
-
-    def __init__(self, f):
-        self._f = f
-        self.left = os.fstat(f.fileno()).st_size
-
-    def exact(self, n: int, what: str) -> bytes:
-        if n > self.left:
-            raise SnapshotFormatError(
-                f"truncated snapshot: wanted {n} bytes for {what}, {self.left} left")
-        buf = self._f.read(n)
-        if len(buf) != n:
-            raise SnapshotFormatError(
-                f"truncated snapshot: wanted {n} bytes for {what}, got {len(buf)}")
-        self.left -= n
-        return buf
-
-    def u64(self, count: int, what: str) -> tuple[int, ...]:
-        return struct.unpack(f"<{count}Q", self.exact(8 * count, what))
-
-    def f64(self, count: int, what: str) -> tuple[float, ...]:
-        return struct.unpack(f"<{count}d", self.exact(8 * count, what))
-
-    def matrix(self, dtype: np.dtype, what: str) -> np.ndarray:
-        """A stored (rows, cols) header and the values it announces."""
-        rows, cols = self.u64(2, f"shape of {what}")
-        raw = self.exact(rows * cols * dtype.itemsize, f"values of {what}")
-        try:
-            return np.frombuffer(raw, dtype=dtype).reshape(rows, cols)
-        except ValueError as exc:  # an empty shape with a dimension numpy cannot hold
-            raise SnapshotFormatError(f"{what}: stored shape {(rows, cols)}: {exc}") from exc
+def _matrix(reader: BoundedReader, dtype: np.dtype, what: str) -> np.ndarray:
+    """A stored (rows, cols) header and the values it announces."""
+    rows, cols = struct.unpack("<2Q", reader.exact(16, f"shape of {what}"))
+    raw = reader.exact(rows * cols * dtype.itemsize, f"values of {what}")
+    try:
+        return np.frombuffer(raw, dtype=dtype).reshape(rows, cols)
+    except ValueError as exc:  # an empty shape with a dimension numpy cannot hold
+        raise SnapshotFormatError(f"{what}: stored shape {(rows, cols)}: {exc}") from exc
 
 
 def save_snapshot(path, model: MultiOutputCascade, preprocessing: dict | None = None) -> None:
@@ -122,21 +93,22 @@ def load_snapshot(path) -> tuple[MultiOutputCascade, dict | None]:
     """
     path = Path(path)
     with open(path, "rb") as f:
-        reader = _Reader(f)
+        reader = BoundedReader(f, path, SnapshotFormatError)
         magic = reader.exact(4, "magic")
         if magic != MAGIC:
             raise SnapshotFormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
-        d, q = reader.u64(2, "replica and package counts")
+        d, q = struct.unpack("<2Q", reader.exact(16, "replica and package counts"))
         if d < 1 or q < 1:
             raise SnapshotFormatError(f"invalid counts d={d}, q={q}")
-        widths = list(reader.u64(q + 1, "widths"))
+        widths = list(struct.unpack(f"<{q + 1}Q", reader.exact(8 * (q + 1), "widths")))
         if min(widths) < 1 or widths[-1] != 1:
             raise SnapshotFormatError(f"invalid widths {widths}: need positive widths ending in 1")
-        alpha, b, c, sigma2 = reader.f64(4, "hyperparameters")
+        alpha, b, c, sigma2 = struct.unpack("<4d", reader.exact(32, "hyperparameters"))
         if not (all(map(math.isfinite, (alpha, b, c, sigma2))) and alpha >= 0 and sigma2 >= 0):
             raise SnapshotFormatError(
                 f"invalid hyperparameters alpha={alpha}, b={b}, c={c}, sigma2={sigma2}")
-        dtype_code, blob_len = reader.u64(2, "dtype code and preprocessing length")
+        dtype_code, blob_len = struct.unpack(
+            "<2Q", reader.exact(16, "dtype code and preprocessing length"))
         if dtype_code not in _CODE_DTYPES:
             raise SnapshotFormatError(f"unknown dtype code {dtype_code}")
         preprocessing = None
@@ -149,12 +121,15 @@ def load_snapshot(path) -> tuple[MultiOutputCascade, dict | None]:
             if not isinstance(preprocessing, dict):
                 raise SnapshotFormatError("preprocessing spec is not a JSON object")
             try:
-                TransformSpec.from_dict(preprocessing)
+                spec = TransformSpec.from_dict(preprocessing)
             except DataFormatError as exc:
                 raise SnapshotFormatError(f"invalid preprocessing spec: {exc}") from exc
+            if spec.fitted and len(spec.col_min) != widths[0]:
+                raise SnapshotFormatError(f"preprocessing bounds have {len(spec.col_min)} "
+                                          f"columns, the model's input width is {widths[0]}")
 
         store_dtype = _CODE_DTYPES[dtype_code]
-        values = [[reader.matrix(store_dtype, f"replica {j} package {i}") for i in range(q)]
+        values = [[_matrix(reader, store_dtype, f"replica {j} package {i}") for i in range(q)]
                   for j in range(d)]
         if reader.left:
             raise SnapshotFormatError("trailing bytes after model payload")

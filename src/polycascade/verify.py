@@ -27,6 +27,12 @@ from .package import Package
 logger = logging.getLogger(__name__)
 
 
+def _check(ok: bool, message: str) -> None:
+    """Raise AssertionError with ``message`` unless ``ok``: unlike ``assert``, kept under ``-O``."""
+    if not ok:
+        raise AssertionError(message)
+
+
 @dataclass
 class CheckResult:
     name: str
@@ -42,7 +48,7 @@ def check_u_equivalence(seed: int) -> None:
         fast = Package(build_octahedral(n), kp, np.zeros((k, 1))).coeffs_from_values(np.eye(k))
         slow = oracle.gram_inverse(octahedral_points(n), kp)
         err = _rel_err(fast, slow)
-        assert err <= 1e-8, f"n={n}: closed-form inverse off by {err:.3e}"
+        _check(err <= 1e-8, f"n={n}: closed-form inverse off by {err:.3e}")
 
 
 def check_route_agreement(seed: int) -> None:
@@ -60,7 +66,7 @@ def check_interpolation(seed: int) -> None:
         pkg = Package(constellation, kp, values)
         out, _ = pkg.forward(octahedral_points(n))
         err = float(np.abs(out - values).max())
-        assert err <= 1e-8, f"interpolation error {err:.3e} at n={n}"
+        _check(err <= 1e-8, f"interpolation error {err:.3e} at n={n}")
 
 
 def check_gradient(seed: int) -> None:
@@ -68,12 +74,12 @@ def check_gradient(seed: int) -> None:
     rng = np.random.default_rng(seed)
     mc = init_multi([5, 4, 3, 1], seed=seed, alpha=1.0)
     cascade = mc.replicas[0]
-    _, (ws,) = mc.forward_all(rng.uniform(-0.9, 0.9, (8, 5)))
-    _, grads = backward_quantities(cascade, ws)
-    x1 = ws.states[1].x_in
+    _, (states,) = mc.forward_all(rng.uniform(-0.9, 0.9, (8, 5)))
+    _, grads = backward_quantities(cascade, states)
+    x1 = states[1].x_in
 
     def tail(x1v):
-        return forward_batch(cascade, ws.states[0], x1v).output
+        return forward_batch(cascade, states[0], x1v)[1]
 
     h = 1e-5
     worst = 0.0
@@ -84,7 +90,7 @@ def check_gradient(seed: int) -> None:
             xm[i, j] -= h
             fd = (tail(xp)[i, 0] - tail(xm)[i, 0]) / (2 * h)
             worst = max(worst, abs(fd - grads[0][i, j]) / max(abs(fd), 1e-12))
-    assert worst <= 1e-4, f"gradient relative error {worst:.3e}"
+    _check(worst <= 1e-4, f"gradient relative error {worst:.3e}")
 
 
 def check_training_gram_psd(seed: int) -> None:
@@ -96,15 +102,15 @@ def check_training_gram_psd(seed: int) -> None:
     mc = init_multi([6, 5, 1], seed=seed, alpha=1.0)
     cascade = mc.replicas[0]
     for trial in range(20):
-        _, (ws,) = mc.forward_all(rng.uniform(-1, 1, (12, 6)))
-        bases, grads = backward_quantities(cascade, ws)
+        _, (states,) = mc.forward_all(rng.uniform(-1, 1, (12, 6)))
+        bases, grads = backward_quantities(cascade, states)
         omegas = oracle.package_omegas(bases, grads)
         for omega in omegas:
             lo = float(np.linalg.eigvalsh(omega).min())
-            assert lo >= -1e-8, f"trial {trial}: Gram product eigenvalue {lo:.3e}"
+            _check(lo >= -1e-8, f"trial {trial}: Gram product eigenvalue {lo:.3e}")
         system = sum(omegas) + np.eye(12)
-        err = _rel_err(assemble_system(ws.states[0], bases, grads, mc.alpha), system)
-        assert err <= 1e-10, f"trial {trial}: assembled system off by {err:.3e}"
+        err = _rel_err(assemble_system(states[0], bases, grads, mc.alpha), system)
+        _check(err <= 1e-10, f"trial {trial}: assembled system off by {err:.3e}")
         spd_solve(system, rng.standard_normal((12, 1)))
 
 
@@ -116,7 +122,7 @@ def check_exact_fit(seed: int) -> None:
     lstar = rng.uniform(-1, 1, (50, 1))
     train_multi(mc, x0, lstar)
     residual = float(np.abs(mc.scores(x0) - lstar).max())
-    assert residual <= 1e-6, f"one-step residual {residual:.3e}"
+    _check(residual <= 1e-6, f"one-step residual {residual:.3e}")
 
 
 def check_identity_fragment(seed: int) -> float:
@@ -128,13 +134,13 @@ def check_identity_fragment(seed: int) -> float:
     width = 6
     mc = init_multi([width] * 11 + [1], seed=seed, mode="identity-fragments", alpha=1.0)
     points = octahedral_points(width)
-    _, (ws,) = mc.forward_all(points)
-    err = float(np.abs(ws.states[10].x_in - points).max())
-    assert err <= 1e-8, f"constellation points drifted by {err:.3e}"
+    _, (states,) = mc.forward_all(points)
+    err = float(np.abs(states[10].x_in - points).max())
+    _check(err <= 1e-8, f"constellation points drifted by {err:.3e}")
     rng = np.random.default_rng(seed)
     interior = rng.uniform(-0.7, 0.7, (32, width))
-    _, (ws,) = mc.forward_all(interior)
-    return float(np.abs(ws.states[10].x_in - interior).max())
+    _, (states,) = mc.forward_all(interior)
+    return float(np.abs(states[10].x_in - interior).max())
 
 
 CHECKS = [

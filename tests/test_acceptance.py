@@ -115,9 +115,9 @@ def test_criterion_3_gradient_correctness():
     probes = 0
     worst = 0.0
     while probes < 100:
-        _, (ws,) = mc.forward_all(rng.uniform(-0.9, 0.9, (5, 5)))
-        _, grads = backward_quantities(cascade, ws)
-        x1 = ws.states[1].x_in
+        _, (states,) = mc.forward_all(rng.uniform(-0.9, 0.9, (5, 5)))
+        _, grads = backward_quantities(cascade, states)
+        x1 = states[1].x_in
         for i in range(x1.shape[0]):
             for j in range(x1.shape[1]):
                 xp, xm = x1.copy(), x1.copy()
@@ -169,8 +169,8 @@ def test_criterion_6_gram_products_psd_and_system_spd():
         widths = [int(rng.integers(3, 8)), int(rng.integers(2, 6)), 1]
         mc = init_multi(widths, seed=trial, alpha=1.0)
         r = int(rng.integers(2, 21))
-        _, (ws,) = mc.forward_all(rng.uniform(-1, 1, (r, widths[0])))
-        bases, grads = backward_quantities(mc.replicas[0], ws)
+        _, (states,) = mc.forward_all(rng.uniform(-1, 1, (r, widths[0])))
+        bases, grads = backward_quantities(mc.replicas[0], states)
         for omega in oracle.package_omegas(bases, grads):
             min_eig = min(min_eig, float(np.linalg.eigvalsh(omega).min()))
     assert min_eig >= -1e-8
@@ -179,8 +179,8 @@ def test_criterion_6_gram_products_psd_and_system_spd():
         widths = [int(rng.integers(3, 10)), int(rng.integers(2, 8)), 1]
         mc = init_multi(widths, seed=200 + trial, alpha=1.0)
         r = int(rng.integers(2, 65))
-        _, (ws,) = mc.forward_all(rng.uniform(-1, 1, (r, widths[0])))
-        bases, grads = backward_quantities(mc.replicas[0], ws)
+        _, (states,) = mc.forward_all(rng.uniform(-1, 1, (r, widths[0])))
+        bases, grads = backward_quantities(mc.replicas[0], states)
         total = sum(oracle.package_omegas(bases, grads)) + 1.0 * np.eye(r)
         spd_solve(total, rng.standard_normal((r, 1)))  # raises if not SPD
     announce(6, f"Gram products PSD (min eig {min_eig:.2e}); "
@@ -192,14 +192,14 @@ def test_criterion_7_identity_fragment_propagation():
     width = 6
     mc = init_multi([width] * 11 + [1], seed=7, mode="identity-fragments", alpha=1.0)
     points = octahedral_points(width)
-    _, (ws,) = mc.forward_all(points)
-    exact_err = float(np.abs(ws.states[10].x_in - points).max())
+    _, (states,) = mc.forward_all(points)
+    exact_err = float(np.abs(states[10].x_in - points).max())
     assert exact_err <= 1e-8
 
     rng = np.random.default_rng(7)
     interior = rng.uniform(-0.7, 0.7, (64, width))
-    _, (ws,) = mc.forward_all(interior)
-    drift = float(np.abs(ws.states[10].x_in - interior).max())  # reported, not asserted
+    _, (states,) = mc.forward_all(interior)
+    drift = float(np.abs(states[10].x_in - interior).max())  # reported, not asserted
     announce(7, f"constellation points pass 10 identity layers exactly "
                 f"({exact_err:.2e}); interior drift {drift:.4f} (reported only)")
 

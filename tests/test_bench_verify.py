@@ -1,5 +1,9 @@
 import dataclasses
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -71,3 +75,32 @@ def test_verify_fault_injection_names_failing_invariant():
     assert [r.name for r in failed] == ["closed-form-gram-inverse"]
     assert any("FAIL closed-form-gram-inverse" in line for line in reports)
     assert any("6/7 invariants passed" in line for line in reports)
+
+
+_SKEWED_VERIFY = """
+import dataclasses
+from polycascade import package, verify
+
+good = package.derive_coefficients
+
+
+def skewed(n, params, sigma2=0.0):
+    coefficients = good(n, params, sigma2)
+    return dataclasses.replace(coefficients, b3=coefficients.b3 + 1e-3)
+
+
+package.derive_coefficients = skewed
+verify.run_all(seed=0, report=print)
+"""
+
+
+def test_verify_checks_fail_alike_under_python_optimize():
+    # python -O strips assert statements: no check may depend on one
+    src = Path(verify.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    reports = [subprocess.run([sys.executable, *flags, "-c", _SKEWED_VERIFY], env=env,
+                              capture_output=True, text=True, timeout=120).stdout
+               for flags in ([], ["-O"])]
+    assert reports[0] == reports[1]
+    assert "FAIL closed-form-gram-inverse: n=1" in reports[1]
+    assert "FAIL interpolation-exactness" in reports[1]

@@ -115,12 +115,12 @@ def test_forward_batch_composes_package_forwards():
     rng = np.random.default_rng(2)
     mc, cascade = single([5, 4, 3, 1], seed=2)
     x0 = rng.uniform(-1, 1, (6, 5))
-    out, (ws,) = mc.forward_all(x0)
+    out, (states,) = mc.forward_all(x0)
     x = x0
     for pkg in cascade.packages:
         x, _ = pkg.forward(x)
     assert np.array_equal(out, x)
-    assert [s.x_in.shape[1] for s in ws.states] + [ws.output.shape[1]] == [5, 4, 3, 1]
+    assert [s.x_in.shape[1] for s in states] + [out.shape[1]] == [5, 4, 3, 1]
 
 
 def test_forward_zero_values_single_package():
@@ -142,14 +142,14 @@ def test_identity_fragment_passthrough_at_points():
     width = 5
     mc, _ = single([width] * 11 + [1], seed=0, mode="identity-fragments")
     points = octahedral_points(width)
-    _, (ws,) = mc.forward_all(points)
-    assert np.abs(ws.states[10].x_in - points).max() <= 1e-8
+    _, (states,) = mc.forward_all(points)
+    assert np.abs(states[10].x_in - points).max() <= 1e-8
 
 
 def test_backward_quantities_shapes_and_final_ones():
     mc, cascade = single([5, 4, 3, 1], seed=1)
-    _, (ws,) = mc.forward_all(np.random.default_rng(1).uniform(-1, 1, (7, 5)))
-    bases, grads = backward_quantities(cascade, ws)
+    _, (states,) = mc.forward_all(np.random.default_rng(1).uniform(-1, 1, (7, 5)))
+    bases, grads = backward_quantities(cascade, states)
     assert [b.shape for b in bases] == [(7, 11), (7, 9), (7, 7)]
     assert [g.shape for g in grads] == [(7, 4), (7, 3), (7, 1)]
     assert np.array_equal(grads[-1], np.ones((7, 1)))
@@ -158,9 +158,9 @@ def test_backward_quantities_shapes_and_final_ones():
 def test_end_to_end_gradient_check():
     rng = np.random.default_rng(5)
     mc, cascade = single([5, 4, 3, 1], seed=5)
-    _, (ws,) = mc.forward_all(rng.uniform(-0.9, 0.9, (6, 5)))
-    _, grads = backward_quantities(cascade, ws)
-    x1 = ws.states[1].x_in
+    _, (states,) = mc.forward_all(rng.uniform(-0.9, 0.9, (6, 5)))
+    _, grads = backward_quantities(cascade, states)
+    x1 = states[1].x_in
 
     def tail(x1v):
         out = x1v
@@ -181,8 +181,8 @@ def test_end_to_end_gradient_check():
 def test_omegas_are_psd():
     rng = np.random.default_rng(11)
     mc, cascade = single([6, 5, 1], seed=11)
-    _, (ws,) = mc.forward_all(rng.uniform(-1, 1, (15, 6)))
-    bases, grads = backward_quantities(cascade, ws)
+    _, (states,) = mc.forward_all(rng.uniform(-1, 1, (15, 6)))
+    bases, grads = backward_quantities(cascade, states)
     for omega in package_omegas(bases, grads):
         assert np.array_equal(omega, omega.T) or np.abs(omega - omega.T).max() < 1e-12
         assert np.linalg.eigvalsh(omega).min() >= -1e-8
@@ -329,8 +329,8 @@ def test_shared_layer1_training_matches_replicas_trained_alone(dtype):
     alone = [init_multi(core, seed=seed + i, alpha=3.0, dtype=dtype) for i in range(3)]
     for idx in np.split(rng.permutation(36), 3):
         x0 = features[idx].astype(dtype)
-        outs, workspaces = mc.forward_all(x0)
-        assert all(ws.states[0] is workspaces[0].states[0] for ws in workspaces)
+        outs, replica_states = mc.forward_all(x0)
+        assert all(states[0] is replica_states[0][0] for states in replica_states)
         reports = train_multi(mc, x0, targets[idx])
         scores = mc.scores(x0)
         for i, model in enumerate(alone):
@@ -613,9 +613,9 @@ def test_not_spd_error_names_replica():
 def test_shared_layer1_state_keeps_no_distances():
     # training never runs backward on package 1, so its shared state drops sq_dists
     mc = init_multi([5, 4, 3], seed=2, alpha=1.0)
-    _, workspaces = mc.forward_all(np.random.default_rng(2).uniform(-1, 1, (6, 5)))
-    assert workspaces[0].states[0].sq_dists is None
-    assert workspaces[0].states[1].sq_dists is not None  # package 2 still runs backward
+    _, (states, *_) = mc.forward_all(np.random.default_rng(2).uniform(-1, 1, (6, 5)))
+    assert states[0].sq_dists is None
+    assert states[1].sq_dists is not None  # package 2 still runs backward
 
 
 def nan_coefficient_after_forward(monkeypatch, cascade, package):
@@ -627,10 +627,10 @@ def nan_coefficient_after_forward(monkeypatch, cascade, package):
     forward = cascade_module.forward_batch
 
     def forward_then_nan(c, layer1, x1):
-        ws = forward(c, layer1, x1)
+        states, output = forward(c, layer1, x1)
         if c is cascade:
             c.packages[package].coeffs[0, 0] = np.nan
-        return ws
+        return states, output
     monkeypatch.setattr(cascade_module, "forward_batch", forward_then_nan)
 
 
@@ -667,15 +667,15 @@ def test_assembled_system_equals_oracle_sum(dtype, bound):
     # several ending in a partial one.
     for r, cached in itertools.product((17, PANEL_ROWS, 2 * PANEL_ROWS + 44), (False, True)):
         mc = init_multi([5, 4, 1, 3, 3], seed=42, alpha=2.5, dtype=dtype)
-        _, workspaces = mc.forward_all(np.random.default_rng(42).uniform(-1, 1, (r, 5)))
+        _, replica_states = mc.forward_all(np.random.default_rng(42).uniform(-1, 1, (r, 5)))
         if cached:
-            layer1 = workspaces[0].states[0]
+            layer1 = replica_states[0][0]
             h1 = mc.replicas[0].packages[0].cardinal_basis(layer1)
             layer1.gram = h1 @ h1.T
-        for c, ws in zip(mc.replicas, workspaces):
-            bases, grads = backward_quantities(c, ws)
+        for c, states in zip(mc.replicas, replica_states):
+            bases, grads = backward_quantities(c, states)
             expected = sum(package_omegas(bases, grads)) + 2.5 * np.eye(r, dtype=dtype)
-            system = assemble_system(ws.states[0], bases, grads, mc.alpha)
+            system = assemble_system(states[0], bases, grads, mc.alpha)
             assert system.dtype == np.dtype(dtype)
             assert np.array_equal(system, system.T)
             assert np.abs(system - expected).max() <= bound * np.abs(expected).max()
@@ -697,9 +697,9 @@ def test_failing_replica_leaves_earlier_replicas_updated_and_itself_untouched(mo
         # negative alpha makes a system that the solve finds not positive definite
         step = cascade_module.train_step
         monkeypatch.setattr(cascade_module, "train_step",
-                            lambda c, ws, lstar, update, alpha, buffers: step(
-                                c, ws, lstar, update, -1e6 if c is mc.replicas[2] else alpha,
-                                buffers))
+                            lambda c, states, output, lstar, update, alpha, buffers: step(
+                                c, states, output, lstar, update,
+                                -1e6 if c is mc.replicas[2] else alpha, buffers))
     else:
         nan_coefficient_after_forward(monkeypatch, mc.replicas[2], 1)
     with pytest.raises(failure, match="^replica 2: " if failure is NotSPDError
@@ -863,21 +863,39 @@ def test_assembly_panels_are_each_built_once_under_contention(monkeypatch):
     # more tasks than cores take panels from one shared deque, switching often: a panel
     # that no task built would leave rows of the uninitialised system in the result
     mc, cascade = single([10, 50, 50, 1], seed=49, mode="identity-fragments", alpha=50.0)
-    _, (ws,) = mc.forward_all(np.random.default_rng(49).uniform(-1, 1, (1000, 10)))
-    bases, grads = backward_quantities(cascade, ws)
+    _, (states,) = mc.forward_all(np.random.default_rng(49).uniform(-1, 1, (1000, 10)))
+    bases, grads = backward_quantities(cascade, states)
     monkeypatch.setattr(cascade_module, "worker_count", lambda: 1)
-    expected = assemble_system(ws.states[0], bases, grads, mc.alpha).copy()
+    expected = assemble_system(states[0], bases, grads, mc.alpha).copy()
     monkeypatch.setattr(cascade_module, "worker_count", lambda: 5)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         for _ in range(5):
-            buffers = TrainingBuffers.fitting(None, ws.states[0].x_in)
+            buffers = TrainingBuffers.fitting(None, states[0].x_in)
             buffers.systems[0].fill(np.nan)
-            system = assemble_system(ws.states[0], bases, grads, mc.alpha, buffers)
+            system = assemble_system(states[0], bases, grads, mc.alpha, buffers)
             assert len(buffers.panel_sets) == 5 and np.array_equal(system, expected)
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_assembly_takes_panels_largest_first(monkeypatch):
+    # from one end of one deque: the last rows' panels, the widest, first
+    mc, cascade = single([6, 5, 1], seed=52, alpha=2.0)
+    r = 3 * PANEL_ROWS + 5
+    _, (states,) = mc.forward_all(np.random.default_rng(52).uniform(-1, 1, (r, 6)))
+    bases, grads = backward_quantities(cascade, states)
+    drain, taken = cascade_module._drain, []
+
+    def watched_drain(items):
+        for item in drain(items):
+            taken.append(item)
+            yield item
+    monkeypatch.setattr(cascade_module, "_drain", watched_drain)
+    monkeypatch.setattr(cascade_module, "worker_count", lambda: 1)
+    assemble_system(states[0], bases, grads, mc.alpha)
+    assert taken == [3 * PANEL_ROWS, 2 * PANEL_ROWS, PANEL_ROWS, 0]
 
 
 @pytest.mark.parametrize("failure", [NotSPDError, NonFiniteError])
@@ -945,11 +963,11 @@ def test_replicas_failing_side_by_side_apply_those_below_the_lowest_and_name_it(
     started, ended, others = {1: threading.Event(), 2: threading.Event()}, threading.Event(), []
     train_step = cascade_module.train_step
 
-    def side_by_side_step(c, ws, lstar, update, alpha, buffers):
+    def side_by_side_step(c, states, output, lstar, update, alpha, buffers):
         j = next(i for i, replica in enumerate(mc.replicas) if replica is c)
         if j not in started:
             others.append(j)
-            return train_step(c, ws, lstar, update, alpha, buffers)
+            return train_step(c, states, output, lstar, update, alpha, buffers)
         started[j].set()
         assert started[3 - j].wait(30)
         if j == order[1]:
@@ -957,7 +975,8 @@ def test_replicas_failing_side_by_side_apply_those_below_the_lowest_and_name_it(
         fails = j == order[0] or j == 1
         try:
             # a negative alpha makes a system that the solve finds not positive definite
-            return train_step(c, ws, lstar, update, -1e6 if fails else alpha, buffers)
+            return train_step(c, states, output, lstar, update, -1e6 if fails else alpha,
+                              buffers)
         finally:
             ended.set()
 

@@ -96,6 +96,24 @@ def test_invalid_values_rejected_before_data_is_read(tmp_path, monkeypatch, caps
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("log_columns,log1p_columns,message", [
+    ("0,0", "", "log_columns [0, 0] and log1p_columns [] name a column twice"),
+    ("0x2", "", "log_columns [0, 0] and log1p_columns [] name a column twice"),
+    ("0", "0", "log_columns [0] and log1p_columns [0] name a column twice"),
+], ids=["listed-twice", "repeated", "in-both-keys"])
+def test_column_named_twice_rejected_before_data_is_read(tmp_path, monkeypatch, capsys,
+                                                         log_columns, log1p_columns, message):
+    # the run file's spec is built, and so checked, before any data is read
+    path = shells_config(tmp_path, normalize="true", log_columns=log_columns,
+                         log1p_columns=log1p_columns)
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: {message}")):
+        load_run_config(path)
+    monkeypatch.setattr(cli, "load_datasets", lambda cfg: pytest.fail("data was read"))
+    assert main(["train", str(path)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_unknown_section_rejected(tmp_path):
     path = shells_config(tmp_path)
     path.write_text(path.read_text() + "[mystery]\nx = 1\n")
@@ -160,10 +178,14 @@ def eval_inputs(tmp_path, n_features, preprocessing=None):
 
 @pytest.mark.parametrize("n_features,preprocessing,extra,message", [
     (5, None, [], "5 features, the model expects 3"),
-    (3, {"col_min": [0.0, 0.0], "col_max": [1.0, 1.0]}, [], "fitted spec has 2 columns"),
+    (3, {"col_min": [0.0, 0.0], "col_max": [1.0, 1.0]}, [],
+     "snapshot error: preprocessing bounds have 2 columns, the model's input width is 3"),
     (3, {"col_min": 5}, [], "invalid preprocessing spec"),
     (3, None, ["--delimiter", ""], "delimiter is empty"),
-], ids=["width-mismatch", "spec-width-mismatch", "mistyped-spec", "empty-delimiter"])
+    (3, {"col_min": [0.0, 1.0, 0.0], "col_max": [1.0, 0.0, 1.0]}, [],
+     "snapshot error: invalid preprocessing spec: preprocessing col_min exceeds col_max"),
+], ids=["width-mismatch", "spec-width-mismatch", "mistyped-spec", "empty-delimiter",
+        "crossed-bounds"])
 def test_eval_bad_input_exit_2(tmp_path, capsys, n_features, preprocessing, extra, message):
     snapshot, data = eval_inputs(tmp_path, n_features, preprocessing)
     assert main(["eval", snapshot, data, *extra]) == EXIT_CONFIG
@@ -221,7 +243,8 @@ def test_eval_huge_header_length_exit_2(tmp_path, capsys):
     bad = tmp_path / "huge.phc1"
     bad.write_bytes(MAGIC + struct.pack("<2Q", 1, 2 ** 40))
     assert main(["eval", str(bad), str(bad)]) == EXIT_CONFIG
-    assert "truncated snapshot" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{bad}: truncated while reading widths: wanted {8 * (2 ** 40 + 1)} bytes, 0 left" in err
 
 
 def test_non_finite_cell_exits_2_before_any_output(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import polycascade
-from polycascade.data import (DataFormatError, Dataset, TransformSpec, batches,
+from polycascade.data import (BoundedReader, DataFormatError, Dataset, TransformSpec, batches,
                               fit_apply_transforms, load_delimited, load_idx)
 
 
@@ -53,6 +54,26 @@ def test_load_idx_truncated_names_byte_count(tmp_path):
                               truncate_images=5)
     with pytest.raises(DataFormatError, match="12 bytes"):
         load_idx(img, lbl)
+
+
+def test_bounded_reader_refuses_a_read_past_the_end_naming_the_file(tmp_path):
+    class CustomError(Exception):
+        pass
+
+    path = tmp_path / "six.bin"
+    path.write_bytes(b"abcdef")
+    with open(path, "rb") as f:
+        f.read(1)
+        reader = BoundedReader(f, path)
+        assert reader.left == 5
+        assert reader.exact(2, "head") == b"bc" and reader.left == 3
+        with pytest.raises(DataFormatError, match=re.escape(
+                f"{path}: truncated while reading tail: wanted 4 bytes, 3 left")):
+            reader.exact(4, "tail")
+        assert reader.exact(3, "tail") == b"def" and reader.left == 0
+    with open(path, "rb") as f:
+        with pytest.raises(CustomError, match="wanted 7 bytes, 6 left"):
+            BoundedReader(f, "six", CustomError).exact(7, "all")
 
 
 def test_load_idx_count_mismatch(tmp_path):
@@ -164,6 +185,33 @@ def test_log_rejects_non_positive():
     spec1p = TransformSpec(log1p_columns=(0,))
     with pytest.raises(DataFormatError, match="log1p column 0"):
         fit_apply_transforms(Dataset(np.array([[-1.0], [1.0]]), np.zeros(2)), spec1p)
+
+
+def test_log_errors_name_the_one_based_data_row():
+    # named as the normalisation error names rows: 1-based, counting data rows
+    features = np.array([[1.0, 0.0], [-1.0, -2.0]])
+    with pytest.raises(DataFormatError, match=re.escape(
+            "log column 0 has non-positive value -1.0 at data row 2 (blank lines not counted)")):
+        fit_apply_transforms(Dataset(features, np.zeros(2)), TransformSpec(log_columns=(0,)))
+    with pytest.raises(DataFormatError, match=re.escape(
+            "log1p column 1 has value -2.0 <= -1 at data row 2 (blank lines not counted)")):
+        fit_apply_transforms(Dataset(features, np.zeros(2)), TransformSpec(log1p_columns=(1,)))
+
+
+@pytest.mark.parametrize("logs,log1ps", [((0, 0), ()), ((), (1, 1)), ((0, 1), (1,))])
+def test_column_named_twice_rejected(logs, log1ps):
+    # a column takes at most one transform, once
+    message = f"log_columns {list(logs)} and log1p_columns {list(log1ps)} name a column twice"
+    with pytest.raises(DataFormatError, match=re.escape(message)):
+        TransformSpec(log_columns=logs, log1p_columns=log1ps)
+    with pytest.raises(DataFormatError, match=re.escape(message)):
+        TransformSpec.from_dict({"log_columns": list(logs), "log1p_columns": list(log1ps)})
+
+
+def test_from_dict_rejects_crossed_bounds():
+    # crossed bounds would flip the column's normalisation without any error
+    with pytest.raises(DataFormatError, match=re.escape("col_min exceeds col_max at columns [0]")):
+        TransformSpec.from_dict({"col_min": [1.0, 0.0], "col_max": [0.0, 0.0]})
 
 
 def test_transform_columns_checked_before_any_log():

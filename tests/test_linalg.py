@@ -62,9 +62,9 @@ def test_determinism_bit_identical():
 
 def test_as_matrix_rejects_non_finite():
     with pytest.raises(NonFiniteError):
-        as_matrix(np.array([[1.0, np.nan]]))
+        as_matrix(np.array([[1.0, np.nan]]), np.float64)
     with pytest.raises(NonFiniteError):
-        as_matrix(np.array([[np.inf, 1.0]]))
+        as_matrix(np.array([[np.inf, 1.0]]), np.float64)
 
 
 def test_as_matrix_dtype_selection():

@@ -1,3 +1,4 @@
+import re
 import struct
 import tempfile
 from pathlib import Path
@@ -18,7 +19,7 @@ from polycascade.snapshot import MAGIC, SnapshotFormatError, load_snapshot, save
 def test_roundtrip_multi_output(tmp_path):
     mc = init_multi([6, 5, 3], seed=4, alpha=7.5)
     path = tmp_path / "model.phc1"
-    spec = {"clamp": False, "col_min": [0.0], "col_max": [1.0]}
+    spec = {"clamp": False, "col_min": [0.0] * 6, "col_max": [1.0] * 6}
     save_snapshot(path, mc, preprocessing=spec)
     loaded, prep = load_snapshot(path)
     assert prep == spec
@@ -152,6 +153,22 @@ def test_mistyped_preprocessing_spec_rejected(tmp_path):
     save_snapshot(path, init_multi([3, 2, 1], seed=0, alpha=1.0),
                   preprocessing={"col_min": 5})
     with pytest.raises(SnapshotFormatError, match="col_min"):
+        load_snapshot(path)
+
+
+@pytest.mark.parametrize("spec,message", [
+    ({"col_min": [0.0, 1.0, 0.0], "col_max": [1.0, 0.0, 1.0]},
+     "invalid preprocessing spec: preprocessing col_min exceeds col_max at columns [1]"),
+    ({"col_min": [0.0, 0.0], "col_max": [1.0, 1.0]},
+     "preprocessing bounds have 2 columns, the model's input width is 3"),
+    ({"log_columns": [1], "log1p_columns": [1]},
+     "invalid preprocessing spec: log_columns [1] and log1p_columns [1] name a column twice"),
+], ids=["crossed-bounds", "bounds-width", "column-twice"])
+def test_preprocessing_spec_checked_against_itself_and_the_model(tmp_path, spec, message):
+    # a stored spec must fit the model it is stored with, so eval never blames the data for it
+    path = tmp_path / "m.phc1"
+    save_snapshot(path, init_multi([3, 2, 1], seed=0, alpha=1.0), preprocessing=spec)
+    with pytest.raises(SnapshotFormatError, match=re.escape(message)):
         load_snapshot(path)
 
 
