@@ -8,14 +8,15 @@ parallel region (``linalg.run_parallel``, which holds numpy's BLAS at one
 thread and its pool parked meanwhile): each task takes whole replicas from
 one deque and runs each one's forward pass right before its training step,
 solve included, so a task holds one replica's intermediates at a time.  A
-lone task, as for d = 1, runs in the calling thread, where ``_row_parts``
-splits the forward pass and backward sweep into row parts, each run through
-the whole chain, where the packages are wide enough for a part to pay for
-its thread, and the assembly's workers take panels from one shared deque.
-``forward_all`` keeps every replica's intermediates for inspection, and
-``scores`` evaluates without keeping them, in chunks of a size the model
-alone sets that its workers take from one deque.  Every array a task writes
-is allocated before the region, so tasks write disjoint parts and need no lock.
+lone task, as for d = 1, runs in the calling thread, where its workers take
+the row chunks of the forward pass and backward sweep (``_row_chunks``, set
+by the batch's rows and the packages alone), then the assembly's panels,
+from deques.  ``forward_all`` keeps every replica's intermediates for
+inspection, and ``scores`` evaluates without keeping them, in chunks of a
+size the model alone sets that its workers take from one deque.  So the
+worker count sets which task runs a chunk, not its bits.  Every array a
+task writes is allocated before the region, so tasks write disjoint parts
+and need no lock.
 
 Training never uses gradient descent: after a forward pass, the
 derivative matrices are propagated backward, each package contributes an
@@ -81,18 +82,15 @@ _STRICT_UPPER = np.triu(np.ones((PANEL_ROWS, PANEL_ROWS), dtype=bool), 1)
 # (``MultiOutputCascade.chunk_rows``): a chunk long enough that its numpy calls outlast the
 # GIL hand-offs between them, and short enough that its arrays stay near the cache
 SCORE_CHUNK_BYTES = 768_000
-# the least bytes of an r x k array, at the packages' mean k, in one row part of the forward
-# or backward sweep: below it, the GIL hand-offs between a part's many small numpy calls cost
-# more than a second core saves (a width sweep of the training step on two cores crossed
-# over near 300 kB for the whole batch, in float32 and float64 alike, at 500 to 2000 rows)
-SWEEP_PART_BYTES = 150_000
-# the rows of a sweep part, but the last, are a multiple of this: OpenBLAS computes a
-# product's last rows below its row unroll (4 here) by another route, whose bits can differ
+# bytes of one training sweep chunk's r x k array at the packages' mean k (``_row_chunks``):
+# below it, the GIL hand-offs between a chunk's many small numpy calls cost more than a
+# second core saves (a width sweep of the training step on two cores crossed over near
+# 300 kB for the whole batch, in float32 and float64 alike, at 500 to 2000 rows)
+SWEEP_CHUNK_BYTES = 400_000
+# the rows of a sweep or scoring chunk, but the last, are a multiple of this: OpenBLAS computes
+# a product's last rows below its row unroll (4 here) by another route, whose bits can differ
 # from those of the same rows inside a longer product
 PART_ROW_MULTIPLE = 16
-# OpenBLAS runs a product of at most this many multiply-adds by its small-matrix kernel, whose
-# bits differ from a larger product's (seen on rows x 101 @ 101 x 50 and rows x 201 @ 201 x 20)
-SMALL_PRODUCT = 1_000_000
 
 
 @dataclass
@@ -119,24 +117,20 @@ def _random_values(rng: np.random.Generator, k: int, n_out: int, dtype) -> np.nd
     return y.astype(dtype, copy=False)
 
 
-def _row_parts(r: int, packages: list[Package]) -> list[slice]:
-    """Contiguous row parts of a training sweep over ``packages`` on a batch of r rows.
+def _row_chunks(r: int, packages: list[Package]) -> collections.deque:
+    """Contiguous row chunks of a training sweep over ``packages`` on a batch of r rows.
 
-    One part per worker of a parallel region, but each part's r x k array
-    at the packages' mean k must hold at least ``SWEEP_PART_BYTES``, so a
-    batch of narrow packages runs in fewer parts, or in one.  Every part
-    but the last has a multiple of ``PART_ROW_MULTIPLE`` rows, and no part
-    of a package product above ``SMALL_PRODUCT`` falls below it.
+    One chunk per ``SWEEP_CHUNK_BYTES`` of an r x k array at the packages'
+    mean k, so a batch of narrow packages runs in one chunk.  Every chunk
+    but the last has a multiple of ``PART_ROW_MULTIPLE`` rows.  The chunks
+    depend on r and the packages alone, so a sweep's bits do not depend on
+    how many tasks drain them.
     """
-    if not packages:
-        return [slice(0, r)]
-    size = r * sum(pkg.k for pkg in packages) * packages[0].dtype.itemsize // len(packages)
-    least = max([SMALL_PRODUCT // (pkg.k * pkg.n_out) + 1 + PART_ROW_MULTIPLE for pkg in packages
-                 if r * pkg.k * pkg.n_out > SMALL_PRODUCT], default=PART_ROW_MULTIPLE)
-    parts = max(1, min(worker_count(), r // least, size // SWEEP_PART_BYTES))
+    size = r * sum(pkg.k * pkg.dtype.itemsize for pkg in packages) // max(len(packages), 1)
+    chunks = max(1, min(r // PART_ROW_MULTIPLE, size // SWEEP_CHUNK_BYTES))
     step = PART_ROW_MULTIPLE
-    bounds = [step * (r * p // (parts * step)) for p in range(parts)] + [r]
-    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    bounds = [step * (r * p // (chunks * step)) for p in range(chunks)] + [r]
+    return collections.deque(slice(lo, hi) for lo, hi in zip(bounds, bounds[1:]))
 
 
 def _rows_of(state: PackageBatchState, rows: slice) -> PackageBatchState:
@@ -153,10 +147,10 @@ def forward_batch(cascade: Cascade, layer1: PackageBatchState, x1: np.ndarray,
     layer-1 state shared by every replica; it keeps no squared distances,
     since training never runs ``backward`` on the first package.
     The calling thread allocates every package's output, distances and
-    kernel values for the whole batch; then each row part (``_row_parts``)
-    runs through the whole package chain in a ``run_parallel`` region and
-    writes its rows of them.  Rows are independent, so the states are those
-    of one pass over the batch.
+    kernel values for the whole batch; then min(workers, chunks) tasks of a
+    ``run_parallel`` region take row chunks (``_row_chunks``) from one deque
+    and run each through the whole package chain into its rows of them.
+    Rows are independent, so the states are those of one pass over the batch.
     """
     packages = cascade.packages[1:]
     x = np.ascontiguousarray(x1, dtype=layer1.x_in.dtype)
@@ -165,18 +159,20 @@ def forward_batch(cascade: Cascade, layer1: PackageBatchState, x1: np.ndarray,
     states = [PackageBatchState(x_in=x_in, sq_dists=np.empty((r, pkg.k), dt),
                                 kernel_vals=np.empty((r, pkg.k), dt))
               for pkg, x_in in zip(packages, [x] + outputs[:-1])]
-    run_parallel([functools.partial(_forward_rows, packages, states, outputs, rows)
-                  for rows in _row_parts(r, packages)])
+    chunks = _row_chunks(r, packages)
+    run_parallel([functools.partial(_forward_rows, packages, states, outputs, chunks)
+                  for _ in range(min(worker_count(), len(chunks)))])
     return [layer1] + states, outputs[-1] if packages else x
 
 
 def _forward_rows(packages: list[Package], states: list[PackageBatchState],
-                  outputs: list[np.ndarray], rows: slice) -> None:
-    """``rows`` of ``forward_batch``: each package's forward pass, into the batch's arrays."""
-    for pkg, state, out in zip(packages, states, outputs):
-        # a package's input is the output whose rows the previous iteration wrote
-        pkg.forward(state.x_in[rows], out=out[rows], sq_dists=state.sq_dists[rows],
-                    kernel_vals=state.kernel_vals[rows])
+                  outputs: list[np.ndarray], chunks: collections.deque) -> None:
+    """Chunks of ``forward_batch`` until ``chunks`` is empty: each package's forward pass."""
+    for rows in _drain(chunks):
+        for pkg, state, out in zip(packages, states, outputs):
+            # a package's input is the output whose rows the previous iteration wrote
+            pkg.forward(state.x_in[rows], out=out[rows], sq_dists=state.sq_dists[rows],
+                        kernel_vals=state.kernel_vals[rows])
 
 
 def backward_quantities(cascade: Cascade, states: list[PackageBatchState],
@@ -190,12 +186,12 @@ def backward_quantities(cascade: Cascade, states: list[PackageBatchState],
     Each package's input derivative is written over its input where
     ``forward_batch`` made that input (packages 3..q), so the sweep
     allocates one derivative matrix, package 2's; those states' ``x_in``
-    are then None.  As in ``forward_batch``, each row part runs the whole
-    sweep in a ``run_parallel`` region, on views of the batch's states, and
-    writes its rows of the whole-batch matrices.  Afterwards each state has
-    been consumed as one ``backward`` and one ``cardinal_basis`` consume
-    it.  A basis the state already holds (the shared layer-1 one of d > 1
-    replicas) is kept.
+    are then None.  As in ``forward_batch``, a region's tasks take row
+    chunks from one deque and run the whole sweep on each chunk's views of
+    the states, writing its rows of the whole-batch matrices.  Afterwards
+    each state has been consumed as one ``backward`` and one
+    ``cardinal_basis`` consume it.  A basis the state already holds (the
+    shared layer-1 one of d > 1 replicas) is kept.
     """
     packages = cascade.packages
     r, dt = states[0].x_in.shape[0], states[0].x_in.dtype
@@ -203,14 +199,14 @@ def backward_quantities(cascade: Cascade, states: list[PackageBatchState],
     if len(packages) > 1:
         grads.insert(0, np.empty((r, packages[0].n_out), dt))
     pending = [state.basis is None for state in states]
-    parts = [(rows, [_rows_of(state, rows) for state in states])
-             for rows in _row_parts(r, packages[1:])]
+    chunks = collections.deque((rows, [_rows_of(state, rows) for state in states])
+                               for rows in _row_chunks(r, packages[1:]))
     for state in states:
-        # the parts' views hold the distances now, so each package's are freed once every
-        # part's backward has consumed them
+        # the chunks' views hold the distances now, so each package's are freed once every
+        # chunk's backward has consumed them
         state.sq_dists = None
-    run_parallel([functools.partial(_backward_rows, packages, part_states, grads, pending, rows)
-                  for rows, part_states in parts])
+    run_parallel([functools.partial(_backward_rows, packages, grads, pending, chunks)
+                  for _ in range(min(worker_count(), len(chunks)))])
     for state, built in zip(states, pending):
         if built:  # the basis was written over the kernel values
             state.basis, state.kernel_vals = state.kernel_vals, None
@@ -219,14 +215,15 @@ def backward_quantities(cascade: Cascade, states: list[PackageBatchState],
     return [state.basis for state in states], grads
 
 
-def _backward_rows(packages: list[Package], part_states: list[PackageBatchState],
-                   grads: list[np.ndarray], pending: list[bool], rows: slice) -> None:
-    """``rows`` of ``backward_quantities``: the backward sweep, then the pending bases."""
-    for i in range(len(packages) - 1, 0, -1):
-        packages[i].backward(grads[i][rows], part_states[i], out=grads[i - 1][rows])
-    for pkg, state, todo in zip(packages, part_states, pending):
-        if todo:
-            pkg.cardinal_basis(state)
+def _backward_rows(packages: list[Package], grads: list[np.ndarray], pending: list[bool],
+                   chunks: collections.deque) -> None:
+    """Chunks of ``backward_quantities`` until ``chunks`` is empty: the sweep, then the bases."""
+    for rows, chunk_states in _drain(chunks):
+        for i in range(len(packages) - 1, 0, -1):
+            packages[i].backward(grads[i][rows], chunk_states[i], out=grads[i - 1][rows])
+        for pkg, state, todo in zip(packages, chunk_states, pending):
+            if todo:
+                pkg.cardinal_basis(state)
 
 
 class TrainingBuffers:

@@ -10,6 +10,7 @@ models can reproduce their training preprocessing exactly.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import sys
@@ -224,6 +225,21 @@ class TransformSpec:
     def fitted(self) -> bool:
         return self.col_min is not None
 
+    def check_width(self, width: int) -> None:
+        """Raise DataFormatError unless the spec applies to rows of ``width`` features: its
+        columns lie in [0, width), and any bounds have ``width`` ranges whose doubles are
+        finite, so no value within its bounds normalises beyond the float range."""
+        bad_cols = [c for c in (*self.log_columns, *self.log1p_columns) if not 0 <= c < width]
+        if bad_cols:
+            raise DataFormatError(f"transform columns {bad_cols} out of range for {width} features")
+        if self.fitted and len(self.col_min) != width:
+            raise DataFormatError(f"preprocessing bounds have {len(self.col_min)} columns for "
+                                  f"{width} features")
+        overflow = [j for j, (lo, hi) in enumerate(zip(self.col_min or (), self.col_max or ()))
+                    if not math.isfinite(2.0 * (float(hi) - float(lo)))]
+        if overflow:
+            raise DataFormatError(f"preprocessing bounds are too far apart at columns {overflow}")
+
     def to_dict(self) -> dict:
         return {
             "log_columns": list(self.log_columns),
@@ -300,17 +316,12 @@ def fit_apply_transforms(dataset: Dataset, spec: TransformSpec,
     counts rows of ``dataset`` (blank lines of a delimited file are not
     rows; ``load_delimited``'s own errors name file lines).
     """
-    ncols = dataset.n_features
-    bad_cols = [c for c in (*spec.log_columns, *spec.log1p_columns) if not 0 <= c < ncols]
-    if bad_cols:
-        raise DataFormatError(f"transform columns {bad_cols} out of range for {ncols} features")
+    spec.check_width(dataset.n_features)
     transformed = _apply_logs(dataset.features, spec, "features")
 
     if spec.fitted:
         lo = np.asarray(spec.col_min, dtype=np.float64)
         hi = np.asarray(spec.col_max, dtype=np.float64)
-        if lo.size != ncols:
-            raise DataFormatError(f"fitted spec has {lo.size} columns, dataset has {ncols}")
         fitted = spec
     else:
         train_rows = transformed if dataset.n_train is None else transformed[:dataset.n_train]

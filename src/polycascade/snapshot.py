@@ -64,9 +64,19 @@ def _matrix(reader: BoundedReader, dtype: np.dtype, what: str) -> np.ndarray:
         raise SnapshotFormatError(f"{what}: stored shape {(rows, cols)}: {exc}") from exc
 
 
+def _check_spec(preprocessing: dict, width: int) -> None:
+    """Raise SnapshotFormatError unless ``preprocessing`` suits inputs of ``width`` features."""
+    try:
+        TransformSpec.from_dict(preprocessing).check_width(width)
+    except DataFormatError as exc:
+        raise SnapshotFormatError(f"invalid preprocessing spec: {exc}") from exc
+
+
 def save_snapshot(path, model: MultiOutputCascade, preprocessing: dict | None = None) -> None:
-    """Write the model (and optional preprocessing spec) to a PHC1 file."""
+    """Write the model and its optional preprocessing spec, checked first, to a PHC1 file."""
     widths = model.widths
+    if preprocessing is not None:
+        _check_spec(preprocessing, widths[0])
     dtype_code = _DTYPE_CODES[model.dtype]
     blob = b"" if preprocessing is None else json.dumps(preprocessing).encode("utf-8")
 
@@ -120,13 +130,7 @@ def load_snapshot(path) -> tuple[MultiOutputCascade, dict | None]:
                 raise SnapshotFormatError(f"preprocessing spec is not valid JSON: {exc}") from exc
             if not isinstance(preprocessing, dict):
                 raise SnapshotFormatError("preprocessing spec is not a JSON object")
-            try:
-                spec = TransformSpec.from_dict(preprocessing)
-            except DataFormatError as exc:
-                raise SnapshotFormatError(f"invalid preprocessing spec: {exc}") from exc
-            if spec.fitted and len(spec.col_min) != widths[0]:
-                raise SnapshotFormatError(f"preprocessing bounds have {len(spec.col_min)} "
-                                          f"columns, the model's input width is {widths[0]}")
+            _check_spec(preprocessing, widths[0])
 
         store_dtype = _CODE_DTYPES[dtype_code]
         values = [[_matrix(reader, store_dtype, f"replica {j} package {i}") for i in range(q)]

@@ -791,19 +791,20 @@ def assert_same_training(got, expected):
 
 
 @pytest.mark.parametrize("workers", [2, 3])
-@pytest.mark.parametrize("shape", ["shells-deep-float64", "10x100,1-float32"])
+@pytest.mark.parametrize("shape", ["shells-deep-float64", "10x100,1-float32", "784,100,20,20,1"])
 def test_threaded_training_equals_one_thread_training(monkeypatch, one_blas_thread, shape,
                                                       workers):
-    # the sweep splits into row parts on the shells-deep shape and runs in one part on the
-    # narrow one; the assembly's panels are spread over the workers on both
-    def make():
-        if shape == "shells-deep-float64":
-            return shells_deep_model()
-        return init_multi([10] * 100 + [1], seed=46, mode="identity-fragments", alpha=50.0,
-                          dtype="float32")
-
+    # the sweep splits into two row chunks on the shells-deep shape and runs in one chunk on
+    # the narrow shape and on the wide one, whose products' bits change with their row count,
+    # so a split that followed the worker count would show; the assembly's panels are spread
+    # over the workers on all three
+    make = {"shells-deep-float64": shells_deep_model,
+            "10x100,1-float32": lambda: init_multi([10] * 100 + [1], seed=46, alpha=50.0,
+                                                   mode="identity-fragments", dtype="float32"),
+            "784,100,20,20,1": lambda: init_multi([784, 100, 20, 20, 1], seed=46,
+                                                  alpha=200.0)}[shape]
     rng = np.random.default_rng(46)
-    x0 = rng.uniform(-1, 1, (1000, 10))
+    x0 = rng.uniform(-1, 1, (1000, make().widths[0]))
     targets = rng.choice([-1.0, 1.0], (1000, 1))
     monkeypatch.setattr(cascade_module, "worker_count", lambda: workers)
     threaded = train_twice(make(), x0, targets)
@@ -815,15 +816,19 @@ def test_threaded_training_equals_one_thread_training(monkeypatch, one_blas_thre
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_threaded_training_on_uneven_and_short_batches(monkeypatch, one_blas_thread, workers):
-    # one row; fewer rows than one sweep part (100 x 101 float64 values < SWEEP_PART_BYTES);
-    # one whole panel; three panels, the last partial; and row parts of unequal size
+    # one row; fewer rows than one sweep chunk holds (an r x 101 float64 array below
+    # SWEEP_CHUNK_BYTES); one whole panel; three panels, the last partial; and row chunks of
+    # unequal size, two of them and three, which two workers share out
     rng = np.random.default_rng(47)
-    for rows in (1, 100, PANEL_ROWS, 2 * PANEL_ROWS + 45, 1001):
+    chunk_rows = {1: [1], 100: [100], PANEL_ROWS: [PANEL_ROWS],
+                  2 * PANEL_ROWS + 45: [2 * PANEL_ROWS + 45], 1001: [496, 505],
+                  1500: [496, 496, 508]}
+    packages = shells_deep_model(depth=3).replicas[0].packages[1:]
+    for rows, sizes in chunk_rows.items():
         x0 = rng.uniform(-1, 1, (rows, 10))
         targets = rng.choice([-1.0, 1.0], (rows, 1))
         monkeypatch.setattr(cascade_module, "worker_count", lambda: workers)
-        parts = cascade_module._row_parts(rows, shells_deep_model().replicas[0].packages[1:])
-        assert [p.stop - p.start for p in parts] in ([rows], [496, 505], [320, 336, 345])
+        assert [c.stop - c.start for c in cascade_module._row_chunks(rows, packages)] == sizes
         threaded = train_twice(shells_deep_model(depth=3), x0, targets)
         monkeypatch.setattr(cascade_module, "worker_count", lambda: 1)
         assert_same_training(threaded, train_twice(shells_deep_model(depth=3), x0, targets))
@@ -833,7 +838,7 @@ def test_threaded_training_on_uneven_and_short_batches(monkeypatch, one_blas_thr
 
 def test_panel_sets_are_counted_when_the_buffers_are_allocated(monkeypatch, one_blas_thread):
     # an affinity change between batches must not index past the sets a buffer set holds;
-    # the packages are narrow, so the sweep runs in one part and only the panels are shared
+    # the packages are narrow, so the sweep runs in one chunk and only the panels are shared
     def model():
         return init_multi([10] * 4 + [1], seed=48, mode="identity-fragments", alpha=50.0)
 
@@ -903,21 +908,21 @@ def test_blas_thread_count_is_restored_after_a_failing_step(monkeypatch, blas_th
                                                             failure):
     # NotSPDError comes from the solve: after the sweep regions at d = 1, and inside the
     # replicas' region at d = 3.  NonFiniteError is raised by a package's forward pass: at
-    # d = 1 inside every sweep part, at d = 3 in the task that trains the last replica
+    # d = 1 inside every sweep chunk, at d = 3 in the task that trains the last replica
     patch_workers(monkeypatch, 2)
     solve = cascade_module.spd_solve
     rng = np.random.default_rng(50)
-    # 448 rows split in two parts of 224, each above the small-matrix size of a 101 x 50
-    # product (400 rows split into 192 + 208 before that size bounded a part)
-    x0 = rng.uniform(-1, 1, (448, 10))
+    # 1000 rows of k = 101 float64 packages split into two sweep chunks, so the d = 1
+    # sweeps run in regions of two tasks
+    x0 = rng.uniform(-1, 1, (1000, 10))
     for d in (1, 3):
         def model():
             return init_multi([10] + [50] * 3 + [d], seed=46, mode="identity-fragments",
                               alpha=50.0)
 
         mc = model()
-        targets = rng.choice([-1.0, 1.0], (448, d))
-        assert len(cascade_module._row_parts(448, mc.replicas[0].packages[1:])) == 2
+        targets = rng.choice([-1.0, 1.0], (1000, d))
+        assert len(cascade_module._row_chunks(1000, mc.replicas[0].packages[1:])) == 2
         monkeypatch.setattr(cascade_module, "spd_solve", solve)
         train_multi(model(), x0, targets)
         if blas_threads is not None:
@@ -928,9 +933,9 @@ def test_blas_thread_count_is_restored_after_a_failing_step(monkeypatch, blas_th
             match = "^replica 0: "
         else:
             def failing_forward(*args, **kwargs):
-                raise NonFiniteError("raised in a sweep part")
+                raise NonFiniteError("raised in a sweep chunk")
             monkeypatch.setattr(mc.replicas[-1].packages[2], "forward", failing_forward)
-            match = f"^replica {d - 1}: raised" if d > 1 else "^raised in a sweep part"
+            match = f"^replica {d - 1}: raised" if d > 1 else "^raised in a sweep chunk"
         with pytest.raises(failure, match=match):
             train_multi(mc, x0, targets)
         if blas_threads is not None:
@@ -1021,7 +1026,7 @@ def test_replicas_are_each_trained_once_under_contention(monkeypatch):
 def test_trained_values_do_not_depend_on_the_worker_count(monkeypatch, shape):
     # each of d > 1 replicas trains whole in one task at one BLAS thread, so two, three and
     # four tasks give the same bits (with one worker, its factor runs on BLAS's own threads);
-    # a one-replica batch splits its sweeps and panels over one to four workers
+    # a one-replica batch shares its sweep chunks and panels out over one to four workers
     widths, dtype, init = {
         "10,50x9,4": ([10] + [50] * 9 + [4], "float64", "identity-fragments"),
         "784,100,20,20,10": ([784, 100, 20, 20, 10], "float64", "random"),
@@ -1048,20 +1053,20 @@ def test_trained_values_do_not_depend_on_the_worker_count(monkeypatch, shape):
 
 
 def test_forked_child_trains_with_a_pool_of_its_own():
-    # the parent's pool threads do not exist in a fork; a sweep part or panel queued for
+    # the parent's pool threads do not exist in a fork; a sweep chunk or panel queued for
     # them would never run
     code = textwrap.dedent("""
         import os, signal, numpy as np, polycascade
         from polycascade import cascade
         cascade.worker_count = lambda: 2
         rng = np.random.default_rng(0)
-        x, t = rng.uniform(-1, 1, (600, 10)), rng.choice([-1.0, 1.0], (600, 1))
+        x, t = rng.uniform(-1, 1, (1000, 10)), rng.choice([-1.0, 1.0], (1000, 1))
         def model():
             return polycascade.init_multi([10, 50, 50, 1], seed=0, mode="identity-fragments",
                                           alpha=50.0)
         trained, fresh = model(), model()
         polycascade.train_multi(trained, x, t)
-        assert len(cascade._row_parts(600, trained.replicas[0].packages[1:])) == 2
+        assert len(cascade._row_chunks(1000, trained.replicas[0].packages[1:])) == 2
         pid = os.fork()
         if pid == 0:
             signal.alarm(30)

@@ -1,15 +1,23 @@
+import contextlib
+import io
+import json
 import re
 import struct
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_snapshot import save_unchecked
 
 from polycascade import cli
 from polycascade.cascade import init_multi
 from polycascade.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from polycascade.config import ConfigError, load_run_config
+from polycascade.data import Dataset, TransformSpec, fit_apply_transforms
 from polycascade.linalg import NonFiniteError
 from polycascade.snapshot import MAGIC, save_snapshot
 
@@ -165,10 +173,14 @@ def test_eval_roundtrip(tmp_path, capsys):
 
 
 def eval_inputs(tmp_path, n_features, preprocessing=None):
-    """A 3-input snapshot and a CSV with ``n_features`` feature columns after the label."""
+    """A 3-input snapshot and a CSV with ``n_features`` feature columns after the label; the
+    snapshot holds ``preprocessing`` as it is, even where ``save_snapshot`` would refuse it."""
     snapshot = tmp_path / "m.phc1"
-    save_snapshot(snapshot, init_multi([3, 4, 1], seed=0, alpha=1.0),
-                  preprocessing=preprocessing)
+    model = init_multi([3, 4, 1], seed=0, alpha=1.0)
+    if preprocessing is None:
+        save_snapshot(snapshot, model)
+    else:
+        save_unchecked(snapshot, model, preprocessing)
     data = tmp_path / "d.csv"
     rng = np.random.default_rng(0)
     np.savetxt(data, np.hstack([rng.integers(0, 2, (20, 1)), rng.uniform(-1, 1, (20, n_features))]),
@@ -179,13 +191,20 @@ def eval_inputs(tmp_path, n_features, preprocessing=None):
 @pytest.mark.parametrize("n_features,preprocessing,extra,message", [
     (5, None, [], "5 features, the model expects 3"),
     (3, {"col_min": [0.0, 0.0], "col_max": [1.0, 1.0]}, [],
-     "snapshot error: preprocessing bounds have 2 columns, the model's input width is 3"),
+     "snapshot error: invalid preprocessing spec: preprocessing bounds have 2 columns for 3 "
+     "features"),
     (3, {"col_min": 5}, [], "invalid preprocessing spec"),
     (3, None, ["--delimiter", ""], "delimiter is empty"),
     (3, {"col_min": [0.0, 1.0, 0.0], "col_max": [1.0, 0.0, 1.0]}, [],
      "snapshot error: invalid preprocessing spec: preprocessing col_min exceeds col_max"),
+    (3, {"log_columns": [5]}, [],
+     "snapshot error: invalid preprocessing spec: transform columns [5] out of range"),
+    (3, {"log_columns": [-1]}, [],
+     "snapshot error: invalid preprocessing spec: transform columns [-1] out of range"),
+    (3, {"col_min": [-1.7e308, 0.0, 0.0], "col_max": [1.7e308, 1.0, 1.0]}, [],
+     "snapshot error: invalid preprocessing spec: preprocessing bounds are too far apart"),
 ], ids=["width-mismatch", "spec-width-mismatch", "mistyped-spec", "empty-delimiter",
-        "crossed-bounds"])
+        "crossed-bounds", "column-beyond-width", "negative-column", "range-overflows"])
 def test_eval_bad_input_exit_2(tmp_path, capsys, n_features, preprocessing, extra, message):
     snapshot, data = eval_inputs(tmp_path, n_features, preprocessing)
     assert main(["eval", snapshot, data, *extra]) == EXIT_CONFIG
@@ -285,10 +304,95 @@ def test_out_of_range_log_columns_exit_2(tmp_path, capsys):
     assert main(["train", str(path)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "data error:" in err and "transform columns [3] out of range for 3 features" in err
+    # a snapshot's columns beyond the model's width are the snapshot's fault, not the data's
     snapshot, data = eval_inputs(tmp_path, 3, {"log1p_columns": [7]})
     assert main(["eval", snapshot, data]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert "data error:" in err and "transform columns [7] out of range for 3 features" in err
+    assert "snapshot error:" in err and "transform columns [7] out of range for 3 features" in err
+
+
+def run_main(argv):
+    """``main``'s exit code and its standard error."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def clean_eval_inputs(directory):
+    """A valid spec that logs column 0 and log1ps column 1 of a clean, all-positive CSV of
+    three features, fitted on it, and that CSV."""
+    rng = np.random.default_rng(3)
+    features = rng.uniform(0.5, 2.0, (20, 3))
+    data = directory / "d.csv"
+    np.savetxt(data, np.hstack([np.arange(20).reshape(-1, 1) % 2, features]), delimiter=",")
+    _, spec = fit_apply_transforms(Dataset(features, np.zeros(20)),
+                                   TransformSpec(log_columns=(0,), log1p_columns=(1,)))
+    return spec.to_dict(), data
+
+
+NUMBERS = st.one_of(st.integers(-3, 5), st.integers(-2 ** 70, 2 ** 70), st.floats(),
+                    st.sampled_from([1.7e308, -1.7e308, 1e308, -1e308, 5e-324, -5e-324, 1e-300]))
+SPEC_VALUES = st.one_of(NUMBERS, st.none(), st.booleans(), st.text(max_size=3),
+                        st.lists(NUMBERS, max_size=4))
+
+
+@st.composite
+def mutated_specs(draw, spec):
+    """``spec`` with one to three keys dropped, replaced, or given one new entry."""
+    spec = json.loads(json.dumps(spec))
+    for _ in range(draw(st.integers(1, 3))):
+        key = draw(st.sampled_from(sorted(spec) + ["unknown"]))
+        how = draw(st.sampled_from(["entry", "value", "drop"]))
+        if how == "entry" and isinstance(spec.get(key), list) and spec[key]:
+            spec[key][draw(st.integers(0, len(spec[key]) - 1))] = draw(NUMBERS)
+        elif how == "drop":
+            spec.pop(key, None)
+        else:
+            spec[key] = draw(SPEC_VALUES)
+    return spec
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.data())
+def test_eval_of_any_stored_spec_exits_0_or_2_without_blaming_clean_data(draw):
+    # the clean CSV holds nothing that a data error could blame for a spec's columns or
+    # bounds; only a row far beyond bounds that the spec has moved can fail to normalise or
+    # score within the float range, and that error names the row
+    with tempfile.TemporaryDirectory() as d:
+        spec, data = clean_eval_inputs(Path(d))
+        snapshot = Path(d) / "m.phc1"
+        save_unchecked(snapshot, init_multi([3, 4, 1], seed=0, alpha=1.0),
+                       draw.draw(mutated_specs(spec)))
+        code, err = run_main(["eval", str(snapshot), str(data)])
+    assert code in (EXIT_OK, EXIT_CONFIG)
+    assert code == EXIT_OK or err.startswith(("snapshot error: ", "data error: ")), err
+    if err.startswith("data error: "):
+        assert "data row" in err and "transform columns" not in err and "nan" not in err, err
+        found = re.search(r"value (\S+), training bounds \[(\S+), (\S+)\]", err)
+        if found:
+            value, lo, hi = map(float, found.groups())
+            assert not lo <= value <= hi, err
+
+
+INI_KEYS = ["format", "train_rows", "test_rows", "max_rows", "dim", "data_seed", "normalize",
+            "log_columns", "log1p_columns", "clamp", "widths", "alpha", "init", "precision",
+            "sigma2", "kernel_b", "epochs", "batch_rows", "seed", "task", "snapshot_every"]
+INI_TEXT = st.one_of(
+    st.integers(-2 ** 70, 2 ** 70).map(str), st.floats().map(str),
+    st.sampled_from(["", "true", "false", "1e400", "6,20,1", "6,0,1", "1,,2", "float32",
+                     "float16", "idx", "delimited", "classify", "identity-fragments"]),
+    st.lists(st.integers(-3, 50), max_size=4).map(lambda v: ",".join(map(str, v))),
+    st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=6))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.dictionaries(st.sampled_from(INI_KEYS), INI_TEXT, min_size=1, max_size=3))
+def test_dry_run_of_any_ini_value_exits_0_or_is_a_config_error(overrides):
+    with tempfile.TemporaryDirectory() as d:
+        code, err = run_main(["train", str(shells_config(Path(d), **overrides)), "--dry-run"])
+    assert (code, err) == (EXIT_OK, "") or (
+        code == EXIT_CONFIG and err.startswith("config error: ")), err
 
 
 def set_last_cell(data, row, text):

@@ -233,7 +233,7 @@ def test_consumed_state_fails_loudly():
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_backward_into_a_row_slice_equals_the_allocating_call(dtype):
-    # the cascade's row parts write their rows of a whole-batch derivative matrix
+    # the cascade's row chunks write their rows of a whole-batch derivative matrix
     c = build_octahedral(5)
     rng = np.random.default_rng(9)
     pkg = Package(c, KP, rng.uniform(-1, 1, (c.k, 3)), dtype=dtype)

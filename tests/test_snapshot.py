@@ -1,3 +1,4 @@
+import json
 import re
 import struct
 import tempfile
@@ -14,6 +15,16 @@ from polycascade.kernel import KernelParams
 from polycascade.oracle import gram_inverse
 from polycascade.package import Package
 from polycascade.snapshot import MAGIC, SnapshotFormatError, load_snapshot, save_snapshot
+
+
+def save_unchecked(path, model, preprocessing):
+    """A snapshot of ``model`` holding ``preprocessing`` as it is, even where ``save_snapshot``
+    would refuse it: the spec is spliced into a snapshot saved without one."""
+    save_snapshot(path, model)
+    data = Path(path).read_bytes()
+    at = len(MAGIC) + 16 + 8 * len(model.widths) + 32 + 8  # the spec's length field
+    blob = json.dumps(preprocessing).encode("utf-8")
+    Path(path).write_bytes(data[:at] + struct.pack("<Q", len(blob)) + blob + data[at + 8:])
 
 
 def test_roundtrip_multi_output(tmp_path):
@@ -150,8 +161,11 @@ def test_stored_shape_mismatch_names_replica(tmp_path, shape, message):
 
 def test_mistyped_preprocessing_spec_rejected(tmp_path):
     path = tmp_path / "m.phc1"
-    save_snapshot(path, init_multi([3, 2, 1], seed=0, alpha=1.0),
-                  preprocessing={"col_min": 5})
+    mc = init_multi([3, 2, 1], seed=0, alpha=1.0)
+    with pytest.raises(SnapshotFormatError, match="col_min"):
+        save_snapshot(path, mc, preprocessing={"col_min": 5})
+    assert not path.exists()
+    save_unchecked(path, mc, {"col_min": 5})
     with pytest.raises(SnapshotFormatError, match="col_min"):
         load_snapshot(path)
 
@@ -160,14 +174,29 @@ def test_mistyped_preprocessing_spec_rejected(tmp_path):
     ({"col_min": [0.0, 1.0, 0.0], "col_max": [1.0, 0.0, 1.0]},
      "invalid preprocessing spec: preprocessing col_min exceeds col_max at columns [1]"),
     ({"col_min": [0.0, 0.0], "col_max": [1.0, 1.0]},
-     "preprocessing bounds have 2 columns, the model's input width is 3"),
+     "invalid preprocessing spec: preprocessing bounds have 2 columns for 3 features"),
     ({"log_columns": [1], "log1p_columns": [1]},
      "invalid preprocessing spec: log_columns [1] and log1p_columns [1] name a column twice"),
-], ids=["crossed-bounds", "bounds-width", "column-twice"])
+    ({"log_columns": [5]}, "invalid preprocessing spec: transform columns [5] out of range "
+                           "for 3 features"),
+    ({"log1p_columns": [-1]}, "invalid preprocessing spec: transform columns [-1] out of range "
+                              "for 3 features"),
+    ({"col_min": [-1.7e308, 0.0, 0.0], "col_max": [1.7e308, 1.0, 1.0]},
+     "invalid preprocessing spec: preprocessing bounds are too far apart at columns [0]"),
+    # each bound's distance from 0 is finite, but twice their distance apart is not
+    ({"col_min": [0.0, -1e308, 0.0], "col_max": [1.0, 0.0, 1e308]},
+     "invalid preprocessing spec: preprocessing bounds are too far apart at columns [1, 2]"),
+], ids=["crossed-bounds", "bounds-width", "column-twice", "column-beyond-width",
+        "negative-column", "range-overflows", "double-range-overflows"])
 def test_preprocessing_spec_checked_against_itself_and_the_model(tmp_path, spec, message):
-    # a stored spec must fit the model it is stored with, so eval never blames the data for it
+    # a stored spec must fit the model it is stored with, so eval never blames the data for
+    # it; save_snapshot refuses to write it, and load_snapshot to read one written otherwise
     path = tmp_path / "m.phc1"
-    save_snapshot(path, init_multi([3, 2, 1], seed=0, alpha=1.0), preprocessing=spec)
+    mc = init_multi([3, 2, 1], seed=0, alpha=1.0)
+    with pytest.raises(SnapshotFormatError, match=re.escape(message)):
+        save_snapshot(path, mc, preprocessing=spec)
+    assert not path.exists()
+    save_unchecked(path, mc, spec)
     with pytest.raises(SnapshotFormatError, match=re.escape(message)):
         load_snapshot(path)
 
