@@ -83,9 +83,9 @@ _STRICT_UPPER = np.triu(np.ones((PANEL_ROWS, PANEL_ROWS), dtype=bool), 1)
 # GIL hand-offs between them, and short enough that its arrays stay near the cache
 SCORE_CHUNK_BYTES = 768_000
 # bytes of one training sweep chunk's r x k array at the packages' mean k (``_row_chunks``):
-# below it, the GIL hand-offs between a chunk's many small numpy calls cost more than a
-# second core saves (a width sweep of the training step on two cores crossed over near
-# 300 kB for the whole batch, in float32 and float64 alike, at 500 to 2000 rows)
+# a width sweep of the training step on two cores found a split paying off above about 300 kB
+# for the whole batch, in float32 and float64 alike, at 500 to 2000 rows; a chunk holds more,
+# so that its many small numpy calls outlast the GIL hand-offs between them
 SWEEP_CHUNK_BYTES = 400_000
 # the rows of a sweep or scoring chunk, but the last, are a multiple of this: OpenBLAS computes
 # a product's last rows below its row unroll (4 here) by another route, whose bits can differ
