@@ -73,24 +73,26 @@ def run_bench(widths=(16, 32, 64, 128, 256, 512, 1024, 2048), batch_rows=(64, 25
             if r * k > MAX_ELEMENTS:
                 continue
             x = rng.uniform(-1, 1, (r, n))
-            _, state = pkg.forward(x)
-            m, kv = state.sq_dists, state.kernel_vals
+            xt = np.ascontiguousarray(x.T)  # Package holds a batch features x rows
+            m, kv = pkg.squared_distances(xt), pkg.batch_state(xt).kernel_vals
             g_next = rng.standard_normal((r, N_OUT))
+            gt = np.ascontiguousarray(g_next.T)
 
             def fresh():
-                """A forward state of the batch: cardinal_basis and backward consume theirs."""
-                return PackageBatchState(x_in=x, sq_dists=m.copy(), kernel_vals=kv.copy())
+                """A state of the batch: cardinal_basis consumes its kernel values."""
+                return PackageBatchState(x_in=xt, kernel_vals=kv.copy())
 
-            # each fast route takes a fresh state, made outside its timing
+            # each fast route takes a fresh state, made outside its timing; the oracle holds
+            # batches rows x features, so its batch results are compared as transposed views
             pairs = {
-                "squared_distances": (lambda _: pkg.squared_distances(x),
-                                      lambda: oracle.squared_distances(x, points)),
+                "squared_distances": (lambda _: pkg.squared_distances(xt),
+                                      lambda: oracle.squared_distances(x, points).T),
                 "coeffs_from_values": (lambda _: pkg.coeffs_from_values(values),
                                        lambda: oracle.coefficients(u, values)),
                 "cardinal_basis": (pkg.cardinal_basis,
-                                   lambda: oracle.cardinal_basis(kv, u)),
-                "backward": (lambda s: pkg.backward(g_next, s),
-                             lambda: oracle.backward(g_next, x, m, points, pkg.coeffs, kp)),
+                                   lambda: oracle.cardinal_basis(kv.T, u).T),
+                "backward": (lambda s: pkg.backward(gt, s),
+                             lambda: oracle.backward(g_next, x, m.T, points, pkg.coeffs, kp).T),
             }
             for op, (fast_fn, naive_fn) in pairs.items():
                 err = _rel_err(fast_fn(fresh()), naive_fn())

@@ -2,17 +2,26 @@
 
 A model is a ``MultiOutputCascade`` of d >= 1 single-output replicas, built
 from its widths, hyperparameters and value matrices; ``init_multi`` draws
-the values and ``snapshot.load_snapshot`` reads them.  Each batch is one
-``train_multi`` call, which trains the replicas side by side in one
-parallel region (``linalg.run_parallel``, which holds numpy's BLAS at one
-thread and its pool parked meanwhile): each task takes whole replicas from
-one deque and runs each one's forward pass right before its training step,
-solve included, so a task holds one replica's intermediates at a time.  A
-lone task, as for d = 1, runs in the calling thread, where its workers take
-the row chunks of the forward pass and backward sweep (``_row_chunks``, set
-by the batch's rows and the packages alone), then the assembly's panels,
-from deques.  ``forward_all`` keeps every replica's intermediates for
-inspection, and ``scores`` evaluates without keeping them, in chunks of a
+the values and ``snapshot.load_snapshot`` reads them.
+
+Every batch array inside the cascade is held features x rows, as in
+``package``: a batch of r rows is transposed once where it enters
+(``MultiOutputCascade.layer1``, and each scoring chunk), each package's
+input, output and derivative is n x r, and its distances, kernel values and
+basis are k x r, so the batch's rows are the columns of every array.
+``scores`` still returns r x d.
+
+Each batch is one ``train_multi`` call, which trains the replicas side by
+side in one parallel region (``linalg.run_parallel``, which holds numpy's
+BLAS at one thread and its pool parked meanwhile): each task takes whole
+replicas from one deque and runs each one's ``sweep`` right before its
+``train_step``, so a task holds one replica's intermediates at a time.  A
+lone task, as for d = 1, runs in the calling thread, outside any region.
+A replica's ``sweep`` runs in chunks of the batch's rows (``_row_chunks``,
+set by the rows and the packages alone), and a task runs each chunk whole,
+forward pass, cardinal bases and backward sweep, in a contiguous working
+set of its own; a lone replica's assembly then shares its panels out from a
+deque.  ``scores`` evaluates without keeping intermediates, in chunks of a
 size the model alone sets that its workers take from one deque.  So the
 worker count sets which task runs a chunk, not its bits.  Every array a
 task writes is allocated before the region, so tasks write disjoint parts
@@ -33,14 +42,16 @@ leaves holding the system, so a step keeps one r x r array.  A system per
 task, the panel buffers and, for d > 1 replicas, the layer-1 basis Gram form
 one ``TrainingBuffers`` set that every replica of a batch reuses; ``run_training``
 keeps one set for a whole epoch, so a steady-state batch writes into memory
-it has already touched.  The set's arrays are allocated together after the
-epoch's first forward pass.
+it has already touched.  The set's arrays are allocated together right
+after the epoch's first sweep.
 
-Each package's state is consumed as the step reads it: the cardinal basis
-is written over the kernel values, the backward sweep's derivative factors
-over the squared distances (see ``package``) and each package's input
-derivative over its input, so one replica's intermediates come to about two
-r x k arrays per package.
+A sweep keeps each package's basis (k x r) and output derivative (n x r)
+for the whole batch, and each of its tasks a working set of one chunk: its
+input to every package, and one k x c array each of distances and kernel
+values that the packages take in turn.  Each package's basis is written
+over its kernel values and its input derivative over its input, and
+``backward`` computes the distances again instead of keeping them (see
+``package``).
 
 The replicas have independent value matrices and share the architecture and
 hyperparameters.  Every replica's first package has the same constellation
@@ -48,10 +59,10 @@ and kernel, so the layer-1 distances, kernel values, cardinal basis and basis
 Gram product are computed once per batch (or scoring chunk) and shared by
 all replicas.  Layer 1 then acts as one package with d * n1 outputs: one
 product over the replicas' stacked coefficients gives every layer-1 output,
-and one product over their stacked derivative blocks gives every layer-1
-value update.  The derivative Grams and the solve stay per replica.  A
-one-replica model keeps no layer-1 Gram: its layer-1 term is built in
-panels like any other package's.
+each replica's a contiguous row block of it, and one product over their
+stacked derivative blocks gives every layer-1 value update.  The derivative
+Grams and the solve stay per replica.  A one-replica model keeps no layer-1
+Gram: its layer-1 term is built in panels like any other package's.
 """
 
 from __future__ import annotations
@@ -78,17 +89,17 @@ INIT_MODES = ("random", "identity-fragments")
 # rows per assembly panel: two P x r products per package stay in cache
 PANEL_ROWS = 128
 _STRICT_UPPER = np.triu(np.ones((PANEL_ROWS, PANEL_ROWS), dtype=bool), 1)
-# bytes of one scoring chunk's r x k array at the packages' mean k, within 512 to 2048 rows
+# bytes of one scoring chunk's k x r array at the packages' mean k, within 512 to 2048 rows
 # (``MultiOutputCascade.chunk_rows``): a chunk long enough that its numpy calls outlast the
 # GIL hand-offs between them, and short enough that its arrays stay near the cache
 SCORE_CHUNK_BYTES = 768_000
-# bytes of one training sweep chunk's r x k array at the packages' mean k (``_row_chunks``):
+# bytes of one training sweep chunk's k x r array at the packages' mean k (``_row_chunks``):
 # a width sweep of the training step on two cores found a split paying off above about 300 kB
 # for the whole batch, in float32 and float64 alike, at 500 to 2000 rows; a chunk holds more,
 # so that its many small numpy calls outlast the GIL hand-offs between them
 SWEEP_CHUNK_BYTES = 400_000
 # the rows of a sweep or scoring chunk, but the last, are a multiple of this: OpenBLAS computes
-# a product's last rows below its row unroll (4 here) by another route, whose bits can differ
+# a product's last batch rows below its unroll (16 here) by another route, whose bits can differ
 # from those of the same rows inside a longer product
 PART_ROW_MULTIPLE = 16
 
@@ -118,9 +129,9 @@ def _random_values(rng: np.random.Generator, k: int, n_out: int, dtype) -> np.nd
 
 
 def _row_chunks(r: int, packages: list[Package]) -> collections.deque:
-    """Contiguous row chunks of a training sweep over ``packages`` on a batch of r rows.
+    """Chunks of consecutive rows of a training sweep over ``packages`` on a batch of r rows.
 
-    One chunk per ``SWEEP_CHUNK_BYTES`` of an r x k array at the packages'
+    One chunk per ``SWEEP_CHUNK_BYTES`` of a k x r array at the packages'
     mean k, so a batch of narrow packages runs in one chunk.  Every chunk
     but the last has a multiple of ``PART_ROW_MULTIPLE`` rows.  The chunks
     depend on r and the packages alone, so a sweep's bits do not depend on
@@ -133,97 +144,102 @@ def _row_chunks(r: int, packages: list[Package]) -> collections.deque:
     return collections.deque(slice(lo, hi) for lo, hi in zip(bounds, bounds[1:]))
 
 
-def _rows_of(state: PackageBatchState, rows: slice) -> PackageBatchState:
-    """A state of ``rows`` of ``state``'s batch, whose arrays are views of ``state``'s."""
-    return PackageBatchState(*(None if a is None else a[rows]
-                               for a in (state.x_in, state.sq_dists, state.kernel_vals)))
+def sweep(cascade: Cascade, layer1: PackageBatchState, x1: np.ndarray,
+          ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    """One replica's training sweep on its layer-1 output ``x1`` (n1 x r).
 
+    Returns the replica's output X_q (1 x r), every package's cardinal basis
+    H_i (k_i x r) and every package's output derivative G_i (n_{i+1} x r),
+    whose last is a row of ones: the derivative chain starts at the cascade
+    output and never descends below the first package.  H_1 is the basis of
+    ``layer1``, the batch's layer-1 state that every replica shares, built
+    over its kernel values in the calling thread unless the state holds it
+    already.
 
-def forward_batch(cascade: Cascade, layer1: PackageBatchState, x1: np.ndarray,
-                  ) -> tuple[list[PackageBatchState], np.ndarray]:
-    """One replica's packages 2..q on its layer-1 output ``x1``: its states and its output X_q.
-
-    ``states[i].x_in`` is X_i, and ``states[0]`` is ``layer1``, the batch's
-    layer-1 state shared by every replica; it keeps no squared distances,
-    since training never runs ``backward`` on the first package.
-    The calling thread allocates every package's output, distances and
-    kernel values for the whole batch; then min(workers, chunks) tasks of a
-    ``run_parallel`` region take row chunks (``_row_chunks``) from one deque
-    and run each through the whole package chain into its rows of them.
-    Rows are independent, so the states are those of one pass over the batch.
+    Packages 2..q run in row chunks (``_row_chunks``): min(workers, chunks)
+    tasks of a ``run_parallel`` region take chunks from one deque, and each
+    runs a chunk's forward pass, cardinal bases and backward sweep one after
+    another in a working set of its own, which the calling thread allocates:
+    the chunk's input to every package (n_i x c), and one k x c array each of
+    distances and kernel values that the packages take in turn.  A package
+    builds its basis over its kernel values right after its forward pass,
+    and ``backward`` computes its distances again.  Every array a chunk
+    works on is contiguous: it copies its columns of ``x1`` in, writes each
+    package's input derivative over its input to that package, and writes
+    only its columns of the output, the bases and the derivatives.  Rows are
+    independent, so the result is that of one pass over the batch.
     """
-    packages = cascade.packages[1:]
-    x = np.ascontiguousarray(x1, dtype=layer1.x_in.dtype)
-    r, dt = x.shape[0], x.dtype
-    outputs = [np.empty((r, pkg.n_out), dt) for pkg in packages]
-    states = [PackageBatchState(x_in=x_in, sq_dists=np.empty((r, pkg.k), dt),
-                                kernel_vals=np.empty((r, pkg.k), dt))
-              for pkg, x_in in zip(packages, [x] + outputs[:-1])]
+    first, packages = cascade.packages[0], cascade.packages[1:]
+    r, dt = x1.shape[1], x1.dtype
+    bases = [first.cardinal_basis(layer1)] + [np.empty((pkg.k, r), dt) for pkg in packages]
+    grads = [np.empty((pkg.n_out, r), dt) for pkg in cascade.packages[:-1]]
+    grads.append(np.ones((1, r), dt))
+    if not packages:
+        return x1, bases, grads
+    output = np.empty((1, r), dt)
     chunks = _row_chunks(r, packages)
-    run_parallel([functools.partial(_forward_rows, packages, states, outputs, chunks)
-                  for _ in range(min(worker_count(), len(chunks)))])
-    return [layer1] + states, outputs[-1] if packages else x
+    cols = max(c.stop - c.start for c in chunks)
+    k = max(pkg.k for pkg in packages)
+    sizes = [pkg.n_in * cols for pkg in packages] + [k * cols, k * cols]
+    # allocated here, not in the workers, so that no worker thread grows a heap of its own
+    work_sets = [[np.empty(size, dt) for size in sizes]
+                 for _ in range(min(worker_count(), len(chunks)))]
+    run_parallel([functools.partial(_sweep_chunks, packages, x1, output, bases[1:], grads,
+                                    chunks, work)
+                  for work in work_sets])
+    return output, bases, grads
 
 
-def _forward_rows(packages: list[Package], states: list[PackageBatchState],
-                  outputs: list[np.ndarray], chunks: collections.deque) -> None:
-    """Chunks of ``forward_batch`` until ``chunks`` is empty: each package's forward pass."""
-    for rows in _drain(chunks):
-        for pkg, state, out in zip(packages, states, outputs):
-            # a package's input is the output whose rows the previous iteration wrote
-            pkg.forward(state.x_in[rows], out=out[rows], sq_dists=state.sq_dists[rows],
-                        kernel_vals=state.kernel_vals[rows])
+def _sweep_chunks(packages: list[Package], x1: np.ndarray, output: np.ndarray,
+                  bases: list[np.ndarray], grads: list[np.ndarray], chunks: collections.deque,
+                  work: list[np.ndarray]) -> None:
+    """Chunks of ``sweep`` until ``chunks`` is empty, each in the working set ``work``."""
+    *input_flats, dists, kernel_vals = work
+    for cols in _drain(chunks):
+        c = cols.stop - cols.start
+        inputs = [_leading(flat, pkg.n_in, c) for pkg, flat in zip(packages, input_flats)]
+        np.copyto(inputs[0], x1[:, cols])
+        states = forward_batch(packages, inputs + [output[:, cols]], [h[:, cols] for h in bases],
+                               dists, kernel_vals)
+        backward_quantities(packages, states, [g[:, cols] for g in grads], dists)
 
 
-def backward_quantities(cascade: Cascade, states: list[PackageBatchState],
-                        ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Cardinal bases and output-derivative matrices of every package, from its forward states.
+def forward_batch(packages: list[Package], inputs: list[np.ndarray], bases: list[np.ndarray],
+                  dists: np.ndarray, kernel_vals: np.ndarray) -> list[PackageBatchState]:
+    """A sweep chunk's forward pass through ``packages``: their states, with inputs kept.
 
-    The derivative chain starts from a column of ones at the cascade output
-    and never descends below the first package (its input derivative is
-    unused by training).  It runs first: each ``backward`` writes over the
-    distances it consumes, so the bases are then built beside fewer arrays.
-    Each package's input derivative is written over its input where
-    ``forward_batch`` made that input (packages 3..q), so the sweep
-    allocates one derivative matrix, package 2's; those states' ``x_in``
-    are then None.  As in ``forward_batch``, a region's tasks take row
-    chunks from one deque and run the whole sweep on each chunk's views of
-    the states, writing its rows of the whole-batch matrices.  Afterwards
-    each state has been consumed as one ``backward`` and one
-    ``cardinal_basis`` consume it.  A basis the state already holds (the
-    shared layer-1 one of d > 1 replicas) is kept.
+    ``inputs`` holds each package's input (n x c), which the previous
+    package's output is written into, and then the chunk's output.  Every
+    package takes the flat arrays ``dists`` and ``kernel_vals`` in turn for
+    its k x c distances and kernel values, and builds its cardinal basis over
+    the kernel values right after its forward pass, to be copied into its
+    array of ``bases`` (the chunk's columns of the batch's basis).
     """
-    packages = cascade.packages
-    r, dt = states[0].x_in.shape[0], states[0].x_in.dtype
-    grads = [state.x_in for state in states[2:]] + [np.ones((r, 1), dt)]
-    if len(packages) > 1:
-        grads.insert(0, np.empty((r, packages[0].n_out), dt))
-    pending = [state.basis is None for state in states]
-    chunks = collections.deque((rows, [_rows_of(state, rows) for state in states])
-                               for rows in _row_chunks(r, packages[1:]))
-    for state in states:
-        # the chunks' views hold the distances now, so each package's are freed once every
-        # chunk's backward has consumed them
-        state.sq_dists = None
-    run_parallel([functools.partial(_backward_rows, packages, grads, pending, chunks)
-                  for _ in range(min(worker_count(), len(chunks)))])
-    for state, built in zip(states, pending):
-        if built:  # the basis was written over the kernel values
-            state.basis, state.kernel_vals = state.kernel_vals, None
-    for state in states[2:]:
-        state.x_in = None  # it holds the package's input derivative now
-    return [state.basis for state in states], grads
+    c = inputs[0].shape[1]
+    states = []
+    for pkg, x, out, h in zip(packages, inputs, inputs[1:], bases):
+        _, state = pkg.forward(x, out=out, sq_dists=_leading(dists, pkg.k, c),
+                               kernel_vals=_leading(kernel_vals, pkg.k, c))
+        h[...] = pkg.cardinal_basis(state)
+        states.append(state)
+    return states
 
 
-def _backward_rows(packages: list[Package], grads: list[np.ndarray], pending: list[bool],
-                   chunks: collections.deque) -> None:
-    """Chunks of ``backward_quantities`` until ``chunks`` is empty: the sweep, then the bases."""
-    for rows, chunk_states in _drain(chunks):
-        for i in range(len(packages) - 1, 0, -1):
-            packages[i].backward(grads[i][rows], chunk_states[i], out=grads[i - 1][rows])
-        for pkg, state, todo in zip(packages, chunk_states, pending):
-            if todo:
-                pkg.cardinal_basis(state)
+def backward_quantities(packages: list[Package], states: list[PackageBatchState],
+                        grads: list[np.ndarray], dists: np.ndarray) -> None:
+    """A sweep chunk's backward sweep: the output derivative of every package into ``grads``.
+
+    The chain starts from ``grads[-1]``, the cascade output's row of ones,
+    and runs down to the input of the first package of ``packages``, whose
+    derivative is ``grads[0]``.  Each package computes its distances again
+    in the flat array ``dists`` and writes its input derivative over its
+    state's input, from which it is copied into its array of ``grads`` (the
+    chunk's columns of the batch's derivative).
+    """
+    g = grads[-1]
+    for pkg, state, g_prev in reversed(list(zip(packages, states, grads))):
+        g = pkg.backward(g, state, out=state.x_in, sq_dists=_leading(dists, pkg.k, g.shape[1]))
+        g_prev[...] = g
 
 
 class TrainingBuffers:
@@ -235,9 +251,9 @@ class TrainingBuffers:
     d > 1 replicas only, their shared layer-1 basis Gram (r x r).  Each is
     held flat, so a shorter batch uses C-contiguous leading views of them.
     The first ``fitting`` call, which ``train_multi`` makes after replica
-    0's forward pass, allocates them together and fixes their counts, so a
-    set made before a batch gets its memory after that batch's forward
-    arrays.  A set serves one batch at a time.
+    0's sweep, allocates them together and fixes their counts, so a set
+    made before a batch gets its memory after that batch's sweep arrays.  A
+    set serves one batch at a time.
     """
 
     def __init__(self, rows: int, dtype):
@@ -250,12 +266,15 @@ class TrainingBuffers:
     @classmethod
     def fitting(cls, buffers: TrainingBuffers | None, x: np.ndarray,
                 replicas: int = 1) -> TrainingBuffers:
-        """``buffers`` (a new set if None), allocated for d = ``replicas``, if it can hold ``x``."""
+        """``buffers`` (a new set if None), allocated for d = ``replicas``, if it can hold ``x``.
+
+        ``x`` is a batch as the cascade holds it, features x rows.
+        """
         if buffers is None:
-            buffers = cls(x.shape[0], x.dtype)
-        elif buffers.rows < x.shape[0] or buffers.dtype != x.dtype:
+            buffers = cls(x.shape[1], x.dtype)
+        elif buffers.rows < x.shape[1] or buffers.dtype != x.dtype:
             raise ValueError(f"training buffers for {buffers.rows} {buffers.dtype} rows cannot "
-                             f"hold a batch of {x.shape[0]} {x.dtype} rows")
+                             f"hold a batch of {x.shape[1]} {x.dtype} rows")
         n, dt = buffers.rows, buffers.dtype
         if not buffers.systems:
             panel = min(PANEL_ROWS, n) * n
@@ -284,17 +303,20 @@ def _leading(flat: np.ndarray, rows: int, cols: int) -> np.ndarray:
 
 def assemble_system(layer1: PackageBatchState, bases: list[np.ndarray], grads: list[np.ndarray],
                     alpha: float, buffers: TrainingBuffers | None = None) -> np.ndarray:
-    """The regularized training system sum_i (H_i H_i^T) * (G_i G_i^T) + alpha I.
+    """The regularized training system sum_i (H_i^T H_i) * (G_i^T G_i) + alpha I.
 
+    H_i is package i's k x r basis and G_i its n x r output derivative.
     Built in panels of ``PANEL_ROWS`` rows.  For rows I = i0:i1, every
     package's term of the lower block ``system[I, :i1]`` is summed into a
-    contiguous P x i1 accumulator from two panel products, ``H[I] @ H[:i1].T``
-    and ``G[I] @ G[:i1].T``, whose buffers stay in cache; the accumulator is
-    written into the system rows once and mirrored once into the upper
-    triangle, so the whole symmetric matrix is returned.  H_1 H_1^T is read
-    from ``layer1.gram`` where ``train_multi`` has cached it for d > 1
-    replicas, and is otherwise built in panels like any other package's.
-    The last package's G is a column of ones, so its H H^T is added alone.
+    contiguous P x i1 accumulator from two panel products,
+    ``H[:, I].T @ H[:, :i1]`` and ``G[:, I].T @ G[:, :i1]``, whose column
+    blocks BLAS reads in place and whose buffers stay in cache; the
+    accumulator is written into the system rows once and mirrored once into
+    the upper triangle, so the whole symmetric matrix is returned.
+    H_1^T H_1 is read from ``layer1.gram`` where ``train_multi`` has cached
+    it for d > 1 replicas, and is otherwise built in panels like any other
+    package's.  The last package's G is a row of ones, so its H^T H is added
+    alone.
 
     The panels run in a ``run_parallel`` region, one task per panel set of
     ``buffers`` (at most one per panel).  Each task takes panels, largest
@@ -304,7 +326,7 @@ def assemble_system(layer1: PackageBatchState, bases: list[np.ndarray], grads: l
     set made for this call when None), so the returned system is
     overwritten by the next step that uses the same set.
     """
-    r = layer1.x_in.shape[0]
+    r = layer1.x_in.shape[1]
     dt = layer1.x_in.dtype
     buffers = TrainingBuffers.fitting(buffers, layer1.x_in)
     system = _leading(buffers.systems[0], r, r)
@@ -338,16 +360,16 @@ def _assemble_panels(system: np.ndarray, gram: np.ndarray | None, bases: list[np
         rows = slice(i0, min(i0 + PANEL_ROWS, r))
         i1 = rows.stop
         acc, hh, gg = (_leading(b, i1 - i0, i1) for b in panel_set)
-        h1h1 = np.matmul(h1[rows], h1[:i1].T, out=acc) if gram is None else gram[rows, :i1]
+        h1h1 = np.matmul(h1[:, rows].T, h1[:, :i1], out=acc) if gram is None else gram[rows, :i1]
         if len(bases) == 1:
             acc = h1h1
         else:
-            np.multiply(h1h1, np.matmul(g1[rows], g1[:i1].T, out=gg), out=acc)
+            np.multiply(h1h1, np.matmul(g1[:, rows].T, g1[:, :i1], out=gg), out=acc)
             for h, g in zip(bases[1:-1], grads[1:-1]):
-                acc += np.multiply(np.matmul(h[rows], h[:i1].T, out=hh),
-                                   np.matmul(g[rows], g[:i1].T, out=gg), out=hh)
+                acc += np.multiply(np.matmul(h[:, rows].T, h[:, :i1], out=hh),
+                                   np.matmul(g[:, rows].T, g[:, :i1], out=gg), out=hh)
             last = bases[-1]
-            acc += np.matmul(last[rows], last[:i1].T, out=hh)
+            acc += np.matmul(last[:, rows].T, last[:, :i1], out=hh)
         system[rows, :i1] = acc
         # mirror the finished rows; the diagonal block's upper half too, so s == s.T exactly
         system[:i0, rows] = acc[:, :i0].T
@@ -355,31 +377,32 @@ def _assemble_panels(system: np.ndarray, gram: np.ndarray | None, bases: list[np
         np.copyto(block, block.T, where=_STRICT_UPPER[:block.shape[0], :block.shape[0]])
 
 
-def train_step(cascade: Cascade, states: list[PackageBatchState], output: np.ndarray,
-               lstar: np.ndarray, layer1_update: np.ndarray, alpha: float,
+def train_step(cascade: Cascade, layer1: PackageBatchState,
+               swept: tuple[np.ndarray, list[np.ndarray], list[np.ndarray]], lstar: np.ndarray,
+               layer1_update: np.ndarray, alpha: float,
                buffers: TrainingBuffers) -> tuple[TrainStepReport, list[np.ndarray]]:
-    """One replica's training step on its ``forward_batch`` states: its report and new values.
+    """One replica's training step on its ``sweep``: its report and new values.
 
-    Builds the model's alpha-regularized system (``assemble_system``) in
-    ``buffers``, factors it in place and solves it for the batch vector b
-    against the r x 1 targets ``lstar``, takes the solve residual from the
-    diagonal and upper triangle that the factor leaves holding the system
-    (``symmetric_product``), computes the new values H^T (G * b) + values
-    of packages 2..q from the pre-update intermediates, for ``train_multi``
-    to apply, and writes G1 * b into ``layer1_update`` (r x n1).  A NaN or
-    Inf anywhere upstream reaches the system or its right-hand side and
-    raises ``NonFiniteError``.
+    From the sweep's output, bases and derivatives, builds the model's
+    alpha-regularized system (``assemble_system``) in ``buffers``, factors it in place and
+    solves it for the batch vector b against the r x 1 targets ``lstar``,
+    takes the solve residual from the diagonal and upper triangle that the
+    factor leaves holding the system (``symmetric_product``), computes the
+    new values H (G * b^T)^T + values of packages 2..q from the pre-update
+    intermediates, for ``train_multi`` to apply, and writes G1 * b^T into
+    ``layer1_update`` (n1 x r).  A NaN or Inf anywhere upstream reaches the
+    system or its right-hand side and raises ``NonFiniteError``.
     """
-    delta_l = lstar - output
-    bases, grads = backward_quantities(cascade, states)
-    system = assemble_system(states[0], bases, grads, alpha, buffers)
+    output, bases, grads = swept
+    delta_l = lstar - output.T
+    system = assemble_system(layer1, bases, grads, alpha, buffers)
     if not (np.isfinite(system).all() and np.isfinite(delta_l).all()):
         raise NonFiniteError("training system or output residual contains NaN or Inf")
     b_vec = spd_solve(system, delta_l, overwrite=True)
     solve_residual = float(np.abs(symmetric_product(system, b_vec) - delta_l).max())
-    values = [ensure_finite(pkg.values + h.T @ (g * b_vec), "values")
+    values = [ensure_finite(pkg.values + h @ (g * b_vec.T).T, "values")
               for pkg, h, g in zip(cascade.packages[1:], bases[1:], grads[1:])]
-    np.multiply(grads[0], b_vec, out=layer1_update)
+    np.multiply(grads[0], b_vec.T, out=layer1_update)
     return TrainStepReport(
         residual_before_inf=float(np.abs(delta_l).max()),
         residual_before_rms=float(np.sqrt(np.mean(delta_l ** 2))),
@@ -439,26 +462,21 @@ class MultiOutputCascade:
                                                      * self.dtype.itemsize)
         return min(max(rows - rows % PART_ROW_MULTIPLE, 512), 2048)
 
-    def _layer1(self, x0) -> tuple[PackageBatchState, list[np.ndarray]]:
-        """The shared layer-1 state and each replica's layer-1 output, of a batch checked here."""
-        x0 = as_matrix(x0, dtype=self.dtype, name="batch input")
-        layer1 = self.replicas[0].packages[0].batch_state(x0)
-        x1 = layer1.kernel_vals @ np.hstack([c.packages[0].coeffs for c in self.replicas])
-        return layer1, np.hsplit(x1, self.d)
+    def layer1(self, x0) -> tuple[PackageBatchState, list[np.ndarray]]:
+        """The shared layer-1 state of a batch checked here, and each replica's layer-1 output.
 
-    def forward_all(self, x0) -> tuple[np.ndarray, list[list[PackageBatchState]]]:
-        """Outputs of all replicas as columns of an r x d matrix, with each replica's states.
-
-        The inspection route: every replica's intermediates are kept at
-        once, and every replica's states share one layer-1 state.  Training
-        does not use it (``train_multi`` holds one replica's per task).
+        The batch (r x n0) is transposed once, here, to the features x rows
+        layout the cascade holds every batch array in.  One product with the
+        replicas' stacked layer-1 coefficients, C1^T @ K1, gives every
+        replica's layer-1 output (n1 x r) as a contiguous row block of it.
         """
-        layer1, x1 = self._layer1(x0)
-        passes = [forward_batch(c, layer1, y) for c, y in zip(self.replicas, x1)]
-        return np.hstack([output for _, output in passes]), [states for states, _ in passes]
+        x0 = as_matrix(x0, dtype=self.dtype, name="batch input")
+        layer1 = self.replicas[0].packages[0].batch_state(np.ascontiguousarray(x0.T))
+        coeffs1 = np.hstack([c.packages[0].coeffs for c in self.replicas])
+        return layer1, np.vsplit(coeffs1.T @ layer1.kernel_vals, self.d)
 
     def scores(self, x0) -> np.ndarray:
-        """Replica outputs without retaining their states, on the cores of the process affinity.
+        """Replica outputs (r x d), keeping no states, on the cores of the process affinity.
 
         The batch is checked once, here, and scored in chunks of
         ``chunk_rows`` rows.  min(workers, chunks) tasks take whole chunks
@@ -469,16 +487,20 @@ class MultiOutputCascade:
         any task, so the scores do not depend on the worker count; a product
         that BLAS splits over its own threads can differ in its last bits.
 
-        Each chunk shares one layer-1 state, and one product with the
-        replicas' stacked layer-1 coefficients, stacked once per call, gives
-        every layer-1 output.  Each task works in its own working set, which
-        the calling thread allocates, sized by the chunk and the widest
-        package: distances, kernel values, the layer-1 outputs and two
-        package outputs that alternate along a replica.  So the chunk size
-        bounds the memory a call holds.
+        Each chunk is transposed once into its task's working set, as
+        ``layer1`` transposes a batch, and shares one layer-1 state; one
+        product with the replicas' stacked layer-1 coefficients, stacked
+        once per call, gives every layer-1 output.  The working set, which
+        the calling thread allocates, is sized by the chunk and the widest
+        package: the transposed chunk, distances, kernel values, the layer-1
+        outputs and two package outputs that alternate along a replica.  So
+        the chunk size bounds the memory a call holds.
         """
         x0 = as_matrix(x0, dtype=self.dtype, name="batch input")
         r = x0.shape[0]
+        if x0.shape[1] != self.widths[0]:
+            raise ShapeMismatchError(f"batch has shape {x0.shape}, model expects width "
+                                     f"{self.widths[0]}")
         out = np.empty((r, self.d), dtype=self.dtype)
         step = self.chunk_rows
         starts = collections.deque(range(0, r, step))
@@ -487,7 +509,8 @@ class MultiOutputCascade:
         k = max(pkg.k for pkg in packages)
         n_out = max((pkg.n_out for pkg in packages[1:]), default=1)
         rows = min(step, r)
-        sizes = (rows * k, rows * k, rows * coeffs1.shape[1], rows * n_out, rows * n_out)
+        sizes = (rows * self.widths[0], rows * k, rows * k, rows * coeffs1.shape[1],
+                 rows * n_out, rows * n_out)
         # allocated here, not in the workers, so that no worker thread grows a heap of its own
         work_sets = [[np.empty(size, dtype=self.dtype) for size in sizes]
                      for _ in range(min(worker_count(), len(starts)))]
@@ -498,23 +521,25 @@ class MultiOutputCascade:
     def _score_chunks(self, x0: np.ndarray, out: np.ndarray, starts: collections.deque,
                       step: int, coeffs1: np.ndarray, work: list[np.ndarray]) -> None:
         """Score chunks of ``x0`` into ``out`` in one working set until ``starts`` is empty."""
-        dists, kernel_vals, x1_buf, *outputs = work
+        x_buf, dists, kernel_vals, x1_buf, *outputs = work
         first = self.replicas[0].packages[0]
         n1 = first.n_out
         for lo in _drain(starts):
             rows = slice(lo, lo + step)
-            chunk = x0[rows]
-            n = chunk.shape[0]
-            layer1 = first.batch_state(chunk, sq_dists=_leading(dists, n, first.k),
-                                       kernel_vals=_leading(kernel_vals, n, first.k))
-            x1 = np.matmul(layer1.kernel_vals, coeffs1, out=_leading(x1_buf, n, coeffs1.shape[1]))
+            n = x0[rows].shape[0]
+            chunk = _leading(x_buf, first.n_in, n)
+            np.copyto(chunk, x0[rows].T)
+            layer1 = first.batch_state(chunk, sq_dists=_leading(dists, first.k, n),
+                                       kernel_vals=_leading(kernel_vals, first.k, n))
+            x1 = np.matmul(coeffs1.T, layer1.kernel_vals,
+                           out=_leading(x1_buf, coeffs1.shape[1], n))
             for j, c in enumerate(self.replicas):
-                y = x1[:, j * n1:(j + 1) * n1]
+                y = x1[j * n1:(j + 1) * n1]
                 for i, pkg in enumerate(c.packages[1:]):
-                    y, _ = pkg.forward(y, out=_leading(outputs[i % 2], n, pkg.n_out),
-                                       sq_dists=_leading(dists, n, pkg.k),
-                                       kernel_vals=_leading(kernel_vals, n, pkg.k))
-                out[rows, j:j + 1] = y
+                    y, _ = pkg.forward(y, out=_leading(outputs[i % 2], pkg.n_out, n),
+                                       sq_dists=_leading(dists, pkg.k, n),
+                                       kernel_vals=_leading(kernel_vals, pkg.k, n))
+                out[rows, j] = y[0]
 
 
 def init_multi(arch_widths, seed: int, mode: str = "random", alpha: float = 1.0,
@@ -554,56 +579,60 @@ def train_multi(mc: MultiOutputCascade, x0, targets,
                 buffers: TrainingBuffers | None = None) -> list[TrainStepReport]:
     """Train every replica on batch ``x0``, replica j against column j of the r x d ``targets``.
 
-    The layer-1 state and the stacked layer-1 product are built once, then
-    replica 0's forward pass in the calling thread and, for d > 1, the
-    layer-1 basis Gram every system reads.  One ``run_parallel`` region then
-    trains the replicas side by side: min(workers, d) tasks take whole
-    replicas from one deque, each in a system and panel set of its own
-    (``TrainingBuffers.split``), and run a replica's forward pass right
-    before its ``train_step``, so a task holds one replica's intermediates
-    at a time.  A lone task (d = 1, or one core) runs in the calling thread
-    and splits its sweeps and assembly over the cores.  After the region,
-    one product gives the layer-1 updates, and the replicas before the
-    lowest failing one (all, if none failed) take their new values in
-    replica order; the others are untouched, and the failing one's error is
-    raised, naming it if non-SPD or non-finite.  ``buffers`` (a new set if
-    None) must hold r rows of the model's dtype.  Targets of the wrong
-    shape raise before any update.
+    The layer-1 state and the stacked layer-1 product are built once
+    (``MultiOutputCascade.layer1``), then replica 0's ``sweep`` in the
+    calling thread and, for d > 1, the layer-1 basis Gram every system
+    reads.  One ``run_parallel`` region then trains the replicas side by
+    side: min(workers, d) tasks take whole replicas from one deque, each in
+    a system and panel set of its own (``TrainingBuffers.split``), and run
+    each one's sweep right before its ``train_step``, so a task holds one
+    replica's intermediates at a time.  A lone task (d = 1, or one core)
+    runs in the calling thread, outside any region, and splits its assembly
+    over the cores as the sweep splits its chunks.  After the region, one product gives
+    the layer-1 updates, and the replicas before the lowest failing one
+    (all, if none failed) take their new values in replica order; the
+    others are untouched, and the failing one's error is raised, naming it
+    if non-SPD or non-finite.  ``buffers`` (a new set if None) must hold r
+    rows of the model's dtype.  Targets of the wrong shape raise before any
+    update.
     """
-    layer1, x1 = mc._layer1(x0)
-    r = layer1.x_in.shape[0]
+    layer1, x1 = mc.layer1(x0)
+    r = layer1.x_in.shape[1]
     targets = as_matrix(targets, dtype=mc.dtype, name="targets")
     if targets.shape != (r, mc.d):
         raise ShapeMismatchError(f"targets shape {targets.shape} != outputs shape {(r, mc.d)}")
     n1 = mc.replicas[0].packages[0].n_out
     results = [None] * mc.d  # replica j's report and new values, or its exception
-    done = {0: forward_batch(mc.replicas[0], layer1, x1[0])}
-    # after the forward arrays, so the allocator keeps the memory they free for the next batch
+    swept = {0: sweep(mc.replicas[0], layer1, x1[0])}
+    # after the sweep's arrays, so the allocator keeps the memory they free for the next batch
     # instead of returning it to the system
     buffers = TrainingBuffers.fitting(buffers, layer1.x_in, replicas=mc.d)
-    scaled = np.empty((r, mc.d * n1), dtype=mc.dtype)
-    if mc.d > 1:  # every replica's system reads H1 H1^T: one product per batch
+    scaled = np.empty((mc.d * n1, r), dtype=mc.dtype)
+    if mc.d > 1:  # every replica's system reads H1^T H1: one product per batch
         h1 = mc.replicas[0].packages[0].cardinal_basis(layer1)
-        layer1.gram = np.matmul(h1, h1.T, out=_leading(buffers.gram, r, r))
+        layer1.gram = np.matmul(h1.T, h1, out=_leading(buffers.gram, r, r))
     replicas = collections.deque(range(mc.d))
 
     def train_replicas(task_buffers: TrainingBuffers) -> None:
         for j in _drain(replicas):
             c = mc.replicas[j]
             try:
-                results[j] = train_step(c, *(done.pop(j, None) or forward_batch(c, layer1, x1[j])),
-                                        targets[:, j:j + 1], scaled[:, j * n1:(j + 1) * n1],
+                results[j] = train_step(c, layer1, swept.pop(j, None) or sweep(c, layer1, x1[j]),
+                                        targets[:, j:j + 1], scaled[j * n1:(j + 1) * n1],
                                         mc.alpha, task_buffers)
             except Exception as exc:
                 results[j] = exc
                 replicas.clear()  # no replica after the lowest failing one is applied
 
-    run_parallel([functools.partial(train_replicas, task_buffers)
-                  for task_buffers in buffers.split(min(len(buffers.systems), mc.d))])
+    task_sets = buffers.split(min(len(buffers.systems), mc.d))
+    if len(task_sets) == 1:  # no region: its factor and solve keep BLAS's own threads
+        train_replicas(task_sets[0])
+    else:
+        run_parallel([functools.partial(train_replicas, task_set) for task_set in task_sets])
     trained = list(itertools.takewhile(lambda res: isinstance(res, tuple), results))
     if trained:
-        # H1^T (G1 * b) of every trained replica in one product
-        deltas = np.hsplit(layer1.basis.T @ scaled[:, :len(trained) * n1], len(trained))
+        # H1 (G1 * b^T)^T of every trained replica in one product
+        deltas = np.hsplit(layer1.basis @ scaled[:len(trained) * n1].T, len(trained))
         for c, (_, values), delta in zip(mc.replicas, trained, deltas):
             for pkg, y in zip(c.packages, [c.packages[0].values + delta] + values):
                 pkg.set_values(y)

@@ -16,13 +16,14 @@ product and every solve runs in one BLAS and its one pool of threads.
 ``run_parallel`` runs a parallel region on the cores of the process affinity
 (``worker_count``): the calling thread and a pool of threads made on first
 use.  Inside it, numpy's BLAS runs on one thread, set through the same
-library handle, and its idle pool of threads is shut down, so that it holds
-no core the region's threads need; the count is restored on every exit.
-Where that BLAS exports no thread-count routine, a region runs in the
-calling thread alone, and so does a region entered from a task, inside
-which ``worker_count`` reads 1.  Scoring runs one region per call.  A batch
-of d > 1 replicas trains in two, the second training whole replicas side by
-side; a one-replica batch trains in three and factors and solves outside.
+library handle, even for a lone task, and its idle pool of threads is shut
+down, so that it holds no core the region's threads need; the count is
+restored on every exit.  Where that BLAS exports no thread-count routine, a
+region runs in the calling thread alone, and so does a region entered from
+a task, inside which ``worker_count`` reads 1.  Scoring runs one region per
+call.  A batch trains in two: replica 0's sweep, and then, for d > 1
+replicas, whole replicas side by side, or, for one, its assembly; a
+one-replica batch factors and solves outside them.
 
 Non-finite values are rejected where data enters and around the solve only:
 ``as_matrix`` checks batches, targets and value matrices, the training step
@@ -315,28 +316,30 @@ def worker_count() -> int:
 def run_parallel(tasks: list) -> None:
     """Run ``tasks[0]`` in the calling thread and the others on a pool of threads, and wait for all.
 
-    One task, or any number where ``worker_count()`` is 1, runs in the
-    calling thread alone, with BLAS as it is; so does a region entered from
-    a task, which would otherwise wait on the lock its caller holds.
-    Otherwise numpy's BLAS runs on one thread while the tasks do, so that
-    their products do not contend for the cores with BLAS's own threads, and
-    its idle pool is shut down first, since those threads spin on a core for
-    a while after each threaded call.  The count is restored however the
-    region ends, which starts the pool again.  The count is process-global,
-    so a module lock lets one region run at a time.  Each task runs in a copy
-    of the caller's ``contextvars`` context, so ``np.errstate`` holds in it.
+    numpy's BLAS runs on one thread while the tasks do, however many there
+    are, so that a task's products get the same bits whichever task runs
+    them and however many run, and do not contend for the cores with BLAS's
+    own threads; its idle pool is shut down first, since those threads spin
+    on a core for a while after each threaded call.  A lone task runs in the
+    calling thread.  The count is restored however the region ends, which
+    starts the pool again.  The count is process-global, so a module lock
+    lets one region run at a time.  A region entered from a task runs its
+    tasks in that task's thread, since it would otherwise wait on the lock
+    its caller holds, and so does a region where BLAS exports no
+    thread-count routine, with BLAS as it is.  Each task runs in a copy of
+    the caller's ``contextvars`` context, so ``np.errstate`` holds in it.
     The pool is made on first use, with ``worker_count() - 1`` threads;
     tasks beyond that wait for one.  Once every task has ended, the calling
     thread's exception, or else the first worker's, is raised.
     """
     global _pool
-    if len(tasks) <= 1 or _BLAS_THREADS is None or _IN_TASK.get():
+    if not tasks or _BLAS_THREADS is None or _IN_TASK.get():
         for task in tasks:
             task()
         return
     get_threads, set_threads, shutdown = _BLAS_THREADS
     with _PARALLEL_LOCK:
-        if _pool is None:
+        if _pool is None and len(tasks) > 1:
             _pool = ThreadPoolExecutor(max(worker_count() - 1, 1),
                                        thread_name_prefix="polycascade")
         saved, token = get_threads(), _IN_TASK.set(True)

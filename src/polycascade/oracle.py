@@ -5,7 +5,9 @@ structure and never form the point matrix or the Gram inverse.  The
 functions here do the same work the slow, obvious way, against an explicit
 k x n point matrix: pairwise distances, the Gram inverse by ``np.linalg.inv``,
 coefficients ``U @ Y``, the cardinal basis ``K @ U``, the backward sweep
-through ``psi @ C``, and the per-package training Gram products.  Agreement
+through ``psi @ C``, and the per-package training Gram products.  Batches
+here are rows x features, as they enter the program, where ``Package`` holds
+them features x rows, so a comparison transposes one side.  Agreement
 between the two is what ``verify``, ``bench`` and the tests assert; nothing in
 the training or scoring path imports this module.
 """

@@ -8,23 +8,25 @@ points are signed unit vectors, so no point matrix or k x k inverse is ever
 formed.  ``oracle`` holds the general-constellation versions these are
 checked against.
 
-Forward evaluation of a batch X (r x n_in):
+Every batch array is held features x rows: a batch of c rows is X (n_in x c),
+one column per row, and the distances, kernel values and cardinal basis are
+k x c, one row per constellation point.  So each stage works on contiguous
+row blocks of C-contiguous arrays, and a batch's rows are its columns.
+Forward evaluation of a batch X:
 
-    sq_dists  = squared distances from each row to each constellation point
+    sq_dists    = squared distances from each column to each constellation point
     kernel_vals = elementwise kernel over sq_dists
-    output    = kernel_vals @ coeffs
+    output      = coeffs^T @ kernel_vals        (n_out x c)
 
 The first two stages do not depend on the values (``batch_state``); only the
 last product does (``evaluate``).
 
 The backward route maps the derivative of the scalar cascade output with
-respect to this package's outputs to the derivative with respect to its
-inputs, through the kernel's derivative factor.
-
-The training intermediates are written in place: ``cardinal_basis`` writes
-the basis over the kernel values and ``backward`` writes its derivative
-factors over the squared distances, and each drops the array it consumed
-from the state, so a state holds about half the arrays it would otherwise.
+respect to this package's outputs (n_out x c) to the derivative with respect
+to its inputs (n_in x c), through the kernel's derivative factor over the
+distances, which it computes again from the batch.  So a state holds one
+k x c array: ``cardinal_basis`` writes the basis over the kernel values,
+and the state drops them.
 
 Values are validated (shape, and NaN/Inf via ``as_matrix``) in
 ``set_values``; a batch's width is checked, but the cascade scans a batch
@@ -48,26 +50,22 @@ from .linalg import ShapeMismatchError, as_matrix
 class PackageBatchState:
     """Per-batch intermediates retained between forward and training phases.
 
-    Nothing here depends on the package's values, so one state stays valid
-    across value updates and serves every package with the same
-    constellation and kernel: the replicas of a multi-output model all read
-    one layer-1 state.  ``sq_dists`` is kept only by ``forward``, for
-    ``backward``; ``batch_state`` drops it.
+    Features x rows, like every batch array of a package: ``x_in`` is
+    n_in x c, and ``kernel_vals`` and ``basis`` are k x c.  Nothing here
+    depends on the package's values, so one state stays valid across value
+    updates and serves every package with the same constellation and
+    kernel: the replicas of a multi-output model all read one layer-1 state.
 
-    Two fields are consumed.  ``cardinal_basis`` writes ``basis`` over
+    ``cardinal_basis`` consumes the kernel values: it writes ``basis`` over
     ``kernel_vals`` and sets ``kernel_vals`` to None, so the state can no
-    longer be evaluated; ``backward`` writes its derivative factors over
-    ``sq_dists`` and sets it to None, so it runs once per state.  Either
-    raises ValueError on a state whose array is gone.  A cascade's
-    training sweep also writes input derivatives over the ``x_in`` of its
-    own states (see ``cascade.backward_quantities``) and sets it to None.
+    longer be evaluated, and ``evaluate`` raises ValueError on it.
+    ``backward`` reads only ``x_in``.
     """
 
-    x_in: np.ndarray | None
-    sq_dists: np.ndarray | None = None
+    x_in: np.ndarray
     kernel_vals: np.ndarray | None = None
-    basis: np.ndarray | None = None  # kernel_vals @ U, in kernel_vals' memory, filled lazily
-    # set by cascade.train_multi on a shared layer-1 state only (d > 1): basis @ basis.T,
+    basis: np.ndarray | None = None  # U @ kernel_vals, in kernel_vals' memory, filled lazily
+    # set by cascade.train_multi on a shared layer-1 state only (d > 1): basis.T @ basis,
     # a view of the caller's training buffers that every replica of the batch reads
     gram: np.ndarray | None = None
 
@@ -100,54 +98,50 @@ class Package:
     # -- forward ------------------------------------------------------------
 
     def squared_distances(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """r x k matrix of squared distances from batch rows to the points, in ``out`` when given."""
-        if x.ndim != 2 or x.shape[1] != self.n_in:
-            raise ShapeMismatchError(f"batch has shape {x.shape}, package expects width "
-                                     f"{self.n_in}")
+        """k x c squared distances from the batch's columns to the points, in ``out`` when given."""
+        if x.ndim != 2 or x.shape[0] != self.n_in:
+            raise ShapeMismatchError(f"batch has shape {x.shape}, package expects {self.n_in} "
+                                     "features")
         n = self.n_in
-        sq_norms = np.sum(x * x, axis=1, keepdims=True)  # r x 1
-        m = np.empty((x.shape[0], self.k), dtype=self.dtype) if out is None else out
-        m[:, :1] = sq_norms
+        sq_norms = np.sum(x * x, axis=0, keepdims=True)  # 1 x c
+        m = np.empty((self.k, x.shape[1]), dtype=self.dtype) if out is None else out
+        m[:1] = sq_norms
         # |x - (+-e_j)|^2 = |x|^2 + 1 +- 2 x_j, written in place without full-size temporaries
-        np.multiply(x, 2.0, out=m[:, 1:n + 1])
-        np.multiply(x, -2.0, out=m[:, n + 1:])
-        m[:, 1:] += sq_norms + 1.0
+        np.multiply(x, 2.0, out=m[1:n + 1])
+        np.multiply(x, -2.0, out=m[n + 1:])
+        m[1:] += sq_norms + 1.0
         # exact hits on constellation points can round to tiny negatives
         np.maximum(m, 0.0, out=m)
         return m
 
     def batch_state(self, x, sq_dists: np.ndarray | None = None,
                     kernel_vals: np.ndarray | None = None) -> PackageBatchState:
-        """Value-independent intermediates of a batch, without the distances.
+        """Value-independent intermediates of a batch (n_in x c): the batch and its kernel values.
 
-        Enough to evaluate the package and build its cardinal basis; the
-        layer-1 state every replica shares is built here, since training
-        never runs ``backward`` on the first package.  The distances and
-        kernel values are written into ``sq_dists`` and ``kernel_vals``
-        (r x k each) when given.
+        Enough to evaluate the package, build its cardinal basis and run
+        ``backward``.  The distances and kernel values are written into
+        ``sq_dists`` and ``kernel_vals`` (k x c each) when given; the state
+        keeps the kernel values only.
         """
         x = np.asarray(x, dtype=self.dtype)
         m = self.squared_distances(x, out=sq_dists)
         return PackageBatchState(x_in=x, kernel_vals=phi_matrix(m, self.kernel, out=kernel_vals))
 
     def evaluate(self, state: PackageBatchState, out: np.ndarray | None = None) -> np.ndarray:
-        """Package output for a prepared batch with the current values, in ``out`` when given."""
+        """Output (n_out x c) of a prepared batch at the current values, in ``out`` when given."""
         if state.kernel_vals is None:
             raise ValueError("state holds no kernel values; cardinal_basis() consumed them, "
                              "or it was never prepared")
-        return np.matmul(state.kernel_vals, self.coeffs, out=out)
+        return np.matmul(self.coeffs.T, state.kernel_vals, out=out)
 
     def forward(self, x, out: np.ndarray | None = None, sq_dists: np.ndarray | None = None,
                 kernel_vals: np.ndarray | None = None) -> tuple[np.ndarray, PackageBatchState]:
-        """Evaluate the package on a batch; the state keeps what backward needs.
+        """Evaluate the package on a batch (n_in x c): its output and ``batch_state``.
 
-        The output (r x n_out), distances and kernel values (r x k each) are
+        The output (n_out x c), distances and kernel values (k x c each) are
         written into ``out``, ``sq_dists`` and ``kernel_vals`` when given.
         """
-        x = np.asarray(x, dtype=self.dtype)
-        m = self.squared_distances(x, out=sq_dists)
-        state = PackageBatchState(x_in=x, sq_dists=m,
-                                  kernel_vals=phi_matrix(m, self.kernel, out=kernel_vals))
+        state = self.batch_state(x, sq_dists=sq_dists, kernel_vals=kernel_vals)
         return self.evaluate(state, out=out), state
 
     # -- coefficient recovery -------------------------------------------------
@@ -189,44 +183,41 @@ class Package:
     # -- training intermediates ------------------------------------------------
 
     def cardinal_basis(self, state: PackageBatchState) -> np.ndarray:
-        """Kernel rows mapped through the Gram inverse (kernel_vals @ U).
+        """Kernel values mapped through the Gram inverse (U @ kernel_vals, k x c).
 
-        Rows evaluated exactly at constellation points come out as identity
-        rows, so this is the batch expressed in the interpolation basis.
-        The result is written over the state's kernel values, which the
-        state then drops, and is cached on the state.
+        Columns evaluated exactly at constellation points come out as
+        identity columns, so this is the batch expressed in the
+        interpolation basis.  The result is written over the state's kernel
+        values, which the state then drops, and is cached on the state.
         """
         if state.basis is None:
             if state.kernel_vals is None:
                 raise ValueError("state holds no kernel values; was forward() run on this package?")
-            # U is symmetric, so kernel_vals @ U = (U @ kernel_vals.T).T
-            kt = state.kernel_vals.T
-            state.basis = self.coeffs_from_values(kt, out=kt).T
+            state.basis = self.coeffs_from_values(state.kernel_vals, out=state.kernel_vals)
             state.kernel_vals = None
         return state.basis
 
     # -- backward ------------------------------------------------------------
 
     def backward(self, g_next: np.ndarray, state: PackageBatchState,
-                 out: np.ndarray | None = None) -> np.ndarray:
-        """Propagate output derivatives g_next (r x n_out) to input derivatives (r x n_in).
+                 out: np.ndarray | None = None,
+                 sq_dists: np.ndarray | None = None) -> np.ndarray:
+        """Propagate output derivatives g_next (n_out x c) to input derivatives (n_in x c).
 
-        Uses the kernel derivative factor over the stored squared distances;
-        needs the state produced by forward() on the same batch.  The factor
-        theta and then psi are written over the distances, which the state
-        then drops, so backward runs once per state.  The result is written
-        into ``out`` when given.
+        Uses the kernel derivative factor over the squared distances of the
+        state's batch, computed again here, in ``sq_dists`` (k x c) when
+        given, with the bits ``forward`` computed them with; the factor theta
+        and then psi are written over them.  The result is written into
+        ``out`` when given, which may be the state's input: the state then
+        holds the derivative in its place.
         """
-        if state.sq_dists is None:
-            raise ValueError("state holds no squared distances; backward needs a forward() "
-                             "state, once")
-        if g_next.shape != (state.x_in.shape[0], self.n_out):
+        if g_next.shape != (self.n_out, state.x_in.shape[1]):
             raise ShapeMismatchError(
-                f"g_next shape {g_next.shape} != ({state.x_in.shape[0]}, {self.n_out})")
+                f"g_next shape {g_next.shape} != ({self.n_out}, {state.x_in.shape[1]})")
         n = self.n_in
-        psi = theta_matrix(state.sq_dists, self.kernel, out=state.sq_dists)
-        state.sq_dists = None
-        psi *= g_next @ self.coeffs.T  # r x k
-        out = np.multiply(state.x_in, psi.sum(axis=1, keepdims=True), out=out)
-        out += psi[:, 1:n + 1] - psi[:, n + 1:]
+        m = self.squared_distances(state.x_in, out=sq_dists)
+        psi = theta_matrix(m, self.kernel, out=m)
+        psi *= self.coeffs @ g_next  # k x c
+        out = np.multiply(state.x_in, psi.sum(axis=0, keepdims=True), out=out)
+        out += psi[1:n + 1] - psi[n + 1:]
         return out

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import oracle
 from .bench import _rel_err, run_bench
-from .cascade import assemble_system, backward_quantities, forward_batch, init_multi, train_multi
+from .cascade import assemble_system, init_multi, sweep, train_multi
 from .constellation import build_octahedral, octahedral_points
 from .kernel import KernelParams
 from .linalg import spd_solve
@@ -64,8 +64,8 @@ def check_interpolation(seed: int) -> None:
         constellation = build_octahedral(n)
         values = rng.uniform(-1, 1, (constellation.k, 2))
         pkg = Package(constellation, kp, values)
-        out, _ = pkg.forward(octahedral_points(n))
-        err = float(np.abs(out - values).max())
+        out, _ = pkg.forward(octahedral_points(n).T)  # one column per point
+        err = float(np.abs(out.T - values).max())
         _check(err <= 1e-8, f"interpolation error {err:.3e} at n={n}")
 
 
@@ -74,21 +74,20 @@ def check_gradient(seed: int) -> None:
     rng = np.random.default_rng(seed)
     mc = init_multi([5, 4, 3, 1], seed=seed, alpha=1.0)
     cascade = mc.replicas[0]
-    _, (states,) = mc.forward_all(rng.uniform(-0.9, 0.9, (8, 5)))
-    _, grads = backward_quantities(cascade, states)
-    x1 = states[1].x_in
+    layer1, (x1,) = mc.layer1(rng.uniform(-0.9, 0.9, (8, 5)))
+    _, _, grads = sweep(cascade, layer1, x1)
 
     def tail(x1v):
-        return forward_batch(cascade, states[0], x1v)[1]
+        return sweep(cascade, layer1, x1v)[0]
 
     h = 1e-5
     worst = 0.0
-    for i in range(x1.shape[0]):
+    for i in range(x1.shape[0]):  # features x rows, like every batch array of the cascade
         for j in range(x1.shape[1]):
             xp, xm = x1.copy(), x1.copy()
             xp[i, j] += h
             xm[i, j] -= h
-            fd = (tail(xp)[i, 0] - tail(xm)[i, 0]) / (2 * h)
+            fd = (tail(xp)[0, j] - tail(xm)[0, j]) / (2 * h)
             worst = max(worst, abs(fd - grads[0][i, j]) / max(abs(fd), 1e-12))
     _check(worst <= 1e-4, f"gradient relative error {worst:.3e}")
 
@@ -102,14 +101,15 @@ def check_training_gram_psd(seed: int) -> None:
     mc = init_multi([6, 5, 1], seed=seed, alpha=1.0)
     cascade = mc.replicas[0]
     for trial in range(20):
-        _, (states,) = mc.forward_all(rng.uniform(-1, 1, (12, 6)))
-        bases, grads = backward_quantities(cascade, states)
-        omegas = oracle.package_omegas(bases, grads)
+        layer1, (x1,) = mc.layer1(rng.uniform(-1, 1, (12, 6)))
+        _, bases, grads = sweep(cascade, layer1, x1)
+        # the oracle holds batches rows x features
+        omegas = oracle.package_omegas([h.T for h in bases], [g.T for g in grads])
         for omega in omegas:
             lo = float(np.linalg.eigvalsh(omega).min())
             _check(lo >= -1e-8, f"trial {trial}: Gram product eigenvalue {lo:.3e}")
         system = sum(omegas) + np.eye(12)
-        err = _rel_err(assemble_system(states[0], bases, grads, mc.alpha), system)
+        err = _rel_err(assemble_system(layer1, bases, grads, mc.alpha), system)
         _check(err <= 1e-10, f"trial {trial}: assembled system off by {err:.3e}")
         spd_solve(system, rng.standard_normal((12, 1)))
 
@@ -133,14 +133,21 @@ def check_identity_fragment(seed: int) -> float:
     """
     width = 6
     mc = init_multi([width] * 11 + [1], seed=seed, mode="identity-fragments", alpha=1.0)
+    identity = mc.replicas[0].packages[:10]
     points = octahedral_points(width)
-    _, (states,) = mc.forward_all(points)
-    err = float(np.abs(states[10].x_in - points).max())
+    err = float(np.abs(_forward_through(identity, points) - points).max())
     _check(err <= 1e-8, f"constellation points drifted by {err:.3e}")
     rng = np.random.default_rng(seed)
     interior = rng.uniform(-0.7, 0.7, (32, width))
-    _, (states,) = mc.forward_all(interior)
-    return float(np.abs(states[10].x_in - interior).max())
+    return float(np.abs(_forward_through(identity, interior) - interior).max())
+
+
+def _forward_through(packages, x: np.ndarray) -> np.ndarray:
+    """The rows of ``x`` carried through ``packages``' forward passes, as rows."""
+    y = np.ascontiguousarray(x.T)
+    for pkg in packages:
+        y, _ = pkg.forward(y)
+    return y.T
 
 
 CHECKS = [

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from polycascade import oracle
-from polycascade.cascade import backward_quantities, init_multi, train_multi
+from polycascade.cascade import init_multi, sweep, train_multi
 from polycascade.constellation import build_octahedral, octahedral_points
 from polycascade.data import Dataset, TransformSpec, fit_apply_transforms, load_idx
 from polycascade.kernel import KernelParams
@@ -78,18 +78,19 @@ def test_criterion_2_fast_path_equivalence_battery():
             lam_n = oracle.coefficients(u, pkg.values)
             worst = max(worst, rel_err(lam_f, lam_n))
             for r in (1, 5, 64):
+                # the oracle holds batches rows x features, the package features x rows
                 x = rng.uniform(-1.5, 1.5, (r, n))
-                m_f = pkg.squared_distances(x)
+                m_f = pkg.squared_distances(x.T).T
                 m_n = oracle.squared_distances(x, points)
                 worst = max(worst, np.abs(m_f - m_n).max() / max(np.abs(m_n).max(), 1e-30))
-                _, state = pkg.forward(x)
+                _, state = pkg.forward(x.T)
                 # the oracle reads first: the package's routes write over what they consume
-                h_n = oracle.cardinal_basis(state.kernel_vals, u)
-                h_f = pkg.cardinal_basis(state)
+                h_n = oracle.cardinal_basis(state.kernel_vals.T, u)
+                h_f = pkg.cardinal_basis(state).T
                 worst = max(worst, rel_err(h_f, h_n))
                 g = rng.standard_normal((r, 3))
-                g_n = oracle.backward(g, x, state.sq_dists, points, pkg.coeffs, KP)
-                g_f = pkg.backward(g, state)
+                g_n = oracle.backward(g, x, m_n, points, pkg.coeffs, KP)
+                g_f = pkg.backward(np.ascontiguousarray(g.T), state).T
                 worst = max(worst, rel_err(g_f, g_n))
             assert worst <= 1e-8, f"n={n} seed={seed}: {worst:.3e}"
     elapsed = time.perf_counter() - t0
@@ -115,15 +116,14 @@ def test_criterion_3_gradient_correctness():
     probes = 0
     worst = 0.0
     while probes < 100:
-        _, (states,) = mc.forward_all(rng.uniform(-0.9, 0.9, (5, 5)))
-        _, grads = backward_quantities(cascade, states)
-        x1 = states[1].x_in
-        for i in range(x1.shape[0]):
+        layer1, (x1,) = mc.layer1(rng.uniform(-0.9, 0.9, (5, 5)))
+        _, _, grads = sweep(cascade, layer1, x1)
+        for i in range(x1.shape[0]):  # features x rows, like every batch array of the cascade
             for j in range(x1.shape[1]):
                 xp, xm = x1.copy(), x1.copy()
                 xp[i, j] += h
                 xm[i, j] -= h
-                fd = (tail(xp)[i, 0] - tail(xm)[i, 0]) / (2 * h)
+                fd = (tail(xp)[0, j] - tail(xm)[0, j]) / (2 * h)
                 err = abs(fd - grads[0][i, j]) / max(abs(fd), 1e-12)
                 worst = max(worst, err)
                 assert err <= 1e-4, f"probe {probes}: rel err {err:.3e}"
@@ -142,8 +142,8 @@ def test_criterion_4_interpolation_exactness():
         constellation = build_octahedral(n, sigma2=0.0)
         values = rng.uniform(-1, 1, (constellation.k, n_out))
         pkg = Package(constellation, KP, values)
-        out, _ = pkg.forward(octahedral_points(n))
-        worst = max(worst, float(np.abs(out - values).max()))
+        out, _ = pkg.forward(octahedral_points(n).T)  # one column per point
+        worst = max(worst, float(np.abs(out.T - values).max()))
     assert worst <= 1e-8
     announce(4, f"evaluation at constellation points reproduces values "
                 f"(max abs err {worst:.2e})")
@@ -169,9 +169,10 @@ def test_criterion_6_gram_products_psd_and_system_spd():
         widths = [int(rng.integers(3, 8)), int(rng.integers(2, 6)), 1]
         mc = init_multi(widths, seed=trial, alpha=1.0)
         r = int(rng.integers(2, 21))
-        _, (states,) = mc.forward_all(rng.uniform(-1, 1, (r, widths[0])))
-        bases, grads = backward_quantities(mc.replicas[0], states)
-        for omega in oracle.package_omegas(bases, grads):
+        layer1, (x1,) = mc.layer1(rng.uniform(-1, 1, (r, widths[0])))
+        _, bases, grads = sweep(mc.replicas[0], layer1, x1)
+        # the oracle holds batches rows x features
+        for omega in oracle.package_omegas([h.T for h in bases], [g.T for g in grads]):
             min_eig = min(min_eig, float(np.linalg.eigvalsh(omega).min()))
     assert min_eig >= -1e-8
 
@@ -179,9 +180,10 @@ def test_criterion_6_gram_products_psd_and_system_spd():
         widths = [int(rng.integers(3, 10)), int(rng.integers(2, 8)), 1]
         mc = init_multi(widths, seed=200 + trial, alpha=1.0)
         r = int(rng.integers(2, 65))
-        _, (states,) = mc.forward_all(rng.uniform(-1, 1, (r, widths[0])))
-        bases, grads = backward_quantities(mc.replicas[0], states)
-        total = sum(oracle.package_omegas(bases, grads)) + 1.0 * np.eye(r)
+        layer1, (x1,) = mc.layer1(rng.uniform(-1, 1, (r, widths[0])))
+        _, bases, grads = sweep(mc.replicas[0], layer1, x1)
+        total = (sum(oracle.package_omegas([h.T for h in bases], [g.T for g in grads]))
+                 + 1.0 * np.eye(r))
         spd_solve(total, rng.standard_normal((r, 1)))  # raises if not SPD
     announce(6, f"Gram products PSD (min eig {min_eig:.2e}); "
                 f"regularized system SPD on 100 trials")
@@ -191,15 +193,22 @@ def test_criterion_6_gram_products_psd_and_system_spd():
 def test_criterion_7_identity_fragment_propagation():
     width = 6
     mc = init_multi([width] * 11 + [1], seed=7, mode="identity-fragments", alpha=1.0)
+    identity = mc.replicas[0].packages[:10]
+
+    def through(x):
+        """The rows of x carried through the ten identity packages, as rows."""
+        y = np.ascontiguousarray(x.T)
+        for pkg in identity:
+            y, _ = pkg.forward(y)
+        return y.T
+
     points = octahedral_points(width)
-    _, (states,) = mc.forward_all(points)
-    exact_err = float(np.abs(states[10].x_in - points).max())
+    exact_err = float(np.abs(through(points) - points).max())
     assert exact_err <= 1e-8
 
     rng = np.random.default_rng(7)
     interior = rng.uniform(-0.7, 0.7, (64, width))
-    _, (states,) = mc.forward_all(interior)
-    drift = float(np.abs(states[10].x_in - interior).max())  # reported, not asserted
+    drift = float(np.abs(through(interior) - interior).max())  # reported, not asserted
     announce(7, f"constellation points pass 10 identity layers exactly "
                 f"({exact_err:.2e}); interior drift {drift:.4f} (reported only)")
 

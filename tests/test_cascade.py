@@ -14,14 +14,15 @@ import pytest
 
 from polycascade import cascade as cascade_module
 from polycascade import linalg
+from polycascade import package as package_module
 from polycascade.cascade import (PANEL_ROWS, MultiOutputCascade, TrainingBuffers,
-                                 assemble_system, backward_quantities, init_multi, one_hot_pm1,
-                                 train_multi)
+                                 assemble_system, init_multi, one_hot_pm1, sweep, train_multi)
 from polycascade.constellation import octahedral_points
 from polycascade.data import Dataset
 from polycascade.kernel import KernelParams
 from polycascade.linalg import NonFiniteError, NotSPDError, ShapeMismatchError
 from polycascade.oracle import gram_inverse, package_omegas
+from polycascade.package import Package
 from polycascade.training import TrainConfig, run_training
 
 KP = KernelParams()
@@ -31,6 +32,20 @@ def single(widths, seed, **kwargs):
     """A d = 1 model and its one replica."""
     mc = init_multi(widths, seed=seed, **kwargs)
     return mc, mc.replicas[0]
+
+
+def sweeps(mc, x0):
+    """The shared layer-1 state of the rows x0 and every replica's (output, bases, derivatives)."""
+    layer1, x1 = mc.layer1(x0)
+    return layer1, [sweep(c, layer1, x) for c, x in zip(mc.replicas, x1)]
+
+
+def forward_through(packages, x):
+    """The rows of x carried through the packages' forward passes, as rows."""
+    y = np.ascontiguousarray(x.T)
+    for pkg in packages:
+        y, _ = pkg.forward(y)
+    return y.T
 
 
 def test_width_chain_validation():
@@ -115,52 +130,48 @@ def test_forward_batch_composes_package_forwards():
     rng = np.random.default_rng(2)
     mc, cascade = single([5, 4, 3, 1], seed=2)
     x0 = rng.uniform(-1, 1, (6, 5))
-    out, (states,) = mc.forward_all(x0)
-    x = x0
-    for pkg in cascade.packages:
-        x, _ = pkg.forward(x)
-    assert np.array_equal(out, x)
-    assert [s.x_in.shape[1] for s in states] + [out.shape[1]] == [5, 4, 3, 1]
+    layer1, (x1,) = mc.layer1(x0)
+    out, _, _ = sweep(cascade, layer1, x1)
+    # features x rows: one column per row of x0
+    assert [layer1.x_in.shape, x1.shape, out.shape] == [(5, 6), (4, 6), (1, 6)]
+    assert np.array_equal(out, forward_through(cascade.packages, x0).T)
 
 
 def test_forward_zero_values_single_package():
     mc, cascade = single([4, 1], seed=0)
     cascade.packages[0].set_values(np.zeros_like(cascade.packages[0].values))
-    out, _ = mc.forward_all(np.random.default_rng(0).uniform(-1, 1, (5, 4)))
+    out = mc.scores(np.random.default_rng(0).uniform(-1, 1, (5, 4)))
     assert np.all(out == 0.0)
 
 
 def test_forward_width_mismatch():
     mc, _ = single([4, 1], seed=0)
     with pytest.raises(ShapeMismatchError):
-        mc.forward_all(np.ones((2, 3)))
+        mc.layer1(np.ones((2, 3)))
     with pytest.raises(ShapeMismatchError):
         mc.scores(np.ones((2, 3)))
 
 
 def test_identity_fragment_passthrough_at_points():
     width = 5
-    mc, _ = single([width] * 11 + [1], seed=0, mode="identity-fragments")
+    mc, cascade = single([width] * 11 + [1], seed=0, mode="identity-fragments")
     points = octahedral_points(width)
-    _, (states,) = mc.forward_all(points)
-    assert np.abs(states[10].x_in - points).max() <= 1e-8
+    assert np.abs(forward_through(cascade.packages[:10], points) - points).max() <= 1e-8
 
 
 def test_backward_quantities_shapes_and_final_ones():
     mc, cascade = single([5, 4, 3, 1], seed=1)
-    _, (states,) = mc.forward_all(np.random.default_rng(1).uniform(-1, 1, (7, 5)))
-    bases, grads = backward_quantities(cascade, states)
-    assert [b.shape for b in bases] == [(7, 11), (7, 9), (7, 7)]
-    assert [g.shape for g in grads] == [(7, 4), (7, 3), (7, 1)]
-    assert np.array_equal(grads[-1], np.ones((7, 1)))
+    _, [(_, bases, grads)] = sweeps(mc, np.random.default_rng(1).uniform(-1, 1, (7, 5)))
+    assert [b.shape for b in bases] == [(11, 7), (9, 7), (7, 7)]
+    assert [g.shape for g in grads] == [(4, 7), (3, 7), (1, 7)]
+    assert np.array_equal(grads[-1], np.ones((1, 7)))
 
 
 def test_end_to_end_gradient_check():
     rng = np.random.default_rng(5)
     mc, cascade = single([5, 4, 3, 1], seed=5)
-    _, (states,) = mc.forward_all(rng.uniform(-0.9, 0.9, (6, 5)))
-    _, grads = backward_quantities(cascade, states)
-    x1 = states[1].x_in
+    layer1, (x1,) = mc.layer1(rng.uniform(-0.9, 0.9, (6, 5)))
+    _, _, grads = sweep(cascade, layer1, x1)
 
     def tail(x1v):
         out = x1v
@@ -169,21 +180,21 @@ def test_end_to_end_gradient_check():
         return out
 
     h = 1e-5
-    for i in range(6):
+    for i in range(6):  # x1 and the derivatives are features x rows
         for j in range(4):
             xp, xm = x1.copy(), x1.copy()
-            xp[i, j] += h
-            xm[i, j] -= h
-            fd = (tail(xp)[i, 0] - tail(xm)[i, 0]) / (2 * h)
-            assert abs(fd - grads[0][i, j]) / max(abs(fd), 1e-12) <= 1e-4
+            xp[j, i] += h
+            xm[j, i] -= h
+            fd = (tail(xp)[0, i] - tail(xm)[0, i]) / (2 * h)
+            assert abs(fd - grads[0][j, i]) / max(abs(fd), 1e-12) <= 1e-4
 
 
 def test_omegas_are_psd():
     rng = np.random.default_rng(11)
     mc, cascade = single([6, 5, 1], seed=11)
-    _, (states,) = mc.forward_all(rng.uniform(-1, 1, (15, 6)))
-    bases, grads = backward_quantities(cascade, states)
-    for omega in package_omegas(bases, grads):
+    _, [(_, bases, grads)] = sweeps(mc, rng.uniform(-1, 1, (15, 6)))
+    # the oracle holds batches rows x features
+    for omega in package_omegas([h.T for h in bases], [g.T for g in grads]):
         assert np.array_equal(omega, omega.T) or np.abs(omega - omega.T).max() < 1e-12
         assert np.linalg.eigvalsh(omega).min() >= -1e-8
 
@@ -191,7 +202,7 @@ def test_omegas_are_psd():
 def test_train_step_zero_residual_fixed_point():
     mc, cascade = single([4, 3, 1], seed=3, alpha=5.0)
     x0 = np.random.default_rng(3).uniform(-1, 1, (8, 4))
-    out, _ = mc.forward_all(x0)
+    out = mc.scores(x0)
     before = [p.values.copy() for p in cascade.packages]
     (report,) = train_multi(mc, x0, out.copy())
     for pkg, old in zip(cascade.packages, before):
@@ -329,13 +340,14 @@ def test_shared_layer1_training_matches_replicas_trained_alone(dtype):
     alone = [init_multi(core, seed=seed + i, alpha=3.0, dtype=dtype) for i in range(3)]
     for idx in np.split(rng.permutation(36), 3):
         x0 = features[idx].astype(dtype)
-        outs, replica_states = mc.forward_all(x0)
-        assert all(states[0] is replica_states[0][0] for states in replica_states)
+        # one layer-1 product gives every replica's layer-1 output as a contiguous row block
+        _, x1 = mc.layer1(x0)
+        assert all(x.flags.c_contiguous and x.base is x1[0].base for x in x1)
+        outs = mc.scores(x0)
         reports = train_multi(mc, x0, targets[idx])
         scores = mc.scores(x0)
         for i, model in enumerate(alone):
-            out, _ = model.forward_all(x0)
-            assert np.array_equal(out, outs[:, i:i + 1])
+            assert np.array_equal(model.scores(x0), outs[:, i:i + 1])
             assert train_multi(model, x0, targets[idx, i:i + 1]) == [reports[i]]
             assert np.array_equal(model.scores(x0), scores[:, i:i + 1])
     for shared, model in zip(mc.replicas, alone):
@@ -345,18 +357,19 @@ def test_shared_layer1_training_matches_replicas_trained_alone(dtype):
 
 
 def test_scores_equal_per_replica_forward_batch(monkeypatch):
-    # scores drops the intermediates forward_all keeps; the outputs are the same bits.
-    # Both cases end in a partial chunk after several full ones; the second is the model's
-    # own chunk.
+    # scores drops the intermediates that each replica's training sweep keeps; the outputs
+    # are the same bits.  Both cases end in a partial chunk after several full ones; the
+    # second is the model's own chunk.
     rng = np.random.default_rng(41)
     mc = init_multi([5, 4, 3, 3], seed=41, alpha=2.0)
     for rows, chunk in ((23, 7), (2 * mc.chunk_rows + 300, mc.chunk_rows)):
         monkeypatch.setattr(MultiOutputCascade, "chunk_rows", chunk)
         x = rng.uniform(-1, 1, (rows, 5))
         got = mc.scores(x)
-        expected = [mc.forward_all(x[lo:lo + chunk])[0] for lo in range(0, rows, chunk)]
+        expected = [np.vstack([out for out, _, _ in sweeps(mc, x[lo:lo + chunk])[1]])
+                    for lo in range(0, rows, chunk)]
         assert got.shape == (rows, 3)
-        assert np.array_equal(got, np.vstack(expected))
+        assert np.array_equal(got, np.hstack(expected).T)
 
 
 @pytest.fixture
@@ -611,27 +624,33 @@ def test_not_spd_error_names_replica():
 
 
 def test_shared_layer1_state_keeps_no_distances():
-    # training never runs backward on package 1, so its shared state drops sq_dists
+    # no state keeps distances: the shared layer-1 state holds the batch and its kernel
+    # values, and backward computes a package's distances again from its input
     mc = init_multi([5, 4, 3], seed=2, alpha=1.0)
-    _, (states, *_) = mc.forward_all(np.random.default_rng(2).uniform(-1, 1, (6, 5)))
-    assert states[0].sq_dists is None
-    assert states[1].sq_dists is not None  # package 2 still runs backward
+    layer1, x1 = mc.layer1(np.random.default_rng(2).uniform(-1, 1, (6, 5)))
+    assert [field for field, a in vars(layer1).items() if a is not None] == ["x_in",
+                                                                             "kernel_vals"]
+    assert (layer1.x_in.shape, layer1.kernel_vals.shape) == ((5, 6), (11, 6))
+    _, state = mc.replicas[0].packages[1].forward(x1[0])
+    assert "sq_dists" not in vars(state)
+    assert mc.replicas[0].packages[1].backward(np.ones((1, 6)), state).shape == (4, 6)
 
 
 def nan_coefficient_after_forward(monkeypatch, cascade, package):
     """Put a NaN in ``cascade``'s package coefficients right after its forward pass.
 
-    The output residual stays finite, and the NaN reaches the training
-    system only through ``backward``, so only the system check can see it.
+    The NaN is set as the package's ``backward`` starts, after the forward
+    pass of the sweep's one chunk, so the output residual stays finite and
+    the NaN reaches the training system only through ``backward``: only the
+    system check can see it.
     """
-    forward = cascade_module.forward_batch
+    pkg = cascade.packages[package]
+    backward = pkg.backward
 
-    def forward_then_nan(c, layer1, x1):
-        states, output = forward(c, layer1, x1)
-        if c is cascade:
-            c.packages[package].coeffs[0, 0] = np.nan
-        return states, output
-    monkeypatch.setattr(cascade_module, "forward_batch", forward_then_nan)
+    def nan_then_backward(*args, **kwargs):
+        pkg.coeffs[0, 0] = np.nan
+        return backward(*args, **kwargs)
+    monkeypatch.setattr(pkg, "backward", nan_then_backward)
 
 
 def test_nan_coefficient_raises_non_finite_before_any_update(monkeypatch):
@@ -650,7 +669,7 @@ def test_non_finite_inputs_rejected_where_they_enter():
     mc, cascade = single([4, 3, 1], seed=0, alpha=1.0)
     x0 = np.random.default_rng(0).uniform(-1, 1, (5, 4))
     with pytest.raises(NonFiniteError, match="batch input"):
-        mc.forward_all(np.where(np.eye(5, 4) > 0, np.nan, x0))
+        mc.layer1(np.where(np.eye(5, 4) > 0, np.nan, x0))
     with pytest.raises(NonFiniteError, match="targets"):
         train_multi(mc, x0, np.full((5, 1), np.inf))
     pkg = cascade.packages[0]
@@ -667,15 +686,14 @@ def test_assembled_system_equals_oracle_sum(dtype, bound):
     # several ending in a partial one.
     for r, cached in itertools.product((17, PANEL_ROWS, 2 * PANEL_ROWS + 44), (False, True)):
         mc = init_multi([5, 4, 1, 3, 3], seed=42, alpha=2.5, dtype=dtype)
-        _, replica_states = mc.forward_all(np.random.default_rng(42).uniform(-1, 1, (r, 5)))
+        layer1, replica_sweeps = sweeps(mc, np.random.default_rng(42).uniform(-1, 1, (r, 5)))
         if cached:
-            layer1 = replica_states[0][0]
-            h1 = mc.replicas[0].packages[0].cardinal_basis(layer1)
-            layer1.gram = h1 @ h1.T
-        for c, states in zip(mc.replicas, replica_states):
-            bases, grads = backward_quantities(c, states)
-            expected = sum(package_omegas(bases, grads)) + 2.5 * np.eye(r, dtype=dtype)
-            system = assemble_system(states[0], bases, grads, mc.alpha)
+            layer1.gram = layer1.basis.T @ layer1.basis
+        for _, bases, grads in replica_sweeps:
+            # the oracle holds batches rows x features
+            expected = (sum(package_omegas([h.T for h in bases], [g.T for g in grads]))
+                        + 2.5 * np.eye(r, dtype=dtype))
+            system = assemble_system(layer1, bases, grads, mc.alpha)
             assert system.dtype == np.dtype(dtype)
             assert np.array_equal(system, system.T)
             assert np.abs(system - expected).max() <= bound * np.abs(expected).max()
@@ -697,8 +715,8 @@ def test_failing_replica_leaves_earlier_replicas_updated_and_itself_untouched(mo
         # negative alpha makes a system that the solve finds not positive definite
         step = cascade_module.train_step
         monkeypatch.setattr(cascade_module, "train_step",
-                            lambda c, states, output, lstar, update, alpha, buffers: step(
-                                c, states, output, lstar, update,
+                            lambda c, layer1, swept, lstar, update, alpha, buffers: step(
+                                c, layer1, swept, lstar, update,
                                 -1e6 if c is mc.replicas[2] else alpha, buffers))
     else:
         nan_coefficient_after_forward(monkeypatch, mc.replicas[2], 1)
@@ -780,7 +798,7 @@ def train_twice(mc, x0, targets):
     buffers = TrainingBuffers(x0.shape[0], mc.dtype)
     reports = [vars(rep) for _ in range(2) for rep in train_multi(mc, x0, targets, buffers)]
     values = [p.values for c in mc.replicas for p in c.packages]
-    return np.array([list(rep.values()) for rep in reports]), values, mc.forward_all(x0)[0]
+    return np.array([list(rep.values()) for rep in reports]), values, mc.scores(x0)
 
 
 def assert_same_training(got, expected):
@@ -860,7 +878,7 @@ def test_panel_sets_are_counted_when_the_buffers_are_allocated(monkeypatch, one_
                    for p, v in zip(mc.replicas[0].packages, expected[1]))
     # never more sets than a batch of the set's rows has panels
     monkeypatch.setattr(cascade_module, "worker_count", lambda: 8)
-    buffers = TrainingBuffers.fitting(None, x0[:PANEL_ROWS + 1])
+    buffers = TrainingBuffers.fitting(None, x0[:PANEL_ROWS + 1].T)  # features x rows
     assert len(buffers.panel_sets) == 2
 
 
@@ -868,18 +886,17 @@ def test_assembly_panels_are_each_built_once_under_contention(monkeypatch):
     # more tasks than cores take panels from one shared deque, switching often: a panel
     # that no task built would leave rows of the uninitialised system in the result
     mc, cascade = single([10, 50, 50, 1], seed=49, mode="identity-fragments", alpha=50.0)
-    _, (states,) = mc.forward_all(np.random.default_rng(49).uniform(-1, 1, (1000, 10)))
-    bases, grads = backward_quantities(cascade, states)
+    layer1, [(_, bases, grads)] = sweeps(mc, np.random.default_rng(49).uniform(-1, 1, (1000, 10)))
     monkeypatch.setattr(cascade_module, "worker_count", lambda: 1)
-    expected = assemble_system(states[0], bases, grads, mc.alpha).copy()
+    expected = assemble_system(layer1, bases, grads, mc.alpha).copy()
     monkeypatch.setattr(cascade_module, "worker_count", lambda: 5)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         for _ in range(5):
-            buffers = TrainingBuffers.fitting(None, states[0].x_in)
+            buffers = TrainingBuffers.fitting(None, layer1.x_in)
             buffers.systems[0].fill(np.nan)
-            system = assemble_system(states[0], bases, grads, mc.alpha, buffers)
+            system = assemble_system(layer1, bases, grads, mc.alpha, buffers)
             assert len(buffers.panel_sets) == 5 and np.array_equal(system, expected)
     finally:
         sys.setswitchinterval(interval)
@@ -889,8 +906,7 @@ def test_assembly_takes_panels_largest_first(monkeypatch):
     # from one end of one deque: the last rows' panels, the widest, first
     mc, cascade = single([6, 5, 1], seed=52, alpha=2.0)
     r = 3 * PANEL_ROWS + 5
-    _, (states,) = mc.forward_all(np.random.default_rng(52).uniform(-1, 1, (r, 6)))
-    bases, grads = backward_quantities(cascade, states)
+    layer1, [(_, bases, grads)] = sweeps(mc, np.random.default_rng(52).uniform(-1, 1, (r, 6)))
     drain, taken = cascade_module._drain, []
 
     def watched_drain(items):
@@ -899,7 +915,7 @@ def test_assembly_takes_panels_largest_first(monkeypatch):
             yield item
     monkeypatch.setattr(cascade_module, "_drain", watched_drain)
     monkeypatch.setattr(cascade_module, "worker_count", lambda: 1)
-    assemble_system(states[0], bases, grads, mc.alpha)
+    assemble_system(layer1, bases, grads, mc.alpha)
     assert taken == [3 * PANEL_ROWS, 2 * PANEL_ROWS, PANEL_ROWS, 0]
 
 
@@ -968,11 +984,11 @@ def test_replicas_failing_side_by_side_apply_those_below_the_lowest_and_name_it(
     started, ended, others = {1: threading.Event(), 2: threading.Event()}, threading.Event(), []
     train_step = cascade_module.train_step
 
-    def side_by_side_step(c, states, output, lstar, update, alpha, buffers):
+    def side_by_side_step(c, layer1, swept, lstar, update, alpha, buffers):
         j = next(i for i, replica in enumerate(mc.replicas) if replica is c)
         if j not in started:
             others.append(j)
-            return train_step(c, states, output, lstar, update, alpha, buffers)
+            return train_step(c, layer1, swept, lstar, update, alpha, buffers)
         started[j].set()
         assert started[3 - j].wait(30)
         if j == order[1]:
@@ -980,7 +996,7 @@ def test_replicas_failing_side_by_side_apply_those_below_the_lowest_and_name_it(
         fails = j == order[0] or j == 1
         try:
             # a negative alpha makes a system that the solve finds not positive definite
-            return train_step(c, states, output, lstar, update, -1e6 if fails else alpha,
+            return train_step(c, layer1, swept, lstar, update, -1e6 if fails else alpha,
                               buffers)
         finally:
             ended.set()
@@ -1050,6 +1066,48 @@ def test_trained_values_do_not_depend_on_the_worker_count(monkeypatch, shape):
         trained.append([p.values for c in model.replicas for p in c.packages])
     for values in trained[1:]:
         assert all(np.array_equal(a, b) for a, b in zip(trained[0], values))
+
+
+def test_the_chain_works_on_contiguous_arrays_only(monkeypatch):
+    # every batch array is features x rows and each sweep chunk works in its own working set,
+    # so the kernel, its derivative factor and the closed-form Gram inverse never receive a
+    # strided view (a transposed array, or a chunk's columns of a whole-batch array): not in
+    # a one-replica batch's two sweep chunks on two workers, not in replicas trained side by
+    # side, and not in scoring
+    contiguous = []
+
+    def recording(fn):
+        def wrapper(*args, **kwargs):
+            contiguous.extend(a.flags.c_contiguous for a in [*args, *kwargs.values()]
+                              if isinstance(a, np.ndarray))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("phi_matrix", "theta_matrix"):
+        monkeypatch.setattr(package_module, name, recording(getattr(package_module, name)))
+    monkeypatch.setattr(Package, "coeffs_from_values", recording(Package.coeffs_from_values))
+    patch_workers(monkeypatch, 2)
+    rng = np.random.default_rng(54)
+    x0 = rng.uniform(-1, 1, (1000, 10))
+    one = shells_deep_model(depth=3)
+    assert len(cascade_module._row_chunks(1000, one.replicas[0].packages[1:])) == 2
+    train_multi(one, x0, rng.choice([-1.0, 1.0], (1000, 1)))
+    several = init_multi([10, 50, 50, 3], seed=54, mode="identity-fragments", alpha=50.0)
+    train_multi(several, x0[:300], one_hot_pm1(rng.integers(0, 3, 300), 3))
+    several.scores(x0)
+    assert len(contiguous) > 100 and all(contiguous)
+
+
+def test_a_one_replica_batch_trains_in_two_regions(monkeypatch, scoring_tasks):
+    # the sweep, whose tasks each run a chunk's forward pass, bases and backward sweep, then
+    # the assembly; the lone replica runs in the calling thread, outside any region, so its
+    # factor and solve keep BLAS's own threads
+    patch_workers(monkeypatch, 2)
+    mc = shells_deep_model(depth=3)
+    assert len(cascade_module._row_chunks(1000, mc.replicas[0].packages[1:])) == 2
+    rng = np.random.default_rng(55)
+    train_multi(mc, rng.uniform(-1, 1, (1000, 10)), rng.choice([-1.0, 1.0], (1000, 1)))
+    assert scoring_tasks == [2, 2]
 
 
 def test_forked_child_trains_with_a_pool_of_its_own():

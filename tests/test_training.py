@@ -265,10 +265,10 @@ def test_not_spd_error_names_epoch_batch_and_replica(monkeypatch):
         models.append(make_model(*args, **kwargs))
         return models[-1]
 
-    def failing_on_replica_2_step_7(c, states, output, lstar, update, alpha, buffers):
+    def failing_on_replica_2_step_7(c, layer1, swept, lstar, update, alpha, buffers):
         if c is models[0].replicas[2] and next(steps) == 7:
             alpha = -1e6  # a system that is not positive definite, for the solve to reject
-        return train_step(c, states, output, lstar, update, alpha, buffers)
+        return train_step(c, layer1, swept, lstar, update, alpha, buffers)
 
     monkeypatch.setattr(training, "init_multi", kept_init_multi)
     monkeypatch.setattr(cascade_module, "train_step", failing_on_replica_2_step_7)
