@@ -17,7 +17,7 @@ from .data import (Batch, DataFormatError, Dataset, TransformSpec, batches,
 from .kernel import EPS_M, KernelParams, NegativeDistanceError, phi, phi_matrix, theta, theta_matrix
 from .linalg import NonFiniteError, NotSPDError, ShapeMismatchError, as_matrix, spd_solve
 from .metrics import accuracy, roc_auc
-from .package import Package, PackageBatchState
+from .package import Package
 from .snapshot import SnapshotFormatError, load_snapshot, save_snapshot
 from .synthetic import make_shell_task
 from .training import EpochRecord, TrainConfig, run_training
@@ -28,7 +28,7 @@ __all__ = [
     "Batch", "Cascade", "Constellation", "DataFormatError", "Dataset", "DegenerateKernelError",
     "EPS_M", "EpochRecord", "KernelParams",
     "MultiOutputCascade", "NegativeDistanceError", "NonFiniteError", "NotSPDError",
-    "OctaCoefficients", "Package", "PackageBatchState", "ShapeMismatchError",
+    "OctaCoefficients", "Package", "ShapeMismatchError",
     "SnapshotFormatError", "TrainConfig", "TrainStepReport", "TrainingBuffers", "TransformSpec",
     "accuracy", "as_matrix", "batches", "build_octahedral", "derive_coefficients",
     "fit_apply_transforms", "init_multi", "load_delimited", "load_idx", "load_snapshot",

@@ -22,7 +22,7 @@ import numpy as np
 from . import oracle
 from .constellation import build_octahedral, octahedral_points
 from .kernel import KernelParams
-from .package import Package, PackageBatchState
+from .package import Package
 
 AGREEMENT_TOL = 1e-8
 OPS = ("squared_distances", "coeffs_from_values", "cardinal_basis", "backward")
@@ -74,15 +74,15 @@ def run_bench(widths=(16, 32, 64, 128, 256, 512, 1024, 2048), batch_rows=(64, 25
                 continue
             x = rng.uniform(-1, 1, (r, n))
             xt = np.ascontiguousarray(x.T)  # Package holds a batch features x rows
-            m, kv = pkg.squared_distances(xt), pkg.batch_state(xt).kernel_vals
+            m, kv = pkg.squared_distances(xt), pkg.kernel_values(xt)
             g_next = rng.standard_normal((r, N_OUT))
             gt = np.ascontiguousarray(g_next.T)
 
             def fresh():
-                """A state of the batch: cardinal_basis consumes its kernel values."""
-                return PackageBatchState(x_in=xt, kernel_vals=kv.copy())
+                """The batch's kernel values: cardinal_basis writes the basis over them."""
+                return kv.copy()
 
-            # each fast route takes a fresh state, made outside its timing; the oracle holds
+            # each fast route takes fresh kernel values, made outside its timing; the oracle holds
             # batches rows x features, so its batch results are compared as transposed views
             pairs = {
                 "squared_distances": (lambda _: pkg.squared_distances(xt),
@@ -91,7 +91,7 @@ def run_bench(widths=(16, 32, 64, 128, 256, 512, 1024, 2048), batch_rows=(64, 25
                                        lambda: oracle.coefficients(u, values)),
                 "cardinal_basis": (pkg.cardinal_basis,
                                    lambda: oracle.cardinal_basis(kv.T, u).T),
-                "backward": (lambda s: pkg.backward(gt, s),
+                "backward": (lambda _: pkg.backward(gt, xt),
                              lambda: oracle.backward(g_next, x, m.T, points, pkg.coeffs, kp).T),
             }
             for op, (fast_fn, naive_fn) in pairs.items():

@@ -57,7 +57,8 @@ The replicas have independent value matrices and share the architecture and
 hyperparameters.  Every replica's first package has the same constellation
 and kernel, so the layer-1 distances, kernel values, cardinal basis and basis
 Gram product are computed once per batch (or scoring chunk) and shared by
-all replicas.  Layer 1 then acts as one package with d * n1 outputs: one
+all replicas: ``train_multi`` passes the basis to every replica's ``sweep``
+and the Gram to every ``train_step`` as plain arrays.  Layer 1 then acts as one package with d * n1 outputs: one
 product over the replicas' stacked coefficients gives every layer-1 output,
 each replica's a contiguous row block of it, and one product over their
 stacked derivative blocks gives every layer-1 value update.  The derivative
@@ -72,6 +73,7 @@ import copy
 import functools
 import itertools
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,7 +82,7 @@ from .constellation import Constellation, build_octahedral, octahedral_points
 from .kernel import KernelParams
 from .linalg import (NonFiniteError, NotSPDError, ShapeMismatchError, as_matrix, ensure_finite,
                      resolve_dtype, run_parallel, spd_solve, symmetric_product, worker_count)
-from .package import Package, PackageBatchState
+from .package import Package
 
 logger = logging.getLogger(__name__)
 
@@ -144,17 +146,15 @@ def _row_chunks(r: int, packages: list[Package]) -> collections.deque:
     return collections.deque(slice(lo, hi) for lo, hi in zip(bounds, bounds[1:]))
 
 
-def sweep(cascade: Cascade, layer1: PackageBatchState, x1: np.ndarray,
+def sweep(cascade: Cascade, h1: np.ndarray, x1: np.ndarray,
           ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
     """One replica's training sweep on its layer-1 output ``x1`` (n1 x r).
 
     Returns the replica's output X_q (1 x r), every package's cardinal basis
     H_i (k_i x r) and every package's output derivative G_i (n_{i+1} x r),
     whose last is a row of ones: the derivative chain starts at the cascade
-    output and never descends below the first package.  H_1 is the basis of
-    ``layer1``, the batch's layer-1 state that every replica shares, built
-    over its kernel values in the calling thread unless the state holds it
-    already.
+    output and never descends below the first package.  H_1 is ``h1``, the
+    batch's layer-1 basis that every replica shares, and is not written.
 
     Packages 2..q run in row chunks (``_row_chunks``): min(workers, chunks)
     tasks of a ``run_parallel`` region take chunks from one deque, and each
@@ -169,9 +169,9 @@ def sweep(cascade: Cascade, layer1: PackageBatchState, x1: np.ndarray,
     only its columns of the output, the bases and the derivatives.  Rows are
     independent, so the result is that of one pass over the batch.
     """
-    first, packages = cascade.packages[0], cascade.packages[1:]
+    packages = cascade.packages[1:]
     r, dt = x1.shape[1], x1.dtype
-    bases = [first.cardinal_basis(layer1)] + [np.empty((pkg.k, r), dt) for pkg in packages]
+    bases = [h1] + [np.empty((pkg.k, r), dt) for pkg in packages]
     grads = [np.empty((pkg.n_out, r), dt) for pkg in cascade.packages[:-1]]
     grads.append(np.ones((1, r), dt))
     if not packages:
@@ -199,14 +199,14 @@ def _sweep_chunks(packages: list[Package], x1: np.ndarray, output: np.ndarray,
         c = cols.stop - cols.start
         inputs = [_leading(flat, pkg.n_in, c) for pkg, flat in zip(packages, input_flats)]
         np.copyto(inputs[0], x1[:, cols])
-        states = forward_batch(packages, inputs + [output[:, cols]], [h[:, cols] for h in bases],
-                               dists, kernel_vals)
-        backward_quantities(packages, states, [g[:, cols] for g in grads], dists)
+        forward_batch(packages, inputs + [output[:, cols]], [h[:, cols] for h in bases], dists,
+                      kernel_vals)
+        backward_quantities(packages, inputs, [g[:, cols] for g in grads], dists)
 
 
 def forward_batch(packages: list[Package], inputs: list[np.ndarray], bases: list[np.ndarray],
-                  dists: np.ndarray, kernel_vals: np.ndarray) -> list[PackageBatchState]:
-    """A sweep chunk's forward pass through ``packages``: their states, with inputs kept.
+                  dists: np.ndarray, kernel_vals: np.ndarray) -> None:
+    """A sweep chunk's forward pass through ``packages``, which keeps every package's input.
 
     ``inputs`` holds each package's input (n x c), which the previous
     package's output is written into, and then the chunk's output.  Every
@@ -216,29 +216,26 @@ def forward_batch(packages: list[Package], inputs: list[np.ndarray], bases: list
     array of ``bases`` (the chunk's columns of the batch's basis).
     """
     c = inputs[0].shape[1]
-    states = []
     for pkg, x, out, h in zip(packages, inputs, inputs[1:], bases):
-        _, state = pkg.forward(x, out=out, sq_dists=_leading(dists, pkg.k, c),
-                               kernel_vals=_leading(kernel_vals, pkg.k, c))
-        h[...] = pkg.cardinal_basis(state)
-        states.append(state)
-    return states
+        _, kv = pkg.forward(x, out=out, sq_dists=_leading(dists, pkg.k, c),
+                            kernel_vals=_leading(kernel_vals, pkg.k, c))
+        h[...] = pkg.cardinal_basis(kv)
 
 
-def backward_quantities(packages: list[Package], states: list[PackageBatchState],
+def backward_quantities(packages: list[Package], inputs: list[np.ndarray],
                         grads: list[np.ndarray], dists: np.ndarray) -> None:
     """A sweep chunk's backward sweep: the output derivative of every package into ``grads``.
 
     The chain starts from ``grads[-1]``, the cascade output's row of ones,
     and runs down to the input of the first package of ``packages``, whose
     derivative is ``grads[0]``.  Each package computes its distances again
-    in the flat array ``dists`` and writes its input derivative over its
-    state's input, from which it is copied into its array of ``grads`` (the
-    chunk's columns of the batch's derivative).
+    in the flat array ``dists`` from its array of ``inputs`` (n x c) and
+    writes its input derivative over it, from which it is copied into its
+    array of ``grads`` (the chunk's columns of the batch's derivative).
     """
     g = grads[-1]
-    for pkg, state, g_prev in reversed(list(zip(packages, states, grads))):
-        g = pkg.backward(g, state, out=state.x_in, sq_dists=_leading(dists, pkg.k, g.shape[1]))
+    for pkg, x, g_prev in reversed(list(zip(packages, inputs, grads))):
+        g = pkg.backward(g, x, out=x, sq_dists=_leading(dists, pkg.k, g.shape[1]))
         g_prev[...] = g
 
 
@@ -264,17 +261,18 @@ class TrainingBuffers:
         self.panel_sets: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
     @classmethod
-    def fitting(cls, buffers: TrainingBuffers | None, x: np.ndarray,
+    def fitting(cls, buffers: TrainingBuffers | None, h1: np.ndarray,
                 replicas: int = 1) -> TrainingBuffers:
-        """``buffers`` (a new set if None), allocated for d = ``replicas``, if it can hold ``x``.
+        """``buffers`` (a new set if None), allocated for d = ``replicas``, if it can hold ``h1``.
 
-        ``x`` is a batch as the cascade holds it, features x rows.
+        ``h1`` is the batch's layer-1 basis (k1 x r), or any array that holds
+        the batch features x rows: its columns are the batch's rows.
         """
         if buffers is None:
-            buffers = cls(x.shape[1], x.dtype)
-        elif buffers.rows < x.shape[1] or buffers.dtype != x.dtype:
+            buffers = cls(h1.shape[1], h1.dtype)
+        elif buffers.rows < h1.shape[1] or buffers.dtype != h1.dtype:
             raise ValueError(f"training buffers for {buffers.rows} {buffers.dtype} rows cannot "
-                             f"hold a batch of {x.shape[1]} {x.dtype} rows")
+                             f"hold a batch of {h1.shape[1]} {h1.dtype} rows")
         n, dt = buffers.rows, buffers.dtype
         if not buffers.systems:
             panel = min(PANEL_ROWS, n) * n
@@ -301,8 +299,9 @@ def _leading(flat: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return flat[:rows * cols].reshape(rows, cols)
 
 
-def assemble_system(layer1: PackageBatchState, bases: list[np.ndarray], grads: list[np.ndarray],
-                    alpha: float, buffers: TrainingBuffers | None = None) -> np.ndarray:
+def assemble_system(bases: list[np.ndarray], grads: list[np.ndarray], alpha: float,
+                    buffers: TrainingBuffers | None = None,
+                    gram: np.ndarray | None = None) -> np.ndarray:
     """The regularized training system sum_i (H_i^T H_i) * (G_i^T G_i) + alpha I.
 
     H_i is package i's k x r basis and G_i its n x r output derivative.
@@ -313,10 +312,10 @@ def assemble_system(layer1: PackageBatchState, bases: list[np.ndarray], grads: l
     blocks BLAS reads in place and whose buffers stay in cache; the
     accumulator is written into the system rows once and mirrored once into
     the upper triangle, so the whole symmetric matrix is returned.
-    H_1^T H_1 is read from ``layer1.gram`` where ``train_multi`` has cached
-    it for d > 1 replicas, and is otherwise built in panels like any other
-    package's.  The last package's G is a row of ones, so its H^T H is added
-    alone.
+    H_1^T H_1 is read from ``gram`` (r x r) when given, as ``train_multi``
+    gives it for d > 1 replicas, and is otherwise built in panels like any
+    other package's.  The last package's G is a row of ones, so its H^T H
+    is added alone.
 
     The panels run in a ``run_parallel`` region, one task per panel set of
     ``buffers`` (at most one per panel).  Each task takes panels, largest
@@ -326,13 +325,11 @@ def assemble_system(layer1: PackageBatchState, bases: list[np.ndarray], grads: l
     set made for this call when None), so the returned system is
     overwritten by the next step that uses the same set.
     """
-    r = layer1.x_in.shape[1]
-    dt = layer1.x_in.dtype
-    buffers = TrainingBuffers.fitting(buffers, layer1.x_in)
+    r, dt = bases[0].shape[1], bases[0].dtype
+    buffers = TrainingBuffers.fitting(buffers, bases[0])
     system = _leading(buffers.systems[0], r, r)
     starts = collections.deque(reversed(range(0, r, PANEL_ROWS)))
-    run_parallel([functools.partial(_assemble_panels, system, layer1.gram, bases, grads, starts,
-                                    panel_set)
+    run_parallel([functools.partial(_assemble_panels, system, gram, bases, grads, starts, panel_set)
                   for panel_set in buffers.panel_sets[:len(starts)]])
     system[np.diag_indices(r)] += dt.type(alpha)
     return system
@@ -377,15 +374,15 @@ def _assemble_panels(system: np.ndarray, gram: np.ndarray | None, bases: list[np
         np.copyto(block, block.T, where=_STRICT_UPPER[:block.shape[0], :block.shape[0]])
 
 
-def train_step(cascade: Cascade, layer1: PackageBatchState,
-               swept: tuple[np.ndarray, list[np.ndarray], list[np.ndarray]], lstar: np.ndarray,
-               layer1_update: np.ndarray, alpha: float,
+def train_step(cascade: Cascade, swept: tuple[np.ndarray, list[np.ndarray], list[np.ndarray]],
+               gram: np.ndarray | None, lstar: np.ndarray, layer1_update: np.ndarray, alpha: float,
                buffers: TrainingBuffers) -> tuple[TrainStepReport, list[np.ndarray]]:
     """One replica's training step on its ``sweep``: its report and new values.
 
     From the sweep's output, bases and derivatives, builds the model's
-    alpha-regularized system (``assemble_system``) in ``buffers``, factors it in place and
-    solves it for the batch vector b against the r x 1 targets ``lstar``,
+    alpha-regularized system (``assemble_system``, which reads H1^T H1 from
+    ``gram`` when given) in ``buffers``, factors it in place and solves it
+    for the batch vector b against the r x 1 targets ``lstar``,
     takes the solve residual from the diagonal and upper triangle that the
     factor leaves holding the system (``symmetric_product``), computes the
     new values H (G * b^T)^T + values of packages 2..q from the pre-update
@@ -395,7 +392,7 @@ def train_step(cascade: Cascade, layer1: PackageBatchState,
     """
     output, bases, grads = swept
     delta_l = lstar - output.T
-    system = assemble_system(layer1, bases, grads, alpha, buffers)
+    system = assemble_system(bases, grads, alpha, buffers, gram)
     if not (np.isfinite(system).all() and np.isfinite(delta_l).all()):
         raise NonFiniteError("training system or output residual contains NaN or Inf")
     b_vec = spd_solve(system, delta_l, overwrite=True)
@@ -428,8 +425,8 @@ class MultiOutputCascade:
             raise ValueError(f"need at least two positive widths ending in 1, got {self.widths}")
         if not values:
             raise ValueError("need at least one replica")
-        if not alpha >= 0:
-            raise ValueError(f"alpha must be >= 0, got {alpha}")
+        if not 0 <= alpha < math.inf:
+            raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
         self.alpha, self.kernel, self.sigma2 = float(alpha), kernel, float(sigma2)
         self.dtype = resolve_dtype(dtype)
         constellations = [build_octahedral(n, sigma2=self.sigma2) for n in self.widths[:-1]]
@@ -462,18 +459,19 @@ class MultiOutputCascade:
                                                      * self.dtype.itemsize)
         return min(max(rows - rows % PART_ROW_MULTIPLE, 512), 2048)
 
-    def layer1(self, x0) -> tuple[PackageBatchState, list[np.ndarray]]:
-        """The shared layer-1 state of a batch checked here, and each replica's layer-1 output.
+    def layer1(self, x0) -> tuple[np.ndarray, list[np.ndarray]]:
+        """A batch's layer-1 kernel values K1 (k1 x r) and each replica's layer-1 output.
 
-        The batch (r x n0) is transposed once, here, to the features x rows
-        layout the cascade holds every batch array in.  One product with the
-        replicas' stacked layer-1 coefficients, C1^T @ K1, gives every
-        replica's layer-1 output (n1 x r) as a contiguous row block of it.
+        Every replica shares K1.  The batch (r x n0) is checked and
+        transposed once, here, to the features x rows layout the cascade
+        holds every batch array in.  One product with the replicas' stacked
+        layer-1 coefficients, C1^T @ K1, gives every replica's layer-1
+        output (n1 x r) as a contiguous row block of it.
         """
         x0 = as_matrix(x0, dtype=self.dtype, name="batch input")
-        layer1 = self.replicas[0].packages[0].batch_state(np.ascontiguousarray(x0.T))
+        k1 = self.replicas[0].packages[0].kernel_values(np.ascontiguousarray(x0.T))
         coeffs1 = np.hstack([c.packages[0].coeffs for c in self.replicas])
-        return layer1, np.vsplit(coeffs1.T @ layer1.kernel_vals, self.d)
+        return k1, np.vsplit(coeffs1.T @ k1, self.d)
 
     def scores(self, x0) -> np.ndarray:
         """Replica outputs (r x d), keeping no states, on the cores of the process affinity.
@@ -482,19 +480,19 @@ class MultiOutputCascade:
         ``chunk_rows`` rows.  min(workers, chunks) tasks take whole chunks
         from one deque until none is left: the calling thread runs one and a
         pool of threads the others (``run_parallel``, which holds numpy's
-        BLAS at one thread and its pool parked meanwhile); one task runs
-        with BLAS on its own threads.  A chunk is scored the same way by
-        any task, so the scores do not depend on the worker count; a product
-        that BLAS splits over its own threads can differ in its last bits.
+        BLAS at one thread and its pool parked meanwhile, for a lone task
+        too).  So a chunk gets the same bits whichever task scores it, and
+        the scores depend neither on the worker count nor on how many rows
+        the call has.
 
         Each chunk is transposed once into its task's working set, as
-        ``layer1`` transposes a batch, and shares one layer-1 state; one
-        product with the replicas' stacked layer-1 coefficients, stacked
-        once per call, gives every layer-1 output.  The working set, which
-        the calling thread allocates, is sized by the chunk and the widest
-        package: the transposed chunk, distances, kernel values, the layer-1
-        outputs and two package outputs that alternate along a replica.  So
-        the chunk size bounds the memory a call holds.
+        ``layer1`` transposes a batch, and its layer-1 kernel values serve
+        every replica; one product with the replicas' stacked layer-1
+        coefficients, stacked once per call, gives every layer-1 output.
+        The working set, which the calling thread allocates, is sized by the
+        chunk and the widest package: the transposed chunk, distances, kernel
+        values, the layer-1 outputs and two package outputs that alternate
+        along a replica.  So the chunk size bounds the memory a call holds.
         """
         x0 = as_matrix(x0, dtype=self.dtype, name="batch input")
         r = x0.shape[0]
@@ -529,10 +527,9 @@ class MultiOutputCascade:
             n = x0[rows].shape[0]
             chunk = _leading(x_buf, first.n_in, n)
             np.copyto(chunk, x0[rows].T)
-            layer1 = first.batch_state(chunk, sq_dists=_leading(dists, first.k, n),
-                                       kernel_vals=_leading(kernel_vals, first.k, n))
-            x1 = np.matmul(coeffs1.T, layer1.kernel_vals,
-                           out=_leading(x1_buf, coeffs1.shape[1], n))
+            k1 = first.kernel_values(chunk, sq_dists=_leading(dists, first.k, n),
+                                     out=_leading(kernel_vals, first.k, n))
+            x1 = np.matmul(coeffs1.T, k1, out=_leading(x1_buf, coeffs1.shape[1], n))
             for j, c in enumerate(self.replicas):
                 y = x1[j * n1:(j + 1) * n1]
                 for i, pkg in enumerate(c.packages[1:]):
@@ -579,45 +576,46 @@ def train_multi(mc: MultiOutputCascade, x0, targets,
                 buffers: TrainingBuffers | None = None) -> list[TrainStepReport]:
     """Train every replica on batch ``x0``, replica j against column j of the r x d ``targets``.
 
-    The layer-1 state and the stacked layer-1 product are built once
-    (``MultiOutputCascade.layer1``), then replica 0's ``sweep`` in the
-    calling thread and, for d > 1, the layer-1 basis Gram every system
-    reads.  One ``run_parallel`` region then trains the replicas side by
-    side: min(workers, d) tasks take whole replicas from one deque, each in
-    a system and panel set of its own (``TrainingBuffers.split``), and run
-    each one's sweep right before its ``train_step``, so a task holds one
-    replica's intermediates at a time.  A lone task (d = 1, or one core)
-    runs in the calling thread, outside any region, and splits its assembly
-    over the cores as the sweep splits its chunks.  After the region, one product gives
-    the layer-1 updates, and the replicas before the lowest failing one
-    (all, if none failed) take their new values in replica order; the
-    others are untouched, and the failing one's error is raised, naming it
+    The layer-1 kernel values and the stacked layer-1 product are built
+    once (``MultiOutputCascade.layer1``), then the layer-1 basis H1 over
+    those kernel values, replica 0's ``sweep`` in the calling thread and,
+    for d > 1, the Gram H1^T H1 every system reads.  One ``run_parallel``
+    region then trains the replicas side by side: min(workers, d) tasks
+    take whole replicas from one deque, each in a system and panel set of
+    its own (``TrainingBuffers.split``), and run each one's sweep right
+    before its ``train_step``, so a task holds one replica's intermediates
+    at a time.  A lone task (d = 1, or one core) runs in the calling
+    thread, outside any region, and splits its assembly over the cores as
+    the sweep splits its chunks.  After the region, one product gives the
+    layer-1 updates, and the replicas before the lowest failing one (all,
+    if none failed) take their new values in replica order; the others are
+    untouched, and the failing one's error is raised, naming it
     if non-SPD or non-finite.  ``buffers`` (a new set if None) must hold r
     rows of the model's dtype.  Targets of the wrong shape raise before any
     update.
     """
-    layer1, x1 = mc.layer1(x0)
-    r = layer1.x_in.shape[1]
+    k1, x1 = mc.layer1(x0)
+    r = k1.shape[1]
     targets = as_matrix(targets, dtype=mc.dtype, name="targets")
     if targets.shape != (r, mc.d):
         raise ShapeMismatchError(f"targets shape {targets.shape} != outputs shape {(r, mc.d)}")
     n1 = mc.replicas[0].packages[0].n_out
     results = [None] * mc.d  # replica j's report and new values, or its exception
-    swept = {0: sweep(mc.replicas[0], layer1, x1[0])}
+    h1 = mc.replicas[0].packages[0].cardinal_basis(k1)
+    swept = {0: sweep(mc.replicas[0], h1, x1[0])}
     # after the sweep's arrays, so the allocator keeps the memory they free for the next batch
     # instead of returning it to the system
-    buffers = TrainingBuffers.fitting(buffers, layer1.x_in, replicas=mc.d)
+    buffers = TrainingBuffers.fitting(buffers, h1, replicas=mc.d)
     scaled = np.empty((mc.d * n1, r), dtype=mc.dtype)
-    if mc.d > 1:  # every replica's system reads H1^T H1: one product per batch
-        h1 = mc.replicas[0].packages[0].cardinal_basis(layer1)
-        layer1.gram = np.matmul(h1.T, h1, out=_leading(buffers.gram, r, r))
+    # every replica's system reads H1^T H1: one product per batch
+    gram = np.matmul(h1.T, h1, out=_leading(buffers.gram, r, r)) if mc.d > 1 else None
     replicas = collections.deque(range(mc.d))
 
     def train_replicas(task_buffers: TrainingBuffers) -> None:
         for j in _drain(replicas):
             c = mc.replicas[j]
             try:
-                results[j] = train_step(c, layer1, swept.pop(j, None) or sweep(c, layer1, x1[j]),
+                results[j] = train_step(c, swept.pop(j, None) or sweep(c, h1, x1[j]), gram,
                                         targets[:, j:j + 1], scaled[j * n1:(j + 1) * n1],
                                         mc.alpha, task_buffers)
             except Exception as exc:
@@ -632,7 +630,7 @@ def train_multi(mc: MultiOutputCascade, x0, targets,
     trained = list(itertools.takewhile(lambda res: isinstance(res, tuple), results))
     if trained:
         # H1 (G1 * b^T)^T of every trained replica in one product
-        deltas = np.hsplit(layer1.basis @ scaled[:len(trained) * n1].T, len(trained))
+        deltas = np.hsplit(h1 @ scaled[:len(trained) * n1].T, len(trained))
         for c, (_, values), delta in zip(mc.replicas, trained, deltas):
             for pkg, y in zip(c.packages, [c.packages[0].values + delta] + values):
                 pkg.set_values(y)

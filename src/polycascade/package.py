@@ -18,15 +18,15 @@ Forward evaluation of a batch X:
     kernel_vals = elementwise kernel over sq_dists
     output      = coeffs^T @ kernel_vals        (n_out x c)
 
-The first two stages do not depend on the values (``batch_state``); only the
-last product does (``evaluate``).
+The first two stages do not depend on the values (``kernel_values``); only
+the last product does (``evaluate``).
 
 The backward route maps the derivative of the scalar cascade output with
 respect to this package's outputs (n_out x c) to the derivative with respect
 to its inputs (n_in x c), through the kernel's derivative factor over the
-distances, which it computes again from the batch.  So a state holds one
-k x c array: ``cardinal_basis`` writes the basis over the kernel values,
-and the state drops them.
+distances, which it computes again from the batch.  So a batch needs one
+k x c array between the passes: ``cardinal_basis`` writes the basis over
+the kernel values.
 
 Values are validated (shape, and NaN/Inf via ``as_matrix``) in
 ``set_values``; a batch's width is checked, but the cascade scans a batch
@@ -37,37 +37,11 @@ propagates into the scores or the training system, which
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .constellation import Constellation, derive_coefficients
 from .kernel import KernelParams, phi_matrix, theta_matrix
 from .linalg import ShapeMismatchError, as_matrix
-
-
-@dataclass
-class PackageBatchState:
-    """Per-batch intermediates retained between forward and training phases.
-
-    Features x rows, like every batch array of a package: ``x_in`` is
-    n_in x c, and ``kernel_vals`` and ``basis`` are k x c.  Nothing here
-    depends on the package's values, so one state stays valid across value
-    updates and serves every package with the same constellation and
-    kernel: the replicas of a multi-output model all read one layer-1 state.
-
-    ``cardinal_basis`` consumes the kernel values: it writes ``basis`` over
-    ``kernel_vals`` and sets ``kernel_vals`` to None, so the state can no
-    longer be evaluated, and ``evaluate`` raises ValueError on it.
-    ``backward`` reads only ``x_in``.
-    """
-
-    x_in: np.ndarray
-    kernel_vals: np.ndarray | None = None
-    basis: np.ndarray | None = None  # U @ kernel_vals, in kernel_vals' memory, filled lazily
-    # set by cascade.train_multi on a shared layer-1 state only (d > 1): basis.T @ basis,
-    # a view of the caller's training buffers that every replica of the batch reads
-    gram: np.ndarray | None = None
 
 
 class Package:
@@ -114,35 +88,28 @@ class Package:
         np.maximum(m, 0.0, out=m)
         return m
 
-    def batch_state(self, x, sq_dists: np.ndarray | None = None,
-                    kernel_vals: np.ndarray | None = None) -> PackageBatchState:
-        """Value-independent intermediates of a batch (n_in x c): the batch and its kernel values.
+    def kernel_values(self, x, sq_dists: np.ndarray | None = None,
+                      out: np.ndarray | None = None) -> np.ndarray:
+        """k x c kernel values of a batch (n_in x c), in ``out`` when given.
 
-        Enough to evaluate the package, build its cardinal basis and run
-        ``backward``.  The distances and kernel values are written into
-        ``sq_dists`` and ``kernel_vals`` (k x c each) when given; the state
-        keeps the kernel values only.
+        The distances are written into ``sq_dists`` (k x c) when given.
         """
-        x = np.asarray(x, dtype=self.dtype)
-        m = self.squared_distances(x, out=sq_dists)
-        return PackageBatchState(x_in=x, kernel_vals=phi_matrix(m, self.kernel, out=kernel_vals))
+        m = self.squared_distances(np.asarray(x, dtype=self.dtype), out=sq_dists)
+        return phi_matrix(m, self.kernel, out=out)
 
-    def evaluate(self, state: PackageBatchState, out: np.ndarray | None = None) -> np.ndarray:
-        """Output (n_out x c) of a prepared batch at the current values, in ``out`` when given."""
-        if state.kernel_vals is None:
-            raise ValueError("state holds no kernel values; cardinal_basis() consumed them, "
-                             "or it was never prepared")
-        return np.matmul(self.coeffs.T, state.kernel_vals, out=out)
+    def evaluate(self, kernel_vals: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Output (n_out x c) of a batch's kernel values at the current values, in ``out``."""
+        return np.matmul(self.coeffs.T, kernel_vals, out=out)
 
     def forward(self, x, out: np.ndarray | None = None, sq_dists: np.ndarray | None = None,
-                kernel_vals: np.ndarray | None = None) -> tuple[np.ndarray, PackageBatchState]:
-        """Evaluate the package on a batch (n_in x c): its output and ``batch_state``.
+                kernel_vals: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Evaluate the package on a batch (n_in x c): its output and ``kernel_values``.
 
         The output (n_out x c), distances and kernel values (k x c each) are
         written into ``out``, ``sq_dists`` and ``kernel_vals`` when given.
         """
-        state = self.batch_state(x, sq_dists=sq_dists, kernel_vals=kernel_vals)
-        return self.evaluate(state, out=out), state
+        kernel_vals = self.kernel_values(x, sq_dists=sq_dists, out=kernel_vals)
+        return self.evaluate(kernel_vals, out=out), kernel_vals
 
     # -- coefficient recovery -------------------------------------------------
 
@@ -182,42 +149,35 @@ class Package:
 
     # -- training intermediates ------------------------------------------------
 
-    def cardinal_basis(self, state: PackageBatchState) -> np.ndarray:
+    def cardinal_basis(self, kernel_vals: np.ndarray) -> np.ndarray:
         """Kernel values mapped through the Gram inverse (U @ kernel_vals, k x c).
 
         Columns evaluated exactly at constellation points come out as
         identity columns, so this is the batch expressed in the
-        interpolation basis.  The result is written over the state's kernel
-        values, which the state then drops, and is cached on the state.
+        interpolation basis.  The result is written over ``kernel_vals`` and
+        returned.
         """
-        if state.basis is None:
-            if state.kernel_vals is None:
-                raise ValueError("state holds no kernel values; was forward() run on this package?")
-            state.basis = self.coeffs_from_values(state.kernel_vals, out=state.kernel_vals)
-            state.kernel_vals = None
-        return state.basis
+        return self.coeffs_from_values(kernel_vals, out=kernel_vals)
 
     # -- backward ------------------------------------------------------------
 
-    def backward(self, g_next: np.ndarray, state: PackageBatchState,
-                 out: np.ndarray | None = None,
+    def backward(self, g_next: np.ndarray, x_in: np.ndarray, out: np.ndarray | None = None,
                  sq_dists: np.ndarray | None = None) -> np.ndarray:
         """Propagate output derivatives g_next (n_out x c) to input derivatives (n_in x c).
 
         Uses the kernel derivative factor over the squared distances of the
-        state's batch, computed again here, in ``sq_dists`` (k x c) when
-        given, with the bits ``forward`` computed them with; the factor theta
-        and then psi are written over them.  The result is written into
-        ``out`` when given, which may be the state's input: the state then
-        holds the derivative in its place.
+        batch ``x_in`` (n_in x c), computed again here, in ``sq_dists``
+        (k x c) when given, with the bits ``forward`` computed them with; the
+        factor theta and then psi are written over them.  The result is
+        written into ``out`` when given, which may be ``x_in`` itself.
         """
-        if g_next.shape != (self.n_out, state.x_in.shape[1]):
+        if g_next.shape != (self.n_out, x_in.shape[1]):
             raise ShapeMismatchError(
-                f"g_next shape {g_next.shape} != ({self.n_out}, {state.x_in.shape[1]})")
+                f"g_next shape {g_next.shape} != ({self.n_out}, {x_in.shape[1]})")
         n = self.n_in
-        m = self.squared_distances(state.x_in, out=sq_dists)
+        m = self.squared_distances(x_in, out=sq_dists)
         psi = theta_matrix(m, self.kernel, out=m)
         psi *= self.coeffs @ g_next  # k x c
-        out = np.multiply(state.x_in, psi.sum(axis=0, keepdims=True), out=out)
+        out = np.multiply(x_in, psi.sum(axis=0, keepdims=True), out=out)
         out += psi[1:n + 1] - psi[n + 1:]
         return out

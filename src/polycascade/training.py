@@ -98,9 +98,12 @@ def check_labels(cfg: TrainConfig, train: Dataset, test: Dataset) -> None:
 def check_split_labels(labels: np.ndarray, task: str, d: int, split: str) -> None:
     """Reject one split's labels that ``task`` cannot score on a model of ``d`` outputs.
 
-    ``binary-auc`` needs labels 0 and 1, both present; ``classify`` needs
-    integer labels in [0, d).  ``split`` names the split in the error.
+    A split needs at least one row.  ``binary-auc`` needs labels 0 and 1,
+    both present; ``classify`` needs integer labels in [0, d).  ``split``
+    names the split in the error.
     """
+    if len(labels) == 0:
+        raise DataFormatError(f"{split} holds no rows")
     if task == "binary-auc":
         if not np.isin(labels, (0, 1)).all():
             raise DataFormatError(f"{split} labels must be 0 or 1 for task binary-auc")
@@ -152,8 +155,8 @@ def run_training(cfg: TrainConfig, train: Dataset, test: Dataset,
     first and largest batch, and released before the epoch's evaluation.
     The CSV is closed however the run ends.  A non-SPD training system
     raises ``NotSPDError`` naming the epoch, the 1-based batch within it,
-    and the replica.  Labels the task cannot use raise ``DataFormatError``
-    (``check_labels``) before the first batch.  A NaN or Inf in a training
+    and the replica.  An empty split and labels the task cannot use raise
+    ``DataFormatError`` (``check_labels``) before the model is made.  A NaN or Inf in a training
     system raises ``NonFiniteError`` naming the epoch, batch and replica, as
     a non-SPD one does; the batches train with numpy's overflow warnings
     silenced.  A row of either split without a finite score in an epoch's

@@ -74,11 +74,12 @@ def check_gradient(seed: int) -> None:
     rng = np.random.default_rng(seed)
     mc = init_multi([5, 4, 3, 1], seed=seed, alpha=1.0)
     cascade = mc.replicas[0]
-    layer1, (x1,) = mc.layer1(rng.uniform(-0.9, 0.9, (8, 5)))
-    _, _, grads = sweep(cascade, layer1, x1)
+    k1, (x1,) = mc.layer1(rng.uniform(-0.9, 0.9, (8, 5)))
+    h1 = cascade.packages[0].cardinal_basis(k1)
+    _, _, grads = sweep(cascade, h1, x1)
 
     def tail(x1v):
-        return sweep(cascade, layer1, x1v)[0]
+        return sweep(cascade, h1, x1v)[0]
 
     h = 1e-5
     worst = 0.0
@@ -101,15 +102,15 @@ def check_training_gram_psd(seed: int) -> None:
     mc = init_multi([6, 5, 1], seed=seed, alpha=1.0)
     cascade = mc.replicas[0]
     for trial in range(20):
-        layer1, (x1,) = mc.layer1(rng.uniform(-1, 1, (12, 6)))
-        _, bases, grads = sweep(cascade, layer1, x1)
+        k1, (x1,) = mc.layer1(rng.uniform(-1, 1, (12, 6)))
+        _, bases, grads = sweep(cascade, cascade.packages[0].cardinal_basis(k1), x1)
         # the oracle holds batches rows x features
         omegas = oracle.package_omegas([h.T for h in bases], [g.T for g in grads])
         for omega in omegas:
             lo = float(np.linalg.eigvalsh(omega).min())
             _check(lo >= -1e-8, f"trial {trial}: Gram product eigenvalue {lo:.3e}")
         system = sum(omegas) + np.eye(12)
-        err = _rel_err(assemble_system(layer1, bases, grads, mc.alpha), system)
+        err = _rel_err(assemble_system(bases, grads, mc.alpha), system)
         _check(err <= 1e-10, f"trial {trial}: assembled system off by {err:.3e}")
         spd_solve(system, rng.standard_normal((12, 1)))
 

@@ -83,14 +83,14 @@ def test_criterion_2_fast_path_equivalence_battery():
                 m_f = pkg.squared_distances(x.T).T
                 m_n = oracle.squared_distances(x, points)
                 worst = max(worst, np.abs(m_f - m_n).max() / max(np.abs(m_n).max(), 1e-30))
-                _, state = pkg.forward(x.T)
-                # the oracle reads first: the package's routes write over what they consume
-                h_n = oracle.cardinal_basis(state.kernel_vals.T, u)
-                h_f = pkg.cardinal_basis(state).T
+                _, kv = pkg.forward(x.T)
+                # the oracle reads first: cardinal_basis writes over the kernel values
+                h_n = oracle.cardinal_basis(kv.T, u)
+                h_f = pkg.cardinal_basis(kv).T
                 worst = max(worst, rel_err(h_f, h_n))
                 g = rng.standard_normal((r, 3))
                 g_n = oracle.backward(g, x, m_n, points, pkg.coeffs, KP)
-                g_f = pkg.backward(np.ascontiguousarray(g.T), state).T
+                g_f = pkg.backward(np.ascontiguousarray(g.T), x.T).T
                 worst = max(worst, rel_err(g_f, g_n))
             assert worst <= 1e-8, f"n={n} seed={seed}: {worst:.3e}"
     elapsed = time.perf_counter() - t0
@@ -116,8 +116,8 @@ def test_criterion_3_gradient_correctness():
     probes = 0
     worst = 0.0
     while probes < 100:
-        layer1, (x1,) = mc.layer1(rng.uniform(-0.9, 0.9, (5, 5)))
-        _, _, grads = sweep(cascade, layer1, x1)
+        k1, (x1,) = mc.layer1(rng.uniform(-0.9, 0.9, (5, 5)))
+        _, _, grads = sweep(cascade, cascade.packages[0].cardinal_basis(k1), x1)
         for i in range(x1.shape[0]):  # features x rows, like every batch array of the cascade
             for j in range(x1.shape[1]):
                 xp, xm = x1.copy(), x1.copy()
@@ -169,8 +169,9 @@ def test_criterion_6_gram_products_psd_and_system_spd():
         widths = [int(rng.integers(3, 8)), int(rng.integers(2, 6)), 1]
         mc = init_multi(widths, seed=trial, alpha=1.0)
         r = int(rng.integers(2, 21))
-        layer1, (x1,) = mc.layer1(rng.uniform(-1, 1, (r, widths[0])))
-        _, bases, grads = sweep(mc.replicas[0], layer1, x1)
+        k1, (x1,) = mc.layer1(rng.uniform(-1, 1, (r, widths[0])))
+        first = mc.replicas[0].packages[0]
+        _, bases, grads = sweep(mc.replicas[0], first.cardinal_basis(k1), x1)
         # the oracle holds batches rows x features
         for omega in oracle.package_omegas([h.T for h in bases], [g.T for g in grads]):
             min_eig = min(min_eig, float(np.linalg.eigvalsh(omega).min()))
@@ -180,8 +181,9 @@ def test_criterion_6_gram_products_psd_and_system_spd():
         widths = [int(rng.integers(3, 10)), int(rng.integers(2, 8)), 1]
         mc = init_multi(widths, seed=200 + trial, alpha=1.0)
         r = int(rng.integers(2, 65))
-        layer1, (x1,) = mc.layer1(rng.uniform(-1, 1, (r, widths[0])))
-        _, bases, grads = sweep(mc.replicas[0], layer1, x1)
+        k1, (x1,) = mc.layer1(rng.uniform(-1, 1, (r, widths[0])))
+        first = mc.replicas[0].packages[0]
+        _, bases, grads = sweep(mc.replicas[0], first.cardinal_basis(k1), x1)
         total = (sum(oracle.package_omegas([h.T for h in bases], [g.T for g in grads]))
                  + 1.0 * np.eye(r))
         spd_solve(total, rng.standard_normal((r, 1)))  # raises if not SPD

@@ -34,10 +34,16 @@ def single(widths, seed, **kwargs):
     return mc, mc.replicas[0]
 
 
+def layer1_basis(mc, x0):
+    """The layer-1 basis of the rows x0, which every replica shares, and the layer-1 outputs."""
+    k1, x1 = mc.layer1(x0)
+    return mc.replicas[0].packages[0].cardinal_basis(k1), x1
+
+
 def sweeps(mc, x0):
-    """The shared layer-1 state of the rows x0 and every replica's (output, bases, derivatives)."""
-    layer1, x1 = mc.layer1(x0)
-    return layer1, [sweep(c, layer1, x) for c, x in zip(mc.replicas, x1)]
+    """The shared layer-1 basis of the rows x0 and every replica's (output, bases, derivatives)."""
+    h1, x1 = layer1_basis(mc, x0)
+    return h1, [sweep(c, h1, x) for c, x in zip(mc.replicas, x1)]
 
 
 def forward_through(packages, x):
@@ -57,6 +63,9 @@ def test_width_chain_validation():
         init_multi([5, 4, 0], seed=0)  # no outputs
     with pytest.raises(ValueError, match="init mode"):
         init_multi([5, 4, 1], seed=0, mode="bogus")
+    # an infinite alpha would fail only at the first training step
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        init_multi([3, 2], seed=0, alpha=float("inf"))
 
 
 def test_constructor_validation():
@@ -75,8 +84,9 @@ def test_constructor_validation():
         MultiOutputCascade([5, 4, 2], [good], alpha=1.0, kernel=KP)
     with pytest.raises(ValueError, match="at least one replica"):
         MultiOutputCascade([5, 4, 1], [], alpha=1.0, kernel=KP)
-    with pytest.raises(ValueError, match="alpha"):
-        MultiOutputCascade([5, 4, 1], [good], alpha=-1.0, kernel=KP)
+    for alpha in (-1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="alpha"):
+            MultiOutputCascade([5, 4, 1], [good], alpha=alpha, kernel=KP)
 
 
 def test_architecture_shape():
@@ -130,10 +140,10 @@ def test_forward_batch_composes_package_forwards():
     rng = np.random.default_rng(2)
     mc, cascade = single([5, 4, 3, 1], seed=2)
     x0 = rng.uniform(-1, 1, (6, 5))
-    layer1, (x1,) = mc.layer1(x0)
-    out, _, _ = sweep(cascade, layer1, x1)
+    h1, (x1,) = layer1_basis(mc, x0)
+    out, _, _ = sweep(cascade, h1, x1)
     # features x rows: one column per row of x0
-    assert [layer1.x_in.shape, x1.shape, out.shape] == [(5, 6), (4, 6), (1, 6)]
+    assert [h1.shape, x1.shape, out.shape] == [(11, 6), (4, 6), (1, 6)]
     assert np.array_equal(out, forward_through(cascade.packages, x0).T)
 
 
@@ -170,8 +180,8 @@ def test_backward_quantities_shapes_and_final_ones():
 def test_end_to_end_gradient_check():
     rng = np.random.default_rng(5)
     mc, cascade = single([5, 4, 3, 1], seed=5)
-    layer1, (x1,) = mc.layer1(rng.uniform(-0.9, 0.9, (6, 5)))
-    _, _, grads = sweep(cascade, layer1, x1)
+    h1, (x1,) = layer1_basis(mc, rng.uniform(-0.9, 0.9, (6, 5)))
+    _, _, grads = sweep(cascade, h1, x1)
 
     def tail(x1v):
         out = x1v
@@ -330,7 +340,7 @@ def test_training_determinism_across_runs():
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 def test_shared_layer1_training_matches_replicas_trained_alone(dtype):
-    # the replicas share one layer-1 state and product; running and training
+    # the replicas share one layer-1 basis and product; running and training
     # replica i as a d = 1 model seeded seed + i must give the same bits
     rng = np.random.default_rng(40)
     arch, core, seed = [6, 5, 4, 3], [6, 5, 4, 1], 40
@@ -624,16 +634,18 @@ def test_not_spd_error_names_replica():
 
 
 def test_shared_layer1_state_keeps_no_distances():
-    # no state keeps distances: the shared layer-1 state holds the batch and its kernel
-    # values, and backward computes a package's distances again from its input
+    # nothing keeps distances: the shared layer-1 intermediate is the batch's kernel values
+    # alone, a forward pass returns its output and kernel values, and backward computes a
+    # package's distances again from its input
     mc = init_multi([5, 4, 3], seed=2, alpha=1.0)
-    layer1, x1 = mc.layer1(np.random.default_rng(2).uniform(-1, 1, (6, 5)))
-    assert [field for field, a in vars(layer1).items() if a is not None] == ["x_in",
-                                                                             "kernel_vals"]
-    assert (layer1.x_in.shape, layer1.kernel_vals.shape) == ((5, 6), (11, 6))
-    _, state = mc.replicas[0].packages[1].forward(x1[0])
-    assert "sq_dists" not in vars(state)
-    assert mc.replicas[0].packages[1].backward(np.ones((1, 6)), state).shape == (4, 6)
+    x0 = np.random.default_rng(2).uniform(-1, 1, (6, 5))
+    k1, x1 = mc.layer1(x0)
+    assert type(k1) is np.ndarray and k1.shape == (11, 6)
+    assert np.array_equal(k1, mc.replicas[0].packages[0].kernel_values(x0.T.copy()))
+    pkg = mc.replicas[0].packages[1]
+    out, kv = pkg.forward(x1[0])
+    assert (out.shape, kv.shape) == ((1, 6), (9, 6))
+    assert pkg.backward(np.ones((1, 6)), x1[0]).shape == (4, 6)
 
 
 def nan_coefficient_after_forward(monkeypatch, cascade, package):
@@ -679,21 +691,20 @@ def test_non_finite_inputs_rejected_where_they_enter():
 
 @pytest.mark.parametrize("dtype,bound", [("float64", 1e-12), ("float32", 1e-5)])
 def test_assembled_system_equals_oracle_sum(dtype, bound):
-    # d = 3 replicas share one layer-1 state, with its Gram built in panels per replica
-    # (as a one-replica model does) and then read from the cached H1 H1^T that train_multi
-    # keeps for d > 1; package 2 has one output, so its derivative is a column that is not
+    # d = 3 replicas share one layer-1 basis, with its Gram built in panels per replica
+    # (as a one-replica model does) and then read from the H1^T H1 that train_multi builds
+    # once for d > 1; package 2 has one output, so its derivative is a column that is not
     # all ones.  The batch sizes cover one partial panel, exactly one full panel, and
     # several ending in a partial one.
     for r, cached in itertools.product((17, PANEL_ROWS, 2 * PANEL_ROWS + 44), (False, True)):
         mc = init_multi([5, 4, 1, 3, 3], seed=42, alpha=2.5, dtype=dtype)
-        layer1, replica_sweeps = sweeps(mc, np.random.default_rng(42).uniform(-1, 1, (r, 5)))
-        if cached:
-            layer1.gram = layer1.basis.T @ layer1.basis
+        h1, replica_sweeps = sweeps(mc, np.random.default_rng(42).uniform(-1, 1, (r, 5)))
+        gram = h1.T @ h1 if cached else None
         for _, bases, grads in replica_sweeps:
             # the oracle holds batches rows x features
             expected = (sum(package_omegas([h.T for h in bases], [g.T for g in grads]))
                         + 2.5 * np.eye(r, dtype=dtype))
-            system = assemble_system(layer1, bases, grads, mc.alpha)
+            system = assemble_system(bases, grads, mc.alpha, gram=gram)
             assert system.dtype == np.dtype(dtype)
             assert np.array_equal(system, system.T)
             assert np.abs(system - expected).max() <= bound * np.abs(expected).max()
@@ -715,8 +726,8 @@ def test_failing_replica_leaves_earlier_replicas_updated_and_itself_untouched(mo
         # negative alpha makes a system that the solve finds not positive definite
         step = cascade_module.train_step
         monkeypatch.setattr(cascade_module, "train_step",
-                            lambda c, layer1, swept, lstar, update, alpha, buffers: step(
-                                c, layer1, swept, lstar, update,
+                            lambda c, swept, gram, lstar, update, alpha, buffers: step(
+                                c, swept, gram, lstar, update,
                                 -1e6 if c is mc.replicas[2] else alpha, buffers))
     else:
         nan_coefficient_after_forward(monkeypatch, mc.replicas[2], 1)
@@ -886,17 +897,17 @@ def test_assembly_panels_are_each_built_once_under_contention(monkeypatch):
     # more tasks than cores take panels from one shared deque, switching often: a panel
     # that no task built would leave rows of the uninitialised system in the result
     mc, cascade = single([10, 50, 50, 1], seed=49, mode="identity-fragments", alpha=50.0)
-    layer1, [(_, bases, grads)] = sweeps(mc, np.random.default_rng(49).uniform(-1, 1, (1000, 10)))
+    h1, [(_, bases, grads)] = sweeps(mc, np.random.default_rng(49).uniform(-1, 1, (1000, 10)))
     monkeypatch.setattr(cascade_module, "worker_count", lambda: 1)
-    expected = assemble_system(layer1, bases, grads, mc.alpha).copy()
+    expected = assemble_system(bases, grads, mc.alpha).copy()
     monkeypatch.setattr(cascade_module, "worker_count", lambda: 5)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         for _ in range(5):
-            buffers = TrainingBuffers.fitting(None, layer1.x_in)
+            buffers = TrainingBuffers.fitting(None, h1)
             buffers.systems[0].fill(np.nan)
-            system = assemble_system(layer1, bases, grads, mc.alpha, buffers)
+            system = assemble_system(bases, grads, mc.alpha, buffers)
             assert len(buffers.panel_sets) == 5 and np.array_equal(system, expected)
     finally:
         sys.setswitchinterval(interval)
@@ -906,7 +917,7 @@ def test_assembly_takes_panels_largest_first(monkeypatch):
     # from one end of one deque: the last rows' panels, the widest, first
     mc, cascade = single([6, 5, 1], seed=52, alpha=2.0)
     r = 3 * PANEL_ROWS + 5
-    layer1, [(_, bases, grads)] = sweeps(mc, np.random.default_rng(52).uniform(-1, 1, (r, 6)))
+    _, [(_, bases, grads)] = sweeps(mc, np.random.default_rng(52).uniform(-1, 1, (r, 6)))
     drain, taken = cascade_module._drain, []
 
     def watched_drain(items):
@@ -915,7 +926,7 @@ def test_assembly_takes_panels_largest_first(monkeypatch):
             yield item
     monkeypatch.setattr(cascade_module, "_drain", watched_drain)
     monkeypatch.setattr(cascade_module, "worker_count", lambda: 1)
-    assemble_system(layer1, bases, grads, mc.alpha)
+    assemble_system(bases, grads, mc.alpha)
     assert taken == [3 * PANEL_ROWS, 2 * PANEL_ROWS, PANEL_ROWS, 0]
 
 
@@ -984,11 +995,11 @@ def test_replicas_failing_side_by_side_apply_those_below_the_lowest_and_name_it(
     started, ended, others = {1: threading.Event(), 2: threading.Event()}, threading.Event(), []
     train_step = cascade_module.train_step
 
-    def side_by_side_step(c, layer1, swept, lstar, update, alpha, buffers):
+    def side_by_side_step(c, swept, gram, lstar, update, alpha, buffers):
         j = next(i for i, replica in enumerate(mc.replicas) if replica is c)
         if j not in started:
             others.append(j)
-            return train_step(c, layer1, swept, lstar, update, alpha, buffers)
+            return train_step(c, swept, gram, lstar, update, alpha, buffers)
         started[j].set()
         assert started[3 - j].wait(30)
         if j == order[1]:
@@ -996,7 +1007,7 @@ def test_replicas_failing_side_by_side_apply_those_below_the_lowest_and_name_it(
         fails = j == order[0] or j == 1
         try:
             # a negative alpha makes a system that the solve finds not positive definite
-            return train_step(c, layer1, swept, lstar, update, -1e6 if fails else alpha,
+            return train_step(c, swept, gram, lstar, update, -1e6 if fails else alpha,
                               buffers)
         finally:
             ended.set()

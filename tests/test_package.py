@@ -5,7 +5,7 @@ from polycascade import oracle
 from polycascade.constellation import build_octahedral, octahedral_points
 from polycascade.kernel import KernelParams, phi
 from polycascade.linalg import ShapeMismatchError
-from polycascade.package import Package, PackageBatchState
+from polycascade.package import Package
 
 KP = KernelParams()
 
@@ -131,8 +131,8 @@ def test_values_coeffs_always_consistent():
 
 def test_basis_identity_rows_at_points():
     pkg = make_package(4, seed=1)
-    _, state = pkg.forward(octahedral_points(4).T)
-    basis = pkg.cardinal_basis(state)
+    _, kv = pkg.forward(octahedral_points(4).T)
+    basis = pkg.cardinal_basis(kv)
     assert np.abs(basis - np.eye(pkg.k)).max() <= 1e-8
 
 
@@ -140,12 +140,11 @@ def test_basis_identity_rows_at_points():
 def test_basis_fast_vs_naive(n):
     pkg = make_package(n, seed=n)
     x = np.random.default_rng(n).uniform(-1, 1, (7, n))
-    _, state = pkg.forward(x.T)
+    _, kv = pkg.forward(x.T)
     # the oracle reads the kernel values (as rows x points) before cardinal_basis writes
     # the basis over them
-    naive = oracle.cardinal_basis(state.kernel_vals.T,
-                                  oracle.gram_inverse(octahedral_points(n), KP))
-    fast = pkg.cardinal_basis(state)
+    naive = oracle.cardinal_basis(kv.T, oracle.gram_inverse(octahedral_points(n), KP))
+    fast = pkg.cardinal_basis(kv)
     assert rel_err(fast.T, naive) <= 1e-8
 
 
@@ -153,26 +152,17 @@ def test_basis_first_column_composition():
     # the first point's basis function, a row of the k x c basis
     pkg = make_package(5, seed=4)
     x = np.random.default_rng(5).uniform(-1, 1, (5, 6))
-    _, state = pkg.forward(x)
-    kv = state.kernel_vals.copy()  # cardinal_basis writes the basis over them
-    basis = pkg.cardinal_basis(state)
+    _, kv = pkg.forward(x)
+    basis = pkg.cardinal_basis(kv.copy())  # written over the kernel values it is given
     oc = pkg.octa_coeffs
     expected = oc.u1 * kv[0] + oc.u2 * kv[1:].sum(axis=0)
     assert np.allclose(basis[0], expected, atol=1e-10)
 
 
-def test_basis_requires_kernel_values():
-    pkg = make_package(2)
-    empty = PackageBatchState(x_in=np.zeros((2, 1)))
-    with pytest.raises(ValueError):
-        pkg.cardinal_basis(empty)
-
-
 def test_backward_zero_gradient():
     pkg = make_package(3, seed=6)
     x = np.random.default_rng(6).uniform(-1, 1, (3, 5))
-    _, state = pkg.forward(x)
-    g_prev = pkg.backward(np.zeros((pkg.n_out, 5)), state)
+    g_prev = pkg.backward(np.zeros((pkg.n_out, 5)), x)
     assert np.all(g_prev == 0.0)
 
 
@@ -181,12 +171,11 @@ def test_backward_fast_vs_naive(n):
     pkg = make_package(n, n_out=2, seed=n + 7)
     rng = np.random.default_rng(n)
     x = rng.uniform(-1, 1, (8, n))
-    _, state = pkg.forward(x.T)
     g = rng.standard_normal((8, 2))
     # the oracle holds batches rows x features
     naive = oracle.backward(g, x, oracle.squared_distances(x, octahedral_points(n)),
                             octahedral_points(n), pkg.coeffs, KP)
-    fast = pkg.backward(np.ascontiguousarray(g.T), state)
+    fast = pkg.backward(np.ascontiguousarray(g.T), x.T)
     assert rel_err(fast.T, naive) <= 1e-8
 
 
@@ -195,8 +184,7 @@ def test_backward_finite_difference():
     rng = np.random.default_rng(12)
     pkg = make_package(4, n_out=1, seed=12)
     x = rng.uniform(-0.8, 0.8, (4, 5))  # features x rows
-    out, state = pkg.forward(x)
-    g = pkg.backward(np.ones((1, 5)), state)
+    g = pkg.backward(np.ones((1, 5)), x)
     h = 1e-5
     for i in range(5):
         for j in range(4):
@@ -207,35 +195,32 @@ def test_backward_finite_difference():
             assert abs(fd - g[j, i]) / max(abs(fd), 1e-12) <= 1e-4
 
 
-def test_backward_requires_forward_state():
-    # backward computes the distances again from the state's input, so a batch_state state
-    # (the shared layer-1 one) serves it too, after its kernel values are consumed, and gives
-    # the bits of a forward state's backward
+def test_backward_over_its_input_equals_the_allocating_call():
+    # a sweep chunk writes each package's input derivative over its input; backward reads the
+    # input alone, so a forward pass and a cardinal basis on the same batch change nothing
     pkg = make_package(2)
     x = np.random.default_rng(2).uniform(-1, 1, (2, 3))
     g = np.ones((pkg.n_out, 3))
-    state = pkg.batch_state(x)
-    pkg.cardinal_basis(state)
-    assert state.kernel_vals is None
-    assert np.array_equal(pkg.backward(g, state), pkg.backward(g, pkg.forward(x)[1]))
+    expected = pkg.backward(g, x)
+    pkg.cardinal_basis(pkg.forward(x)[1])
+    assert np.array_equal(pkg.backward(g, x), expected)
+    got = pkg.backward(g, x, out=x)
+    assert got is x and np.array_equal(x, expected)
 
 
-def test_consumed_state_fails_loudly():
-    # cardinal_basis writes the basis over the kernel values, which may not be read again as
-    # what they were; backward consumes nothing, so it runs again to the same bits
+def test_basis_overwrites_the_kernel_values_and_backward_repeats():
+    # cardinal_basis writes the basis over the kernel values it is given and returns them;
+    # backward consumes nothing, so it runs again to the same bits
     pkg = make_package(3, n_out=2, seed=8)
     rng = np.random.default_rng(8)
-    _, state = pkg.forward(rng.uniform(-1, 1, (3, 6)))
+    x = rng.uniform(-1, 1, (3, 6))
+    _, kv = pkg.forward(x)
     g = rng.standard_normal((2, 6))
-    kv = state.kernel_vals
-    first = pkg.backward(g, state)
-    assert np.array_equal(pkg.backward(g, state), first)
-    assert np.shares_memory(pkg.cardinal_basis(state), kv)
-    assert state.kernel_vals is None and state.basis is not None
-    with pytest.raises(ValueError, match="holds no kernel values"):
-        pkg.evaluate(state)
-    # the basis stays cached, in place, for every replica that shares the state
-    assert pkg.cardinal_basis(state) is state.basis
+    first = pkg.backward(g, x)
+    assert np.array_equal(pkg.backward(g, x), first)
+    expected = pkg.coeffs_from_values(kv)
+    basis = pkg.cardinal_basis(kv)
+    assert basis is kv and np.array_equal(basis, expected)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -247,22 +232,21 @@ def test_backward_into_a_row_slice_equals_the_allocating_call(dtype):
     pkg = Package(c, KP, rng.uniform(-1, 1, (c.k, 3)), dtype=dtype)
     x = rng.uniform(-1, 1, (5, 7)).astype(dtype)
     g = rng.standard_normal((3, 7)).astype(dtype)
-    _, state = pkg.forward(x)
-    expected = pkg.backward(g, state)
+    x_copy = x.copy()
+    expected = pkg.backward(g, x)
     big = np.full((12, 7), 7.0, dtype=dtype)
     dists = np.empty((c.k, 7), dtype=dtype)
-    got = pkg.backward(g, state, out=big[3:8], sq_dists=dists)
+    got = pkg.backward(g, x, out=big[3:8], sq_dists=dists)
     assert np.shares_memory(got, big) and got.dtype == np.dtype(dtype)
     assert np.array_equal(big[3:8], expected)
     assert np.all(big[:3] == 7.0) and np.all(big[8:] == 7.0)
-    assert np.array_equal(state.x_in, x)  # the input is written over only when it is out
+    assert np.array_equal(x, x_copy)  # the input is written over only when it is out
 
 
 def test_backward_at_constellation_point_is_finite():
     # inputs sitting exactly on a point hit the log clamp, not -inf
     pkg = make_package(3, n_out=1, seed=1)
-    _, state = pkg.forward(octahedral_points(3)[:2].T)
-    g = pkg.backward(np.ones((1, 2)), state)
+    g = pkg.backward(np.ones((1, 2)), octahedral_points(3)[:2].T)
     assert np.isfinite(g).all()
 
 
@@ -270,18 +254,18 @@ def test_shape_contracts():
     # features x rows: one column per batch row
     pkg = make_package(6, n_out=4, seed=0)
     x = np.random.default_rng(0).uniform(-1, 1, (6, 11))
-    out, state = pkg.forward(x)
+    out, kv = pkg.forward(x)
     assert out.shape == (4, 11)
     assert pkg.squared_distances(x).shape == (pkg.k, 11)
-    assert state.kernel_vals.shape == (pkg.k, 11)
-    assert pkg.cardinal_basis(state).shape == (pkg.k, 11)
-    assert pkg.backward(np.ones((4, 11)), state).shape == (6, 11)
+    assert kv.shape == pkg.kernel_values(x).shape == (pkg.k, 11)
+    assert pkg.cardinal_basis(kv).shape == (pkg.k, 11)
+    assert pkg.backward(np.ones((4, 11)), x).shape == (6, 11)
 
 
 def test_float32_package_roundtrip():
     c = build_octahedral(3)
     rng = np.random.default_rng(0)
     pkg = Package(c, KP, rng.uniform(-1, 1, (c.k, 2)), dtype=np.float32)
-    out, state = pkg.forward(rng.uniform(-1, 1, (3, 4)).astype(np.float32))
+    out, kv = pkg.forward(rng.uniform(-1, 1, (3, 4)).astype(np.float32))
     assert out.dtype == np.float32
-    assert pkg.cardinal_basis(state).dtype == np.float32
+    assert pkg.cardinal_basis(kv).dtype == np.float32

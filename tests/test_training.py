@@ -265,10 +265,10 @@ def test_not_spd_error_names_epoch_batch_and_replica(monkeypatch):
         models.append(make_model(*args, **kwargs))
         return models[-1]
 
-    def failing_on_replica_2_step_7(c, layer1, swept, lstar, update, alpha, buffers):
+    def failing_on_replica_2_step_7(c, swept, gram, lstar, update, alpha, buffers):
         if c is models[0].replicas[2] and next(steps) == 7:
             alpha = -1e6  # a system that is not positive definite, for the solve to reject
-        return train_step(c, layer1, swept, lstar, update, alpha, buffers)
+        return train_step(c, swept, gram, lstar, update, alpha, buffers)
 
     monkeypatch.setattr(training, "init_multi", kept_init_multi)
     monkeypatch.setattr(cascade_module, "train_step", failing_on_replica_2_step_7)
@@ -319,3 +319,19 @@ def test_unusable_labels_rejected_before_the_first_batch(monkeypatch, task, widt
     # the test split is checked too
     with pytest.raises(DataFormatError, match="test labels"):
         run_training(cfg, test, train)
+
+
+@pytest.mark.parametrize("empty", ["train", "test"])
+def test_empty_split_rejected_before_the_model_and_the_csv(monkeypatch, tmp_path, empty):
+    # an empty train split would run an epoch of no batches, and an empty test split an
+    # evaluation of no rows
+    monkeypatch.setattr(training, "init_multi", lambda *a, **k: pytest.fail("model was built"))
+    rng = np.random.default_rng(0)
+    splits = {"train": Dataset(rng.uniform(-1, 1, (40, 4)), np.arange(40) % 3),
+              "test": Dataset(rng.uniform(-1, 1, (10, 4)), np.arange(10) % 3)}
+    splits[empty] = Dataset(np.zeros((0, 4)), np.zeros(0))
+    cfg = TrainConfig(widths=[4, 3, 3], alpha=1.0, epochs=1, batch_rows=20)
+    path = tmp_path / "metrics.csv"
+    with pytest.raises(DataFormatError, match=f"^{empty} holds no rows$"):
+        run_training(cfg, splits["train"], splits["test"], csv_path=path)
+    assert not path.exists()
