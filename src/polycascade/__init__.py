@@ -10,8 +10,8 @@ import.
 
 from .cascade import (Cascade, MultiOutputCascade, TrainingBuffers, TrainStepReport, init_multi,
                       one_hot_pm1, train_multi)
-from .constellation import (Constellation, DegenerateKernelError, OctaCoefficients,
-                            build_octahedral, derive_coefficients, octahedral_points)
+from .constellation import (DegenerateKernelError, OctaCoefficients, derive_coefficients,
+                            octahedral_points)
 from .data import (Batch, DataFormatError, Dataset, TransformSpec, batches,
                    fit_apply_transforms, load_delimited, load_idx)
 from .kernel import EPS_M, KernelParams, NegativeDistanceError, phi, phi_matrix, theta, theta_matrix
@@ -25,12 +25,12 @@ from .training import EpochRecord, TrainConfig, run_training
 __version__ = "0.1.0"
 
 __all__ = [
-    "Batch", "Cascade", "Constellation", "DataFormatError", "Dataset", "DegenerateKernelError",
+    "Batch", "Cascade", "DataFormatError", "Dataset", "DegenerateKernelError",
     "EPS_M", "EpochRecord", "KernelParams",
     "MultiOutputCascade", "NegativeDistanceError", "NonFiniteError", "NotSPDError",
     "OctaCoefficients", "Package", "ShapeMismatchError",
     "SnapshotFormatError", "TrainConfig", "TrainStepReport", "TrainingBuffers", "TransformSpec",
-    "accuracy", "as_matrix", "batches", "build_octahedral", "derive_coefficients",
+    "accuracy", "as_matrix", "batches", "derive_coefficients",
     "fit_apply_transforms", "init_multi", "load_delimited", "load_idx", "load_snapshot",
     "make_shell_task", "octahedral_points", "one_hot_pm1", "phi", "phi_matrix", "roc_auc",
     "run_training", "save_snapshot", "spd_solve", "theta", "theta_matrix", "train_multi",

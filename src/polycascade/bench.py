@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import oracle
-from .constellation import build_octahedral, octahedral_points
+from .constellation import octahedral_points
 from .kernel import KernelParams
 from .package import Package
 
@@ -64,9 +64,8 @@ def run_bench(widths=(16, 32, 64, 128, 256, 512, 1024, 2048), batch_rows=(64, 25
     rows: list[BenchRow] = []
     for n in widths:
         k = 2 * n + 1
-        constellation = build_octahedral(n)
         values = rng.uniform(-1, 1, (k, N_OUT))
-        pkg = Package(constellation, kp, values)
+        pkg = Package(n, kp, values)
         points = octahedral_points(n)
         u = oracle.gram_inverse(points, kp)
         for r in batch_rows:

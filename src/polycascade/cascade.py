@@ -78,7 +78,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constellation import Constellation, build_octahedral, octahedral_points
+from .constellation import derive_coefficients, octahedral_points
 from .kernel import KernelParams
 from .linalg import (NonFiniteError, NotSPDError, ShapeMismatchError, as_matrix, ensure_finite,
                      resolve_dtype, run_parallel, spd_solve, symmetric_product, worker_count)
@@ -408,39 +408,55 @@ def train_step(cascade: Cascade, swept: tuple[np.ndarray, list[np.ndarray], list
     ), values
 
 
+def check_model(widths: list[int], alpha: float, kernel: KernelParams, sigma2: float) -> None:
+    """Raise ValueError unless a model of these core widths and hyperparameters can exist.
+
+    The one check of a model: at least two positive widths ending in 1, a
+    finite alpha >= 0, and a package of each input width with this kernel
+    and ``sigma2`` (``derive_coefficients``, once per distinct width).
+    """
+    if len(widths) < 2 or min(widths) < 1 or widths[-1] != 1:
+        raise ValueError(f"need at least two positive widths ending in 1, got {widths}")
+    if not 0 <= alpha < math.inf:
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
+    for n in dict.fromkeys(widths[:-1]):
+        derive_coefficients(n, kernel, sigma2)
+
+
 class MultiOutputCascade:
     """One single-output cascade replica per output dimension.
 
     ``widths`` is the single-output core, ending in 1, and ``values[j][i]``
     is replica j's value matrix for package i, of shape
-    (2 * widths[i] + 1, widths[i + 1]).  One constellation per depth serves
-    every replica, so the replicas share widths, kernel, ``sigma2``, alpha
-    and precision by construction.
+    (2 * widths[i] + 1, widths[i + 1]).  The replicas share widths, kernel,
+    ``sigma2``, alpha and precision by construction, all checked by
+    ``check_model``; values whose coefficients overflow are rejected.
     """
 
     def __init__(self, widths, values, alpha: float, kernel: KernelParams, sigma2: float = 0.0,
                  dtype="float64"):
         self.widths = [int(w) for w in widths]
-        if len(self.widths) < 2 or min(self.widths) < 1 or self.widths[-1] != 1:
-            raise ValueError(f"need at least two positive widths ending in 1, got {self.widths}")
+        check_model(self.widths, alpha, kernel, sigma2)
         if not values:
             raise ValueError("need at least one replica")
-        if not 0 <= alpha < math.inf:
-            raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
         self.alpha, self.kernel, self.sigma2 = float(alpha), kernel, float(sigma2)
         self.dtype = resolve_dtype(dtype)
-        constellations = [build_octahedral(n, sigma2=self.sigma2) for n in self.widths[:-1]]
+        pairs = list(zip(self.widths, self.widths[1:]))
         self.replicas = []
         for j, matrices in enumerate(values):
-            if len(matrices) != len(constellations):
+            if len(matrices) != len(pairs):
                 raise ValueError(f"replica {j}: {len(matrices)} value matrices for "
-                                 f"{len(constellations)} packages")
+                                 f"{len(pairs)} packages")
             packages = []
-            for i, (c, n_out, y) in enumerate(zip(constellations, self.widths[1:], matrices)):
-                if np.shape(y) != (c.k, n_out):
+            for i, ((n_in, n_out), y) in enumerate(zip(pairs, matrices)):
+                if np.shape(y) != (2 * n_in + 1, n_out):
                     raise ShapeMismatchError(f"replica {j} package {i}: values shape "
-                                             f"{np.shape(y)} != {(c.k, n_out)}")
-                packages.append(Package(c, kernel, y, dtype=self.dtype))
+                                             f"{np.shape(y)} != {(2 * n_in + 1, n_out)}")
+                with np.errstate(over="ignore", invalid="ignore"):  # raised just below
+                    pkg = Package(n_in, kernel, y, self.sigma2, self.dtype)
+                if not np.isfinite(pkg.coeffs).all():
+                    raise ValueError(f"replica {j} package {i}: values overflow the coefficients")
+                packages.append(pkg)
             self.replicas.append(Cascade(packages))
 
     @property
@@ -482,8 +498,10 @@ class MultiOutputCascade:
         pool of threads the others (``run_parallel``, which holds numpy's
         BLAS at one thread and its pool parked meanwhile, for a lone task
         too).  So a chunk gets the same bits whichever task scores it, and
-        the scores depend neither on the worker count nor on how many rows
-        the call has.
+        the scores do not depend on the worker count.  Nor do they depend on
+        how many rows the call has, except in the last bits of the call's
+        final partial block of ``PART_ROW_MULTIPLE`` rows: the first m rows
+        of a batch, m a multiple of it, score as in a call on the whole batch.
 
         Each chunk is transposed once into its task's working set, as
         ``layer1`` transposes a batch, and its layer-1 kernel values serve
@@ -567,7 +585,7 @@ def init_multi(arch_widths, seed: int, mode: str = "random", alpha: float = 1.0,
     for j in range(widths[-1]):
         rng = np.random.default_rng(seed + j)
         values.append([octahedral_points(n_in, dtype=dt) if identity and n_in == n_out
-                       else _random_values(rng, Constellation(n_in).k, n_out, dt)
+                       else _random_values(rng, 2 * n_in + 1, n_out, dt)
                        for n_in, n_out in pairs])
     return MultiOutputCascade(core, values, alpha, kernel or KernelParams(), sigma2, dt)
 

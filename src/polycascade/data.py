@@ -141,13 +141,16 @@ def load_delimited(path, label_column: int = 0, delimiter: str = ",",
     """Parse a rectangular numeric table, one label column, rest features.
 
     Streams the file line by line; memory is proportional to the parsed
-    output.  Blank lines are skipped, and ``max_rows`` counts data rows.
-    Errors, including a NaN or Inf cell, carry 1-based row (file line) and
-    column coordinates; a row that is not UTF-8 text is named by its row.
+    output.  Blank lines are skipped, and ``max_rows`` (at least 1) counts
+    data rows.  Errors, including a NaN or Inf cell, carry 1-based row (file
+    line) and column coordinates; a row that is not UTF-8 text is named by
+    its row.
     """
     path = Path(path)
     if not delimiter:
         raise DataFormatError(f"{path}: the delimiter is empty")
+    if max_rows is not None and max_rows < 1:
+        raise DataFormatError(f"{path}: max_rows must be >= 1, got {max_rows}")
     chunks: list[np.ndarray] = []
     buf: list[list[float]] = []
     buf_row_nos: list[int] = []

@@ -42,8 +42,6 @@ def gram_inverse(points, params: KernelParams, sigma2: float = 0.0) -> np.ndarra
     are rejected with SingularConstellationError.
     """
     c = np.asarray(points, dtype=np.float64)
-    if sigma2 < 0:
-        raise ValueError(f"sigma2 must be >= 0, got {sigma2}")
     m = pairwise_sq_dists(c)
     if sigma2 == 0.0:
         off = m[~np.eye(m.shape[0], dtype=bool)]

@@ -1,12 +1,13 @@
 """One cascade layer: a family of polyharmonic splines over an octahedral constellation.
 
-A package is defined by its constellation, the value matrix ``values`` (one
-column per output function, one row per constellation point), and the derived
-coefficient matrix ``coeffs`` used for evaluation.  Every operation uses the
-octahedral structure directly: the Gram inverse is ten scalars and the
-points are signed unit vectors, so no point matrix or k x k inverse is ever
-formed.  ``oracle`` holds the general-constellation versions these are
-checked against.
+A package is defined by its input width n_in, which sets its octahedral
+constellation of k = 2 n_in + 1 points, its kernel and ``sigma2``, the value
+matrix ``values`` (one column per output function, one row per constellation
+point), and the derived coefficient matrix ``coeffs`` used for evaluation.
+Every operation uses the octahedral structure directly: the Gram inverse is
+ten scalars and the points are signed unit vectors, so no point matrix or
+k x k inverse is ever formed.  ``oracle`` holds the general-constellation
+versions these are checked against.
 
 Every batch array is held features x rows: a batch of c rows is X (n_in x c),
 one column per row, and the distances, kernel values and cardinal basis are
@@ -28,46 +29,40 @@ distances, which it computes again from the batch.  So a batch needs one
 k x c array between the passes: ``cardinal_basis`` writes the basis over
 the kernel values.
 
-Values are validated (shape, and NaN/Inf via ``as_matrix``) in
-``set_values``; a batch's width is checked, but the cascade scans a batch
-for NaN/Inf once, where it enters.  A non-finite value made in the chain
-propagates into the scores or the training system, which
-``training.evaluate`` and ``cascade.train_step`` check.
+``derive_coefficients`` checks the width, kernel and ``sigma2`` when the
+package is made.  Values are validated in ``set_values``: k rows at first,
+the shape of the first values after that, and NaN/Inf via ``as_matrix``.  A
+batch's width is checked, but the cascade scans a batch for NaN/Inf once,
+where it enters.  A non-finite value made in the chain propagates into the
+scores or the training system, which ``training.evaluate`` and
+``cascade.train_step`` check.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .constellation import Constellation, derive_coefficients
+from .constellation import derive_coefficients
 from .kernel import KernelParams, phi_matrix, theta_matrix
 from .linalg import ShapeMismatchError, as_matrix
 
 
 class Package:
-    """A polyharmonic spline package with consistent value/coefficient matrices."""
+    """A spline package over the octahedral constellation of its input width n."""
 
-    def __init__(self, constellation: Constellation, kernel: KernelParams, values,
+    def __init__(self, n: int, kernel: KernelParams, values, sigma2: float = 0.0,
                  dtype=np.float64):
-        self.constellation = constellation
-        self.kernel = kernel
+        self.octa_coeffs = derive_coefficients(n, kernel, sigma2)
+        self.n_in, self.k = n, 2 * n + 1
+        self.kernel, self.sigma2 = kernel, sigma2
         self.dtype = np.dtype(dtype)
-        self.octa_coeffs = derive_coefficients(constellation.n, kernel, constellation.sigma2)
         self.values: np.ndarray | None = None
         self.coeffs: np.ndarray | None = None
         self.set_values(values)
 
     @property
-    def n_in(self) -> int:
-        return self.constellation.n
-
-    @property
     def n_out(self) -> int:
         return self.values.shape[1]
-
-    @property
-    def k(self) -> int:
-        return self.constellation.k
 
     # -- forward ------------------------------------------------------------
 
@@ -142,8 +137,15 @@ class Package:
         return out
 
     def set_values(self, values) -> None:
-        """Replace the value matrix and rederive coefficients to match."""
+        """Replace the value matrix and rederive coefficients to match.
+
+        The first values need k rows; later ones need the shape of the
+        first.  Values that are rejected leave the package untouched.
+        """
         y = as_matrix(values, dtype=self.dtype, name="values")
+        if self.values is not None and y.shape != self.values.shape:
+            raise ShapeMismatchError(f"values have shape {y.shape}, package holds "
+                                     f"{self.values.shape}")
         self.coeffs = self.coeffs_from_values(y)
         self.values = y
 

@@ -13,15 +13,14 @@ without a finite score named when there is one.
 from __future__ import annotations
 
 import csv
-import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .cascade import (INIT_MODES, MultiOutputCascade, TrainingBuffers, init_multi, one_hot_pm1,
-                      train_multi)
+from .cascade import (INIT_MODES, MultiOutputCascade, TrainingBuffers, check_model, init_multi,
+                      one_hot_pm1, train_multi)
 from .data import DataFormatError, Dataset, batches
 from .kernel import KernelParams
 from .linalg import NonFiniteError, NotSPDError, resolve_dtype
@@ -53,8 +52,7 @@ class TrainConfig:
         """Reject every invalid field here, so a config fails before any data is read."""
         if len(self.widths) < 2 or min(self.widths) < 1:
             raise ValueError(f"widths needs at least two positive entries, got {self.widths}")
-        if not 0 <= self.alpha < math.inf:
-            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
+        check_model([*self.widths[:-1], 1], self.alpha, self.kernel, self.sigma2)
         if self.alpha == 0 and len(self.widths) > 2:
             raise ValueError("alpha must be > 0 for multi-package cascades")
         if self.epochs < 0:
@@ -66,8 +64,6 @@ class TrainConfig:
         resolve_dtype(self.precision)
         if self.init_mode not in INIT_MODES:
             raise ValueError(f"init mode must be one of {INIT_MODES}, got {self.init_mode!r}")
-        if not 0 <= self.sigma2 < math.inf:
-            raise ValueError(f"sigma2 must be finite and >= 0, got {self.sigma2}")
         if self.task not in ("classify", "binary-auc"):
             raise ValueError(f"unknown task {self.task!r}")
         if self.task == "binary-auc" and self.widths[-1] != 1:
@@ -128,17 +124,19 @@ def evaluate(model: MultiOutputCascade, data: Dataset, task: str, row_name) -> f
     gives a NaN or Inf score in its own row alone; the first row without a
     finite score raises ``NonFiniteError`` naming it as ``row_name(i)`` of
     its 0-based index ``i``.  A NaN or Inf feature, which ``scores`` rejects
-    where the batch enters, is named the same way.
+    where the batch enters, is named the same way, as a NaN or Inf feature.
     """
+    reason = "its values are too large for the model"
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             scores = model.scores(data.features)
         except NonFiniteError:  # a NaN or Inf feature, in the batch as scores cast it
             scores = np.asarray(data.features, dtype=model.dtype)
+            reason = f"it holds a NaN or Inf feature in {model.dtype}"
         unscorable = ~np.isfinite(scores).all(axis=1)
     if unscorable.any():
-        raise NonFiniteError(f"{row_name(int(unscorable.argmax()))} has no finite score; its "
-                             f"values are too large for the model")
+        raise NonFiniteError(f"{row_name(int(unscorable.argmax()))} has no finite score; "
+                             f"{reason}")
     if task == "classify":
         return accuracy(np.argmax(scores, axis=1), data.labels)
     return roc_auc(scores[:, 0], data.labels)

@@ -19,7 +19,7 @@ import pytest
 
 from polycascade import oracle
 from polycascade.cascade import init_multi, sweep, train_multi
-from polycascade.constellation import build_octahedral, octahedral_points
+from polycascade.constellation import octahedral_points
 from polycascade.data import Dataset, TransformSpec, fit_apply_transforms, load_idx
 from polycascade.kernel import KernelParams
 from polycascade.linalg import spd_solve
@@ -53,7 +53,7 @@ def test_criterion_1_closed_form_gram_inverse():
     for n in (1, 2, 3, 7, 50, 200):
         k = 2 * n + 1
         # U @ I through the production closed form
-        fast = Package(build_octahedral(n), KP, np.zeros((k, 1))).coeffs_from_values(np.eye(k))
+        fast = Package(n, KP, np.zeros((k, 1))).coeffs_from_values(np.eye(k))
         slow = oracle.gram_inverse(octahedral_points(n), KP)
         worst = max(worst, rel_err(fast, slow))
         assert rel_err(fast, slow) <= 1e-8, f"n={n}"
@@ -70,8 +70,7 @@ def test_criterion_2_fast_path_equivalence_battery():
     for n in (1, 2, 3, 7, 50):
         for seed in range(20):
             rng = np.random.default_rng(1000 * n + seed)
-            constellation = build_octahedral(n)
-            pkg = Package(constellation, KP, rng.uniform(-1, 1, (constellation.k, 3)))
+            pkg = Package(n, KP, rng.uniform(-1, 1, (2 * n + 1, 3)))
             points = octahedral_points(n)
             u = oracle.gram_inverse(points, KP)
             lam_f = pkg.coeffs_from_values(pkg.values)
@@ -139,9 +138,8 @@ def test_criterion_4_interpolation_exactness():
     worst = 0.0
     for n, n_out, seed in ((1, 1, 0), (4, 3, 1), (10, 2, 2), (50, 5, 3)):
         rng = np.random.default_rng(seed)
-        constellation = build_octahedral(n, sigma2=0.0)
-        values = rng.uniform(-1, 1, (constellation.k, n_out))
-        pkg = Package(constellation, KP, values)
+        values = rng.uniform(-1, 1, (2 * n + 1, n_out))
+        pkg = Package(n, KP, values, sigma2=0.0)
         out, _ = pkg.forward(octahedral_points(n).T)  # one column per point
         worst = max(worst, float(np.abs(out.T - values).max()))
     assert worst <= 1e-8

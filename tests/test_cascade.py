@@ -1,6 +1,7 @@
 import itertools
 import logging
 import os
+import struct
 import subprocess
 import sys
 import textwrap
@@ -23,6 +24,7 @@ from polycascade.kernel import KernelParams
 from polycascade.linalg import NonFiniteError, NotSPDError, ShapeMismatchError
 from polycascade.oracle import gram_inverse, package_omegas
 from polycascade.package import Package
+from polycascade.snapshot import SnapshotFormatError, load_snapshot, save_snapshot
 from polycascade.training import TrainConfig, run_training
 
 KP = KernelParams()
@@ -73,9 +75,11 @@ def test_constructor_validation():
     good = [np.zeros((11, 4)), np.zeros((9, 1))]
     model = MultiOutputCascade([5, 4, 1], [good, good], alpha=1.0, kernel=KP)
     assert (model.d, model.widths, model.alpha, model.kernel) == (2, [5, 4, 1], 1.0, KP)
-    # one constellation per depth serves every replica, so layer 1 can be shared
+    # every replica's package at one depth has the same points, kernel and sigma2, so layer 1
+    # can be shared
     for pa, pb in zip(*(c.packages for c in model.replicas)):
-        assert pa.constellation is pb.constellation
+        assert ((pa.n_in, pa.k, pa.kernel, pa.sigma2, pa.octa_coeffs)
+                == (pb.n_in, pb.k, pb.kernel, pb.sigma2, pb.octa_coeffs))
     with pytest.raises(ShapeMismatchError, match=r"replica 1 package 1: values shape \(9, 2\)"):
         MultiOutputCascade([5, 4, 1], [good, [good[0], np.zeros((9, 2))]], alpha=1.0, kernel=KP)
     with pytest.raises(ValueError, match="replica 0: 1 value matrices for 2 packages"):
@@ -87,6 +91,46 @@ def test_constructor_validation():
     for alpha in (-1.0, float("inf"), float("nan")):
         with pytest.raises(ValueError, match="alpha"):
             MultiOutputCascade([5, 4, 1], [good], alpha=alpha, kernel=KP)
+    for dtype, big in (("float64", 1e308), ("float32", 3e38)):
+        # finite values whose coefficients overflow, rejected without a numpy warning
+        with pytest.raises(ValueError, match="replica 1 package 0: values overflow the "
+                                             "coefficients"):
+            MultiOutputCascade([5, 4, 1], [good, [np.full((11, 4), big), good[1]]], alpha=1.0,
+                               kernel=KP, dtype=dtype)
+
+
+# each fails the one check of a model, check_model, and the message it fails with
+BAD_HYPERPARAMETERS = {
+    "sigma2=inf": ({"sigma2": np.inf}, "sigma2 must be finite and >= 0"),
+    "sigma2=nan": ({"sigma2": np.nan}, "sigma2 must be finite and >= 0"),
+    "kernel_b=1e308": ({"kernel": KernelParams(b=1e308)}, "coefficients that are not finite"),
+    "kernel_b=-1e308": ({"kernel": KernelParams(b=-1e308)}, "coefficients that are not finite"),
+    "kernel_c=1e308": ({"kernel": KernelParams(c=1e308)}, "basis inverse undefined"),
+    "alpha=inf": ({"alpha": np.inf}, "alpha must be finite and >= 0"),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_HYPERPARAMETERS))
+def test_bad_hyperparameters_rejected_by_every_entry_point(tmp_path, name):
+    override, message = BAD_HYPERPARAMETERS[name]
+    bad = {"alpha": 1.0, "kernel": KP, "sigma2": 0.0, **override}
+    with pytest.raises(ValueError, match=message):
+        init_multi([3, 4, 2], seed=0, **bad)
+    values = [np.zeros((7, 4)), np.zeros((9, 1))]
+    with pytest.raises(ValueError, match=message):
+        MultiOutputCascade([3, 4, 1], [values, values], **bad)
+    with pytest.raises(ValueError, match=message):
+        TrainConfig(widths=[3, 4, 2], epochs=1, batch_rows=10, **bad)
+    # a valid snapshot whose header is spliced to hold the hyperparameters
+    path = tmp_path / "m.phc1"
+    save_snapshot(path, init_multi([3, 4, 2], seed=0))
+    data = bytearray(path.read_bytes())
+    offset = 4 + 2 * 8 + 3 * 8  # magic, d, q, three widths
+    data[offset:offset + 32] = struct.pack("<4d", bad["alpha"], bad["kernel"].b,
+                                           bad["kernel"].c, bad["sigma2"])
+    path.write_bytes(bytes(data))
+    with pytest.raises(SnapshotFormatError, match=message):
+        load_snapshot(path)
 
 
 def test_architecture_shape():
@@ -471,12 +515,15 @@ def test_scores_do_not_depend_on_the_worker_count(monkeypatch, shape, dtype):
     mc = scoring_model(shape, dtype)
     step = mc.chunk_rows
     x = np.random.default_rng(52).uniform(-1, 1, (3 * step + step // 3, mc.widths[0]))
+    whole = mc.scores(x)
     for rows in (step // 2, step, x.shape[0]):
         got = []
         for workers in (1, 2, 3, 4):
             monkeypatch.setattr(cascade_module, "worker_count", lambda: workers)
             got.append(mc.scores(x[:rows]))
         assert all(np.array_equal(g, got[0]) for g in got[1:]), rows
+        # a call's rows score as in a longer call when they fill 16-row blocks, as these do
+        assert np.array_equal(got[0], whole[:rows]), rows
 
 
 def test_narrow_packages_score_in_one_part_and_wide_ones_split(monkeypatch, blas_threads,

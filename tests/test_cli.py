@@ -31,7 +31,7 @@ def shells_config(tmp_path, **overrides):
         "clamp": "false",
     }
     model = {"widths": "6,20,1", "alpha": "20", "init": "identity-fragments",
-             "precision": "float64", "sigma2": "0", "kernel_b": "5"}
+             "precision": "float64", "sigma2": "0", "kernel_b": "5", "kernel_c": "400"}
     train = {"epochs": "1", "batch_rows": "200", "seed": "2", "task": "binary-auc"}
     out = {"dir": str(tmp_path / "run"), "snapshot_every": "0"}
     for section in (base, model, train, out):
@@ -76,7 +76,12 @@ INVALID_VALUES = [
     ("init", "bogus", "init mode"), ("precision", "float16", "precision"),
     ("task", "regress", "task"), ("epochs", "-1", "epochs"), ("alpha", "0", "alpha"),
     ("batch_rows", "0", "batch_rows"), ("sigma2", "-1", "sigma2"),
-    ("kernel_b", "nan", "kernel coefficients"), ("train_rows", "0", "train_rows"),
+    ("kernel_b", "nan", "kernel coefficients"),
+    # finite, but the package's closed-form coefficients are not
+    ("kernel_b", "1e308", "not finite"), ("kernel_b", "-1e308", "not finite"),
+    ("kernel_c", "1e308", "basis inverse undefined"),
+    ("sigma2", "inf", "sigma2 must be finite"), ("sigma2", "nan", "sigma2 must be finite"),
+    ("alpha", "inf", "alpha must be finite"), ("train_rows", "0", "train_rows"),
     ("test_rows", "-5", "test_rows"), ("max_rows", "0", "max_rows"), ("dim", "0", "dim"),
     ("dim", "7", "input width 6"), ("data_seed", "-1", "data_seed"),
     ("widths", "6,20,3", "binary-auc"),

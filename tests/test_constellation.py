@@ -3,8 +3,7 @@ import time
 import numpy as np
 import pytest
 
-from polycascade.constellation import (DegenerateKernelError, build_octahedral,
-                                       derive_coefficients, octahedral_points)
+from polycascade.constellation import DegenerateKernelError, derive_coefficients, octahedral_points
 from polycascade.kernel import KernelParams, phi
 from polycascade.oracle import SingularConstellationError, gram_inverse, pairwise_sq_dists
 from polycascade.package import Package
@@ -19,7 +18,7 @@ def rel_err(a, b):
 def closed_form_u(n, sigma2=0.0):
     """U @ I by the production closed form, the route training and scoring run."""
     k = 2 * n + 1
-    pkg = Package(build_octahedral(n, sigma2), KP, np.zeros((k, 1)))
+    pkg = Package(n, KP, np.zeros((k, 1)), sigma2=sigma2)
     return pkg.coeffs_from_values(np.eye(k))
 
 
@@ -33,11 +32,10 @@ def test_points_n2_block_layout():
 
 
 def test_point_count_arithmetic():
-    c = build_octahedral(784)
-    assert c.k == 1569
-    assert build_octahedral(1).k == 3
-    with pytest.raises(ValueError):
-        build_octahedral(0)
+    assert Package(784, KP, np.zeros((1569, 1))).k == 1569
+    assert Package(1, KP, np.zeros((3, 1))).k == 3
+    with pytest.raises(ValueError, match="dimension must be >= 1"):
+        Package(0, KP, np.zeros((1, 1)))
 
 
 def test_constellation_distances_take_four_values():
@@ -134,6 +132,12 @@ def test_degenerate_kernel_reported():
     # a tiny c leaves k0 + sigma2 nonzero, but its square underflows to zero
     with pytest.raises(DegenerateKernelError):
         derive_coefficients(3, KernelParams(b=5.0, c=2.2250738585072014e-306), 0.0)
+    # finite coefficients whose kernel values overflow: every scalar must come out finite
+    for b in (1e308, -1e308):
+        with pytest.raises(DegenerateKernelError, match="not finite"):
+            derive_coefficients(3, KernelParams(b=b), 0.0)
+    with pytest.raises(DegenerateKernelError):
+        derive_coefficients(3, KernelParams(c=1e308), 0.0)
 
 
 def test_explicit_constellation_duplicate_points():

@@ -140,6 +140,13 @@ def test_load_delimited_max_rows_counts_data_rows(tmp_path):
     assert np.array_equal(ds.labels, [1.0, 0.0, 1.0])
 
 
+@pytest.mark.parametrize("max_rows", [0, -1])
+def test_load_delimited_rejects_max_rows_below_one_before_opening_the_file(tmp_path, max_rows):
+    # as the INI loader does: a missing file is not the error, since none is opened
+    with pytest.raises(DataFormatError, match=f"max_rows must be >= 1, got {max_rows}"):
+        load_delimited(tmp_path / "missing.csv", max_rows=max_rows)
+
+
 def test_load_delimited_empty(tmp_path):
     p = tmp_path / "empty.csv"
     p.write_text("")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from polycascade import oracle
-from polycascade.constellation import build_octahedral, octahedral_points
+from polycascade.constellation import octahedral_points
 from polycascade.kernel import KernelParams, phi
 from polycascade.linalg import ShapeMismatchError
 from polycascade.package import Package
@@ -16,8 +16,7 @@ def rel_err(a, b):
 
 def make_package(n, n_out=3, seed=0, sigma2=0.0):
     rng = np.random.default_rng(seed)
-    c = build_octahedral(n, sigma2=sigma2)
-    return Package(c, KP, rng.uniform(-1, 1, (c.k, n_out)))
+    return Package(n, KP, rng.uniform(-1, 1, (2 * n + 1, n_out)), sigma2=sigma2)
 
 
 def test_distances_from_origin():
@@ -47,8 +46,7 @@ def test_distances_fast_vs_naive(n):
 def test_distances_bitwise_equal_to_the_expanded_formula(n, dtype):
     # the in-place route must give exactly the bits of the full-size-temporary formula,
     # written features x rows
-    c = build_octahedral(n)
-    pkg = Package(c, KP, np.zeros((c.k, 1)), dtype=dtype)
+    pkg = Package(n, KP, np.zeros((2 * n + 1, 1)), dtype=dtype)
     x = np.random.default_rng(n).uniform(-1, 1, (n, 20)).astype(dtype)
     x[0, 0] = 0.0  # +-2 * 0 gives signed zeros
     sq_norms = np.sum(x * x, axis=0, keepdims=True)
@@ -72,8 +70,7 @@ def test_forward_interpolates_values_at_points():
 
 
 def test_forward_zero_values_zero_output():
-    c = build_octahedral(3)
-    pkg = Package(c, KP, np.zeros((c.k, 2)))
+    pkg = Package(3, KP, np.zeros((7, 2)))
     out, _ = pkg.forward(np.random.default_rng(1).uniform(-1, 1, (3, 6)))
     assert out.shape == (2, 6) and np.all(out == 0.0)
 
@@ -81,8 +78,7 @@ def test_forward_zero_values_zero_output():
 def test_forward_near_identity_oracle():
     # values = points makes the 1-d package approximately the identity map;
     # the expected number comes from evaluating the interpolant directly
-    c = build_octahedral(1)
-    pkg = Package(c, KP, octahedral_points(1))
+    pkg = Package(1, KP, octahedral_points(1))
     out, _ = pkg.forward(np.array([[0.3]]))
 
     pts = np.array([0.0, -1.0, 1.0])
@@ -127,6 +123,16 @@ def test_values_coeffs_always_consistent():
     new_y = np.random.default_rng(3).uniform(-1, 1, pkg.values.shape)
     pkg.set_values(new_y)
     assert rel_err(pkg.coeffs, u @ new_y) <= 1e-8
+
+
+@pytest.mark.parametrize("shape", [(7, 5), (7, 1), (9, 4)])
+def test_set_values_keeps_the_shape_of_the_first_values(shape):
+    # another width would change n_out under the next package, which reads n_out features
+    pkg = make_package(3, n_out=4)
+    values, coeffs = pkg.values.copy(), pkg.coeffs.copy()
+    with pytest.raises(ShapeMismatchError, match=r"package holds \(7, 4\)"):
+        pkg.set_values(np.zeros(shape))
+    assert np.array_equal(pkg.values, values) and np.array_equal(pkg.coeffs, coeffs)
 
 
 def test_basis_identity_rows_at_points():
@@ -227,15 +233,14 @@ def test_basis_overwrites_the_kernel_values_and_backward_repeats():
 def test_backward_into_a_row_slice_equals_the_allocating_call(dtype):
     # a sweep chunk writes its derivatives into a row block of its working set, and its
     # distances into its own k x c array
-    c = build_octahedral(5)
     rng = np.random.default_rng(9)
-    pkg = Package(c, KP, rng.uniform(-1, 1, (c.k, 3)), dtype=dtype)
+    pkg = Package(5, KP, rng.uniform(-1, 1, (11, 3)), dtype=dtype)
     x = rng.uniform(-1, 1, (5, 7)).astype(dtype)
     g = rng.standard_normal((3, 7)).astype(dtype)
     x_copy = x.copy()
     expected = pkg.backward(g, x)
     big = np.full((12, 7), 7.0, dtype=dtype)
-    dists = np.empty((c.k, 7), dtype=dtype)
+    dists = np.empty((pkg.k, 7), dtype=dtype)
     got = pkg.backward(g, x, out=big[3:8], sq_dists=dists)
     assert np.shares_memory(got, big) and got.dtype == np.dtype(dtype)
     assert np.array_equal(big[3:8], expected)
@@ -263,9 +268,8 @@ def test_shape_contracts():
 
 
 def test_float32_package_roundtrip():
-    c = build_octahedral(3)
     rng = np.random.default_rng(0)
-    pkg = Package(c, KP, rng.uniform(-1, 1, (c.k, 2)), dtype=np.float32)
+    pkg = Package(3, KP, rng.uniform(-1, 1, (7, 2)), dtype=np.float32)
     out, kv = pkg.forward(rng.uniform(-1, 1, (3, 4)).astype(np.float32))
     assert out.dtype == np.float32
     assert pkg.cardinal_basis(kv).dtype == np.float32

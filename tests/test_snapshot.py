@@ -53,7 +53,7 @@ def test_save_load_save_is_byte_identical(tmp_path, dtype):
     assert (loaded.d, loaded.widths, loaded.alpha, loaded.kernel, loaded.sigma2, loaded.dtype) \
         == (3, [5, 4, 4, 1], 2.5, kernel, 0.35, np.dtype(dtype))
     for c in loaded.replicas:
-        assert [p.constellation.sigma2 for p in c.packages] == [0.35, 0.35, 0.35]
+        assert [p.sigma2 for p in c.packages] == [0.35, 0.35, 0.35]
     save_snapshot(second, loaded)
     assert second.read_bytes() == first.read_bytes()
     x = np.random.default_rng(8).uniform(-1, 1, (9, 5)).astype(dtype)
@@ -137,7 +137,18 @@ def test_invalid_header_widths_rejected(tmp_path):
     last_width = 4 + 8 + 8 + 2 * 8  # magic, d, q, then widths[0..1]
     data[last_width:last_width + 8] = struct.pack("<Q", 2)
     p.write_bytes(bytes(data))
-    with pytest.raises(SnapshotFormatError, match="invalid widths"):
+    with pytest.raises(SnapshotFormatError, match=r"positive widths ending in 1, got \[4, 3, 2\]"):
+        load_snapshot(p)
+
+
+def test_a_package_count_of_zero_is_rejected(tmp_path):
+    # a replica of no packages would read no bytes, so the file would not bound d
+    p = tmp_path / "q.phc1"
+    save_snapshot(p, init_multi([4, 3, 1], seed=0, alpha=1.0))
+    data = bytearray(p.read_bytes())
+    data[4:20] = struct.pack("<2Q", 3, 0)
+    p.write_bytes(bytes(data))
+    with pytest.raises(SnapshotFormatError, match="invalid package count 0"):
         load_snapshot(p)
 
 

@@ -172,6 +172,20 @@ def test_evaluate_names_the_first_of_two_unscorable_rows_in_different_chunks(dty
                       else roc_auc(scores[:, 0], data.labels))
 
 
+@pytest.mark.parametrize("dtype,value", [("float64", np.nan), ("float64", -np.inf),
+                                         ("float32", 1e300)])
+def test_evaluate_names_a_nan_or_inf_feature_as_the_reason(dtype, value):
+    # scores rejects the batch where it enters; the row's values are not too large for the
+    # model, since 1e300 is an Inf feature only once cast to float32
+    model = init_multi([3, 4, 1], seed=30, alpha=1.0, dtype=dtype)
+    features = np.random.default_rng(30).uniform(-1, 1, (5, 3))
+    features[2, 1] = value
+    with pytest.raises(NonFiniteError, match=f"^row 3 has no finite score; it holds a NaN or "
+                                             f"Inf feature in {dtype}$"):
+        training.evaluate(model, Dataset(features, np.arange(5) % 2), "binary-auc",
+                          lambda i: f"row {i + 1}")
+
+
 @pytest.mark.parametrize("epochs", [0, 1])
 def test_nan_feature_is_named_by_its_split_row(monkeypatch, epochs):
     # scores rejects a NaN feature where the batch enters; the row is named all the same,
