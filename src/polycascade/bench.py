@@ -1,6 +1,6 @@
 """Closed-form vs oracle timing sweep with built-in agreement checks.
 
-For each package width in the sweep, times the four ``Package`` operations
+For each package width in the sweep, times the five ``Package`` operations
 that use the octahedral closed form ("fast") against their
 general-constellation versions in ``oracle`` ("naive"), verifies the two
 agree on every trial, and reports the smallest width where the fast route's
@@ -21,11 +21,11 @@ import numpy as np
 
 from . import oracle
 from .constellation import octahedral_points
-from .kernel import KernelParams
+from .kernel import KernelParams, phi_matrix
 from .package import Package
 
 AGREEMENT_TOL = 1e-8
-OPS = ("squared_distances", "coeffs_from_values", "cardinal_basis", "backward")
+OPS = ("squared_distances", "kernel_values", "coeffs_from_values", "cardinal_basis", "backward")
 N_OUT = 8  # output columns of each benchmarked package
 MAX_ELEMENTS = 200_000_000  # (n, r) pairs whose r x k arrays exceed this are skipped
 
@@ -86,6 +86,8 @@ def run_bench(widths=(16, 32, 64, 128, 256, 512, 1024, 2048), batch_rows=(64, 25
             pairs = {
                 "squared_distances": (lambda _: pkg.squared_distances(xt),
                                       lambda: oracle.squared_distances(x, points).T),
+                "kernel_values": (lambda _: pkg.kernel_values(xt),
+                                  lambda: phi_matrix(oracle.squared_distances(x, points), kp).T),
                 "coeffs_from_values": (lambda _: pkg.coeffs_from_values(values),
                                        lambda: oracle.coefficients(u, values)),
                 "cardinal_basis": (pkg.cardinal_basis,

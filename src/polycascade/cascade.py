@@ -74,7 +74,7 @@ import functools
 import itertools
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -201,7 +201,7 @@ def _sweep_chunks(packages: list[Package], x1: np.ndarray, output: np.ndarray,
         np.copyto(inputs[0], x1[:, cols])
         forward_batch(packages, inputs + [output[:, cols]], [h[:, cols] for h in bases], dists,
                       kernel_vals)
-        backward_quantities(packages, inputs, [g[:, cols] for g in grads], dists)
+        backward_quantities(packages, inputs, [g[:, cols] for g in grads], dists, kernel_vals)
 
 
 def forward_batch(packages: list[Package], inputs: list[np.ndarray], bases: list[np.ndarray],
@@ -223,19 +223,24 @@ def forward_batch(packages: list[Package], inputs: list[np.ndarray], bases: list
 
 
 def backward_quantities(packages: list[Package], inputs: list[np.ndarray],
-                        grads: list[np.ndarray], dists: np.ndarray) -> None:
+                        grads: list[np.ndarray], dists: np.ndarray,
+                        kernel_vals: np.ndarray) -> None:
     """A sweep chunk's backward sweep: the output derivative of every package into ``grads``.
 
     The chain starts from ``grads[-1]``, the cascade output's row of ones,
     and runs down to the input of the first package of ``packages``, whose
     derivative is ``grads[0]``.  Each package computes its distances again
-    in the flat array ``dists`` from its array of ``inputs`` (n x c) and
-    writes its input derivative over it, from which it is copied into its
-    array of ``grads`` (the chunk's columns of the batch's derivative).
+    in the flat array ``dists`` from its array of ``inputs`` (n x c), takes
+    the flat array ``kernel_vals``, free once the forward pass has copied the
+    bases out, for its k x c product, and writes its input derivative over
+    its input, from which it is copied into its array of ``grads`` (the
+    chunk's columns of the batch's derivative).
     """
     g = grads[-1]
+    c = g.shape[1]
     for pkg, x, g_prev in reversed(list(zip(packages, inputs, grads))):
-        g = pkg.backward(g, x, out=x, sq_dists=_leading(dists, pkg.k, g.shape[1]))
+        g = pkg.backward(g, x, out=x, sq_dists=_leading(dists, pkg.k, c),
+                         scratch=_leading(kernel_vals, pkg.k, c))
         g_prev[...] = g
 
 
@@ -408,19 +413,27 @@ def train_step(cascade: Cascade, swept: tuple[np.ndarray, list[np.ndarray], list
     ), values
 
 
-def check_model(widths: list[int], alpha: float, kernel: KernelParams, sigma2: float) -> None:
-    """Raise ValueError unless a model of these core widths and hyperparameters can exist.
+def check_model(widths: list[int], alpha: float, kernel: KernelParams, sigma2: float,
+                dtype) -> None:
+    """Raise ValueError unless a model of these core widths, hyperparameters and dtype can exist.
 
     The one check of a model: at least two positive widths ending in 1, a
     finite alpha >= 0, and a package of each input width with this kernel
-    and ``sigma2`` (``derive_coefficients``, once per distinct width).
+    and ``sigma2`` (``derive_coefficients``, once per distinct width) whose
+    coefficient scalars are finite in ``dtype``, where its coefficients are
+    computed.
     """
     if len(widths) < 2 or min(widths) < 1 or widths[-1] != 1:
         raise ValueError(f"need at least two positive widths ending in 1, got {widths}")
     if not 0 <= alpha < math.inf:
         raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
+    dt = resolve_dtype(dtype)
     for n in dict.fromkeys(widths[:-1]):
-        derive_coefficients(n, kernel, sigma2)
+        scalars = astuple(derive_coefficients(n, kernel, sigma2))
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.array(scalars, dtype=dt)).all():
+                raise ValueError(f"kernel b={kernel.b}, c={kernel.c} and sigma2={sigma2} give "
+                                 f"coefficients that are not finite in {dt}")
 
 
 class MultiOutputCascade:
@@ -436,11 +449,11 @@ class MultiOutputCascade:
     def __init__(self, widths, values, alpha: float, kernel: KernelParams, sigma2: float = 0.0,
                  dtype="float64"):
         self.widths = [int(w) for w in widths]
-        check_model(self.widths, alpha, kernel, sigma2)
+        self.dtype = resolve_dtype(dtype)
+        check_model(self.widths, alpha, kernel, sigma2, self.dtype)
         if not values:
             raise ValueError("need at least one replica")
         self.alpha, self.kernel, self.sigma2 = float(alpha), kernel, float(sigma2)
-        self.dtype = resolve_dtype(dtype)
         pairs = list(zip(self.widths, self.widths[1:]))
         self.replicas = []
         for j, matrices in enumerate(values):

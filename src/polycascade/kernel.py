@@ -48,21 +48,23 @@ def phi_matrix(m: np.ndarray, params: KernelParams, out: np.ndarray | None = Non
     """Elementwise kernel over a squared-distance matrix, shape preserved.
 
     Computed in one output array by in-place ufuncs, with no temporaries of
-    the matrix's size.  ln 0 = -inf is clamped to the most negative finite
-    value, so that its product with m = 0 is a zero and the m = 0 limit
-    needs no mask.  Scaling by 0.5 is exact, so the result has the bits of
-    ``0.5 * m * (ln m - 2b) + c``.  ``out`` (not ``m``, which is read after
-    the logarithm) receives the result when given; otherwise a new array of
-    ``m``'s float dtype does.  ``m`` is not scanned: its distances must be
-    clamped at 0, as ``Package`` and ``oracle`` clamp theirs.
+    the matrix's size.  The logarithm's input is clamped at the dtype's
+    smallest normal (tiny), so that m = 0 gives a finite log whose product
+    with m is a zero, and the m = 0 limit needs no mask.  For m >= tiny the
+    result has the bits of ``0.5 * m * (ln m - 2b) + c`` (scaling by 0.5 is
+    exact).  Below tiny the log is ln(tiny): a subnormal m moves the value by
+    less than 19 m, which c absorbs unless it is as small, and a distance
+    that rounded below zero moves it off c by at most
+    |m| * |ln(tiny) - 2b| / 2 before the sum with c rounds.  ``out`` (not
+    ``m``, which is read after the logarithm) receives the result when given;
+    otherwise a new array of ``m``'s float dtype does.  ``m`` is not scanned.
     """
     if out is None:
         out = np.empty(m.shape, dtype=m.dtype if m.dtype.kind == "f" else np.float64)
     dt = out.dtype
-    with np.errstate(divide="ignore"):
-        np.log(m, out=out)
+    np.maximum(m, np.finfo(dt).tiny, out=out)
+    np.log(out, out=out)
     out -= dt.type(2.0 * params.b)
-    np.maximum(out, np.finfo(dt).min, out=out)
     out *= dt.type(0.5)
     out *= m
     out += dt.type(params.c)
@@ -79,9 +81,11 @@ def theta(m: float, params: KernelParams) -> float:
 def theta_matrix(m: np.ndarray, params: KernelParams, out: np.ndarray | None = None) -> np.ndarray:
     """Elementwise derivative factor over a squared-distance matrix, in one output array.
 
-    ``out`` (``m`` itself, for the backward pass) receives the result when
-    given; otherwise a new array of ``m``'s float dtype does.  ``m`` is not
-    scanned for negative entries, as in ``phi_matrix``.
+    The logarithm's input is clamped at ``EPS_M``, which also maps any
+    distance below it, a zero or one that rounded below zero, to the
+    factor at ``EPS_M``.  ``out`` (``m`` itself, for the backward pass)
+    receives the result when given; otherwise a new array of ``m``'s float
+    dtype does.  ``m`` is not scanned, as in ``phi_matrix``.
     """
     if out is None:
         out = np.empty(m.shape, dtype=m.dtype if m.dtype.kind == "f" else np.float64)

@@ -20,14 +20,19 @@ Forward evaluation of a batch X:
     output      = coeffs^T @ kernel_vals        (n_out x c)
 
 The first two stages do not depend on the values (``kernel_values``); only
-the last product does (``evaluate``).
+the last product does (``evaluate``).  The distances are not clamped, since
+their expanded form rounds to no less than zero; ``phi_matrix`` and
+``theta_matrix`` clamp their inputs before the logarithm, so a forward step
+clamps once.
 
 The backward route maps the derivative of the scalar cascade output with
 respect to this package's outputs (n_out x c) to the derivative with respect
 to its inputs (n_in x c), through the kernel's derivative factor over the
 distances, which it computes again from the batch.  So a batch needs one
 k x c array between the passes: ``cardinal_basis`` writes the basis over
-the kernel values.
+the kernel values, and a sweep hands that array to ``backward``, once the
+basis is copied out, for its product of the coefficients and the
+derivatives.
 
 ``derive_coefficients`` checks the width, kernel and ``sigma2`` when the
 package is made.  Values are validated in ``set_values``: k rows at first,
@@ -67,20 +72,26 @@ class Package:
     # -- forward ------------------------------------------------------------
 
     def squared_distances(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """k x c squared distances from the batch's columns to the points, in ``out`` when given."""
+        """k x c squared distances from the batch's columns to the points, in ``out`` when given.
+
+        Not clamped: (|x|^2 + 1) +- 2 x_j rounds to >= 0 for every finite x,
+        since rounding is monotone and (x_j +- 1)^2 >= 0, so exact hits on
+        points give zeros.  The kernel routes clamp their own inputs.
+        """
         if x.ndim != 2 or x.shape[0] != self.n_in:
             raise ShapeMismatchError(f"batch has shape {x.shape}, package expects {self.n_in} "
                                      "features")
         n = self.n_in
-        sq_norms = np.sum(x * x, axis=0, keepdims=True)  # 1 x c
         m = np.empty((self.k, x.shape[1]), dtype=self.dtype) if out is None else out
-        m[:1] = sq_norms
-        # |x - (+-e_j)|^2 = |x|^2 + 1 +- 2 x_j, written in place without full-size temporaries
-        np.multiply(x, 2.0, out=m[1:n + 1])
-        np.multiply(x, -2.0, out=m[n + 1:])
-        m[1:] += sq_norms + 1.0
-        # exact hits on constellation points can round to tiny negatives
-        np.maximum(m, 0.0, out=m)
+        upper, lower = m[1:n + 1], m[n + 1:]
+        # |x + e_j|^2 = (|x|^2 + 1) + 2 x_j above, |x - e_j|^2 = (|x|^2 + 1) - 2 x_j below: |x|^2 is
+        # summed from x^2 in the lower rows, and each half is derived from the other in place
+        np.multiply(x, x, out=lower)
+        np.sum(lower, axis=0, keepdims=True, out=m[:1])
+        sq_norms_1 = m[:1] + 1.0  # 1 x c
+        np.multiply(x, 2.0, out=upper)
+        np.subtract(sq_norms_1, upper, out=lower)
+        upper += sq_norms_1
         return m
 
     def kernel_values(self, x, sq_dists: np.ndarray | None = None,
@@ -113,8 +124,9 @@ class Package:
 
         ``out`` receives the result when given, and may be ``y`` itself:
         each block of ``y`` is read before its rows are written.  The last
-        n rows are built in ``out`` itself, so that at most two n-row
-        temporaries are alive at once.
+        n rows are built in ``out`` itself and rows 1..n in an n-row
+        temporary, and one more n-row temporary holds each product they
+        add, so that two are made in all.
         """
         if y.shape[0] != self.k:
             raise ShapeMismatchError(f"values have {y.shape[0]} rows, constellation has {self.k}")
@@ -126,11 +138,14 @@ class Package:
         ys = y[1:, :].sum(axis=0, keepdims=True)
         first = dt(oc.u1) * y1 + dt(oc.u2) * ys
         border = dt(oc.u2) * y1 + dt(oc.b3) * ys
-        upper = dt(oc.b1) * ya + dt(oc.b2) * yb + border
+        upper = np.multiply(ya, dt(oc.b1))
+        term = np.multiply(yb, dt(oc.b2))
+        upper += term
+        upper += border
         if out is None:
             out = np.empty_like(y)
         lower = np.multiply(yb, dt(oc.b1), out=out[n + 1:, :])
-        lower += dt(oc.b2) * ya
+        lower += np.multiply(ya, dt(oc.b2), out=term)
         lower += border
         out[1:n + 1, :] = upper
         out[:1, :] = first
@@ -164,13 +179,17 @@ class Package:
     # -- backward ------------------------------------------------------------
 
     def backward(self, g_next: np.ndarray, x_in: np.ndarray, out: np.ndarray | None = None,
-                 sq_dists: np.ndarray | None = None) -> np.ndarray:
+                 sq_dists: np.ndarray | None = None,
+                 scratch: np.ndarray | None = None) -> np.ndarray:
         """Propagate output derivatives g_next (n_out x c) to input derivatives (n_in x c).
 
         Uses the kernel derivative factor over the squared distances of the
         batch ``x_in`` (n_in x c), computed again here, in ``sq_dists``
         (k x c) when given, with the bits ``forward`` computed them with; the
-        factor theta and then psi are written over them.  The result is
+        factor theta, clamped by ``theta_matrix``, and then psi are written
+        over them.  ``coeffs @ g_next`` is written into ``scratch`` (k x c)
+        when given, and the difference of psi's halves over its upper half,
+        so the call makes no temporary of the batch's size.  The result is
         written into ``out`` when given, which may be ``x_in`` itself.
         """
         if g_next.shape != (self.n_out, x_in.shape[1]):
@@ -179,7 +198,9 @@ class Package:
         n = self.n_in
         m = self.squared_distances(x_in, out=sq_dists)
         psi = theta_matrix(m, self.kernel, out=m)
-        psi *= self.coeffs @ g_next  # k x c
-        out = np.multiply(x_in, psi.sum(axis=0, keepdims=True), out=out)
-        out += psi[1:n + 1] - psi[n + 1:]
+        psi *= np.matmul(self.coeffs, g_next, out=scratch)  # k x c
+        sums = psi.sum(axis=0, keepdims=True)
+        upper = np.subtract(psi[1:n + 1], psi[n + 1:], out=psi[1:n + 1])
+        out = np.multiply(x_in, sums, out=out)
+        out += upper
         return out

@@ -52,7 +52,7 @@ class TrainConfig:
         """Reject every invalid field here, so a config fails before any data is read."""
         if len(self.widths) < 2 or min(self.widths) < 1:
             raise ValueError(f"widths needs at least two positive entries, got {self.widths}")
-        check_model([*self.widths[:-1], 1], self.alpha, self.kernel, self.sigma2)
+        check_model([*self.widths[:-1], 1], self.alpha, self.kernel, self.sigma2, self.precision)
         if self.alpha == 0 and len(self.widths) > 2:
             raise ValueError("alpha must be > 0 for multi-package cascades")
         if self.epochs < 0:
@@ -61,7 +61,6 @@ class TrainConfig:
             raise ValueError(f"batch_rows must be >= 1, got {self.batch_rows}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        resolve_dtype(self.precision)
         if self.init_mode not in INIT_MODES:
             raise ValueError(f"init mode must be one of {INIT_MODES}, got {self.init_mode!r}")
         if self.task not in ("classify", "binary-auc"):

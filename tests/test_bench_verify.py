@@ -14,7 +14,8 @@ from polycascade.constellation import derive_coefficients
 def test_bench_rows_cover_grid_and_agree(tmp_path):
     rows = bench.run_bench(widths=(4, 8), batch_rows=(3, 16), repeats=2, seed=0)
     combos = {(r.op, r.n, r.r) for r in rows}
-    assert len(combos) == len(rows) == 4 * 2 * 2  # one row per (op, n, r)
+    assert len(combos) == len(rows) == len(bench.OPS) * 2 * 2  # one row per (op, n, r)
+    assert {r.op for r in rows} == set(bench.OPS)
     assert all(r.max_rel_err <= bench.AGREEMENT_TOL for r in rows)
     out = tmp_path / "bench.csv"
     bench.write_csv(rows, out)

@@ -400,6 +400,18 @@ def test_dry_run_of_any_ini_value_exits_0_or_is_a_config_error(overrides):
         code == EXIT_CONFIG and err.startswith("config error: ")), err
 
 
+def test_float32_coefficient_overflow_rejected_at_dry_run(tmp_path, capsys):
+    # c = 1e-40 gives finite float64 coefficients that overflow float32: the dry run rejects
+    # what training would, and training writes nothing
+    path = shells_config(tmp_path, widths="6,4,1", precision="float32", kernel_c="1e-40")
+    assert main(["train", str(path), "--dry-run"]) == EXIT_CONFIG
+    assert "not finite in float32" in capsys.readouterr().err
+    assert main(["train", str(path)]) == EXIT_CONFIG
+    assert not (tmp_path / "run").exists()
+    float64 = shells_config(tmp_path, widths="6,4,1", kernel_c="1e-40")
+    assert main(["train", str(float64), "--dry-run"]) == EXIT_OK
+
+
 def set_last_cell(data, row, text):
     """Replace the last cell of 0-based line ``row`` of a delimited file."""
     lines = data.read_text().splitlines()

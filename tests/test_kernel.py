@@ -86,6 +86,31 @@ def test_theta_matrix_matches_scalar_and_clamps():
     assert out[1, 0] == pytest.approx(math.log(EPS_M) - 9.0)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("params", [KP, KernelParams(b=1.0, c=1.0), KernelParams(b=12.0, c=1e-3),
+                                    KernelParams(b=5.0, c=0.0), KernelParams(b=-3.0, c=-5.0)],
+                         ids=["default", "b1-c1", "b12-c1e-3", "c0", "b-3-c-5"])
+def test_phi_matrix_moves_off_the_formula_only_below_the_smallest_normal(dtype, params):
+    # phi_matrix takes the log of the smallest normal (tiny) below it: a zero distance gives
+    # exactly c, a subnormal one moves the value off 0.5 m (ln m - 2b) + c by less than 19 m,
+    # and one that rounded below zero moves it off c by at most |m| * |ln(tiny) - 2b| / 2,
+    # each before the result rounds
+    finfo = np.finfo(dtype)
+    c = dtype(params.c)
+    assert phi_matrix(np.zeros(3, dtype), params).tolist() == [c] * 3
+    subnormal = np.array([finfo.smallest_subnormal, finfo.tiny / 8], dtype)
+    got = phi_matrix(subnormal, params)
+    m = subnormal.astype(np.float64)
+    formula = m * (np.log(m) - 2.0 * params.b) * 0.5 + float(c)  # 0.5 m alone can underflow
+    rounding = np.spacing(np.abs(got)).astype(np.float64)
+    assert np.all(np.abs(got - formula) <= 19.0 * m + 2.0 * rounding)
+    below = -finfo.eps * np.array([1.0, 16.0, 256.0], dtype)
+    got = phi_matrix(below, params)
+    shift = np.abs(below.astype(np.float64)) * abs(math.log(finfo.tiny) - 2.0 * params.b) / 2.0
+    rounding = np.spacing(np.abs(got)).astype(np.float64)
+    assert np.all(np.abs(got.astype(np.float64) - c) <= shift * (1.0 + 4.0 * finfo.eps) + rounding)
+
+
 def central_difference(m: float, h: float) -> float:
     # differencing the non-constant kernel part: the additive constant has
     # zero derivative but at small m it swamps the signal in float64, so the

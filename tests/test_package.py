@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from polycascade import oracle
 from polycascade.constellation import octahedral_points
-from polycascade.kernel import KernelParams, phi
+from polycascade.kernel import EPS_M, KernelParams, phi, phi_matrix, theta_matrix
 from polycascade.linalg import ShapeMismatchError
 from polycascade.package import Package
 
@@ -45,16 +47,37 @@ def test_distances_fast_vs_naive(n):
 @pytest.mark.parametrize("n", [3, 50, 784])
 def test_distances_bitwise_equal_to_the_expanded_formula(n, dtype):
     # the in-place route must give exactly the bits of the full-size-temporary formula,
-    # written features x rows
+    # written features x rows, with no clamp
     pkg = Package(n, KP, np.zeros((2 * n + 1, 1)), dtype=dtype)
     x = np.random.default_rng(n).uniform(-1, 1, (n, 20)).astype(dtype)
     x[0, 0] = 0.0  # +-2 * 0 gives signed zeros
     sq_norms = np.sum(x * x, axis=0, keepdims=True)
     expected = np.vstack([sq_norms, sq_norms + 1.0 + 2.0 * x, sq_norms + 1.0 - 2.0 * x])
-    np.maximum(expected, 0.0, out=expected)
     got = pkg.squared_distances(x)
     assert got.dtype == np.dtype(dtype)
     assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_kernel_chain_at_and_near_constellation_points(dtype):
+    # exact hits (x = 0 and +-e_j) give zero distances; the chain maps them, and distances
+    # below the smallest normal, to exactly c and to theta at EPS_M
+    n = 3
+    pkg = Package(n, KP, np.zeros((2 * n + 1, 1)), dtype=dtype)
+    points = octahedral_points(n, dtype).T  # column j is point j
+    hits = pkg.squared_distances(points)
+    off = ~np.eye(pkg.k, dtype=bool)
+    assert np.array_equal(np.diag(hits), np.zeros(pkg.k)) and np.all(hits[off] >= 1.0)
+    assert np.all(np.diag(pkg.kernel_values(points)) == KP.c)
+    finfo = np.finfo(dtype)
+    # a distance that rounded below zero, as an expanded form can round one, a subnormal
+    # distance and the smallest normal
+    below, subnormal, tiny = -finfo.eps, finfo.tiny / 8, finfo.tiny
+    near = np.array([0.0, below, subnormal, tiny], dtype)
+    theta_eps = theta_matrix(np.array([EPS_M], dtype), KP)[0]
+    assert np.all(theta_matrix(np.diag(hits).copy(), KP) == theta_eps)
+    assert np.all(theta_matrix(near, KP) == theta_eps)
+    assert np.all(phi_matrix(near[[0, 2, 3]], KP) == KP.c)
 
 
 def test_distances_width_mismatch():
@@ -246,6 +269,43 @@ def test_backward_into_a_row_slice_equals_the_allocating_call(dtype):
     assert np.array_equal(big[3:8], expected)
     assert np.all(big[:3] == 7.0) and np.all(big[8:] == 7.0)
     assert np.array_equal(x, x_copy)  # the input is written over only when it is out
+
+
+def traced_peak(fn, *args, **kwargs) -> int:
+    """Peak bytes that numpy allocates during ``fn(*args, **kwargs)``."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_distances_and_backward_in_buffers_make_no_batch_sized_array(dtype):
+    # given their buffers, a sweep chunk's distances and its backward allocate single rows and
+    # numpy's iterator buffers, never a k x c or an n x c array
+    n, c = 16, 3000
+    rng = np.random.default_rng(4)
+    pkg = Package(n, KP, rng.uniform(-1, 1, (2 * n + 1, 4)), dtype=dtype)
+    x = rng.uniform(-1, 1, (n, c)).astype(dtype)
+    g = rng.standard_normal((4, c)).astype(dtype)
+    dists, scratch, out = np.empty((pkg.k, c), dtype), np.empty((pkg.k, c), dtype), x.copy()
+    assert traced_peak(pkg.squared_distances, x, out=dists) < x.nbytes / 4
+    assert traced_peak(pkg.backward, g, x, out=out, sq_dists=dists, scratch=scratch) < x.nbytes / 4
+    assert np.array_equal(out, pkg.backward(g, x))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_coeffs_from_values_over_its_input_makes_two_n_row_arrays(dtype):
+    # the cardinal basis is written over the kernel values with two n x c temporaries
+    n, c = 64, 3000
+    pkg = Package(n, KP, np.zeros((2 * n + 1, 1)), dtype=dtype)
+    kv = np.random.default_rng(5).uniform(300, 400, (pkg.k, c)).astype(dtype)
+    expected = pkg.coeffs_from_values(kv)
+    n_rows = n * c * np.dtype(dtype).itemsize
+    assert traced_peak(pkg.coeffs_from_values, kv, out=kv) < 2.25 * n_rows
+    assert np.array_equal(kv, expected)
 
 
 def test_backward_at_constellation_point_is_finite():

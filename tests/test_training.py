@@ -5,11 +5,14 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polycascade import cascade as cascade_module
 from polycascade import training
 from polycascade.cascade import init_multi
 from polycascade.data import DataFormatError, Dataset
+from polycascade.kernel import KernelParams
 from polycascade.linalg import NonFiniteError, NotSPDError
 from polycascade.metrics import accuracy, roc_auc
 from polycascade.synthetic import make_shell_task
@@ -91,6 +94,39 @@ def test_alpha_zero_rejected_for_deep_cascades():
 def test_train_config_rejects_invalid_fields(override):
     with pytest.raises(ValueError):
         TrainConfig(**{"widths": [6, 3], "alpha": 1.0, "epochs": 1, "batch_rows": 10, **override})
+
+
+# finite kernel coefficients at every scale, with the float32 and float64 edges of the
+# closed-form coefficients (c = 1e-40 overflows them in float32 only)
+KERNEL_FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                          st.sampled_from([1e-40, 1e-20, 1e-19, 1e-150, 1e-160, 1e38, 1e39]))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(b=KERNEL_FLOATS, c=KERNEL_FLOATS,
+       sigma2=st.one_of(st.floats(), st.sampled_from([0.0, 1e-40, 1e38, 1e39])),
+       # alpha = 0 is a model, but TrainConfig trains no multi-package model with it
+       alpha=st.floats(min_value=0.0, exclude_min=True),
+       precision=st.sampled_from(["float32", "float64"]),
+       widths=st.lists(st.integers(1, 4), min_size=2, max_size=4))
+def test_train_config_accepts_exactly_the_models_init_multi_builds(b, c, sigma2, alpha,
+                                                                    precision, widths):
+    # what a dry run decides is what training decides: the config and the model it would
+    # build are checked by the one check of a model, in the run's precision
+    kernel = KernelParams(b=b, c=c)
+
+    def accepts(make) -> bool:
+        try:
+            make()
+        except ValueError:
+            return False
+        return True
+
+    config = accepts(lambda: TrainConfig(widths=widths, alpha=alpha, epochs=1, batch_rows=10,
+                                         precision=precision, sigma2=sigma2, kernel=kernel))
+    model = accepts(lambda: init_multi(widths, seed=0, alpha=alpha, kernel=kernel,
+                                       sigma2=sigma2, dtype=precision))
+    assert config == model
 
 
 def test_epoch_record_rows_lossless():
