@@ -11,59 +11,32 @@ input, output and derivative is n x r, and its distances, kernel values and
 basis are k x r, so the batch's rows are the columns of every array.
 ``scores`` still returns r x d.
 
-Each batch is one ``train_multi`` call, which trains the replicas side by
-side in one parallel region (``linalg.run_parallel``, which holds numpy's
-BLAS at one thread and its pool parked meanwhile): each task takes whole
-replicas from one deque and runs each one's ``sweep`` right before its
-``train_step``, so a task holds one replica's intermediates at a time.  A
-lone task, as for d = 1, runs in the calling thread, outside any region.
-A replica's ``sweep`` runs in chunks of the batch's rows (``_row_chunks``,
-set by the rows and the packages alone), and a task runs each chunk whole,
-forward pass, cardinal bases and backward sweep, in a contiguous working
-set of its own; a lone replica's assembly then shares its panels out from a
-deque.  ``scores`` evaluates without keeping intermediates, in chunks of a
-size the model alone sets that its workers take from one deque.  So the
-worker count sets which task runs a chunk, not its bits.  Every array a
-task writes is allocated before the region, so tasks write disjoint parts
-and need no lock.
+Every parallel region of the cascade is one ``_share_out`` call, which
+drains a deque of items over working sets that the calling thread
+allocates: ``sweep`` and ``scores`` share out row chunks, each running
+packages 2..q through the one package loop ``forward_batch``;
+``assemble_system`` shares out panels; and ``train_multi`` shares out whole
+replicas for d > 1.  The chunks are set by the rows and the model alone, so
+the worker count sets which task runs a chunk, not its bits.
 
 Training never uses gradient descent: after a forward pass, the
 derivative matrices are propagated backward, each package contributes an
 r x r Schur-product Gram matrix, their regularized sum is solved for a single
 batch vector, and that vector updates every package's value matrix
-independently.  The system is built a panel of rows at a time: each
-package's Gram products for those rows are computed into two small panel
-buffers that stay in cache and summed into a contiguous panel accumulator,
-which is written into the lower triangle and mirrored once; each worker
-builds its panels in a panel set of its own.  The Cholesky
-factor is then written over the system's lower triangle, and the solve
+independently.  The system is built in panels of rows (``assemble_system``),
+the Cholesky factor is written over its lower triangle, and the solve
 residual is taken from the diagonal and upper triangle that the factor
-leaves holding the system, so a step keeps one r x r array.  A system per
-task, the panel buffers and, for d > 1 replicas, the layer-1 basis Gram form
-one ``TrainingBuffers`` set that every replica of a batch reuses; ``run_training``
-keeps one set for a whole epoch, so a steady-state batch writes into memory
-it has already touched.  The set's arrays are allocated together right
-after the epoch's first sweep.
+leaves holding the system, so a step keeps one r x r array in a
+``TrainingBuffers`` set that ``run_training`` keeps for a whole epoch.  A
+sweep computes each package's distances again in ``backward`` instead of
+keeping them, and writes its basis over its kernel values and its input
+derivative over its input (see ``package``).
 
-A sweep keeps each package's basis (k x r) and output derivative (n x r)
-for the whole batch, and each of its tasks a working set of one chunk: its
-input to every package, and one k x c array each of distances and kernel
-values that the packages take in turn.  Each package's basis is written
-over its kernel values and its input derivative over its input, and
-``backward`` computes the distances again instead of keeping them (see
-``package``).
-
-The replicas have independent value matrices and share the architecture and
-hyperparameters.  Every replica's first package has the same constellation
-and kernel, so the layer-1 distances, kernel values, cardinal basis and basis
-Gram product are computed once per batch (or scoring chunk) and shared by
-all replicas: ``train_multi`` passes the basis to every replica's ``sweep``
-and the Gram to every ``train_step`` as plain arrays.  Layer 1 then acts as one package with d * n1 outputs: one
-product over the replicas' stacked coefficients gives every layer-1 output,
-each replica's a contiguous row block of it, and one product over their
-stacked derivative blocks gives every layer-1 value update.  The derivative
-Grams and the solve stay per replica.  A one-replica model keeps no layer-1
-Gram: its layer-1 term is built in panels like any other package's.
+The replicas have independent value matrices and share the architecture,
+hyperparameters and layer-1 constellation, so layer 1 acts as one package
+with d * n1 outputs whose kernel values, basis and basis Gram are computed
+once per batch (or scoring chunk); the derivative Grams and the solve stay
+per replica.
 """
 
 from __future__ import annotations
@@ -146,6 +119,47 @@ def _row_chunks(r: int, packages: list[Package]) -> collections.deque:
     return collections.deque(slice(lo, hi) for lo, hi in zip(bounds, bounds[1:]))
 
 
+def _drain(items: collections.deque):
+    """Items popped from the left of ``items`` until it is empty.
+
+    ``popleft`` is atomic, so tasks that drain one deque never take the same item.
+    """
+    while True:
+        try:
+            yield items.popleft()
+        except IndexError:
+            return
+
+
+def _work_sets(sizes: list[int], dtype, items: int) -> list[list[np.ndarray]]:
+    """min(workers, ``items``) working sets of flat arrays of ``sizes`` for ``_share_out``.
+
+    Allocated in the calling thread, not in the workers, so that no worker
+    thread grows a heap of its own.
+    """
+    return [[np.empty(size, dtype) for size in sizes] for _ in range(min(worker_count(), items))]
+
+
+def _share_out(items: collections.deque, work_sets: list, task) -> None:
+    """Run ``task(item, work)`` for every item of ``items`` in one ``run_parallel`` region.
+
+    The cascade's one parallel engine.  The region has one task per working
+    set of ``work_sets``, but never more tasks than items, and each takes
+    items from the deque (``_drain``) until it is empty and runs them in its
+    set: the calling thread runs one task and a pool of threads the others.
+    numpy's BLAS runs at one thread meanwhile, for a lone task too, so an
+    item gets the same bits whichever task runs it and however many run.
+    Tasks write disjoint parts of arrays allocated before the region and
+    need no lock.  An empty deque enters a region of no tasks.  A task's
+    exception is raised once every task has ended.
+    """
+    def drain(work) -> None:
+        for item in _drain(items):
+            task(item, work)
+
+    run_parallel([functools.partial(drain, work) for work in work_sets[:len(items)]])
+
+
 def sweep(cascade: Cascade, h1: np.ndarray, x1: np.ndarray,
           ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
     """One replica's training sweep on its layer-1 output ``x1`` (n1 x r).
@@ -156,18 +170,12 @@ def sweep(cascade: Cascade, h1: np.ndarray, x1: np.ndarray,
     output and never descends below the first package.  H_1 is ``h1``, the
     batch's layer-1 basis that every replica shares, and is not written.
 
-    Packages 2..q run in row chunks (``_row_chunks``): min(workers, chunks)
-    tasks of a ``run_parallel`` region take chunks from one deque, and each
-    runs a chunk's forward pass, cardinal bases and backward sweep one after
-    another in a working set of its own, which the calling thread allocates:
-    the chunk's input to every package (n_i x c), and one k x c array each of
-    distances and kernel values that the packages take in turn.  A package
-    builds its basis over its kernel values right after its forward pass,
-    and ``backward`` computes its distances again.  Every array a chunk
-    works on is contiguous: it copies its columns of ``x1`` in, writes each
-    package's input derivative over its input to that package, and writes
-    only its columns of the output, the bases and the derivatives.  Rows are
-    independent, so the result is that of one pass over the batch.
+    Packages 2..q run in the row chunks of ``_row_chunks``, shared out
+    (``_share_out``) over working sets of one chunk: its input to every
+    package (n_i x c) and one k x c array each of distances and kernel
+    values.  A chunk runs ``forward_batch`` and ``backward_quantities`` in
+    its set and writes only its columns of the output, bases and
+    derivatives, so the result is that of one pass over the batch.
     """
     packages = cascade.packages[1:]
     r, dt = x1.shape[1], x1.dtype
@@ -177,49 +185,44 @@ def sweep(cascade: Cascade, h1: np.ndarray, x1: np.ndarray,
     if not packages:
         return x1, bases, grads
     output = np.empty((1, r), dt)
-    chunks = _row_chunks(r, packages)
-    cols = max(c.stop - c.start for c in chunks)
-    k = max(pkg.k for pkg in packages)
-    sizes = [pkg.n_in * cols for pkg in packages] + [k * cols, k * cols]
-    # allocated here, not in the workers, so that no worker thread grows a heap of its own
-    work_sets = [[np.empty(size, dt) for size in sizes]
-                 for _ in range(min(worker_count(), len(chunks)))]
-    run_parallel([functools.partial(_sweep_chunks, packages, x1, output, bases[1:], grads,
-                                    chunks, work)
-                  for work in work_sets])
-    return output, bases, grads
 
-
-def _sweep_chunks(packages: list[Package], x1: np.ndarray, output: np.ndarray,
-                  bases: list[np.ndarray], grads: list[np.ndarray], chunks: collections.deque,
-                  work: list[np.ndarray]) -> None:
-    """Chunks of ``sweep`` until ``chunks`` is empty, each in the working set ``work``."""
-    *input_flats, dists, kernel_vals = work
-    for cols in _drain(chunks):
+    def sweep_chunk(cols: slice, work: list[np.ndarray]) -> None:
+        *input_flats, dists, kernel_vals = work
         c = cols.stop - cols.start
         inputs = [_leading(flat, pkg.n_in, c) for pkg, flat in zip(packages, input_flats)]
         np.copyto(inputs[0], x1[:, cols])
-        forward_batch(packages, inputs + [output[:, cols]], [h[:, cols] for h in bases], dists,
-                      kernel_vals)
+        forward_batch(packages, inputs + [output[:, cols]], dists, kernel_vals,
+                      [h[:, cols] for h in bases[1:]])
         backward_quantities(packages, inputs, [g[:, cols] for g in grads], dists, kernel_vals)
 
+    chunks = _row_chunks(r, packages)
+    width = max(c.stop - c.start for c in chunks)
+    k = max(pkg.k for pkg in packages)
+    sizes = [pkg.n_in * width for pkg in packages] + [k * width, k * width]
+    _share_out(chunks, _work_sets(sizes, dt, len(chunks)), sweep_chunk)
+    return output, bases, grads
 
-def forward_batch(packages: list[Package], inputs: list[np.ndarray], bases: list[np.ndarray],
-                  dists: np.ndarray, kernel_vals: np.ndarray) -> None:
-    """A sweep chunk's forward pass through ``packages``, which keeps every package's input.
 
-    ``inputs`` holds each package's input (n x c), which the previous
-    package's output is written into, and then the chunk's output.  Every
-    package takes the flat arrays ``dists`` and ``kernel_vals`` in turn for
-    its k x c distances and kernel values, and builds its cardinal basis over
-    the kernel values right after its forward pass, to be copied into its
-    array of ``bases`` (the chunk's columns of the batch's basis).
+def forward_batch(packages: list[Package], inputs: list[np.ndarray], dists: np.ndarray,
+                  kernel_vals: np.ndarray, bases: list[np.ndarray] | None = None) -> None:
+    """A chunk's forward pass through ``packages``, the one package loop of sweep and scoring.
+
+    Package i reads its input (n x c) from ``inputs[i]`` and writes its
+    output into ``inputs[i + 1]``, so the last array holds the chunk's
+    output.  The sweep gives an array per package, which keeps every input
+    for the backward sweep; scoring gives two buffers that alternate, so it
+    holds no input per package.  Every package takes the flat arrays
+    ``dists`` and ``kernel_vals`` in turn for its k x c distances and kernel
+    values.  With ``bases``, each package builds its cardinal basis over its
+    kernel values right after its forward pass and copies it into its array
+    of ``bases``.
     """
     c = inputs[0].shape[1]
-    for pkg, x, out, h in zip(packages, inputs, inputs[1:], bases):
+    for i, (pkg, x, out) in enumerate(zip(packages, inputs, inputs[1:])):
         _, kv = pkg.forward(x, out=out, sq_dists=_leading(dists, pkg.k, c),
                             kernel_vals=_leading(kernel_vals, pkg.k, c))
-        h[...] = pkg.cardinal_basis(kv)
+        if bases is not None:
+            bases[i][...] = pkg.cardinal_basis(kv)
 
 
 def backward_quantities(packages: list[Package], inputs: list[np.ndarray],
@@ -228,13 +231,11 @@ def backward_quantities(packages: list[Package], inputs: list[np.ndarray],
     """A sweep chunk's backward sweep: the output derivative of every package into ``grads``.
 
     The chain starts from ``grads[-1]``, the cascade output's row of ones,
-    and runs down to the input of the first package of ``packages``, whose
-    derivative is ``grads[0]``.  Each package computes its distances again
-    in the flat array ``dists`` from its array of ``inputs`` (n x c), takes
-    the flat array ``kernel_vals``, free once the forward pass has copied the
-    bases out, for its k x c product, and writes its input derivative over
-    its input, from which it is copied into its array of ``grads`` (the
-    chunk's columns of the batch's derivative).
+    and runs down to ``grads[0]``, the derivative at the input of the first
+    of ``packages``.  Each package computes its distances again in ``dists``
+    from its array of ``inputs`` (n x c), takes ``kernel_vals``, free once
+    ``forward_batch`` has copied the bases out, for its k x c product, and
+    writes its input derivative over its input and then into ``grads``.
     """
     g = grads[-1]
     c = g.shape[1]
@@ -322,11 +323,9 @@ def assemble_system(bases: list[np.ndarray], grads: list[np.ndarray], alpha: flo
     other package's.  The last package's G is a row of ones, so its H^T H
     is added alone.
 
-    The panels run in a ``run_parallel`` region, one task per panel set of
-    ``buffers`` (at most one per panel).  Each task takes panels, largest
-    first, until none is left, and works in its own panel set; panels write
-    disjoint rows and their mirrored columns, so the system is the same
-    whichever task builds a panel.  Every array is a view of ``buffers`` (a
+    The panels are shared out (``_share_out``), largest first, over the
+    panel sets of ``buffers``; panels write disjoint rows and their mirrored
+    columns.  Every array is a view of ``buffers`` (a
     set made for this call when None), so the returned system is
     overwritten by the next step that uses the same set.
     """
@@ -334,49 +333,35 @@ def assemble_system(bases: list[np.ndarray], grads: list[np.ndarray], alpha: flo
     buffers = TrainingBuffers.fitting(buffers, bases[0])
     system = _leading(buffers.systems[0], r, r)
     starts = collections.deque(reversed(range(0, r, PANEL_ROWS)))
-    run_parallel([functools.partial(_assemble_panels, system, gram, bases, grads, starts, panel_set)
-                  for panel_set in buffers.panel_sets[:len(starts)]])
+    _share_out(starts, buffers.panel_sets,
+               functools.partial(_assemble_panel, system, gram, bases, grads))
     system[np.diag_indices(r)] += dt.type(alpha)
     return system
 
 
-def _drain(items: collections.deque):
-    """Items popped from the left of ``items`` until it is empty.
-
-    ``popleft`` is atomic, so tasks that drain one deque never take the same item.
-    """
-    while True:
-        try:
-            yield items.popleft()
-        except IndexError:
-            return
-
-
-def _assemble_panels(system: np.ndarray, gram: np.ndarray | None, bases: list[np.ndarray],
-                     grads: list[np.ndarray], starts: collections.deque,
-                     panel_set: tuple[np.ndarray, np.ndarray, np.ndarray]) -> None:
-    """Build panels of ``assemble_system`` in ``panel_set`` until ``starts`` is empty."""
-    r = system.shape[0]
+def _assemble_panel(system: np.ndarray, gram: np.ndarray | None, bases: list[np.ndarray],
+                    grads: list[np.ndarray], i0: int,
+                    panel_set: tuple[np.ndarray, np.ndarray, np.ndarray]) -> None:
+    """Build the panel of ``assemble_system`` whose rows start at ``i0``, in ``panel_set``."""
+    rows = slice(i0, min(i0 + PANEL_ROWS, system.shape[0]))
+    i1 = rows.stop
     h1, g1 = bases[0], grads[0]
-    for i0 in _drain(starts):
-        rows = slice(i0, min(i0 + PANEL_ROWS, r))
-        i1 = rows.stop
-        acc, hh, gg = (_leading(b, i1 - i0, i1) for b in panel_set)
-        h1h1 = np.matmul(h1[:, rows].T, h1[:, :i1], out=acc) if gram is None else gram[rows, :i1]
-        if len(bases) == 1:
-            acc = h1h1
-        else:
-            np.multiply(h1h1, np.matmul(g1[:, rows].T, g1[:, :i1], out=gg), out=acc)
-            for h, g in zip(bases[1:-1], grads[1:-1]):
-                acc += np.multiply(np.matmul(h[:, rows].T, h[:, :i1], out=hh),
-                                   np.matmul(g[:, rows].T, g[:, :i1], out=gg), out=hh)
-            last = bases[-1]
-            acc += np.matmul(last[:, rows].T, last[:, :i1], out=hh)
-        system[rows, :i1] = acc
-        # mirror the finished rows; the diagonal block's upper half too, so s == s.T exactly
-        system[:i0, rows] = acc[:, :i0].T
-        block = system[rows, rows]
-        np.copyto(block, block.T, where=_STRICT_UPPER[:block.shape[0], :block.shape[0]])
+    acc, hh, gg = (_leading(b, i1 - i0, i1) for b in panel_set)
+    h1h1 = np.matmul(h1[:, rows].T, h1[:, :i1], out=acc) if gram is None else gram[rows, :i1]
+    if len(bases) == 1:
+        acc = h1h1
+    else:
+        np.multiply(h1h1, np.matmul(g1[:, rows].T, g1[:, :i1], out=gg), out=acc)
+        for h, g in zip(bases[1:-1], grads[1:-1]):
+            acc += np.multiply(np.matmul(h[:, rows].T, h[:, :i1], out=hh),
+                               np.matmul(g[:, rows].T, g[:, :i1], out=gg), out=hh)
+        last = bases[-1]
+        acc += np.matmul(last[:, rows].T, last[:, :i1], out=hh)
+    system[rows, :i1] = acc
+    # mirror the finished rows; the diagonal block's upper half too, so s == s.T exactly
+    system[:i0, rows] = acc[:, :i0].T
+    block = system[rows, rows]
+    np.copyto(block, block.T, where=_STRICT_UPPER[:block.shape[0], :block.shape[0]])
 
 
 def train_step(cascade: Cascade, swept: tuple[np.ndarray, list[np.ndarray], list[np.ndarray]],
@@ -505,25 +490,19 @@ class MultiOutputCascade:
     def scores(self, x0) -> np.ndarray:
         """Replica outputs (r x d), keeping no states, on the cores of the process affinity.
 
-        The batch is checked once, here, and scored in chunks of
-        ``chunk_rows`` rows.  min(workers, chunks) tasks take whole chunks
-        from one deque until none is left: the calling thread runs one and a
-        pool of threads the others (``run_parallel``, which holds numpy's
-        BLAS at one thread and its pool parked meanwhile, for a lone task
-        too).  So a chunk gets the same bits whichever task scores it, and
-        the scores do not depend on the worker count.  Nor do they depend on
-        how many rows the call has, except in the last bits of the call's
-        final partial block of ``PART_ROW_MULTIPLE`` rows: the first m rows
-        of a batch, m a multiple of it, score as in a call on the whole batch.
+        The batch is checked once, here, and its chunks of ``chunk_rows``
+        rows are shared out (``_share_out``), so the scores do not depend on
+        the worker count.  Nor do they depend on how many rows the call has,
+        except in the last bits of the call's final partial block of
+        ``PART_ROW_MULTIPLE`` rows: the first m rows of a batch, m a multiple
+        of it, score as in a call on the whole batch.
 
-        Each chunk is transposed once into its task's working set, as
-        ``layer1`` transposes a batch, and its layer-1 kernel values serve
-        every replica; one product with the replicas' stacked layer-1
-        coefficients, stacked once per call, gives every layer-1 output.
-        The working set, which the calling thread allocates, is sized by the
-        chunk and the widest package: the transposed chunk, distances, kernel
-        values, the layer-1 outputs and two package outputs that alternate
-        along a replica.  So the chunk size bounds the memory a call holds.
+        A chunk is transposed into its working set, as ``layer1`` transposes
+        a batch, and one product with the replicas' stacked layer-1
+        coefficients gives every layer-1 output; each replica's packages
+        2..q then run through ``forward_batch`` into two output buffers that
+        alternate.  So the chunk size bounds the memory a call holds,
+        whatever the depth.
         """
         x0 = as_matrix(x0, dtype=self.dtype, name="batch input")
         r = x0.shape[0]
@@ -532,28 +511,12 @@ class MultiOutputCascade:
                                      f"{self.widths[0]}")
         out = np.empty((r, self.d), dtype=self.dtype)
         step = self.chunk_rows
-        starts = collections.deque(range(0, r, step))
         packages = self.replicas[0].packages
+        first = packages[0]
         coeffs1 = np.hstack([c.packages[0].coeffs for c in self.replicas])
-        k = max(pkg.k for pkg in packages)
-        n_out = max((pkg.n_out for pkg in packages[1:]), default=1)
-        rows = min(step, r)
-        sizes = (rows * self.widths[0], rows * k, rows * k, rows * coeffs1.shape[1],
-                 rows * n_out, rows * n_out)
-        # allocated here, not in the workers, so that no worker thread grows a heap of its own
-        work_sets = [[np.empty(size, dtype=self.dtype) for size in sizes]
-                     for _ in range(min(worker_count(), len(starts)))]
-        run_parallel([functools.partial(self._score_chunks, x0, out, starts, step, coeffs1, work)
-                      for work in work_sets])
-        return out
 
-    def _score_chunks(self, x0: np.ndarray, out: np.ndarray, starts: collections.deque,
-                      step: int, coeffs1: np.ndarray, work: list[np.ndarray]) -> None:
-        """Score chunks of ``x0`` into ``out`` in one working set until ``starts`` is empty."""
-        x_buf, dists, kernel_vals, x1_buf, *outputs = work
-        first = self.replicas[0].packages[0]
-        n1 = first.n_out
-        for lo in _drain(starts):
+        def score_chunk(lo: int, work: list[np.ndarray]) -> None:
+            x_buf, dists, kernel_vals, x1_buf, *outputs = work
             rows = slice(lo, lo + step)
             n = x0[rows].shape[0]
             chunk = _leading(x_buf, first.n_in, n)
@@ -561,13 +524,20 @@ class MultiOutputCascade:
             k1 = first.kernel_values(chunk, sq_dists=_leading(dists, first.k, n),
                                      out=_leading(kernel_vals, first.k, n))
             x1 = np.matmul(coeffs1.T, k1, out=_leading(x1_buf, coeffs1.shape[1], n))
-            for j, c in enumerate(self.replicas):
-                y = x1[j * n1:(j + 1) * n1]
-                for i, pkg in enumerate(c.packages[1:]):
-                    y, _ = pkg.forward(y, out=_leading(outputs[i % 2], pkg.n_out, n),
-                                       sq_dists=_leading(dists, pkg.k, n),
-                                       kernel_vals=_leading(kernel_vals, pkg.k, n))
-                out[rows, j] = y[0]
+            outs = [_leading(outputs[i % 2], pkg.n_out, n) for i, pkg in enumerate(packages[1:])]
+            for j, (c, y) in enumerate(zip(self.replicas, np.vsplit(x1, self.d))):
+                chain = [y] + outs
+                forward_batch(c.packages[1:], chain, dists, kernel_vals)
+                out[rows, j] = chain[-1][0]
+
+        starts = collections.deque(range(0, r, step))
+        k = max(pkg.k for pkg in packages)
+        n_out = max((pkg.n_out for pkg in packages[1:]), default=1)
+        width = min(step, r)
+        sizes = [width * self.widths[0], width * k, width * k, width * coeffs1.shape[1],
+                 width * n_out, width * n_out]
+        _share_out(starts, _work_sets(sizes, self.dtype, len(starts)), score_chunk)
+        return out
 
 
 def init_multi(arch_widths, seed: int, mode: str = "random", alpha: float = 1.0,
@@ -610,20 +580,18 @@ def train_multi(mc: MultiOutputCascade, x0, targets,
     The layer-1 kernel values and the stacked layer-1 product are built
     once (``MultiOutputCascade.layer1``), then the layer-1 basis H1 over
     those kernel values, replica 0's ``sweep`` in the calling thread and,
-    for d > 1, the Gram H1^T H1 every system reads.  One ``run_parallel``
-    region then trains the replicas side by side: min(workers, d) tasks
-    take whole replicas from one deque, each in a system and panel set of
-    its own (``TrainingBuffers.split``), and run each one's sweep right
-    before its ``train_step``, so a task holds one replica's intermediates
-    at a time.  A lone task (d = 1, or one core) runs in the calling
-    thread, outside any region, and splits its assembly over the cores as
-    the sweep splits its chunks.  After the region, one product gives the
-    layer-1 updates, and the replicas before the lowest failing one (all,
-    if none failed) take their new values in replica order; the others are
-    untouched, and the failing one's error is raised, naming it
-    if non-SPD or non-finite.  ``buffers`` (a new set if None) must hold r
-    rows of the model's dtype.  Targets of the wrong shape raise before any
-    update.
+    for d > 1, the Gram H1^T H1 every system reads.  The replicas are then
+    shared out (``_share_out``) over min(workers, d) pairs of a system and
+    panel sets (``TrainingBuffers.split``), and a task runs each replica's
+    sweep right before its ``train_step``, so it holds one replica's
+    intermediates at a time.  A lone task (d = 1, or one core) runs in the
+    calling thread, outside any region, so its factor and solve keep BLAS's
+    threads.  Then one product gives the layer-1 updates, and the replicas
+    before the lowest failing one (all, if none failed) take their new
+    values in replica order; the others are untouched, and the failing
+    one's error is raised, naming it if non-SPD or non-finite.  ``buffers``
+    (a new set if None) must hold r rows of the model's dtype.  Targets of
+    the wrong shape raise before any update.
     """
     k1, x1 = mc.layer1(x0)
     r = k1.shape[1]
@@ -642,22 +610,22 @@ def train_multi(mc: MultiOutputCascade, x0, targets,
     gram = np.matmul(h1.T, h1, out=_leading(buffers.gram, r, r)) if mc.d > 1 else None
     replicas = collections.deque(range(mc.d))
 
-    def train_replicas(task_buffers: TrainingBuffers) -> None:
-        for j in _drain(replicas):
-            c = mc.replicas[j]
-            try:
-                results[j] = train_step(c, swept.pop(j, None) or sweep(c, h1, x1[j]), gram,
-                                        targets[:, j:j + 1], scaled[j * n1:(j + 1) * n1],
-                                        mc.alpha, task_buffers)
-            except Exception as exc:
-                results[j] = exc
-                replicas.clear()  # no replica after the lowest failing one is applied
+    def train_replica(j: int, task_buffers: TrainingBuffers) -> None:
+        c = mc.replicas[j]
+        try:
+            results[j] = train_step(c, swept.pop(j, None) or sweep(c, h1, x1[j]), gram,
+                                    targets[:, j:j + 1], scaled[j * n1:(j + 1) * n1],
+                                    mc.alpha, task_buffers)
+        except Exception as exc:
+            results[j] = exc
+            replicas.clear()  # no replica after the lowest failing one is applied
 
     task_sets = buffers.split(min(len(buffers.systems), mc.d))
     if len(task_sets) == 1:  # no region: its factor and solve keep BLAS's own threads
-        train_replicas(task_sets[0])
+        for j in _drain(replicas):
+            train_replica(j, task_sets[0])
     else:
-        run_parallel([functools.partial(train_replicas, task_set) for task_set in task_sets])
+        _share_out(replicas, task_sets, train_replica)
     trained = list(itertools.takewhile(lambda res: isinstance(res, tuple), results))
     if trained:
         # H1 (G1 * b^T)^T of every trained replica in one product

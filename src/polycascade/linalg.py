@@ -15,15 +15,13 @@ product and every solve runs in one BLAS and its one pool of threads.
 
 ``run_parallel`` runs a parallel region on the cores of the process affinity
 (``worker_count``): the calling thread and a pool of threads made on first
-use.  Inside it, numpy's BLAS runs on one thread, set through the same
-library handle, even for a lone task, and its idle pool of threads is shut
-down, so that it holds no core the region's threads need; the count is
-restored on every exit.  Where that BLAS exports no thread-count routine, a
-region runs in the calling thread alone, and so does a region entered from
-a task, inside which ``worker_count`` reads 1.  Scoring runs one region per
-call.  A batch trains in two: replica 0's sweep, and then, for d > 1
-replicas, whole replicas side by side, or, for one, its assembly; a
-one-replica batch factors and solves outside them.
+use, with numpy's BLAS at one thread and its idle pool shut down, even for a
+lone task.  A region entered from a task, or where BLAS exports no
+thread-count routine, runs in the calling thread.  The cascade enters every
+region through one helper, ``cascade._share_out``: a scoring call enters
+one, and a training batch two, replica 0's sweep and then its assembly
+(d = 1) or the replicas' steps side by side (d > 1); a one-replica batch
+factors and solves outside them.
 
 Non-finite values are rejected where data enters and around the solve only:
 ``as_matrix`` checks batches, targets and value matrices, the training step

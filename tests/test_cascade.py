@@ -1,3 +1,4 @@
+import collections
 import itertools
 import logging
 import os
@@ -6,6 +7,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -662,6 +664,25 @@ def test_scoring_memory_peak_is_bounded():
     assert peak <= 8 * 2 ** 20
 
 
+def test_scoring_memory_does_not_grow_with_depth():
+    # scoring alternates two package outputs: one input kept per package would hold about
+    # 8 MB more for the deeper model (90 more packages of 2,048 float32 rows of width 10)
+    x = np.random.default_rng(56).uniform(-1, 1, (2048, 10)).astype(np.float32)
+    peaks = []
+    for depth in (10, 100):
+        mc = init_multi([10] * depth + [1], seed=56, mode="identity-fragments", alpha=50.0,
+                        dtype="float32")
+        assert mc.chunk_rows == 2048
+        mc.scores(x)
+        tracemalloc.start()
+        try:
+            mc.scores(x)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks
+
+
 @pytest.mark.parametrize("rows,dtype", [(5, "float64"), (6, "float32")], ids=["rows", "dtype"])
 def test_train_multi_rejects_buffers_that_cannot_hold_the_batch(rows, dtype):
     mc, cascade = single([4, 3, 1], seed=3, alpha=1.0)
@@ -1020,6 +1041,59 @@ def test_blas_thread_count_is_restored_after_a_failing_step(monkeypatch, blas_th
 # region runs its tasks one after the other in the calling thread
 needs_threads = pytest.mark.skipif(linalg._BLAS_THREADS is None,
                                    reason="regions run in the calling thread")
+
+
+def test_share_out_runs_every_item_once_under_contention():
+    # more tasks than cores take items from one deque, switching often; each runs its items
+    # in its own working set
+    work_sets = [[] for _ in range(5)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(5):
+            for work in work_sets:
+                work.clear()
+            cascade_module._share_out(collections.deque(range(500)), work_sets,
+                                      lambda item, work: work.append(item))
+            assert sorted(itertools.chain(*work_sets)) == list(range(500))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_share_out_makes_at_most_one_task_per_working_set_and_item(monkeypatch, scoring_tasks):
+    # an empty deque enters a region of no tasks, as scoring no rows does
+    for items, sets in ((0, 3), (2, 5), (5, 2), (4, 4)):
+        taken = []
+        cascade_module._share_out(collections.deque(range(items)), [()] * sets,
+                                  lambda item, work: taken.append(item))
+        assert sorted(taken) == list(range(items))
+    assert scoring_tasks == [0, 2, 2, 4]
+    # the working sets: min(workers, items) of them, each array of its size and the dtype
+    monkeypatch.setattr(cascade_module, "worker_count", lambda: 3)
+    for items, count in ((0, 0), (2, 2), (7, 3)):
+        work_sets = cascade_module._work_sets([4, 6], np.float32, items)
+        assert len(work_sets) == count
+        assert all([a.shape for a in work] == [(4,), (6,)] and work[0].dtype == np.float32
+                   for work in work_sets)
+
+
+@needs_threads
+def test_share_out_raises_a_tasks_error_once_every_task_has_ended(blas_threads):
+    # one task fails on its first item while the other is still running one
+    failed, ended = threading.Event(), []
+
+    def task(item, work):
+        if item == "fail":
+            failed.set()
+            raise ValueError("task failed")
+        assert failed.wait(30)
+        time.sleep(0.05)
+        ended.append(item)
+
+    with pytest.raises(ValueError, match="task failed"):
+        cascade_module._share_out(collections.deque(["run", "fail"]), [(), ()], task)
+    assert ended == ["run"]
+    assert blas_threads() == 3
 
 
 @needs_threads
