@@ -78,8 +78,11 @@ def _int_list(raw: str) -> list[int]:
 
 
 def _delimiter(raw: str) -> str:
-    """A delimiter value; ``\\t`` stands for a tab, which an INI value cannot hold."""
-    return "\t" if raw == "\\t" else raw
+    """One character, or none, which reading the file refuses; ``\\t`` stands for a tab."""
+    value = "\t" if raw == "\\t" else raw
+    if len(value) > 1:
+        raise ValueError("a delimiter is one character")
+    return value
 
 
 def _delimiter_text(value: str) -> str:
@@ -269,8 +272,8 @@ def load_datasets(cfg: RunConfig) -> tuple[Dataset, Dataset, TransformSpec | Non
         n_train = cfg.train_rows or int(full.n_rows * 0.8)
         if n_train >= full.n_rows:
             raise ConfigError(f"train_rows={n_train} leaves no test rows of {full.n_rows}")
-        split = Dataset(full.features, full.labels, n_train=n_train)
-        train, test = split.train, split.test
+        joined = Dataset(full.features, full.labels, n_train=n_train)
+        train, test = joined.train, joined.test
     else:  # synthetic-shells
         train, test = make_shell_task(n_train=cfg.train_rows or 20000,
                                       n_test=cfg.test_rows or 5000, dim=cfg.dim,
@@ -278,11 +281,11 @@ def load_datasets(cfg: RunConfig) -> tuple[Dataset, Dataset, TransformSpec | Non
 
     if not cfg.normalize:
         return train, test, None
-    spec = cfg.transform_spec()
-    joined = Dataset(
-        features=np.vstack([train.features, test.features]),
-        labels=np.concatenate([train.labels, test.labels]),
-        n_train=train.n_rows,
-    )
-    transformed, fitted = fit_apply_transforms(joined, spec)
+    if cfg.format != "delimited":  # a delimited table is already one array of both splits
+        joined = Dataset(
+            features=np.vstack([train.features, test.features]),
+            labels=np.concatenate([train.labels, test.labels]),
+            n_train=train.n_rows,
+        )
+    transformed, fitted = fit_apply_transforms(joined, cfg.transform_spec())
     return transformed.train, transformed.test, fitted

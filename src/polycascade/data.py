@@ -2,14 +2,16 @@
 
 Supports the two container formats the experiments use: IDX binaries (the
 MNIST pair of image/label files) and delimited numeric text with one label
-column.  Normalization is fitted on training rows only and maps each feature
-column affinely into [-1, 1]; selected columns can be log- or log1p-
+column, which numpy's C text reader parses at a peak of about twice the table.
+Normalization is fitted on training rows only and maps each feature column
+affinely into [-1, 1], in place; selected columns can be log- or log1p-
 transformed first.  A fitted spec round-trips through a JSON dict so stored
 models can reproduce their training preprocessing exactly.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import struct
@@ -17,6 +19,7 @@ import sys
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -125,80 +128,83 @@ def load_idx(images_path, labels_path) -> Dataset:
     return Dataset(features, labels.astype(np.int64))
 
 
-def _finite_chunk(path, rows: list[list[float]], row_nos: list[int]) -> np.ndarray:
-    """Parsed rows as one array; a NaN or Inf cell is named by its 1-based row and column."""
-    chunk = np.asarray(rows, dtype=np.float64)
-    finite = np.isfinite(chunk)
-    if not finite.all():
-        i, j = np.argwhere(~finite)[0]
-        raise DataFormatError(f"{path}: non-finite cell at row {row_nos[i]}, column {j + 1}: "
-                              f"{float(chunk[i, j])}")
-    return chunk
+def _number(cell: str) -> float:
+    """A cell as numpy's text reader reads it: ``float`` of ASCII text without underscores."""
+    cell = cell.strip()
+    if not cell.isascii() or "_" in cell:
+        raise ValueError(cell)
+    return float(cell)
 
 
-def load_delimited(path, label_column: int = 0, delimiter: str = ",",
-                   max_rows: int | None = None) -> Dataset:
-    """Parse a rectangular numeric table, one label column, rest features.
-
-    Streams the file line by line; memory is proportional to the parsed
-    output.  Blank lines are skipped, and ``max_rows`` (at least 1) counts
-    data rows.  Errors, including a NaN or Inf cell, carry 1-based row (file
-    line) and column coordinates; a row that is not UTF-8 text is named by
-    its row.
-    """
-    path = Path(path)
-    if not delimiter:
-        raise DataFormatError(f"{path}: the delimiter is empty")
-    if max_rows is not None and max_rows < 1:
-        raise DataFormatError(f"{path}: max_rows must be >= 1, got {max_rows}")
-    chunks: list[np.ndarray] = []
-    buf: list[list[float]] = []
-    buf_row_nos: list[int] = []
-    n_rows = 0
-    width = None
-    # undecodable bytes become lone surrogates, which no cell parses as a number
+def _raise_first_error(path, delimiter: str, max_rows: int | None, reason: str) -> NoReturn:
+    """Raise DataFormatError naming the first ragged row, unreadable or non-finite cell of
+    a file the reader refused; with ``reason``, the reader's message, if it finds none."""
+    width, n_rows = None, 0
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
         for row_no, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
                 continue
             cells = line.split(delimiter)
-            if width is None:
-                width = len(cells)
-                if label_column >= width or label_column < -width:
-                    raise DataFormatError(
-                        f"{path}: label column {label_column} out of range for {width} columns")
-            elif len(cells) != width:
+            width = width or len(cells)
+            if len(cells) != width:
                 raise DataFormatError(
                     f"{path}: row {row_no} has {len(cells)} cells, expected {width}")
-            try:
-                buf.append([float(c) for c in cells])
-            except ValueError:
+            for col_no, cell in enumerate(cells, start=1):
                 try:
-                    line.encode("utf-8")
-                except UnicodeEncodeError:
-                    raise DataFormatError(f"{path}: row {row_no} is not UTF-8 text") from None
-                for col_no, c in enumerate(cells, start=1):
-                    try:
-                        float(c)
-                    except ValueError:
-                        raise DataFormatError(
-                            f"{path}: non-numeric cell at row {row_no}, column {col_no}: {c!r}"
-                        ) from None
-                raise
-            buf_row_nos.append(row_no)
+                    value = _number(cell)
+                except ValueError:
+                    if line.encode("utf-8", "replace").decode() != line:  # has a lone surrogate
+                        raise DataFormatError(f"{path}: row {row_no} is not UTF-8 text") from None
+                    raise DataFormatError(
+                        f"{path}: non-numeric cell at row {row_no}, column {col_no}: {cell!r}"
+                    ) from None
+                if not math.isfinite(value):
+                    raise DataFormatError(f"{path}: non-finite cell at row {row_no}, "
+                                          f"column {col_no}: {value}")
             n_rows += 1
-            if len(buf) >= 65536:
-                chunks.append(_finite_chunk(path, buf, buf_row_nos))
-                buf, buf_row_nos = [], []
-            if max_rows is not None and n_rows >= max_rows:
+            if n_rows == max_rows:
                 break
-    if buf:
-        chunks.append(_finite_chunk(path, buf, buf_row_nos))
-    if not chunks:
-        raise DataFormatError(f"{path}: empty dataset")
-    table = np.vstack(chunks)
-    del chunks
+    raise DataFormatError(f"{path}: {reason}")
+
+
+def load_delimited(path, label_column: int = 0, delimiter: str = ",",
+                   max_rows: int | None = None) -> Dataset:
+    """Parse a rectangular numeric table, one label column, rest features.
+
+    The delimiter is one character, not a line end.  A cell holds a finite
+    number in ``float`` syntax, ASCII without underscores, spaces around it
+    allowed.  Blank lines are skipped; ``max_rows`` (at least 1) counts data
+    rows.  numpy's C reader parses the table into one float64 array, so
+    memory peaks at about twice the table.  A line scan runs only to name a
+    fault the reader met by its 1-based row (file line) and column, or a row
+    that is not UTF-8 text by its row.
+    """
+    path = Path(path)
+    if not delimiter:
+        raise DataFormatError(f"{path}: the delimiter is empty")
+    if len(delimiter) > 1 or delimiter in "\r\n":
+        raise DataFormatError(f"{path}: the delimiter must be one character other than a line "
+                              f"end, got {delimiter!r}")
+    if max_rows is not None and max_rows < 1:
+        raise DataFormatError(f"{path}: max_rows must be >= 1, got {max_rows}")
+    # undecodable bytes become lone surrogates, which no cell parses as a number
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
+        lines = filter(None, map(str.strip, f))
+        first = next(lines, None)
+        if first is None:
+            raise DataFormatError(f"{path}: empty dataset")
+        width = len(first.split(delimiter))
+        if label_column >= width or label_column < -width:
+            raise DataFormatError(
+                f"{path}: label column {label_column} out of range for {width} columns")
+        try:
+            table = np.loadtxt(itertools.chain([first], lines), dtype=np.float64,
+                               delimiter=delimiter, comments=None, ndmin=2, max_rows=max_rows)
+        except ValueError as exc:
+            _raise_first_error(path, delimiter, max_rows, str(exc))
+    if not np.isfinite(table).all():
+        _raise_first_error(path, delimiter, max_rows, "a cell is NaN or Inf")
     label = label_column % width
     return Dataset(np.delete(table, label, axis=1), table[:, label].copy())
 
@@ -285,25 +291,24 @@ class TransformSpec:
                    clamp=d.get("clamp", False), col_min=col_min, col_max=col_max)
 
 
-def _apply_logs(features: np.ndarray, spec: TransformSpec, path_hint: str) -> np.ndarray:
-    out = features.copy()
+def _apply_logs(features: np.ndarray, spec: TransformSpec, out: np.ndarray) -> None:
+    """Write the log and log1p transforms of the named ``features`` columns into ``out``."""
     for col in spec.log_columns:
-        column = out[:, col]
+        column = features[:, col]
         if np.any(column <= 0):
             bad = int(np.argmax(column <= 0))
             raise DataFormatError(
-                f"{path_hint}: log column {col} has non-positive value {column[bad]} "
+                f"features: log column {col} has non-positive value {column[bad]} "
                 f"at data row {bad + 1} (blank lines not counted)")
         out[:, col] = np.log(column)
     for col in spec.log1p_columns:
-        column = out[:, col]
+        column = features[:, col]
         if np.any(column <= -1):
             bad = int(np.argmax(column <= -1))
             raise DataFormatError(
-                f"{path_hint}: log1p column {col} has value {column[bad]} <= -1 "
+                f"features: log1p column {col} has value {column[bad]} <= -1 "
                 f"at data row {bad + 1} (blank lines not counted)")
         out[:, col] = np.log1p(column)
-    return out
 
 
 def fit_apply_transforms(dataset: Dataset, spec: TransformSpec,
@@ -313,39 +318,48 @@ def fit_apply_transforms(dataset: Dataset, spec: TransformSpec,
     Log transforms run first, then each column maps affinely so the training
     min/max land on -1/+1.  Zero-range columns map to 0 everywhere.  Rows
     outside the training bounds (test split) pass through unclamped unless
-    the spec asks for clamping.  A value that does not normalise to a
-    finite number raises ``DataFormatError`` naming its 0-based feature
-    index, the index ``log_columns`` uses, and its 1-based data row, which
-    counts rows of ``dataset`` (blank lines of a delimited file are not
-    rows; ``load_delimited``'s own errors name file lines).
+    the spec asks for clamping, all in place in one output array.  A value
+    that does not normalise to a finite number raises ``DataFormatError``
+    naming its 0-based feature index, the index ``log_columns`` uses, and its
+    1-based data row, which counts rows of ``dataset`` (blank lines of a
+    delimited file are not rows; ``load_delimited``'s own errors name file
+    lines).
     """
     spec.check_width(dataset.n_features)
-    transformed = _apply_logs(dataset.features, spec, "features")
+    features = dataset.features
+    # the dtype of ``features - lo``: float64 against fitted bounds, else the features' float type
+    out = features.astype(np.result_type(features.dtype, np.float64 if spec.fitted else 1.0))
+    _apply_logs(features, spec, out)
 
     if spec.fitted:
         lo = np.asarray(spec.col_min, dtype=np.float64)
         hi = np.asarray(spec.col_max, dtype=np.float64)
         fitted = spec
     else:
-        train_rows = transformed if dataset.n_train is None else transformed[:dataset.n_train]
+        train_rows = out if dataset.n_train is None else out[:dataset.n_train]
         lo = train_rows.min(axis=0)
         hi = train_rows.max(axis=0)
         fitted = replace(spec, col_min=tuple(lo.tolist()), col_max=tuple(hi.tolist()))
 
-    # an overflow here is reported below, with its row and feature
+    # 2 * (x - lo) / span - 1, one operation at a time in place; an overflow is reported below
     with np.errstate(over="ignore", invalid="ignore"):
         span = hi - lo
         safe_span = np.where(span > 0, span, 1.0)
-        scaled = 2.0 * (transformed - lo) / safe_span - 1.0
-    scaled[:, span == 0] = 0.0
+        out -= lo
+        out *= 2.0
+        out /= safe_span
+        out -= 1.0
+    out[:, span == 0] = 0.0
     if spec.clamp:
-        np.clip(scaled, -1.0, 1.0, out=scaled)
-    if not np.isfinite(scaled).all():
-        i, j = np.argwhere(~np.isfinite(scaled))[0]
+        np.clip(out, -1.0, 1.0, out=out)
+    if not np.isfinite(out).all():
+        i, j = np.argwhere(~np.isfinite(out))[0]
+        row = features[i:i + 1].astype(out.dtype)
+        _apply_logs(features[i:i + 1], spec, row)
         raise DataFormatError(f"feature {j} of data row {i + 1} (blank lines not counted) "
-                              f"normalises to {scaled[i, j]}: value {transformed[i, j]}, "
+                              f"normalises to {out[i, j]}: value {row[0, j]}, "
                               f"training bounds [{lo[j]}, {hi[j]}]")
-    return Dataset(scaled, dataset.labels, n_train=dataset.n_train), fitted
+    return Dataset(out, dataset.labels, n_train=dataset.n_train), fitted
 
 
 @dataclass(frozen=True)

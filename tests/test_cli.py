@@ -200,6 +200,8 @@ def eval_inputs(tmp_path, n_features, preprocessing=None):
      "features"),
     (3, {"col_min": 5}, [], "invalid preprocessing spec"),
     (3, None, ["--delimiter", ""], "delimiter is empty"),
+    (3, None, ["--delimiter", "::"], "delimiter must be one character other than a line end, "
+                                     "got '::'"),
     (3, {"col_min": [0.0, 1.0, 0.0], "col_max": [1.0, 0.0, 1.0]}, [],
      "snapshot error: invalid preprocessing spec: preprocessing col_min exceeds col_max"),
     (3, {"log_columns": [5]}, [],
@@ -209,7 +211,7 @@ def eval_inputs(tmp_path, n_features, preprocessing=None):
     (3, {"col_min": [-1.7e308, 0.0, 0.0], "col_max": [1.7e308, 1.0, 1.0]}, [],
      "snapshot error: invalid preprocessing spec: preprocessing bounds are too far apart"),
 ], ids=["width-mismatch", "spec-width-mismatch", "mistyped-spec", "empty-delimiter",
-        "crossed-bounds", "column-beyond-width", "negative-column", "range-overflows"])
+        "two-character-delimiter", "crossed-bounds", "column-beyond-width", "negative-column", "range-overflows"])
 def test_eval_bad_input_exit_2(tmp_path, capsys, n_features, preprocessing, extra, message):
     snapshot, data = eval_inputs(tmp_path, n_features, preprocessing)
     assert main(["eval", snapshot, data, *extra]) == EXIT_CONFIG
@@ -231,6 +233,14 @@ def test_train_empty_delimiter_exit_2(tmp_path, capsys):
     assert load_run_config(path).delimiter == ""
     assert main(["train", str(path)]) == EXIT_CONFIG
     assert "delimiter is empty" in capsys.readouterr().err
+
+
+def test_train_two_character_delimiter_fails_at_config_load(tmp_path, capsys):
+    path = delimited_config(tmp_path, "delimiter = ::")
+    with pytest.raises(ConfigError, match=r"\[data\] delimiter = '::': a delimiter is one character"):
+        load_run_config(path)
+    assert main(["train", str(path), "--dry-run"]) == EXIT_CONFIG
+    assert "config error:" in capsys.readouterr().err
 
 
 def test_semicolon_delimiter_reloads_from_written_config(tmp_path):

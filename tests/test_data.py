@@ -3,15 +3,19 @@ import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polycascade
-from polycascade.data import (BoundedReader, DataFormatError, Dataset, TransformSpec, batches,
-                              fit_apply_transforms, load_delimited, load_idx)
+from polycascade.config import RunConfig, load_datasets
+from polycascade.data import (BoundedReader, DataFormatError, Dataset, TransformSpec, _number,
+                              batches, fit_apply_transforms, load_delimited, load_idx)
 
 
 def write_idx_pair(tmp_path, images, labels, image_magic=0x803, label_magic=0x801,
@@ -154,6 +158,93 @@ def test_load_delimited_empty(tmp_path):
         load_delimited(p)
 
 
+def test_load_delimited_matches_a_per_cell_float_reference(tmp_path):
+    lines = ["0.5 \t-2e3\t 1", "", "   \t  ", " 1.25\t+4.\t0 ", "\t", "-0.0\t.5E-2\t1",
+             "7\t8\t0"]
+    p = tmp_path / "data.tsv"
+    p.write_bytes("\r\n".join(lines).encode() + b"\r\n")
+    rows = [[float(c) for c in line.split("\t")] for line in lines if line.strip()][:3]
+    ds = load_delimited(p, label_column=-1, delimiter="\t", max_rows=3)
+    assert np.array_equal(ds.features, np.array(rows)[:, :2])
+    assert np.array_equal(ds.labels, np.array(rows)[:, 2])
+
+
+@pytest.mark.parametrize("cell", ["1_000", "\uff11"], ids=["underscore", "full-width-digit"])
+def test_load_delimited_names_a_cell_that_only_pythons_float_reads(tmp_path, cell):
+    assert float(cell) in (1000.0, 1.0)
+    p = tmp_path / "bad.csv"
+    p.write_text(f"1,2,3\n\n0,{cell},6\n", encoding="utf-8")
+    with pytest.raises(DataFormatError, match=f"non-numeric cell at row 3, column 2: '{cell}'"):
+        load_delimited(p)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(st.sampled_from(["1", "0", "+", "-", ".", "e", "E", "_", " ", "\t", "\u3000",
+                                  "\uff11", "\u0661", "inf", "Infinity", "nan", "x"]),
+                max_size=6).map("".join))
+def test_rescan_reads_a_cell_as_numpys_reader_does(cell):
+    # the rescan names the cells the reader refused, so it must refuse exactly those
+    try:
+        expected = np.loadtxt([f"0,{cell},0"], delimiter=",", comments=None, ndmin=2)[0, 1]
+    except ValueError:
+        with pytest.raises(ValueError):
+            _number(cell)
+    else:
+        assert _number(cell) == expected or (np.isnan(expected) and np.isnan(_number(cell)))
+
+
+@pytest.mark.parametrize("delimiter", ["::", "\n", "\r"])
+def test_load_delimited_rejects_a_delimiter_that_is_not_one_character_before_opening_the_file(
+        tmp_path, delimiter):
+    with pytest.raises(DataFormatError, match="delimiter must be one character"):
+        load_delimited(tmp_path / "missing.csv", delimiter=delimiter)
+
+
+@pytest.fixture(scope="module")
+def wide_table(tmp_path_factory):
+    """A 20,000 x 29 CSV: a 0/1 label, then 28 features."""
+    rng = np.random.default_rng(31)
+    path = tmp_path_factory.mktemp("wide") / "wide.csv"
+    np.savetxt(path, np.column_stack([rng.integers(0, 2, 20000), rng.normal(size=(20000, 28))]),
+               delimiter=",")
+    return path
+
+
+def traced_peak(call):
+    """The result of ``call()`` and the most bytes it held at once beyond what it started with."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_load_delimited_peaks_at_about_two_copies_of_its_table(wide_table):
+    ds, peak = traced_peak(lambda: load_delimited(wide_table))
+    table_bytes = ds.features.nbytes + ds.labels.nbytes
+    assert ds.features.shape == (20000, 28)
+    assert peak <= 2.1 * table_bytes, peak / table_bytes
+
+
+def test_fit_apply_transforms_peaks_at_about_one_copy_of_the_features():
+    features = np.random.default_rng(32).normal(size=(20000, 28))
+    ds = Dataset(features, np.zeros(20000), n_train=16000)
+    (_, fitted), peak = traced_peak(lambda: fit_apply_transforms(ds, TransformSpec()))
+    assert peak <= 1.2 * features.nbytes, peak / features.nbytes
+    _, peak = traced_peak(lambda: fit_apply_transforms(ds, fitted))
+    assert peak <= 1.2 * features.nbytes, peak / features.nbytes
+
+
+def test_load_datasets_normalises_a_delimited_table_without_stacking_its_splits(wide_table):
+    cfg = RunConfig(format="delimited", path=wide_table, widths=[28, 4, 1])
+    (train, test, _), peak = traced_peak(lambda: load_datasets(cfg))
+    feature_bytes = train.features.nbytes + test.features.nbytes
+    assert (train.n_rows, test.n_rows) == (16000, 4000)
+    assert peak <= 2.3 * feature_bytes, peak / feature_bytes
+
+
 def test_dataset_split_views():
     ds = Dataset(np.arange(12.0).reshape(6, 2), np.arange(6), n_train=4)
     assert ds.train.n_rows == 4
@@ -288,6 +379,22 @@ def test_normalization_roundtrip():
     expected = 2.0 * (features[:, keep] - lo[keep]) / (hi[keep] - lo[keep]) - 1.0
     assert np.array_equal(out.features[:, keep], expected)
     assert np.all(out.features[:, 2] == 0.0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_in_place_normalisation_keeps_the_bits_and_dtype_of_the_formula(dtype):
+    features = np.random.default_rng(5).uniform(0.5, 9, (40, 3)).astype(dtype)
+    ds = Dataset(features, np.zeros(40), n_train=30)
+    for spec in (TransformSpec(log_columns=(1,)), TransformSpec(log_columns=(1,), col_min=(
+            0.0, -1.0, 0.0), col_max=(9.0, 3.0, 9.0))):
+        logged = features.copy()
+        logged[:, 1] = np.log(features[:, 1])
+        out, fitted = fit_apply_transforms(ds, spec)
+        lo, hi = (np.asarray(fitted.col_min), np.asarray(fitted.col_max)) if spec.fitted else (
+            logged[:30].min(axis=0), logged[:30].max(axis=0))
+        expected = 2.0 * (logged - lo) / (hi - lo) - 1.0
+        assert out.features.dtype == expected.dtype == (np.float64 if spec.fitted else dtype)
+        assert np.array_equal(out.features, expected)
 
 
 def test_transform_spec_json_roundtrip():
