@@ -11,13 +11,13 @@ input, output and derivative is n x r, and its distances, kernel values and
 basis are k x r, so the batch's rows are the columns of every array.
 ``scores`` still returns r x d.
 
-Every parallel region of the cascade is one ``_share_out`` call, which
-drains a deque of items over working sets that the calling thread
-allocates: ``sweep`` and ``scores`` share out row chunks, each running
-packages 2..q through the one package loop ``forward_batch``;
-``assemble_system`` shares out panels; and ``train_multi`` shares out whole
-replicas for d > 1.  The chunks are set by the rows and the model alone, so
-the worker count sets which task runs a chunk, not its bits.
+Four callers share work out in a parallel region (``linalg.run_parallel``),
+over working sets that the calling thread allocates: ``sweep`` and
+``scores`` share out row chunks, each running packages 2..q through the one
+package loop ``forward_batch``; ``assemble_system`` shares out panels; and
+``train_multi`` shares out whole replicas for d > 1.  The chunks are set by
+the rows and the model alone, so the worker count sets which task runs a
+chunk, not its bits.
 
 Training never uses gradient descent: after a forward pass, the
 derivative matrices are propagated backward, each package contributes an
@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import collections
 import copy
-import functools
 import itertools
 import logging
 import math
@@ -119,45 +118,13 @@ def _row_chunks(r: int, packages: list[Package]) -> collections.deque:
     return collections.deque(slice(lo, hi) for lo, hi in zip(bounds, bounds[1:]))
 
 
-def _drain(items: collections.deque):
-    """Items popped from the left of ``items`` until it is empty.
-
-    ``popleft`` is atomic, so tasks that drain one deque never take the same item.
-    """
-    while True:
-        try:
-            yield items.popleft()
-        except IndexError:
-            return
-
-
 def _work_sets(sizes: list[int], dtype, items: int) -> list[list[np.ndarray]]:
-    """min(workers, ``items``) working sets of flat arrays of ``sizes`` for ``_share_out``.
+    """min(workers, ``items``) working sets of flat arrays of ``sizes`` for ``run_parallel``.
 
     Allocated in the calling thread, not in the workers, so that no worker
     thread grows a heap of its own.
     """
     return [[np.empty(size, dtype) for size in sizes] for _ in range(min(worker_count(), items))]
-
-
-def _share_out(items: collections.deque, work_sets: list, task) -> None:
-    """Run ``task(item, work)`` for every item of ``items`` in one ``run_parallel`` region.
-
-    The cascade's one parallel engine.  The region has one task per working
-    set of ``work_sets``, but never more tasks than items, and each takes
-    items from the deque (``_drain``) until it is empty and runs them in its
-    set: the calling thread runs one task and a pool of threads the others.
-    numpy's BLAS runs at one thread meanwhile, for a lone task too, so an
-    item gets the same bits whichever task runs it and however many run.
-    Tasks write disjoint parts of arrays allocated before the region and
-    need no lock.  An empty deque enters a region of no tasks.  A task's
-    exception is raised once every task has ended.
-    """
-    def drain(work) -> None:
-        for item in _drain(items):
-            task(item, work)
-
-    run_parallel([functools.partial(drain, work) for work in work_sets[:len(items)]])
 
 
 def sweep(cascade: Cascade, h1: np.ndarray, x1: np.ndarray,
@@ -171,7 +138,7 @@ def sweep(cascade: Cascade, h1: np.ndarray, x1: np.ndarray,
     batch's layer-1 basis that every replica shares, and is not written.
 
     Packages 2..q run in the row chunks of ``_row_chunks``, shared out
-    (``_share_out``) over working sets of one chunk: its input to every
+    (``run_parallel``) over working sets of one chunk: its input to every
     package (n_i x c) and one k x c array each of distances and kernel
     values.  A chunk runs ``forward_batch`` and ``backward_quantities`` in
     its set and writes only its columns of the output, bases and
@@ -199,7 +166,7 @@ def sweep(cascade: Cascade, h1: np.ndarray, x1: np.ndarray,
     width = max(c.stop - c.start for c in chunks)
     k = max(pkg.k for pkg in packages)
     sizes = [pkg.n_in * width for pkg in packages] + [k * width, k * width]
-    _share_out(chunks, _work_sets(sizes, dt, len(chunks)), sweep_chunk)
+    run_parallel(chunks, _work_sets(sizes, dt, len(chunks)), sweep_chunk)
     return output, bases, grads
 
 
@@ -264,7 +231,7 @@ class TrainingBuffers:
         self.dtype = resolve_dtype(dtype)
         self.gram = None
         self.systems: list[np.ndarray] = []
-        self.panel_sets: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self.panel_sets: list[list[np.ndarray]] = []
 
     @classmethod
     def fitting(cls, buffers: TrainingBuffers | None, h1: np.ndarray,
@@ -282,18 +249,15 @@ class TrainingBuffers:
         n, dt = buffers.rows, buffers.dtype
         if not buffers.systems:
             panel = min(PANEL_ROWS, n) * n
-            sets = max(1, min(worker_count(), max(-(-n // PANEL_ROWS), replicas)))
-            buffers.panel_sets = [tuple(np.empty(panel, dt) for _ in range(3))
-                                  for _ in range(sets)]
-            buffers.systems = [np.empty(n * n, dt) for _ in range(min(sets, replicas))]
+            buffers.panel_sets = _work_sets([panel] * 3, dt, max(-(-n // PANEL_ROWS), replicas))
+            buffers.systems = [np.empty(n * n, dt)
+                               for _ in range(min(len(buffers.panel_sets), replicas))]
         if replicas > 1 and buffers.gram is None:
             buffers.gram = np.empty(n * n, dt)
         return buffers
 
     def split(self, tasks: int) -> list[TrainingBuffers]:
         """Sets for ``tasks`` tasks side by side: task i's has system i and every tasks-th panel set."""
-        if tasks == 1:
-            return [self]
         views = [copy.copy(self) for _ in range(tasks)]
         for i, view in enumerate(views):
             view.systems, view.panel_sets = [self.systems[i]], self.panel_sets[i::tasks]
@@ -323,7 +287,7 @@ def assemble_system(bases: list[np.ndarray], grads: list[np.ndarray], alpha: flo
     other package's.  The last package's G is a row of ones, so its H^T H
     is added alone.
 
-    The panels are shared out (``_share_out``), largest first, over the
+    The panels are shared out (``run_parallel``), largest first, over the
     panel sets of ``buffers``; panels write disjoint rows and their mirrored
     columns.  Every array is a view of ``buffers`` (a
     set made for this call when None), so the returned system is
@@ -332,36 +296,32 @@ def assemble_system(bases: list[np.ndarray], grads: list[np.ndarray], alpha: flo
     r, dt = bases[0].shape[1], bases[0].dtype
     buffers = TrainingBuffers.fitting(buffers, bases[0])
     system = _leading(buffers.systems[0], r, r)
-    starts = collections.deque(reversed(range(0, r, PANEL_ROWS)))
-    _share_out(starts, buffers.panel_sets,
-               functools.partial(_assemble_panel, system, gram, bases, grads))
+    h1, g1 = bases[0], grads[0]
+
+    def assemble_panel(i0: int, panel_set: list[np.ndarray]) -> None:
+        rows = slice(i0, min(i0 + PANEL_ROWS, r))
+        i1 = rows.stop
+        acc, hh, gg = (_leading(b, i1 - i0, i1) for b in panel_set)
+        h1h1 = np.matmul(h1[:, rows].T, h1[:, :i1], out=acc) if gram is None else gram[rows, :i1]
+        if len(bases) == 1:
+            acc = h1h1
+        else:
+            np.multiply(h1h1, np.matmul(g1[:, rows].T, g1[:, :i1], out=gg), out=acc)
+            for h, g in zip(bases[1:-1], grads[1:-1]):
+                acc += np.multiply(np.matmul(h[:, rows].T, h[:, :i1], out=hh),
+                                   np.matmul(g[:, rows].T, g[:, :i1], out=gg), out=hh)
+            last = bases[-1]
+            acc += np.matmul(last[:, rows].T, last[:, :i1], out=hh)
+        system[rows, :i1] = acc
+        # mirror the finished rows; the diagonal block's upper half too, so s == s.T exactly
+        system[:i0, rows] = acc[:, :i0].T
+        block = system[rows, rows]
+        np.copyto(block, block.T, where=_STRICT_UPPER[:block.shape[0], :block.shape[0]])
+
+    run_parallel(collections.deque(reversed(range(0, r, PANEL_ROWS))), buffers.panel_sets,
+                 assemble_panel)
     system[np.diag_indices(r)] += dt.type(alpha)
     return system
-
-
-def _assemble_panel(system: np.ndarray, gram: np.ndarray | None, bases: list[np.ndarray],
-                    grads: list[np.ndarray], i0: int,
-                    panel_set: tuple[np.ndarray, np.ndarray, np.ndarray]) -> None:
-    """Build the panel of ``assemble_system`` whose rows start at ``i0``, in ``panel_set``."""
-    rows = slice(i0, min(i0 + PANEL_ROWS, system.shape[0]))
-    i1 = rows.stop
-    h1, g1 = bases[0], grads[0]
-    acc, hh, gg = (_leading(b, i1 - i0, i1) for b in panel_set)
-    h1h1 = np.matmul(h1[:, rows].T, h1[:, :i1], out=acc) if gram is None else gram[rows, :i1]
-    if len(bases) == 1:
-        acc = h1h1
-    else:
-        np.multiply(h1h1, np.matmul(g1[:, rows].T, g1[:, :i1], out=gg), out=acc)
-        for h, g in zip(bases[1:-1], grads[1:-1]):
-            acc += np.multiply(np.matmul(h[:, rows].T, h[:, :i1], out=hh),
-                               np.matmul(g[:, rows].T, g[:, :i1], out=gg), out=hh)
-        last = bases[-1]
-        acc += np.matmul(last[:, rows].T, last[:, :i1], out=hh)
-    system[rows, :i1] = acc
-    # mirror the finished rows; the diagonal block's upper half too, so s == s.T exactly
-    system[:i0, rows] = acc[:, :i0].T
-    block = system[rows, rows]
-    np.copyto(block, block.T, where=_STRICT_UPPER[:block.shape[0], :block.shape[0]])
 
 
 def train_step(cascade: Cascade, swept: tuple[np.ndarray, list[np.ndarray], list[np.ndarray]],
@@ -484,6 +444,8 @@ class MultiOutputCascade:
         """
         x0 = as_matrix(x0, dtype=self.dtype, name="batch input")
         k1 = self.replicas[0].packages[0].kernel_values(np.ascontiguousarray(x0.T))
+        # one product over a stacked copy: a product per replica keeps the bits, but took 8-36 %
+        # longer on the 784-wide d = 10 shapes
         coeffs1 = np.hstack([c.packages[0].coeffs for c in self.replicas])
         return k1, np.vsplit(coeffs1.T @ k1, self.d)
 
@@ -491,7 +453,7 @@ class MultiOutputCascade:
         """Replica outputs (r x d), keeping no states, on the cores of the process affinity.
 
         The batch is checked once, here, and its chunks of ``chunk_rows``
-        rows are shared out (``_share_out``), so the scores do not depend on
+        rows are shared out (``run_parallel``), so the scores do not depend on
         the worker count.  Nor do they depend on how many rows the call has,
         except in the last bits of the call's final partial block of
         ``PART_ROW_MULTIPLE`` rows: the first m rows of a batch, m a multiple
@@ -513,6 +475,7 @@ class MultiOutputCascade:
         step = self.chunk_rows
         packages = self.replicas[0].packages
         first = packages[0]
+        # stacked as in ``layer1``, where one product per replica was slower
         coeffs1 = np.hstack([c.packages[0].coeffs for c in self.replicas])
 
         def score_chunk(lo: int, work: list[np.ndarray]) -> None:
@@ -536,7 +499,7 @@ class MultiOutputCascade:
         width = min(step, r)
         sizes = [width * self.widths[0], width * k, width * k, width * coeffs1.shape[1],
                  width * n_out, width * n_out]
-        _share_out(starts, _work_sets(sizes, self.dtype, len(starts)), score_chunk)
+        run_parallel(starts, _work_sets(sizes, self.dtype, len(starts)), score_chunk)
         return out
 
 
@@ -580,13 +543,13 @@ def train_multi(mc: MultiOutputCascade, x0, targets,
     The layer-1 kernel values and the stacked layer-1 product are built
     once (``MultiOutputCascade.layer1``), then the layer-1 basis H1 over
     those kernel values, replica 0's ``sweep`` in the calling thread and,
-    for d > 1, the Gram H1^T H1 every system reads.  The replicas are then
-    shared out (``_share_out``) over min(workers, d) pairs of a system and
-    panel sets (``TrainingBuffers.split``), and a task runs each replica's
-    sweep right before its ``train_step``, so it holds one replica's
-    intermediates at a time.  A lone task (d = 1, or one core) runs in the
-    calling thread, outside any region, so its factor and solve keep BLAS's
-    threads.  Then one product gives the layer-1 updates, and the replicas
+    for d > 1, the Gram H1^T H1 every system reads.  For d > 1 the replicas
+    are then shared out (``run_parallel``) over min(workers, d) pairs of a
+    system and panel sets (``TrainingBuffers.split``), one worker's included,
+    and a task runs each replica's sweep right before its ``train_step``, so
+    it holds one replica's intermediates at a time.  A one-replica model
+    trains in the calling thread, outside any region, so its factor and
+    solve keep BLAS's threads.  Then one product gives the layer-1 updates, and the replicas
     before the lowest failing one (all, if none failed) take their new
     values in replica order; the others are untouched, and the failing
     one's error is raised, naming it if non-SPD or non-finite.  ``buffers``
@@ -603,7 +566,9 @@ def train_multi(mc: MultiOutputCascade, x0, targets,
     h1 = mc.replicas[0].packages[0].cardinal_basis(k1)
     swept = {0: sweep(mc.replicas[0], h1, x1[0])}
     # after the sweep's arrays, so the allocator keeps the memory they free for the next batch
-    # instead of returning it to the system
+    # instead of returning it to the system: a set allocated at the epoch's start instead, before
+    # its first sweep, made a shells-deep training round fault in 10,400-11,600 pages where it
+    # faulted in 3,300-8,500, and took 7-19 % longer
     buffers = TrainingBuffers.fitting(buffers, h1, replicas=mc.d)
     scaled = np.empty((mc.d * n1, r), dtype=mc.dtype)
     # every replica's system reads H1^T H1: one product per batch
@@ -620,12 +585,10 @@ def train_multi(mc: MultiOutputCascade, x0, targets,
             results[j] = exc
             replicas.clear()  # no replica after the lowest failing one is applied
 
-    task_sets = buffers.split(min(len(buffers.systems), mc.d))
-    if len(task_sets) == 1:  # no region: its factor and solve keep BLAS's own threads
-        for j in _drain(replicas):
-            train_replica(j, task_sets[0])
+    if mc.d == 1:  # no region: its factor and solve keep BLAS's own threads
+        train_replica(replicas.popleft(), buffers)
     else:
-        _share_out(replicas, task_sets, train_replica)
+        run_parallel(replicas, buffers.split(min(len(buffers.systems), mc.d)), train_replica)
     trained = list(itertools.takewhile(lambda res: isinstance(res, tuple), results))
     if trained:
         # H1 (G1 * b^T)^T of every trained replica in one product

@@ -13,15 +13,8 @@ exports no such routine, ``np.linalg.cholesky``, two numpy solves and a plain
 product stand in.  numpy is the only linear-algebra library loaded, so every
 product and every solve runs in one BLAS and its one pool of threads.
 
-``run_parallel`` runs a parallel region on the cores of the process affinity
-(``worker_count``): the calling thread and a pool of threads made on first
-use, with numpy's BLAS at one thread and its idle pool shut down, even for a
-lone task.  A region entered from a task, or where BLAS exports no
-thread-count routine, runs in the calling thread.  The cascade enters every
-region through one helper, ``cascade._share_out``: a scoring call enters
-one, and a training batch two, replica 0's sweep and then its assembly
-(d = 1) or the replicas' steps side by side (d > 1); a one-replica batch
-factors and solves outside them.
+``run_parallel`` is the one parallel region, on the cores of the process
+affinity (``worker_count``); its docstring describes how a region runs.
 
 Non-finite values are rejected where data enters and around the solve only:
 ``as_matrix`` checks batches, targets and value matrices, the training step
@@ -33,6 +26,7 @@ and is reported as ``NonFiniteError``.
 
 from __future__ import annotations
 
+import collections
 import contextvars
 import ctypes
 import os
@@ -311,42 +305,62 @@ def worker_count() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def run_parallel(tasks: list) -> None:
-    """Run ``tasks[0]`` in the calling thread and the others on a pool of threads, and wait for all.
+def run_parallel(items: collections.deque, work_sets: list, task) -> None:
+    """Run ``task(item, work)`` for every item of ``items`` in one parallel region, and wait for all.
 
-    numpy's BLAS runs on one thread while the tasks do, however many there
-    are, so that a task's products get the same bits whichever task runs
-    them and however many run, and do not contend for the cores with BLAS's
-    own threads; its idle pool is shut down first, since those threads spin
-    on a core for a while after each threaded call.  A lone task runs in the
-    calling thread.  The count is restored however the region ends, which
-    starts the pool again.  The count is process-global, so a module lock
-    lets one region run at a time.  A region entered from a task runs its
-    tasks in that task's thread, since it would otherwise wait on the lock
-    its caller holds, and so does a region where BLAS exports no
-    thread-count routine, with BLAS as it is.  Each task runs in a copy of
-    the caller's ``contextvars`` context, so ``np.errstate`` holds in it.
-    The pool is made on first use, with ``worker_count() - 1`` threads;
-    tasks beyond that wait for one.  Once every task has ended, the calling
+    The library's one parallel region.  It starts one task per working set
+    of ``work_sets``, but never more tasks than items, and each task pops
+    items from the left of the deque until it is empty and runs them in its
+    set; ``popleft`` is atomic, so no two tasks take the same item.  The
+    calling thread runs one task and a pool of threads the others.  Tasks
+    write disjoint parts of arrays allocated before the region and need no
+    lock.  An empty deque starts no task.
+
+    numpy's BLAS runs on one thread while the tasks do, a lone task's
+    included, so that an item gets the same bits whichever task runs it and
+    however many run, and its products do not contend for the cores with
+    BLAS's own threads; its idle pool is shut down first, since those
+    threads spin on a core for a while after each threaded call.  The count
+    is restored however the region ends, which starts the pool again.  The
+    count is process-global, so a module lock lets one region run at a
+    time.  A region entered from a task runs in that task's thread, since
+    it would otherwise wait on the lock its caller holds, and so does a
+    region where BLAS exports no thread-count routine, with BLAS as it is.
+    Each task runs in a copy of the caller's ``contextvars`` context, so
+    ``np.errstate`` holds in it.  The pool is made on first use, with
+    ``worker_count() - 1`` threads, and forgotten in a forked child; tasks
+    beyond its threads wait for one.  Once every task has ended, the calling
     thread's exception, or else the first worker's, is raised.
     """
     global _pool
-    if not tasks or _BLAS_THREADS is None or _IN_TASK.get():
-        for task in tasks:
-            task()
+
+    def drain(work) -> None:
+        while True:
+            try:
+                item = items.popleft()
+            except IndexError:
+                return
+            task(item, work)
+
+    work_sets = work_sets[:len(items)]
+    if not work_sets:
+        return
+    if _BLAS_THREADS is None or _IN_TASK.get():
+        drain(work_sets[0])
         return
     get_threads, set_threads, shutdown = _BLAS_THREADS
     with _PARALLEL_LOCK:
-        if _pool is None and len(tasks) > 1:
+        if _pool is None and len(work_sets) > 1:
             _pool = ThreadPoolExecutor(max(worker_count() - 1, 1),
                                        thread_name_prefix="polycascade")
         saved, token = get_threads(), _IN_TASK.set(True)
         try:
             set_threads(1)  # before the shutdown: setting the count starts the pool
             shutdown()
-            futures = [_pool.submit(contextvars.copy_context().run, task) for task in tasks[1:]]
+            futures = [_pool.submit(contextvars.copy_context().run, drain, work)
+                       for work in work_sets[1:]]
             try:
-                tasks[0]()
+                drain(work_sets[0])
             finally:
                 wait(futures)
             for future in futures:

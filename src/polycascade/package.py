@@ -20,7 +20,7 @@ Forward evaluation of a batch X:
     output      = coeffs^T @ kernel_vals        (n_out x c)
 
 The first two stages do not depend on the values (``kernel_values``); only
-the last product does (``evaluate``).  The distances are not clamped, since
+the last product does (``forward``).  The distances are not clamped, since
 their expanded form rounds to no less than zero; ``phi_matrix`` and
 ``theta_matrix`` clamp their inputs before the logarithm, so a forward step
 clamps once.
@@ -103,10 +103,6 @@ class Package:
         m = self.squared_distances(np.asarray(x, dtype=self.dtype), out=sq_dists)
         return phi_matrix(m, self.kernel, out=out)
 
-    def evaluate(self, kernel_vals: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Output (n_out x c) of a batch's kernel values at the current values, in ``out``."""
-        return np.matmul(self.coeffs.T, kernel_vals, out=out)
-
     def forward(self, x, out: np.ndarray | None = None, sq_dists: np.ndarray | None = None,
                 kernel_vals: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Evaluate the package on a batch (n_in x c): its output and ``kernel_values``.
@@ -115,7 +111,7 @@ class Package:
         written into ``out``, ``sq_dists`` and ``kernel_vals`` when given.
         """
         kernel_vals = self.kernel_values(x, sq_dists=sq_dists, out=kernel_vals)
-        return self.evaluate(kernel_vals, out=out), kernel_vals
+        return np.matmul(self.coeffs.T, kernel_vals, out=out), kernel_vals
 
     # -- coefficient recovery -------------------------------------------------
 

@@ -469,9 +469,9 @@ def scoring_tasks(monkeypatch):
     """The task count of every ``run_parallel`` region that ``cascade`` enters, in order."""
     counts = []
 
-    def counting(tasks):
-        counts.append(len(tasks))
-        run_parallel(tasks)
+    def counting(items, work_sets, task):
+        counts.append(min(len(work_sets), len(items)))
+        run_parallel(items, work_sets, task)
 
     run_parallel = cascade_module.run_parallel
     monkeypatch.setattr(cascade_module, "run_parallel", counting)
@@ -646,7 +646,8 @@ def test_scores_without_blas_thread_routines_run_in_the_calling_thread(monkeypat
     assert np.array_equal(mc.scores(x), threaded)
     assert scoring_tasks == [min(workers, 3), 1]
     idents = []
-    linalg.run_parallel([lambda: idents.append(threading.get_ident())] * 3)
+    linalg.run_parallel(collections.deque(range(3)), [()] * 3,
+                        lambda item, work: idents.append(threading.get_ident()))
     assert idents == [threading.get_ident()] * 3
 
 
@@ -986,13 +987,11 @@ def test_assembly_takes_panels_largest_first(monkeypatch):
     mc, cascade = single([6, 5, 1], seed=52, alpha=2.0)
     r = 3 * PANEL_ROWS + 5
     _, [(_, bases, grads)] = sweeps(mc, np.random.default_rng(52).uniform(-1, 1, (r, 6)))
-    drain, taken = cascade_module._drain, []
+    run_parallel, taken = cascade_module.run_parallel, []
 
-    def watched_drain(items):
-        for item in drain(items):
-            taken.append(item)
-            yield item
-    monkeypatch.setattr(cascade_module, "_drain", watched_drain)
+    def watched(items, work_sets, task):
+        run_parallel(items, work_sets, lambda item, work: (taken.append(item), task(item, work)))
+    monkeypatch.setattr(cascade_module, "run_parallel", watched)
     monkeypatch.setattr(cascade_module, "worker_count", lambda: 1)
     assemble_system(bases, grads, mc.alpha)
     assert taken == [3 * PANEL_ROWS, 2 * PANEL_ROWS, PANEL_ROWS, 0]
@@ -1053,8 +1052,8 @@ def test_share_out_runs_every_item_once_under_contention():
         for _ in range(5):
             for work in work_sets:
                 work.clear()
-            cascade_module._share_out(collections.deque(range(500)), work_sets,
-                                      lambda item, work: work.append(item))
+            linalg.run_parallel(collections.deque(range(500)), work_sets,
+                                lambda item, work: work.append(item))
             assert sorted(itertools.chain(*work_sets)) == list(range(500))
     finally:
         sys.setswitchinterval(interval)
@@ -1064,8 +1063,8 @@ def test_share_out_makes_at_most_one_task_per_working_set_and_item(monkeypatch, 
     # an empty deque enters a region of no tasks, as scoring no rows does
     for items, sets in ((0, 3), (2, 5), (5, 2), (4, 4)):
         taken = []
-        cascade_module._share_out(collections.deque(range(items)), [()] * sets,
-                                  lambda item, work: taken.append(item))
+        cascade_module.run_parallel(collections.deque(range(items)), [()] * sets,
+                                    lambda item, work: taken.append(item))
         assert sorted(taken) == list(range(items))
     assert scoring_tasks == [0, 2, 2, 4]
     # the working sets: min(workers, items) of them, each array of its size and the dtype
@@ -1091,7 +1090,7 @@ def test_share_out_raises_a_tasks_error_once_every_task_has_ended(blas_threads):
         ended.append(item)
 
     with pytest.raises(ValueError, match="task failed"):
-        cascade_module._share_out(collections.deque(["run", "fail"]), [(), ()], task)
+        linalg.run_parallel(collections.deque(["run", "fail"]), [(), ()], task)
     assert ended == ["run"]
     assert blas_threads() == 3
 
@@ -1172,9 +1171,9 @@ def test_replicas_are_each_trained_once_under_contention(monkeypatch):
 @pytest.mark.parametrize("shape", ["10,50x9,4", "784,100,20,20,10", "shells-deep",
                                    "10x100,1-float32"])
 def test_trained_values_do_not_depend_on_the_worker_count(monkeypatch, shape):
-    # each of d > 1 replicas trains whole in one task at one BLAS thread, so two, three and
-    # four tasks give the same bits (with one worker, its factor runs on BLAS's own threads);
-    # a one-replica batch shares its sweep chunks and panels out over one to four workers
+    # each of d > 1 replicas trains whole in one task at one BLAS thread, so one to four
+    # tasks give the same bits; a one-replica batch shares its sweep chunks and panels out
+    # over one to four workers
     widths, dtype, init = {
         "10,50x9,4": ([10] + [50] * 9 + [4], "float64", "identity-fragments"),
         "784,100,20,20,10": ([784, 100, 20, 20, 10], "float64", "random"),
@@ -1192,7 +1191,7 @@ def test_trained_values_do_not_depend_on_the_worker_count(monkeypatch, shape):
                       batch_rows=600 if d > 1 else 1000, seed=52, precision=dtype,
                       init_mode=init, task="classify" if d > 1 else "binary-auc")
     trained = []
-    for workers in (2, 3, 4) if d > 1 else (1, 2, 3, 4):
+    for workers in (1, 2, 3, 4):
         patch_workers(monkeypatch, workers)
         model, _ = run_training(cfg, train, test)
         trained.append([p.values for c in model.replicas for p in c.packages])

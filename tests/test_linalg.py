@@ -1,4 +1,4 @@
-import functools
+import collections
 import os
 import subprocess
 import sys
@@ -290,17 +290,21 @@ def test_a_region_entered_from_a_task_runs_its_tasks_in_the_task_thread():
     saved = get_threads()
     set_threads(3)  # a count no region sets, so a missed restore shows
     seen, errors = [], []
+    started = threading.Barrier(2, timeout=30)
 
     def inner(outer_tag, tag):
         seen.append((outer_tag, tag, threading.get_ident(), linalg.worker_count(), get_threads()))
 
-    def outer(tag):
+    def outer(tag, _):
         seen.append((tag, None, threading.get_ident(), linalg.worker_count(), get_threads()))
-        linalg.run_parallel([functools.partial(inner, tag, 0), functools.partial(inner, tag, 1)])
+        # without it, the calling thread could take both outer items before a pool thread starts
+        started.wait()
+        linalg.run_parallel(collections.deque([0, 1]), [(), ()],
+                            lambda t, _: inner(tag, t))
 
     def region():
         try:
-            linalg.run_parallel([functools.partial(outer, 0), functools.partial(outer, 1)])
+            linalg.run_parallel(collections.deque([0, 1]), [(), ()], outer)
         except Exception as exc:
             errors.append(exc)
 
